@@ -2,7 +2,8 @@
 //
 // Engineering numbers, not paper claims: how fast each summary ingests
 // items, merges, and answers queries. Includes the SpaceSaving ablation
-// (heap update path) called out in DESIGN.md §5.
+// (heap update path) called out in DESIGN.md §5, and the cost of
+// keeping a merge canonical (BM_Fold*: plain vs in place vs round trip).
 //
 // Like the table benches (bench_util.h), this binary mirrors its
 // results to BENCH_throughput.json — via google-benchmark's own JSON
@@ -10,6 +11,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -26,6 +28,7 @@
 #include "mergeable/sketch/count_min.h"
 #include "mergeable/sketch/count_sketch.h"
 #include "mergeable/stream/generators.h"
+#include "mergeable/util/bytes.h"
 
 namespace mergeable {
 namespace {
@@ -332,6 +335,94 @@ void BM_QuantileQuery(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_QuantileQuery);
+
+// ROADMAP item 3's table: one left-deep fold of 64 parts (20k Zipf
+// items each), per merge, for the three ways of keeping the running
+// summary canonical — none (plain Merge), in place (Merge then
+// Canonicalize, what the store, the server and the coordinator do) and
+// by encode-then-decode round trip (what they did before Canonicalize
+// existed; now only the test oracle). Items processed = merges.
+enum class FoldMode { kPlain, kCanonical, kRoundTrip };
+
+template <typename S, typename Make>
+std::vector<S> FoldParts(Make make) {
+  std::vector<S> parts;
+  for (uint64_t part = 0; part < 64; ++part) {
+    StreamSpec spec;
+    spec.kind = StreamKind::kZipf;
+    spec.n = 20000;
+    spec.universe = 1 << 14;
+    spec.alpha = 1.1;
+    S summary = make();
+    for (uint64_t item : GenerateStream(spec, 100 + part)) {
+      summary.Update(item);
+    }
+    parts.push_back(std::move(summary));
+  }
+  return parts;
+}
+
+template <typename S>
+void RunFold(benchmark::State& state, const std::vector<S>& parts,
+             FoldMode mode) {
+  for (auto _ : state) {
+    S merged = parts.front();
+    for (size_t i = 1; i < parts.size(); ++i) {
+      merged.Merge(parts[i]);
+      if (mode == FoldMode::kCanonical) {
+        merged.Canonicalize();
+      } else if (mode == FoldMode::kRoundTrip) {
+        ByteWriter writer;
+        merged.EncodeTo(writer);
+        ByteReader reader(writer.bytes());
+        merged = *S::DecodeFrom(reader);
+      }
+    }
+    benchmark::DoNotOptimize(merged);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(parts.size() - 1));
+}
+
+void BM_FoldCountMin(benchmark::State& state, FoldMode mode) {
+  static const auto* parts = new std::vector<CountMinSketch>(
+      FoldParts<CountMinSketch>([] { return CountMinSketch(4, 2048, 1); }));
+  RunFold(state, *parts, mode);
+}
+BENCHMARK_CAPTURE(BM_FoldCountMin, plain, FoldMode::kPlain);
+BENCHMARK_CAPTURE(BM_FoldCountMin, canonical, FoldMode::kCanonical);
+BENCHMARK_CAPTURE(BM_FoldCountMin, round_trip, FoldMode::kRoundTrip);
+
+void BM_FoldSpaceSaving(benchmark::State& state, int capacity,
+                        FoldMode mode) {
+  static auto* parts = new std::map<int, std::vector<SpaceSaving>>();
+  auto it = parts->find(capacity);
+  if (it == parts->end()) {
+    const auto make = [capacity] { return SpaceSaving(capacity); };
+    it = parts->emplace(capacity, FoldParts<SpaceSaving>(make)).first;
+  }
+  RunFold(state, it->second, mode);
+}
+BENCHMARK_CAPTURE(BM_FoldSpaceSaving, k1024_plain, 1024, FoldMode::kPlain);
+BENCHMARK_CAPTURE(BM_FoldSpaceSaving, k1024_canonical, 1024,
+                  FoldMode::kCanonical);
+BENCHMARK_CAPTURE(BM_FoldSpaceSaving, k1024_round_trip, 1024,
+                  FoldMode::kRoundTrip);
+BENCHMARK_CAPTURE(BM_FoldSpaceSaving, k100_plain, 100, FoldMode::kPlain);
+BENCHMARK_CAPTURE(BM_FoldSpaceSaving, k100_canonical, 100,
+                  FoldMode::kCanonical);
+BENCHMARK_CAPTURE(BM_FoldSpaceSaving, k100_round_trip, 100,
+                  FoldMode::kRoundTrip);
+
+void BM_FoldMergeableQuantiles(benchmark::State& state, FoldMode mode) {
+  static const auto* parts = new std::vector<MergeableQuantiles>(
+      FoldParts<MergeableQuantiles>([] { return MergeableQuantiles(256, 1); }));
+  RunFold(state, *parts, mode);
+}
+BENCHMARK_CAPTURE(BM_FoldMergeableQuantiles, plain, FoldMode::kPlain);
+BENCHMARK_CAPTURE(BM_FoldMergeableQuantiles, canonical, FoldMode::kCanonical);
+BENCHMARK_CAPTURE(BM_FoldMergeableQuantiles, round_trip,
+                  FoldMode::kRoundTrip);
 
 }  // namespace
 }  // namespace mergeable

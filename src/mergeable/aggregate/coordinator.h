@@ -470,29 +470,19 @@ class Coordinator {
   }
 
   // Merges an accepted report into the durable state. The merged
-  // summary is kept *canonical* — the fixed point of encode∘decode — by
-  // round-tripping it through its own codec after every merge. This is
-  // what makes recovery byte-exact for randomized summaries: codecs
-  // like MergeableQuantiles do not serialize their RNG state (the
-  // decoder re-seeds deterministically from content), so an in-memory
-  // state that never round-tripped would draw different halving offsets
-  // than its snapshot-restored image and diverge from it on the next
-  // merge. Canonical form makes the in-memory state indistinguishable
-  // from the recovered one at every step, for any crash point. The cost
-  // is one codec round-trip per accepted report — noise next to the
-  // network exchange that produced it.
+  // summary is kept *canonical* — the fixed point of encode∘decode —
+  // by Canonicalize() after every merge. This is what makes recovery
+  // byte-exact for randomized summaries: codecs like MergeableQuantiles
+  // do not serialize their RNG state (the decoder re-seeds
+  // deterministically from content), so an in-memory state that never
+  // canonicalized would draw different halving offsets than its
+  // snapshot-restored image and diverge from it on the next merge.
+  // Canonical form makes the in-memory state indistinguishable from the
+  // recovered one at every step, for any crash point.
   void ApplyReport(uint64_t shard, S summary) {
     if (merged_.has_value()) {
       merged_->Merge(summary);
-      ByteWriter writer;
-      merged_->EncodeTo(writer);
-      ByteReader reader(writer.bytes());
-      std::optional<S> canonical = S::DecodeFrom(reader);
-      // The bytes came from our own encoder; failing to decode them is a
-      // codec bug, not bad input.
-      MERGEABLE_CHECK_MSG(canonical.has_value() && reader.Exhausted(),
-                          "merged summary must round-trip its own codec");
-      merged_ = std::move(*canonical);
+      merged_->Canonicalize();
     } else {
       // Freshly decoded from payload bytes — already canonical.
       merged_ = std::move(summary);

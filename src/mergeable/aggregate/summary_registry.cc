@@ -60,13 +60,10 @@ std::optional<std::vector<uint8_t>> MergePayloads(
     std::optional<T> rhs = T::DecodeFrom(reader_b);
     if (!rhs.has_value() || !reader_b.Exhausted()) return std::nullopt;
     lhs->Merge(*rhs);
-    // Canonical form: the fixed point of encode-then-decode, the same
-    // contract the durable coordinator maintains (coordinator.h).
-    const std::vector<uint8_t> merged = Encode(*lhs);
-    ByteReader reread(merged);
-    std::optional<T> canonical = T::DecodeFrom(reread);
-    if (!canonical.has_value() || !reread.Exhausted()) return std::nullopt;
-    return Encode(*canonical);
+    // Canonical form, the same contract the durable coordinator
+    // maintains (coordinator.h).
+    lhs->Canonicalize();
+    return Encode(*lhs);
   } else {
     (void)a;
     (void)b;

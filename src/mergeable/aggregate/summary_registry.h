@@ -130,8 +130,8 @@ struct SummaryCodecInfo {
   // one corpus are pairwise merge-compatible.
   std::vector<std::vector<uint8_t>> (*corpus)(uint64_t seed);
 
-  // Decodes both payloads, merges b into a, and returns the canonical
-  // (round-tripped) encoding of the result. std::nullopt when either
+  // Decodes both payloads, merges b into a, and returns the encoding of
+  // the canonicalized result (S::Canonicalize()). std::nullopt when either
   // payload is rejected or the type is not mergeable. Payloads must be
   // shape-compatible (same parameters), as for the summary's own Merge.
   std::optional<std::vector<uint8_t>> (*merge_payloads)(

@@ -91,6 +91,8 @@ namespace {
 constexpr uint32_t kEpsApproxMagic = 0x31304145;  // "EA01"
 }  // namespace
 
+void EpsApproximation::Canonicalize() { rng_ = Rng(n_ ^ levels_.size()); }
+
 void EpsApproximation::EncodeTo(ByteWriter& writer) const {
   writer.PutU32(kEpsApproxMagic);
   writer.PutU32(static_cast<uint32_t>(buffer_size_));

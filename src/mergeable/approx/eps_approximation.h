@@ -56,6 +56,12 @@ class EpsApproximation {
   void EncodeTo(ByteWriter& writer) const;
   static std::optional<EpsApproximation> DecodeFrom(ByteReader& reader);
 
+  // Puts the summary in canonical form in place: afterwards it is
+  // indistinguishable from DecodeFrom(EncodeTo(*this)) — equal bytes and equal
+  // behavior under further updates and merges. Re-seeds the halving RNG from
+  // the content, as DecodeFrom does.
+  void Canonicalize();
+
  private:
   void CompactFrom(size_t level);
   void EnsureLevel(size_t level);

@@ -62,6 +62,10 @@ class EpsKernel {
   // input.
   void EncodeTo(ByteWriter& writer) const;
   static std::optional<EpsKernel> DecodeFrom(ByteReader& reader);
+
+  // Canonical form in place (see WireSummary in core/concepts.h).
+  // Every field is on the wire, so the summary is always canonical.
+  void Canonicalize() {}
   uint64_t n() const { return n_; }
   bool empty() const { return n_ == 0; }
 

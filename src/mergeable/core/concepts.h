@@ -42,9 +42,19 @@ concept WireCodec = requires(const S cs, ByteWriter writer,
 };
 
 // A mergeable summary that can cross a machine boundary — what the
-// aggregation coordinator (aggregate/coordinator.h) requires.
+// aggregation coordinator (aggregate/coordinator.h), the store and the
+// server require. It also puts itself in canonical form in place: after
+// s.Canonicalize(), s is indistinguishable from the decode of its own
+// encoding — equal bytes, and equal behavior under further updates and
+// merges, because state the codec does not write (RNG positions, slot
+// and table layout, pending-maintenance counters) is re-derived from
+// the content exactly as DecodeFrom derives it. Byte-determinism of
+// every merge tree rests on this (DESIGN §10.2); merge_property_test
+// checks it against the encode-then-decode round trip for every codec.
 template <typename S>
-concept WireSummary = Mergeable<S> && WireCodec<S>;
+concept WireSummary = Mergeable<S> && WireCodec<S> && requires(S s) {
+  s.Canonicalize();
+};
 
 }  // namespace mergeable
 

@@ -95,6 +95,11 @@ class ElasticCountMin {
   void EncodeTo(ByteWriter& writer) const;
   static std::optional<ElasticCountMin> DecodeFrom(ByteReader& reader);
 
+  // Canonical form in place (core/concepts.h, WireSummary): the decoder
+  // keeps only the mass-carrying levels plus the current one, so drop
+  // every other mass-0 level. Counters are on the wire as they are.
+  void Canonicalize() { DropEmptyLevels(); }
+
   uint64_t n() const { return n_; }
   int depth() const { return depth_; }
   // The current (finest) width — where updates land.

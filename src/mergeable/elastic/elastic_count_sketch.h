@@ -61,6 +61,11 @@ class ElasticCountSketch {
   void EncodeTo(ByteWriter& writer) const;
   static std::optional<ElasticCountSketch> DecodeFrom(ByteReader& reader);
 
+  // Canonical form in place (core/concepts.h, WireSummary): the decoder
+  // keeps only the mass-carrying levels plus the current one, so drop
+  // every other mass-0 level. Counters are on the wire as they are.
+  void Canonicalize() { DropEmptyLevels(); }
+
   uint64_t n() const { return n_; }
   int depth() const { return depth_; }
   int width() const { return width_; }

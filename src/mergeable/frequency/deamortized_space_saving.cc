@@ -431,16 +431,45 @@ void DeamortizedSpaceSaving::Merge(const DeamortizedSpaceSaving& other) {
 
 namespace {
 constexpr uint32_t kSpaceSavingMagic = 0x31305353;  // "SS01"
+
+// Canonical order (descending count, ties by item): the bytes depend
+// only on the effective state, not on drain progress or table layout.
+constexpr auto kWireOrder = [](const auto& a, const auto& b) {
+  if (a.count != b.count) return a.count > b.count;
+  return a.item < b.item;
+};
 }  // namespace
+
+void DeamortizedSpaceSaving::Canonicalize() {
+  std::vector<Entry> entries = EffectiveEntries();
+  std::sort(entries.begin(), entries.end(), kWireOrder);
+  // Read before the reset below zeroes the pending decrement m.
+  const uint64_t under_slack = UnderSlack();
+  active_.clear();
+  active_index_.Clear();
+  passive_.clear();
+  passive_index_.Clear();
+  select_heap_.clear();
+  phase_ = Phase::kIdle;
+  select_pos_ = 0;
+  drain_pos_ = 0;
+  m_ = 0;
+  select_m_cached_ = false;
+  theta_ = under_slack;
+  // DecodeFrom treats a full table as a SpaceSaving state (R2 branch);
+  // this class never holds one: an update that fills the active table
+  // swaps it out, and the effective view is what the active table holds
+  // once the pending drain finishes, which always has room (see the
+  // header comment).
+  MERGEABLE_DCHECK(entries.size() < static_cast<size_t>(table_capacity_));
+  for (const Entry& entry : entries) {
+    AppendActive(entry.item, entry.count, entry.over);
+  }
+}
 
 void DeamortizedSpaceSaving::EncodeTo(ByteWriter& writer) const {
   std::vector<Entry> entries = EffectiveEntries();
-  // Canonical order (descending count, ties by item): the bytes depend
-  // only on the effective state, not on drain progress or table layout.
-  std::sort(entries.begin(), entries.end(), [](const Entry& a, const Entry& b) {
-    if (a.count != b.count) return a.count > b.count;
-    return a.item < b.item;
-  });
+  std::sort(entries.begin(), entries.end(), kWireOrder);
   writer.PutU32(kSpaceSavingMagic);
   writer.PutU32(static_cast<uint32_t>(table_capacity_));
   writer.PutU64(n_);

@@ -177,6 +177,12 @@ class DeamortizedSpaceSaving {
   // SpaceSaving's); std::nullopt on malformed input.
   static std::optional<DeamortizedSpaceSaving> DecodeFrom(ByteReader& reader);
 
+  // Puts the summary in canonical form in place: afterwards it is
+  // indistinguishable from DecodeFrom(EncodeTo(*this)) — equal bytes and equal
+  // behavior under further updates and merges. Folds the pending drain into one
+  // sorted active table, as the decoder builds it.
+  void Canonicalize();
+
   // ---- Maintenance surface (concurrent wrapper, benches, tests) ----
 
   // True while the passive table still has drain work.

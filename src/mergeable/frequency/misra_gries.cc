@@ -178,6 +178,29 @@ namespace {
 constexpr uint32_t kMisraGriesMagic = 0x3130474d;  // "MG01"
 }  // namespace
 
+std::vector<Counter> MisraGries::CountersByItem() const {
+  std::vector<Counter> counters;
+  counters.reserve(counters_.size());
+  counters_.ForEach([&counters](uint64_t item, uint64_t count) {
+    counters.push_back(Counter{item, count});
+  });
+  std::sort(counters.begin(), counters.end(),
+            [](const Counter& a, const Counter& b) { return a.item < b.item; });
+  return counters;
+}
+
+void MisraGries::Canonicalize() {
+  // The map's slot layout depends on its insertion history; rebuild it
+  // the way DecodeFrom does — fresh table, filled in item order.
+  const std::vector<Counter> counters = CountersByItem();
+  MisraGries fresh(capacity_);
+  fresh.counters_.Reserve(counters.size());
+  for (const Counter& counter : counters) {
+    fresh.counters_.AddWeight(counter.item, counter.count);
+  }
+  counters_ = std::move(fresh.counters_);
+}
+
 void MisraGries::EncodeTo(ByteWriter& writer) const {
   writer.PutU32(kMisraGriesMagic);
   writer.PutU32(static_cast<uint32_t>(capacity_));
@@ -186,14 +209,7 @@ void MisraGries::EncodeTo(ByteWriter& writer) const {
   // Canonical wire order: the map's iteration order depends on its
   // insertion history, so sort by item to make equal summaries encode to
   // equal bytes (encode-decode-encode is a fixed point).
-  std::vector<Counter> counters;
-  counters.reserve(counters_.size());
-  counters_.ForEach([&counters](uint64_t item, uint64_t count) {
-    counters.push_back(Counter{item, count});
-  });
-  std::sort(counters.begin(), counters.end(),
-            [](const Counter& a, const Counter& b) { return a.item < b.item; });
-  for (const Counter& counter : counters) {
+  for (const Counter& counter : CountersByItem()) {
     writer.PutU64(counter.item);
     writer.PutU64(counter.count);
   }

@@ -102,6 +102,12 @@ class MisraGries {
   // malformed input (wrong magic, inconsistent counts, trailing bytes).
   static std::optional<MisraGries> DecodeFrom(ByteReader& reader);
 
+  // Puts the summary in canonical form in place: afterwards it is
+  // indistinguishable from DecodeFrom(EncodeTo(*this)) — equal bytes and equal
+  // behavior under further updates and merges. Rebuilds the counter map in wire
+  // (item) order at the decoder's table size.
+  void Canonicalize();
+
  private:
   // Reduces the counter set to at most `capacity_` entries by subtracting
   // the (capacity_+1)-th largest counter value from every counter.
@@ -110,6 +116,9 @@ class MisraGries {
   // Rebuilds state from `counters` fed as weighted updates in ascending
   // count order (the Frequent re-run used by MergeCafaro).
   void RebuildByReplay(std::vector<Counter> counters, uint64_t total_n);
+
+  // The monitored counters in wire order (ascending item).
+  std::vector<Counter> CountersByItem() const;
 
   int capacity_;
   uint64_t n_ = 0;

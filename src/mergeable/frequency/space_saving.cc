@@ -409,7 +409,29 @@ std::vector<Counter> CafaroClosedFormMergeSpaceSaving(std::vector<Counter> s1,
 
 namespace {
 constexpr uint32_t kSpaceSavingMagic = 0x31305353;  // "SS01"
+
+// Canonical entry order — (count descending, ties by item ascending),
+// the same total order DeamortizedSpaceSaving uses for this shared
+// format — so equal states encode equal bytes no matter what slot
+// order updates and evictions left behind.
+constexpr auto kWireOrder = [](const auto& a, const auto& b) {
+  if (a.count != b.count) return a.count > b.count;
+  return a.item < b.item;
+};
 }  // namespace
+
+void SpaceSaving::Canonicalize() {
+  // DecodeFrom appends the entries in wire order. The min-heap only
+  // ever yields the exact (count, item) minimum, so its layout is
+  // unobservable — but it must hold a snapshot of every entry (later
+  // appends push onto it), so rebuild rather than drop it.
+  std::sort(entries_.begin(), entries_.end(), kWireOrder);
+  index_.Clear();
+  for (size_t slot = 0; slot < entries_.size(); ++slot) {
+    index_.Insert(entries_[slot].item, static_cast<uint32_t>(slot));
+  }
+  RebuildMinHeap();
+}
 
 void SpaceSaving::EncodeTo(ByteWriter& writer) const {
   writer.PutU32(kSpaceSavingMagic);
@@ -417,15 +439,8 @@ void SpaceSaving::EncodeTo(ByteWriter& writer) const {
   writer.PutU64(n_);
   writer.PutU64(under_slack_);
   writer.PutU32(static_cast<uint32_t>(entries_.size()));
-  // Canonical order — (count descending, ties by item ascending), the
-  // same total order DeamortizedSpaceSaving uses for this shared
-  // format — so equal states encode equal bytes no matter what slot
-  // order updates and evictions left behind.
   std::vector<Entry> sorted = entries_;
-  std::sort(sorted.begin(), sorted.end(), [](const Entry& a, const Entry& b) {
-    if (a.count != b.count) return a.count > b.count;
-    return a.item < b.item;
-  });
+  std::sort(sorted.begin(), sorted.end(), kWireOrder);
   for (const Entry& entry : sorted) {
     writer.PutU64(entry.item);
     writer.PutU64(entry.count);

@@ -171,6 +171,12 @@ class SpaceSaving {
   // malformed input.
   static std::optional<SpaceSaving> DecodeFrom(ByteReader& reader);
 
+  // Puts the summary in canonical form in place: afterwards it is
+  // indistinguishable from DecodeFrom(EncodeTo(*this)) — equal bytes and equal
+  // behavior under further updates and merges. Sorts the slots into wire order
+  // and rebuilds the index and the min-heap.
+  void Canonicalize();
+
  private:
   struct Entry {
     uint64_t item = 0;

@@ -60,6 +60,10 @@ class GkSummary {
   void EncodeTo(ByteWriter& writer) const;
   static std::optional<GkSummary> DecodeFrom(ByteReader& reader);
 
+  // Canonical form in place (see WireSummary in core/concepts.h).
+  // Every field is on the wire, so the summary is always canonical.
+  void Canonicalize() {}
+
  private:
   struct Tuple {
     double value = 0.0;

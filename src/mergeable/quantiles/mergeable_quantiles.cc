@@ -178,6 +178,10 @@ namespace {
 constexpr uint32_t kMergeableQuantilesMagic = 0x3130514d;  // "MQ01"
 }  // namespace
 
+void MergeableQuantiles::Canonicalize() {
+  rng_ = Rng(n_ ^ (compactions_ << 32));
+}
+
 void MergeableQuantiles::EncodeTo(ByteWriter& writer) const {
   writer.PutU32(kMergeableQuantilesMagic);
   writer.PutU32(static_cast<uint32_t>(buffer_size_));

@@ -107,6 +107,12 @@ class MergeableQuantiles {
   // Reconstructs a summary; std::nullopt on malformed input.
   static std::optional<MergeableQuantiles> DecodeFrom(ByteReader& reader);
 
+  // Puts the summary in canonical form in place: afterwards it is
+  // indistinguishable from DecodeFrom(EncodeTo(*this)) — equal bytes and equal
+  // behavior under further updates and merges. Re-seeds the offset RNG from the
+  // content, as DecodeFrom does.
+  void Canonicalize();
+
  private:
   // Halves level `level` if it holds >= buffer_size_ values, promoting
   // survivors; cascades upward.

@@ -146,6 +146,19 @@ namespace {
 constexpr uint32_t kQDigestMagic = 0x31304451;  // "QD01"
 }  // namespace
 
+void QDigest::Canonicalize() {
+  // DecodeFrom fills a fresh map in id order and has nothing pending;
+  // both the map's iteration order and the pending count steer Compress.
+  std::vector<std::pair<uint64_t, uint64_t>> nodes(nodes_.begin(),
+                                                   nodes_.end());
+  std::sort(nodes.begin(), nodes.end());
+  std::unordered_map<uint64_t, uint64_t> fresh;
+  fresh.reserve(nodes.size());
+  for (const auto& [id, count] : nodes) fresh[id] = count;
+  nodes_ = std::move(fresh);
+  pending_ = 0;
+}
+
 void QDigest::EncodeTo(ByteWriter& writer) const {
   writer.PutU32(kQDigestMagic);
   writer.PutU32(static_cast<uint32_t>(log_universe_));

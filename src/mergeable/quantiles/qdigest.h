@@ -74,6 +74,12 @@ class QDigest {
   void EncodeTo(ByteWriter& writer) const;
   static std::optional<QDigest> DecodeFrom(ByteReader& reader);
 
+  // Puts the summary in canonical form in place: afterwards it is
+  // indistinguishable from DecodeFrom(EncodeTo(*this)) — equal bytes and equal
+  // behavior under further updates and merges. Rebuilds the node map in wire
+  // (id) order and clears the pending-compress count.
+  void Canonicalize();
+
  private:
   // Node ids follow the standard heap numbering of the complete binary
   // tree over the universe: root = 1, children of v are 2v and 2v+1;

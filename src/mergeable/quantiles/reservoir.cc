@@ -104,6 +104,8 @@ namespace {
 constexpr uint32_t kReservoirMagic = 0x31305352;  // "RS01"
 }  // namespace
 
+void ReservoirSample::Canonicalize() { rng_ = Rng(n_ ^ values_.size()); }
+
 void ReservoirSample::EncodeTo(ByteWriter& writer) const {
   writer.PutU32(kReservoirMagic);
   writer.PutU32(static_cast<uint32_t>(sample_size_));

@@ -48,6 +48,13 @@ class ReservoirSample {
   // decode); std::nullopt on malformed input.
   void EncodeTo(ByteWriter& writer) const;
   static std::optional<ReservoirSample> DecodeFrom(ByteReader& reader);
+
+  // Puts the summary in canonical form in place: afterwards it is
+  // indistinguishable from DecodeFrom(EncodeTo(*this)) — equal bytes and equal
+  // behavior under further updates and merges. Re-seeds the sampling RNG from
+  // the content, as DecodeFrom does.
+  void Canonicalize();
+
   size_t size() const { return values_.size(); }
   const std::vector<double>& values() const { return values_; }
 

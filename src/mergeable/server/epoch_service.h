@@ -5,11 +5,19 @@
 // wire: collect one report per (shard, epoch), dedup retries through a
 // bounded window (aggregate/dedup.h), and on SealEpoch() merge the
 // epoch's accepted payloads into one summary that goes into the
-// SummaryStore — in ascending shard order, left-deep, with
-// CanonicalMergeInto, the exact merge the durable coordinator performs,
-// so a server-built epoch is byte-identical to a Coordinator-built one
-// over the same reports (ISSUE criterion c; the server equivalence test
-// asserts it).
+// SummaryStore — in ascending shard order, left-deep, each step a Merge
+// followed by an in-place Canonicalize() (CanonicalMergeInto), the
+// exact merge the durable coordinator performs, so a server-built epoch
+// is byte-identical to a Coordinator-built one over the same reports
+// (the server equivalence test asserts it).
+//
+// Pending state is flat: each open epoch keeps its decoded reports in a
+// vector in arrival order plus a shard -> position index
+// (util/flat_slot_index.h). Arrival order is irrelevant to the bytes —
+// SealEpoch sorts by shard before folding — and a key re-admitted after
+// its dedup entry was evicted replaces its report in place (last one
+// wins). An epoch's buffers are sized once, from the shards it expects,
+// so ingest allocates nothing per report beyond the decoded summary.
 //
 // Epsilon accounting closes the loop on load shedding: SealEpoch takes
 // the offered mass (what the shards sent, shed or not) and charges
@@ -67,6 +75,7 @@
 #include "mergeable/store/summary_store.h"
 #include "mergeable/store/window.h"
 #include "mergeable/util/bytes.h"
+#include "mergeable/util/flat_slot_index.h"
 
 namespace mergeable {
 
@@ -201,8 +210,7 @@ class EpochService : public FrameHandler {
       ++stats_.reports_duplicate;
       return EncodeControlFrame(control);
     }
-    pending_[report->epoch].insert_or_assign(report->shard_id,
-                                             std::move(*summary));
+    AddPendingLocked(report->epoch, report->shard_id, std::move(*summary));
     control.code = ControlCode::kAccepted;
     ++stats_.reports_accepted;
     return EncodeControlFrame(control);
@@ -259,8 +267,8 @@ class EpochService : public FrameHandler {
         code = ControlCode::kDuplicate;
         ++stats_.reports_duplicate;
       } else {
-        pending_[record.epoch].insert_or_assign(record.shard_id,
-                                                std::move(*summaries[i]));
+        AddPendingLocked(record.epoch, record.shard_id,
+                         std::move(*summaries[i]));
         code = ControlCode::kAccepted;
         ++stats_.reports_accepted;
       }
@@ -381,11 +389,16 @@ class EpochService : public FrameHandler {
     for (auto epoch_it = pending_.lower_bound(topology->effective_epoch);
          epoch_it != pending_.end(); ++epoch_it) {
       const uint64_t shards = ShardsForEpochLocked(epoch_it->first);
-      auto& shard_map = epoch_it->second;
-      auto shard_it = shard_map.lower_bound(shards);
-      while (shard_it != shard_map.end()) {
-        shard_it = shard_map.erase(shard_it);
-        ++stats_.reports_dropped_topology;
+      PendingEpoch& pending = epoch_it->second;
+      const size_t dropped = std::erase_if(
+          pending.reports,
+          [shards](const auto& report) { return report.first >= shards; });
+      if (dropped == 0) continue;
+      stats_.reports_dropped_topology += dropped;
+      pending.slot_of.Clear();
+      for (size_t i = 0; i < pending.reports.size(); ++i) {
+        pending.slot_of.Insert(pending.reports[i].first,
+                               static_cast<uint32_t>(i));
       }
     }
     control.code = ControlCode::kAccepted;
@@ -394,11 +407,11 @@ class EpochService : public FrameHandler {
   }
 
   // Seals `epoch` into the store from whatever reports arrived:
-  // ascending shard order, left-deep canonical merge — byte-identical
-  // to Coordinator::RunDurable over the same payloads. `offered_n` is
-  // the total mass the shards tried to send (what the chaos harness
-  // knows it offered); everything that did not arrive — shed, dropped,
-  // never sent — becomes lost mass.
+  // ascending shard order, left-deep canonical merge (Merge, then
+  // Canonicalize() in place) — byte-identical to Coordinator::RunDurable
+  // over the same payloads. `offered_n` is the total mass the shards
+  // tried to send (what the chaos harness knows it offered); everything
+  // that did not arrive — shed, dropped, never sent — becomes lost mass.
   //
   // A storage-refused seal is buffered (in epoch order) and retried at
   // the head of the next SealEpoch call; while any seal is buffered the
@@ -414,12 +427,22 @@ class EpochService : public FrameHandler {
     AggregationResult<S> result;
     result.shards_total = ShardsForEpochLocked(epoch);
     if (it != pending_.end()) {
-      for (auto& [shard, summary] : it->second) {
+      std::vector<std::pair<uint64_t, S>>& reports = it->second.reports;
+      // (shard, position), sorted: the fold order without moving a
+      // summary.
+      std::vector<std::pair<uint64_t, uint32_t>> order;
+      order.reserve(reports.size());
+      for (size_t i = 0; i < reports.size(); ++i) {
+        order.emplace_back(reports[i].first, static_cast<uint32_t>(i));
+      }
+      std::sort(order.begin(), order.end());
+      for (const auto& [shard, index] : order) {
+        S& summary = reports[index].second;
         ++result.shards_received;
         if (result.summary.has_value()) {
           CanonicalMergeInto(*result.summary, summary);
         } else {
-          result.summary = CanonicalForm(summary);
+          result.summary = CanonicalForm(std::move(summary));
         }
       }
     }
@@ -458,7 +481,7 @@ class EpochService : public FrameHandler {
   size_t pending_reports() const {
     std::lock_guard<std::mutex> lock(mu_);
     size_t n = 0;
-    for (const auto& [epoch, shards] : pending_) n += shards.size();
+    for (const auto& [epoch, pending] : pending_) n += pending.reports.size();
     return n;
   }
   size_t dedup_size() const {
@@ -494,6 +517,41 @@ class EpochService : public FrameHandler {
     AggregationResult<S> result;
     uint64_t offered_n = 0;
   };
+
+  // One open epoch's admitted reports, in arrival order, and where each
+  // shard's report sits in `reports`.
+  struct PendingEpoch {
+    std::vector<std::pair<uint64_t, S>> reports;  // (shard, summary)
+    FlatSlotIndex slot_of;
+  };
+
+  // Cap on pre-sizing an epoch's buffers: the shard count can come off
+  // the wire (TOP1), so it must not drive the allocation alone.
+  static constexpr uint64_t kPendingReserveCap = uint64_t{1} << 13;
+
+  // Records an admitted report. A shard already pending for the epoch
+  // (re-admitted after its dedup entry was evicted) is replaced: the
+  // last report wins, as a retry carries the same payload.
+  void AddPendingLocked(uint64_t epoch, uint64_t shard, S summary) {
+    auto it = pending_.find(epoch);
+    if (it == pending_.end()) {
+      // Sized for the shards the epoch expects, so filling it never
+      // reallocates (peak memory stays at one copy of the reports).
+      it = pending_.try_emplace(epoch).first;
+      const size_t expected = static_cast<size_t>(
+          std::min(ShardsForEpochLocked(epoch), kPendingReserveCap));
+      it->second.reports.reserve(expected);
+      it->second.slot_of.Reserve(expected);
+    }
+    PendingEpoch& pending = it->second;
+    if (const std::optional<uint32_t> slot = pending.slot_of.Find(shard)) {
+      pending.reports[*slot].second = std::move(summary);
+      return;
+    }
+    pending.slot_of.Insert(shard,
+                           static_cast<uint32_t>(pending.reports.size()));
+    pending.reports.emplace_back(shard, std::move(summary));
+  }
 
   // Beyond the buffer cap, drop payloads (oldest kept intact — they
   // seal first) down to empty placeholders: the epoch keeps its slot on
@@ -581,9 +639,9 @@ class EpochService : public FrameHandler {
 
   mutable std::mutex mu_;
   DedupWindow dedup_;
-  // epoch -> shard -> decoded summary (std::map: ascending shard order
-  // is the canonical merge order).
-  std::map<uint64_t, std::map<uint64_t, S>> pending_;
+  // Open epochs, ascending (a handful: the ones between the seal point
+  // and the newest report).
+  std::map<uint64_t, PendingEpoch> pending_;
   // effective_epoch -> shard count, from accepted TOP1 announcements.
   // Ordered: ShardsForEpochLocked takes the latest entry <= the epoch.
   std::map<uint64_t, uint64_t> topology_;

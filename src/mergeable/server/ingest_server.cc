@@ -88,6 +88,14 @@ ServerStats IngestServer::stats() const {
   return stats_;
 }
 
+bool IngestServer::WaitForFramesReceived(
+    uint64_t frames, std::chrono::milliseconds timeout) const {
+  std::unique_lock<std::mutex> lock(stats_mu_);
+  return frames_cv_.wait_for(lock, timeout, [this, frames] {
+    return stats_.frames_received >= frames;
+  });
+}
+
 void IngestServer::WorkerThread() {
   while (true) {
     std::optional<WorkItem> item = queue_.Take();
@@ -213,10 +221,18 @@ void IngestServer::HandleReadable(uint64_t conn_id, Conn& conn) {
 
 void IngestServer::RouteFrame(uint64_t conn_id, Conn& conn,
                               std::vector<uint8_t> frame) {
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.frames_received;
-  }
+  // Counted once the frame's fate is settled, on every path out, so
+  // WaitForFramesReceived is a barrier on admission stats too.
+  struct CountOnExit {
+    IngestServer* server;
+    ~CountOnExit() {
+      {
+        std::lock_guard<std::mutex> lock(server->stats_mu_);
+        ++server->stats_.frames_received;
+      }
+      server->frames_cv_.notify_all();
+    }
+  } count_on_exit{this};
   const FrameKind kind = PeekFrameKind(frame);
   WorkItem item;
   item.conn_id = conn_id;

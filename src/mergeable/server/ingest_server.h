@@ -28,6 +28,7 @@
 #define MERGEABLE_SERVER_INGEST_SERVER_H_
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -83,6 +84,7 @@ struct ServerStats {
   uint64_t connections_closed = 0;
   uint64_t slow_consumer_disconnects = 0;
   uint64_t poisoned_streams = 0;   // Oversized length prefix → hangup.
+  // Frames the loop thread has routed: admitted, shed or rejected.
   uint64_t frames_received = 0;
   uint64_t unknown_frames = 0;     // Unroutable magic → kRejected.
   size_t peak_conn_buffer_bytes = 0;  // Largest outbound backlog seen.
@@ -115,6 +117,14 @@ class IngestServer {
 
   AdmissionStats admission_stats() const { return queue_.stats(); }
   ServerStats stats() const;
+
+  // Blocks until stats().frames_received reaches `frames` — every one
+  // of those frames admitted, shed or rejected, so admission_stats()
+  // already counts it — or `timeout` passes. False on timeout. The
+  // barrier for "send, then assert on stats" without racing the loop
+  // thread.
+  bool WaitForFramesReceived(uint64_t frames,
+                             std::chrono::milliseconds timeout) const;
   bool in_backpressure() const { return queue_.in_backpressure(); }
 
  private:
@@ -164,6 +174,7 @@ class IngestServer {
   uint64_t inflight_ = 0;
 
   mutable std::mutex stats_mu_;
+  mutable std::condition_variable frames_cv_;  // frames_received grew.
   ServerStats stats_;
 };
 

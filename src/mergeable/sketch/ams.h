@@ -41,6 +41,10 @@ class AmsSketch {
   void EncodeTo(ByteWriter& writer) const;
   static std::optional<AmsSketch> DecodeFrom(ByteReader& reader);
 
+  // Canonical form in place (see WireSummary in core/concepts.h).
+  // Every field is on the wire, so the summary is always canonical.
+  void Canonicalize() {}
+
   int rows() const { return rows_; }
   int cols() const { return cols_; }
 

@@ -52,6 +52,10 @@ class BloomFilter {
   void EncodeTo(ByteWriter& writer) const;
   static std::optional<BloomFilter> DecodeFrom(ByteReader& reader);
 
+  // Canonical form in place (see WireSummary in core/concepts.h).
+  // Every field is on the wire, so the summary is always canonical.
+  void Canonicalize() {}
+
   // Expected false positive rate at the current fill level, from the
   // fraction of set bits.
   double EstimatedFpr() const;

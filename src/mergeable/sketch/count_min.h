@@ -69,6 +69,10 @@ class CountMinSketch {
   void EncodeTo(ByteWriter& writer) const;
   static std::optional<CountMinSketch> DecodeFrom(ByteReader& reader);
 
+  // Canonical form in place (see WireSummary in core/concepts.h).
+  // Every field is on the wire, so the summary is always canonical.
+  void Canonicalize() {}
+
   uint64_t n() const { return n_; }
   int depth() const { return depth_; }
   int width() const { return width_; }

@@ -57,6 +57,10 @@ class DyadicCountMin {
   void EncodeTo(ByteWriter& writer) const;
   static std::optional<DyadicCountMin> DecodeFrom(ByteReader& reader);
 
+  // Canonical form in place (see WireSummary in core/concepts.h).
+  // Every field is on the wire, so the summary is always canonical.
+  void Canonicalize() {}
+
   uint64_t n() const { return n_; }
   int log_universe() const { return log_universe_; }
 

@@ -52,6 +52,12 @@ namespace {
 constexpr uint32_t kKmvMagic = 0x3130564b;  // "KV01"
 }  // namespace
 
+void KmvSketch::Canonicalize() {
+  // DecodeFrom heapifies the sorted retained set.
+  std::sort(heap_.begin(), heap_.end());
+  std::make_heap(heap_.begin(), heap_.end());
+}
+
 void KmvSketch::EncodeTo(ByteWriter& writer) const {
   writer.PutU32(kKmvMagic);
   writer.PutU32(static_cast<uint32_t>(k_));

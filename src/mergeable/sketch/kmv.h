@@ -37,6 +37,12 @@ class KmvSketch {
   void EncodeTo(ByteWriter& writer) const;
   static std::optional<KmvSketch> DecodeFrom(ByteReader& reader);
 
+  // Puts the summary in canonical form in place: afterwards it is
+  // indistinguishable from DecodeFrom(EncodeTo(*this)) — equal bytes and equal
+  // behavior under further updates and merges. Re-lays the heap out exactly as
+  // the decoder does (sorted, then heapified).
+  void Canonicalize();
+
   int k() const { return k_; }
   size_t size() const { return heap_.size(); }
 

@@ -15,12 +15,13 @@
 //
 // Determinism contract: a node's value is defined purely by the epoch
 // payload bytes it covers — node = canonical(merge(left, right)), where
-// canonical(s) is the encode-then-decode fixed point (same contract as
-// the durable coordinator) — and a range result is the balanced
-// canonical merge of its covering nodes. Cold reconstruction after
-// eviction, recovery after restart (Open), batch sealing and parallel
-// query execution all therefore produce byte-identical payloads; the
-// store equivalence suite asserts this against a tree-free reference.
+// canonical(s) is s.Canonicalize(), equal to the encode-then-decode
+// fixed point (same contract as the durable coordinator) — and a range
+// result is the balanced canonical merge of its covering nodes. Cold
+// reconstruction after eviction, recovery after restart (Open), batch
+// sealing and parallel query execution all therefore produce
+// byte-identical payloads; the store equivalence suite asserts this
+// against a tree-free reference.
 //
 // Storage layout: one file per node, named
 //   <prefix>/s<stream>/n<level>.<index>
@@ -84,25 +85,27 @@ S DecodeSummaryOrDie(const std::vector<uint8_t>& payload) {
   return std::move(*summary);
 }
 
-// The encode-then-decode fixed point of `summary`. Codecs that do not
-// serialize incidental state (RNG positions) re-derive it from content,
-// so two summaries with equal canonical form evolve identically under
-// further merges — the property every deterministic-replay path here
-// relies on (see aggregate/coordinator.h, which maintains the same
-// form for crash recovery).
+// The canonical form of `summary`: S::Canonicalize(), which equals the
+// encode-then-decode fixed point without the round trip. Codecs that do
+// not serialize incidental state (RNG positions, slot layout) re-derive
+// it from content, so two summaries with equal canonical form evolve
+// identically under further merges — the property every deterministic-
+// replay path here relies on (see aggregate/coordinator.h, which
+// maintains the same form for crash recovery).
 template <WireSummary S>
-S CanonicalForm(const S& summary) {
-  return DecodeSummaryOrDie<S>(EncodeSummary(summary));
+S CanonicalForm(S summary) {
+  summary.Canonicalize();
+  return summary;
 }
 
-// The merge the store uses everywhere: absorb `from`, then re-canonize.
-// Folding with this function is associative *by construction* over
-// canonical payloads, which is what makes any dyadic regrouping of the
-// same epochs byte-stable.
+// The merge the store uses everywhere: absorb `from`, then re-canonize
+// in place. Folding with this function is associative *by construction*
+// over canonical payloads, which is what makes any dyadic regrouping of
+// the same epochs byte-stable.
 template <WireSummary S>
 void CanonicalMergeInto(S& into, const S& from) {
   into.Merge(from);
-  into = CanonicalForm(into);
+  into.Canonicalize();
 }
 
 // Execution + serving knobs.

@@ -24,18 +24,33 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "mergeable/aggregate/summary_registry.h"
+#include "mergeable/approx/eps_approximation.h"
+#include "mergeable/approx/eps_kernel.h"
+#include "mergeable/approx/point.h"
 #include "mergeable/elastic/elastic_count_min.h"
 #include "mergeable/elastic/elastic_count_sketch.h"
 #include "mergeable/frequency/deamortized_space_saving.h"
 #include "mergeable/frequency/exact_counter.h"
 #include "mergeable/frequency/misra_gries.h"
 #include "mergeable/frequency/space_saving.h"
+#include "mergeable/quantiles/gk.h"
+#include "mergeable/quantiles/mergeable_quantiles.h"
+#include "mergeable/quantiles/qdigest.h"
+#include "mergeable/quantiles/reservoir.h"
+#include "mergeable/sketch/ams.h"
+#include "mergeable/sketch/bloom.h"
+#include "mergeable/sketch/count_min.h"
+#include "mergeable/sketch/count_sketch.h"
+#include "mergeable/sketch/dyadic_count_min.h"
+#include "mergeable/sketch/kmv.h"
 #include "mergeable/util/bytes.h"
+#include "mergeable/util/check.h"
 #include "mergeable/util/random.h"
 
 namespace mergeable {
@@ -439,6 +454,120 @@ TYPED_TEST(CounterGroupingTest, MergingAnEmptySummaryPreservesTheBracket) {
   summary.Merge(CounterForEpsilon<TypeParam>(kEpsilon));
   EXPECT_EQ(summary.n(), n_before);
   CheckBracket(summary, exact, kEpsilon);
+}
+
+// ---- Canonicalize() against the encode-then-decode oracle ----
+//
+// Every production path canonicalizes in place (S::Canonicalize); the
+// round trip survives only here, as the definition it must match. After
+// seeded random sequences of updates and plain merges — which leave
+// slot layout, RNG positions and pending maintenance in whatever state
+// they happen to be — Canonicalize() must encode to the same bytes as
+// decode(encode(x)), and one further Merge or one further run of
+// updates, applied to both, must still agree byte for byte: that is
+// what catches state the codec does not write but the decoder
+// re-derives.
+
+template <typename T>
+T DecodeOrDie(const std::vector<uint8_t>& bytes) {
+  ByteReader reader(bytes);
+  std::optional<T> decoded = T::DecodeFrom(reader);
+  MERGEABLE_CHECK_MSG(decoded.has_value() && reader.Exhausted(),
+                      "corpus and self-encoded payloads must decode");
+  return std::move(*decoded);
+}
+
+// `count` updates drawn from `rng`, in whatever form T ingests.
+template <typename T>
+void FeedUpdates(T& summary, Rng& rng, uint64_t count) {
+  for (uint64_t i = 0; i < count; ++i) {
+    // Items stay inside the smallest corpus universe (2^10).
+    const uint64_t item = rng.UniformInt(uint64_t{1} << 10);
+    if constexpr (requires { summary.Update(Point2{}); }) {
+      summary.Update(Point2{rng.UniformDouble(), rng.UniformDouble()});
+    } else if constexpr (requires { summary.Update(item); }) {
+      summary.Update(item);
+    } else {
+      summary.Add(item);
+    }
+  }
+}
+
+template <typename T>
+void CheckCanonicalizeMatchesRoundTrip(uint64_t seed,
+                                       std::set<SummaryTag>* covered) {
+  const SummaryTag tag = SummaryTraits<T>::kTag;
+  covered->insert(tag);
+  const SummaryCodecInfo* codec = FindSummaryCodec(tag);
+  ASSERT_NE(codec, nullptr);
+  // Entries of one corpus are pairwise merge-compatible.
+  const std::vector<std::vector<uint8_t>> corpus = codec->corpus(seed);
+  Rng rng(seed * 1000 + static_cast<uint64_t>(tag));
+  const auto pick = [&] {
+    return DecodeOrDie<T>(corpus[rng.UniformInt(corpus.size())]);
+  };
+  for (int trial = 0; trial < 12; ++trial) {
+    T summary = pick();
+    const uint64_t steps = 1 + rng.UniformInt(uint64_t{5});
+    for (uint64_t step = 0; step < steps; ++step) {
+      if (rng.Bernoulli(0.7)) {
+        FeedUpdates(summary, rng, 1 + rng.UniformInt(uint64_t{400}));
+      }
+      if constexpr (Mergeable<T>) {
+        if (rng.Bernoulli(0.7)) summary.Merge(pick());
+      }
+    }
+    T canonical = summary;
+    canonical.Canonicalize();
+    T oracle = DecodeOrDie<T>(Encode(summary));
+    ASSERT_EQ(Encode(canonical), Encode(oracle))
+        << codec->name << " trial " << trial;
+
+    if constexpr (Mergeable<T>) {
+      T merged_canonical = canonical;
+      T merged_oracle = oracle;
+      const T other = pick();
+      merged_canonical.Merge(other);
+      merged_oracle.Merge(other);
+      ASSERT_EQ(Encode(merged_canonical), Encode(merged_oracle))
+          << codec->name << " trial " << trial << " after one more merge";
+    }
+    const uint64_t more = 1 + rng.UniformInt(uint64_t{400});
+    const uint64_t stream_seed = rng();
+    Rng canonical_stream(stream_seed);
+    Rng oracle_stream(stream_seed);
+    FeedUpdates(canonical, canonical_stream, more);
+    FeedUpdates(oracle, oracle_stream, more);
+    ASSERT_EQ(Encode(canonical), Encode(oracle))
+        << codec->name << " trial " << trial << " after more updates";
+  }
+}
+
+TEST(CoreMergePropertyTest, CanonicalizeMatchesTheRoundTripForEveryCodec) {
+  for (uint64_t seed : {3u, 17u, 40u}) {
+    std::set<SummaryTag> covered;
+    CheckCanonicalizeMatchesRoundTrip<MisraGries>(seed, &covered);
+    CheckCanonicalizeMatchesRoundTrip<SpaceSaving>(seed, &covered);
+    CheckCanonicalizeMatchesRoundTrip<DeamortizedSpaceSaving>(seed, &covered);
+    CheckCanonicalizeMatchesRoundTrip<GkSummary>(seed, &covered);
+    CheckCanonicalizeMatchesRoundTrip<MergeableQuantiles>(seed, &covered);
+    CheckCanonicalizeMatchesRoundTrip<QDigest>(seed, &covered);
+    CheckCanonicalizeMatchesRoundTrip<ReservoirSample>(seed, &covered);
+    CheckCanonicalizeMatchesRoundTrip<CountMinSketch>(seed, &covered);
+    CheckCanonicalizeMatchesRoundTrip<CountSketch>(seed, &covered);
+    CheckCanonicalizeMatchesRoundTrip<AmsSketch>(seed, &covered);
+    CheckCanonicalizeMatchesRoundTrip<BloomFilter>(seed, &covered);
+    CheckCanonicalizeMatchesRoundTrip<KmvSketch>(seed, &covered);
+    CheckCanonicalizeMatchesRoundTrip<DyadicCountMin>(seed, &covered);
+    CheckCanonicalizeMatchesRoundTrip<EpsApproximation>(seed, &covered);
+    CheckCanonicalizeMatchesRoundTrip<EpsKernel>(seed, &covered);
+    CheckCanonicalizeMatchesRoundTrip<ElasticCountMin>(seed, &covered);
+    CheckCanonicalizeMatchesRoundTrip<ElasticCountSketch>(seed, &covered);
+    // A codec added to the registry must be added above.
+    for (const SummaryCodecInfo& info : SummaryRegistry()) {
+      EXPECT_EQ(covered.count(info.tag), 1u) << info.name;
+    }
+  }
 }
 
 }  // namespace

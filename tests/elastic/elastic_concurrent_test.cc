@@ -50,9 +50,12 @@ TEST(ElasticConcurrentTest, ResizeRacesSingleUpdates) {
   });
   std::thread reader([&summary, &stop] {
     while (!stop.load(std::memory_order_relaxed)) {
-      // Queries must stay coherent mid-race: the bracket is internal.
-      const uint64_t upper = summary.UpperEstimate(3);
-      const uint64_t lower = summary.LowerEstimate(3);
+      // Queries must stay coherent mid-race: the bracket is internal to
+      // one state. Both bounds come from one snapshot — two separately
+      // locked reads could straddle a racing Resize or Update.
+      const DeamortizedSpaceSaving snapshot = summary.Snapshot();
+      const uint64_t upper = snapshot.UpperEstimate(3);
+      const uint64_t lower = snapshot.LowerEstimate(3);
       EXPECT_LE(lower, upper);
       std::this_thread::yield();
     }

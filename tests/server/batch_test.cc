@@ -312,6 +312,10 @@ TEST(BatchTest, ShedBatchesAccountMassExactlyAtBatchGranularity) {
   // Batch C (3 reports): 5 + 3 == 8 — still fits; admission never
   // split B to make room, but C's exact fit is admitted.
   ASSERT_TRUE(client.SendFrame(EncodeBatchFrame(make_batch(9, 3))));
+  // Barrier: the loop thread has routed all three frames (C's verdict
+  // is held by the paused workers, so there is no reply to wait on).
+  ASSERT_TRUE(
+      server.WaitForFramesReceived(3, std::chrono::milliseconds(10000)));
 
   const AdmissionStats paused = server.admission_stats();
   EXPECT_EQ(paused.admitted_reports, 8u);
