@@ -19,8 +19,11 @@
 //     production scrub interval.)
 //
 // MemStorage rows run alongside the file rows at the largest N, so the
-// fsync tax is separable from the bookkeeping tax. `--smoke` shrinks
-// the sweep for CI.
+// fsync tax is separable from the bookkeeping tax. A second MemStorage
+// row at kRestartEpochs is the restart row: Open() over a long history
+// with no disk in the way, reported as `restart_open_ms` against
+// `restart_history_bytes` (the segment bytes Open() scans). `--smoke`
+// shrinks the sweep for CI and skips the restart row.
 
 #include <chrono>
 #include <cstdint>
@@ -48,6 +51,7 @@ bool g_smoke = false;
 constexpr double kEpsilon = 0.01;
 constexpr uint64_t kStream = 1;
 constexpr uint32_t kPerEpoch = 2000;
+constexpr uint64_t kRestartEpochs = 16384;
 
 double ElapsedMs(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
@@ -183,6 +187,11 @@ int Main() {
     MemStorage storage;
     rows.push_back({"mem", sweep.back(), RunLifecycle(&storage, sweep.back())});
   }
+  if (!g_smoke) {
+    MemStorage storage;
+    rows.push_back(
+        {"mem", kRestartEpochs, RunLifecycle(&storage, kRestartEpochs)});
+  }
 
   PrintHeader("seal throughput (fsync per epoch)",
               {"backend/epochs", "seals/s", "ms/seal", "segments",
@@ -230,6 +239,12 @@ int Main() {
   RecordCounter("scrub_records_per_s",
                 PerSecond(serving.r.scrub_records, serving.r.scrub_ms));
   RecordCounter("disk_bytes", static_cast<double>(serving.r.disk_bytes));
+  if (!g_smoke) {
+    const Row& restart = rows.back();
+    RecordCounter("restart_open_ms", restart.r.open_ms);
+    RecordCounter("restart_history_bytes",
+                  static_cast<double>(restart.r.disk_bytes));
+  }
 
   std::error_code ec;
   std::filesystem::remove_all(root, ec);

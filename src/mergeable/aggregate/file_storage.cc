@@ -328,20 +328,30 @@ bool FileStorage::Truncate(const std::string& file, uint64_t size) {
     crashed_ = true;
     return false;
   }
+  // A missing file has nothing past `size`; any other failure to open,
+  // stat, shrink or sync leaves the tail in place and must be reported,
+  // or the caller would append behind bytes it believes are gone.
+  bool ok = true;
   const int fd = ::open(path.c_str(), O_WRONLY | O_CLOEXEC);
   if (fd >= 0) {
     struct stat st {};
-    if (::fstat(fd, &st) == 0 &&
-        static_cast<uint64_t>(st.st_size) > size) {
-      ::ftruncate(fd, static_cast<off_t>(size));
-      ::fsync(fd);
+    ok = ::fstat(fd, &st) == 0;
+    if (ok && static_cast<uint64_t>(st.st_size) > size) {
+      ok = ::ftruncate(fd, static_cast<off_t>(size)) == 0 &&
+           ::fsync(fd) == 0;
     }
     ::close(fd);
+  } else {
+    ok = errno == ENOENT;
   }
   if (fires) {
     // A truncate is all-or-nothing on every sane backend; the remaining
     // crash modes reduce to dying right after it completed.
     crashed_ = true;
+    return false;
+  }
+  if (!ok) {
+    ++stats_.transient_failures;
     return false;
   }
   ++stats_.truncates;

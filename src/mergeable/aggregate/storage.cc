@@ -7,7 +7,7 @@
 namespace mergeable {
 
 bool MemStorage::CommitWrite(const std::string& file,
-                             const std::vector<uint8_t>& bytes, bool append) {
+                             std::vector<uint8_t> bytes, bool append) {
   if (crashed_) return false;
   if (transient_faults_pending_ > 0) {
     // A transient fault consumes no write index: the syscall failed
@@ -31,22 +31,21 @@ bool MemStorage::CommitWrite(const std::string& file,
     crashed_ = true;
     return false;
   }
-  std::vector<uint8_t> durable = bytes;
   uint64_t state = crash_.mutation_seed;
   if (fires && crash_.mode == CrashMode::kTornWrite) {
     // A strict prefix reaches the medium (possibly nothing).
-    if (!durable.empty()) durable.resize(SplitMix64(state) % durable.size());
+    if (!bytes.empty()) bytes.resize(SplitMix64(state) % bytes.size());
   }
   if (fires && crash_.mode == CrashMode::kCorruptWrite) {
     // For a rewrite this models media rot just after the rename: the
     // new contents are in place but one bit is flipped.
-    ApplyBitFlip(durable, SplitMix64(state));
+    ApplyBitFlip(bytes, SplitMix64(state));
   }
   std::vector<uint8_t>& destination = files_[file];
   if (append) {
-    destination.insert(destination.end(), durable.begin(), durable.end());
+    destination.insert(destination.end(), bytes.begin(), bytes.end());
   } else {
-    destination = std::move(durable);
+    destination = std::move(bytes);
   }
   if (fires) {
     // Torn, corrupt and after-write crashes all kill the process once the
@@ -70,11 +69,17 @@ bool MemStorage::Append(const std::string& file,
 
 bool MemStorage::Rewrite(const std::string& file,
                          const std::vector<uint8_t>& bytes) {
+  return Rewrite(file, std::vector<uint8_t>(bytes));
+}
+
+bool MemStorage::Rewrite(const std::string& file,
+                         std::vector<uint8_t>&& bytes) {
   std::lock_guard<std::mutex> lock(mu_);
-  const bool ok = CommitWrite(file, bytes, /*append=*/false);
+  const uint64_t size = bytes.size();
+  const bool ok = CommitWrite(file, std::move(bytes), /*append=*/false);
   if (ok) {
     ++stats_.rewrites;
-    stats_.bytes_rewritten += bytes.size();
+    stats_.bytes_rewritten += size;
   }
   return ok;
 }

@@ -130,6 +130,8 @@ class MemStorage : public CrashableStorage {
               const std::vector<uint8_t>& bytes) override;
   bool Rewrite(const std::string& file,
                const std::vector<uint8_t>& bytes) override;
+  // Same contract, taking ownership of `bytes` instead of copying them.
+  bool Rewrite(const std::string& file, std::vector<uint8_t>&& bytes);
   bool Truncate(const std::string& file, uint64_t size) override;
   std::optional<std::vector<uint8_t>> Read(
       const std::string& file) const override;
@@ -150,7 +152,7 @@ class MemStorage : public CrashableStorage {
   // crash fires on this write; whatever the crash mode left durable
   // (nothing, a torn prefix, a bit-flipped copy, or all of it) is
   // applied to the named file first.
-  bool CommitWrite(const std::string& file, const std::vector<uint8_t>& bytes,
+  bool CommitWrite(const std::string& file, std::vector<uint8_t> bytes,
                    bool append);
 
   mutable std::mutex mu_;

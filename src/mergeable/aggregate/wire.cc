@@ -485,9 +485,9 @@ std::vector<uint8_t> EncodeTaggedPayload(SummaryTag tag,
   return writer.TakeBytes();
 }
 
-std::optional<TaggedPayload> DecodeTaggedPayload(
-    const std::vector<uint8_t>& bytes) {
-  ByteReader reader(bytes);
+std::optional<TaggedPayloadView> ViewTaggedPayload(const uint8_t* bytes,
+                                                   size_t size) {
+  ByteReader reader(bytes, size);
   uint32_t magic = 0;
   if (!reader.GetU32(&magic) || magic != kTaggedPayloadMagic) {
     return std::nullopt;
@@ -496,15 +496,30 @@ std::optional<TaggedPayload> DecodeTaggedPayload(
   if (!reader.GetU32(&raw_tag) || !IsRegisteredSummaryTag(raw_tag)) {
     return std::nullopt;
   }
-  TaggedPayload tagged;
+  TaggedPayloadView tagged;
   tagged.tag = static_cast<SummaryTag>(raw_tag);
-  if (!reader.GetBytes(&tagged.payload)) return std::nullopt;
+  uint32_t payload_len = 0;
+  if (!reader.GetU32(&payload_len)) return std::nullopt;
+  tagged.payload = bytes + (size - reader.remaining());
+  tagged.payload_size = payload_len;
+  if (!reader.Skip(payload_len)) return std::nullopt;
   uint64_t checksum = 0;
   if (!reader.GetU64(&checksum) || !reader.Exhausted()) return std::nullopt;
-  if (checksum != FrameChecksum(raw_tag, 0, tagged.payload)) {
+  if (checksum !=
+      FrameChecksum(raw_tag, 0, tagged.payload, tagged.payload_size)) {
     return std::nullopt;
   }
   return tagged;
+}
+
+std::optional<TaggedPayload> DecodeTaggedPayload(
+    const std::vector<uint8_t>& bytes) {
+  const std::optional<TaggedPayloadView> view =
+      ViewTaggedPayload(bytes.data(), bytes.size());
+  if (!view.has_value()) return std::nullopt;
+  return TaggedPayload{
+      view->tag,
+      std::vector<uint8_t>(view->payload, view->payload + view->payload_size)};
 }
 
 namespace {

@@ -341,9 +341,21 @@ struct TaggedPayload {
 std::vector<uint8_t> EncodeTaggedPayload(SummaryTag tag,
                                          const std::vector<uint8_t>& payload);
 
+// A tagged payload verified in place: `payload` points into the viewed
+// bytes and is valid only while they are.
+struct TaggedPayloadView {
+  SummaryTag tag = SummaryTag::kMisraGries;
+  const uint8_t* payload = nullptr;
+  size_t payload_size = 0;
+};
+
 // Parses a tagged payload; std::nullopt on bad magic, unregistered tag,
 // truncation, trailing bytes, or checksum mismatch. Never aborts: these
 // bytes come from storage, which can tear and flip bits.
+std::optional<TaggedPayloadView> ViewTaggedPayload(const uint8_t* bytes,
+                                                   size_t size);
+
+// ViewTaggedPayload with the payload copied out.
 std::optional<TaggedPayload> DecodeTaggedPayload(
     const std::vector<uint8_t>& bytes);
 

@@ -31,7 +31,7 @@ std::string DurableLog::NodeFileName(uint64_t stream, uint32_t level,
          std::to_string(level) + "." + std::to_string(index);
 }
 
-std::vector<uint64_t> DurableLog::Load(OpenReport* report) {
+ScannedLeaves DurableLog::Load(SummaryTag tag, OpenReport* report) {
   std::lock_guard<std::mutex> lock(mu_);
   manifest_.clear();
   quarantine_.clear();
@@ -39,11 +39,13 @@ std::vector<uint64_t> DurableLog::Load(OpenReport* report) {
   current_segment_ = 0;
   current_size_ = 0;
 
-  // Latest record wins per (stream, level, index): a scrub repair is a
-  // re-append, so later copies supersede rotted earlier ones.
-  std::map<RecordKey, std::vector<uint8_t>> payloads;
+  // Latest record wins per (stream, level, index), applied as records
+  // are scanned: a scrub repair is a re-append, so later copies
+  // supersede rotted earlier ones.
+  ScannedLeaves leaves;
   const std::string lead = seg_dir_ + "/";
   bool saw_segment = false;
+  bool tail_stuck = false;
   for (const std::string& file : durable_->List()) {
     if (file.compare(0, lead.size(), lead) != 0) continue;
     uint64_t segment = 0;
@@ -55,39 +57,49 @@ std::vector<uint64_t> DurableLog::Load(OpenReport* report) {
     const std::optional<std::vector<uint8_t>> bytes = durable_->Read(file);
     if (!bytes.has_value()) continue;
     ++report->segments;
-    SegmentScan scan = ScanSegment(*bytes);
+    const uint8_t* data = bytes->data();
+    const SegmentScanTotals scan = WalkSegment(
+        data, bytes->size(), [&](const SegmentRecordView& record) {
+          if (!record.intact) return;
+          const uint8_t* payload = data + record.payload_offset;
+          manifest_[RecordKey{record.stream, record.level, record.index}] =
+              RecordLocation{segment, record.offset, record.length};
+          if (record.level == 0) {
+            const std::optional<LeafRecordView> leaf =
+                ViewLeafRecord(payload, record.payload_length, tag);
+            leaves[record.stream][record.index] =
+                leaf.has_value() ? std::optional<EpochMeta>(leaf->meta)
+                                 : std::nullopt;
+          }
+          warm_.Rewrite(NodeFileName(record.stream, record.level,
+                                     record.index),
+                        std::vector<uint8_t>(
+                            payload, payload + record.payload_length));
+        });
+    bool truncated = true;
     if (scan.torn_tail) {
       // Same discipline as the WAL: the record that was mid-append when
       // the process died is dropped, everything before it is kept.
-      durable_->Truncate(file, scan.valid_bytes);
+      truncated = durable_->Truncate(file, scan.valid_bytes);
       ++report->torn_tails;
     }
     report->corrupt_records += scan.corrupt_records;
-    for (SegmentEntry& entry : scan.entries) {
-      if (!entry.intact) continue;
-      const RecordKey key{entry.record.stream, entry.record.level,
-                          entry.record.index};
-      manifest_[key] =
-          RecordLocation{file, entry.offset, entry.length};
-      payloads[key] = std::move(entry.record.payload);
-    }
     if (!saw_segment || segment >= current_segment_) {
       saw_segment = true;
       current_segment_ = segment;
       current_size_ = scan.valid_bytes;
+      tail_stuck = !truncated;
     }
   }
-  report->records = payloads.size();
-
-  std::vector<uint64_t> streams;
-  for (auto& [key, payload] : payloads) {
-    const auto& [stream, level, index] = key;
-    warm_.Rewrite(NodeFileName(stream, level, index), payload);
-    if (level == 0 && (streams.empty() || streams.back() != stream)) {
-      streams.push_back(stream);
-    }
+  if (tail_stuck) {
+    // The newest segment still ends in garbage: appending there would
+    // land records behind it, where neither the manifest offsets nor
+    // the next restart's scan can find them. Start a fresh segment.
+    ++current_segment_;
+    current_size_ = 0;
   }
-  return streams;
+  report->records = manifest_.size();
+  return leaves;
 }
 
 bool DurableLog::AppendRecordLocked(uint64_t stream, uint32_t level,
@@ -99,10 +111,11 @@ bool DurableLog::AppendRecordLocked(uint64_t stream, uint32_t level,
     ++current_segment_;
     current_size_ = 0;
   }
-  const std::string file = SegmentFileName(current_segment_);
-  if (!durable_->Append(file, frame)) return false;
+  if (!durable_->Append(SegmentFileName(current_segment_), frame)) {
+    return false;
+  }
   manifest_[RecordKey{stream, level, index}] =
-      RecordLocation{file, current_size_, frame.size()};
+      RecordLocation{current_segment_, current_size_, frame.size()};
   current_size_ += frame.size();
   return true;
 }
@@ -137,16 +150,19 @@ uint64_t DurableLog::ScrubPassLocked(uint64_t max_records) {
                 ? manifest_.upper_bound(*scrub_cursor_)
                 : manifest_.begin();
   // One read per touched file per pass, not per record.
-  std::map<std::string, std::optional<std::vector<uint8_t>>> file_cache;
+  std::map<uint64_t, std::optional<std::vector<uint8_t>>> file_cache;
   std::vector<RecordKey> corrupt;
   uint64_t processed = 0;
   while (processed < target) {
     if (it == manifest_.end()) it = manifest_.begin();
     const RecordKey key = it->first;
     const RecordLocation& loc = it->second;
-    auto cached = file_cache.find(loc.file);
+    auto cached = file_cache.find(loc.segment);
     if (cached == file_cache.end()) {
-      cached = file_cache.emplace(loc.file, durable_->Read(loc.file)).first;
+      cached = file_cache
+                   .emplace(loc.segment,
+                            durable_->Read(SegmentFileName(loc.segment)))
+                   .first;
     }
     const bool intact =
         cached->second.has_value() &&

@@ -109,11 +109,15 @@ class DurableLog {
 
   MemStorage& warm() { return warm_; }
 
-  // Scans every segment file: truncates torn tails, skips corrupt
-  // records, applies intact records latest-wins into the warm tier's
-  // node files, and builds the scrub manifest. Fills the scan-side
-  // fields of `report` and returns the streams that have leaf records.
-  std::vector<uint64_t> Load(OpenReport* report);
+  // Scans every segment file once, verifying each record where it sits
+  // in the segment buffer: truncates torn tails (rolling to a fresh
+  // segment when the newest one cannot be truncated), skips corrupt
+  // records, and applies intact records latest-wins as they are
+  // scanned — into the scrub manifest, and as one owned copy into the
+  // warm tier's node files. Leaf records are also decoded in place
+  // against `tag`. Fills the scan-side fields of `report` and returns
+  // every stream's latest leaf copies for SummaryStore::OpenFromLeaves.
+  ScannedLeaves Load(SummaryTag tag, OpenReport* report);
 
   // Appends one record to the current segment (rolling first if it is
   // full) and tracks it in the scrub manifest. False when the backend
@@ -154,7 +158,7 @@ class DurableLog {
  private:
   using RecordKey = std::tuple<uint64_t, uint32_t, uint64_t>;
   struct RecordLocation {
-    std::string file;
+    uint64_t segment = 0;  // SegmentFileName(segment) holds the frame.
     uint64_t offset = 0;
     uint64_t length = 0;
   };
@@ -201,14 +205,15 @@ class DurableStore {
         log_(durable, options_),
         inner_(&log_.warm(), options_.store) {}
 
-  // Rebuilds the serving state from the segment log: scan, truncate
-  // torn tails, rebuild the inner store's epoch tree, pre-warm the node
-  // cache with each stream's full-range cover.
+  // Rebuilds the serving state from the segment log in one pass: scan
+  // and verify, truncate torn tails, open the inner store from the
+  // scanned leaves, pre-warm the node cache with each stream's
+  // full-range cover.
   OpenReport Open() {
     OpenReport report;
-    const std::vector<uint64_t> streams = log_.Load(&report);
-    report.streams = inner_.Open();
-    for (const uint64_t stream : streams) {
+    const ScannedLeaves leaves = log_.Load(SummaryTraits<S>::kTag, &report);
+    report.streams = inner_.OpenFromLeaves(leaves);
+    for (const auto& [stream, scanned] : leaves) {
       if (!inner_.HasStream(stream)) continue;
       const uint64_t base = inner_.BaseEpoch(stream);
       const uint64_t count = inner_.EpochCount(stream);

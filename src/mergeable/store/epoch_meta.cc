@@ -96,39 +96,57 @@ std::vector<uint8_t> EncodeEpochRecord(const EpochMeta& meta,
   return writer.TakeBytes();
 }
 
-std::optional<EpochRecord> DecodeEpochRecord(
-    const std::vector<uint8_t>& bytes) {
-  ByteReader reader(bytes);
+std::optional<EpochRecordView> ViewEpochRecord(const uint8_t* bytes,
+                                               size_t size) {
+  ByteReader reader(bytes, size);
   uint32_t magic = 0;
   if (!reader.GetU32(&magic) || magic != kEpochRecordMagic) {
     return std::nullopt;
   }
-  std::vector<uint8_t> body;
-  if (!reader.GetBytes(&body)) return std::nullopt;
+  uint32_t body_len = 0;
+  if (!reader.GetU32(&body_len) || !reader.Skip(body_len)) {
+    return std::nullopt;
+  }
   uint64_t checksum = 0;
   if (!reader.GetU64(&checksum) || !reader.Exhausted()) return std::nullopt;
 
-  EpochRecord record;
-  ByteReader body_reader(body);
+  const uint8_t* body = bytes + 8;
+  EpochRecordView record;
+  ByteReader body_reader(body, body_len);
   uint32_t estimated = 0;
+  uint32_t payload_len = 0;
   if (!body_reader.GetU64(&record.meta.epoch) ||
       !body_reader.GetU64(&record.meta.n) ||
       !body_reader.GetU64(&record.meta.shards_total) ||
       !body_reader.GetU64(&record.meta.shards_received) ||
       !body_reader.GetU64(&record.meta.lost_mass) ||
       !body_reader.GetU32(&estimated) || estimated > 1 ||
-      !body_reader.GetBytes(&record.payload) || !body_reader.Exhausted()) {
+      !body_reader.GetU32(&payload_len) ||
+      body_reader.remaining() != payload_len) {
     return std::nullopt;
   }
   record.meta.lost_mass_estimated = estimated == 1;
+  record.payload = body + (body_len - payload_len);
+  record.payload_size = payload_len;
   if (record.meta.shards_received > record.meta.shards_total &&
       record.meta.shards_total != 0) {
     return std::nullopt;
   }
-  if (checksum != FrameChecksum(record.meta.epoch, record.meta.n, body)) {
+  if (checksum !=
+      FrameChecksum(record.meta.epoch, record.meta.n, body, body_len)) {
     return std::nullopt;
   }
   return record;
+}
+
+std::optional<EpochRecord> DecodeEpochRecord(
+    const std::vector<uint8_t>& bytes) {
+  const std::optional<EpochRecordView> view =
+      ViewEpochRecord(bytes.data(), bytes.size());
+  if (!view.has_value()) return std::nullopt;
+  return EpochRecord{view->meta,
+                     std::vector<uint8_t>(view->payload,
+                                          view->payload + view->payload_size)};
 }
 
 }  // namespace mergeable

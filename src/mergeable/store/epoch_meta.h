@@ -27,6 +27,7 @@
 #ifndef MERGEABLE_STORE_EPOCH_META_H_
 #define MERGEABLE_STORE_EPOCH_META_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -50,6 +51,7 @@ struct EpochMeta {
   bool lost_mass_estimated = false;
 
   bool degraded() const { return shards_received < shards_total; }
+  bool operator==(const EpochMeta&) const = default;
 };
 
 // The epsilon accounting a range query reports (the store-level analog
@@ -97,8 +99,20 @@ struct EpochRecord {
   std::vector<uint8_t> payload;
 };
 
+// An epoch record verified in place: `payload` points into the viewed
+// bytes and is valid only while they are.
+struct EpochRecordView {
+  EpochMeta meta;
+  const uint8_t* payload = nullptr;
+  size_t payload_size = 0;
+};
+
 // std::nullopt on truncation, bad magic, checksum mismatch, or trailing
 // bytes. Storage can tear and flip bits, so decoding never aborts.
+std::optional<EpochRecordView> ViewEpochRecord(const uint8_t* bytes,
+                                               size_t size);
+
+// ViewEpochRecord with the payload copied out.
 std::optional<EpochRecord> DecodeEpochRecord(
     const std::vector<uint8_t>& bytes);
 

@@ -14,17 +14,21 @@ constexpr uint64_t kFrameOverhead = 4 + 4 + 8;
 
 }  // namespace
 
-uint64_t SegmentChecksum(const std::vector<uint8_t>& body) {
-  uint64_t h = MixHash(body.size(), /*seed=*/0x53454731);
+uint64_t SegmentChecksum(const uint8_t* body, size_t size) {
+  uint64_t h = MixHash(size, /*seed=*/0x53454731);
   size_t i = 0;
-  for (; i + 8 <= body.size(); i += 8) {
+  for (; i + 8 <= size; i += 8) {
     uint64_t word = 0;
     for (int b = 7; b >= 0; --b) word = (word << 8) | body[i + b];
     h = MixHash(word, h);
   }
   uint64_t tail = 0;
-  for (size_t j = body.size(); j > i; --j) tail = (tail << 8) | body[j - 1];
+  for (size_t j = size; j > i; --j) tail = (tail << 8) | body[j - 1];
   return MixHash(tail, h);
+}
+
+uint64_t SegmentChecksum(const std::vector<uint8_t>& body) {
+  return SegmentChecksum(body.data(), body.size());
 }
 
 std::vector<uint8_t> EncodeSegmentRecord(const SegmentRecord& record) {
@@ -44,54 +48,88 @@ std::vector<uint8_t> EncodeSegmentRecord(const SegmentRecord& record) {
 
 namespace {
 
-// Parses one frame starting at `offset`. Returns the entry (intact or
-// checksum-corrupt) and advances *offset past it; std::nullopt when the
-// bytes do not even frame a record (torn tail or untracked garbage).
-std::optional<SegmentEntry> ParseFrame(const std::vector<uint8_t>& bytes,
-                                       uint64_t* offset) {
-  ByteReader reader(bytes.data() + *offset, bytes.size() - *offset);
+// Parses the frame starting at `offset` of bytes [0, size) and checks
+// its SEG1 checksum in place. std::nullopt when the bytes do not even
+// frame a record (torn tail or untracked garbage); otherwise the view,
+// intact or checksum-corrupt.
+std::optional<SegmentRecordView> ViewSegmentRecord(const uint8_t* bytes,
+                                                   size_t size,
+                                                   uint64_t offset) {
+  if (offset > size) return std::nullopt;
+  ByteReader reader(bytes + offset, size - offset);
   uint32_t magic = 0;
-  if (!reader.GetU32(&magic) || magic != kSegmentMagic) return std::nullopt;
-  std::vector<uint8_t> body;
-  if (!reader.GetBytes(&body)) return std::nullopt;
+  uint32_t body_len = 0;
+  if (!reader.GetU32(&magic) || magic != kSegmentMagic ||
+      !reader.GetU32(&body_len) || !reader.Skip(body_len)) {
+    return std::nullopt;
+  }
   uint64_t checksum = 0;
   if (!reader.GetU64(&checksum)) return std::nullopt;
 
-  SegmentEntry entry;
-  entry.offset = *offset;
-  entry.length = kFrameOverhead + body.size();
-  *offset += entry.length;
-  if (checksum != SegmentChecksum(body)) return entry;  // Not intact.
+  SegmentRecordView view;
+  view.offset = offset;
+  view.length = kFrameOverhead + body_len;
+  const uint8_t* body = bytes + offset + 8;
+  if (checksum != SegmentChecksum(body, body_len)) return view;  // Not intact.
 
-  ByteReader body_reader(body);
-  SegmentRecord record;
-  if (!body_reader.GetU64(&record.stream) ||
-      !body_reader.GetU32(&record.level) ||
-      !body_reader.GetU64(&record.index) ||
-      !body_reader.GetBytes(&record.payload) || !body_reader.Exhausted()) {
-    return entry;  // Checksummed but malformed: treat as corrupt.
+  ByteReader body_reader(body, body_len);
+  uint64_t stream = 0;
+  uint32_t level = 0;
+  uint64_t index = 0;
+  uint32_t payload_len = 0;
+  if (!body_reader.GetU64(&stream) || !body_reader.GetU32(&level) ||
+      !body_reader.GetU64(&index) || !body_reader.GetU32(&payload_len) ||
+      body_reader.remaining() != payload_len) {
+    return view;  // Checksummed but malformed: treat as corrupt.
   }
-  entry.intact = true;
-  entry.record = std::move(record);
-  return entry;
+  view.intact = true;
+  view.stream = stream;
+  view.level = level;
+  view.index = index;
+  view.payload_offset = offset + 8 + (body_len - payload_len);
+  view.payload_length = payload_len;
+  return view;
 }
 
 }  // namespace
 
-SegmentScan ScanSegment(const std::vector<uint8_t>& bytes) {
-  SegmentScan scan;
+SegmentScanTotals WalkSegment(
+    const uint8_t* bytes, size_t size,
+    const std::function<void(const SegmentRecordView&)>& visit) {
+  SegmentScanTotals totals;
   uint64_t offset = 0;
-  while (offset < bytes.size()) {
-    std::optional<SegmentEntry> entry = ParseFrame(bytes, &offset);
-    if (!entry.has_value()) {
-      scan.torn_tail = true;
+  while (offset < size) {
+    const std::optional<SegmentRecordView> view =
+        ViewSegmentRecord(bytes, size, offset);
+    if (!view.has_value()) {
+      totals.torn_tail = true;
       break;
     }
-    if (!entry->intact) ++scan.corrupt_records;
-    scan.valid_bytes = offset;
-    scan.entries.push_back(std::move(*entry));
+    if (!view->intact) ++totals.corrupt_records;
+    offset += view->length;
+    totals.valid_bytes = offset;
+    visit(*view);
   }
-  if (!scan.torn_tail) scan.valid_bytes = bytes.size();
+  if (!totals.torn_tail) totals.valid_bytes = size;
+  return totals;
+}
+
+SegmentScan ScanSegment(const std::vector<uint8_t>& bytes) {
+  SegmentScan scan;
+  static_cast<SegmentScanTotals&>(scan) = WalkSegment(
+      bytes.data(), bytes.size(), [&](const SegmentRecordView& view) {
+        SegmentEntry entry;
+        entry.offset = view.offset;
+        entry.length = view.length;
+        entry.intact = view.intact;
+        if (view.intact) {
+          const uint8_t* payload = bytes.data() + view.payload_offset;
+          entry.record = SegmentRecord{
+              view.stream, view.level, view.index,
+              std::vector<uint8_t>(payload, payload + view.payload_length)};
+        }
+        scan.entries.push_back(std::move(entry));
+      });
   return scan;
 }
 
@@ -100,9 +138,9 @@ bool VerifySegmentRecordAt(const std::vector<uint8_t>& file_bytes,
   if (offset > file_bytes.size() || length > file_bytes.size() - offset) {
     return false;
   }
-  uint64_t cursor = offset;
-  const std::optional<SegmentEntry> entry = ParseFrame(file_bytes, &cursor);
-  return entry.has_value() && entry->intact && entry->length == length;
+  const std::optional<SegmentRecordView> view =
+      ViewSegmentRecord(file_bytes.data(), file_bytes.size(), offset);
+  return view.has_value() && view->intact && view->length == length;
 }
 
 }  // namespace mergeable

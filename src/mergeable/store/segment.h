@@ -27,7 +27,9 @@
 #ifndef MERGEABLE_STORE_SEGMENT_H_
 #define MERGEABLE_STORE_SEGMENT_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -41,9 +43,41 @@ struct SegmentRecord {
   std::vector<uint8_t> payload;
 };
 
+uint64_t SegmentChecksum(const uint8_t* body, size_t size);
 uint64_t SegmentChecksum(const std::vector<uint8_t>& body);
 
 std::vector<uint8_t> EncodeSegmentRecord(const SegmentRecord& record);
+
+// One record frame verified where it sits in a segment buffer: its
+// identity fields and the location of its payload, nothing copied.
+struct SegmentRecordView {
+  uint64_t offset = 0;  // Byte offset of the frame within the buffer.
+  uint64_t length = 0;  // Full frame length (magic..checksum).
+  // False when the framing parsed but the checksum (or body) did not:
+  // the record's identity fields cannot be trusted and are left zero.
+  bool intact = false;
+  uint64_t stream = 0;
+  uint32_t level = 0;
+  uint64_t index = 0;
+  uint64_t payload_offset = 0;  // Into the buffer, like `offset`.
+  uint64_t payload_length = 0;
+};
+
+// What a scan of one segment file concluded.
+struct SegmentScanTotals {
+  // Bytes of cleanly framed records; anything past this is a torn tail
+  // (or garbage) the owner should truncate away.
+  uint64_t valid_bytes = 0;
+  bool torn_tail = false;
+  uint64_t corrupt_records = 0;  // Framed-but-checksum-failed entries.
+};
+
+// Walks every framed record of bytes [0, size) in order, handing each
+// one (intact or corrupt) to `visit` as a view into the buffer, and
+// stops at the first bytes that do not frame a record.
+SegmentScanTotals WalkSegment(
+    const uint8_t* bytes, size_t size,
+    const std::function<void(const SegmentRecordView&)>& visit);
 
 // One record's location and parse within a scanned segment file.
 struct SegmentEntry {
@@ -55,15 +89,11 @@ struct SegmentEntry {
   SegmentRecord record;
 };
 
-struct SegmentScan {
+struct SegmentScan : SegmentScanTotals {
   std::vector<SegmentEntry> entries;  // Intact and corrupt, in order.
-  // Bytes of cleanly framed records; anything past this is a torn tail
-  // (or garbage) the owner should truncate away.
-  uint64_t valid_bytes = 0;
-  bool torn_tail = false;
-  uint64_t corrupt_records = 0;  // Framed-but-checksum-failed entries.
 };
 
+// WalkSegment with every record copied out.
 SegmentScan ScanSegment(const std::vector<uint8_t>& bytes);
 
 // Re-verifies a single record frame in place (the scrubber's unit of

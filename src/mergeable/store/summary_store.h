@@ -108,6 +108,32 @@ void CanonicalMergeInto(S& into, const S& from) {
   into.Canonicalize();
 }
 
+// A level-0 node file verified in place: the EPH1 epoch record, the
+// tagged envelope it carries, and the tag must all check out. `summary`
+// points into the viewed bytes and is valid only while they are.
+struct LeafRecordView {
+  EpochMeta meta;
+  const uint8_t* summary = nullptr;
+  size_t summary_size = 0;
+};
+
+inline std::optional<LeafRecordView> ViewLeafRecord(const uint8_t* bytes,
+                                                    size_t size,
+                                                    SummaryTag tag) {
+  const std::optional<EpochRecordView> record = ViewEpochRecord(bytes, size);
+  if (!record.has_value()) return std::nullopt;
+  const std::optional<TaggedPayloadView> tagged =
+      ViewTaggedPayload(record->payload, record->payload_size);
+  if (!tagged.has_value() || tagged->tag != tag) return std::nullopt;
+  return LeafRecordView{record->meta, tagged->payload, tagged->payload_size};
+}
+
+// Per stream, leaf index -> the metadata of that leaf's latest copy, or
+// std::nullopt when that copy does not decode as a leaf of the store's
+// summary type.
+using ScannedLeaves =
+    std::map<uint64_t, std::map<uint64_t, std::optional<EpochMeta>>>;
+
 // Execution + serving knobs.
 struct StoreOptions {
   // Storage file-name prefix; two stores can share one Storage backend
@@ -185,41 +211,48 @@ class SummaryStore {
                         "StoreOptions::epsilon must be positive");
   }
 
-  // Rebuilds the stream index from storage after a restart: for every
-  // stream under the prefix, the longest contiguous prefix of epochs
-  // whose records decode cleanly becomes the sealed range (a torn leaf
-  // ends it; torn *internal* nodes are rebuilt lazily from children).
-  // Returns the number of streams recovered.
+  // Rebuilds the stream index from storage after a restart: reads and
+  // verifies every leaf file under the prefix, then applies the prefix
+  // rule of OpenFromLeaves (torn *internal* nodes are rebuilt lazily
+  // from children). Returns the number of streams recovered.
   size_t Open() {
-    streams_.clear();
-    std::map<uint64_t, std::map<uint64_t, std::string>> leaves;
+    ScannedLeaves leaves;
     for (const std::string& file : storage_->List()) {
       uint64_t stream = 0;
       uint32_t level = 0;
       uint64_t index = 0;
       if (!ParseNodeFileName(file, &stream, &level, &index)) continue;
-      if (level == 0) leaves[stream][index] = file;
+      if (level != 0) continue;
+      std::optional<EpochMeta>& meta = leaves[stream][index];
+      const std::optional<std::vector<uint8_t>> bytes = storage_->Read(file);
+      if (!bytes.has_value()) continue;
+      const std::optional<LeafRecordView> record =
+          ViewLeafRecord(bytes->data(), bytes->size(), kTag);
+      if (record.has_value()) meta = record->meta;
     }
-    for (const auto& [stream, files] : leaves) {
+    return OpenFromLeaves(leaves);
+  }
+
+  // Rebuilds the stream index from leaves a caller already read and
+  // verified (DurableStore scans its segment log once and hands the
+  // leaves over). Each stream's sealed range is the longest prefix of
+  // its leaves that starts at index 0, has no missing or undecodable
+  // leaf, and keeps epochs contiguous. Returns the number of streams
+  // recovered.
+  size_t OpenFromLeaves(const ScannedLeaves& leaves) {
+    streams_.clear();
+    for (const auto& [stream, scanned] : leaves) {
       StreamState state;
-      for (uint64_t index = 0;; ++index) {
-        auto it = files.find(index);
-        if (it == files.end()) break;
-        std::optional<std::vector<uint8_t>> bytes =
-            storage_->Read(it->second);
-        if (!bytes.has_value()) break;
-        std::optional<EpochRecord> record = DecodeEpochRecord(*bytes);
-        if (!record.has_value()) break;  // Torn leaf ends the prefix.
-        std::optional<TaggedPayload> tagged =
-            DecodeTaggedPayload(record->payload);
-        if (!tagged.has_value() || tagged->tag != kTag) break;
+      state.metas.reserve(scanned.size());
+      for (const auto& [index, meta] : scanned) {
+        // A missing or torn leaf ends the prefix.
+        if (index != state.metas.size() || !meta.has_value()) break;
         if (index == 0) {
-          state.base_epoch = record->meta.epoch;
-        } else if (record->meta.epoch !=
-                   state.base_epoch + index) {
+          state.base_epoch = meta->epoch;
+        } else if (meta->epoch != state.base_epoch + index) {
           break;  // Epochs must stay contiguous.
         }
-        state.metas.push_back(record->meta);
+        state.metas.push_back(*meta);
       }
       if (!state.metas.empty()) streams_[stream] = std::move(state);
     }
@@ -582,13 +615,11 @@ class SummaryStore {
       bytes_read_.fetch_add(bytes->size(), std::memory_order_relaxed);
       if (query_stats != nullptr) query_stats->bytes_read += bytes->size();
       if (node.level == 0) {
-        const std::optional<EpochRecord> record = DecodeEpochRecord(*bytes);
-        if (record.has_value()) {
-          const std::optional<TaggedPayload> tagged =
-              DecodeTaggedPayload(record->payload);
-          if (tagged.has_value() && tagged->tag == kTag) {
-            return std::move(tagged->payload);
-          }
+        const std::optional<LeafRecordView> leaf =
+            ViewLeafRecord(bytes->data(), bytes->size(), kTag);
+        if (leaf.has_value()) {
+          return std::vector<uint8_t>(leaf->summary,
+                                      leaf->summary + leaf->summary_size);
         }
       } else {
         std::optional<TaggedPayload> tagged = DecodeTaggedPayload(*bytes);

@@ -222,6 +222,40 @@ TEST(MemStorageTest, TransientFailuresConsumeNoWriteIndex) {
   EXPECT_EQ(*storage.Read("log"), Bytes({3}));
 }
 
+TEST(MemStorageTest, MovedRewriteKeepsTheCrashModel) {
+  CrashPoint point;
+  point.mode = CrashMode::kCorruptWrite;
+  point.write_index = 1;
+  point.mutation_seed = 5;
+  MemStorage storage(point);
+  EXPECT_TRUE(storage.Rewrite("snap", Bytes({1, 2, 3})));
+  EXPECT_EQ(storage.stats().bytes_rewritten, 3u);
+  // The owning overload lands the same durable bytes as the copying
+  // one: here the scheduled corrupt write flips one bit of them.
+  const auto next = Bytes({5, 6, 7, 8});
+  EXPECT_FALSE(storage.Rewrite("snap", std::vector<uint8_t>(next)));
+  EXPECT_TRUE(storage.crashed());
+  const auto contents = storage.Read("snap");
+  ASSERT_TRUE(contents.has_value());
+  ASSERT_EQ(contents->size(), next.size());
+  EXPECT_NE(*contents, next);
+  EXPECT_EQ(storage.writes_attempted(), 2u);
+}
+
+TEST(FileStorageTest, TruncateReportsWhatItCouldNotDo) {
+  BackendFactory factory(BackendKind::kFile);
+  auto storage = factory.Make();
+  // A file that was never written has nothing past any size.
+  EXPECT_TRUE(storage->Truncate("missing", 0));
+  // A name the backend cannot open for writing (here a directory) keeps
+  // whatever it holds; the caller must hear that.
+  ASSERT_TRUE(storage->Append("dir/log", Bytes({1, 2, 3})));
+  EXPECT_FALSE(storage->Truncate("dir", 0));
+  EXPECT_EQ(storage->stats().transient_failures, 1u);
+  EXPECT_FALSE(storage->crashed());
+  EXPECT_EQ(*storage->Read("dir/log"), Bytes({1, 2, 3}));
+}
+
 TEST(FileStorageTest, PersistsAcrossInstances) {
   BackendFactory factory(BackendKind::kFile);
   auto a = factory.Make();

@@ -3,10 +3,14 @@
 // bit-flipped segment record is quarantined by the scrubber and its
 // mass folded into the error bound exactly; internal-node rot
 // self-repairs from the warm tier; the background scrubber thread runs
-// clean alongside seals and queries (TSan covers this suite).
+// clean alongside seals and queries (TSan covers this suite); the
+// one-pass Open() matches a SummaryStore opened over the same
+// latest-wins node files; a backend that cannot truncate a torn tail
+// costs no acknowledged epoch.
 
 #include <cstdint>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -18,6 +22,7 @@
 #include "mergeable/frequency/space_saving.h"
 #include "mergeable/store/durable_store.h"
 #include "mergeable/store/segment.h"
+#include "mergeable/store/summary_store.h"
 #include "mergeable/util/random.h"
 #include "../aggregate/storage_backends.h"
 
@@ -367,6 +372,205 @@ TEST(DurableStoreTest, MemBackendRoundTrips) {
   DurableStore<SpaceSaving> reopened(storage.get(), Options());
   reopened.Open();
   EXPECT_EQ(AllRangePayloads(reopened, kEpochs), reference);
+}
+
+// The one-pass Open() against the storage-scan path: a log holding a
+// superseding copy of a node, a later checksum-corrupt copy of a leaf
+// (the earlier copy wins), a later intact-SEG1 but undecodable-EPH1 copy
+// of a leaf (it ends the prefix) and a torn tail must open exactly like
+// SummaryStore::Open() over the latest-wins node files of the same log.
+TEST(DurableStoreTest, OneScanOpenMatchesStoreOpenOverLatestWinsFiles) {
+  constexpr uint64_t kOther = 2;
+  constexpr uint64_t kEpochs = 8;
+  constexpr uint64_t kOtherEpochs = 4;
+  constexpr uint64_t kRotLeaf = 2;
+  constexpr uint64_t kBadLeaf = 5;
+  DurableStoreOptions options = Options();
+  options.segment_bytes = 512;  // Several segments: latest-wins spans files.
+  MemStorage durable;
+  std::string superseded_name;
+  std::vector<uint8_t> superseding;
+  {
+    DurableStore<SpaceSaving> store(&durable, options);
+    ASSERT_EQ(SealUpTo(store, kEpochs), kEpochs);
+    for (uint64_t e = 0; e < kOtherEpochs; ++e) {
+      const SpaceSaving summary = MakeEpochSummary(100 + e);
+      ASSERT_TRUE(store.Seal(kOther, summary, MetaFor(10 + e, summary)));
+    }
+    // An undecodable copy of node (1, 0), then the warm copy over it.
+    DurableLog& log = store.log();
+    superseded_name = log.NodeFileName(kStream, 1, 0);
+    superseding = *log.warm().Read(superseded_name);
+    ASSERT_TRUE(log.AppendRecord(kStream, 1, 0, {9, 9, 9}));
+    ASSERT_TRUE(log.AppendRecord(kStream, 1, 0, superseding));
+  }
+  std::string last_segment;
+  for (const std::string& name : durable.List()) {
+    if (name.rfind("durable/seg/", 0) == 0) last_segment = name;
+  }
+  ASSERT_NE(last_segment, "durable/seg/00000000");
+  // A later, checksum-corrupt copy of leaf kRotLeaf.
+  const SpaceSaving other = MakeEpochSummary(999);
+  std::vector<uint8_t> rotted = EncodeSegmentRecord(SegmentRecord{
+      kStream, 0, kRotLeaf,
+      EncodeEpochRecord(MetaFor(kRotLeaf, other),
+                        EncodeTaggedPayload(SummaryTag::kSpaceSaving,
+                                            EncodeSummary(other)))});
+  rotted[rotted.size() / 2] ^= 0x08;
+  ASSERT_TRUE(durable.Append(last_segment, rotted));
+  // A later copy of leaf kBadLeaf whose SEG1 frame is intact but whose
+  // payload is no epoch record.
+  ASSERT_TRUE(durable.Append(
+      last_segment,
+      EncodeSegmentRecord(SegmentRecord{kStream, 0, kBadLeaf, {1, 2, 3}})));
+  // A torn tail: the first half of one more frame.
+  std::vector<uint8_t> torn = EncodeSegmentRecord(
+      SegmentRecord{kStream, 0, kEpochs, std::vector<uint8_t>(64, 5)});
+  torn.resize(torn.size() / 2);
+  ASSERT_TRUE(durable.Append(last_segment, torn));
+
+  // The storage-scan path: the owning segment scanner applies every
+  // intact record latest-wins as a node file, then SummaryStore::Open().
+  MemStorage node_files;
+  OpenReport expected;
+  std::set<std::string> keys;
+  for (const std::string& name : durable.List()) {
+    if (name.rfind("durable/seg/", 0) != 0) continue;
+    ++expected.segments;
+    const SegmentScan scan = ScanSegment(*durable.Read(name));
+    expected.corrupt_records += scan.corrupt_records;
+    if (scan.torn_tail) ++expected.torn_tails;
+    for (const SegmentEntry& entry : scan.entries) {
+      if (!entry.intact) continue;
+      const SegmentRecord& record = entry.record;
+      const std::string file = "store/s" + std::to_string(record.stream) +
+                               "/n" + std::to_string(record.level) + "." +
+                               std::to_string(record.index);
+      keys.insert(file);
+      ASSERT_TRUE(node_files.Rewrite(file, record.payload));
+    }
+  }
+  expected.records = keys.size();
+  SummaryStore<SpaceSaving> reference(&node_files, options.store);
+  expected.streams = reference.Open();
+  for (const uint64_t stream : {kStream, kOther}) {
+    ASSERT_TRUE(reference.HasStream(stream));
+    const uint64_t base = reference.BaseEpoch(stream);
+    const uint64_t count = reference.EpochCount(stream);
+    expected.epochs += count;
+    expected.nodes_prewarmed +=
+        reference.QueryRangePayload(stream, base, base + count - 1)
+            ->stats.nodes_merged;
+  }
+
+  DurableStore<SpaceSaving> reopened(&durable, options);
+  const OpenReport report = reopened.Open();
+  EXPECT_EQ(report.streams, expected.streams);
+  EXPECT_EQ(report.segments, expected.segments);
+  EXPECT_EQ(report.records, expected.records);
+  EXPECT_EQ(report.corrupt_records, expected.corrupt_records);
+  EXPECT_EQ(report.torn_tails, expected.torn_tails);
+  EXPECT_EQ(report.epochs, expected.epochs);
+  EXPECT_EQ(report.nodes_prewarmed, expected.nodes_prewarmed);
+  // The scenario did what it says.
+  EXPECT_EQ(report.corrupt_records, 1u);
+  EXPECT_EQ(report.torn_tails, 1u);
+  EXPECT_EQ(reopened.EpochCount(kStream), kBadLeaf);
+  EXPECT_EQ(reopened.EpochCount(kOther), kOtherEpochs);
+  EXPECT_EQ(*reopened.log().warm().Read(superseded_name), superseding);
+
+  for (const uint64_t stream : {kStream, kOther}) {
+    SCOPED_TRACE("stream " + std::to_string(stream));
+    ASSERT_TRUE(reopened.HasStream(stream));
+    const uint64_t base = reference.BaseEpoch(stream);
+    const uint64_t count = reference.EpochCount(stream);
+    EXPECT_EQ(reopened.BaseEpoch(stream), base);
+    EXPECT_EQ(reopened.Metas(stream), reference.Metas(stream));
+    for (uint64_t lo = base; lo < base + count; ++lo) {
+      for (uint64_t hi = lo; hi < base + count; ++hi) {
+        const auto got = reopened.QueryRangePayload(stream, lo, hi);
+        const auto want = reference.QueryRangePayload(stream, lo, hi);
+        ASSERT_TRUE(got.has_value() && want.has_value())
+            << "[" << lo << ", " << hi << "]";
+        EXPECT_EQ(*got->payload, *want->payload)
+            << "[" << lo << ", " << hi << "]";
+      }
+    }
+  }
+}
+
+// A backend that refuses every Truncate (everything else forwards), as
+// when the tail of the newest segment cannot be shrunk.
+class RefusingTruncateStorage : public Storage {
+ public:
+  explicit RefusingTruncateStorage(Storage* inner) : inner_(inner) {}
+  bool Append(const std::string& file,
+              const std::vector<uint8_t>& bytes) override {
+    return inner_->Append(file, bytes);
+  }
+  bool Rewrite(const std::string& file,
+               const std::vector<uint8_t>& bytes) override {
+    return inner_->Rewrite(file, bytes);
+  }
+  bool Truncate(const std::string&, uint64_t) override {
+    ++refused_;
+    return false;
+  }
+  std::optional<std::vector<uint8_t>> Read(
+      const std::string& file) const override {
+    return inner_->Read(file);
+  }
+  std::vector<std::string> List() const override { return inner_->List(); }
+  uint64_t refused() const { return refused_; }
+
+ private:
+  Storage* inner_;
+  uint64_t refused_ = 0;
+};
+
+// A torn tail that cannot be truncated must not swallow later appends:
+// Open() rolls to a fresh segment, so every epoch sealed after it is
+// found where the manifest says (scrub clean) and by the next restart.
+TEST(DurableStoreTest, UntruncatableTornTailRollsToAFreshSegment) {
+  constexpr uint64_t kFirst = 5;
+  constexpr uint64_t kTotal = 9;
+  MemStorage inner;
+  RefusingTruncateStorage storage(&inner);
+  {
+    DurableStore<SpaceSaving> store(&storage, Options());
+    ASSERT_EQ(SealUpTo(store, kFirst), kFirst);
+  }
+  std::vector<uint8_t> torn = EncodeSegmentRecord(
+      SegmentRecord{kStream, 0, kFirst, std::vector<uint8_t>(40, 7)});
+  torn.resize(torn.size() / 2);
+  ASSERT_TRUE(inner.Append("durable/seg/00000000", torn));
+
+  std::vector<std::vector<uint8_t>> reference;
+  {
+    DurableStore<SpaceSaving> store(&storage, Options());
+    const OpenReport report = store.Open();
+    EXPECT_EQ(report.torn_tails, 1u);
+    EXPECT_EQ(storage.refused(), 1u);
+    ASSERT_EQ(store.EpochCount(kStream), kFirst);
+    for (uint64_t e = kFirst; e < kTotal; ++e) {
+      const SpaceSaving summary = MakeEpochSummary(e);
+      ASSERT_TRUE(store.Seal(kStream, summary, MetaFor(e, summary)));
+    }
+    store.ScrubOnce();
+    EXPECT_EQ(store.scrub_stats().corrupt_found, 0u);
+    EXPECT_TRUE(store.QuarantinedLeaves(kStream).empty());
+    reference = AllRangePayloads(store, kTotal);
+  }
+
+  DurableStore<SpaceSaving> reopened(&storage, Options());
+  const OpenReport report = reopened.Open();
+  EXPECT_EQ(report.segments, 2u);
+  EXPECT_EQ(report.torn_tails, 1u);  // Still there, and still harmless.
+  EXPECT_EQ(report.epochs, kTotal);
+  ASSERT_EQ(reopened.EpochCount(kStream), kTotal);
+  EXPECT_EQ(AllRangePayloads(reopened, kTotal), reference);
+  reopened.ScrubOnce();
+  EXPECT_EQ(reopened.scrub_stats().corrupt_found, 0u);
 }
 
 }  // namespace

@@ -1,12 +1,16 @@
 // SEG1 record framing: checksum coverage, torn-tail detection, corrupt
 // record skipping, and in-place verification — the integrity layer the
-// durable store and scrubber stand on.
+// durable store and scrubber stand on. The EPH1 epoch record and the
+// tagged envelope a leaf record carries get the same truncation and
+// bit-flip sweeps through their in-place (span) decoders.
 
 #include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "mergeable/aggregate/wire.h"
+#include "mergeable/store/epoch_meta.h"
 #include "mergeable/store/segment.h"
 
 namespace mergeable {
@@ -140,6 +144,134 @@ TEST(SegmentTest, VerifyAtDetectsRotInPlace) {
   rotted[a.size() + 6] ^= 0x10;
   EXPECT_FALSE(VerifySegmentRecordAt(rotted, a.size(), b.size()));
   EXPECT_TRUE(VerifySegmentRecordAt(rotted, 0, a.size()));
+}
+
+// The span decoders must only ever read bytes [0, size): each encoding
+// sits at the front of a buffer whose tail repeats it, so a decoder that
+// read past `size` would find plausible bytes there.
+std::vector<uint8_t> WithEchoedTail(const std::vector<uint8_t>& encoded) {
+  std::vector<uint8_t> buffer = encoded;
+  buffer.insert(buffer.end(), encoded.begin(), encoded.end());
+  return buffer;
+}
+
+std::vector<uint8_t> SampleTaggedPayload() {
+  return EncodeTaggedPayload(SummaryTag::kSpaceSaving,
+                             std::vector<uint8_t>({7, 1, 8, 2, 8, 1, 8, 2, 8}));
+}
+
+std::vector<uint8_t> SampleEpochRecord() {
+  EpochMeta meta;
+  meta.epoch = 41;
+  meta.n = 1000;
+  meta.shards_total = 4;
+  meta.shards_received = 3;
+  meta.lost_mass = 250;
+  meta.lost_mass_estimated = true;
+  return EncodeEpochRecord(meta, SampleTaggedPayload());
+}
+
+TEST(SegmentTest, SpanDecodersMatchTheOwningDecoders) {
+  const std::vector<uint8_t> tagged = SampleTaggedPayload();
+  const auto view = ViewTaggedPayload(tagged.data(), tagged.size());
+  const auto owned = DecodeTaggedPayload(tagged);
+  ASSERT_TRUE(view.has_value());
+  ASSERT_TRUE(owned.has_value());
+  EXPECT_EQ(view->tag, owned->tag);
+  EXPECT_EQ(std::vector<uint8_t>(view->payload,
+                                 view->payload + view->payload_size),
+            owned->payload);
+
+  const std::vector<uint8_t> record = SampleEpochRecord();
+  const auto record_view = ViewEpochRecord(record.data(), record.size());
+  const auto record_owned = DecodeEpochRecord(record);
+  ASSERT_TRUE(record_view.has_value());
+  ASSERT_TRUE(record_owned.has_value());
+  EXPECT_EQ(record_view->meta, record_owned->meta);
+  EXPECT_EQ(record_view->meta.epoch, 41u);
+  EXPECT_TRUE(record_view->meta.lost_mass_estimated);
+  EXPECT_EQ(std::vector<uint8_t>(record_view->payload,
+                                 record_view->payload +
+                                     record_view->payload_size),
+            tagged);
+  EXPECT_EQ(record_owned->payload, tagged);
+}
+
+TEST(SegmentTest, EveryTruncationOfAnEpochRecordIsRejectedInPlace) {
+  const std::vector<uint8_t> record = SampleEpochRecord();
+  const std::vector<uint8_t> buffer = WithEchoedTail(record);
+  for (size_t cut = 0; cut < record.size(); ++cut) {
+    EXPECT_FALSE(ViewEpochRecord(buffer.data(), cut).has_value())
+        << "cut=" << cut;
+  }
+  EXPECT_TRUE(ViewEpochRecord(buffer.data(), record.size()).has_value());
+  // Trailing bytes are rejected too.
+  EXPECT_FALSE(ViewEpochRecord(buffer.data(), record.size() + 1).has_value());
+}
+
+TEST(SegmentTest, EveryBitFlipOfAnEpochRecordIsRejectedInPlace) {
+  const std::vector<uint8_t> record = SampleEpochRecord();
+  for (size_t byte = 0; byte < record.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::vector<uint8_t> flipped = record;
+      flipped[byte] ^= static_cast<uint8_t>(1u << bit);
+      const std::vector<uint8_t> buffer = WithEchoedTail(flipped);
+      EXPECT_FALSE(ViewEpochRecord(buffer.data(), flipped.size()).has_value())
+          << "byte=" << byte << " bit=" << bit;
+    }
+  }
+}
+
+TEST(SegmentTest, EveryTruncationOfATaggedPayloadIsRejectedInPlace) {
+  const std::vector<uint8_t> tagged = SampleTaggedPayload();
+  const std::vector<uint8_t> buffer = WithEchoedTail(tagged);
+  for (size_t cut = 0; cut < tagged.size(); ++cut) {
+    EXPECT_FALSE(ViewTaggedPayload(buffer.data(), cut).has_value())
+        << "cut=" << cut;
+  }
+  EXPECT_TRUE(ViewTaggedPayload(buffer.data(), tagged.size()).has_value());
+  EXPECT_FALSE(ViewTaggedPayload(buffer.data(), tagged.size() + 1).has_value());
+}
+
+TEST(SegmentTest, EveryBitFlipOfATaggedPayloadIsRejectedInPlace) {
+  const std::vector<uint8_t> tagged = SampleTaggedPayload();
+  for (size_t byte = 0; byte < tagged.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::vector<uint8_t> flipped = tagged;
+      flipped[byte] ^= static_cast<uint8_t>(1u << bit);
+      const std::vector<uint8_t> buffer = WithEchoedTail(flipped);
+      EXPECT_FALSE(
+          ViewTaggedPayload(buffer.data(), flipped.size()).has_value())
+          << "byte=" << byte << " bit=" << bit;
+    }
+  }
+}
+
+TEST(SegmentTest, RecordViewsPointAtThePayloadInPlace) {
+  const auto a = EncodeSegmentRecord(Record(3, 0, 5, {1, 2, 3}));
+  const auto b = EncodeSegmentRecord(Record(3, 2, 1, {4, 5}));
+  std::vector<uint8_t> file = a;
+  file.insert(file.end(), b.begin(), b.end());
+
+  std::vector<SegmentRecordView> views;
+  const SegmentScanTotals totals = WalkSegment(
+      file.data(), file.size(),
+      [&](const SegmentRecordView& view) { views.push_back(view); });
+  EXPECT_FALSE(totals.torn_tail);
+  EXPECT_EQ(totals.valid_bytes, file.size());
+  ASSERT_EQ(views.size(), 2u);
+  EXPECT_TRUE(views[1].intact);
+  EXPECT_EQ(views[1].stream, 3u);
+  EXPECT_EQ(views[1].level, 2u);
+  EXPECT_EQ(views[1].index, 1u);
+  EXPECT_EQ(views[1].offset, a.size());
+  ASSERT_EQ(views[1].payload_length, 2u);
+  EXPECT_EQ(file[views[1].payload_offset], 4);
+  EXPECT_EQ(file[views[1].payload_offset + 1], 5);
+  // The span checksum is the vector checksum.
+  EXPECT_EQ(SegmentChecksum(file.data(), 5),
+            SegmentChecksum(std::vector<uint8_t>(file.begin(),
+                                                 file.begin() + 5)));
 }
 
 }  // namespace
