@@ -1,14 +1,14 @@
 #include "mergeable/frequency/counter.h"
 
-#include "mergeable/util/flat_counter_map.h"
+#include "mergeable/util/flat_map.h"
 
 namespace mergeable {
 
 std::vector<Counter> CombineCounters(const std::vector<Counter>& a,
                                      const std::vector<Counter>& b) {
-  FlatCounterMap combined(a.size() + b.size());
-  for (const Counter& c : a) combined.AddWeight(c.item, c.count);
-  for (const Counter& c : b) combined.AddWeight(c.item, c.count);
+  FlatMap<uint64_t> combined(a.size() + b.size());
+  for (const Counter& c : a) combined[c.item] += c.count;
+  for (const Counter& c : b) combined[c.item] += c.count;
   std::vector<Counter> result;
   result.reserve(combined.size());
   combined.ForEach([&result](uint64_t item, uint64_t count) {

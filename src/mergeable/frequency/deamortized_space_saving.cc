@@ -60,7 +60,7 @@ void DeamortizedSpaceSaving::AppendActive(uint64_t item, uint64_t count,
 void DeamortizedSpaceSaving::CopySurvivor(const Entry& entry) {
   const uint64_t pending = entry.count - m_;
   const uint64_t over = std::min(entry.over, pending);
-  if (const std::optional<uint32_t> slot = active_index_.Find(entry.item)) {
+  if (const uint32_t* slot = active_index_.Find(entry.item)) {
     // The item re-entered the active table while frozen: the survivor's
     // mass joins additively, exactly the value queries already reported
     // through the effective view.
@@ -147,7 +147,7 @@ void DeamortizedSpaceSaving::Update(uint64_t item, uint64_t weight) {
   // guarantees the drain completes before the active table refills.
   if (phase_ != Phase::kIdle) MaintenanceStep(kMaintenanceQuota);
   n_ += weight;
-  if (const std::optional<uint32_t> slot = active_index_.Find(item)) {
+  if (const uint32_t* slot = active_index_.Find(item)) {
     // The hot path: one probe, one add.
     active_[*slot].count += weight;
     return;
@@ -202,8 +202,8 @@ uint64_t DeamortizedSpaceSaving::PassivePending(uint64_t item, uint64_t m,
                                                 uint64_t* over) const {
   *over = 0;
   if (phase_ == Phase::kIdle) return 0;
-  const std::optional<uint32_t> slot = passive_index_.Find(item);
-  if (!slot.has_value() || *slot < drain_pos_) return 0;
+  const uint32_t* slot = passive_index_.Find(item);
+  if (slot == nullptr || *slot < drain_pos_) return 0;
   const Entry& entry = passive_[*slot];
   if (entry.count <= m) return 0;
   const uint64_t pending = entry.count - m;
@@ -228,7 +228,7 @@ DeamortizedSpaceSaving::EffectiveEntries() const {
     for (size_t i = drain_pos_; i < passive_.size(); ++i) {
       const Entry& entry = passive_[i];
       if (entry.count <= m) continue;
-      if (active_index_.Find(entry.item).has_value()) continue;  // Combined.
+      if (active_index_.Find(entry.item) != nullptr) continue;  // Combined.
       const uint64_t pending = entry.count - m;
       result.push_back(Entry{entry.item, pending, std::min(entry.over, pending)});
     }
@@ -243,7 +243,7 @@ size_t DeamortizedSpaceSaving::size() const {
 
 uint64_t DeamortizedSpaceSaving::Count(uint64_t item) const {
   uint64_t total = 0;
-  if (const std::optional<uint32_t> slot = active_index_.Find(item)) {
+  if (const uint32_t* slot = active_index_.Find(item)) {
     total += active_[*slot].count;
   }
   uint64_t over = 0;
@@ -258,7 +258,7 @@ uint64_t DeamortizedSpaceSaving::UpperEstimate(uint64_t item) const {
 uint64_t DeamortizedSpaceSaving::LowerEstimate(uint64_t item) const {
   uint64_t count = 0;
   uint64_t over = 0;
-  if (const std::optional<uint32_t> slot = active_index_.Find(item)) {
+  if (const uint32_t* slot = active_index_.Find(item)) {
     count = active_[*slot].count;
     over = active_[*slot].over;
   }
@@ -506,7 +506,7 @@ std::optional<DeamortizedSpaceSaving> DeamortizedSpaceSaving::DecodeFrom(
   }
   std::vector<Entry> entries;
   entries.reserve(count);
-  GenSlotIndex seen(count);
+  FlatMap<uint32_t> seen(count);
   uint64_t total = 0;
   uint64_t min_count = 0;
   for (uint32_t i = 0; i < count; ++i) {
@@ -516,15 +516,16 @@ std::optional<DeamortizedSpaceSaving> DeamortizedSpaceSaving::DecodeFrom(
       return std::nullopt;
     }
     if (entry.count == 0 || entry.over > entry.count) return std::nullopt;
-    if (seen.Find(entry.item).has_value()) return std::nullopt;
+    if (seen.Find(entry.item) != nullptr) return std::nullopt;
     seen.Insert(entry.item, i);
+    // Invariant for every reachable state: counters never outweigh the
+    // stream. Checked before the add, so the running sum cannot wrap.
+    if (entry.count > n - total) return std::nullopt;
     total += entry.count;
     min_count = i == 0 ? entry.count : std::min(min_count, entry.count);
     entries.push_back(entry);
   }
-  // Invariant for every reachable state: counters never outweigh the
-  // stream.
-  if (total > n || !reader.Exhausted()) return std::nullopt;
+  if (!reader.Exhausted()) return std::nullopt;
 
   DeamortizedSpaceSaving summary(static_cast<int>(capacity));
   if (count == capacity) {

@@ -40,7 +40,9 @@
 // so the drain finishes within the first k/2 updates after a swap, with
 // 2x margin, before the next swap can possibly be needed. Updates
 // therefore never wait on maintenance; `maintenance_stalls()` counts
-// the defensive path and stays zero.
+// the defensive path and stays zero. Both tables are indexed by a
+// FlatMap (util/flat_map.h), whose Clear() is a generation bump, so a
+// swap resets the fresh active index in O(1) as well.
 //
 // Queries and the codec see the *effective* state — active counters
 // plus the not-yet-drained survivors at count - m — which is a pure
@@ -77,7 +79,7 @@
 #include "mergeable/core/thread_pool.h"
 #include "mergeable/frequency/counter.h"
 #include "mergeable/util/bytes.h"
-#include "mergeable/util/gen_slot_index.h"
+#include "mergeable/util/flat_map.h"
 
 namespace mergeable {
 
@@ -248,11 +250,11 @@ class DeamortizedSpaceSaving {
   uint64_t stalls_ = 0;
 
   std::vector<Entry> active_;
-  GenSlotIndex active_index_;
+  FlatMap<uint32_t> active_index_;
   std::vector<Entry> passive_;  // Frozen; logically consumed prefix
                                 // [0, drain_pos_) already copied/dropped.
-  GenSlotIndex passive_index_;  // item -> slot in passive_ (stale slots
-                                // filtered by drain_pos_).
+  FlatMap<uint32_t> passive_index_;  // item -> slot in passive_ (stale
+                                     // slots filtered by drain_pos_).
 
   Phase phase_ = Phase::kIdle;
   size_t select_pos_ = 0;  // Next passive entry SELECT will visit.

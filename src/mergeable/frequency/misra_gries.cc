@@ -35,7 +35,7 @@ MisraGries MisraGries::FromCounters(int capacity,
   for (const Counter& counter : counters) {
     MERGEABLE_CHECK_MSG(counter.count > 0,
                         "FromCounters: counters must be positive");
-    summary.counters_.AddWeight(counter.item, counter.count);
+    summary.counters_[counter.item] += counter.count;
     total += counter.count;
   }
   MERGEABLE_CHECK_MSG(total <= n, "FromCounters: counts exceed stream size");
@@ -46,7 +46,7 @@ MisraGries MisraGries::FromCounters(int capacity,
 void MisraGries::Update(uint64_t item, uint64_t weight) {
   if (weight == 0) return;
   n_ += weight;
-  counters_.AddWeight(item, weight);
+  counters_[item] += weight;
   if (counters_.size() > static_cast<size_t>(capacity_)) Prune();
 }
 
@@ -99,7 +99,7 @@ void MisraGries::Prune() {
 
   counters_.Clear();
   for (const Counter& entry : entries) {
-    if (entry.count > v) counters_.AddWeight(entry.item, entry.count - v);
+    if (entry.count > v) counters_.Insert(entry.item, entry.count - v);
   }
 }
 
@@ -107,9 +107,8 @@ void MisraGries::Merge(const MisraGries& other) {
   MERGEABLE_CHECK_MSG(capacity_ == other.capacity_,
                       "cannot merge summaries of different capacities");
   n_ += other.n_;
-  other.counters_.ForEach([this](uint64_t item, uint64_t count) {
-    counters_.AddWeight(item, count);
-  });
+  other.counters_.ForEach(
+      [this](uint64_t item, uint64_t count) { counters_[item] += count; });
   if (counters_.size() > static_cast<size_t>(capacity_)) Prune();
 }
 
@@ -196,7 +195,7 @@ void MisraGries::Canonicalize() {
   MisraGries fresh(capacity_);
   fresh.counters_.Reserve(counters.size());
   for (const Counter& counter : counters) {
-    fresh.counters_.AddWeight(counter.item, counter.count);
+    fresh.counters_.Insert(counter.item, counter.count);
   }
   counters_ = std::move(fresh.counters_);
 }
@@ -241,18 +240,21 @@ std::optional<MisraGries> MisraGries::DecodeFrom(ByteReader& reader) {
       return std::nullopt;
     }
     if (counter.count == 0) return std::nullopt;
+    // Counters never outweigh the stream; checked before the add, so the
+    // running sum cannot wrap.
+    if (counter.count > n - total) return std::nullopt;
     total += counter.count;
     counters.push_back(counter);
   }
-  if (total > n || !reader.Exhausted()) return std::nullopt;
+  if (!reader.Exhausted()) return std::nullopt;
   // Reject duplicate items.
   MisraGries summary(static_cast<int>(capacity));
   // One bulk sizing instead of growth rehashes while filling (the
   // constructor's capped default only covers capacities up to 2^16).
   summary.counters_.Reserve(count);
   for (const Counter& counter : counters) {
-    if (summary.counters_.Contains(counter.item)) return std::nullopt;
-    summary.counters_.AddWeight(counter.item, counter.count);
+    if (summary.counters_.Find(counter.item) != nullptr) return std::nullopt;
+    summary.counters_.Insert(counter.item, counter.count);
   }
   summary.n_ = n;
   return summary;

@@ -23,6 +23,10 @@
 // ascending count order, which never commits more total error than the
 // prune above and usually commits far less. Both merges have the same
 // O(c) cost and produce summaries with the same epsilon * n guarantee.
+//
+// The counters live in a FlatMap (util/flat_map.h) keyed by item, so an
+// update is one probe. Prune() refills the map after an O(1) Clear();
+// its iteration order is unobservable, since every output sorts.
 
 #ifndef MERGEABLE_FREQUENCY_MISRA_GRIES_H_
 #define MERGEABLE_FREQUENCY_MISRA_GRIES_H_
@@ -33,7 +37,7 @@
 
 #include "mergeable/frequency/counter.h"
 #include "mergeable/util/bytes.h"
-#include "mergeable/util/flat_counter_map.h"
+#include "mergeable/util/flat_map.h"
 
 namespace mergeable {
 
@@ -59,11 +63,14 @@ class MisraGries {
   void Update(uint64_t item, uint64_t weight = 1);
 
   // Lower bound on the true frequency of `item` (0 if not monitored).
-  uint64_t LowerEstimate(uint64_t item) const { return counters_.Count(item); }
+  uint64_t LowerEstimate(uint64_t item) const {
+    const uint64_t* count = counters_.Find(item);
+    return count != nullptr ? *count : 0;
+  }
 
   // Upper bound on the true frequency of `item`.
   uint64_t UpperEstimate(uint64_t item) const {
-    return counters_.Count(item) + ErrorBound();
+    return LowerEstimate(item) + ErrorBound();
   }
 
   // Maximum possible underestimation of any item's frequency:
@@ -122,7 +129,7 @@ class MisraGries {
 
   int capacity_;
   uint64_t n_ = 0;
-  FlatCounterMap counters_;
+  FlatMap<uint64_t> counters_;  // item -> count, all counts positive.
 };
 
 // The Cafaro et al. closed-form merge (their Algorithm 2) for Frequent

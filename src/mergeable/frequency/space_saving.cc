@@ -82,7 +82,7 @@ uint32_t SpaceSaving::EnsureMinTop() const {
 void SpaceSaving::Update(uint64_t item, uint64_t weight) {
   if (weight == 0) return;
   n_ += weight;
-  if (const std::optional<uint32_t> slot = index_.Find(item)) {
+  if (const uint32_t* slot = index_.Find(item)) {
     // The hot path: one probe, one add. The entry's heap snapshots go
     // stale-low; EnsureMinTop repairs them if an eviction ever needs to.
     entries_[*slot].count += weight;
@@ -111,8 +111,8 @@ void SpaceSaving::UpdateBatch(const uint64_t* items, size_t count) {
 }
 
 uint64_t SpaceSaving::Count(uint64_t item) const {
-  const std::optional<uint32_t> slot = index_.Find(item);
-  return slot.has_value() ? entries_[*slot].count : 0;
+  const uint32_t* slot = index_.Find(item);
+  return slot != nullptr ? entries_[*slot].count : 0;
 }
 
 uint64_t SpaceSaving::MinCount() const {
@@ -121,15 +121,15 @@ uint64_t SpaceSaving::MinCount() const {
 }
 
 uint64_t SpaceSaving::UpperEstimate(uint64_t item) const {
-  const std::optional<uint32_t> slot = index_.Find(item);
+  const uint32_t* slot = index_.Find(item);
   const uint64_t base =
-      slot.has_value() ? entries_[*slot].count : MinCount();
+      slot != nullptr ? entries_[*slot].count : MinCount();
   return base + under_slack_;
 }
 
 uint64_t SpaceSaving::LowerEstimate(uint64_t item) const {
-  const std::optional<uint32_t> slot = index_.Find(item);
-  if (!slot.has_value()) return 0;
+  const uint32_t* slot = index_.Find(item);
+  if (slot == nullptr) return 0;
   const Entry& entry = entries_[*slot];
   return entry.count - entry.over;
 }
@@ -484,13 +484,15 @@ std::optional<SpaceSaving> SpaceSaving::DecodeFrom(ByteReader& reader) {
       return std::nullopt;
     }
     if (entry.count == 0 || entry.over > entry.count) return std::nullopt;
-    if (summary.index_.Find(entry.item).has_value()) return std::nullopt;
+    if (summary.index_.Find(entry.item) != nullptr) return std::nullopt;
+    // Invariant for every reachable state (streaming keeps sum == n, both
+    // merges only shrink it): the counters never outweigh the stream.
+    // Checked before the add, so the running sum cannot wrap.
+    if (entry.count > n - total) return std::nullopt;
     total += entry.count;
     summary.AppendEntry(entry.item, entry.count, entry.over);
   }
-  // Invariant for every reachable state (streaming keeps sum == n, both
-  // merges only shrink it): the counters never outweigh the stream.
-  if (total > n || !reader.Exhausted()) return std::nullopt;
+  if (!reader.Exhausted()) return std::nullopt;
   summary.n_ = n;
   summary.under_slack_ = under_slack;
   return summary;

@@ -32,9 +32,9 @@
 //
 // Hot-path layout (in the spirit of DIM-SUM's amortized updates): the
 // counters live in a slot-stable array indexed by a flat open-addressing
-// map (util/flat_slot_index.h), and min-maintenance is *deferred*. An
-// increment is a probe plus an add — no heap sift, nothing ordered is
-// maintained. Evictions consult a lazy min-heap of (count, item, slot)
+// map (FlatMap, util/flat_map.h; an eviction erases without leaving a
+// tombstone), and min-maintenance is *deferred*. An increment is a probe
+// plus an add — no heap sift, nothing ordered is maintained. Evictions consult a lazy min-heap of (count, item, slot)
 // snapshots: stale snapshots (the entry grew since it was pushed) are
 // refreshed on pop, and the whole structure is rebuilt in bulk — an O(k)
 // scan — when it runs empty or accumulates too many dead copies. Every
@@ -56,7 +56,7 @@
 #include "mergeable/frequency/counter.h"
 #include "mergeable/frequency/misra_gries.h"
 #include "mergeable/util/bytes.h"
-#include "mergeable/util/flat_slot_index.h"
+#include "mergeable/util/flat_map.h"
 
 namespace mergeable {
 
@@ -229,7 +229,7 @@ class SpaceSaving {
   uint64_t n_ = 0;
   uint64_t under_slack_ = 0;
   std::vector<Entry> entries_;  // Slot-stable, unordered.
-  FlatSlotIndex index_;         // item -> slot in entries_.
+  FlatMap<uint32_t> index_;     // item -> slot in entries_.
   // Lazy min-heap of entry snapshots (MinRefGreater => min at front).
   // Mutable: queries like MinCount() repair it without being mutating in
   // any observable sense.

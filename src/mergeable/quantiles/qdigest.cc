@@ -209,6 +209,8 @@ std::optional<QDigest> QDigest::DecodeFrom(ByteReader& reader) {
     }
     if (id < 1 || id >= max_id || node_count == 0) return std::nullopt;
     if (digest.nodes_.count(id) != 0) return std::nullopt;
+    // Checked before the add, so the running sum cannot wrap past n.
+    if (node_count > n - total) return std::nullopt;
     digest.nodes_[id] = node_count;
     total += node_count;
   }

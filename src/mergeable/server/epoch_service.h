@@ -12,8 +12,8 @@
 // (the server equivalence test asserts it).
 //
 // Pending state is flat: each open epoch keeps its decoded reports in a
-// vector in arrival order plus a shard -> position index
-// (util/flat_slot_index.h). Arrival order is irrelevant to the bytes —
+// vector in arrival order plus a shard -> position FlatMap
+// (util/flat_map.h). Arrival order is irrelevant to the bytes —
 // SealEpoch sorts by shard before folding — and a key re-admitted after
 // its dedup entry was evicted replaces its report in place (last one
 // wins). An epoch's buffers are sized once, from the shards it expects,
@@ -75,7 +75,7 @@
 #include "mergeable/store/summary_store.h"
 #include "mergeable/store/window.h"
 #include "mergeable/util/bytes.h"
-#include "mergeable/util/flat_slot_index.h"
+#include "mergeable/util/flat_map.h"
 
 namespace mergeable {
 
@@ -522,7 +522,7 @@ class EpochService : public FrameHandler {
   // shard's report sits in `reports`.
   struct PendingEpoch {
     std::vector<std::pair<uint64_t, S>> reports;  // (shard, summary)
-    FlatSlotIndex slot_of;
+    FlatMap<uint32_t> slot_of;
   };
 
   // Cap on pre-sizing an epoch's buffers: the shard count can come off
@@ -544,7 +544,7 @@ class EpochService : public FrameHandler {
       it->second.slot_of.Reserve(expected);
     }
     PendingEpoch& pending = it->second;
-    if (const std::optional<uint32_t> slot = pending.slot_of.Find(shard)) {
+    if (const uint32_t* slot = pending.slot_of.Find(shard)) {
       pending.reports[*slot].second = std::move(summary);
       return;
     }

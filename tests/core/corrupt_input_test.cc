@@ -18,6 +18,11 @@
 
 #include "mergeable/aggregate/summary_registry.h"
 #include "mergeable/aggregate/wire.h"
+#include "mergeable/frequency/deamortized_space_saving.h"
+#include "mergeable/frequency/misra_gries.h"
+#include "mergeable/frequency/space_saving.h"
+#include "mergeable/quantiles/qdigest.h"
+#include "mergeable/util/bytes.h"
 
 namespace mergeable {
 namespace {
@@ -106,6 +111,72 @@ TEST(CorruptInputTest, HugeLengthFieldsDoNotAllocate) {
       (void)info.probe(smashed);
     }
   }
+}
+
+// ---- Counts whose sum wraps uint64_t ----
+//
+// Two counters of 2^63 over a stream of n = 0 sum to 0 mod 2^64. Every
+// counter codec bounds the counts by n, and that check must hold on the
+// true sum, not the wrapped one.
+
+constexpr uint64_t kHalfRange = uint64_t{1} << 63;
+
+// An SS01 payload: capacity 4, n = 0, no slack, two (item, count, over)
+// entries of count 2^63.
+std::vector<uint8_t> WrappingSpaceSavingPayload() {
+  ByteWriter writer;
+  writer.PutU32(0x31305353);  // "SS01"
+  writer.PutU32(4);
+  writer.PutU64(0);  // n
+  writer.PutU64(0);  // under_slack
+  writer.PutU32(2);
+  for (const uint64_t item : {uint64_t{1}, uint64_t{2}}) {
+    writer.PutU64(item);
+    writer.PutU64(kHalfRange);
+    writer.PutU64(0);
+  }
+  return writer.bytes();
+}
+
+TEST(CorruptInputTest, MisraGriesRejectsCountsWrappingTheSum) {
+  ByteWriter writer;
+  writer.PutU32(0x3130474d);  // "MG01"
+  writer.PutU32(4);
+  writer.PutU64(0);  // n
+  writer.PutU32(2);
+  for (const uint64_t item : {uint64_t{1}, uint64_t{2}}) {
+    writer.PutU64(item);
+    writer.PutU64(kHalfRange);
+  }
+  ByteReader reader(writer.bytes());
+  EXPECT_FALSE(MisraGries::DecodeFrom(reader).has_value());
+}
+
+TEST(CorruptInputTest, SpaceSavingRejectsCountsWrappingTheSum) {
+  const std::vector<uint8_t> payload = WrappingSpaceSavingPayload();
+  ByteReader reader(payload);
+  EXPECT_FALSE(SpaceSaving::DecodeFrom(reader).has_value());
+}
+
+TEST(CorruptInputTest, DeamortizedSpaceSavingRejectsCountsWrappingTheSum) {
+  const std::vector<uint8_t> payload = WrappingSpaceSavingPayload();
+  ByteReader reader(payload);
+  EXPECT_FALSE(DeamortizedSpaceSaving::DecodeFrom(reader).has_value());
+}
+
+TEST(CorruptInputTest, QDigestRejectsCountsWrappingTheSum) {
+  ByteWriter writer;
+  writer.PutU32(0x31304451);  // "QD01"
+  writer.PutU32(4);           // log_universe
+  writer.PutU64(4);           // k
+  writer.PutU64(0);           // n
+  writer.PutU32(2);
+  for (const uint64_t id : {uint64_t{1}, uint64_t{2}}) {
+    writer.PutU64(id);
+    writer.PutU64(kHalfRange);
+  }
+  ByteReader reader(writer.bytes());
+  EXPECT_FALSE(QDigest::DecodeFrom(reader).has_value());
 }
 
 // ---- Frame codecs (wire.h FrameRegistry) ----
