@@ -4,9 +4,9 @@
 // The durable store pays for crash safety three times: at seal (one
 // fsync'd segment append per epoch leaf, plus best-effort appends for
 // completed dyadic nodes), at restart (one sequential scan of every
-// segment file rebuilds the warm tier and pre-warms the cache), and
+// segment file rebuilds the manifest and pre-warms the cache), and
 // continuously (the scrubber re-reads and re-checksums every durable
-// record). Three questions:
+// record). Four questions:
 //
 //  1. What does an fsync'd seal cost as history grows, and how much
 //     durable space does N epochs take? (Table 1: epoch-count sweep —
@@ -17,20 +17,29 @@
 //  3. What does a full scrub pass cost? (Table 3: records and MiB
 //     re-verified per pass, records/s — the budget for picking a
 //     production scrub interval.)
+//  4. Does a restarted process's memory grow with history? (Table 4:
+//     peak RSS of a fresh process that opens the store over FileStorage
+//     and answers the full-range query, against the history's size.)
 //
 // MemStorage rows run alongside the file rows at the largest N, so the
 // fsync tax is separable from the bookkeeping tax. A second MemStorage
 // row at kRestartEpochs is the restart row: Open() over a long history
 // with no disk in the way, reported as `restart_open_ms` against
-// `restart_history_bytes` (the segment bytes Open() scans). `--smoke`
-// shrinks the sweep for CI and skips the restart row.
+// `restart_history_bytes` (the segment bytes Open() scans). Table 4
+// writes each row's segment files to a directory and runs this binary
+// again on it (`--open-rss <dir>`), so the peak RSS is that of a process
+// that never held the history. `--smoke` shrinks the sweep for CI and
+// skips the restart row.
 
 #include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -151,6 +160,57 @@ LifecycleResult RunLifecycle(Storage* storage, uint64_t epochs) {
   return result;
 }
 
+// This process's peak resident set (VmHWM) in MiB; 0 if unreadable.
+double PeakRssMiB() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::strtod(line.c_str() + 6, nullptr) / 1024.0;
+    }
+  }
+  return 0.0;
+}
+
+// `--open-rss <dir>`: opens the store over FileStorage at `dir`, answers
+// the full-range query, and prints the process's peak RSS in MiB.
+int OpenRssMain(const char* dir) {
+  FileStorage storage(dir);
+  DurableStore<SpaceSaving> store(&storage, Options());
+  const OpenReport report = store.Open();
+  if (report.epochs == 0) return 1;
+  const auto answer = store.QueryRangePayload(kStream, 0, report.epochs - 1);
+  if (!answer.has_value()) return 1;
+  std::printf("%.2f\n", PeakRssMiB());
+  return 0;
+}
+
+// Copies every file of `storage` under `dir`, then runs this binary with
+// `--open-rss dir` and returns the peak RSS it reports.
+std::optional<double> FreshOpenRssMiB(const Storage& storage,
+                                      const std::string& dir) {
+  for (const std::string& name : storage.List()) {
+    const std::filesystem::path path = std::filesystem::path(dir) / name;
+    std::filesystem::create_directories(path.parent_path());
+    const auto bytes = storage.Read(name);
+    std::ofstream out(path, std::ios::binary);
+    out.write(reinterpret_cast<const char*>(bytes->data()),
+              static_cast<std::streamsize>(bytes->size()));
+    if (!out) return std::nullopt;
+  }
+  std::error_code ec;
+  const std::string self =
+      std::filesystem::read_symlink("/proc/self/exe", ec).string();
+  if (ec) return std::nullopt;
+  const std::string command = "'" + self + "' --open-rss '" + dir + "'";
+  std::FILE* child = ::popen(command.c_str(), "r");
+  if (child == nullptr) return std::nullopt;
+  double mib = 0.0;
+  const bool parsed = std::fscanf(child, "%lf", &mib) == 1;
+  if (::pclose(child) != 0 || !parsed) return std::nullopt;
+  return mib;
+}
+
 double PerSecond(uint64_t count, double ms) {
   return ms <= 0.0 ? 0.0 : static_cast<double>(count) * 1000.0 / ms;
 }
@@ -176,21 +236,31 @@ int Main() {
     std::string backend;
     uint64_t epochs;
     LifecycleResult r;
+    double open_rss_mib = 0.0;
   };
   std::vector<Row> rows;
   uint64_t instance = 0;
+  const auto measure_rss = [&](Row& row, const Storage& storage) {
+    const std::optional<double> rss = FreshOpenRssMiB(
+        storage, std::string(root) + "/rss" + std::to_string(instance++));
+    MERGEABLE_CHECK_MSG(rss.has_value(), "fresh-process open must succeed");
+    row.open_rss_mib = *rss;
+  };
   for (uint64_t epochs : sweep) {
     FileStorage storage(std::string(root) + "/n" + std::to_string(instance++));
     rows.push_back({"file", epochs, RunLifecycle(&storage, epochs)});
+    measure_rss(rows.back(), storage);
   }
   {
     MemStorage storage;
     rows.push_back({"mem", sweep.back(), RunLifecycle(&storage, sweep.back())});
+    measure_rss(rows.back(), storage);
   }
   if (!g_smoke) {
     MemStorage storage;
     rows.push_back(
         {"mem", kRestartEpochs, RunLifecycle(&storage, kRestartEpochs)});
+    measure_rss(rows.back(), storage);
   }
 
   PrintHeader("seal throughput (fsync per epoch)",
@@ -231,6 +301,17 @@ int Main() {
                            1)});
   }
 
+  PrintHeader("restart memory (fresh process: Open over FileStorage, then "
+              "the full-range query)",
+              {"backend/epochs", "history MiB", "peak RSS MiB"});
+  for (const Row& row : rows) {
+    PrintRow({row.backend + "/" + std::to_string(row.epochs),
+              FormatDouble(
+                  static_cast<double>(row.r.disk_bytes) / (1024.0 * 1024.0),
+                  2),
+              FormatDouble(row.open_rss_mib, 2)});
+  }
+
   // Dashboard counters: the largest file configuration.
   const Row& serving = rows[sweep.size() - 1];
   RecordCounter("seal_ms_per_epoch",
@@ -239,11 +320,13 @@ int Main() {
   RecordCounter("scrub_records_per_s",
                 PerSecond(serving.r.scrub_records, serving.r.scrub_ms));
   RecordCounter("disk_bytes", static_cast<double>(serving.r.disk_bytes));
+  RecordCounter("open_rss_mib", serving.open_rss_mib);
   if (!g_smoke) {
     const Row& restart = rows.back();
     RecordCounter("restart_open_ms", restart.r.open_ms);
     RecordCounter("restart_history_bytes",
                   static_cast<double>(restart.r.disk_bytes));
+    RecordCounter("restart_open_rss_mib", restart.open_rss_mib);
   }
 
   std::error_code ec;
@@ -255,6 +338,9 @@ int Main() {
 }  // namespace mergeable::bench
 
 int main(int argc, char** argv) {
+  if (argc == 3 && std::strcmp(argv[1], "--open-rss") == 0) {
+    return mergeable::bench::OpenRssMain(argv[2]);
+  }
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       mergeable::bench::g_smoke = true;

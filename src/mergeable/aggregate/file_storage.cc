@@ -287,8 +287,10 @@ bool FileStorage::RewriteLocked(const std::string& file,
     // with one bit flipped.
     ApplyBitFlip(durable, SplitMix64(crash_.mutation_seed));
   }
-  if (!WriteFileDurable(tmp, durable) ||
-      ::rename(tmp.c_str(), path.c_str()) != 0 || !FsyncDirOf(path)) {
+  const bool renamed = WriteFileDurable(tmp, durable) &&
+                       ::rename(tmp.c_str(), path.c_str()) == 0;
+  if (renamed) ForgetReadFd(path);  // The path names a new inode now.
+  if (!renamed || !FsyncDirOf(path)) {
     if (!fires) {
       ::unlink(tmp.c_str());
       ++stats_.transient_failures;
@@ -387,6 +389,55 @@ std::optional<std::vector<uint8_t>> FileStorage::Read(
   return bytes;
 }
 
+FileStorage::ReadFd::~ReadFd() { ::close(fd); }
+
+std::shared_ptr<FileStorage::ReadFd> FileStorage::ReadFdFor(
+    const std::string& path) const {
+  std::lock_guard<std::mutex> lock(read_mu_);
+  auto it = read_fds_.find(path);
+  if (it != read_fds_.end()) return it->second;
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return nullptr;
+  if (read_fds_.size() >= kMaxReadFds) read_fds_.erase(read_fds_.begin());
+  auto handle = std::make_shared<ReadFd>(fd);
+  read_fds_.emplace(path, handle);
+  return handle;
+}
+
+void FileStorage::ForgetReadFd(const std::string& path) {
+  std::lock_guard<std::mutex> lock(read_mu_);
+  read_fds_.erase(path);
+}
+
+std::optional<std::vector<uint8_t>> FileStorage::ReadRange(
+    const std::string& file, uint64_t offset, uint64_t length) const {
+  // No mu_: ResolvePath reads only root_, which never changes.
+  std::string path;
+  if (!ResolvePath(file, &path)) return std::nullopt;
+  const std::shared_ptr<ReadFd> handle = ReadFdFor(path);
+  if (handle == nullptr) return std::nullopt;
+  if (length == 0) {
+    struct stat st {};
+    if (::fstat(handle->fd, &st) != 0 ||
+        offset > static_cast<uint64_t>(st.st_size)) {
+      return std::nullopt;
+    }
+    return std::vector<uint8_t>();
+  }
+  std::vector<uint8_t> bytes(static_cast<size_t>(length));
+  size_t done = 0;
+  while (done < bytes.size()) {
+    const ssize_t n =
+        ::pread(handle->fd, bytes.data() + done, bytes.size() - done,
+                static_cast<off_t>(offset + done));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) break;  // Error, or the file ends inside the range.
+    done += static_cast<size_t>(n);
+  }
+  if (done != bytes.size()) return std::nullopt;
+  return bytes;
+}
+
 std::vector<std::string> FileStorage::List() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::string> names;
@@ -425,6 +476,9 @@ void FileStorage::Restart() {
   crashed_ = false;
   crash_ = CrashPoint{};
   SweepTempFiles();
+  // A restarted process holds no descriptors.
+  std::lock_guard<std::mutex> read_lock(read_mu_);
+  read_fds_.clear();
 }
 
 uint64_t FileStorage::writes_attempted() const {

@@ -30,7 +30,10 @@
 #ifndef MERGEABLE_AGGREGATE_FILE_STORAGE_H_
 #define MERGEABLE_AGGREGATE_FILE_STORAGE_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -92,6 +95,12 @@ class FileStorage : public CrashableStorage {
   bool Truncate(const std::string& file, uint64_t size) override;
   std::optional<std::vector<uint8_t>> Read(
       const std::string& file) const override;
+  // pread(2) on a cached read-only descriptor, without taking mu_:
+  // Append holds mu_ across write and fsync, and a reader of bytes that
+  // are already durable must not queue behind another writer's fsync.
+  std::optional<std::vector<uint8_t>> ReadRange(
+      const std::string& file, uint64_t offset,
+      uint64_t length) const override;
   std::vector<std::string> List() const override;
 
   bool crashed() const override;
@@ -112,6 +121,21 @@ class FileStorage : public CrashableStorage {
   // Removes stale "*.tmp" files under root (crash-interrupted rewrites).
   void SweepTempFiles();
 
+  // A read-only descriptor shared by concurrent range reads; closed
+  // when the cache and the last reader have let go of it.
+  struct ReadFd {
+    explicit ReadFd(int fd) : fd(fd) {}
+    ~ReadFd();
+    ReadFd(const ReadFd&) = delete;
+    ReadFd& operator=(const ReadFd&) = delete;
+    const int fd;
+  };
+  // The cached descriptor for `path`, opened on a miss; nullptr when the
+  // file cannot be opened.
+  std::shared_ptr<ReadFd> ReadFdFor(const std::string& path) const;
+  // Drops the cached descriptor of a path whose inode was replaced.
+  void ForgetReadFd(const std::string& path);
+
   bool AppendLocked(const std::string& file, const std::vector<uint8_t>& bytes);
   bool RewriteLocked(const std::string& file,
                      const std::vector<uint8_t>& bytes);
@@ -123,6 +147,17 @@ class FileStorage : public CrashableStorage {
   bool crashed_ = false;
   uint64_t writes_attempted_ = 0;
   StorageStats stats_;
+
+  // ReadRange's descriptors by path, at most kMaxReadFds of them; a
+  // full cache drops the lexicographically first path, which for
+  // zero-padded log segment names is the oldest segment. read_mu_ is
+  // held across a miss's open(2), so no entry can outlive the Rewrite
+  // that renamed a new inode over its path; it is never held across a
+  // read or write, and is taken inside mu_ (by Rewrite), never the
+  // other way round.
+  static constexpr size_t kMaxReadFds = 128;
+  mutable std::mutex read_mu_;
+  mutable std::map<std::string, std::shared_ptr<ReadFd>> read_fds_;
 };
 
 }  // namespace mergeable

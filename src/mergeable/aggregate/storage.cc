@@ -6,6 +6,18 @@
 
 namespace mergeable {
 
+std::optional<std::vector<uint8_t>> Storage::ReadRange(
+    const std::string& file, uint64_t offset, uint64_t length) const {
+  std::optional<std::vector<uint8_t>> bytes = Read(file);
+  if (!bytes.has_value() || offset > bytes->size() ||
+      length > bytes->size() - offset) {
+    return std::nullopt;
+  }
+  bytes->resize(offset + length);
+  bytes->erase(bytes->begin(), bytes->begin() + offset);
+  return bytes;
+}
+
 bool MemStorage::CommitWrite(const std::string& file,
                              std::vector<uint8_t> bytes, bool append) {
   if (crashed_) return false;
@@ -114,6 +126,18 @@ std::optional<std::vector<uint8_t>> MemStorage::Read(
   auto it = files_.find(file);
   if (it == files_.end()) return std::nullopt;
   return it->second;
+}
+
+std::optional<std::vector<uint8_t>> MemStorage::ReadRange(
+    const std::string& file, uint64_t offset, uint64_t length) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = files_.find(file);
+  if (it == files_.end() || offset > it->second.size() ||
+      length > it->second.size() - offset) {
+    return std::nullopt;
+  }
+  const auto begin = it->second.begin() + static_cast<ptrdiff_t>(offset);
+  return std::vector<uint8_t>(begin, begin + static_cast<ptrdiff_t>(length));
 }
 
 std::vector<std::string> MemStorage::List() const {

@@ -64,6 +64,13 @@ class Storage {
   virtual std::optional<std::vector<uint8_t>> Read(
       const std::string& file) const = 0;
 
+  // Bytes [offset, offset + length) of the file; std::nullopt if the
+  // file is missing or shorter than offset + length. The default reads
+  // the whole file and slices it; backends override it with a real
+  // range read.
+  virtual std::optional<std::vector<uint8_t>> ReadRange(
+      const std::string& file, uint64_t offset, uint64_t length) const;
+
   // Every file name present, sorted (deterministic recovery scans).
   virtual std::vector<std::string> List() const = 0;
 };
@@ -135,6 +142,9 @@ class MemStorage : public CrashableStorage {
   bool Truncate(const std::string& file, uint64_t size) override;
   std::optional<std::vector<uint8_t>> Read(
       const std::string& file) const override;
+  std::optional<std::vector<uint8_t>> ReadRange(
+      const std::string& file, uint64_t offset,
+      uint64_t length) const override;
   std::vector<std::string> List() const override;
 
   bool crashed() const override;

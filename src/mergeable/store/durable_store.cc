@@ -9,7 +9,6 @@ namespace mergeable {
 DurableLog::DurableLog(Storage* durable, const DurableStoreOptions& options)
     : durable_(durable),
       seg_dir_(options.prefix + "/seg"),
-      store_prefix_(options.store.prefix),
       segment_bytes_(options.segment_bytes),
       scrub_options_(options.scrub) {
   MERGEABLE_CHECK_MSG(durable != nullptr, "DurableLog needs storage");
@@ -25,13 +24,8 @@ std::string DurableLog::SegmentFileName(uint64_t segment) const {
   return seg_dir_ + "/" + buf;
 }
 
-std::string DurableLog::NodeFileName(uint64_t stream, uint32_t level,
-                                     uint64_t index) const {
-  return store_prefix_ + "/s" + std::to_string(stream) + "/n" +
-         std::to_string(level) + "." + std::to_string(index);
-}
-
 ScannedLeaves DurableLog::Load(SummaryTag tag, OpenReport* report) {
+  std::lock_guard<std::mutex> append_lock(append_mu_);
   std::lock_guard<std::mutex> lock(mu_);
   manifest_.clear();
   quarantine_.clear();
@@ -61,20 +55,15 @@ ScannedLeaves DurableLog::Load(SummaryTag tag, OpenReport* report) {
     const SegmentScanTotals scan = WalkSegment(
         data, bytes->size(), [&](const SegmentRecordView& record) {
           if (!record.intact) return;
-          const uint8_t* payload = data + record.payload_offset;
           manifest_[RecordKey{record.stream, record.level, record.index}] =
               RecordLocation{segment, record.offset, record.length};
           if (record.level == 0) {
-            const std::optional<LeafRecordView> leaf =
-                ViewLeafRecord(payload, record.payload_length, tag);
+            const std::optional<LeafRecordView> leaf = ViewLeafRecord(
+                data + record.payload_offset, record.payload_length, tag);
             leaves[record.stream][record.index] =
                 leaf.has_value() ? std::optional<EpochMeta>(leaf->meta)
                                  : std::nullopt;
           }
-          warm_.Rewrite(NodeFileName(record.stream, record.level,
-                                     record.index),
-                        std::vector<uint8_t>(
-                            payload, payload + record.payload_length));
         });
     bool truncated = true;
     if (scan.torn_tail) {
@@ -102,11 +91,11 @@ ScannedLeaves DurableLog::Load(SummaryTag tag, OpenReport* report) {
   return leaves;
 }
 
-bool DurableLog::AppendRecordLocked(uint64_t stream, uint32_t level,
-                                    uint64_t index,
-                                    const std::vector<uint8_t>& payload) {
+bool DurableLog::AppendRecord(uint64_t stream, uint32_t level, uint64_t index,
+                              const std::vector<uint8_t>& payload) {
   const std::vector<uint8_t> frame =
-      EncodeSegmentRecord(SegmentRecord{stream, level, index, payload});
+      EncodeSegmentFrame(stream, level, index, payload.data(), payload.size());
+  std::lock_guard<std::mutex> append_lock(append_mu_);
   if (current_size_ > 0 && current_size_ + frame.size() > segment_bytes_) {
     ++current_segment_;
     current_size_ = 0;
@@ -114,102 +103,157 @@ bool DurableLog::AppendRecordLocked(uint64_t stream, uint32_t level,
   if (!durable_->Append(SegmentFileName(current_segment_), frame)) {
     return false;
   }
-  manifest_[RecordKey{stream, level, index}] =
-      RecordLocation{current_segment_, current_size_, frame.size()};
+  // Published only now: a reader never sees a location whose bytes are
+  // not yet durable.
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    manifest_[RecordKey{stream, level, index}] =
+        RecordLocation{current_segment_, current_size_, frame.size()};
+  }
   current_size_ += frame.size();
   return true;
 }
 
-bool DurableLog::AppendRecord(uint64_t stream, uint32_t level, uint64_t index,
-                              const std::vector<uint8_t>& payload) {
+void DurableLog::AppendNode(uint64_t stream, uint32_t level, uint64_t index,
+                            const std::vector<uint8_t>& payload) {
+  if (AppendRecord(stream, level, index, payload)) return;
   std::lock_guard<std::mutex> lock(mu_);
-  return AppendRecordLocked(stream, level, index, payload);
+  ++node_append_failures_;
 }
 
-bool DurableLog::AppendNodeFromWarm(uint64_t stream, uint32_t level,
-                                    uint64_t index) {
-  const std::optional<std::vector<uint8_t>> payload =
-      warm_.Read(NodeFileName(stream, level, index));
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!payload.has_value() ||
-      !AppendRecordLocked(stream, level, index, *payload)) {
-    ++node_append_failures_;
-    return false;
+std::optional<std::vector<uint8_t>> DurableLog::ReadRecord(
+    uint64_t stream, uint32_t level, uint64_t index) const {
+  RecordLocation loc;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = manifest_.find(RecordKey{stream, level, index});
+    if (it == manifest_.end()) return std::nullopt;
+    loc = it->second;
   }
-  return true;
+  std::optional<std::vector<uint8_t>> frame =
+      durable_->ReadRange(SegmentFileName(loc.segment), loc.offset,
+                          loc.length);
+  if (!frame.has_value()) return std::nullopt;
+  const std::optional<SegmentRecordView> view =
+      ViewPagedRecord(frame->data(), frame->size(), stream, level, index);
+  if (!view.has_value()) return std::nullopt;
+  // Keep the payload in the frame's buffer: drop the checksum trailer,
+  // then slide the payload over the header.
+  frame->resize(view->payload_offset + view->payload_length);
+  frame->erase(frame->begin(),
+               frame->begin() + static_cast<ptrdiff_t>(view->payload_offset));
+  return frame;
 }
 
-uint64_t DurableLog::ScrubPassLocked(uint64_t max_records) {
-  ++scrub_stats_.passes;
-  if (manifest_.empty()) return 0;
-  const uint64_t target = max_records == 0
-                              ? manifest_.size()
-                              : std::min<uint64_t>(max_records,
-                                                   manifest_.size());
-  auto it = scrub_cursor_.has_value()
-                ? manifest_.upper_bound(*scrub_cursor_)
-                : manifest_.begin();
-  // One read per touched file per pass, not per record.
-  std::map<uint64_t, std::optional<std::vector<uint8_t>>> file_cache;
-  std::vector<RecordKey> corrupt;
-  uint64_t processed = 0;
-  while (processed < target) {
-    if (it == manifest_.end()) it = manifest_.begin();
-    const RecordKey key = it->first;
-    const RecordLocation& loc = it->second;
-    auto cached = file_cache.find(loc.segment);
-    if (cached == file_cache.end()) {
-      cached = file_cache
-                   .emplace(loc.segment,
-                            durable_->Read(SegmentFileName(loc.segment)))
-                   .first;
-    }
-    const bool intact =
-        cached->second.has_value() &&
-        VerifySegmentRecordAt(*cached->second, loc.offset, loc.length);
-    ++scrub_stats_.records_verified;
-    if (intact) {
-      scrub_stats_.bytes_verified += loc.length;
-    } else {
-      ++scrub_stats_.corrupt_found;
-      corrupt.push_back(key);
-    }
-    ++processed;
-    scrub_cursor_ = key;
-    ++it;
+void DurableLog::QuarantineLocked(const RecordKey& key) {
+  const auto& [stream, level, index] = key;
+  if (quarantine_[stream].insert(index).second) {
+    ++scrub_stats_.epochs_quarantined;
   }
-  for (const RecordKey& key : corrupt) {
-    const auto& [stream, level, index] = key;
-    if (level >= 1) {
-      // Derived data: re-append the warm copy so the *next* restart
-      // reads an intact record (latest wins); if even that fails, drop
-      // the record — a restart rebuilds internal nodes from children.
-      const std::optional<std::vector<uint8_t>> payload =
-          warm_.Read(NodeFileName(stream, level, index));
-      if (payload.has_value() &&
-          AppendRecordLocked(stream, level, index, *payload)) {
-        ++scrub_stats_.nodes_repaired;
-      } else {
-        ++node_append_failures_;
-        manifest_.erase(key);
-      }
-    } else {
-      // Primary data whose durable truth is gone. The warm copy cannot
-      // vouch for bytes the disk no longer holds — serving it would
-      // hide the loss until the next restart surfaced it. Quarantine
-      // the epoch: queries clamp around it and account its whole mass.
-      if (quarantine_[stream].insert(index).second) {
-        ++scrub_stats_.epochs_quarantined;
-      }
-      manifest_.erase(key);
-    }
-  }
-  return processed;
+  manifest_.erase(key);
+}
+
+void DurableLog::QuarantineLeaf(uint64_t stream, uint64_t index) {
+  std::lock_guard<std::mutex> lock(mu_);
+  QuarantineLocked(RecordKey{stream, 0, index});
 }
 
 uint64_t DurableLog::ScrubPass(uint64_t max_records) {
+  // Snapshot this pass's slice of the manifest.
+  std::vector<std::pair<RecordKey, RecordLocation>> slice;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++scrub_stats_.passes;
+    if (manifest_.empty()) return 0;
+    const uint64_t target =
+        max_records == 0
+            ? manifest_.size()
+            : std::min<uint64_t>(max_records, manifest_.size());
+    auto it = scrub_cursor_.has_value()
+                  ? manifest_.upper_bound(*scrub_cursor_)
+                  : manifest_.begin();
+    slice.reserve(target);
+    while (slice.size() < target) {
+      if (it == manifest_.end()) it = manifest_.begin();
+      slice.emplace_back(*it);
+      scrub_cursor_ = it->first;
+      ++it;
+    }
+  }
+
+  // Verify without the lock, one segment buffer at a time.
+  std::vector<size_t> order(slice.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    const RecordLocation& x = slice[a].second;
+    const RecordLocation& y = slice[b].second;
+    return std::tie(x.segment, x.offset) < std::tie(y.segment, y.offset);
+  });
+  std::vector<bool> intact(slice.size(), false);
+  std::optional<uint64_t> loaded;
+  std::optional<std::vector<uint8_t>> bytes;
+  for (const size_t i : order) {
+    const RecordLocation& loc = slice[i].second;
+    if (loaded != loc.segment) {
+      bytes.reset();  // Free the previous buffer before the next read.
+      bytes = durable_->Read(SegmentFileName(loc.segment));
+      loaded = loc.segment;
+    }
+    intact[i] = bytes.has_value() &&
+                VerifySegmentRecordAt(*bytes, loc.offset, loc.length);
+  }
+  bytes.reset();
+
+  // Apply. A record the manifest no longer points at was superseded (or
+  // quarantined) meanwhile: its rot is counted, but there is nothing
+  // left to act on.
   std::lock_guard<std::mutex> lock(mu_);
-  return ScrubPassLocked(max_records);
+  for (size_t i = 0; i < slice.size(); ++i) {
+    const auto& [key, loc] = slice[i];
+    ++scrub_stats_.records_verified;
+    if (intact[i]) {
+      scrub_stats_.bytes_verified += loc.length;
+      continue;
+    }
+    ++scrub_stats_.corrupt_found;
+    auto it = manifest_.find(key);
+    if (it == manifest_.end() || !(it->second == loc)) continue;
+    if (std::get<1>(key) >= 1) {
+      // Derived data: drop it, and the next read rebuilds it from its
+      // children and re-appends it (latest wins at the next restart).
+      manifest_.erase(it);
+      ++scrub_stats_.nodes_repaired;
+    } else {
+      // Primary data whose durable truth is gone. Quarantine the epoch:
+      // queries clamp around it and account its whole mass.
+      QuarantineLocked(key);
+    }
+  }
+  return slice.size();
+}
+
+bool LogNodeStorage::Rewrite(const std::string& file,
+                             const std::vector<uint8_t>& bytes) {
+  uint64_t stream = 0;
+  uint32_t level = 0;
+  uint64_t index = 0;
+  if (!ParseNodeFileName(prefix_, file, &stream, &level, &index)) {
+    return false;
+  }
+  if (level == 0) return log_->AppendRecord(stream, level, index, bytes);
+  log_->AppendNode(stream, level, index, bytes);
+  return true;
+}
+
+std::optional<std::vector<uint8_t>> LogNodeStorage::Read(
+    const std::string& file) const {
+  uint64_t stream = 0;
+  uint32_t level = 0;
+  uint64_t index = 0;
+  if (!ParseNodeFileName(prefix_, file, &stream, &level, &index)) {
+    return std::nullopt;
+  }
+  return log_->ReadRecord(stream, level, index);
 }
 
 void DurableLog::StartScrubber() {

@@ -37,16 +37,21 @@ MergedSummaryCache::Payload MergedSummaryCache::GetOrBuild(
 
   // Build outside the lock: distinct keys materialize concurrently, and
   // a slow merge cannot stall unrelated hits.
+  std::optional<std::vector<uint8_t>> built = build();
   Payload payload =
-      std::make_shared<const std::vector<uint8_t>>(build());
+      built.has_value()
+          ? std::make_shared<const std::vector<uint8_t>>(std::move(*built))
+          : nullptr;
 
   {
     std::unique_lock<std::mutex> lock(mutex_);
-    stats_.bytes_built += payload->size();
     flight->result = payload;
     flight->done = true;
     in_flight_.erase(key);
-    InsertLocked(key, payload);
+    if (payload != nullptr) {
+      stats_.bytes_built += payload->size();
+      InsertLocked(key, payload);
+    }
   }
   flight->cv.notify_all();
   return payload;

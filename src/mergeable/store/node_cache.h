@@ -28,6 +28,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <vector>
 
 namespace mergeable {
@@ -70,7 +71,10 @@ struct CacheStats {
 class MergedSummaryCache {
  public:
   using Payload = std::shared_ptr<const std::vector<uint8_t>>;
-  using Builder = std::function<std::vector<uint8_t>()>;
+  // std::nullopt means the value cannot be built now (its inputs are
+  // lost): nothing is cached, and the caller and every joined waiter
+  // get nullptr.
+  using Builder = std::function<std::optional<std::vector<uint8_t>>()>;
 
   // Holds at most `capacity` entries (>= 1); least-recently-used entries
   // are evicted beyond that.
@@ -80,6 +84,7 @@ class MergedSummaryCache {
   // on a miss. Concurrent callers for the same missing key run `build`
   // exactly once (single-flight); callers for different keys build in
   // parallel. `build` must not re-enter the cache with the same key.
+  // nullptr when `build` (this caller's or the joined one) failed.
   Payload GetOrBuild(const CacheKey& key, const Builder& build);
 
   // The cached payload if resident (counts as a hit and refreshes

@@ -46,6 +46,10 @@ struct SegmentRecord {
 uint64_t SegmentChecksum(const uint8_t* body, size_t size);
 uint64_t SegmentChecksum(const std::vector<uint8_t>& body);
 
+// The record frame for `payload` stored under (stream, level, index).
+std::vector<uint8_t> EncodeSegmentFrame(uint64_t stream, uint32_t level,
+                                        uint64_t index,
+                                        const uint8_t* payload, size_t size);
 std::vector<uint8_t> EncodeSegmentRecord(const SegmentRecord& record);
 
 // One record frame verified where it sits in a segment buffer: its
@@ -95,6 +99,19 @@ struct SegmentScan : SegmentScanTotals {
 
 // WalkSegment with every record copied out.
 SegmentScan ScanSegment(const std::vector<uint8_t>& bytes);
+
+// Checks one frame read back whole from its known location (a page-in):
+// the magic, a body length that fills exactly `size` bytes, a
+// well-formed body and the (stream, level, index) key. The SEG1
+// checksum is not recomputed — the payload envelopes carry their own
+// checksums over every payload byte, and Open() and the scrubber verify
+// frames. On success the view's payload fields locate the payload
+// within `frame` and `intact` is true.
+std::optional<SegmentRecordView> ViewPagedRecord(const uint8_t* frame,
+                                                 size_t size,
+                                                 uint64_t stream,
+                                                 uint32_t level,
+                                                 uint64_t index);
 
 // Re-verifies a single record frame in place (the scrubber's unit of
 // work): true iff bytes [offset, offset+length) of `file_bytes` hold an

@@ -30,7 +30,9 @@
 // immutable once written. After a crash, Open() recovers each stream's
 // longest valid epoch prefix and lazily rebuilds any missing or torn
 // internal node from its children — torn internal nodes cost merges,
-// never correctness.
+// never correctness. A sealed leaf that later goes missing or fails its
+// checks cannot be rebuilt: the store reports it to its LeafLossHandler
+// and refuses the query that needed it, instead of aborting.
 //
 // Concurrency: queries are safe to run concurrently with each other
 // (the cache serializes materialization; storage reads are const).
@@ -43,6 +45,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -128,6 +131,44 @@ inline std::optional<LeafRecordView> ViewLeafRecord(const uint8_t* bytes,
   return LeafRecordView{record->meta, tagged->payload, tagged->payload_size};
 }
 
+// The storage file name of node (level, index) of `stream` under
+// `prefix`, and its inverse (false for a name that is not a node file).
+inline std::string NodeFileName(const std::string& prefix, uint64_t stream,
+                                uint32_t level, uint64_t index) {
+  return prefix + "/s" + std::to_string(stream) + "/n" +
+         std::to_string(level) + "." + std::to_string(index);
+}
+
+inline bool ParseNodeFileName(const std::string& prefix,
+                              const std::string& file, uint64_t* stream,
+                              uint32_t* level, uint64_t* index) {
+  const std::string lead = prefix + "/s";
+  if (file.compare(0, lead.size(), lead) != 0) return false;
+  const size_t pos = lead.size();
+  const size_t slash = file.find('/', pos);
+  if (slash == std::string::npos || file.size() <= slash + 1 ||
+      file[slash + 1] != 'n') {
+    return false;
+  }
+  const size_t dot = file.find('.', slash + 2);
+  if (dot == std::string::npos) return false;
+  try {
+    *stream = std::stoull(file.substr(pos, slash - pos));
+    *level = static_cast<uint32_t>(
+        std::stoul(file.substr(slash + 2, dot - slash - 2)));
+    *index = std::stoull(file.substr(dot + 1));
+  } catch (...) {
+    return false;
+  }
+  return true;
+}
+
+// Told which sealed leaf (stream, leaf index) went missing or failed
+// its checks underneath the store. Runs on the querying thread, before
+// the query that needed the leaf is refused; concurrent queries may
+// call it concurrently.
+using LeafLossHandler = std::function<void(uint64_t stream, uint64_t index)>;
+
 // Per stream, leaf index -> the metadata of that leaf's latest copy, or
 // std::nullopt when that copy does not decode as a leaf of the store's
 // summary type.
@@ -200,8 +241,10 @@ class SummaryStore {
     uint64_t covered_hi = 0;  // Absolute epoch; == t2 when !partial.
   };
 
-  explicit SummaryStore(Storage* storage, StoreOptions options = {})
+  explicit SummaryStore(Storage* storage, StoreOptions options = {},
+                        LeafLossHandler on_leaf_lost = {})
       : storage_(storage), options_(std::move(options)),
+        on_leaf_lost_(std::move(on_leaf_lost)),
         cache_(options_.cache_capacity),
         pool_(options_.num_threads >= 1 ? options_.num_threads : 1) {
     MERGEABLE_CHECK_MSG(storage != nullptr, "SummaryStore needs storage");
@@ -221,7 +264,10 @@ class SummaryStore {
       uint64_t stream = 0;
       uint32_t level = 0;
       uint64_t index = 0;
-      if (!ParseNodeFileName(file, &stream, &level, &index)) continue;
+      if (!ParseNodeFileName(options_.prefix, file, &stream, &level,
+                             &index)) {
+        continue;
+      }
       if (level != 0) continue;
       std::optional<EpochMeta>& meta = leaves[stream][index];
       const std::optional<std::vector<uint8_t>> bytes = storage_->Read(file);
@@ -262,18 +308,21 @@ class SummaryStore {
   // Seals one epoch of `stream`. Epochs of a stream must be sealed in
   // order: the first seal fixes the base epoch, every later one must be
   // exactly one past the previous (gaps would make range decomposition
-  // ambiguous). Returns false when a storage write failed to complete —
-  // the store object is then stale; recover with a fresh Open().
+  // ambiguous). The leaf is written before the store learns of the
+  // epoch, so a failed leaf write changes nothing and the same epoch can
+  // be retried. Returns false when a storage write failed to complete —
+  // after a failed node write the store object is stale; recover with a
+  // fresh Open().
   bool Seal(uint64_t stream, const S& summary, EpochMeta meta) {
-    StreamState& state = streams_[stream];
-    const uint64_t index = state.metas.size();
-    if (index == 0) {
-      state.base_epoch = meta.epoch;
-    } else {
-      MERGEABLE_CHECK_MSG(meta.epoch == state.base_epoch + index,
+    auto it = streams_.find(stream);
+    const uint64_t index = it == streams_.end() ? 0 : it->second.metas.size();
+    if (index != 0) {
+      MERGEABLE_CHECK_MSG(meta.epoch == it->second.base_epoch + index,
                           "epochs must be sealed contiguously in order");
     }
     if (!WriteLeaf(stream, index, summary, meta)) return false;
+    StreamState& state = streams_[stream];
+    if (index == 0) state.base_epoch = meta.epoch;
     state.metas.push_back(meta);
     epochs_sealed_.fetch_add(1, std::memory_order_relaxed);
     for (const DyadicNode& node : NodesCompletedBySeal(index)) {
@@ -357,14 +406,16 @@ class SummaryStore {
       }
     }
     for (const auto& [level, nodes] : by_level) {
-      std::vector<std::vector<uint8_t>> payloads(nodes.size());
+      std::vector<std::optional<std::vector<uint8_t>>> payloads(nodes.size());
       pool_.ParallelFor(nodes.size(), [&](size_t i) {
         payloads[i] = ComputeNodePayload(stream, nodes[i], nullptr);
       });
-      nodes_built_.fetch_add(nodes.size(), std::memory_order_relaxed);
-      node_merges_.fetch_add(nodes.size(), std::memory_order_relaxed);
       for (size_t i = 0; i < nodes.size(); ++i) {
-        if (!WriteNodePayload(stream, nodes[i], payloads[i])) return false;
+        // A node over a lost leaf is left unwritten, as in Seal.
+        if (!payloads[i].has_value()) continue;
+        nodes_built_.fetch_add(1, std::memory_order_relaxed);
+        node_merges_.fetch_add(1, std::memory_order_relaxed);
+        if (!WriteNodePayload(stream, nodes[i], *payloads[i])) return false;
       }
     }
     return true;
@@ -388,9 +439,9 @@ class SummaryStore {
   // Answers the range query [t1, t2] (absolute epoch numbers, both
   // inclusive): the canonical payload of the merge of every sealed
   // summary in the range, the epsilon report over the covered epochs,
-  // and what the answer cost. std::nullopt when the stream is unknown
-  // or the range is not fully sealed — a serving layer refuses bad
-  // queries instead of aborting on them.
+  // and what the answer cost. std::nullopt when the stream is unknown,
+  // the range is not fully sealed, or a leaf it needs is lost — a
+  // serving layer refuses bad queries instead of aborting on them.
   std::optional<RangeOutcome> QueryRangePayload(uint64_t stream,
                                                 uint64_t t1, uint64_t t2) {
     auto it = streams_.find(stream);
@@ -413,6 +464,7 @@ class SummaryStore {
       built = true;
       return MergeCover(stream, lo, hi, &stats);
     });
+    if (outcome.payload == nullptr) return std::nullopt;
     stats.range_cache_hit = !built;
     outcome.covered_hi = t2;
     return outcome;
@@ -459,7 +511,10 @@ class SummaryStore {
       if (merged.has_value() && spent + cost > deadline.budget_ms) break;
       spent += cost;
       ++stats.nodes_merged;
-      S part = DecodeSummaryOrDie<S>(*NodePayload(stream, node, &stats));
+      const MergedSummaryCache::Payload bytes =
+          NodePayload(stream, node, &stats);
+      if (bytes == nullptr) return std::nullopt;
+      S part = DecodeSummaryOrDie<S>(*bytes);
       if (merged.has_value()) {
         CanonicalMergeInto(*merged, part);
         ++stats.merges_performed;
@@ -514,31 +569,8 @@ class SummaryStore {
   }
 
   std::string NodeFileName(uint64_t stream, const DyadicNode& node) const {
-    return options_.prefix + "/s" + std::to_string(stream) + "/n" +
-           std::to_string(node.level) + "." + std::to_string(node.index);
-  }
-
-  bool ParseNodeFileName(const std::string& file, uint64_t* stream,
-                         uint32_t* level, uint64_t* index) const {
-    const std::string lead = options_.prefix + "/s";
-    if (file.compare(0, lead.size(), lead) != 0) return false;
-    size_t pos = lead.size();
-    const size_t slash = file.find('/', pos);
-    if (slash == std::string::npos || file.size() <= slash + 1 ||
-        file[slash + 1] != 'n') {
-      return false;
-    }
-    const size_t dot = file.find('.', slash + 2);
-    if (dot == std::string::npos) return false;
-    try {
-      *stream = std::stoull(file.substr(pos, slash - pos));
-      *level = static_cast<uint32_t>(
-          std::stoul(file.substr(slash + 2, dot - slash - 2)));
-      *index = std::stoull(file.substr(dot + 1));
-    } catch (...) {
-      return false;
-    }
-    return true;
+    return mergeable::NodeFileName(options_.prefix, stream, node.level,
+                                   node.index);
   }
 
   bool WriteLeaf(uint64_t stream, uint64_t index, const S& summary,
@@ -558,34 +590,41 @@ class SummaryStore {
     return storage_->Rewrite(NodeFileName(stream, node), tagged);
   }
 
+  // A node over a lost leaf is left unwritten: the seal itself stands,
+  // and a later read of the node meets the loss again.
   bool BuildAndWriteNode(uint64_t stream, const DyadicNode& node) {
-    const std::vector<uint8_t> payload =
+    const std::optional<std::vector<uint8_t>> payload =
         ComputeNodePayload(stream, node, nullptr);
+    if (!payload.has_value()) return true;
     nodes_built_.fetch_add(1, std::memory_order_relaxed);
     node_merges_.fetch_add(1, std::memory_order_relaxed);
-    return WriteNodePayload(stream, node, payload);
+    return WriteNodePayload(stream, node, *payload);
   }
 
   // The node's canonical payload, computed from its children: the
   // defining equation node = canonical(merge(left, right)). Pure — no
   // storage writes, no counter updates — so batch sealing can run many
-  // of these concurrently.
-  std::vector<uint8_t> ComputeNodePayload(uint64_t stream,
-                                          const DyadicNode& node,
-                                          QueryStats* query_stats) {
+  // of these concurrently. std::nullopt when a leaf under it is lost.
+  std::optional<std::vector<uint8_t>> ComputeNodePayload(
+      uint64_t stream, const DyadicNode& node, QueryStats* query_stats) {
     MERGEABLE_CHECK_MSG(node.level >= 1, "leaves are sealed, not computed");
     const DyadicNode left{node.level - 1, node.index * 2};
     const DyadicNode right{node.level - 1, node.index * 2 + 1};
-    S merged = DecodeSummaryOrDie<S>(*NodePayload(stream, left, query_stats));
-    const S sibling =
-        DecodeSummaryOrDie<S>(*NodePayload(stream, right, query_stats));
-    CanonicalMergeInto(merged, sibling);
+    const MergedSummaryCache::Payload left_bytes =
+        NodePayload(stream, left, query_stats);
+    if (left_bytes == nullptr) return std::nullopt;
+    const MergedSummaryCache::Payload right_bytes =
+        NodePayload(stream, right, query_stats);
+    if (right_bytes == nullptr) return std::nullopt;
+    S merged = DecodeSummaryOrDie<S>(*left_bytes);
+    CanonicalMergeInto(merged, DecodeSummaryOrDie<S>(*right_bytes));
     return EncodeSummary<S>(merged);
   }
 
   // The node's canonical payload via the cache: resident bytes, else
   // the storage file, else (for a missing or torn internal node) a
-  // deterministic rebuild from the children.
+  // deterministic rebuild from the children. nullptr when a leaf it
+  // needs is lost.
   MergedSummaryCache::Payload NodePayload(uint64_t stream,
                                           const DyadicNode& node,
                                           QueryStats* query_stats) {
@@ -606,9 +645,8 @@ class SummaryStore {
     return payload;
   }
 
-  std::vector<uint8_t> LoadOrRebuildNode(uint64_t stream,
-                                         const DyadicNode& node,
-                                         QueryStats* query_stats) {
+  std::optional<std::vector<uint8_t>> LoadOrRebuildNode(
+      uint64_t stream, const DyadicNode& node, QueryStats* query_stats) {
     const std::optional<std::vector<uint8_t>> bytes =
         storage_->Read(NodeFileName(stream, node));
     if (bytes.has_value()) {
@@ -622,42 +660,51 @@ class SummaryStore {
                                       leaf->summary + leaf->summary_size);
         }
       } else {
-        std::optional<TaggedPayload> tagged = DecodeTaggedPayload(*bytes);
+        const std::optional<TaggedPayloadView> tagged =
+            ViewTaggedPayload(bytes->data(), bytes->size());
         if (tagged.has_value() && tagged->tag == kTag) {
-          return std::move(tagged->payload);
+          return std::vector<uint8_t>(tagged->payload,
+                                      tagged->payload + tagged->payload_size);
         }
       }
     }
     // Missing or torn. A leaf cannot be reconstructed — Open() only
     // admits epochs whose leaf records decode, so reaching this for a
-    // leaf means the storage regressed underneath us. An internal node
-    // is rebuilt from its children, byte-identically.
-    MERGEABLE_CHECK_MSG(node.level >= 1,
-                        "sealed leaf payload lost underneath the store");
-    std::vector<uint8_t> payload =
+    // leaf means the storage lost it underneath us: report it and fail
+    // the build. An internal node is rebuilt from its children,
+    // byte-identically.
+    if (node.level == 0) {
+      if (on_leaf_lost_) on_leaf_lost_(stream, node.index);
+      return std::nullopt;
+    }
+    std::optional<std::vector<uint8_t>> payload =
         ComputeNodePayload(stream, node, query_stats);
+    if (!payload.has_value()) return std::nullopt;
     nodes_built_.fetch_add(1, std::memory_order_relaxed);
     node_merges_.fetch_add(1, std::memory_order_relaxed);
     if (query_stats != nullptr) ++query_stats->merges_performed;
     // Re-persist so the next restart finds it intact; a failed write
     // only costs a future rebuild.
-    (void)WriteNodePayload(stream, node, payload);
+    (void)WriteNodePayload(stream, node, *payload);
     return payload;
   }
 
   // Materializes the covering nodes of [lo, hi] and folds them into one
   // canonical payload through the generic merge driver: a balanced
   // canonical reduction, parallel across nodes when the store has
-  // threads, byte-identical for every thread count.
-  std::vector<uint8_t> MergeCover(uint64_t stream, uint64_t lo, uint64_t hi,
-                                  QueryStats* stats) {
+  // threads, byte-identical for every thread count. std::nullopt when
+  // a covering node cannot be materialized (a leaf under it is lost).
+  std::optional<std::vector<uint8_t>> MergeCover(uint64_t stream,
+                                                 uint64_t lo, uint64_t hi,
+                                                 QueryStats* stats) {
     const std::vector<DyadicNode> cover = DyadicCover(lo, hi);
     stats->nodes_merged = cover.size();
     std::vector<S> parts;
     parts.reserve(cover.size());
     for (const DyadicNode& node : cover) {
-      parts.push_back(
-          DecodeSummaryOrDie<S>(*NodePayload(stream, node, stats)));
+      const MergedSummaryCache::Payload bytes = NodePayload(stream, node, stats);
+      if (bytes == nullptr) return std::nullopt;
+      parts.push_back(DecodeSummaryOrDie<S>(*bytes));
     }
     if (parts.size() == 1) return EncodeSummary<S>(parts.front());
     std::atomic<uint64_t> merges{0};
@@ -676,6 +723,7 @@ class SummaryStore {
 
   Storage* storage_;
   StoreOptions options_;
+  LeafLossHandler on_leaf_lost_;
   MergedSummaryCache cache_;
   ThreadPool pool_;
   std::map<uint64_t, StreamState> streams_;

@@ -5,6 +5,8 @@
 // on real files); the two must expose an identical crash surface.
 
 #include <cstdint>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -61,6 +63,77 @@ TEST_P(StorageBackendTest, MissingFileReadsAsNullopt) {
   auto storage = factory_.Make();
   EXPECT_FALSE(storage->Read("nope").has_value());
   EXPECT_TRUE(storage->List().empty());
+}
+
+TEST_P(StorageBackendTest, ReadRangeSlicesAndRefusesShortFiles) {
+  auto storage = factory_.Make();
+  ASSERT_TRUE(storage->Append("seg/0", Bytes({1, 2, 3, 4, 5})));
+  EXPECT_EQ(*storage->ReadRange("seg/0", 1, 3), Bytes({2, 3, 4}));
+  EXPECT_EQ(*storage->ReadRange("seg/0", 0, 5), Bytes({1, 2, 3, 4, 5}));
+  EXPECT_EQ(*storage->ReadRange("seg/0", 5, 0), Bytes({}));
+  // A range the file does not fully hold is refused, never padded.
+  EXPECT_FALSE(storage->ReadRange("seg/0", 3, 3).has_value());
+  EXPECT_FALSE(storage->ReadRange("seg/0", 6, 0).has_value());
+  EXPECT_FALSE(storage->ReadRange("missing", 0, 0).has_value());
+  EXPECT_FALSE(storage->ReadRange("../escape", 0, 1).has_value());
+}
+
+// Range reads see every completed write: an append grows what they can
+// reach, and a rewrite (a new file renamed into place) replaces what
+// they see — however often the same file was range-read before.
+TEST_P(StorageBackendTest, ReadRangeFollowsAppendsAndRewrites) {
+  auto storage = factory_.Make();
+  ASSERT_TRUE(storage->Append("seg/0", Bytes({1, 2})));
+  EXPECT_EQ(*storage->ReadRange("seg/0", 0, 2), Bytes({1, 2}));
+  EXPECT_FALSE(storage->ReadRange("seg/0", 2, 1).has_value());
+  ASSERT_TRUE(storage->Append("seg/0", Bytes({3})));
+  EXPECT_EQ(*storage->ReadRange("seg/0", 2, 1), Bytes({3}));
+  ASSERT_TRUE(storage->Rewrite("seg/0", Bytes({9, 8})));
+  EXPECT_EQ(*storage->ReadRange("seg/0", 0, 2), Bytes({9, 8}));
+  EXPECT_FALSE(storage->ReadRange("seg/0", 2, 1).has_value());
+  // Many files at once: more than any descriptor cache holds.
+  for (uint8_t i = 0; i < 100; ++i) {
+    ASSERT_TRUE(storage->Append("many/" + std::to_string(i), Bytes({i})));
+  }
+  for (int round = 0; round < 2; ++round) {
+    for (uint8_t i = 0; i < 100; ++i) {
+      EXPECT_EQ(*storage->ReadRange("many/" + std::to_string(i), 0, 1),
+                Bytes({i}));
+    }
+  }
+}
+
+// A backend without its own range read gets the default: read the
+// whole file, then slice it with the same contract.
+TEST(StorageTest, DefaultReadRangeSlicesTheWholeFileRead) {
+  class WholeFileOnly : public Storage {
+   public:
+    bool Append(const std::string& file,
+                const std::vector<uint8_t>& bytes) override {
+      return inner_.Append(file, bytes);
+    }
+    bool Rewrite(const std::string& file,
+                 const std::vector<uint8_t>& bytes) override {
+      return inner_.Rewrite(file, bytes);
+    }
+    bool Truncate(const std::string& file, uint64_t size) override {
+      return inner_.Truncate(file, size);
+    }
+    std::optional<std::vector<uint8_t>> Read(
+        const std::string& file) const override {
+      return inner_.Read(file);
+    }
+    std::vector<std::string> List() const override { return inner_.List(); }
+
+   private:
+    MemStorage inner_;
+  };
+  WholeFileOnly storage;
+  ASSERT_TRUE(storage.Append("seg/0", Bytes({1, 2, 3, 4, 5})));
+  EXPECT_EQ(*storage.ReadRange("seg/0", 2, 2), Bytes({3, 4}));
+  EXPECT_EQ(*storage.ReadRange("seg/0", 5, 0), Bytes({}));
+  EXPECT_FALSE(storage.ReadRange("seg/0", 4, 2).has_value());
+  EXPECT_FALSE(storage.ReadRange("missing", 0, 0).has_value());
 }
 
 TEST_P(StorageBackendTest, ListIsSortedAndHandlesSubdirectories) {

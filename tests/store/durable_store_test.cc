@@ -1,17 +1,25 @@
 // DurableStore acceptance: kill-at-every-crash-point restart answers
-// byte-identically to an uninterrupted run over real files; a
-// bit-flipped segment record is quarantined by the scrubber and its
-// mass folded into the error bound exactly; internal-node rot
-// self-repairs from the warm tier; the background scrubber thread runs
-// clean alongside seals and queries (TSan covers this suite); the
-// one-pass Open() matches a SummaryStore opened over the same
-// latest-wins node files; a backend that cannot truncate a torn tail
-// costs no acknowledged epoch.
+// byte-identically to an uninterrupted run over real files; seals write
+// exactly the expected records in the expected order; a bit-flipped
+// segment record is quarantined by the scrubber and its mass folded
+// into the error bound exactly; a leaf that rots after Open() is caught
+// by the first page-in and quarantined the same way, and every flipped
+// byte that would be served is caught there; internal-node rot is
+// rebuilt from children; page-ins, seals and scrub passes run clean
+// concurrently (TSan covers this suite); the one-pass Open() matches a
+// SummaryStore opened over the same latest-wins node files; a backend
+// that cannot truncate a torn tail costs no acknowledged epoch.
 
+#include <atomic>
 #include <cstdint>
+#include <map>
+#include <mutex>
 #include <optional>
 #include <set>
+#include <shared_mutex>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -97,6 +105,56 @@ TEST(DurableStoreTest, RestartOverFilesAnswersByteIdentically) {
   EXPECT_GT(report.nodes_prewarmed, 0u);
   EXPECT_EQ(reopened.EpochCount(kStream), kEpochs);
   EXPECT_EQ(AllRangePayloads(reopened, kEpochs), reference);
+}
+
+// The durable write sequence: sealing 8 epochs appends, per epoch, the
+// leaf record and then each dyadic node the epoch completes (levels 1
+// to 3), framed exactly as EncodeSegmentRecord frames them, one backend
+// write per record. The crash matrix's write indices and the disk bytes
+// per epoch are functions of this sequence.
+TEST(DurableStoreTest, SealWritesTheExpectedRecordsInOrder) {
+  constexpr uint64_t kEpochs = 8;
+  MemStorage durable;
+  {
+    DurableStore<SpaceSaving> store(&durable, Options());
+    ASSERT_EQ(SealUpTo(store, kEpochs), kEpochs);
+  }
+  // Canonical summary payload per (level, index), computed by hand.
+  std::map<std::pair<uint32_t, uint64_t>, std::vector<uint8_t>> value;
+  std::vector<uint8_t> expected;
+  uint64_t records = 0;
+  const auto append = [&](uint32_t level, uint64_t index,
+                          const std::vector<uint8_t>& payload) {
+    const std::vector<uint8_t> frame =
+        EncodeSegmentRecord(SegmentRecord{kStream, level, index, payload});
+    expected.insert(expected.end(), frame.begin(), frame.end());
+    ++records;
+  };
+  for (uint64_t e = 0; e < kEpochs; ++e) {
+    const SpaceSaving summary = MakeEpochSummary(e);
+    value[{0, e}] = EncodeSummary(summary);
+    append(0, e,
+           EncodeEpochRecord(MetaFor(e, summary),
+                             EncodeTaggedPayload(SummaryTag::kSpaceSaving,
+                                                 value[{0, e}])));
+    for (const DyadicNode& node : NodesCompletedBySeal(e)) {
+      SpaceSaving merged = DecodeSummaryOrDie<SpaceSaving>(
+          value[{node.level - 1, node.index * 2}]);
+      CanonicalMergeInto(merged,
+                         DecodeSummaryOrDie<SpaceSaving>(
+                             value[{node.level - 1, node.index * 2 + 1}]));
+      value[{node.level, node.index}] = EncodeSummary(merged);
+      append(node.level, node.index,
+             EncodeTaggedPayload(SummaryTag::kSpaceSaving,
+                                 value[{node.level, node.index}]));
+    }
+  }
+  EXPECT_EQ(records, 2 * kEpochs - 1);
+  EXPECT_EQ(value.count({3, 0}), 1u);
+  EXPECT_EQ(durable.List(),
+            std::vector<std::string>({"durable/seg/00000000"}));
+  EXPECT_EQ(*durable.Read("durable/seg/00000000"), expected);
+  EXPECT_EQ(durable.writes_attempted(), records);
 }
 
 TEST(DurableStoreTest, SegmentRollKeepsEveryRecordRecoverable) {
@@ -259,8 +317,10 @@ TEST(DurableStoreTest, BitFlippedLeafIsQuarantinedWithExactEpsilon) {
   EXPECT_FALSE(before->partial);
 }
 
-// Internal-node rot is derived data: the scrubber re-appends the warm
-// copy, the repair survives restart, and nothing is quarantined.
+// Internal-node rot is derived data: the scrubber drops the record from
+// the manifest (a later read rebuilds and re-appends it), serving is
+// untouched, restart skips the rotted original, and nothing is
+// quarantined.
 TEST(DurableStoreTest, RottedInternalNodeSelfRepairsFromWarmTier) {
   BackendFactory factory(BackendKind::kFile);
   auto storage = factory.Make();
@@ -358,7 +418,7 @@ TEST(DurableStoreTest, EnospcSealFailsCleanAndRetries) {
 }
 
 // MemStorage works as the durable backend too (the test double the
-// chaos harness uses); the two-tier store is backend-agnostic.
+// chaos harness uses); the store is backend-agnostic.
 TEST(DurableStoreTest, MemBackendRoundTrips) {
   BackendFactory factory(BackendKind::kMem);
   auto storage = factory.Make();
@@ -388,7 +448,6 @@ TEST(DurableStoreTest, OneScanOpenMatchesStoreOpenOverLatestWinsFiles) {
   DurableStoreOptions options = Options();
   options.segment_bytes = 512;  // Several segments: latest-wins spans files.
   MemStorage durable;
-  std::string superseded_name;
   std::vector<uint8_t> superseding;
   {
     DurableStore<SpaceSaving> store(&durable, options);
@@ -397,10 +456,9 @@ TEST(DurableStoreTest, OneScanOpenMatchesStoreOpenOverLatestWinsFiles) {
       const SpaceSaving summary = MakeEpochSummary(100 + e);
       ASSERT_TRUE(store.Seal(kOther, summary, MetaFor(10 + e, summary)));
     }
-    // An undecodable copy of node (1, 0), then the warm copy over it.
+    // An undecodable copy of node (1, 0), then the intact copy over it.
     DurableLog& log = store.log();
-    superseded_name = log.NodeFileName(kStream, 1, 0);
-    superseding = *log.warm().Read(superseded_name);
+    superseding = *log.ReadRecord(kStream, 1, 0);
     ASSERT_TRUE(log.AppendRecord(kStream, 1, 0, {9, 9, 9}));
     ASSERT_TRUE(log.AppendRecord(kStream, 1, 0, superseding));
   }
@@ -477,7 +535,7 @@ TEST(DurableStoreTest, OneScanOpenMatchesStoreOpenOverLatestWinsFiles) {
   EXPECT_EQ(report.torn_tails, 1u);
   EXPECT_EQ(reopened.EpochCount(kStream), kBadLeaf);
   EXPECT_EQ(reopened.EpochCount(kOther), kOtherEpochs);
-  EXPECT_EQ(*reopened.log().warm().Read(superseded_name), superseding);
+  EXPECT_EQ(*reopened.log().ReadRecord(kStream, 1, 0), superseding);
 
   for (const uint64_t stream : {kStream, kOther}) {
     SCOPED_TRACE("stream " + std::to_string(stream));
@@ -497,6 +555,220 @@ TEST(DurableStoreTest, OneScanOpenMatchesStoreOpenOverLatestWinsFiles) {
       }
     }
   }
+}
+
+// Flips one byte of the first record of (kStream, level, index) in the
+// first segment file, `at` bytes into its frame (the middle when
+// std::nullopt). Returns the frame's length, 0 if the record is absent.
+uint64_t FlipRecordByte(Storage& storage, uint32_t level, uint64_t index,
+                        std::optional<uint64_t> at = std::nullopt) {
+  const std::string segment_file = "durable/seg/00000000";
+  std::vector<uint8_t> bytes = *storage.Read(segment_file);
+  for (const SegmentEntry& entry : ScanSegment(bytes).entries) {
+    if (entry.record.stream != kStream || entry.record.level != level ||
+        entry.record.index != index) {
+      continue;
+    }
+    bytes[entry.offset + at.value_or(entry.length / 2)] ^= 0x01;
+    if (!storage.Rewrite(segment_file, bytes)) return 0;
+    return entry.length;
+  }
+  return 0;
+}
+
+// A leaf that rots on disk after Open() is found by the first cold query
+// that pages it in, and quarantined exactly as the scrubber quarantines
+// it: the same clamped answer, the same eps field by field, and a range
+// that starts on it is refused.
+TEST(DurableStoreTest, LeafRottedAfterOpenIsQuarantinedAtPageIn) {
+  constexpr uint64_t kEpochs = 6;
+  // [0, kRotten] is covered by node (2, 0) and the leaf itself; Open()
+  // pre-warms only (2, 0) and (1, 2), so the leaf is cold.
+  constexpr uint64_t kRotten = 4;
+  BackendFactory factory(BackendKind::kFile);
+  auto paged_storage = factory.Make();
+  auto scrubbed_storage = factory.Make();
+  for (Storage* storage : {static_cast<Storage*>(paged_storage.get()),
+                           static_cast<Storage*>(scrubbed_storage.get())}) {
+    DurableStore<SpaceSaving> store(storage, Options());
+    ASSERT_EQ(SealUpTo(store, kEpochs), kEpochs);
+  }
+  DurableStore<SpaceSaving> paged(paged_storage.get(), Options());
+  DurableStore<SpaceSaving> scrubbed(scrubbed_storage.get(), Options());
+  ASSERT_EQ(paged.Open().epochs, kEpochs);
+  ASSERT_EQ(scrubbed.Open().epochs, kEpochs);
+  ASSERT_GT(FlipRecordByte(*paged_storage, 0, kRotten), 0u);
+  ASSERT_GT(FlipRecordByte(*scrubbed_storage, 0, kRotten), 0u);
+
+  scrubbed.ScrubOnce();
+  ASSERT_EQ(scrubbed.QuarantinedLeaves(kStream),
+            std::vector<uint64_t>({kRotten}));
+  EXPECT_TRUE(paged.QuarantinedLeaves(kStream).empty());  // Not yet read.
+
+  const auto got = paged.QueryRangePayload(kStream, 0, kRotten);
+  const auto want = scrubbed.QueryRangePayload(kStream, 0, kRotten);
+  ASSERT_TRUE(got.has_value());
+  ASSERT_TRUE(want.has_value());
+  EXPECT_EQ(paged.QuarantinedLeaves(kStream),
+            std::vector<uint64_t>({kRotten}));
+  EXPECT_EQ(paged.scrub_stats().epochs_quarantined, 1u);
+  EXPECT_TRUE(got->partial);
+  EXPECT_EQ(got->covered_hi, kRotten - 1);
+  EXPECT_EQ(got->covered_hi, want->covered_hi);
+  EXPECT_EQ(*got->payload, *want->payload);
+  const EpsilonReport expected = AccumulateEpsilonPartial(
+      paged.Metas(kStream), 0, kRotten, kRotten - 1, kEpsilon);
+  for (const EpsilonReport& eps : {got->eps, want->eps}) {
+    EXPECT_EQ(eps.lost_mass, expected.lost_mass);
+    EXPECT_EQ(eps.lost_mass_estimated, expected.lost_mass_estimated);
+    EXPECT_EQ(eps.n_received, expected.n_received);
+    EXPECT_EQ(eps.received_bound, expected.received_bound);
+    EXPECT_EQ(eps.full_stream_bound, expected.full_stream_bound);
+  }
+  EXPECT_FALSE(paged.QueryRangePayload(kStream, kRotten, kEpochs - 1));
+  EXPECT_FALSE(scrubbed.QueryRangePayload(kStream, kRotten, kEpochs - 1));
+  // The quarantined record left the manifest: scrubbing finds nothing.
+  paged.ScrubOnce();
+  EXPECT_EQ(paged.scrub_stats().corrupt_found, 0u);
+}
+
+// Every byte of one leaf frame and one internal-node frame, flipped in
+// turn after Open(). A flip that changes served bytes (framing, key or
+// payload) is caught by the first page-in: the leaf is quarantined and
+// the query clamped; the node is rebuilt from its children, answers
+// byte-identically and is re-appended. A flip in the SEG1 checksum
+// trailer changes nothing served and is caught by the next ScrubOnce().
+TEST(DurableStoreTest, EveryServedByteFlipIsCaughtAtPageIn) {
+  constexpr uint64_t kEpochs = 6;
+  MemStorage pristine;
+  {
+    DurableStore<SpaceSaving> store(&pristine, Options());
+    ASSERT_EQ(SealUpTo(store, kEpochs), kEpochs);
+  }
+  struct Target {
+    uint32_t level;
+    uint64_t index;
+    uint64_t lo, hi;  // A query that pages the record in after Open().
+  };
+  for (const Target target : {Target{0, 4, 0, 4}, Target{1, 1, 2, 3}}) {
+    SCOPED_TRACE("record (" + std::to_string(target.level) + ", " +
+                 std::to_string(target.index) + ")");
+    const bool leaf = target.level == 0;
+    std::vector<uint8_t> answer;
+    std::vector<uint8_t> record;
+    uint64_t length = 0;
+    {
+      MemStorage storage(pristine);
+      DurableStore<SpaceSaving> store(&storage, Options());
+      store.Open();
+      answer = *store.QueryRangePayload(kStream, target.lo, target.hi)
+                    ->payload;
+      record = *store.log().ReadRecord(kStream, target.level, target.index);
+      length = FlipRecordByte(storage, target.level, target.index, 0);
+    }
+    ASSERT_GT(length, 8u);
+    for (uint64_t at = 0; at < length; ++at) {
+      SCOPED_TRACE("byte " + std::to_string(at));
+      const bool trailer = at >= length - 8;
+      MemStorage storage(pristine);
+      DurableStore<SpaceSaving> store(&storage, Options());
+      store.Open();
+      ASSERT_EQ(FlipRecordByte(storage, target.level, target.index, at),
+                length);
+      const auto out = store.QueryRangePayload(kStream, target.lo, target.hi);
+      ASSERT_TRUE(out.has_value());
+      if (leaf && !trailer) {
+        EXPECT_TRUE(out->partial);
+        EXPECT_EQ(out->covered_hi, target.index - 1);
+        EXPECT_EQ(store.QuarantinedLeaves(kStream),
+                  std::vector<uint64_t>({target.index}));
+      } else {
+        EXPECT_FALSE(out->partial);
+        EXPECT_EQ(*out->payload, answer);
+        EXPECT_TRUE(store.QuarantinedLeaves(kStream).empty());
+        // A caught node flip costs one rebuild and one re-append.
+        EXPECT_EQ(store.stats().nodes_built, leaf || trailer ? 0u : 1u);
+        EXPECT_EQ(*store.log().ReadRecord(kStream, target.level,
+                                          target.index),
+                  record);
+      }
+      store.ScrubOnce();
+      const ScrubStats scrub = store.scrub_stats();
+      EXPECT_EQ(scrub.corrupt_found, trailer ? 1u : 0u);
+      if (trailer) {
+        EXPECT_EQ(scrub.epochs_quarantined, leaf ? 1u : 0u);
+        EXPECT_EQ(scrub.nodes_repaired, leaf ? 0u : 1u);
+      }
+    }
+  }
+}
+
+// Page-ins, seals and scrub passes at once over real files: query
+// threads with a cache far smaller than the working set (so queries
+// miss and page in), a sealing thread, and a scrubbing thread. Seals
+// are serialized with queries by a reader-writer lock, as the epoch
+// service's lock serializes them; page-ins and scrub passes take no
+// lock of the test's. TSan covers this suite.
+TEST(DurableStoreTest, ConcurrentColdQueriesSealsAndScrubsOverFiles) {
+  constexpr uint64_t kFirst = 16;
+  constexpr uint64_t kTotal = 40;
+  constexpr int kQueryThreads = 3;
+  constexpr int kQueriesPerThread = 150;
+  constexpr int kScrubPasses = 20;
+  BackendFactory factory(BackendKind::kFile);
+  auto storage = factory.Make();
+  DurableStoreOptions options = Options();
+  options.store.cache_capacity = 2;
+  options.segment_bytes = 4096;  // Segments roll while the threads run.
+  DurableStore<SpaceSaving> store(storage.get(), options);
+  ASSERT_EQ(SealUpTo(store, kFirst), kFirst);
+
+  std::shared_mutex serving;
+  std::atomic<uint64_t> answered{0};
+  std::atomic<uint64_t> refused{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kQueryThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(90 + t);
+      for (int q = 0; q < kQueriesPerThread; ++q) {
+        std::shared_lock<std::shared_mutex> lock(serving);
+        const uint64_t count = store.EpochCount(kStream);
+        const uint64_t lo = rng.UniformInt(count);
+        const uint64_t hi = lo + rng.UniformInt(count - lo);
+        const auto out = store.QueryRangePayload(kStream, lo, hi);
+        if (out.has_value() && !out->partial) {
+          answered.fetch_add(1);
+        } else {
+          refused.fetch_add(1);
+        }
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    for (int p = 0; p < kScrubPasses; ++p) store.ScrubOnce();
+  });
+  bool sealed = true;
+  for (uint64_t e = kFirst; e < kTotal; ++e) {
+    const SpaceSaving summary = MakeEpochSummary(e);
+    std::unique_lock<std::shared_mutex> lock(serving);
+    sealed = store.Seal(kStream, summary, MetaFor(e, summary)) && sealed;
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  EXPECT_TRUE(sealed);
+  EXPECT_EQ(answered.load(), uint64_t{kQueryThreads} * kQueriesPerThread);
+  EXPECT_EQ(refused.load(), 0u);
+  EXPECT_GT(store.cache_stats().misses, 0u);
+  const ScrubStats scrub = store.scrub_stats();
+  EXPECT_EQ(scrub.passes, static_cast<uint64_t>(kScrubPasses));
+  EXPECT_EQ(scrub.corrupt_found, 0u);
+  EXPECT_TRUE(store.QuarantinedLeaves(kStream).empty());
+  EXPECT_EQ(store.node_append_failures(), 0u);
+  // What was served is what a clean restart serves.
+  DurableStore<SpaceSaving> reopened(storage.get(), options);
+  EXPECT_EQ(reopened.Open().epochs, kTotal);
+  EXPECT_EQ(AllRangePayloads(store, kTotal),
+            AllRangePayloads(reopened, kTotal));
 }
 
 // A backend that refuses every Truncate (everything else forwards), as

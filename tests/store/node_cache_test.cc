@@ -5,6 +5,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -152,6 +154,49 @@ TEST(StoreCacheSingleFlightTest, DistinctKeysBuildInParallel) {
   for (std::thread& thread : threads) thread.join();
   EXPECT_EQ(cache.stats().misses, static_cast<uint64_t>(kThreads));
   EXPECT_EQ(cache.stats().single_flight_waits, 0u);
+}
+
+// A builder that cannot build (its inputs are lost) caches nothing:
+// every thread that joined its flight gets nullptr, and the next lookup
+// runs a builder again.
+TEST(StoreCacheSingleFlightTest, FailedBuildCachesNothingAndFailsItsWaiters) {
+  MergedSummaryCache cache(4);
+  constexpr int kThreads = 4;
+  std::atomic<int> builds{0};
+  std::atomic<int> ready{0};
+  // Non-null until each thread stores what it got.
+  std::vector<MergedSummaryCache::Payload> results(
+      kThreads, std::make_shared<const std::vector<uint8_t>>());
+  {
+    std::vector<std::thread> threads;
+    threads.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) std::this_thread::yield();
+        results[t] = cache.GetOrBuild(
+            NodeKey(1, 0, 9),
+            [&builds]() -> std::optional<std::vector<uint8_t>> {
+              builds.fetch_add(1);
+              std::this_thread::sleep_for(std::chrono::milliseconds(5));
+              return std::nullopt;
+            });
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+  }
+  for (const auto& result : results) EXPECT_EQ(result, nullptr);
+  EXPECT_GE(builds.load(), 1);
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.Peek(NodeKey(1, 0, 9)), nullptr);
+  EXPECT_EQ(cache.stats().bytes_built, 0u);
+  EXPECT_EQ(cache.stats().bytes_cached, 0u);
+  // Nothing was remembered: the next lookup builds, and succeeds.
+  const auto built =
+      cache.GetOrBuild(NodeKey(1, 0, 9), [] { return Payload(3, 2); });
+  ASSERT_NE(built, nullptr);
+  EXPECT_EQ(*built, Payload(3, 2));
+  EXPECT_EQ(cache.size(), 1u);
 }
 
 // Hammer one hot key and a rotating cold set from many threads; TSan

@@ -12,6 +12,7 @@
 #include "mergeable/aggregate/wire.h"
 #include "mergeable/store/epoch_meta.h"
 #include "mergeable/store/segment.h"
+#include "mergeable/util/bytes.h"
 
 namespace mergeable {
 namespace {
@@ -244,6 +245,58 @@ TEST(SegmentTest, EveryBitFlipOfATaggedPayloadIsRejectedInPlace) {
           ViewTaggedPayload(buffer.data(), flipped.size()).has_value())
           << "byte=" << byte << " bit=" << bit;
     }
+  }
+}
+
+// The SEG1 layout field by field: what the durable write sequence and
+// every on-disk history depend on.
+TEST(SegmentTest, EncodedFrameMatchesTheLayoutFieldByField) {
+  const std::vector<uint8_t> payload = {7, 8, 9, 10, 11};
+  ByteWriter body;
+  body.PutU64(3);
+  body.PutU32(2);
+  body.PutU64(41);
+  body.PutBytes(payload);
+  ByteWriter frame;
+  frame.PutU32(0x31474553);  // 'S' 'E' 'G' '1'
+  frame.PutBytes(body.bytes());
+  frame.PutU64(SegmentChecksum(body.bytes()));
+  EXPECT_EQ(EncodeSegmentRecord(SegmentRecord{3, 2, 41, payload}),
+            frame.bytes());
+  EXPECT_EQ(EncodeSegmentFrame(3, 2, 41, payload.data(), payload.size()),
+            frame.bytes());
+}
+
+// A page-in checks everything but the SEG1 checksum: magic, lengths,
+// body shape and the key it was asked for. Every flip outside the
+// checksum trailer that leaves the payload alone is refused; payload
+// flips are the envelopes' to catch (their own sweeps are above).
+TEST(SegmentTest, PagedRecordChecksFramingAndKeyButNotTheChecksum) {
+  const std::vector<uint8_t> frame =
+      EncodeSegmentRecord(Record(3, 1, 6, {4, 5, 6, 7}));
+  const auto view = ViewPagedRecord(frame.data(), frame.size(), 3, 1, 6);
+  ASSERT_TRUE(view.has_value());
+  EXPECT_TRUE(view->intact);
+  EXPECT_EQ(view->length, frame.size());
+  ASSERT_EQ(view->payload_length, 4u);
+  EXPECT_EQ(frame[view->payload_offset], 4);
+  EXPECT_EQ(frame[view->payload_offset + 3], 7);
+  // The wrong key, a short read or a long read is refused.
+  EXPECT_FALSE(ViewPagedRecord(frame.data(), frame.size(), 4, 1, 6));
+  EXPECT_FALSE(ViewPagedRecord(frame.data(), frame.size(), 3, 0, 6));
+  EXPECT_FALSE(ViewPagedRecord(frame.data(), frame.size(), 3, 1, 7));
+  EXPECT_FALSE(ViewPagedRecord(frame.data(), frame.size() - 1, 3, 1, 6));
+  std::vector<uint8_t> longer = frame;
+  longer.push_back(0);
+  EXPECT_FALSE(ViewPagedRecord(longer.data(), longer.size(), 3, 1, 6));
+  const size_t trailer = frame.size() - 8;
+  for (size_t byte = 0; byte < frame.size(); ++byte) {
+    std::vector<uint8_t> flipped = frame;
+    flipped[byte] ^= 0x01;
+    const bool accepted =
+        ViewPagedRecord(flipped.data(), flipped.size(), 3, 1, 6).has_value();
+    const bool in_payload = byte >= view->payload_offset && byte < trailer;
+    EXPECT_EQ(accepted, in_payload || byte >= trailer) << "byte=" << byte;
   }
 }
 

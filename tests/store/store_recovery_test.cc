@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -281,6 +282,44 @@ TEST(StoreIngestTest, SealFromCheckpointRefusesEmptyStorage) {
   MemStorage storage;
   SummaryStore<SpaceSaving> store(&storage);
   EXPECT_FALSE(store.SealFromCheckpoint(1, empty));
+}
+
+// A sealed leaf that rots underneath the store is reported to the
+// LeafLossHandler and refuses the queries that need it; nothing aborts,
+// a seal whose new node needs the lost leaf still stands, and ranges
+// that avoid the leaf keep answering.
+TEST(StoreRecoveryTest, LostLeafRefusesItsQueriesInsteadOfAborting) {
+  MemStorage storage;
+  ASSERT_EQ(SealUpTo(&storage, 3), 3u);
+  std::vector<std::pair<uint64_t, uint64_t>> lost;
+  SummaryStore<SpaceSaving> store(
+      &storage, StoreOptions{},
+      [&lost](uint64_t stream, uint64_t index) {
+        lost.emplace_back(stream, index);
+      });
+  ASSERT_EQ(store.Open(), 1u);
+  const std::string leaf = "store/s1/n0.2";
+  std::vector<uint8_t> rotted = *storage.Read(leaf);
+  rotted[rotted.size() / 2] ^= 0x10;
+  ASSERT_TRUE(storage.Rewrite(leaf, rotted));
+
+  EXPECT_FALSE(store.QueryRangePayload(1, 2, 2).has_value());
+  ASSERT_EQ(lost.size(), 1u);
+  EXPECT_EQ(lost[0], std::make_pair(uint64_t{1}, uint64_t{2}));
+  // Sealing epoch 3 completes node (1, 1) over the lost leaf: the leaf
+  // is durable and the seal stands; the node is left unwritten.
+  const SpaceSaving summary = MakeEpochSummary(3);
+  EXPECT_TRUE(store.Seal(1, summary, MetaFor(3, summary)));
+  EXPECT_EQ(store.EpochCount(1), 4u);
+  EXPECT_FALSE(storage.Read("store/s1/n1.1").has_value());
+  EXPECT_FALSE(store.QueryRangePayload(1, 0, 3).has_value());
+  EXPECT_TRUE(store.QueryRangePayload(1, 0, 1).has_value());
+  EXPECT_TRUE(store.QueryRangePayload(1, 3, 3).has_value());
+  // Every report names the one lost leaf; each failed build retried it.
+  EXPECT_GT(lost.size(), 2u);
+  for (const auto& report : lost) {
+    EXPECT_EQ(report, std::make_pair(uint64_t{1}, uint64_t{2}));
+  }
 }
 
 TEST(StoreIngestTest, StoreStatsCountSealsAndBuilds) {
