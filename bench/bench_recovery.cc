@@ -2,22 +2,24 @@
 //
 // Two questions about the crash-tolerant coordinator:
 //
-//  1. What does durability cost while everything works? The WAL appends
+//  1. What does durability cost while everything works? The log holds
 //     one record per accepted report (payload = the report itself, so
 //     overhead over the raw payload bytes is just framing), and each
-//     checkpoint rewrites the whole merged summary — so the checkpoint
-//     interval trades write amplification against recovery work.
+//     checkpoint record carries the whole merged summary — so the
+//     checkpoint interval trades write amplification against recovery
+//     work.
 //  2. How fast is recovery? We crash the coordinator at the last write
 //     of the epoch (worst case: maximal durable state), then measure
-//     Recover(): snapshot restore plus replay of the log tail. With
+//     Recover(): checkpoint restore plus replay of the log tail. With
 //     frequent checkpoints the tail is short; in log-only mode recovery
 //     replays (and re-merges) every report.
 //
-// Cells report storage written (WAL + snapshots) normalized by the raw
-// report payload bytes, and recovery wall time with the number of
-// records replayed. Expectation: write amplification grows as the
-// checkpoint interval shrinks, replay work grows as it widens — and
-// recovery is always exact, which the harness asserts.
+// Cells report the log's bytes split by record kind ("wal": epoch-begin,
+// report and shard-lost records; "snap": checkpoint records), their sum
+// normalized by the raw report payload bytes, and recovery wall time
+// with the number of records replayed. Expectation: write amplification
+// grows as the checkpoint interval shrinks, replay work grows as it
+// widens — and recovery is always exact, which the harness asserts.
 
 #include <chrono>
 #include <cstddef>
@@ -30,6 +32,7 @@
 #include "mergeable/aggregate/fault.h"
 #include "mergeable/aggregate/storage.h"
 #include "mergeable/frequency/space_saving.h"
+#include "mergeable/store/segment.h"
 #include "mergeable/stream/generators.h"
 #include "mergeable/stream/partition.h"
 #include "mergeable/util/check.h"
@@ -53,8 +56,8 @@ BackoffPolicy Policy() {
 
 struct DurableCost {
   uint64_t payload_bytes = 0;   // Raw report payloads (the useful data).
-  uint64_t wal_bytes = 0;       // WAL appends, framing included.
-  uint64_t snapshot_bytes = 0;  // Checkpoint rewrites.
+  uint64_t wal_bytes = 0;       // Non-checkpoint records, framing included.
+  uint64_t snapshot_bytes = 0;  // Checkpoint records, framing included.
   double recover_ms = 0.0;
   uint64_t replayed = 0;
   bool used_snapshot = false;
@@ -95,8 +98,13 @@ DurableCost MeasureCell(const std::vector<std::vector<uint64_t>>& shards,
       result.summary->EncodeTo(writer);
       reference = writer.TakeBytes();
     }
-    cost.wal_bytes = healthy.stats().bytes_appended;
-    cost.snapshot_bytes = healthy.stats().bytes_rewritten;
+    const std::vector<uint8_t> log =
+        healthy.Read(options.wal_file).value_or(std::vector<uint8_t>());
+    for (const SegmentRecordView& record : ScanCoordinatorLog(log).records) {
+      const bool checkpoint =
+          record.level == static_cast<uint32_t>(LogRecordKind::kCheckpoint);
+      (checkpoint ? cost.snapshot_bytes : cost.wal_bytes) += record.length;
+    }
     total_writes = healthy.writes_attempted();
     for (size_t shard = 0; shard < n_shards; ++shard) {
       SpaceSaving summary = SpaceSaving::ForEpsilon(kEpsilon);
@@ -108,7 +116,7 @@ DurableCost MeasureCell(const std::vector<std::vector<uint64_t>>& shards,
   }
 
   // Crash at the very last write (maximal durable state), then time
-  // recovery: snapshot restore + log-tail replay.
+  // recovery: checkpoint restore + log-tail replay.
   CrashPoint point;
   point.mode = CrashMode::kTornWrite;
   point.write_index = total_writes - 1;
@@ -161,8 +169,9 @@ int Main() {
 
   std::printf(
       "E10: workload %s, n=%zu, eps=%g, SpaceSaving reports;\n"
-      "write amp = (WAL + snapshot bytes) / raw payload bytes; recovery\n"
-      "crashes at the epoch's last write, asserts byte-exact recovery\n",
+      "write amp = (report + checkpoint record bytes) / raw payload bytes;\n"
+      "recovery crashes at the epoch's last write, asserts byte-exact "
+      "recovery\n",
       ToString(spec).c_str(), stream.size(), kEpsilon);
 
   const size_t shard_counts[] = {4, 16, 64};

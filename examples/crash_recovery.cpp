@@ -3,14 +3,14 @@
 // Workers summarize their shards and ship framed reports over a faulty
 // network (see wire_merge for that half of the story). This example is
 // about the other failure domain — the aggregator process itself. In
-// durable mode the coordinator appends every accepted report to a
-// write-ahead log *before* merging it and checkpoints the partial merge
-// every few reports, both through a Storage backend. Here the storage
-// is rigged to tear a write halfway through the epoch, killing the run;
-// a fresh coordinator then recovers from the same storage — newest
-// valid snapshot, idempotent log-tail replay, torn-tail truncation —
-// and resumes, refetching only the shards that were never durably
-// recorded. The punchline is exactness: the recovered epoch's summary
+// durable mode the coordinator appends every accepted report to its log
+// *before* merging it, and every few reports appends a checkpoint of the
+// partial merge to the same log, through a Storage backend. Here the
+// storage is rigged to tear a write halfway through the epoch, killing
+// the run; a fresh coordinator then recovers from the same storage —
+// newest checkpoint in the log, idempotent replay of the records past
+// it, torn-tail truncation — and resumes, refetching only the shards
+// that were never durably recorded. The punchline is exactness: the recovered epoch's summary
 // is byte-identical to the summary of an uninterrupted run.
 
 #include <cstddef>
@@ -87,7 +87,7 @@ std::vector<uint8_t> Encoded(const SpaceSaving& summary) {
 
 int main() {
   const auto shards = BuildShards();
-  const DurableOptions options;  // WAL "wal", checkpoint every 8 reports.
+  const DurableOptions options;  // Log "wal", checkpoint every 8 reports.
 
   // Reference: the epoch with nothing going wrong (healthy storage).
   std::vector<uint8_t> reference;
@@ -107,7 +107,7 @@ int main() {
   }
 
   // The same epoch on storage rigged to tear write #7 mid-append
-  // (shard 6's WAL record) — the process dies with six reports durable,
+  // (shard 6's report record) — the process dies with six reports durable,
   // a half-written record on disk, and four shards outstanding.
   CrashPoint crash;
   crash.mode = CrashMode::kTornWrite;
@@ -133,7 +133,7 @@ int main() {
                                      MergeTopology::kLeftDeepChain);
   const RecoveryInfo info = recovered.Recover(&storage, options);
   std::printf(
-      "recovery:           snapshot=%s(seq %llu), %llu/%llu log records "
+      "recovery:           checkpoint=%s(seq %llu), %llu/%llu log records "
       "replayed,\n"
       "                    torn tail truncated=%s, %zu shards still "
       "pending\n",

@@ -2,9 +2,72 @@
 
 #include <cmath>
 
+#include "mergeable/util/bytes.h"
 #include "mergeable/util/check.h"
 
 namespace mergeable {
+namespace {
+
+void PutShardSet(ByteWriter& writer, const std::vector<uint64_t>& shards) {
+  writer.PutU32(static_cast<uint32_t>(shards.size()));
+  for (uint64_t shard : shards) writer.PutU64(shard);
+}
+
+// Reads a shard set, validating the declared count against the input
+// that is actually present before allocating, and requiring strictly
+// ascending ids (canonical form; also rejects duplicates).
+bool GetShardSet(ByteReader& reader, std::vector<uint64_t>* shards) {
+  uint32_t count = 0;
+  if (!reader.GetU32(&count)) return false;
+  if (reader.remaining() < static_cast<size_t>(count) * sizeof(uint64_t)) {
+    return false;
+  }
+  shards->reserve(count);
+  for (uint32_t i = 0; i < count; ++i) {
+    uint64_t shard = 0;
+    if (!reader.GetU64(&shard)) return false;
+    if (!shards->empty() && shard <= shards->back()) return false;
+    shards->push_back(shard);
+  }
+  return true;
+}
+
+}  // namespace
+
+std::vector<uint8_t> EncodeCheckpoint(const Checkpoint& checkpoint) {
+  ByteWriter writer;
+  PutShardSet(writer, checkpoint.received_shards);
+  PutShardSet(writer, checkpoint.lost_shards);
+  writer.PutBytes(checkpoint.summary_payload);
+  return writer.TakeBytes();
+}
+
+std::optional<Checkpoint> DecodeCheckpoint(const uint8_t* bytes,
+                                           size_t size) {
+  ByteReader reader(bytes, size);
+  Checkpoint checkpoint;
+  if (!GetShardSet(reader, &checkpoint.received_shards) ||
+      !GetShardSet(reader, &checkpoint.lost_shards) ||
+      !reader.GetBytes(&checkpoint.summary_payload) || !reader.Exhausted()) {
+    return std::nullopt;
+  }
+  return checkpoint;
+}
+
+CoordinatorLog ScanCoordinatorLog(const std::vector<uint8_t>& bytes) {
+  CoordinatorLog log;
+  bool ended = false;
+  WalkSegment(bytes.data(), bytes.size(), [&](const SegmentRecordView& view) {
+    ended = ended || !view.intact ||
+            view.level < static_cast<uint32_t>(LogRecordKind::kEpochBegin) ||
+            view.level > static_cast<uint32_t>(LogRecordKind::kCheckpoint);
+    if (ended) return;
+    log.records.push_back(view);
+    log.valid_bytes = view.offset + view.length;
+  });
+  log.torn_tail = log.valid_bytes < bytes.size();
+  return log;
+}
 
 uint64_t BackoffPolicy::BackoffBefore(uint32_t attempt) const {
   // A non-positive (or NaN) multiplier is a configuration bug: the

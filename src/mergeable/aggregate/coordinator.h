@@ -17,13 +17,17 @@
 //     the unobserved mass.
 //
 // The coordinator also survives *itself* (DESIGN.md §8): in durable mode
-// every accepted report is appended to a write-ahead log (wal.h) before
-// it is merged, and the partially merged summary is checkpointed
-// periodically (snapshot.h), both through a Storage backend. After a
-// crash, Recover() loads the newest valid snapshot, replays the log
-// tail idempotently — dedup by (shard, epoch) makes a record whose
-// acknowledgement died with the process merge exactly once — truncates
-// any torn tail, and ResumeDurable() refetches only the shards that
+// it appends one record per state transition to a single log file
+// through a Storage backend, before the transition is applied. The
+// records are SEG1 frames (store/segment.h, the durable store's format)
+// keyed (stream = epoch, level = LogRecordKind, index): the epoch
+// opening, each accepted report, each shard given up as lost, and every
+// few reports a checkpoint of the partially merged summary. After a
+// crash, Recover() reads the log once, cuts it at the first torn,
+// corrupt or unknown record, restores this epoch's newest checkpoint and
+// replays the records past it idempotently — dedup by (shard, epoch)
+// makes a record whose acknowledgement died with the process merge
+// exactly once — and ResumeDurable() refetches only the shards that
 // were never durably recorded. Durable runs merge left-deep in
 // ascending shard order, so a recovered epoch produces a summary
 // byte-identical (canonical encodings) to an uninterrupted one.
@@ -50,13 +54,12 @@
 #include <vector>
 
 #include "mergeable/aggregate/fault.h"
-#include "mergeable/aggregate/snapshot.h"
 #include "mergeable/aggregate/transport.h"
 #include "mergeable/aggregate/storage.h"
-#include "mergeable/aggregate/wal.h"
 #include "mergeable/aggregate/wire.h"
 #include "mergeable/core/concepts.h"
 #include "mergeable/core/merge_driver.h"
+#include "mergeable/store/segment.h"
 #include "mergeable/util/bytes.h"
 #include "mergeable/util/check.h"
 #include "mergeable/util/random.h"
@@ -175,13 +178,13 @@ struct CoordinatorOptions {
   int num_threads = 1;
 };
 
-// Knobs for durable (WAL + checkpoint) runs.
+// Knobs for durable (log + checkpoint) runs.
 struct DurableOptions {
-  // Storage file name of the write-ahead log.
+  // Storage file name of the log; the only file a durable run writes.
   std::string wal_file = "wal";
-  // Write a snapshot checkpoint after every this many accepted reports
-  // (0 = log only, never checkpoint; recovery then replays the whole
-  // log, which is still exact, just slower).
+  // Append a checkpoint record after every this many accepted reports
+  // (0 = never checkpoint; recovery then replays the whole log, which is
+  // still exact, just slower).
   uint64_t checkpoint_every = 8;
   // Retry schedule for transient Storage::Append failures (a disk-full
   // window that clears, a flaky EIO). max_attempts bounds the tries per
@@ -197,24 +200,73 @@ struct DurableOptions {
 
 // What Recover() reconstructed from storage.
 struct RecoveryInfo {
-  // True when durable state for this epoch was found (an epoch-begin
-  // record or a snapshot). False means the crash predated the first
-  // durable write: nothing was lost, start the epoch from scratch.
+  // True when durable state for this epoch was found (its epoch-begin
+  // record). False means the crash predated the first durable write:
+  // nothing was lost, start the epoch from scratch.
   bool recovered = false;
   uint64_t epoch = 0;
   uint64_t n_shards = 0;
-  bool used_snapshot = false;
-  uint64_t snapshot_seq = 0;      // Sequence of the snapshot used.
-  uint64_t wal_records_total = 0; // Intact records found in the log.
-  uint64_t wal_records_applied = 0;  // Records replayed past the snapshot.
+  bool used_snapshot = false;     // A checkpoint record was restored.
+  uint64_t snapshot_seq = 0;      // Its sequence (1 = the epoch's first).
+  uint64_t wal_records_total = 0; // Records in the log's usable prefix,
+                                  // every epoch and kind counted.
+  uint64_t wal_records_applied = 0;  // This epoch's records replayed past
+                                     // the checkpoint (checkpoints aside).
   uint64_t duplicates_ignored = 0;   // Replay idempotence in action.
   uint64_t invalid_payloads = 0;     // Checksummed-but-undecodable reports
-                                     // dropped (a writer bug, not a crash).
-  bool torn_tail_truncated = false;  // A partial final record was cut off.
+                                     // and checkpoints dropped (a writer
+                                     // bug, not a crash).
+  // A torn or corrupt tail was cut off. False with bytes left past the
+  // usable prefix means the truncate failed: ResumeDurable() then
+  // refuses to append behind them.
+  bool torn_tail_truncated = false;
   // Shards neither received nor given up in the durable state — exactly
   // the fetch work ResumeDurable() still has to do.
   std::vector<uint64_t> pending_shards;
 };
+
+// The durable coordinator's log records: SEG1 frames (store/segment.h)
+// with stream = epoch, level = kind and the index below.
+enum class LogRecordKind : uint32_t {
+  kEpochBegin = 1,  // index = shard count; no payload.
+  kReport = 2,      // index = shard; payload = canonical summary bytes.
+  kShardLost = 3,   // index = shard; no payload.
+  kCheckpoint = 4,  // index = checkpoint sequence within the epoch (from
+                    // 1); payload = EncodeCheckpoint.
+};
+
+// A checkpoint's payload: the durable outcome sets, plus the canonical
+// encoding of the merge of received_shards' reports in ascending shard
+// order (empty when nothing has been merged). The checkpoint's position
+// in the log is its replay cursor: recovery replays only what follows.
+struct Checkpoint {
+  std::vector<uint64_t> received_shards;  // Strictly ascending.
+  std::vector<uint64_t> lost_shards;      // Strictly ascending.
+  std::vector<uint8_t> summary_payload;
+};
+
+std::vector<uint8_t> EncodeCheckpoint(const Checkpoint& checkpoint);
+
+// std::nullopt on truncation, trailing bytes, or shard sets that are not
+// strictly ascending. The bytes come from storage, so this never aborts.
+std::optional<Checkpoint> DecodeCheckpoint(const uint8_t* bytes,
+                                           size_t size);
+
+// The usable prefix of a coordinator log.
+struct CoordinatorLog {
+  // Every record of the prefix, in append order, as views into the
+  // scanned buffer.
+  std::vector<SegmentRecordView> records;
+  // The prefix ends at the first record that is torn, fails its
+  // checksum, or has an unknown kind: whatever follows it was never
+  // durably acknowledged in order, so replaying past it could fold
+  // reports out of ascending shard order.
+  uint64_t valid_bytes = 0;
+  bool torn_tail = false;  // Bytes past valid_bytes exist: cut them.
+};
+
+// Walks `bytes` (a whole log file) with WalkSegment.
+CoordinatorLog ScanCoordinatorLog(const std::vector<uint8_t>& bytes);
 
 // Collects one epoch of reports for summary type S.
 template <WireSummary S>
@@ -235,7 +287,7 @@ class Coordinator {
 
   uint64_t epoch() const { return epoch_; }
 
-  // Cumulative WAL-append retry traffic (transient storage failures
+  // Cumulative log-append retry traffic (transient storage failures
   // ridden out under DurableOptions::append_retry).
   uint64_t wal_append_retries() const { return wal_append_retries_; }
   uint64_t wal_append_backoff_ms() const { return wal_append_backoff_ms_; }
@@ -280,7 +332,7 @@ class Coordinator {
     return result;
   }
 
-  // Durable variant of Run: every accepted report is WAL-appended before
+  // Durable variant of Run: every accepted report is logged before
   // it is merged and the partial merge is checkpointed every
   // `options.checkpoint_every` reports, all through `storage`. If a
   // storage write fails mid-epoch the result comes back with
@@ -299,83 +351,79 @@ class Coordinator {
     return DurableLoop(transport, n_shards);
   }
 
-  // Rebuilds durable state from `storage` after a crash: restores the
-  // newest valid snapshot, replays the WAL tail past it (idempotently),
-  // and truncates a torn final record. The coordinator must be
-  // constructed for the same epoch the durable state belongs to;
-  // records of other epochs are ignored.
+  // Rebuilds durable state from `storage` after a crash: reads the log
+  // once, cuts it at the end of its usable prefix, restores this epoch's
+  // newest checkpoint in the prefix and replays this epoch's records
+  // past it (idempotently). The coordinator must be constructed for the
+  // same epoch the durable state belongs to; records of other epochs
+  // are skipped.
   RecoveryInfo Recover(Storage* storage, DurableOptions options = {}) {
     ResetEpochState();
     AttachStorage(storage, std::move(options));
     RecoveryInfo info;
     info.epoch = epoch_;
 
-    const SnapshotScan scan = LoadLatestSnapshot(*storage);
-    snapshot_seq_ = scan.max_seq_seen;
-    uint64_t covered = 0;
-    if (scan.found && scan.snapshot.epoch == epoch_) {
-      epoch_begun_ = true;
-      durable_n_shards_ = scan.snapshot.n_shards;
-      received_.insert(scan.snapshot.received_shards.begin(),
-                       scan.snapshot.received_shards.end());
-      lost_.insert(scan.snapshot.lost_shards.begin(),
-                   scan.snapshot.lost_shards.end());
-      if (!scan.snapshot.summary_payload.empty()) {
-        ByteReader reader(scan.snapshot.summary_payload);
-        std::optional<S> summary = S::DecodeFrom(reader);
-        // The snapshot checksum already vouched for these bytes; a
-        // decode failure here is a snapshot-writer bug.
-        MERGEABLE_CHECK_MSG(summary.has_value() && reader.Exhausted(),
-                            "checksummed snapshot payload must decode");
-        merged_ = std::move(*summary);
+    const std::vector<uint8_t> bytes =
+        storage->Read(options_.wal_file).value_or(std::vector<uint8_t>());
+    const CoordinatorLog log = ScanCoordinatorLog(bytes);
+    info.wal_records_total = log.records.size();
+    // The replay cursor: just past the newest checkpoint that restores.
+    size_t cursor = 0;
+    for (size_t i = log.records.size(); i-- > 0;) {
+      const SegmentRecordView& record = log.records[i];
+      const auto kind = static_cast<LogRecordKind>(record.level);
+      if (record.stream != epoch_ || kind != LogRecordKind::kCheckpoint) {
+        continue;
       }
-      covered = scan.snapshot.wal_records;
-      info.used_snapshot = true;
-      info.snapshot_seq = scan.seq;
+      checkpoint_seq_ = std::max(checkpoint_seq_, record.index);
+      if (RestoreCheckpoint(bytes.data() + record.payload_offset,
+                            record.payload_length)) {
+        info.used_snapshot = true;
+        info.snapshot_seq = record.index;
+        cursor = i + 1;
+        break;
+      }
+      ++info.invalid_payloads;
     }
-
-    const WalReplay replay = ReplayWal(*storage, options_.wal_file);
-    info.wal_records_total = replay.records.size();
-    uint64_t index = 0;
-    for (const WalRecord& record : replay.records) {
-      if (index++ < covered) continue;  // The snapshot already holds it.
-      if (record.epoch != epoch_) continue;
+    for (size_t i = 0; i < log.records.size(); ++i) {
+      const SegmentRecordView& record = log.records[i];
+      const auto kind = static_cast<LogRecordKind>(record.level);
+      if (record.stream != epoch_) continue;
+      if (kind == LogRecordKind::kEpochBegin) {
+        // Read even behind the cursor: checkpoints do not repeat it.
+        epoch_begun_ = true;
+        durable_n_shards_ = record.index;
+      }
+      if (i < cursor || kind == LogRecordKind::kCheckpoint) continue;
       ++info.wal_records_applied;
-      switch (record.type) {
-        case WalRecordType::kEpochBegin:
-          epoch_begun_ = true;
-          durable_n_shards_ = record.shard_id;
-          break;
-        case WalRecordType::kReport: {
-          if (received_.count(record.shard_id) != 0) {
-            // The record was made durable twice (e.g. an append whose
-            // acknowledgement died); dedup by (shard, epoch) merges it
-            // exactly once.
-            ++info.duplicates_ignored;
-            break;
-          }
-          ByteReader reader(record.payload);
-          std::optional<S> summary = S::DecodeFrom(reader);
-          if (!summary.has_value() || !reader.Exhausted()) {
-            ++info.invalid_payloads;
-            break;
-          }
-          ApplyReport(record.shard_id, std::move(*summary));
-          break;
+      if (kind == LogRecordKind::kReport) {
+        if (received_.count(record.index) != 0) {
+          // The record was made durable twice (e.g. an append whose
+          // acknowledgement died); dedup by (shard, epoch) merges it
+          // exactly once.
+          ++info.duplicates_ignored;
+          continue;
         }
-        case WalRecordType::kShardLost:
-          if (received_.count(record.shard_id) == 0) {
-            lost_.insert(record.shard_id);
-          }
-          break;
+        ByteReader reader(bytes.data() + record.payload_offset,
+                          record.payload_length);
+        std::optional<S> summary = S::DecodeFrom(reader);
+        if (!summary.has_value() || !reader.Exhausted()) {
+          ++info.invalid_payloads;
+          continue;
+        }
+        ApplyReport(record.index, std::move(*summary));
+      } else if (kind == LogRecordKind::kShardLost &&
+                 received_.count(record.index) == 0) {
+        lost_.insert(record.index);
       }
     }
-    wal_records_ = replay.records.size();
-    if (replay.torn_tail) {
+    if (log.torn_tail) {
       // The tail bytes never formed a durable record; cut them so new
-      // appends start at a clean boundary.
-      storage->Truncate(options_.wal_file, replay.valid_bytes);
-      info.torn_tail_truncated = true;
+      // appends start at a clean boundary. Appending behind an uncut
+      // tail would hide those records from the next Recover().
+      info.torn_tail_truncated =
+          storage->Truncate(options_.wal_file, log.valid_bytes);
+      tail_uncut_ = !info.torn_tail_truncated;
     }
 
     info.recovered = epoch_begun_;
@@ -394,16 +442,24 @@ class Coordinator {
   // yet durably recorded and keeps logging/checkpointing. `n_shards`
   // must match the epoch's durable shard count when one was recovered
   // (it seeds the epoch when the crash predated the first write).
+  // Returns `crashed` without writing when Recover() could not cut a
+  // torn tail.
   AggregationResult<S> ResumeDurable(Transport& transport,
                                      size_t n_shards) {
     MERGEABLE_CHECK_MSG(storage_ != nullptr,
                         "ResumeDurable requires Recover() first");
+    if (tail_uncut_) {
+      AggregationResult<S> result;
+      result.shards_total = n_shards;
+      MarkCrashed(&result);
+      return result;
+    }
     return DurableLoop(transport, n_shards);
   }
 
  private:
   // A fetched, validated report: the decoded summary plus the canonical
-  // payload bytes it decoded from (what the WAL persists).
+  // payload bytes it decoded from (what the log persists).
   struct FetchedReport {
     S summary;
     std::vector<uint8_t> payload;
@@ -456,17 +512,34 @@ class Coordinator {
     lost_.clear();
     epoch_begun_ = false;
     durable_n_shards_ = 0;
-    wal_records_ = 0;
-    snapshot_seq_ = 0;
+    checkpoint_seq_ = 0;
+    tail_uncut_ = false;
     storage_ = nullptr;
-    wal_.reset();
   }
 
   void AttachStorage(Storage* storage, DurableOptions options) {
     MERGEABLE_CHECK_MSG(storage != nullptr, "durable mode needs storage");
     storage_ = storage;
     options_ = std::move(options);
-    wal_.emplace(storage_, options_.wal_file);
+  }
+
+  // Loads a checkpoint into the freshly reset durable state; false
+  // (state untouched) when its body or summary does not decode.
+  bool RestoreCheckpoint(const uint8_t* payload, size_t size) {
+    std::optional<Checkpoint> checkpoint = DecodeCheckpoint(payload, size);
+    if (!checkpoint.has_value()) return false;
+    std::optional<S> summary;
+    if (!checkpoint->summary_payload.empty()) {
+      ByteReader reader(checkpoint->summary_payload);
+      summary = S::DecodeFrom(reader);
+      if (!summary.has_value() || !reader.Exhausted()) return false;
+    }
+    merged_ = std::move(summary);
+    received_.insert(checkpoint->received_shards.begin(),
+                     checkpoint->received_shards.end());
+    lost_.insert(checkpoint->lost_shards.begin(),
+                 checkpoint->lost_shards.end());
+    return true;
   }
 
   // Merges an accepted report into the durable state. The merged
@@ -476,7 +549,7 @@ class Coordinator {
   // do not serialize their RNG state (the decoder re-seeds
   // deterministically from content), so an in-memory state that never
   // canonicalized would draw different halving offsets than its
-  // snapshot-restored image and diverge from it on the next merge.
+  // checkpoint-restored image and diverge from it on the next merge.
   // Canonical form makes the in-memory state indistinguishable from the
   // recovered one at every step, for any crash point.
   void ApplyReport(uint64_t shard, S summary) {
@@ -499,25 +572,28 @@ class Coordinator {
   }
 
   bool WriteCheckpoint() {
-    Snapshot snapshot;
-    snapshot.epoch = epoch_;
-    snapshot.n_shards = durable_n_shards_;
-    snapshot.wal_records = wal_records_;
-    snapshot.received_shards.assign(received_.begin(), received_.end());
-    snapshot.lost_shards.assign(lost_.begin(), lost_.end());
+    Checkpoint checkpoint;
+    checkpoint.received_shards.assign(received_.begin(), received_.end());
+    checkpoint.lost_shards.assign(lost_.begin(), lost_.end());
     if (merged_.has_value()) {
       ByteWriter writer;
       merged_->EncodeTo(writer);
-      snapshot.summary_payload = writer.TakeBytes();
+      checkpoint.summary_payload = writer.TakeBytes();
     }
-    return WriteSnapshotFile(storage_, ++snapshot_seq_, snapshot);
+    // Numbered before the append: a failed append crashes the run, and
+    // Recover() renumbers from what the log holds.
+    return LogAppend(LogRecordKind::kCheckpoint, ++checkpoint_seq_,
+                     EncodeCheckpoint(checkpoint));
   }
 
-  // Appends `record` and keeps the durable-record cursor in sync.
-  // Transient append failures are retried under options_.append_retry:
-  // a record only counts as lost once the bounded schedule is
-  // exhausted, so one flaky write no longer aborts the whole epoch.
-  bool WalAppend(WalRecord record) {
+  // Appends one log record. Transient append failures are retried under
+  // options_.append_retry: a record only counts as lost once the bounded
+  // schedule is exhausted, so one flaky write does not abort the epoch.
+  bool LogAppend(LogRecordKind kind, uint64_t index,
+                 const std::vector<uint8_t>& payload = {}) {
+    const std::vector<uint8_t> frame =
+        EncodeSegmentFrame(epoch_, static_cast<uint32_t>(kind), index,
+                           payload.data(), payload.size());
     const BackoffPolicy& retry = options_.append_retry;
     const uint32_t attempts = retry.max_attempts > 0 ? retry.max_attempts : 1;
     for (uint32_t attempt = 0; attempt < attempts; ++attempt) {
@@ -525,10 +601,7 @@ class Coordinator {
         ++wal_append_retries_;
         wal_append_backoff_ms_ += retry.BackoffBefore(attempt);
       }
-      if (wal_->Append(record)) {
-        ++wal_records_;
-        return true;
-      }
+      if (storage_->Append(options_.wal_file, frame)) return true;
     }
     return false;
   }
@@ -544,7 +617,7 @@ class Coordinator {
 
   // The fetch/log/merge/checkpoint loop shared by RunDurable and
   // ResumeDurable. Shards already durably received or lost are skipped;
-  // everything else is fetched, WAL-logged *before* merging, and merged
+  // everything else is fetched, logged *before* merging, and merged
   // left-deep in ascending shard order.
   AggregationResult<S> DurableLoop(Transport& transport,
                                    size_t n_shards) {
@@ -552,11 +625,7 @@ class Coordinator {
     result.shards_total = n_shards;
     result.outcomes.reserve(n_shards);
     if (!epoch_begun_) {
-      WalRecord begin;
-      begin.type = WalRecordType::kEpochBegin;
-      begin.shard_id = n_shards;
-      begin.epoch = epoch_;
-      if (!WalAppend(std::move(begin))) {
+      if (!LogAppend(LogRecordKind::kEpochBegin, n_shards)) {
         MarkCrashed(&result);
         return result;
       }
@@ -583,14 +652,9 @@ class Coordinator {
       AbsorbOutcome(outcome, &result);
       result.outcomes.push_back(outcome);
       if (fetched.has_value()) {
-        WalRecord record;
-        record.type = WalRecordType::kReport;
-        record.shard_id = shard;
-        record.epoch = epoch_;
-        record.payload = std::move(fetched->payload);
         // Write-ahead: the report must be durable before it can affect
         // the merged state, or a crash between the two would lose it.
-        if (!WalAppend(std::move(record))) {
+        if (!LogAppend(LogRecordKind::kReport, shard, fetched->payload)) {
           MarkCrashed(&result);
           return result;
         }
@@ -603,11 +667,7 @@ class Coordinator {
           }
         }
       } else {
-        WalRecord record;
-        record.type = WalRecordType::kShardLost;
-        record.shard_id = shard;
-        record.epoch = epoch_;
-        if (!WalAppend(std::move(record))) {
+        if (!LogAppend(LogRecordKind::kShardLost, shard)) {
           MarkCrashed(&result);
           return result;
         }
@@ -712,17 +772,16 @@ class Coordinator {
 
   // Durable-mode state (see DESIGN.md §8). received_ / lost_ double as
   // the per-epoch dedup and outcome sets; std::set keeps them in shard
-  // order, which is also the canonical snapshot encoding order.
+  // order, which is also the canonical checkpoint encoding order.
   Storage* storage_ = nullptr;
   DurableOptions options_;
-  std::optional<WalWriter> wal_;
   std::optional<S> merged_;
   std::set<uint64_t> received_;
   std::set<uint64_t> lost_;
   bool epoch_begun_ = false;
   uint64_t durable_n_shards_ = 0;
-  uint64_t wal_records_ = 0;   // Durable records: replayed + appended.
-  uint64_t snapshot_seq_ = 0;  // Last sequence written or seen.
+  uint64_t checkpoint_seq_ = 0;  // Last sequence written or seen.
+  bool tail_uncut_ = false;      // Recover() could not cut a torn tail.
   uint64_t wal_append_retries_ = 0;
   uint64_t wal_append_backoff_ms_ = 0;  // Virtual backoff accumulated.
 };

@@ -1,9 +1,10 @@
 // Durable storage abstraction for the aggregation pipeline.
 //
-// The coordinator survives its own crashes by writing two kinds of
-// state through this interface: an append-only write-ahead log of
-// accepted reports (wal.h) and periodic snapshot checkpoints of the
-// partially merged summary (snapshot.h). Storage is deliberately tiny —
+// Everything durable is an append-only log of SEG1 records
+// (store/segment.h) written through this interface: the coordinator's
+// log of accepted reports, lost shards and checkpoints of the partially
+// merged summary (coordinator.h), and the durable store's segment files
+// (store/durable_store.h). Storage is deliberately tiny —
 // named byte files with append, full rewrite, truncate and read — so a
 // real backend (a local file system, a replicated log) can slot in
 // without touching the recovery logic. FileStorage (file_storage.h) is
@@ -75,7 +76,7 @@ class Storage {
   virtual std::vector<std::string> List() const = 0;
 };
 
-// Write-traffic counters, for the WAL-overhead benchmark (E10).
+// Write-traffic counters.
 struct StorageStats {
   uint64_t appends = 0;
   uint64_t rewrites = 0;

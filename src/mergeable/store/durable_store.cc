@@ -67,8 +67,9 @@ ScannedLeaves DurableLog::Load(SummaryTag tag, OpenReport* report) {
         });
     bool truncated = true;
     if (scan.torn_tail) {
-      // Same discipline as the WAL: the record that was mid-append when
-      // the process died is dropped, everything before it is kept.
+      // Same discipline as the coordinator log: the record that was
+      // mid-append when the process died is dropped, everything before it
+      // is kept.
       truncated = durable_->Truncate(file, scan.valid_bytes);
       ++report->torn_tails;
     }

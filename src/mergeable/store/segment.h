@@ -1,7 +1,9 @@
 // Per-record-checksummed segment files: the durable store's log format.
 //
 // A segment file is a flat sequence of framed records, one per sealed
-// epoch leaf or dyadic merge node:
+// epoch leaf or dyadic merge node. The aggregation coordinator's log
+// (aggregate/coordinator.h) is the same frame with its own key:
+// (stream = epoch, level = record kind, index).
 //
 //   u32  magic       'S','E','G','1'
 //   u32  body_len    followed by the body:
@@ -19,10 +21,11 @@
 // the scrubber repairs a rotted merge node without rewriting history.
 // Scanning is resilient at two granularities: a torn tail (the record
 // that was mid-append when the process died) ends the scan and is
-// truncated away like a WAL tail, while a record whose framing is
-// intact but whose checksum fails — bit rot — is reported with its
-// location and skipped, so one flipped bit quarantines one record,
-// not the rest of the file.
+// truncated away, while a record whose framing is intact but whose
+// checksum fails — bit rot — is reported with its location and skipped,
+// so one flipped bit quarantines one record, not the rest of the file.
+// (The coordinator's log ends its usable prefix at the first corrupt
+// record instead: its replay must not skip a record.)
 
 #ifndef MERGEABLE_STORE_SEGMENT_H_
 #define MERGEABLE_STORE_SEGMENT_H_

@@ -54,7 +54,6 @@
 #include <vector>
 
 #include "mergeable/aggregate/coordinator.h"
-#include "mergeable/aggregate/snapshot.h"
 #include "mergeable/aggregate/storage.h"
 #include "mergeable/aggregate/summary_registry.h"
 #include "mergeable/aggregate/wire.h"
@@ -349,30 +348,6 @@ class SummaryStore {
     meta.lost_mass = accounting.lost_mass;
     meta.lost_mass_estimated = accounting.lost_mass_estimated;
     return Seal(stream, *result.summary, meta);
-  }
-
-  // Seals the newest valid snapshot checkpoint found on
-  // `checkpoint_storage` (the durable coordinator's output; snapshot.h).
-  // Returns false when no snapshot decodes, it carries no summary, or
-  // its payload is not a valid summary of this store's type.
-  bool SealFromCheckpoint(uint64_t stream, const Storage& checkpoint_storage,
-                          uint64_t expected_total_n = 0) {
-    const SnapshotScan scan = LoadLatestSnapshot(checkpoint_storage);
-    if (!scan.found || scan.snapshot.summary_payload.empty()) return false;
-    ByteReader reader(scan.snapshot.summary_payload);
-    std::optional<S> summary = S::DecodeFrom(reader);
-    if (!summary.has_value() || !reader.Exhausted()) return false;
-    EpochMeta meta;
-    meta.epoch = scan.snapshot.epoch;
-    meta.n = SummaryMass(*summary);
-    meta.shards_total = scan.snapshot.n_shards;
-    meta.shards_received = scan.snapshot.received_shards.size();
-    const ErrorAccounting accounting = AccountErrors(
-        options_.epsilon, meta.shards_total, meta.shards_received, meta.n,
-        expected_total_n);
-    meta.lost_mass = accounting.lost_mass;
-    meta.lost_mass_estimated = accounting.lost_mass_estimated;
-    return Seal(stream, *summary, meta);
   }
 
   // Seals many consecutive epochs at once, building each completed tree

@@ -1,5 +1,5 @@
 // Crash-recovery tests for the durable coordinator — the acceptance
-// matrix: a crash is injected at EVERY WAL/snapshot write boundary, in
+// matrix: a crash is injected at EVERY log write boundary, in
 // every crash mode (process dies before the write, mid-write leaving a
 // torn record, after a bit-flipped "bad sector" write, and just after a
 // fully durable write whose acknowledgement is lost), across three
@@ -16,13 +16,12 @@
 
 #include "mergeable/aggregate/coordinator.h"
 #include "mergeable/aggregate/fault.h"
-#include "mergeable/aggregate/snapshot.h"
 #include "mergeable/aggregate/storage.h"
-#include "mergeable/aggregate/wal.h"
 #include "mergeable/core/merge_driver.h"
 #include "mergeable/frequency/space_saving.h"
 #include "mergeable/quantiles/mergeable_quantiles.h"
 #include "mergeable/sketch/count_min.h"
+#include "mergeable/store/segment.h"
 #include "mergeable/stream/generators.h"
 #include "mergeable/stream/partition.h"
 #include "mergeable/util/bytes.h"
@@ -61,6 +60,27 @@ std::vector<uint8_t> EncodedBytes(const S& summary) {
   ByteWriter writer;
   summary.EncodeTo(writer);
   return writer.TakeBytes();
+}
+
+std::vector<uint8_t> Frame(uint64_t epoch, LogRecordKind kind,
+                           uint64_t index,
+                           const std::vector<uint8_t>& payload = {}) {
+  return EncodeSegmentFrame(epoch, static_cast<uint32_t>(kind), index,
+                            payload.data(), payload.size());
+}
+
+// Checkpoint records in the usable prefix of the log "wal".
+size_t CheckpointRecords(const Storage& storage) {
+  size_t count = 0;
+  for (const SegmentRecordView& record :
+       ScanCoordinatorLog(storage.Read("wal").value_or(
+                              std::vector<uint8_t>()))
+           .records) {
+    if (record.level == static_cast<uint32_t>(LogRecordKind::kCheckpoint)) {
+      ++count;
+    }
+  }
+  return count;
 }
 
 // Builds one report frame per shard with `worker` (shard -> summary) and
@@ -105,7 +125,7 @@ void RunCrashMatrix(const char* type_name, BackendFactory& factory,
   const std::vector<uint8_t> reference_bytes =
       EncodedBytes(*reference_result.summary);
   const uint64_t total_writes = reference_storage->writes_attempted();
-  // Epoch begin + a record per shard + one snapshot per two received.
+  // Epoch begin + a record per shard + one checkpoint per two received.
   ASSERT_GE(total_writes, 1 + kShards);
 
   for (const CrashPoint& point : CrashMatrix(total_writes, /*seed=*/99)) {
@@ -284,7 +304,7 @@ TEST(RecoveryTest, EmptyStorageRecoversToFreshEpoch) {
   EXPECT_EQ(result.summary->n(), 1u);
 }
 
-// checkpoint_every = 0 disables snapshots entirely: recovery replays
+// checkpoint_every = 0 disables checkpoints entirely: recovery replays
 // the whole log and must land in the identical state.
 TEST(RecoveryTest, LogOnlyModeRecoversWithoutSnapshots) {
   const auto shards = MatrixShards();
@@ -308,7 +328,7 @@ TEST(RecoveryTest, LogOnlyModeRecoversWithoutSnapshots) {
   const auto reference_result = reference.RunDurable(
       reference_transport, kShards, &reference_storage, options);
   ASSERT_FALSE(reference_result.crashed);
-  EXPECT_EQ(reference_storage.stats().rewrites, 0u);  // No snapshots.
+  EXPECT_EQ(CheckpointRecords(reference_storage), 0u);
 
   // Crash at the very last write; everything must come back from the log.
   CrashPoint point;
@@ -339,25 +359,18 @@ TEST(RecoveryTest, LogOnlyModeRecoversWithoutSnapshots) {
 // re-append by some future writer) must merge exactly once on replay.
 TEST(RecoveryTest, ReplayDeduplicatesDoubleDurableRecords) {
   MemStorage storage;
-  WalWriter wal(&storage, "wal");
 
   SpaceSaving summary = SpaceSaving::ForEpsilon(0.02);
   summary.Update(1);
   summary.Update(1);
   summary.Update(2);
 
-  WalRecord begin;
-  begin.type = WalRecordType::kEpochBegin;
-  begin.shard_id = 1;  // n_shards.
-  begin.epoch = kEpoch;
-  ASSERT_TRUE(wal.Append(begin));
-  WalRecord report;
-  report.type = WalRecordType::kReport;
-  report.shard_id = 0;
-  report.epoch = kEpoch;
-  report.payload = EncodedBytes(summary);
-  ASSERT_TRUE(wal.Append(report));
-  ASSERT_TRUE(wal.Append(report));  // The duplicate.
+  ASSERT_TRUE(storage.Append(
+      "wal", Frame(kEpoch, LogRecordKind::kEpochBegin, /*n_shards=*/1)));
+  const auto report =
+      Frame(kEpoch, LogRecordKind::kReport, 0, EncodedBytes(summary));
+  ASSERT_TRUE(storage.Append("wal", report));
+  ASSERT_TRUE(storage.Append("wal", report));  // The duplicate.
 
   Coordinator<SpaceSaving> coordinator(kEpoch, MatrixPolicy(),
                                        MergeTopology::kLeftDeepChain);
@@ -376,21 +389,13 @@ TEST(RecoveryTest, ReplayDeduplicatesDoubleDurableRecords) {
 // this epoch's recovery (the dedup key is (shard, epoch), not shard).
 TEST(RecoveryTest, ReplayIgnoresOtherEpochs) {
   MemStorage storage;
-  WalWriter wal(&storage, "wal");
 
   SpaceSaving stale = SpaceSaving::ForEpsilon(0.02);
   stale.Update(9);
-  WalRecord old_begin;
-  old_begin.type = WalRecordType::kEpochBegin;
-  old_begin.shard_id = 1;
-  old_begin.epoch = kEpoch - 1;
-  ASSERT_TRUE(wal.Append(old_begin));
-  WalRecord old_report;
-  old_report.type = WalRecordType::kReport;
-  old_report.shard_id = 0;
-  old_report.epoch = kEpoch - 1;
-  old_report.payload = EncodedBytes(stale);
-  ASSERT_TRUE(wal.Append(old_report));
+  ASSERT_TRUE(storage.Append(
+      "wal", Frame(kEpoch - 1, LogRecordKind::kEpochBegin, 1)));
+  ASSERT_TRUE(storage.Append("wal", Frame(kEpoch - 1, LogRecordKind::kReport,
+                                          0, EncodedBytes(stale))));
 
   Coordinator<SpaceSaving> coordinator(kEpoch, MatrixPolicy(),
                                        MergeTopology::kLeftDeepChain);
@@ -399,12 +404,12 @@ TEST(RecoveryTest, ReplayIgnoresOtherEpochs) {
   EXPECT_EQ(info.wal_records_applied, 0u);
 }
 
-// Stale snapshot + newer log: the snapshot covers a prefix and the log
-// tail past it still replays — state must equal log-only recovery.
+// Stale checkpoint + newer log: the checkpoint covers a prefix and the
+// log tail past it still replays — state must equal log-only recovery.
 TEST(RecoveryTest, StaleSnapshotReplaysNewerLogTail) {
   const auto shards = MatrixShards();
   DurableOptions options;
-  options.checkpoint_every = 4;  // One snapshot at 4 received reports.
+  options.checkpoint_every = 4;  // One checkpoint at 4 received reports.
 
   const auto make_transport = [&shards]() {
     SimulatedTransport transport{FaultPlan()};
@@ -423,10 +428,10 @@ TEST(RecoveryTest, StaleSnapshotReplaysNewerLogTail) {
   const auto uninterrupted =
       first.RunDurable(transport, kShards, &storage, options);
   ASSERT_FALSE(uninterrupted.crashed);
-  ASSERT_EQ(storage.stats().rewrites, 1u);  // Snapshot at 4 of 6 reports.
+  ASSERT_EQ(CheckpointRecords(storage), 1u);  // At 4 of 6 reports.
 
-  // Recover with the full log + the mid-epoch snapshot: the snapshot is
-  // stale relative to the log and the tail replay must close the gap.
+  // Recover with the full log + the mid-epoch checkpoint: the checkpoint
+  // is stale relative to the log and the tail replay must close the gap.
   Coordinator<SpaceSaving> second(kEpoch, MatrixPolicy(),
                                   MergeTopology::kLeftDeepChain);
   const RecoveryInfo info = second.Recover(&storage, options);
@@ -440,6 +445,80 @@ TEST(RecoveryTest, StaleSnapshotReplaysNewerLogTail) {
   ASSERT_TRUE(result.summary.has_value());
   EXPECT_EQ(EncodedBytes(*result.summary),
             EncodedBytes(*uninterrupted.summary));
+}
+
+// A storage whose Truncate can be made to fail.
+class NoTruncateStorage : public MemStorage {
+ public:
+  using MemStorage::MemStorage;
+  bool Truncate(const std::string& file, uint64_t size) override {
+    return truncate_works && MemStorage::Truncate(file, size);
+  }
+  bool truncate_works = false;
+};
+
+// A torn tail Recover() could not cut must not be reported as cut, and
+// ResumeDurable() must not append behind it: the next Recover() would
+// stop at the garbage and never see those records. Once the truncate
+// works, recovery finishes the epoch with the uninterrupted run's bytes.
+TEST(RecoveryTest, UncutTornTailBlocksResume) {
+  const auto shards = MatrixShards();
+  const auto make_transport = [&shards]() {
+    SimulatedTransport transport{FaultPlan()};
+    for (size_t shard = 0; shard < kShards; ++shard) {
+      SpaceSaving summary = SpaceSaving::ForEpsilon(0.02);
+      for (uint64_t item : shards[shard]) summary.Update(item);
+      transport.Submit(shard, MakeReportFrame(summary, shard, kEpoch));
+    }
+    return transport;
+  };
+  DurableOptions options;
+  options.checkpoint_every = 2;
+
+  MemStorage reference_storage;
+  Coordinator<SpaceSaving> reference(kEpoch, MatrixPolicy(),
+                                     MergeTopology::kLeftDeepChain);
+  SimulatedTransport reference_transport = make_transport();
+  const auto reference_result = reference.RunDurable(
+      reference_transport, kShards, &reference_storage, options);
+  ASSERT_FALSE(reference_result.crashed);
+
+  // Shard 2's report persists bit-flipped: a full-length corrupt tail.
+  CrashPoint point;
+  point.mode = CrashMode::kCorruptWrite;
+  point.write_index = 4;  // Epoch begin, 0, 1, checkpoint, then 2.
+  point.mutation_seed = 11;
+  NoTruncateStorage storage(point);
+  Coordinator<SpaceSaving> first(kEpoch, MatrixPolicy(),
+                                 MergeTopology::kLeftDeepChain);
+  SimulatedTransport crash_transport = make_transport();
+  ASSERT_TRUE(
+      first.RunDurable(crash_transport, kShards, &storage, options).crashed);
+  storage.Restart();
+  const std::vector<uint8_t> crashed_log = *storage.Read("wal");
+
+  Coordinator<SpaceSaving> second(kEpoch, MatrixPolicy(),
+                                  MergeTopology::kLeftDeepChain);
+  const RecoveryInfo info = second.Recover(&storage, options);
+  EXPECT_TRUE(info.recovered);
+  EXPECT_FALSE(info.torn_tail_truncated);
+  SimulatedTransport blocked_transport = make_transport();
+  const auto blocked = second.ResumeDurable(blocked_transport, kShards);
+  EXPECT_TRUE(blocked.crashed);
+  EXPECT_FALSE(blocked.summary.has_value());
+  EXPECT_EQ(*storage.Read("wal"), crashed_log);
+
+  storage.truncate_works = true;
+  Coordinator<SpaceSaving> third(kEpoch, MatrixPolicy(),
+                                 MergeTopology::kLeftDeepChain);
+  EXPECT_TRUE(third.Recover(&storage, options).torn_tail_truncated);
+  SimulatedTransport resume_transport = make_transport();
+  const auto result = third.ResumeDurable(resume_transport, kShards);
+  ASSERT_FALSE(result.crashed);
+  ASSERT_TRUE(result.summary.has_value());
+  EXPECT_EQ(EncodedBytes(*result.summary),
+            EncodedBytes(*reference_result.summary));
+  EXPECT_EQ(*storage.Read("wal"), *reference_storage.Read("wal"));
 }
 
 // Recovery under a faulty network too: the refetched shards go through

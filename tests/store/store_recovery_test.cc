@@ -1,6 +1,6 @@
 // Store persistence: Open() recovery after restarts and injected
-// crashes, lazy rebuild of torn internal nodes, and the coordinator /
-// checkpoint ingestion paths.
+// crashes, lazy rebuild of torn internal nodes, and ingestion of
+// coordinator results, recovered ones included.
 
 #include <cstdint>
 #include <optional>
@@ -12,7 +12,6 @@
 
 #include "mergeable/aggregate/coordinator.h"
 #include "mergeable/aggregate/fault.h"
-#include "mergeable/aggregate/snapshot.h"
 #include "mergeable/aggregate/storage.h"
 #include "mergeable/frequency/space_saving.h"
 #include "mergeable/store/summary_store.h"
@@ -244,44 +243,71 @@ TEST(StoreIngestTest, SealResultRefusesCrashedOrEmptyResults) {
   EXPECT_FALSE(store.HasStream(1));
 }
 
-TEST(StoreIngestTest, SealFromCheckpointIngestsLatestSnapshot) {
-  // Write two snapshot checkpoints; the store must ingest the newest.
-  MemStorage checkpoints;
-  const SpaceSaving old_summary = MakeEpochSummary(1);
-  const SpaceSaving new_summary = MakeEpochSummary(2);
-  Snapshot old_snapshot;
-  old_snapshot.epoch = 6;
-  old_snapshot.n_shards = 4;
-  old_snapshot.received_shards = {0, 1, 2, 3};
-  old_snapshot.summary_payload = EncodeSummary(old_summary);
-  ASSERT_TRUE(WriteSnapshotFile(&checkpoints, 1, old_snapshot));
-  Snapshot new_snapshot;
-  new_snapshot.epoch = 7;
-  new_snapshot.n_shards = 4;
-  new_snapshot.received_shards = {0, 2, 3};
-  new_snapshot.summary_payload = EncodeSummary(new_summary);
-  ASSERT_TRUE(WriteSnapshotFile(&checkpoints, 2, new_snapshot));
+// A coordinator epoch that crashed and was recovered seals exactly like
+// the uninterrupted one: same metadata (coverage, lost mass), same
+// store files byte for byte.
+TEST(StoreIngestTest, SealResultOfRecoveredEpochMatchesUninterruptedRun) {
+  constexpr uint64_t kEpoch = 9;
+  constexpr size_t kShards = 4;
+  const auto make_transport = [] {
+    FaultPlan plan;
+    plan.KillShard(1);
+    SimulatedTransport transport{plan};
+    for (size_t shard = 0; shard < kShards; ++shard) {
+      transport.Submit(shard,
+                       MakeReportFrame(MakeEpochSummary(shard), shard, kEpoch));
+    }
+    return transport;
+  };
+  BackoffPolicy policy;
+  policy.max_attempts = 2;
+  DurableOptions options;
+  options.checkpoint_every = 2;
+
+  MemStorage reference_log;
+  Coordinator<SpaceSaving> reference(kEpoch, policy,
+                                     MergeTopology::kLeftDeepChain);
+  SimulatedTransport reference_transport = make_transport();
+  const auto reference_result = reference.RunDurable(
+      reference_transport, kShards, &reference_log, options);
+  ASSERT_FALSE(reference_result.crashed);
+  MemStorage reference_store_storage;
+  SummaryStore<SpaceSaving> reference_store(&reference_store_storage);
+  ASSERT_TRUE(reference_store.SealResult(2, kEpoch, reference_result));
+
+  // Die after the checkpoint at two received reports is durable.
+  CrashPoint point;
+  point.mode = CrashMode::kAfterWrite;
+  point.write_index = 4;
+  MemStorage log(point);
+  Coordinator<SpaceSaving> first(kEpoch, policy,
+                                 MergeTopology::kLeftDeepChain);
+  SimulatedTransport crash_transport = make_transport();
+  ASSERT_TRUE(first.RunDurable(crash_transport, kShards, &log, options).crashed);
+  log.Restart();
+  Coordinator<SpaceSaving> second(kEpoch, policy,
+                                  MergeTopology::kLeftDeepChain);
+  ASSERT_TRUE(second.Recover(&log, options).used_snapshot);
+  SimulatedTransport resume_transport = make_transport();
+  const auto result = second.ResumeDurable(resume_transport, kShards);
+  ASSERT_FALSE(result.crashed);
+  EXPECT_EQ(result.shards_received, kShards - 1);
 
   MemStorage storage;
   SummaryStore<SpaceSaving> store(&storage);
-  ASSERT_TRUE(store.SealFromCheckpoint(3, checkpoints));
-  ASSERT_EQ(store.EpochCount(3), 1u);
-  EXPECT_EQ(store.BaseEpoch(3), 7u);
-  const EpochMeta& meta = store.Metas(3)[0];
-  EXPECT_EQ(meta.shards_total, 4u);
-  EXPECT_EQ(meta.shards_received, 3u);
-  EXPECT_EQ(meta.n, new_summary.n());
-
-  const auto outcome = store.QueryRangePayload(3, 7, 7);
-  ASSERT_TRUE(outcome.has_value());
-  EXPECT_EQ(*outcome->payload, EncodeSummary(new_summary));
-}
-
-TEST(StoreIngestTest, SealFromCheckpointRefusesEmptyStorage) {
-  MemStorage empty;
-  MemStorage storage;
-  SummaryStore<SpaceSaving> store(&storage);
-  EXPECT_FALSE(store.SealFromCheckpoint(1, empty));
+  ASSERT_TRUE(store.SealResult(2, kEpoch, result));
+  const EpochMeta& meta = store.Metas(2)[0];
+  const EpochMeta& want = reference_store.Metas(2)[0];
+  EXPECT_EQ(meta.n, want.n);
+  EXPECT_EQ(meta.shards_total, kShards);
+  EXPECT_EQ(meta.shards_received, kShards - 1);
+  EXPECT_EQ(meta.lost_mass, want.lost_mass);
+  EXPECT_TRUE(meta.lost_mass_estimated);
+  ASSERT_EQ(storage.List(), reference_store_storage.List());
+  for (const std::string& file : storage.List()) {
+    EXPECT_EQ(*storage.Read(file), *reference_store_storage.Read(file))
+        << file;
+  }
 }
 
 // A sealed leaf that rots underneath the store is reported to the
