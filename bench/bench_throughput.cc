@@ -3,7 +3,8 @@
 // Engineering numbers, not paper claims: how fast each summary ingests
 // items, merges, and answers queries. Includes the SpaceSaving ablation
 // (heap update path) called out in DESIGN.md §5, and the cost of
-// keeping a merge canonical (BM_Fold*: plain vs in place vs round trip).
+// keeping a merge canonical (BM_Fold*: plain vs in place vs round trip)
+// and the frame/segment checksum kernel (BM_Checksum, bytes/s).
 //
 // Like the table benches (bench_util.h), this binary mirrors its
 // results to BENCH_throughput.json — via google-benchmark's own JSON
@@ -27,6 +28,7 @@
 #include "mergeable/sketch/bloom.h"
 #include "mergeable/sketch/count_min.h"
 #include "mergeable/sketch/count_sketch.h"
+#include "mergeable/store/segment.h"
 #include "mergeable/stream/generators.h"
 #include "mergeable/util/bytes.h"
 
@@ -423,6 +425,23 @@ BENCHMARK_CAPTURE(BM_FoldMergeableQuantiles, plain, FoldMode::kPlain);
 BENCHMARK_CAPTURE(BM_FoldMergeableQuantiles, canonical, FoldMode::kCanonical);
 BENCHMARK_CAPTURE(BM_FoldMergeableQuantiles, round_trip,
                   FoldMode::kRoundTrip);
+
+// The checksum kernel every frame and segment record goes through
+// (util/hash.h ChecksumBytes, here via SegmentChecksum): bytes/s by
+// input size. Below 64 bytes it is one serial MixHash chain; from 64
+// bytes on, four lanes.
+void BM_Checksum(benchmark::State& state) {
+  const size_t size = static_cast<size_t>(state.range(0));
+  std::vector<uint8_t> bytes(size);
+  for (size_t i = 0; i < size; ++i) {
+    bytes[i] = static_cast<uint8_t>(i * 131 + 7);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(SegmentChecksum(bytes.data(), bytes.size()));
+  }
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(size));
+}
+BENCHMARK(BM_Checksum)->Arg(16)->Arg(64)->Arg(2048)->Arg(65536)->Arg(1048576);
 
 }  // namespace
 }  // namespace mergeable

@@ -72,17 +72,7 @@ uint64_t FrameChecksum(uint64_t shard_id, uint64_t epoch,
   uint64_t h = MixHash(shard_id, /*seed=*/0x52505431);
   h = MixHash(epoch, h);
   h = MixHash(size, h);
-  size_t i = 0;
-  for (; i + 8 <= size; i += 8) {
-    uint64_t word = 0;
-    for (int b = 7; b >= 0; --b) word = (word << 8) | payload[i + b];
-    h = MixHash(word, h);
-  }
-  uint64_t tail = 0;
-  for (size_t j = size; j > i; --j) {
-    tail = (tail << 8) | payload[j - 1];
-  }
-  return MixHash(tail, h);
+  return ChecksumBytes(h, payload, size);
 }
 
 uint64_t FrameChecksum(uint64_t shard_id, uint64_t epoch,

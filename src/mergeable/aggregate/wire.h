@@ -51,6 +51,12 @@ struct WireReport {
 
 // Mixing checksum over the frame header and payload. Not cryptographic:
 // it defends against corruption, not forgery (same trust model as a CRC).
+// The header (shard_id, epoch, payload size) is chained with MixHash
+// from the seed 'RPT1'; the payload then goes through ChecksumBytes
+// (util/hash.h), one serial chain under 64 bytes and four lanes from 64
+// bytes on. Every envelope in this file, the EPH1 epoch record and the
+// coordinator's log verify with it or with SegmentChecksum, which
+// shares the kernel.
 uint64_t FrameChecksum(uint64_t shard_id, uint64_t epoch,
                        const std::vector<uint8_t>& payload);
 // Span form for callers hashing bytes in place (e.g. ViewBatchFrame).

@@ -38,8 +38,10 @@ ScannedLeaves DurableLog::Load(SummaryTag tag, OpenReport* report) {
   // supersede rotted earlier ones.
   ScannedLeaves leaves;
   const std::string lead = seg_dir_ + "/";
-  bool saw_segment = false;
-  bool tail_stuck = false;
+  // The newest segment listed, and whether appending at its end is
+  // unsafe: it could not be read, or its torn tail could not be cut.
+  std::optional<uint64_t> newest;
+  bool newest_unusable = false;
   for (const std::string& file : durable_->List()) {
     if (file.compare(0, lead.size(), lead) != 0) continue;
     uint64_t segment = 0;
@@ -48,8 +50,13 @@ ScannedLeaves DurableLog::Load(SummaryTag tag, OpenReport* report) {
     } catch (...) {
       continue;  // Not one of ours.
     }
+    const bool is_newest = !newest.has_value() || segment >= *newest;
+    if (is_newest) newest = segment;
     const std::optional<std::vector<uint8_t>> bytes = durable_->Read(file);
-    if (!bytes.has_value()) continue;
+    if (!bytes.has_value()) {
+      if (is_newest) newest_unusable = true;
+      continue;
+    }
     ++report->segments;
     const uint8_t* data = bytes->data();
     const SegmentScanTotals scan = WalkSegment(
@@ -74,18 +81,19 @@ ScannedLeaves DurableLog::Load(SummaryTag tag, OpenReport* report) {
       ++report->torn_tails;
     }
     report->corrupt_records += scan.corrupt_records;
-    if (!saw_segment || segment >= current_segment_) {
-      saw_segment = true;
+    if (is_newest) {
       current_segment_ = segment;
       current_size_ = scan.valid_bytes;
-      tail_stuck = !truncated;
+      newest_unusable = !truncated;
     }
   }
-  if (tail_stuck) {
-    // The newest segment still ends in garbage: appending there would
-    // land records behind it, where neither the manifest offsets nor
-    // the next restart's scan can find them. Start a fresh segment.
-    ++current_segment_;
+  if (newest_unusable) {
+    // The newest segment was not read, or still ends in garbage:
+    // appending there would land records behind bytes this scan did not
+    // account for, where neither the manifest offsets nor the next
+    // restart's scan can find them, and an older segment would outrank
+    // the appends latest-wins. Start a fresh segment above it.
+    current_segment_ = *newest + 1;
     current_size_ = 0;
   }
   report->records = manifest_.size();

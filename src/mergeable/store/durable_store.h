@@ -121,7 +121,8 @@ class DurableLog {
 
   // Scans every segment file once, one segment buffer at a time,
   // verifying each record where it sits: truncates torn tails (rolling
-  // to a fresh segment when the newest one cannot be truncated), skips
+  // to a fresh segment when the newest one cannot be read or
+  // truncated), skips
   // corrupt records, and applies intact records latest-wins to the
   // manifest as they are scanned. Leaf records are also decoded in
   // place against `tag`. Fills the scan-side fields of `report` and

@@ -22,7 +22,9 @@
 //          u64 lost_mass
 //          u32 lost_mass_estimated (0 or 1)
 //          u32 payload_len + payload   tagged summary payload (wire.h)
-//   u64  checksum    FrameChecksum(epoch, n, body-payload) over the body
+//   u64  checksum    FrameChecksum(epoch, n, body) over the whole body
+//                    (wire.h; ChecksumBytes in util/hash.h does the
+//                    body, in four lanes from 64 bytes)
 
 #ifndef MERGEABLE_STORE_EPOCH_META_H_
 #define MERGEABLE_STORE_EPOCH_META_H_

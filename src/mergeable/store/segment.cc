@@ -19,16 +19,7 @@ constexpr uint64_t kBodyHeader = 8 + 4 + 8 + 4;
 }  // namespace
 
 uint64_t SegmentChecksum(const uint8_t* body, size_t size) {
-  uint64_t h = MixHash(size, /*seed=*/0x53454731);
-  size_t i = 0;
-  for (; i + 8 <= size; i += 8) {
-    uint64_t word = 0;
-    for (int b = 7; b >= 0; --b) word = (word << 8) | body[i + b];
-    h = MixHash(word, h);
-  }
-  uint64_t tail = 0;
-  for (size_t j = size; j > i; --j) tail = (tail << 8) | body[j - 1];
-  return MixHash(tail, h);
+  return ChecksumBytes(MixHash(size, /*seed=*/0x53454731), body, size);
 }
 
 uint64_t SegmentChecksum(const std::vector<uint8_t>& body) {

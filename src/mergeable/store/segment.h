@@ -46,6 +46,9 @@ struct SegmentRecord {
   std::vector<uint8_t> payload;
 };
 
+// The SEG1 checksum: the body size chained with MixHash from the seed
+// 'SEG1', then the body through ChecksumBytes (util/hash.h) — the same
+// kernel as the wire frames' FrameChecksum, four lanes from 64 bytes.
 uint64_t SegmentChecksum(const uint8_t* body, size_t size);
 uint64_t SegmentChecksum(const std::vector<uint8_t>& body);
 

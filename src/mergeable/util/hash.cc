@@ -1,5 +1,8 @@
 #include "mergeable/util/hash.h"
 
+#include <cstring>
+
+#include "mergeable/util/bytes.h"
 #include "mergeable/util/random.h"
 
 namespace mergeable {
@@ -15,19 +18,37 @@ inline uint64_t ModMersenne(__uint128_t x) {
   return result;
 }
 
-}  // namespace
-
-uint64_t MixHash(uint64_t x) {
-  x ^= x >> 33;
-  x *= 0xff51afd7ed558ccdULL;
-  x ^= x >> 33;
-  x *= 0xc4ceb9fe1a85ec53ULL;
-  x ^= x >> 33;
-  return x;
+// One little-endian 8-byte word, read with a single load.
+inline uint64_t LoadWord(const uint8_t* p) {
+  uint64_t word = 0;
+  std::memcpy(&word, p, sizeof(word));
+  return internal::LittleToHost64(word);
 }
 
-uint64_t MixHash(uint64_t x, uint64_t seed) {
-  return MixHash(x ^ (seed + 0x9e3779b97f4a7c15ULL));
+}  // namespace
+
+uint64_t ChecksumBytes(uint64_t h, const uint8_t* data, size_t size) {
+  size_t i = 0;
+  if (size >= kChecksumLaneMinBytes) {
+    uint64_t lane0 = MixHash(0, h);
+    uint64_t lane1 = MixHash(1, h);
+    uint64_t lane2 = MixHash(2, h);
+    uint64_t lane3 = MixHash(3, h);
+    for (; i + 32 <= size; i += 32) {
+      lane0 = MixHash(LoadWord(data + i), lane0);
+      lane1 = MixHash(LoadWord(data + i + 8), lane1);
+      lane2 = MixHash(LoadWord(data + i + 16), lane2);
+      lane3 = MixHash(LoadWord(data + i + 24), lane3);
+    }
+    h = MixHash(lane0, h);
+    h = MixHash(lane1, h);
+    h = MixHash(lane2, h);
+    h = MixHash(lane3, h);
+  }
+  for (; i + 8 <= size; i += 8) h = MixHash(LoadWord(data + i), h);
+  uint64_t tail = 0;
+  for (size_t j = size; j > i; --j) tail = (tail << 8) | data[j - 1];
+  return MixHash(tail, h);
 }
 
 PolynomialHash::PolynomialHash(int degree, uint64_t seed) {

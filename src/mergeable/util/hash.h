@@ -1,9 +1,12 @@
-// Hash functions used by the sketching code.
+// Hash functions used by the sketching code and the checksummed frames.
 //
-// Two families are provided:
+// Three pieces are provided:
 //   * MixHash       — a fast 64-bit finalizer-style hash for hash tables
 //                     and for deriving per-row seeds. Not independent in
 //                     any formal sense; good avalanche behaviour.
+//   * ChecksumBytes — the one word-chaining kernel behind every frame and
+//                     segment checksum (FrameChecksum in wire.h,
+//                     SegmentChecksum in segment.h). Not cryptographic.
 //   * PolynomialHash — a k-universal (k-wise independent) hash family over
 //                     the Mersenne prime p = 2^61 - 1, used where formal
 //                     independence matters (AMS requires 4-wise, Count-Min
@@ -21,12 +24,48 @@
 namespace mergeable {
 
 // Mixes the bits of `x` (a bijection on 64-bit values). Based on the
-// MurmurHash3/SplitMix64 finalizer.
-uint64_t MixHash(uint64_t x);
+// MurmurHash3/SplitMix64 finalizer. Inline so that independent chains,
+// such as the checksum lanes, overlap in the pipeline.
+inline uint64_t MixHash(uint64_t x) {
+  x ^= x >> 33;
+  x *= 0xff51afd7ed558ccdULL;
+  x ^= x >> 33;
+  x *= 0xc4ceb9fe1a85ec53ULL;
+  x ^= x >> 33;
+  return x;
+}
 
 // Mixes `x` with a salt, giving a cheap family of hash functions indexed
-// by `seed`.
-uint64_t MixHash(uint64_t x, uint64_t seed);
+// by `seed`. For a fixed `seed` it is a bijection in `x`, and for a
+// fixed `x` a bijection in `seed`.
+inline uint64_t MixHash(uint64_t x, uint64_t seed) {
+  return MixHash(x ^ (seed + 0x9e3779b97f4a7c15ULL));
+}
+
+// Inputs of at least this many bytes are chained in four lanes.
+inline constexpr size_t kChecksumLaneMinBytes = 64;
+
+// Chains bytes [data, data + size) into the running checksum state `h`
+// and returns the final value. Words are the input's 8-byte little-endian
+// words; the tail is the last size % 8 bytes read little-endian into a
+// zero-padded word.
+//
+//   size < 64:  h = MixHash(word, h) for every word in order, then
+//               MixHash(tail, h) — one serial chain.
+//   size >= 64: four lanes, lane[k] = MixHash(k, h) for k = 0..3. Each
+//               32-byte block feeds its word k to lane k:
+//               lane[k] = MixHash(word, lane[k]). Then the lanes fold
+//               into h in order, h = MixHash(lane[k], h), and the 0-3
+//               words after the last whole block and the tail finish
+//               the chain as in the serial form.
+//
+// Every step is a bijection in the word it consumes and in the state it
+// extends, so changing any one word (any single-bit flip) always changes
+// the result. Callers mix the input length into `h` first, so dropping
+// or appending bytes changes it too. The lanes are independent chains,
+// so the long form is not bound by the latency of one serial MixHash
+// chain: it runs about 3.4x faster (EXPERIMENTS, P1 BM_Checksum).
+uint64_t ChecksumBytes(uint64_t h, const uint8_t* data, size_t size);
 
 // A k-wise independent hash family: h(x) = (sum_i a_i x^i mod p) with
 // p = 2^61 - 1 and random coefficients a_0..a_{k-1}. Evaluation uses

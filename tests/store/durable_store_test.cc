@@ -10,6 +10,7 @@
 // SummaryStore opened over the same latest-wins node files; a backend
 // that cannot truncate a torn tail costs no acknowledged epoch.
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -841,6 +842,96 @@ TEST(DurableStoreTest, UntruncatableTornTailRollsToAFreshSegment) {
   EXPECT_EQ(report.epochs, kTotal);
   ASSERT_EQ(reopened.EpochCount(kStream), kTotal);
   EXPECT_EQ(AllRangePayloads(reopened, kTotal), reference);
+  reopened.ScrubOnce();
+  EXPECT_EQ(reopened.scrub_stats().corrupt_found, 0u);
+}
+
+// A backend whose first Read of one file fails (everything else
+// forwards), as when the newest segment is briefly unreadable at Open().
+class FailFirstReadStorage : public Storage {
+ public:
+  FailFirstReadStorage(Storage* inner, std::string file)
+      : inner_(inner), file_(std::move(file)) {}
+  bool Append(const std::string& file,
+              const std::vector<uint8_t>& bytes) override {
+    return inner_->Append(file, bytes);
+  }
+  bool Rewrite(const std::string& file,
+               const std::vector<uint8_t>& bytes) override {
+    return inner_->Rewrite(file, bytes);
+  }
+  bool Truncate(const std::string& file, uint64_t size) override {
+    return inner_->Truncate(file, size);
+  }
+  std::optional<std::vector<uint8_t>> Read(
+      const std::string& file) const override {
+    if (file == file_ && !failed_) {
+      failed_ = true;
+      return std::nullopt;
+    }
+    return inner_->Read(file);
+  }
+  std::optional<std::vector<uint8_t>> ReadRange(
+      const std::string& file, uint64_t offset,
+      uint64_t length) const override {
+    return inner_->ReadRange(file, offset, length);
+  }
+  std::vector<std::string> List() const override { return inner_->List(); }
+  bool failed() const { return failed_; }
+
+ private:
+  Storage* inner_;
+  std::string file_;
+  mutable bool failed_ = false;
+};
+
+// A newest segment that Open() could not read must not take appends:
+// the store rolls to a fresh segment above it, so records land where
+// the manifest says, and at the next restart the store's re-sealed
+// epochs outrank the unread segment's older copies.
+TEST(DurableStoreTest, UnreadableNewestSegmentRollsToAFreshSegment) {
+  constexpr uint64_t kFirst = 6;
+  constexpr uint64_t kTotal = 16;
+  DurableStoreOptions options = Options();
+  options.segment_bytes = 1024;
+  MemStorage inner;
+  {
+    DurableStore<SpaceSaving> store(&inner, options);
+    ASSERT_EQ(SealUpTo(store, kFirst), kFirst);
+  }
+  std::vector<std::string> segments = inner.List();
+  ASSERT_GE(segments.size(), 2u);
+  const std::string newest = *std::max_element(segments.begin(),
+                                               segments.end());
+
+  // The second store misses the newest segment, so it re-seals the
+  // epochs stored there, with different contents, across a roll-over.
+  FailFirstReadStorage storage(&inner, newest);
+  std::vector<std::vector<uint8_t>> reference;
+  {
+    DurableStore<SpaceSaving> store(&storage, options);
+    store.Open();
+    ASSERT_TRUE(storage.failed());
+    const uint64_t resumed = store.EpochCount(kStream);
+    ASSERT_LT(resumed, kFirst);
+    for (uint64_t e = resumed; e < kTotal; ++e) {
+      const SpaceSaving summary = MakeEpochSummary(100 + e);
+      ASSERT_TRUE(store.Seal(kStream, summary, MetaFor(e, summary)));
+    }
+    EXPECT_GT(inner.List().size(), segments.size() + 1);
+    reference = AllRangePayloads(store, kTotal);
+    store.ScrubOnce();
+    EXPECT_EQ(store.scrub_stats().corrupt_found, 0u);
+    EXPECT_TRUE(store.QuarantinedLeaves(kStream).empty());
+  }
+
+  DurableStore<SpaceSaving> reopened(&inner, options);
+  const OpenReport report = reopened.Open();
+  EXPECT_EQ(report.corrupt_records, 0u);
+  EXPECT_EQ(report.torn_tails, 0u);
+  ASSERT_EQ(reopened.EpochCount(kStream), kTotal);
+  EXPECT_EQ(AllRangePayloads(reopened, kTotal), reference);
+  EXPECT_TRUE(reopened.QuarantinedLeaves(kStream).empty());
   reopened.ScrubOnce();
   EXPECT_EQ(reopened.scrub_stats().corrupt_found, 0u);
 }
