@@ -4,12 +4,18 @@
 // items, merges, and answers queries. Includes the SpaceSaving ablation
 // (heap update path) called out in DESIGN.md §5, and the cost of
 // keeping a merge canonical (BM_Fold*: plain vs in place vs round trip)
-// and the frame/segment checksum kernel (BM_Checksum, bytes/s).
+// and the frame/segment checksum kernel (BM_Checksum, bytes/s). The
+// query path's pieces: SpaceSaving decode from wire bytes
+// (BM_DecodeSpaceSaving) and one store range query end to end without
+// sockets — node fetch, decode, canonical fold, encode
+// (BM_StoreQueryFold).
 //
 // Like the table benches (bench_util.h), this binary mirrors its
 // results to BENCH_throughput.json — via google-benchmark's own JSON
 // reporter, defaulted below unless the caller overrides --benchmark_out.
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <map>
@@ -18,6 +24,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include "mergeable/aggregate/storage.h"
 #include "mergeable/approx/eps_approximation.h"
 #include "mergeable/frequency/misra_gries.h"
 #include "mergeable/frequency/space_saving.h"
@@ -28,9 +35,13 @@
 #include "mergeable/sketch/bloom.h"
 #include "mergeable/sketch/count_min.h"
 #include "mergeable/sketch/count_sketch.h"
+#include "mergeable/store/epoch_meta.h"
 #include "mergeable/store/segment.h"
+#include "mergeable/store/summary_store.h"
 #include "mergeable/stream/generators.h"
 #include "mergeable/util/bytes.h"
+#include "mergeable/util/check.h"
+#include "mergeable/util/random.h"
 
 namespace mergeable {
 namespace {
@@ -344,6 +355,8 @@ BENCHMARK(BM_QuantileQuery);
 // Canonicalize, what the store, the server and the coordinator do) and
 // by encode-then-decode round trip (what they did before Canonicalize
 // existed; now only the test oracle). Items processed = merges.
+// SpaceSaving's Canonicalize() is a no-op, so its plain and canonical
+// rows measure the same work.
 enum class FoldMode { kPlain, kCanonical, kRoundTrip };
 
 template <typename S, typename Make>
@@ -415,6 +428,87 @@ BENCHMARK_CAPTURE(BM_FoldSpaceSaving, k100_canonical, 100,
                   FoldMode::kCanonical);
 BENCHMARK_CAPTURE(BM_FoldSpaceSaving, k100_round_trip, 100,
                   FoldMode::kRoundTrip);
+
+// Decode cost from wire bytes, per decode: one 20k-item Zipf epoch
+// summarized with `capacity` counters (k = 100 is the store's
+// ε = 0.01 node size). Items processed = decodes.
+void BM_DecodeSpaceSaving(benchmark::State& state) {
+  const int capacity = static_cast<int>(state.range(0));
+  StreamSpec spec;
+  spec.kind = StreamKind::kZipf;
+  spec.n = 20000;
+  spec.universe = 1 << 14;
+  spec.alpha = 1.1;
+  SpaceSaving summary(capacity);
+  for (uint64_t item : GenerateStream(spec, 100)) summary.Update(item);
+  ByteWriter writer;
+  summary.EncodeTo(writer);
+  const std::vector<uint8_t> bytes = writer.bytes();
+  for (auto _ : state) {
+    ByteReader reader(bytes);
+    benchmark::DoNotOptimize(SpaceSaving::DecodeFrom(reader));
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(bytes.size()));
+}
+BENCHMARK(BM_DecodeSpaceSaving)->Arg(2)->Arg(100)->Arg(1024);
+
+// One store range query, per query: a SummaryStore<SpaceSaving>
+// (ε = 0.01) over MemStorage with 4096 sealed epochs and a 64-entry
+// cache, asked seeded short ranges (geometric lengths, mean 16) over
+// the whole history. Few answers repeat, so nearly every query fetches
+// its dyadic cover, decodes, folds canonically and encodes the answer.
+void BM_StoreQueryFold(benchmark::State& state) {
+  constexpr uint64_t kEpochs = 4096;
+  constexpr uint64_t kStream = 1;
+  static MemStorage* sealed = [] {
+    auto* storage = new MemStorage();
+    StoreOptions options;
+    options.epsilon = 0.01;
+    SummaryStore<SpaceSaving> store(storage, options);
+    for (uint64_t epoch = 0; epoch < kEpochs; ++epoch) {
+      StreamSpec spec;
+      spec.kind = StreamKind::kZipf;
+      spec.n = 2000;
+      spec.universe = 4096;
+      spec.alpha = 1.1;
+      SpaceSaving summary = SpaceSaving::ForEpsilon(0.01);
+      for (uint64_t item : GenerateStream(spec, 100 + epoch)) {
+        summary.Update(item);
+      }
+      EpochMeta meta;
+      meta.epoch = epoch;
+      meta.n = spec.n;
+      meta.shards_total = 1;
+      meta.shards_received = 1;
+      MERGEABLE_CHECK_MSG(store.Seal(kStream, summary, meta),
+                          "seal must succeed");
+    }
+    return storage;
+  }();
+  MemStorage storage = *sealed;
+  StoreOptions options;
+  options.epsilon = 0.01;
+  options.cache_capacity = 64;
+  SummaryStore<SpaceSaving> store(&storage, options);
+  MERGEABLE_CHECK_MSG(store.Open() == 1, "store must recover the stream");
+  Rng rng(11);
+  uint64_t nodes = 0;
+  for (auto _ : state) {
+    const uint64_t length = std::min<uint64_t>(
+        kEpochs, 1 + static_cast<uint64_t>(
+                         -16.0 * std::log(1.0 - rng.UniformDouble())));
+    const uint64_t lo = rng.UniformInt(kEpochs - length + 1);
+    const auto outcome = store.QueryRangePayload(kStream, lo, lo + length - 1);
+    MERGEABLE_CHECK_MSG(outcome.has_value(), "query must succeed");
+    nodes += outcome->stats.nodes_merged;
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.counters["nodes_per_query"] = benchmark::Counter(
+      static_cast<double>(nodes), benchmark::Counter::kAvgIterations);
+}
+BENCHMARK(BM_StoreQueryFold);
 
 void BM_FoldMergeableQuantiles(benchmark::State& state, FoldMode mode) {
   static const auto* parts = new std::vector<MergeableQuantiles>(

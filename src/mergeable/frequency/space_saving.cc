@@ -9,16 +9,21 @@
 
 namespace mergeable {
 
-SpaceSaving::SpaceSaving(int capacity) : capacity_(capacity) {
+namespace {
+// Cap the pre-reserves: `capacity` can come off the wire (DecodeFrom),
+// and a hostile header must not pre-allocate gigabytes. Vectors grow
+// geometrically past the cap, so large legitimate capacities stay fast.
+size_t ReserveFor(int capacity) {
+  return std::min<size_t>(static_cast<size_t>(capacity), size_t{1} << 16);
+}
+}  // namespace
+
+SpaceSaving::SpaceSaving(int capacity)
+    : capacity_(capacity), index_(ReserveFor(capacity)) {
   MERGEABLE_CHECK_MSG(capacity >= 2, "SpaceSaving capacity must be >= 2");
-  // Cap the pre-reserve: `capacity` can come off the wire (DecodeFrom),
-  // and a hostile header must not pre-allocate gigabytes. Vectors grow
-  // geometrically past the cap, so large legitimate capacities stay fast.
-  const size_t reserve = std::min<size_t>(static_cast<size_t>(capacity),
-                                          size_t{1} << 16);
-  entries_.reserve(reserve);
-  min_heap_.reserve(reserve);
-  index_.Reserve(reserve);
+  // The min-heap is reserved where it is built (RebuildMinHeap, the
+  // replay): a summary that is only merged and encoded never needs one.
+  entries_.reserve(ReserveFor(capacity));
 }
 
 SpaceSaving SpaceSaving::ForEpsilon(double epsilon) {
@@ -30,10 +35,8 @@ SpaceSaving SpaceSaving::ForEpsilon(double epsilon) {
 
 void SpaceSaving::AppendEntry(uint64_t item, uint64_t count, uint64_t over) {
   entries_.push_back(Entry{item, count, over});
-  const auto slot = static_cast<uint32_t>(entries_.size() - 1);
-  index_.Insert(item, slot);
-  min_heap_.push_back(MinRef{count, item, slot});
-  std::push_heap(min_heap_.begin(), min_heap_.end(), MinRefGreater);
+  index_.Insert(item, static_cast<uint32_t>(entries_.size() - 1));
+  MERGEABLE_DCHECK(min_heap_.empty());
 }
 
 void SpaceSaving::RebuildMinHeap() const {
@@ -45,6 +48,13 @@ void SpaceSaving::RebuildMinHeap() const {
         MinRef{entry.count, entry.item, static_cast<uint32_t>(slot)});
   }
   std::make_heap(min_heap_.begin(), min_heap_.end(), MinRefGreater);
+}
+
+uint64_t SpaceSaving::ScanMinCount() const {
+  if (entries_.size() != static_cast<size_t>(capacity_)) return 0;
+  uint64_t min = entries_.front().count;
+  for (const Entry& entry : entries_) min = std::min(min, entry.count);
+  return min;
 }
 
 uint32_t SpaceSaving::EnsureMinTop() const {
@@ -280,13 +290,35 @@ void SpaceSaving::Merge(const SpaceSaving& other) {
       return;
     }
   }
-  uint64_t min1 = 0;
-  uint64_t min2 = 0;
-  std::vector<Counter> combined =
-      CombineCounters(MgDomainCounters(&min1), other.MgDomainCounters(&min2));
+  // Move both sides into the MG domain (subtract each full side's
+  // minimum; a count at or below it becomes 0) and add them pointwise.
+  // Slot i of `combined` is this summary's entry i, so `other`'s items
+  // combine through index_; items only `other` monitors go at the end.
+  // `other` is only read (it may be *this).
+  const uint64_t min1 = ScanMinCount();
+  const uint64_t min2 = other.ScanMinCount();
+  const auto mg = [](uint64_t count, uint64_t min) {
+    return count > min ? count - min : 0;
+  };
+  std::vector<Counter> combined;
+  combined.reserve(entries_.size() + other.entries_.size());
+  for (const Entry& entry : entries_) {
+    combined.push_back(Counter{entry.item, mg(entry.count, min1)});
+  }
+  for (const Entry& entry : other.entries_) {
+    const uint64_t count = mg(entry.count, min2);
+    if (const uint32_t* slot = index_.Find(entry.item)) {
+      combined[*slot].count += count;
+    } else if (count > 0) {
+      combined.push_back(Counter{entry.item, count});
+    }
+  }
 
   // Prune to capacity_ - 1 counters with the Agarwal et al. Frequent
   // merge: subtract the capacity_-th largest value from every counter.
+  // Zero counts left in `combined` cannot change that value (it is 0
+  // whenever fewer than capacity_ counts are positive) and never
+  // survive the prune.
   uint64_t v = 0;
   const size_t keep = static_cast<size_t>(capacity_) - 1;
   if (combined.size() > keep) {
@@ -341,6 +373,7 @@ void SpaceSaving::RebuildByReplay(std::vector<Counter> counters,
   InvalidateMinHeap();
   n_ = 0;
   under_slack_ = 0;
+  min_heap_.reserve(ReserveFor(capacity_));
   // Replaying the combined counters in ascending order reproduces the
   // SpaceSaving execution that Cafaro et al. solve in closed form (their
   // Theorem 4.5): the first capacity_ counters fill the table, each later
@@ -419,19 +452,6 @@ constexpr auto kWireOrder = [](const auto& a, const auto& b) {
   return a.item < b.item;
 };
 }  // namespace
-
-void SpaceSaving::Canonicalize() {
-  // DecodeFrom appends the entries in wire order. The min-heap only
-  // ever yields the exact (count, item) minimum, so its layout is
-  // unobservable — but it must hold a snapshot of every entry (later
-  // appends push onto it), so rebuild rather than drop it.
-  std::sort(entries_.begin(), entries_.end(), kWireOrder);
-  index_.Clear();
-  for (size_t slot = 0; slot < entries_.size(); ++slot) {
-    index_.Insert(entries_[slot].item, static_cast<uint32_t>(slot));
-  }
-  RebuildMinHeap();
-}
 
 void SpaceSaving::EncodeTo(ByteWriter& writer) const {
   writer.PutU32(kSpaceSavingMagic);

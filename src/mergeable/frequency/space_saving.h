@@ -43,6 +43,15 @@
 // visible state is identical to the textbook implementation; only the
 // bookkeeping cost moved off the per-update path. Encodings are
 // unchanged (same fields, same layout, same validation).
+//
+// Merges and decodes never touch the heap. Merge() combines both sides
+// through this summary's item index into one flat counter array (each
+// side's minimum found by a linear scan), prunes with nth_element and
+// rewrites the entries and the index; DecodeFrom appends entries and
+// index only. Both leave the heap empty, which means "rebuild from all
+// entries on first use": a summary that is only merged and encoded
+// never pays for it, and the first eviction (or MinCount() on a full
+// table) rebuilds it in one O(k) scan. Canonicalize() is therefore a no-op (see its comment).
 
 #ifndef MERGEABLE_FREQUENCY_SPACE_SAVING_H_
 #define MERGEABLE_FREQUENCY_SPACE_SAVING_H_
@@ -172,10 +181,15 @@ class SpaceSaving {
   static std::optional<SpaceSaving> DecodeFrom(ByteReader& reader);
 
   // Puts the summary in canonical form in place: afterwards it is
-  // indistinguishable from DecodeFrom(EncodeTo(*this)) — equal bytes and equal
-  // behavior under further updates and merges. Sorts the slots into wire order
-  // and rebuilds the index and the min-heap.
-  void Canonicalize();
+  // indistinguishable from DecodeFrom(EncodeTo(*this)) — equal bytes and
+  // equal behavior under further updates and merges. Nothing to do: the
+  // only state the round trip could change is the slot order and the
+  // heap layout, and neither is observable. Every eviction takes the
+  // exact (count, item) minimum; every byte- or list-producing path
+  // sorts first (EncodeTo, Counters, FrequentItems, MergeCafaro's
+  // ascending replay); and the Merge() prune depends only on the
+  // multiset of counts.
+  void Canonicalize() {}
 
  private:
   struct Entry {
@@ -200,7 +214,9 @@ class SpaceSaving {
     return a.item > b.item;
   }
 
-  // Appends a fresh entry (summary not at capacity) and indexes it.
+  // Appends a fresh entry (summary not at capacity) and indexes it. The
+  // min-heap must be empty (invalid): the next EnsureMinTop rebuilds it
+  // from every entry, so append pushes no snapshot.
   void AppendEntry(uint64_t item, uint64_t count, uint64_t over);
 
   // Deferred min-maintenance: discards/refreshes stale heap snapshots
@@ -214,6 +230,11 @@ class SpaceSaving {
   void InvalidateMinHeap() const { min_heap_.clear(); }
 
   void RebuildMinHeap() const;
+
+  // MinCount() by a linear scan, leaving the min-heap untouched: merges
+  // read `other` through a const reference that may be shared across
+  // threads, so they must not repair its mutable heap.
+  uint64_t ScanMinCount() const;
 
   // Counters minus the minimum (when full): the MG-domain view used by
   // both merges. Returned in unspecified order, along with the subtracted
@@ -230,9 +251,10 @@ class SpaceSaving {
   uint64_t under_slack_ = 0;
   std::vector<Entry> entries_;  // Slot-stable, unordered.
   FlatMap<uint32_t> index_;     // item -> slot in entries_.
-  // Lazy min-heap of entry snapshots (MinRefGreater => min at front).
-  // Mutable: queries like MinCount() repair it without being mutating in
-  // any observable sense.
+  // Lazy min-heap of entry snapshots (MinRefGreater => min at front);
+  // empty over a non-empty table means "rebuild on demand". Mutable:
+  // queries like MinCount() repair it without being mutating in any
+  // observable sense.
   mutable std::vector<MinRef> min_heap_;
 };
 

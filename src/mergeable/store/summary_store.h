@@ -674,14 +674,20 @@ class SummaryStore {
                                                  QueryStats* stats) {
     const std::vector<DyadicNode> cover = DyadicCover(lo, hi);
     stats->nodes_merged = cover.size();
-    std::vector<S> parts;
-    parts.reserve(cover.size());
+    std::vector<MergedSummaryCache::Payload> payloads;
+    payloads.reserve(cover.size());
     for (const DyadicNode& node : cover) {
-      const MergedSummaryCache::Payload bytes = NodePayload(stream, node, stats);
-      if (bytes == nullptr) return std::nullopt;
-      parts.push_back(DecodeSummaryOrDie<S>(*bytes));
+      payloads.push_back(NodePayload(stream, node, stats));
+      if (payloads.back() == nullptr) return std::nullopt;
     }
-    if (parts.size() == 1) return EncodeSummary<S>(parts.front());
+    // One node (a length-1 or aligned power-of-two range): its stored
+    // payload already is the canonical answer.
+    if (payloads.size() == 1) return *payloads.front();
+    std::vector<S> parts;
+    parts.reserve(payloads.size());
+    for (const MergedSummaryCache::Payload& payload : payloads) {
+      parts.push_back(DecodeSummaryOrDie<S>(*payload));
+    }
     std::atomic<uint64_t> merges{0};
     const auto merge_fn = [&merges](S& into, const S& from) {
       CanonicalMergeInto(into, from);

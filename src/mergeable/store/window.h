@@ -124,22 +124,27 @@ class SlidingWindowRing {
     outcome.hi = next_index_ - 1;
     outcome.lo = next_index_ - w;
     const std::vector<DyadicNode> cover = DyadicCover(outcome.lo, outcome.hi);
-    std::vector<S> parts;
-    parts.reserve(cover.size());
+    std::vector<const std::vector<uint8_t>*> payloads;
+    payloads.reserve(cover.size());
     for (const DyadicNode& node : cover) {
       if (node.level >= levels_.size()) return std::nullopt;
       const auto& ring = levels_[node.level];
       const auto it = ring.find(node.index);
       if (it == ring.end()) return std::nullopt;
-      parts.push_back(DecodeSummaryOrDie<S>(it->second));
+      payloads.push_back(&it->second);
     }
     outcome.nodes_merged = cover.size();
     // The store's MergeCover fold, verbatim: a single node's payload is
     // returned as-is, more fold through the balanced canonical
     // reduction. Byte-identity with the store hinges on this match.
-    if (parts.size() == 1) {
-      outcome.payload = EncodeSummary<S>(parts.front());
+    if (payloads.size() == 1) {
+      outcome.payload = *payloads.front();
     } else {
+      std::vector<S> parts;
+      parts.reserve(payloads.size());
+      for (const std::vector<uint8_t>* payload : payloads) {
+        parts.push_back(DecodeSummaryOrDie<S>(*payload));
+      }
       S merged = MergeAllWith(std::move(parts), MergeTopology::kBalancedTree,
                               [](S& into, const S& from) {
                                 CanonicalMergeInto(into, from);

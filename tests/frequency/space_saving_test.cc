@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <map>
+#include <optional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -305,6 +308,21 @@ class ReferenceSpaceSaving {
  public:
   explicit ReferenceSpaceSaving(size_t capacity) : capacity_(capacity) {}
 
+  // Seeded from (item, count, over) triples and a stream weight `n`: the
+  // reference continuing from some summary's state.
+  struct Seed {
+    uint64_t item = 0;
+    uint64_t count = 0;
+    uint64_t over = 0;
+  };
+  ReferenceSpaceSaving(size_t capacity, const std::vector<Seed>& seeds,
+                       uint64_t n)
+      : capacity_(capacity), n_(n) {
+    for (const Seed& seed : seeds) {
+      counts_[seed.item] = {seed.count, seed.over};
+    }
+  }
+
   void Update(uint64_t item, uint64_t weight = 1) {
     n_ += weight;
     auto it = counts_.find(item);
@@ -421,6 +439,218 @@ TEST(SpaceSavingReferenceTest, WeightedUpdatesMatchReference) {
     slow.Update(item, weight);
     ASSERT_EQ(fast.MinCount(), slow.MinCount()) << "after update " << i;
     ASSERT_EQ(fast.Counters(), slow.Counters()) << "after update " << i;
+  }
+}
+
+// ---- Decoded and merged summaries: the state they do not rebuild ----
+//
+// Decode and Merge leave the eviction heap to be rebuilt on first use
+// and lay the slots out in whatever order the combine produced. None of
+// that may be observable: from any such start, every later update must
+// match the textbook reference, and equal contents must stay equal (in
+// bytes and estimates) under every operation, whatever route built them.
+
+std::vector<uint8_t> Encode(const SpaceSaving& summary) {
+  ByteWriter writer;
+  summary.EncodeTo(writer);
+  return writer.bytes();
+}
+
+SpaceSaving Decode(const std::vector<uint8_t>& bytes) {
+  ByteReader reader(bytes);
+  std::optional<SpaceSaving> decoded = SpaceSaving::DecodeFrom(reader);
+  EXPECT_TRUE(decoded.has_value());
+  return std::move(decoded).value();
+}
+
+// The reference continuing from `summary`'s query-visible state.
+ReferenceSpaceSaving ReferenceFrom(const SpaceSaving& summary) {
+  std::vector<ReferenceSpaceSaving::Seed> seeds;
+  for (const Counter& counter : summary.Counters()) {
+    seeds.push_back({counter.item, counter.count,
+                     counter.count - summary.LowerEstimate(counter.item)});
+  }
+  return ReferenceSpaceSaving(static_cast<size_t>(summary.capacity()), seeds,
+                              summary.n());
+}
+
+// Whether `summary` is full with at least two counters at the minimum.
+bool FullWithTiedMinimum(const SpaceSaving& summary) {
+  if (summary.size() != static_cast<size_t>(summary.capacity())) return false;
+  const uint64_t min = summary.MinCount();
+  size_t at_min = 0;
+  for (const Counter& counter : summary.Counters()) {
+    if (counter.count == min) ++at_min;
+  }
+  return at_min >= 2;
+}
+
+// The three eviction-heavy streams of the reference tests above, as
+// (item, weight) updates: round-robin ties, evict/re-admit churn and
+// random weights.
+std::vector<std::vector<std::pair<uint64_t, uint64_t>>> EvictionStreams() {
+  std::vector<std::pair<uint64_t, uint64_t>> round_robin;
+  for (int round = 0; round < 40; ++round) {
+    for (uint64_t item = 0; item < 64; ++item) {
+      round_robin.push_back({item, 1});
+    }
+  }
+  std::vector<std::pair<uint64_t, uint64_t>> churn;
+  uint64_t fresh = 1000;
+  for (int round = 0; round < 200; ++round) {
+    for (uint64_t heavy = 0; heavy < 8; ++heavy) churn.push_back({heavy, 1});
+    for (int i = 0; i < 8; ++i) churn.push_back({fresh++, 1});
+    churn.push_back({static_cast<uint64_t>(round % 16), 1});
+  }
+  std::vector<std::pair<uint64_t, uint64_t>> weighted;
+  Rng rng(95);
+  for (int i = 0; i < 2000; ++i) {
+    weighted.push_back({rng.UniformInt(64), 1 + rng.UniformInt(5)});
+  }
+  return {round_robin, churn, weighted};
+}
+
+void ExpectEvictsLikeReference(const SpaceSaving& start) {
+  ASSERT_TRUE(FullWithTiedMinimum(start));
+  const auto streams = EvictionStreams();
+  for (size_t s = 0; s < streams.size(); ++s) {
+    SCOPED_TRACE("stream " + std::to_string(s));
+    SpaceSaving fast = start;
+    ReferenceSpaceSaving slow = ReferenceFrom(start);
+    for (size_t i = 0; i < streams[s].size(); ++i) {
+      const auto [item, weight] = streams[s][i];
+      fast.Update(item, weight);
+      slow.Update(item, weight);
+      ASSERT_EQ(fast.MinCount(), slow.MinCount()) << "after update " << i;
+      const std::vector<Counter> counters = slow.Counters();
+      ASSERT_EQ(fast.Counters(), counters) << "after update " << i;
+      for (const Counter& counter : counters) {
+        ASSERT_EQ(fast.LowerEstimate(counter.item),
+                  slow.LowerEstimate(counter.item))
+            << "item " << counter.item << " after update " << i;
+      }
+    }
+    EXPECT_EQ(fast.n(), slow.n());
+  }
+}
+
+TEST(SpaceSavingReferenceTest, DecodedSummaryEvictsLikeReference) {
+  // Round-robin over 40 items into 16 counters: every counter ties.
+  SpaceSaving source(16);
+  for (int round = 0; round < 30; ++round) {
+    for (uint64_t item = 0; item < 40; ++item) source.Update(item);
+  }
+  ExpectEvictsLikeReference(Decode(Encode(source)));
+}
+
+TEST(SpaceSavingReferenceTest, MergedSummaryEvictsLikeReference) {
+  SpaceSaving a(16);
+  SpaceSaving b(16);
+  for (int round = 0; round < 30; ++round) {
+    for (uint64_t item = 0; item < 40; ++item) a.Update(item);
+    for (uint64_t item = 20; item < 50; ++item) b.Update(item, 2);
+  }
+  SpaceSaving merged = a;
+  merged.Merge(b);
+  // An Agarwal merge keeps at most k - 1 counters; top it up with fresh
+  // items at the merged minimum so the start is full and tied there.
+  uint64_t min = ~uint64_t{0};
+  for (const Counter& counter : merged.Counters()) {
+    min = std::min(min, counter.count);
+  }
+  for (uint64_t fresh = 5000; merged.size() < 16; ++fresh) {
+    merged.Update(fresh, min);
+  }
+  ExpectEvictsLikeReference(merged);
+}
+
+void ExpectSameState(const SpaceSaving& x, const SpaceSaving& y,
+                     uint64_t universe) {
+  ASSERT_EQ(Encode(x), Encode(y));
+  ASSERT_EQ(x.MinCount(), y.MinCount());
+  ASSERT_EQ(x.Counters(), y.Counters());
+  for (uint64_t item = 0; item < universe; ++item) {
+    ASSERT_EQ(x.UpperEstimate(item), y.UpperEstimate(item)) << item;
+    ASSERT_EQ(x.LowerEstimate(item), y.LowerEstimate(item)) << item;
+  }
+}
+
+TEST(SpaceSavingTest, SlotOrderIsUnobservable) {
+  constexpr int kCapacity = 24;
+  constexpr uint64_t kUniverse = 300;
+  const auto filled = [](uint64_t seed) {
+    StreamSpec spec;
+    spec.kind = StreamKind::kZipf;
+    spec.n = 4000;
+    spec.universe = kUniverse;
+    SpaceSaving summary(kCapacity);
+    for (uint64_t item : GenerateStream(spec, seed)) summary.Update(item);
+    return summary;
+  };
+  const SpaceSaving a = filled(101);
+  const SpaceSaving b = filled(102);
+  const SpaceSaving c = filled(103);
+  const SpaceSaving d = filled(104);
+
+  // Equal content by three routes, with different slot layouts.
+  SpaceSaving ab = a;
+  ab.Merge(b);
+  SpaceSaving ba = b;
+  ba.Merge(a);
+  std::vector<SpaceSaving> routes = {ab, ba, Decode(Encode(ab))};
+  for (size_t r = 1; r < routes.size(); ++r) {
+    ExpectSameState(routes[0], routes[r], kUniverse);
+  }
+
+  Rng rng(105);
+  std::vector<uint64_t> evicting;
+  for (int i = 0; i < 600; ++i) evicting.push_back(rng.UniformInt(kUniverse));
+  const auto update = [&evicting](SpaceSaving& s) {
+    for (uint64_t item : evicting) s.Update(item);
+  };
+  using Step = std::pair<std::string, std::function<void(SpaceSaving&)>>;
+  const std::vector<Step> steps = {
+      {"update", update},
+      {"merge", [&c](SpaceSaving& s) { s.Merge(c); }},
+      {"merge_cafaro", [&d](SpaceSaving& s) { s.MergeCafaro(d); }},
+      {"shrink", [](SpaceSaving& s) { s.Resize(kCapacity / 2); }},
+      {"grow", [](SpaceSaving& s) { s.Resize(kCapacity * 2); }},
+      {"update_after_resize", update},
+  };
+  for (const auto& [name, step] : steps) {
+    SCOPED_TRACE(name);
+    for (SpaceSaving& route : routes) step(route);
+    for (size_t r = 1; r < routes.size(); ++r) {
+      ExpectSameState(routes[0], routes[r], kUniverse);
+    }
+  }
+  const auto by_mod3 = [](uint64_t item) -> size_t { return item % 3; };
+  const std::vector<SpaceSaving> parts0 = routes[0].Split(3, by_mod3);
+  for (size_t r = 1; r < routes.size(); ++r) {
+    const std::vector<SpaceSaving> parts = routes[r].Split(3, by_mod3);
+    ASSERT_EQ(parts.size(), parts0.size());
+    for (size_t p = 0; p < parts.size(); ++p) {
+      ExpectSameState(parts0[p], parts[p], kUniverse);
+    }
+  }
+}
+
+TEST(SpaceSavingTest, SelfMergeEqualsMergeWithCopy) {
+  // Full (ties at the minimum) and partially filled summaries.
+  SpaceSaving full(16);
+  for (int round = 0; round < 30; ++round) {
+    for (uint64_t item = 0; item < 40; ++item) full.Update(item, item % 3 + 1);
+  }
+  SpaceSaving partial(16);
+  for (uint64_t item = 0; item < 10; ++item) partial.Update(item, item + 1);
+  for (const SpaceSaving& start : {full, partial}) {
+    SpaceSaving self = start;
+    self.Merge(self);
+    SpaceSaving with_copy = start;
+    const SpaceSaving copy = start;
+    with_copy.Merge(copy);
+    ExpectSameState(self, with_copy, 64);
+    EXPECT_EQ(self.n(), 2 * start.n());
   }
 }
 
