@@ -32,7 +32,6 @@
 #include "mergeable/store/epoch_meta.h"
 #include "mergeable/store/query.h"
 #include "mergeable/store/summary_store.h"
-#include "mergeable/store/window.h"
 #include "mergeable/stream/generators.h"
 #include "mergeable/util/check.h"
 #include "mergeable/util/random.h"
@@ -126,57 +125,6 @@ void SweepRangeLength(const MemStorage& sealed, uint64_t epochs) {
   }
 }
 
-// Table 2: the sliding-window ring against the store, sweeping the
-// window length. Both answer "the last w epochs"; the ring keeps the
-// recent dyadic nodes resident (no storage reads, no cache), the store
-// plans the same cover through its node files. The payloads must match
-// byte for byte — same cover, same canonical merges — so the table is
-// purely a latency/locality comparison.
-void SweepWindowLength(const MemStorage& sealed, uint64_t epochs) {
-  MemStorage storage = sealed;
-  StoreOptions options;
-  options.epsilon = kEpsilon;
-  options.cache_capacity = 1;  // Minimal cache: measure the plan, not the memo.
-  SummaryStore<SpaceSaving> store(&storage, options);
-  MERGEABLE_CHECK_MSG(store.Open() == 1, "store must recover the stream");
-
-  // Re-feed the same sealed epochs into a ring, as the serving path
-  // does at seal time.
-  SlidingWindowRing<SpaceSaving> ring(epochs, kEpsilon);
-  for (uint64_t epoch = 0; epoch < epochs; ++epoch) {
-    ring.OnSeal(epoch, EpochSummary(epoch), FullMeta(epoch));
-  }
-
-  PrintHeader("sliding window vs store, " + std::to_string(epochs) +
-                  " epochs",
-              {"window", "ring nodes", "ring ms", "store ms", "identical"});
-  // Window lengths of 4^k - 1: a power-of-two epoch count would make
-  // every power-of-two suffix a single aligned dyadic node, so the
-  // off-by-one lengths are what exercise real multi-node folds.
-  std::vector<uint64_t> windows{1};
-  for (uint64_t w = 4; w < epochs; w *= 4) windows.push_back(w - 1);
-  windows.push_back(epochs);
-  for (uint64_t w : windows) {
-    const auto ring_start = std::chrono::steady_clock::now();
-    const auto window = ring.Query(w);
-    const double ring_ms = ElapsedMs(ring_start);
-    MERGEABLE_CHECK_MSG(window.has_value(), "ring must cover the window");
-
-    const auto store_start = std::chrono::steady_clock::now();
-    const auto range = store.QueryRangePayload(kStream, epochs - w,
-                                               epochs - 1);
-    const double store_ms = ElapsedMs(store_start);
-    MERGEABLE_CHECK_MSG(range.has_value(), "store must answer the suffix");
-
-    const bool identical = window->payload == *range->payload;
-    MERGEABLE_CHECK_MSG(identical,
-                        "ring and store window answers must be byte-equal");
-    PrintRow({FormatU64(w), FormatU64(window->nodes_merged),
-              FormatDouble(ring_ms, 3), FormatDouble(store_ms, 3),
-              identical ? "yes" : "NO"});
-  }
-}
-
 struct WorkloadResult {
   double hit_rate = 0.0;
   double nodes_per_query = 0.0;
@@ -253,7 +201,6 @@ int Main() {
   }
 
   SweepRangeLength(sealed, epochs);
-  SweepWindowLength(sealed, epochs);
 
   PrintHeader("cache capacity sweep, " + std::to_string(queries) + " queries",
               {"capacity", "hit rate", "nodes/query", "merges/query",

@@ -28,7 +28,6 @@
 #include "mergeable/approx/eps_approximation.h"
 #include "mergeable/frequency/misra_gries.h"
 #include "mergeable/frequency/space_saving.h"
-#include "mergeable/frequency/space_saving_bucket.h"
 #include "mergeable/quantiles/gk.h"
 #include "mergeable/quantiles/qdigest.h"
 #include "mergeable/quantiles/mergeable_quantiles.h"
@@ -83,20 +82,6 @@ void BM_SpaceSavingUpdate(benchmark::State& state) {
                           static_cast<int64_t>(stream.size()));
 }
 BENCHMARK(BM_SpaceSavingUpdate)->Arg(64)->Arg(1024);
-
-// The O(1) bucket-list update path (DESIGN.md ablation 5).
-void BM_SpaceSavingBucketUpdate(benchmark::State& state) {
-  const auto& stream = ZipfStream();
-  const int capacity = static_cast<int>(state.range(0));
-  for (auto _ : state) {
-    SpaceSavingBucket ss(capacity);
-    for (uint64_t item : stream) ss.Update(item);
-    benchmark::DoNotOptimize(ss.n());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(stream.size()));
-}
-BENCHMARK(BM_SpaceSavingBucketUpdate)->Arg(64)->Arg(1024);
 
 void BM_CountMinUpdate(benchmark::State& state) {
   const auto& stream = ZipfStream();

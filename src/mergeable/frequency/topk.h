@@ -12,7 +12,7 @@
 //   * the ranked list of point estimates, which is what dashboards show.
 //
 // Works with any summary exposing Counters() plus LowerEstimate /
-// UpperEstimate (MisraGries, SpaceSaving, SpaceSavingBucket).
+// UpperEstimate (MisraGries, SpaceSaving).
 
 #ifndef MERGEABLE_FREQUENCY_TOPK_H_
 #define MERGEABLE_FREQUENCY_TOPK_H_

@@ -29,7 +29,10 @@
 //
 // Queries run through the store's deadline-bounded path: a deadline the
 // cover cannot afford yields a partial answer with a widened bound, not
-// a stalled connection.
+// a stalled connection. A window query ("the last w epochs") resolves
+// to its absolute range (store/query.h ResolveWindow) and takes the
+// same path; the store's seal-time write-through keeps the newest nodes
+// it folds in the node cache.
 //
 // Disk pressure (StoreT = DurableStore<S>): when a seal fails because
 // the durable backend rejected the append (ENOSPC, EIO), the service
@@ -72,8 +75,8 @@
 #include "mergeable/aggregate/dedup.h"
 #include "mergeable/aggregate/wire.h"
 #include "mergeable/server/ingest_server.h"
+#include "mergeable/store/query.h"
 #include "mergeable/store/summary_store.h"
-#include "mergeable/store/window.h"
 #include "mergeable/util/bytes.h"
 #include "mergeable/util/flat_map.h"
 
@@ -100,10 +103,9 @@ struct EpochServiceConfig {
   // beyond this, buffered epochs degrade to empty placeholders (their
   // mass is accounted as lost, to the byte).
   size_t max_buffered_seals = 16;
-  // Largest sliding window (in epochs) served from the resident ring;
-  // 0 disables the ring. Window queries beyond the ring's reach (or
-  // past a warm-restart gap) fall back to the store path transparently,
-  // with byte-identical answers.
+  // No longer has any effect: window queries are served on the store
+  // path. Kept declared only because perfbench still sets it; it goes
+  // with the next perfbench change.
   uint64_t window_capacity = 0;
 };
 
@@ -117,8 +119,10 @@ struct EpochServiceStats {
   uint64_t queries_answered = 0;
   uint64_t queries_partial = 0;
   uint64_t queries_refused = 0;  // Unknown stream / unsealed range.
-  uint64_t queries_window = 0;       // Window-addressed queries answered.
-  uint64_t queries_window_ring = 0;  // ... of those, served from the ring.
+  uint64_t queries_window = 0;  // Window-addressed queries resolved.
+  // ... of those, answered without a storage read (no node-cache miss).
+  // The name predates the store-path window; perfbench reads it.
+  uint64_t queries_window_ring = 0;
   uint64_t storage_seal_failures = 0;  // Seal attempts the backend refused.
   uint64_t storage_recoveries = 0;     // Degraded -> healthy transitions.
   uint64_t epochs_sealed_empty = 0;    // Zero-report placeholder seals.
@@ -144,9 +148,6 @@ class EpochService : public FrameHandler {
     if (store->HasStream(config_.stream)) {
       next_epoch_ = store->BaseEpoch(config_.stream) +
                     store->EpochCount(config_.stream);
-    }
-    if (config_.window_capacity > 0) {
-      ring_.emplace(config_.window_capacity, StoreEpsilon());
     }
   }
 
@@ -293,39 +294,21 @@ class EpochService : public FrameHandler {
 
     std::lock_guard<std::mutex> lock(mu_);
     if (query->window > 0) {
-      // Sliding-window addressing: resolve "the last w epochs" against
-      // the stream's sealed history (clamped when shorter), then serve
-      // from the resident ring when it covers the window — the store
-      // path answers byte-identically otherwise, so callers cannot tell
-      // which tier replied except through the stats.
-      if (query->stream != config_.stream ||
-          !store_->HasStream(config_.stream)) {
+      // Sliding-window addressing: "the last w epochs" of the sealed
+      // history (clamped when shorter), answered as that range; the
+      // answer echoes the resolved range.
+      const std::optional<std::pair<uint64_t, uint64_t>> range =
+          query->stream == config_.stream
+              ? ResolveWindow(*store_, query->stream, query->window)
+              : std::nullopt;
+      if (!range.has_value()) {
         answer.status = AnswerStatus::kUnknownRange;
         ++stats_.queries_refused;
         return EncodeAnswerFrame(answer);
       }
-      const uint64_t base = store_->BaseEpoch(config_.stream);
-      const uint64_t count = store_->EpochCount(config_.stream);
-      const uint64_t w = std::min<uint64_t>(query->window, count);
-      answer.t1 = base + count - w;
-      answer.t2 = base + count - 1;
-      query->t1 = answer.t1;
-      query->t2 = answer.t2;
+      query->t1 = answer.t1 = range->first;
+      query->t2 = answer.t2 = range->second;
       ++stats_.queries_window;
-      if (ring_.has_value() && ring_->next_index() == count) {
-        std::optional<typename SlidingWindowRing<S>::Outcome> window =
-            ring_->Query(w);
-        if (window.has_value()) {
-          ++stats_.queries_window_ring;
-          answer.status = AnswerStatus::kOk;
-          answer.epochs_covered = w;
-          FillEpsilon(&answer, window->eps);
-          answer.payload = EncodeTaggedPayload(SummaryTraits<S>::kTag,
-                                               window->payload);
-          ++stats_.queries_answered;
-          return EncodeAnswerFrame(answer);
-        }
-      }
     }
     QueryDeadline deadline;
     if (query->deadline_ms != 0) deadline.budget_ms = query->deadline_ms;
@@ -348,6 +331,9 @@ class EpochService : public FrameHandler {
                                          *outcome->payload);
     ++stats_.queries_answered;
     if (outcome->partial) ++stats_.queries_partial;
+    if (query->window > 0 && outcome->stats.node_cache_misses == 0) {
+      ++stats_.queries_window_ring;
+    }
     return EncodeAnswerFrame(answer);
   }
 
@@ -579,16 +565,6 @@ class EpochService : public FrameHandler {
         ++stats_.storage_seal_failures;
         return false;
       }
-      // Feed the window ring the leaf the store just wrote: the same
-      // summary and the meta the store recorded, under the store's own
-      // relative index — what keeps ring answers byte-identical.
-      if (ring_.has_value() && seal.result.summary.has_value()) {
-        const uint64_t index = store_->EpochCount(config_.stream) - 1;
-        if (ring_->next_index() == index || ring_->next_index() == 0) {
-          ring_->OnSeal(index, *seal.result.summary,
-                        store_->Metas(config_.stream).back());
-        }
-      }
       buffered_seals_.pop_front();
     }
     return true;
@@ -623,17 +599,6 @@ class EpochService : public FrameHandler {
     answer->full_stream_bound = eps.full_stream_bound;
   }
 
-  // The serving epsilon, independent of whether the store is the plain
-  // SummaryStore (options().epsilon) or the durable wrapper
-  // (options().store.epsilon).
-  double StoreEpsilon() const {
-    if constexpr (requires { store_->options().epsilon; }) {
-      return store_->options().epsilon;
-    } else {
-      return store_->options().store.epsilon;
-    }
-  }
-
   StoreT* store_;
   EpochServiceConfig config_;
 
@@ -650,9 +615,6 @@ class EpochService : public FrameHandler {
   std::function<S()> empty_summary_;
   std::deque<BufferedSeal> buffered_seals_;
   bool storage_degraded_ = false;
-  // Resident suffix of the dyadic tree for window queries; disabled
-  // when config_.window_capacity == 0.
-  std::optional<SlidingWindowRing<S>> ring_;
 };
 
 }  // namespace mergeable

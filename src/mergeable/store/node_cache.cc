@@ -66,6 +66,14 @@ MergedSummaryCache::Payload MergedSummaryCache::Peek(const CacheKey& key) {
   return it->second->second;
 }
 
+void MergedSummaryCache::Put(const CacheKey& key,
+                             std::vector<uint8_t> payload) {
+  Payload shared =
+      std::make_shared<const std::vector<uint8_t>>(std::move(payload));
+  std::unique_lock<std::mutex> lock(mutex_);
+  InsertLocked(key, shared);
+}
+
 size_t MergedSummaryCache::size() const {
   std::unique_lock<std::mutex> lock(mutex_);
   return entries_.size();
@@ -78,9 +86,18 @@ CacheStats MergedSummaryCache::stats() const {
 
 void MergedSummaryCache::InsertLocked(const CacheKey& key,
                                       const Payload& payload) {
-  entries_.emplace_front(key, payload);
-  index_[key] = entries_.begin();
   stats_.bytes_cached += payload->size();
+  auto it = index_.find(key);
+  if (it != index_.end()) {
+    // Resident (a write-through, or a build that raced one): replace
+    // in place, so the list and the index stay one entry per key.
+    stats_.bytes_cached -= it->second->second->size();
+    it->second->second = payload;
+    entries_.splice(entries_.begin(), entries_, it->second);
+    return;
+  }
+  entries_.emplace_front(key, payload);
+  index_.emplace(key, entries_.begin());
   while (entries_.size() > capacity_) {
     const auto& [victim_key, victim_payload] = entries_.back();
     stats_.bytes_cached -= victim_payload->size();

@@ -14,6 +14,11 @@
 // serving layers. The builder runs outside the cache lock, so distinct
 // keys build concurrently.
 //
+// Write-through: a seal already holds the bytes of the leaf and the
+// nodes it completes, so it Puts them instead of having the next build
+// page them back in. The most recent part of the tree — what "the last
+// w epochs" queries fold — is therefore resident without a second copy.
+//
 // The cache is type-erased (bytes, not summaries): one implementation,
 // one test suite, shared by every SummaryStore<S> instantiation.
 
@@ -91,6 +96,12 @@ class MergedSummaryCache {
   // recency); nullptr otherwise (does not count as a miss).
   Payload Peek(const CacheKey& key);
 
+  // Makes `payload` the resident value of `key` as its most recent
+  // entry, replacing a resident one: the write-through of bytes the
+  // caller already holds (a seal's new leaf and nodes). Counts neither a
+  // hit nor a miss; evicts the LRU tail beyond capacity.
+  void Put(const CacheKey& key, std::vector<uint8_t> payload);
+
   size_t size() const;
   size_t capacity() const { return capacity_; }
   CacheStats stats() const;
@@ -102,7 +113,8 @@ class MergedSummaryCache {
     std::condition_variable cv;
   };
 
-  // Inserts under the lock, evicting the LRU tail beyond capacity.
+  // Inserts (or replaces) under the lock as the most recent entry,
+  // evicting the LRU tail beyond capacity.
   void InsertLocked(const CacheKey& key, const Payload& payload);
 
   const size_t capacity_;

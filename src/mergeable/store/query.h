@@ -4,7 +4,8 @@
 // the merged summary over [t1, t2] plus the range's epsilon report.
 // This header turns that payload into answers — point frequency, top-k,
 // quantile, distinct count — by decoding it once and asking the summary
-// family's native query methods. Each planner is constrained (C++20
+// family's native query methods, and resolves "the last w epochs"
+// windows onto the same range path. Each planner is constrained (C++20
 // requires clauses) to the families that can answer it, so asking a
 // quantile sketch for a top-k is a compile error, not a runtime one.
 //
@@ -17,6 +18,8 @@
 #ifndef MERGEABLE_STORE_QUERY_H_
 #define MERGEABLE_STORE_QUERY_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <utility>
@@ -189,6 +192,68 @@ std::optional<DistinctCountResult> QueryDistinctCount(SummaryStore<S>& store,
   result.eps = range->eps;
   result.stats = range->stats;
   return result;
+}
+
+// ---- Windows: "the last w epochs" ----
+//
+// A window is the absolute range [last - w + 1, last], clamped to the
+// stream's sealed history, served by the same range path as any
+// [t1, t2] query. The seal writes its leaf and nodes through the node
+// cache (summary_store.h), so the newest part of the tree a window
+// folds is usually resident.
+
+// Resolves the window to the absolute range it covers. Works on any
+// store with HasStream/BaseEpoch/EpochCount (SummaryStore,
+// DurableStore). std::nullopt when the stream is unknown or w == 0.
+template <typename Store>
+std::optional<std::pair<uint64_t, uint64_t>> ResolveWindow(
+    const Store& store, uint64_t stream, uint64_t w) {
+  if (w == 0 || !store.HasStream(stream)) return std::nullopt;
+  const uint64_t base = store.BaseEpoch(stream);
+  const uint64_t count = store.EpochCount(stream);
+  const uint64_t clamped = std::min<uint64_t>(w, count);
+  return std::make_pair(base + count - clamped, base + count - 1);
+}
+
+template <WireSummary S>
+std::optional<RangeQueryResult<S>> QueryWindowRange(SummaryStore<S>& store,
+                                                    uint64_t stream,
+                                                    uint64_t w) {
+  const auto range = ResolveWindow(store, stream, w);
+  if (!range.has_value()) return std::nullopt;
+  return QueryRange(store, stream, range->first, range->second);
+}
+
+template <WireSummary S>
+  requires requires(SummaryStore<S>& s) {
+    QueryPointFrequency(s, 0, 0, 0, 0);
+  }
+std::optional<PointFrequencyResult> QueryWindowPointFrequency(
+    SummaryStore<S>& store, uint64_t stream, uint64_t w, uint64_t item) {
+  const auto range = ResolveWindow(store, stream, w);
+  if (!range.has_value()) return std::nullopt;
+  return QueryPointFrequency(store, stream, range->first, range->second,
+                             item);
+}
+
+template <WireSummary S>
+  requires requires(SummaryStore<S>& s) { QueryTopK(s, 0, 0, 0, 0); }
+std::optional<TopKResult> QueryWindowTopK(SummaryStore<S>& store,
+                                          uint64_t stream, uint64_t w,
+                                          size_t k) {
+  const auto range = ResolveWindow(store, stream, w);
+  if (!range.has_value()) return std::nullopt;
+  return QueryTopK(store, stream, range->first, range->second, k);
+}
+
+template <WireSummary S>
+  requires requires(SummaryStore<S>& s) { QueryQuantile(s, 0, 0, 0, 0.5); }
+std::optional<QuantileResult> QueryWindowQuantile(SummaryStore<S>& store,
+                                                  uint64_t stream, uint64_t w,
+                                                  double phi) {
+  const auto range = ResolveWindow(store, stream, w);
+  if (!range.has_value()) return std::nullopt;
+  return QueryQuantile(store, stream, range->first, range->second, phi);
 }
 
 }  // namespace mergeable

@@ -23,6 +23,12 @@
 // byte-identical payloads; the store equivalence suite asserts this
 // against a tree-free reference.
 //
+// Write-through: a seal puts the leaf it wrote and every node it
+// completes into the node cache, so building the next level up folds
+// bytes already in hand — a seal reads nothing back — and the newest
+// part of the tree, which "the last w epochs" queries fold, is
+// resident for as long as the cache keeps it.
+//
 // Storage layout: one file per node, named
 //   <prefix>/s<stream>/n<level>.<index>
 // Level-0 files hold an epoch record (epoch_meta.h: metadata + tagged
@@ -309,9 +315,10 @@ class SummaryStore {
   // exactly one past the previous (gaps would make range decomposition
   // ambiguous). The leaf is written before the store learns of the
   // epoch, so a failed leaf write changes nothing and the same epoch can
-  // be retried. Returns false when a storage write failed to complete —
-  // after a failed node write the store object is stale; recover with a
-  // fresh Open().
+  // be retried. The leaf and each completed node are written through
+  // the cache (see the header comment). Returns false when a storage
+  // write failed to complete — after a failed node write the store
+  // object is stale; recover with a fresh Open().
   bool Seal(uint64_t stream, const S& summary, EpochMeta meta) {
     auto it = streams_.find(stream);
     const uint64_t index = it == streams_.end() ? 0 : it->second.metas.size();
@@ -388,9 +395,9 @@ class SummaryStore {
       for (size_t i = 0; i < nodes.size(); ++i) {
         // A node over a lost leaf is left unwritten, as in Seal.
         if (!payloads[i].has_value()) continue;
-        nodes_built_.fetch_add(1, std::memory_order_relaxed);
-        node_merges_.fetch_add(1, std::memory_order_relaxed);
-        if (!WriteNodePayload(stream, nodes[i], *payloads[i])) return false;
+        if (!WriteThroughNode(stream, nodes[i], std::move(*payloads[i]))) {
+          return false;
+        }
       }
     }
     return true;
@@ -548,14 +555,23 @@ class SummaryStore {
                                    node.index);
   }
 
+  static CacheKey NodeKey(uint64_t stream, const DyadicNode& node) {
+    return CacheKey{stream, CacheEntryKind::kTreeNode, node.level,
+                    node.index};
+  }
+
+  // Writes the leaf record, then puts the leaf's payload into the cache
+  // once storage holds it.
   bool WriteLeaf(uint64_t stream, uint64_t index, const S& summary,
                  const EpochMeta& meta) {
-    const std::vector<uint8_t> tagged =
-        EncodeTaggedPayload(kTag, EncodeSummary(summary));
-    const std::vector<uint8_t> record = EncodeEpochRecord(meta, tagged);
+    std::vector<uint8_t> payload = EncodeSummary(summary);
+    const std::vector<uint8_t> record =
+        EncodeEpochRecord(meta, EncodeTaggedPayload(kTag, payload));
     bytes_written_.fetch_add(record.size(), std::memory_order_relaxed);
-    return storage_->Rewrite(NodeFileName(stream, DyadicNode{0, index}),
-                             record);
+    const DyadicNode leaf{0, index};
+    if (!storage_->Rewrite(NodeFileName(stream, leaf), record)) return false;
+    cache_.Put(NodeKey(stream, leaf), std::move(payload));
+    return true;
   }
 
   bool WriteNodePayload(uint64_t stream, const DyadicNode& node,
@@ -565,15 +581,24 @@ class SummaryStore {
     return storage_->Rewrite(NodeFileName(stream, node), tagged);
   }
 
+  // A node a seal just built: counted, written, then put into the cache
+  // once storage holds it, so the next level up folds it from there.
+  bool WriteThroughNode(uint64_t stream, const DyadicNode& node,
+                        std::vector<uint8_t> payload) {
+    nodes_built_.fetch_add(1, std::memory_order_relaxed);
+    node_merges_.fetch_add(1, std::memory_order_relaxed);
+    if (!WriteNodePayload(stream, node, payload)) return false;
+    cache_.Put(NodeKey(stream, node), std::move(payload));
+    return true;
+  }
+
   // A node over a lost leaf is left unwritten: the seal itself stands,
   // and a later read of the node meets the loss again.
   bool BuildAndWriteNode(uint64_t stream, const DyadicNode& node) {
-    const std::optional<std::vector<uint8_t>> payload =
+    std::optional<std::vector<uint8_t>> payload =
         ComputeNodePayload(stream, node, nullptr);
     if (!payload.has_value()) return true;
-    nodes_built_.fetch_add(1, std::memory_order_relaxed);
-    node_merges_.fetch_add(1, std::memory_order_relaxed);
-    return WriteNodePayload(stream, node, *payload);
+    return WriteThroughNode(stream, node, std::move(*payload));
   }
 
   // The node's canonical payload, computed from its children: the
@@ -603,13 +628,12 @@ class SummaryStore {
   MergedSummaryCache::Payload NodePayload(uint64_t stream,
                                           const DyadicNode& node,
                                           QueryStats* query_stats) {
-    const CacheKey key{stream, CacheEntryKind::kTreeNode, node.level,
-                       node.index};
     bool built = false;
-    MergedSummaryCache::Payload payload = cache_.GetOrBuild(key, [&] {
-      built = true;
-      return LoadOrRebuildNode(stream, node, query_stats);
-    });
+    MergedSummaryCache::Payload payload =
+        cache_.GetOrBuild(NodeKey(stream, node), [&] {
+          built = true;
+          return LoadOrRebuildNode(stream, node, query_stats);
+        });
     if (query_stats != nullptr) {
       if (built) {
         ++query_stats->node_cache_misses;

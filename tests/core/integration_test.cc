@@ -4,6 +4,7 @@
 // deterministic components so accidental behavior changes surface here.
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -39,22 +40,22 @@ TEST(IntegrationTest, FullFrequencyPipelineAgainstExact) {
   const auto stream = Workload();
   const auto shards = PartitionStream(stream, 16, PartitionPolicy::kByValue, 1);
 
-  // Per-shard: bucket-list SpaceSaving (O(1) hot path), converted and
-  // merged with the Cafaro algorithm, queried through TopK.
+  // Per-shard SpaceSaving, merged with the Cafaro algorithm, queried
+  // through TopK.
   ExactCounter exact;
   SpaceSaving merged(200);
   bool first = true;
   for (const auto& shard : shards) {
-    SpaceSavingBucket local(200);
+    SpaceSaving local(200);
     for (uint64_t item : shard) {
       local.Update(item);
       exact.Update(item);
     }
     if (first) {
-      merged = local.ToSpaceSaving();
+      merged = std::move(local);
       first = false;
     } else {
-      merged.MergeCafaro(local.ToSpaceSaving());
+      merged.MergeCafaro(local);
     }
   }
   ASSERT_EQ(merged.n(), exact.n());

@@ -13,7 +13,6 @@
 #include "mergeable/frequency/exact_counter.h"
 #include "mergeable/frequency/misra_gries.h"
 #include "mergeable/frequency/space_saving.h"
-#include "mergeable/frequency/space_saving_bucket.h"
 #include "mergeable/util/random.h"
 
 namespace mergeable {
@@ -109,31 +108,6 @@ TEST(FrequencyFuzzTest, SpaceSavingBoundsAcrossRandomScenarios) {
             << "trial " << trial << " lost k-majority item " << item;
       }
     }
-  }
-}
-
-TEST(FrequencyFuzzTest, BucketAndHeapSpaceSavingAgreeOnRandomStreams) {
-  Rng rng(103);
-  for (int trial = 0; trial < 2000; ++trial) {
-    const int capacity = 2 + static_cast<int>(rng.UniformInt(uint64_t{8}));
-    const auto length = rng.UniformInt(uint64_t{120});
-    SpaceSaving heap(capacity);
-    SpaceSavingBucket bucket(capacity);
-    for (uint64_t i = 0; i < length; ++i) {
-      uint64_t item = rng.UniformInt(uint64_t{12});
-      item = rng.UniformInt(item + 1);
-      heap.Update(item);
-      bucket.Update(item);
-    }
-    ASSERT_EQ(heap.n(), bucket.n());
-    ASSERT_EQ(heap.size(), bucket.size()) << "trial " << trial;
-    ASSERT_EQ(heap.MinCount(), bucket.MinCount()) << "trial " << trial;
-    // Count multisets must match exactly.
-    std::multiset<uint64_t> heap_counts;
-    std::multiset<uint64_t> bucket_counts;
-    for (const Counter& c : heap.Counters()) heap_counts.insert(c.count);
-    for (const Counter& c : bucket.Counters()) bucket_counts.insert(c.count);
-    ASSERT_EQ(heap_counts, bucket_counts) << "trial " << trial;
   }
 }
 

@@ -158,6 +158,57 @@ TEST(DurableStoreTest, SealWritesTheExpectedRecordsInOrder) {
   EXPECT_EQ(durable.writes_attempted(), records);
 }
 
+// A backend that counts the reads reaching it (everything forwards).
+class CountingReadStorage : public Storage {
+ public:
+  explicit CountingReadStorage(Storage* inner) : inner_(inner) {}
+  bool Append(const std::string& file,
+              const std::vector<uint8_t>& bytes) override {
+    return inner_->Append(file, bytes);
+  }
+  bool Rewrite(const std::string& file,
+               const std::vector<uint8_t>& bytes) override {
+    return inner_->Rewrite(file, bytes);
+  }
+  bool Truncate(const std::string& file, uint64_t size) override {
+    return inner_->Truncate(file, size);
+  }
+  std::optional<std::vector<uint8_t>> Read(
+      const std::string& file) const override {
+    ++reads_;
+    return inner_->Read(file);
+  }
+  std::optional<std::vector<uint8_t>> ReadRange(
+      const std::string& file, uint64_t offset,
+      uint64_t length) const override {
+    ++reads_;
+    return inner_->ReadRange(file, offset, length);
+  }
+  std::vector<std::string> List() const override { return inner_->List(); }
+  uint64_t reads() const { return reads_; }
+
+ private:
+  Storage* inner_;
+  mutable uint64_t reads_ = 0;
+};
+
+// A seal writes its leaf and every node it completes through the node
+// cache, so building each node folds bytes already in hand: sealing
+// epochs that complete level-1 to level-3 nodes reads nothing back.
+TEST(DurableStoreTest, SealReadsNothingBack) {
+  constexpr uint64_t kEpochs = 8;
+  MemStorage inner;
+  CountingReadStorage durable(&inner);
+  DurableStore<SpaceSaving> store(&durable, Options());
+  store.Open();
+  const uint64_t reads_at_open = durable.reads();
+  ASSERT_EQ(SealUpTo(store, kEpochs), kEpochs);
+  EXPECT_EQ(store.stats().nodes_built, kEpochs - 1);  // Up to node (3, 0).
+  EXPECT_EQ(durable.reads(), reads_at_open);
+  EXPECT_EQ(store.stats().bytes_read, 0u);
+  EXPECT_EQ(store.cache_stats().misses, 0u);
+}
+
 TEST(DurableStoreTest, SegmentRollKeepsEveryRecordRecoverable) {
   BackendFactory factory(BackendKind::kFile);
   auto storage = factory.Make();

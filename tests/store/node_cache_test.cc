@@ -96,6 +96,56 @@ TEST(StoreCacheTest, EvictionKeepsPayloadAliveForHolders) {
   EXPECT_EQ(*held, Payload(9, 8));                   // ...but still alive.
 }
 
+// Put is the seal's write-through: replacing a resident key keeps one
+// entry per key and exact byte accounting, and counts no lookup.
+TEST(StoreCacheTest, PutOfResidentKeyKeepsSizeAndBytesExact) {
+  MergedSummaryCache cache(4);
+  cache.Put(NodeKey(1, 0, 0), Payload(1, 10));
+  cache.Put(NodeKey(1, 0, 1), Payload(2, 6));
+  cache.Put(NodeKey(1, 0, 0), Payload(3, 4));
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.stats().bytes_cached, 10u);
+  EXPECT_EQ(cache.stats().hits, 0u);
+  EXPECT_EQ(cache.stats().misses, 0u);
+  EXPECT_EQ(cache.stats().bytes_built, 0u);
+  EXPECT_EQ(*cache.Peek(NodeKey(1, 0, 0)), Payload(3, 4));
+  // A build over a Put key (as when a rebuild races a write-through)
+  // replaces it the same way.
+  cache.GetOrBuild(NodeKey(1, 1, 0), [] { return Payload(4, 5); });
+  cache.Put(NodeKey(1, 1, 0), Payload(5, 7));
+  EXPECT_EQ(cache.size(), 3u);
+  EXPECT_EQ(cache.stats().bytes_cached, 17u);
+}
+
+TEST(StoreCacheTest, GetOrBuildAfterPutIsAHitWithoutBuilding) {
+  MergedSummaryCache cache(4);
+  cache.Put(NodeKey(2, 1, 3), Payload(8, 5));
+  bool built = false;
+  const auto got = cache.GetOrBuild(NodeKey(2, 1, 3), [&built] {
+    built = true;
+    return Payload(0, 1);
+  });
+  EXPECT_FALSE(built);
+  EXPECT_EQ(*got, Payload(8, 5));
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(cache.stats().misses, 0u);
+}
+
+TEST(StoreCacheTest, PutBeyondCapacityEvictsTheLruTail) {
+  MergedSummaryCache cache(2);
+  cache.Put(NodeKey(0, 0, 0), Payload(0, 3));
+  cache.Put(NodeKey(0, 0, 1), Payload(1, 3));
+  // Re-putting key 0 refreshes it, so key 1 is the LRU tail.
+  cache.Put(NodeKey(0, 0, 0), Payload(0, 3));
+  cache.Put(NodeKey(0, 0, 2), Payload(2, 3));
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.stats().evictions, 1u);
+  EXPECT_EQ(cache.stats().bytes_cached, 6u);
+  EXPECT_EQ(cache.Peek(NodeKey(0, 0, 1)), nullptr);
+  EXPECT_NE(cache.Peek(NodeKey(0, 0, 0)), nullptr);
+  EXPECT_NE(cache.Peek(NodeKey(0, 0, 2)), nullptr);
+}
+
 // The single-flight contract: many threads racing for one cold key run
 // the builder exactly once and all observe its result.
 TEST(StoreCacheSingleFlightTest, ConcurrentMissesBuildOnce) {

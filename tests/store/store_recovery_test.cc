@@ -359,7 +359,9 @@ TEST(StoreIngestTest, StoreStatsCountSealsAndBuilds) {
   EXPECT_EQ(stats.epochs_sealed, 8u);
   EXPECT_EQ(stats.nodes_built, 7u);  // 8 leaves -> 7 internal nodes.
   EXPECT_GT(stats.bytes_written, 0u);
-  EXPECT_GT(stats.bytes_read, 0u);
+  // Each seal writes its leaf and nodes through the cache, so building
+  // the next level up reads nothing back.
+  EXPECT_EQ(stats.bytes_read, 0u);
 }
 
 }  // namespace
