@@ -140,9 +140,6 @@ PointResult RunPoint(const SweepPoint& point,
   EpochServiceConfig service_config;
   service_config.stream = kStream;
   service_config.shards_per_epoch = point.clients;
-  // Every (shard=client, epoch=i) key is distinct, so the window only
-  // needs to hold the trace; nothing is evicted mid-replay.
-  service_config.dedup_capacity = 1u << 17;
   EpochService<SpaceSaving> service(&store, service_config);
 
   ShardedServerConfig config;

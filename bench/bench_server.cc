@@ -84,7 +84,6 @@ struct Stack {
     EpochServiceConfig config;
     config.stream = kStream;
     config.shards_per_epoch = kMaxClients;
-    config.dedup_capacity = 1 << 16;
     return config;
   }
 };

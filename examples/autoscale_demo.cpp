@@ -104,7 +104,6 @@ bool RunArc() {
   EpochServiceConfig config;
   config.stream = kStream;
   config.shards_per_epoch = kBaseShards;
-  config.dedup_capacity = 256;
   EpochService<SpaceSaving> service(&store, config);
   IngestServer server(&service, ServerConfig{});
   if (!server.Start()) return Fail("server start");

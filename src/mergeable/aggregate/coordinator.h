@@ -43,10 +43,8 @@
 #define MERGEABLE_AGGREGATE_COORDINATOR_H_
 
 #include <algorithm>
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <set>
 #include <string>
@@ -162,22 +160,6 @@ ErrorAccounting AccountErrors(const AggregationResult<S>& result,
                        expected_total_n);
 }
 
-// Execution knobs for in-memory runs. num_threads > 1 parallelizes
-// Run(): shard fetch/decode fans out over a ThreadPool (the transport
-// exchange itself is serialized under a mutex; frame decode, summary
-// decode and validation run concurrently), and a kBalancedTree topology
-// merges via ParallelMergeAll. The result is byte-identical to the
-// sequential run for every thread count: per-shard transport state and
-// (seed, shard, attempt)-keyed fault decisions make fetch outcomes
-// independent of scheduling, accepted summaries are collected in shard
-// order, and the parallel balanced reduction is deterministic by
-// construction (see merge_driver.h). Durable runs ignore num_threads —
-// their left-deep ascending merge order is what makes recovery
-// byte-exact, so it stays canonical and sequential.
-struct CoordinatorOptions {
-  int num_threads = 1;
-};
-
 // Knobs for durable (log + checkpoint) runs.
 struct DurableOptions {
   // Storage file name of the log; the only file a durable run writes.
@@ -276,12 +258,8 @@ class Coordinator {
   // use it to enforce fleet-wide configuration (capacity, seeds) so a
   // stray incompatible report cannot abort the merge.
   Coordinator(uint64_t epoch, BackoffPolicy policy, MergeTopology topology,
-              uint64_t seed = 0, CoordinatorOptions options = {})
-      : epoch_(epoch), policy_(policy), topology_(topology), rng_(seed),
-        coordinator_options_(options) {
-    MERGEABLE_CHECK_MSG(options.num_threads >= 1,
-                        "CoordinatorOptions::num_threads must be >= 1");
-  }
+              uint64_t seed = 0)
+      : epoch_(epoch), policy_(policy), topology_(topology), rng_(seed) {}
 
   void set_validator(bool (*validate)(const S&)) { validate_ = validate; }
 
@@ -309,9 +287,6 @@ class Coordinator {
   // coordinator crash loses the epoch (use RunDurable to survive that).
   AggregationResult<S> Run(Transport& transport, size_t n_shards) {
     ResetEpochState();
-    if (coordinator_options_.num_threads > 1 && n_shards > 1) {
-      return RunParallel(transport, n_shards);
-    }
     AggregationResult<S> result;
     result.shards_total = n_shards;
     result.outcomes.reserve(n_shards);
@@ -464,46 +439,6 @@ class Coordinator {
     S summary;
     std::vector<uint8_t> payload;
   };
-
-  // The parallel in-memory epoch (num_threads > 1). Fetch outcomes land
-  // in per-shard slots and are absorbed in ascending shard order, so
-  // every aggregate (retry counts, accepted vector, merge input order)
-  // matches the sequential loop exactly.
-  AggregationResult<S> RunParallel(Transport& transport,
-                                   size_t n_shards) {
-    AggregationResult<S> result;
-    result.shards_total = n_shards;
-    result.outcomes.reserve(n_shards);
-    ThreadPool pool(coordinator_options_.num_threads);
-    std::mutex transport_mutex;
-    std::vector<std::optional<FetchedReport>> fetched(n_shards);
-    std::vector<ShardOutcome> outcomes(n_shards);
-    pool.ParallelFor(n_shards, [&](size_t shard) {
-      outcomes[shard] = FetchShard(transport, static_cast<uint64_t>(shard),
-                                   &fetched[shard], &transport_mutex);
-    });
-    std::vector<S> accepted;
-    accepted.reserve(n_shards);
-    for (size_t shard = 0; shard < n_shards; ++shard) {
-      AbsorbOutcome(outcomes[shard], &result);
-      if (fetched[shard].has_value()) {
-        accepted.push_back(std::move(fetched[shard]->summary));
-      }
-      result.outcomes.push_back(std::move(outcomes[shard]));
-    }
-    result.shards_received = accepted.size();
-    result.incompatible_rejected = incompatible_;
-    if (!accepted.empty()) {
-      if (topology_ == MergeTopology::kBalancedTree) {
-        result.summary = ParallelMergeAll(std::move(accepted), pool);
-      } else {
-        // Chain and random trees have no scheduling-independent parallel
-        // form; the fetch fan-out above already did the parallel work.
-        result.summary = MergeAll(std::move(accepted), topology_, &rng_);
-      }
-    }
-    return result;
-  }
 
   void ResetEpochState() {
     incompatible_ = 0;
@@ -682,14 +617,9 @@ class Coordinator {
   }
 
   // Runs the retry loop for one shard. On success `fetched` holds the
-  // decoded summary and its canonical payload bytes. `transport_mutex`
-  // (parallel runs) serializes the transport exchange only — decode and
-  // validation stay outside the lock. Per-shard transport state plus
-  // (seed, shard, attempt)-keyed fault decisions make the exchange
-  // results independent of the serialization order.
+  // decoded summary and its canonical payload bytes.
   ShardOutcome FetchShard(Transport& transport, uint64_t shard,
-                          std::optional<FetchedReport>* fetched,
-                          std::mutex* transport_mutex = nullptr) {
+                          std::optional<FetchedReport>* fetched) {
     ShardOutcome outcome;
     outcome.shard_id = shard;
     bool incompatible = false;
@@ -698,13 +628,7 @@ class Coordinator {
       if (outcome.elapsed_ms + backoff > policy_.deadline_ms) break;
       outcome.elapsed_ms += backoff;
       ++outcome.attempts;
-      DeliveryAttempt delivery;
-      if (transport_mutex != nullptr) {
-        std::lock_guard<std::mutex> lock(*transport_mutex);
-        delivery = transport.Deliver(shard, attempt);
-      } else {
-        delivery = transport.Deliver(shard, attempt);
-      }
+      DeliveryAttempt delivery = transport.Deliver(shard, attempt);
       outcome.elapsed_ms +=
           std::min(delivery.latency_ms, policy_.attempt_timeout_ms);
       for (std::vector<uint8_t>& frame : delivery.frames) {
@@ -765,10 +689,8 @@ class Coordinator {
   BackoffPolicy policy_;
   MergeTopology topology_;
   Rng rng_;
-  CoordinatorOptions coordinator_options_;
   bool (*validate_)(const S&) = nullptr;
-  // Atomic: Accept() runs concurrently across shards in parallel runs.
-  std::atomic<uint64_t> incompatible_{0};
+  uint64_t incompatible_ = 0;
 
   // Durable-mode state (see DESIGN.md §8). received_ / lost_ double as
   // the per-epoch dedup and outcome sets; std::set keeps them in shard

@@ -18,8 +18,8 @@
 // with no frame-sized copy. A whole-batch retry-after NACK (the server
 // shed the frame at admission) backs the entire batch off and resends
 // it; per-record retry-after verdicts resend just those records as a
-// follow-up batch. The server's dedup window makes every resend
-// idempotent, batched or not.
+// follow-up batch. The server dedups by each open epoch's admitted
+// shards, which makes every resend idempotent, batched or not.
 
 #ifndef MERGEABLE_SERVER_CLIENT_H_
 #define MERGEABLE_SERVER_CLIENT_H_

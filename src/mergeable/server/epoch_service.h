@@ -2,22 +2,20 @@
 //
 // The server core (ingest_server.h) moves frames; this class gives them
 // meaning. It plays the coordinator's role on the receiving side of the
-// wire: collect one report per (shard, epoch), dedup retries through a
-// bounded window (aggregate/dedup.h), and on SealEpoch() merge the
-// epoch's accepted payloads into one summary that goes into the
-// SummaryStore — in ascending shard order, left-deep, each step a Merge
-// followed by an in-place Canonicalize() (CanonicalMergeInto), the
-// exact merge the durable coordinator performs, so a server-built epoch
-// is byte-identical to a Coordinator-built one over the same reports
-// (the server equivalence test asserts it).
+// wire: each open epoch is one EpochAccumulator (epoch_accumulator.h),
+// which admits one report per shard, answers a retry of an admitted
+// shard with kDuplicate, and on SealEpoch() folds the epoch's reports
+// into one summary for the SummaryStore — in ascending shard order,
+// left-deep, the exact merge the durable coordinator performs, so a
+// server-built epoch is byte-identical to a Coordinator-built one over
+// the same reports (the server equivalence test asserts it).
 //
-// Pending state is flat: each open epoch keeps its decoded reports in a
-// vector in arrival order plus a shard -> position FlatMap
-// (util/flat_map.h). Arrival order is irrelevant to the bytes —
-// SealEpoch sorts by shard before folding — and a key re-admitted after
-// its dedup entry was evicted replaces its report in place (last one
-// wins). An epoch's buffers are sized once, from the shards it expects,
-// so ingest allocates nothing per report beyond the decoded summary.
+// RPT1 and BAT1 frames share one admission step (AdmitLocked): both
+// decode their payloads before taking the mutex, then run the same
+// verdict chain — misrouted or already-sealed epoch, storage degraded,
+// undecodable payload, already-admitted shard, accepted. A retry for a
+// sealed epoch is rejected by the epoch check before dedup is consulted,
+// so dedup memory never outlives the open epochs.
 //
 // Epsilon accounting closes the loop on load shedding: SealEpoch takes
 // the offered mass (what the shards sent, shed or not) and charges
@@ -54,14 +52,13 @@
 // Thread safety: HandleReport/HandleBatch/HandleQuery run on server
 // worker threads; a single mutex serializes them with SealEpoch (the
 // store's own contract requires sealing serialized with queries
-// anyway). The batch path decodes payloads before taking the mutex and
-// applies the whole batch under one acquisition — the lock amortizes
-// with batch size.
+// anyway). Both report paths decode payloads before taking the mutex,
+// and the batch path applies the whole batch under one acquisition —
+// the lock amortizes with batch size.
 
 #ifndef MERGEABLE_SERVER_EPOCH_SERVICE_H_
 #define MERGEABLE_SERVER_EPOCH_SERVICE_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -72,13 +69,12 @@
 #include <vector>
 
 #include "mergeable/aggregate/coordinator.h"
-#include "mergeable/aggregate/dedup.h"
 #include "mergeable/aggregate/wire.h"
+#include "mergeable/server/epoch_accumulator.h"
 #include "mergeable/server/ingest_server.h"
 #include "mergeable/store/query.h"
 #include "mergeable/store/summary_store.h"
 #include "mergeable/util/bytes.h"
-#include "mergeable/util/flat_map.h"
 
 namespace mergeable {
 
@@ -90,7 +86,9 @@ struct EpochServiceConfig {
   // (HandleTopology) override it per epoch from their effective epoch
   // on.
   uint64_t shards_per_epoch = 4;
-  // Dedup window capacity (keys = in-flight (shard, epoch) pairs).
+  // No longer has any effect: dedup is each open epoch's shard index,
+  // freed when the epoch seals. Kept declared only because perfbench
+  // still sets it; it goes with the next perfbench change.
   size_t dedup_capacity = 1024;
   // Virtual per-node merge cost charged against a query's deadline
   // budget; 0 disables deadline enforcement (tests crank it up to force
@@ -138,7 +136,7 @@ template <WireSummary S, typename StoreT = SummaryStore<S>>
 class EpochService : public FrameHandler {
  public:
   EpochService(StoreT* store, EpochServiceConfig config)
-      : store_(store), config_(config), dedup_(config.dedup_capacity) {
+      : store_(store), config_(config) {
     MERGEABLE_CHECK_MSG(store != nullptr, "EpochService needs a store");
     MERGEABLE_CHECK_MSG(config.shards_per_epoch >= 1,
                         "EpochService needs at least one shard");
@@ -173,47 +171,14 @@ class EpochService : public FrameHandler {
     }
     control.shard_id = report->shard_id;
     control.epoch = report->epoch;
+    std::optional<S> summary = DecodePayload(report->payload.data(),
+                                             report->payload.size());
 
     std::lock_guard<std::mutex> lock(mu_);
-    if (report->epoch < next_epoch_ ||
-        report->shard_id >= ShardsForEpochLocked(report->epoch)) {
-      // Misrouted shard, or a straggler for an epoch already sealed —
-      // resending cannot help either one.
-      control.code = ControlCode::kRejected;
-      ++stats_.reports_rejected;
-      return EncodeControlFrame(control);
-    }
-    if (storage_degraded_) {
-      // Disk pressure: shed before dedup admission so the client's
-      // retry (post-backoff) is not misclassified as a duplicate. The
-      // shard keeps the report; its mass is only lost if the epoch
-      // seals before the disk recovers — and then it is counted lost.
-      control.code = ControlCode::kRetryAfter;
+    control.code = AdmitLocked(report->epoch, report->shard_id, summary);
+    if (control.code == ControlCode::kRetryAfter) {
       control.retry_after_ms = config_.storage_retry_after_ms;
-      ++stats_.reports_shed_storage;
-      return EncodeControlFrame(control);
     }
-    // Validate the payload decodes as this service's summary type
-    // before dedup admission: a corrupt payload acked now would abort
-    // the seal later, long after the client stopped listening — and a
-    // rejected payload must not poison its (shard, epoch) dedup key, or
-    // the shard's corrected retry would be misread as a duplicate and
-    // its mass silently lost.
-    ByteReader reader(report->payload);
-    std::optional<S> summary = S::DecodeFrom(reader);
-    if (!summary.has_value() || !reader.Exhausted()) {
-      control.code = ControlCode::kRejected;
-      ++stats_.reports_rejected;
-      return EncodeControlFrame(control);
-    }
-    if (!dedup_.Admit(report->shard_id, report->epoch)) {
-      control.code = ControlCode::kDuplicate;
-      ++stats_.reports_duplicate;
-      return EncodeControlFrame(control);
-    }
-    AddPendingLocked(report->epoch, report->shard_id, std::move(*summary));
-    control.code = ControlCode::kAccepted;
-    ++stats_.reports_accepted;
     return EncodeControlFrame(control);
   }
 
@@ -223,8 +188,7 @@ class EpochService : public FrameHandler {
   // 256-report batch costs one lock round instead of 256. Verdicts come
   // back per record, in record order; a duplicate batch replayed after
   // a lost verdict answers kDuplicate on every record and counts
-  // nothing twice (the dedup window is consulted exactly as the
-  // single-report path does).
+  // nothing twice (each record takes the single-report admission step).
   std::vector<uint8_t> HandleBatch(
       const std::vector<uint8_t>& frame) override {
     // Zero-copy view: every payload is decoded straight out of the
@@ -241,37 +205,17 @@ class EpochService : public FrameHandler {
     std::vector<std::optional<S>> summaries;
     summaries.reserve(records.size());
     for (const BatchRecordView& record : records) {
-      ByteReader reader(record.payload, record.payload_len);
-      std::optional<S> summary = S::DecodeFrom(reader);
-      if (summary.has_value() && !reader.Exhausted()) summary.reset();
-      summaries.push_back(std::move(summary));
+      summaries.push_back(DecodePayload(record.payload, record.payload_len));
     }
     verdict.codes.reserve(records.size());
 
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.batches_handled;
     for (size_t i = 0; i < records.size(); ++i) {
-      const BatchRecordView& record = records[i];
-      ControlCode code;
-      if (record.epoch < next_epoch_ ||
-          record.shard_id >= ShardsForEpochLocked(record.epoch)) {
-        code = ControlCode::kRejected;
-        ++stats_.reports_rejected;
-      } else if (storage_degraded_) {
-        code = ControlCode::kRetryAfter;
+      const ControlCode code =
+          AdmitLocked(records[i].epoch, records[i].shard_id, summaries[i]);
+      if (code == ControlCode::kRetryAfter) {
         verdict.retry_after_ms = config_.storage_retry_after_ms;
-        ++stats_.reports_shed_storage;
-      } else if (!summaries[i].has_value()) {
-        code = ControlCode::kRejected;
-        ++stats_.reports_rejected;
-      } else if (!dedup_.Admit(record.shard_id, record.epoch)) {
-        code = ControlCode::kDuplicate;
-        ++stats_.reports_duplicate;
-      } else {
-        AddPendingLocked(record.epoch, record.shard_id,
-                         std::move(*summaries[i]));
-        code = ControlCode::kAccepted;
-        ++stats_.reports_accepted;
       }
       verdict.codes.push_back(code);
     }
@@ -372,20 +316,10 @@ class EpochService : public FrameHandler {
     // Drop admitted reports the new topology orphans. Later epochs may
     // sit under a *different* (later) announcement, so the bound is
     // recomputed per epoch, not taken from this frame.
-    for (auto epoch_it = pending_.lower_bound(topology->effective_epoch);
-         epoch_it != pending_.end(); ++epoch_it) {
-      const uint64_t shards = ShardsForEpochLocked(epoch_it->first);
-      PendingEpoch& pending = epoch_it->second;
-      const size_t dropped = std::erase_if(
-          pending.reports,
-          [shards](const auto& report) { return report.first >= shards; });
-      if (dropped == 0) continue;
-      stats_.reports_dropped_topology += dropped;
-      pending.slot_of.Clear();
-      for (size_t i = 0; i < pending.reports.size(); ++i) {
-        pending.slot_of.Insert(pending.reports[i].first,
-                               static_cast<uint32_t>(i));
-      }
+    for (auto it = pending_.lower_bound(topology->effective_epoch);
+         it != pending_.end(); ++it) {
+      stats_.reports_dropped_topology +=
+          it->second.DropShardsFrom(ShardsForEpochLocked(it->first));
     }
     control.code = ControlCode::kAccepted;
     ++stats_.topology_accepted;
@@ -413,27 +347,11 @@ class EpochService : public FrameHandler {
     AggregationResult<S> result;
     result.shards_total = ShardsForEpochLocked(epoch);
     if (it != pending_.end()) {
-      std::vector<std::pair<uint64_t, S>>& reports = it->second.reports;
-      // (shard, position), sorted: the fold order without moving a
-      // summary.
-      std::vector<std::pair<uint64_t, uint32_t>> order;
-      order.reserve(reports.size());
-      for (size_t i = 0; i < reports.size(); ++i) {
-        order.emplace_back(reports[i].first, static_cast<uint32_t>(i));
-      }
-      std::sort(order.begin(), order.end());
-      for (const auto& [shard, index] : order) {
-        S& summary = reports[index].second;
-        ++result.shards_received;
-        if (result.summary.has_value()) {
-          CanonicalMergeInto(*result.summary, summary);
-        } else {
-          result.summary = CanonicalForm(std::move(summary));
-        }
-      }
+      result = std::move(it->second).Seal(result.shards_total);
     }
     // Epochs at or below the seal point can never be admitted again
-    // (HandleReport rejects them), so their pending state is dead.
+    // (AdmitLocked rejects them), so their pending state — dedup
+    // included — is dead.
     pending_.erase(pending_.begin(), pending_.upper_bound(epoch));
     next_epoch_ = epoch + 1;
     GcTopologyLocked();
@@ -467,16 +385,8 @@ class EpochService : public FrameHandler {
   size_t pending_reports() const {
     std::lock_guard<std::mutex> lock(mu_);
     size_t n = 0;
-    for (const auto& [epoch, pending] : pending_) n += pending.reports.size();
+    for (const auto& [epoch, pending] : pending_) n += pending.size();
     return n;
-  }
-  size_t dedup_size() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return dedup_.size();
-  }
-  uint64_t dedup_evictions() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return dedup_.evictions();
   }
   EpochServiceStats stats() const {
     std::lock_guard<std::mutex> lock(mu_);
@@ -504,39 +414,50 @@ class EpochService : public FrameHandler {
     uint64_t offered_n = 0;
   };
 
-  // One open epoch's admitted reports, in arrival order, and where each
-  // shard's report sits in `reports`.
-  struct PendingEpoch {
-    std::vector<std::pair<uint64_t, S>> reports;  // (shard, summary)
-    FlatMap<uint32_t> slot_of;
-  };
+  // `payload` decoded as this service's summary type, or nullopt when it
+  // does not decode or leaves trailing bytes.
+  static std::optional<S> DecodePayload(const uint8_t* payload,
+                                        size_t size) {
+    ByteReader reader(payload, size);
+    std::optional<S> summary = S::DecodeFrom(reader);
+    if (summary.has_value() && !reader.Exhausted()) summary.reset();
+    return summary;
+  }
 
-  // Cap on pre-sizing an epoch's buffers: the shard count can come off
-  // the wire (TOP1), so it must not drive the allocation alone.
-  static constexpr uint64_t kPendingReserveCap = uint64_t{1} << 13;
-
-  // Records an admitted report. A shard already pending for the epoch
-  // (re-admitted after its dedup entry was evicted) is replaced: the
-  // last report wins, as a retry carries the same payload.
-  void AddPendingLocked(uint64_t epoch, uint64_t shard, S summary) {
-    auto it = pending_.find(epoch);
-    if (it == pending_.end()) {
-      // Sized for the shards the epoch expects, so filling it never
-      // reallocates (peak memory stays at one copy of the reports).
-      it = pending_.try_emplace(epoch).first;
-      const size_t expected = static_cast<size_t>(
-          std::min(ShardsForEpochLocked(epoch), kPendingReserveCap));
-      it->second.reports.reserve(expected);
-      it->second.slot_of.Reserve(expected);
+  // The one admission step of RPT1 and BAT1: the report's verdict, with
+  // its counter bumped. An accepted `summary` is moved into its epoch's
+  // accumulator.
+  ControlCode AdmitLocked(uint64_t epoch, uint64_t shard,
+                          std::optional<S>& summary) {
+    const uint64_t shards = ShardsForEpochLocked(epoch);
+    if (epoch < next_epoch_ || shard >= shards) {
+      // Misrouted shard, or a straggler for an epoch already sealed —
+      // resending cannot help either one.
+      ++stats_.reports_rejected;
+      return ControlCode::kRejected;
     }
-    PendingEpoch& pending = it->second;
-    if (const uint32_t* slot = pending.slot_of.Find(shard)) {
-      pending.reports[*slot].second = std::move(summary);
-      return;
+    if (storage_degraded_) {
+      // Disk pressure: shed before dedup so the client's retry (post-
+      // backoff) is not misclassified as a duplicate. The shard keeps
+      // the report; its mass is only lost if the epoch seals before the
+      // disk recovers — and then it is counted lost.
+      ++stats_.reports_shed_storage;
+      return ControlCode::kRetryAfter;
     }
-    pending.slot_of.Insert(shard,
-                           static_cast<uint32_t>(pending.reports.size()));
-    pending.reports.emplace_back(shard, std::move(summary));
+    if (!summary.has_value()) {
+      // Validated before dedup: a corrupt payload acked now would abort
+      // the seal later, and a rejected payload must not take its shard's
+      // slot, or the corrected retry would be misread as a duplicate.
+      ++stats_.reports_rejected;
+      return ControlCode::kRejected;
+    }
+    if (!pending_.try_emplace(epoch, shards)
+             .first->second.Add(shard, std::move(*summary))) {
+      ++stats_.reports_duplicate;
+      return ControlCode::kDuplicate;
+    }
+    ++stats_.reports_accepted;
+    return ControlCode::kAccepted;
   }
 
   // Beyond the buffer cap, drop payloads (oldest kept intact — they
@@ -603,10 +524,9 @@ class EpochService : public FrameHandler {
   EpochServiceConfig config_;
 
   mutable std::mutex mu_;
-  DedupWindow dedup_;
   // Open epochs, ascending (a handful: the ones between the seal point
   // and the newest report).
-  std::map<uint64_t, PendingEpoch> pending_;
+  std::map<uint64_t, EpochAccumulator<S>> pending_;
   // effective_epoch -> shard count, from accepted TOP1 announcements.
   // Ordered: ShardsForEpochLocked takes the latest entry <= the epoch.
   std::map<uint64_t, uint64_t> topology_;

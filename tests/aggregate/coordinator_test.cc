@@ -19,7 +19,6 @@
 #include "mergeable/quantiles/mergeable_quantiles.h"
 #include "mergeable/stream/generators.h"
 #include "mergeable/stream/partition.h"
-#include "mergeable/util/bytes.h"
 
 namespace mergeable {
 namespace {
@@ -268,113 +267,6 @@ TEST(CoordinatorTest, IncompatibleSummariesAreRejectedNotMerged) {
   EXPECT_EQ(result.incompatible_rejected, 1u);
   ASSERT_TRUE(result.summary.has_value());
   EXPECT_EQ(result.summary->n(), 1u);
-}
-
-// ---- Parallel Run (CoordinatorOptions::num_threads > 1) ----
-//
-// Parallelism must be invisible in the result: fault decisions are keyed
-// by (seed, shard, attempt) and shards are absorbed in ascending order,
-// so a parallel run is field-for-field and byte-for-byte identical to
-// the sequential run over an identically-built transport.
-
-template <typename S>
-std::vector<uint8_t> EncodedSummary(const AggregationResult<S>& result) {
-  ByteWriter writer;
-  result.summary->EncodeTo(writer);
-  return writer.TakeBytes();
-}
-
-template <typename S>
-void ExpectSameResult(const AggregationResult<S>& actual,
-                      const AggregationResult<S>& expected) {
-  ASSERT_EQ(actual.summary.has_value(), expected.summary.has_value());
-  if (expected.summary.has_value()) {
-    EXPECT_EQ(EncodedSummary(actual), EncodedSummary(expected));
-  }
-  EXPECT_EQ(actual.shards_total, expected.shards_total);
-  EXPECT_EQ(actual.shards_received, expected.shards_received);
-  EXPECT_EQ(actual.retries, expected.retries);
-  EXPECT_EQ(actual.duplicates_rejected, expected.duplicates_rejected);
-  EXPECT_EQ(actual.malformed_rejected, expected.malformed_rejected);
-  EXPECT_EQ(actual.incompatible_rejected, expected.incompatible_rejected);
-  ASSERT_EQ(actual.outcomes.size(), expected.outcomes.size());
-  for (size_t i = 0; i < expected.outcomes.size(); ++i) {
-    EXPECT_EQ(actual.outcomes[i].shard_id, expected.outcomes[i].shard_id);
-    EXPECT_EQ(actual.outcomes[i].status, expected.outcomes[i].status);
-    EXPECT_EQ(actual.outcomes[i].attempts, expected.outcomes[i].attempts);
-    EXPECT_EQ(actual.outcomes[i].malformed, expected.outcomes[i].malformed);
-    EXPECT_EQ(actual.outcomes[i].duplicates,
-              expected.outcomes[i].duplicates);
-  }
-}
-
-AggregationResult<SpaceSaving> RunWithThreads(
-    const std::vector<std::vector<uint64_t>>& shards, const FaultPlan& plan,
-    int num_threads, MergeTopology topology = MergeTopology::kBalancedTree) {
-  SimulatedTransport transport{plan};
-  SubmitSpaceSavingReports(transport, shards);
-  BackoffPolicy policy = TestPolicy();
-  policy.max_attempts = 8;
-  CoordinatorOptions options;
-  options.num_threads = num_threads;
-  Coordinator<SpaceSaving> coordinator(kEpoch, policy, topology,
-                                       /*seed=*/3, options);
-  return coordinator.Run(transport, kShards);
-}
-
-TEST(CoordinatorParallelTest, HealthyRunMatchesSequential) {
-  const auto shards = TestShards();
-  const auto sequential = RunWithThreads(shards, FaultPlan(), 1);
-  ASSERT_TRUE(sequential.summary.has_value());
-  for (int threads : {2, 8}) {
-    ExpectSameResult(RunWithThreads(shards, FaultPlan(), threads),
-                     sequential);
-  }
-}
-
-TEST(CoordinatorParallelTest, FaultyRunMatchesSequential) {
-  const auto shards = TestShards();
-  FaultSpec spec;
-  spec.drop_probability = 0.3;
-  spec.bit_flip_probability = 0.2;
-  spec.duplicate_probability = 0.2;
-  const FaultPlan plan(spec, 17);
-  const auto sequential = RunWithThreads(shards, plan, 1);
-  EXPECT_GT(sequential.retries, 0u);
-  for (int threads : {2, 8}) {
-    ExpectSameResult(RunWithThreads(shards, plan, threads), sequential);
-  }
-}
-
-TEST(CoordinatorParallelTest, PermanentShardLossMatchesSequential) {
-  const auto shards = TestShards();
-  FaultPlan plan;
-  plan.KillShard(2);
-  plan.KillShard(9);
-  const auto sequential = RunWithThreads(shards, plan, 1);
-  EXPECT_EQ(sequential.shards_received, kShards - 2);
-  ExpectSameResult(RunWithThreads(shards, plan, 8), sequential);
-}
-
-TEST(CoordinatorParallelTest, NonTreeTopologyKeepsCanonicalMergeOrder) {
-  // Parallel fetch is allowed for any topology; only kBalancedTree uses
-  // the parallel reduction, the others merge sequentially in canonical
-  // order and must still match byte-for-byte.
-  const auto shards = TestShards();
-  const auto sequential =
-      RunWithThreads(shards, FaultPlan(), 1, MergeTopology::kLeftDeepChain);
-  ExpectSameResult(
-      RunWithThreads(shards, FaultPlan(), 8, MergeTopology::kLeftDeepChain),
-      sequential);
-}
-
-TEST(CoordinatorParallelDeathTest, ZeroThreadsAborts) {
-  CoordinatorOptions options;
-  options.num_threads = 0;
-  EXPECT_DEATH(Coordinator<SpaceSaving>(kEpoch, TestPolicy(),
-                                        MergeTopology::kBalancedTree, 0,
-                                        options),
-               "num_threads");
 }
 
 TEST(CoordinatorTest, DeadlineStopsRetrying) {

@@ -71,7 +71,6 @@ EpochServiceConfig TestService() {
   EpochServiceConfig config;
   config.stream = kStream;
   config.shards_per_epoch = kShards;
-  config.dedup_capacity = 64;
   return config;
 }
 

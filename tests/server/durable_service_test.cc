@@ -50,7 +50,6 @@ EpochServiceConfig ServiceConfig() {
   EpochServiceConfig config;
   config.stream = kStream;
   config.shards_per_epoch = kShards;
-  config.dedup_capacity = 128;
   config.storage_retry_after_ms = 7;
   return config;
 }

@@ -69,7 +69,6 @@ struct Harness {
     EpochServiceConfig config;
     config.stream = kStream;
     config.shards_per_epoch = base_shards;
-    config.dedup_capacity = 256;
     return config;
   }
 };
@@ -219,6 +218,49 @@ TEST(RebalanceServiceTest, MidEpochShrinkDropsOrphanedReports) {
   EXPECT_EQ(answer->lost_mass, offered - surviving);
   EXPECT_DOUBLE_EQ(answer->coverage, 1.0);  // 2 of 2 expected shards.
   harness.server.Stop();
+}
+
+// The shrink drops shard 3's report and with it the shard's dedup
+// state: when a second announcement grows the same open epoch back, the
+// shard's resend is a new admission, not a duplicate of a report that no
+// longer exists. Driven on the service directly, no sockets.
+TEST(RebalanceServiceTest, ShrinkThenRegrowReadmitsTheDroppedShard) {
+  Harness harness(/*base_shards=*/4);
+  EpochService<SpaceSaving>& service = harness.service;
+  const auto report_verdict = [&service](uint64_t shard) {
+    WireReport report;
+    report.shard_id = shard;
+    report.epoch = 0;
+    report.payload = EncodeSummary(ShardSummary(0, shard, 4));
+    const std::optional<WireControl> control =
+        DecodeControlFrame(service.HandleReport(EncodeReportFrame(report)));
+    return control.has_value() ? control->code : ControlCode::kRejected;
+  };
+  const auto topology_verdict = [&service](uint64_t shard_count) {
+    WireTopology topology;
+    topology.effective_epoch = 0;
+    topology.shard_count = shard_count;
+    const std::optional<WireControl> control = DecodeControlFrame(
+        service.HandleTopology(EncodeTopologyFrame(topology)));
+    return control.has_value() ? control->code : ControlCode::kRejected;
+  };
+
+  for (uint64_t shard = 0; shard < 4; ++shard) {
+    ASSERT_EQ(report_verdict(shard), ControlCode::kAccepted);
+  }
+  ASSERT_EQ(topology_verdict(2), ControlCode::kAccepted);
+  ASSERT_EQ(service.pending_reports(), 2u);
+  ASSERT_EQ(topology_verdict(4), ControlCode::kAccepted);
+
+  EXPECT_EQ(report_verdict(3), ControlCode::kAccepted);
+  EXPECT_EQ(service.pending_reports(), 3u);
+  EXPECT_EQ(service.stats().reports_duplicate, 0u);
+
+  ASSERT_TRUE(service.SealEpoch(0, 0));
+  const std::vector<EpochMeta>& metas = harness.store.Metas(kStream);
+  ASSERT_EQ(metas.size(), 1u);
+  EXPECT_EQ(metas[0].shards_total, 4u);
+  EXPECT_EQ(metas[0].shards_received, 3u);
 }
 
 TEST(RebalanceServiceTest, SealedEpochsRefuseRedenomination) {

@@ -1,7 +1,7 @@
 // EpochService seals the same bytes whatever order its reports arrived
 // in. The subject sees shards in reverse and interleaved across two open
-// epochs, one report re-admitted after its dedup entry was evicted, and
-// a mid-epoch TOP1 announcement that drops already-admitted shards. The
+// epochs, a differing resend of an admitted report, and a mid-epoch TOP1
+// announcement that drops already-admitted shards. The
 // reference is the plainest service possible: one report per frame,
 // ascending shard order, only the shards that survive. Sealed leaves,
 // range answers and epoch metadata must match byte for byte.
@@ -25,8 +25,8 @@ namespace {
 constexpr uint64_t kStream = 1;
 constexpr double kEpsilon = 0.05;
 
-// `variant` changes the content, so a re-admitted report that differs
-// from the first one shows which of the two the seal kept.
+// `variant` changes the content, so a resend that differs from the
+// first report shows which of the two the seal kept.
 SpaceSaving ShardSummary(uint64_t epoch, uint64_t shard, uint64_t variant) {
   SpaceSaving summary = SpaceSaving::ForEpsilon(kEpsilon);
   Rng rng(10000 * variant + 100 * epoch + shard);
@@ -66,11 +66,10 @@ void SendBatchAllAccepted(EpochService<SpaceSaving>& service,
   }
 }
 
-EpochServiceConfig Config(uint64_t shards, size_t dedup_capacity) {
+EpochServiceConfig Config(uint64_t shards) {
   EpochServiceConfig config;
   config.stream = kStream;
   config.shards_per_epoch = shards;
-  config.dedup_capacity = dedup_capacity;
   return config;
 }
 
@@ -100,8 +99,7 @@ TEST(SealOrderTest, OutOfOrderArrivalSealsLikeAscendingSingleReports) {
 
   MemStorage subject_storage;
   SummaryStore<SpaceSaving> subject_store(&subject_storage, Options());
-  // Capacity 4: the window forgets a key four admissions later.
-  EpochService<SpaceSaving> subject(&subject_store, Config(6, 4));
+  EpochService<SpaceSaving> subject(&subject_store, Config(6));
 
   // Reverse and interleaved: epoch 1 opens before epoch 0 is complete.
   SendBatchAllAccepted(subject, {Report(0, 5), Report(1, 4), Report(0, 3)});
@@ -110,12 +108,11 @@ TEST(SealOrderTest, OutOfOrderArrivalSealsLikeAscendingSingleReports) {
   SendBatchAllAccepted(subject, {Report(0, 4), Report(1, 0), Report(0, 0),
                                  Report(1, 5)});
   EXPECT_EQ(subject.pending_reports(), 9u);
-  EXPECT_GT(subject.dedup_evictions(), 0u);
 
-  // (0, 3) left the dedup window five admissions ago, so a resend is
-  // admitted again and replaces the pending report: the last one wins.
+  // (0, 3) is still pending, so a resend is a duplicate however long ago
+  // it was admitted, and it replaces nothing: the first report wins.
   EXPECT_EQ(SendReport(subject, Report(0, 3, /*variant=*/1)),
-            ControlCode::kAccepted);
+            ControlCode::kDuplicate);
   EXPECT_EQ(subject.pending_reports(), 9u);
 
   // Mid-epoch scale-in to 5 shards from epoch 0: shard 5's reports in
@@ -140,11 +137,10 @@ TEST(SealOrderTest, OutOfOrderArrivalSealsLikeAscendingSingleReports) {
 
   MemStorage reference_storage;
   SummaryStore<SpaceSaving> reference_store(&reference_storage, Options());
-  EpochService<SpaceSaving> reference(&reference_store, Config(5, 1024));
+  EpochService<SpaceSaving> reference(&reference_store, Config(5));
   for (uint64_t epoch = 0; epoch < 2; ++epoch) {
     for (uint64_t shard = 0; shard < 5; ++shard) {
-      const uint64_t variant = epoch == 0 && shard == 3 ? 1 : 0;
-      EXPECT_EQ(SendReport(reference, Report(epoch, shard, variant)),
+      EXPECT_EQ(SendReport(reference, Report(epoch, shard)),
                 ControlCode::kAccepted);
     }
     ASSERT_TRUE(reference.SealEpoch(epoch, kOffered));

@@ -68,7 +68,6 @@ struct Harness {
     EpochServiceConfig config;
     config.stream = kStream;
     config.shards_per_epoch = kShards;
-    config.dedup_capacity = 64;
     return config;
   }
 };
@@ -140,10 +139,16 @@ TEST(ServerTest, DuplicateReportsAreAbsorbedOnce) {
   EXPECT_EQ(harness.service.pending_reports(), 1u);
   EXPECT_EQ(harness.service.stats().reports_accepted, 1u);
   EXPECT_EQ(harness.service.stats().reports_duplicate, 50u);
-  EXPECT_LE(harness.service.dedup_size(), 64u);
+  // The storm held no state beyond the one pending report, and the
+  // sealed epoch counts it once.
+  ASSERT_TRUE(harness.service.SealEpoch(0, summary.n()));
+  EXPECT_EQ(harness.service.pending_reports(), 0u);
+  ASSERT_EQ(harness.store.Metas(kStream).size(), 1u);
+  EXPECT_EQ(harness.store.Metas(kStream)[0].shards_received, 1u);
+  EXPECT_EQ(harness.store.Metas(kStream)[0].n, summary.n());
 }
 
-TEST(ServerTest, DedupWindowStaysBoundedAcrossEpochs) {
+TEST(ServerTest, DedupStateIsFreedAtSeal) {
   Harness harness;
   ASSERT_TRUE(harness.server.Start());
   IngestClient client(harness.server.port());
@@ -159,9 +164,20 @@ TEST(ServerTest, DedupWindowStaysBoundedAcrossEpochs) {
     harness.server.Drain();
     harness.service.SealEpoch(epoch, 0);
   }
-  // 240 distinct keys passed through a 64-key window.
-  EXPECT_LE(harness.service.dedup_size(), 64u);
-  EXPECT_GT(harness.service.dedup_evictions(), 0u);
+  // 240 distinct keys were admitted; none outlives its epoch's seal.
+  EXPECT_EQ(harness.service.pending_reports(), 0u);
+  EXPECT_EQ(harness.service.stats().reports_accepted, 40 * kShards);
+  // A resend for a sealed epoch is rejected by the epoch check, not
+  // remembered as a duplicate.
+  WireReport resend;
+  resend.shard_id = 0;
+  resend.epoch = 39;
+  resend.payload = EncodeSummary(ShardSummary(39, 0, 20));
+  EXPECT_EQ(client.SendReport(resend, FastPolicy()), SendStatus::kRejected);
+  harness.server.Drain();
+  EXPECT_EQ(harness.service.stats().reports_duplicate, 0u);
+  EXPECT_EQ(harness.service.stats().reports_rejected, 1u);
+  EXPECT_EQ(harness.service.pending_reports(), 0u);
 }
 
 TEST(ServerTest, MalformedAndMisroutedReportsAreRejected) {
