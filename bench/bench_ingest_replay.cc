@@ -34,7 +34,7 @@
 #include "mergeable/server/client.h"
 #include "mergeable/server/epoch_service.h"
 #include "mergeable/server/sharded_server.h"
-#include "mergeable/store/summary_store.h"
+#include "mergeable/store/durable_store.h"
 #include "mergeable/stream/zipf.h"
 #include "mergeable/util/check.h"
 #include "mergeable/util/random.h"
@@ -133,10 +133,10 @@ BackoffPolicy ReplayPolicy() {
 PointResult RunPoint(const SweepPoint& point,
                      const std::vector<std::vector<uint8_t>>& pool) {
   MemStorage storage;
-  SummaryStore<SpaceSaving> store(&storage, StoreOptions{.prefix = "store",
-                                                         .cache_capacity = 64,
-                                                         .epsilon = 0.25,
-                                                         .num_threads = 1});
+  DurableStoreOptions store_options;
+  store_options.store.cache_capacity = 64;
+  store_options.store.epsilon = 0.25;
+  DurableStore<SpaceSaving> store(&storage, store_options);
   EpochServiceConfig service_config;
   service_config.stream = kStream;
   service_config.shards_per_epoch = point.clients;

@@ -28,7 +28,7 @@
 #include "mergeable/server/client.h"
 #include "mergeable/server/epoch_service.h"
 #include "mergeable/server/ingest_server.h"
-#include "mergeable/store/summary_store.h"
+#include "mergeable/store/durable_store.h"
 #include "mergeable/util/check.h"
 #include "mergeable/util/random.h"
 
@@ -66,18 +66,22 @@ BackoffPolicy RetryPolicy() {
 // One full service stack listening on an ephemeral loopback port.
 struct Stack {
   MemStorage storage;
-  SummaryStore<SpaceSaving> store;
+  DurableStore<SpaceSaving> store;
   EpochService<SpaceSaving> service;
   IngestServer server;
 
   explicit Stack(const ServerConfig& config)
-      : store(&storage, StoreOptions{.prefix = "store",
-                                     .cache_capacity = 64,
-                                     .epsilon = kEpsilon,
-                                     .num_threads = 1}),
+      : store(&storage, StoreConfig()),
         service(&store, ServiceConfig()),
         server(&service, config) {
     MERGEABLE_CHECK_MSG(server.Start(), "server failed to start");
+  }
+
+  static DurableStoreOptions StoreConfig() {
+    DurableStoreOptions options;
+    options.store.cache_capacity = 64;
+    options.store.epsilon = kEpsilon;
+    return options;
   }
 
   static EpochServiceConfig ServiceConfig() {

@@ -1,5 +1,5 @@
 // Experiment E12 — serving range queries from the summary store
-// (DESIGN.md §10).
+// (DESIGN.md §10), a DurableStore over MemStorage.
 //
 // The store precomputes a dyadic merge tree over sealed epochs, so any
 // [t1, t2] range is answered by merging <= 2*log2(n) canonical node
@@ -29,9 +29,9 @@
 #include "bench_util.h"
 #include "mergeable/aggregate/storage.h"
 #include "mergeable/frequency/space_saving.h"
+#include "mergeable/store/durable_store.h"
 #include "mergeable/store/epoch_meta.h"
 #include "mergeable/store/query.h"
-#include "mergeable/store/summary_store.h"
 #include "mergeable/stream/generators.h"
 #include "mergeable/util/check.h"
 #include "mergeable/util/random.h"
@@ -73,9 +73,10 @@ EpochMeta FullMeta(uint64_t epoch) {
   return meta;
 }
 
-// Seals `epochs` summaries into `storage` under the store prefix.
-void SealAll(Storage* storage, uint64_t epochs, const StoreOptions& options) {
-  SummaryStore<SpaceSaving> store(storage, options);
+// Seals `epochs` summaries into the segment log on `storage`.
+void SealAll(Storage* storage, uint64_t epochs,
+             const DurableStoreOptions& options) {
+  DurableStore<SpaceSaving> store(storage, options);
   for (uint64_t epoch = 0; epoch < epochs; ++epoch) {
     MERGEABLE_CHECK_MSG(store.Seal(kStream, EpochSummary(epoch),
                                    FullMeta(epoch)),
@@ -85,7 +86,8 @@ void SealAll(Storage* storage, uint64_t epochs, const StoreOptions& options) {
 
 // Table 1: cost of one range query as a function of range length —
 // dyadic cover size and merge count against the naive per-epoch fold,
-// cold latency (nothing cached) and warm latency (answer memoized).
+// cold latency (a freshly opened store: only Open()'s pre-warm of the
+// full-range cover is cached) and warm latency (answer memoized).
 void SweepRangeLength(const MemStorage& sealed, uint64_t epochs) {
   PrintHeader("range query vs length, " + std::to_string(epochs) + " epochs",
               {"range len", "nodes", "merges", "naive merges", "cold ms",
@@ -100,10 +102,11 @@ void SweepRangeLength(const MemStorage& sealed, uint64_t epochs) {
     const uint64_t hi = lo + len - 1;
 
     MemStorage storage = sealed;  // Fresh copy: cold storage, cold cache.
-    StoreOptions options;
-    options.epsilon = kEpsilon;
-    SummaryStore<SpaceSaving> store(&storage, options);
-    MERGEABLE_CHECK_MSG(store.Open() == 1, "store must recover the stream");
+    DurableStoreOptions options;
+    options.store.epsilon = kEpsilon;
+    DurableStore<SpaceSaving> store(&storage, options);
+    MERGEABLE_CHECK_MSG(store.Open().streams == 1,
+                        "store must recover the stream");
 
     const auto cold_start = std::chrono::steady_clock::now();
     const auto cold = store.QueryRangePayload(kStream, lo, hi);
@@ -140,11 +143,12 @@ struct WorkloadResult {
 WorkloadResult RunWorkload(const MemStorage& sealed, uint64_t epochs,
                            size_t cache_capacity, uint64_t queries) {
   MemStorage storage = sealed;
-  StoreOptions options;
-  options.epsilon = kEpsilon;
-  options.cache_capacity = cache_capacity;
-  SummaryStore<SpaceSaving> store(&storage, options);
-  MERGEABLE_CHECK_MSG(store.Open() == 1, "store must recover the stream");
+  DurableStoreOptions options;
+  options.store.epsilon = kEpsilon;
+  options.store.cache_capacity = cache_capacity;
+  DurableStore<SpaceSaving> store(&storage, options);
+  MERGEABLE_CHECK_MSG(store.Open().streams == 1,
+                      "store must recover the stream");
 
   Rng rng(7);  // Same workload for every capacity.
   WorkloadResult result;
@@ -195,8 +199,8 @@ int Main() {
   // Seal once; every sweep below starts from a copy of this storage.
   MemStorage sealed;
   {
-    StoreOptions options;
-    options.epsilon = kEpsilon;
+    DurableStoreOptions options;
+    options.store.epsilon = kEpsilon;
     SealAll(&sealed, epochs, options);
   }
 
@@ -227,8 +231,9 @@ int Main() {
   // Sanity: a typed planner query end to end (top-k over the full range).
   {
     MemStorage storage = sealed;
-    SummaryStore<SpaceSaving> store(&storage);
-    MERGEABLE_CHECK_MSG(store.Open() == 1, "store must recover the stream");
+    DurableStore<SpaceSaving> store(&storage);
+    MERGEABLE_CHECK_MSG(store.Open().streams == 1,
+                        "store must recover the stream");
     const auto topk = QueryTopK(store, kStream, 0, epochs - 1, 5);
     MERGEABLE_CHECK_MSG(topk.has_value() && topk->items.size() == 5,
                         "top-k over the full range must answer");

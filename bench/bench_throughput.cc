@@ -34,9 +34,9 @@
 #include "mergeable/sketch/bloom.h"
 #include "mergeable/sketch/count_min.h"
 #include "mergeable/sketch/count_sketch.h"
+#include "mergeable/store/durable_store.h"
 #include "mergeable/store/epoch_meta.h"
 #include "mergeable/store/segment.h"
-#include "mergeable/store/summary_store.h"
 #include "mergeable/stream/generators.h"
 #include "mergeable/util/bytes.h"
 #include "mergeable/util/check.h"
@@ -439,7 +439,7 @@ void BM_DecodeSpaceSaving(benchmark::State& state) {
 }
 BENCHMARK(BM_DecodeSpaceSaving)->Arg(2)->Arg(100)->Arg(1024);
 
-// One store range query, per query: a SummaryStore<SpaceSaving>
+// One store range query, per query: a DurableStore<SpaceSaving>
 // (ε = 0.01) over MemStorage with 4096 sealed epochs and a 64-entry
 // cache, asked seeded short ranges (geometric lengths, mean 16) over
 // the whole history. Few answers repeat, so nearly every query fetches
@@ -449,9 +449,9 @@ void BM_StoreQueryFold(benchmark::State& state) {
   constexpr uint64_t kStream = 1;
   static MemStorage* sealed = [] {
     auto* storage = new MemStorage();
-    StoreOptions options;
-    options.epsilon = 0.01;
-    SummaryStore<SpaceSaving> store(storage, options);
+    DurableStoreOptions options;
+    options.store.epsilon = 0.01;
+    DurableStore<SpaceSaving> store(storage, options);
     for (uint64_t epoch = 0; epoch < kEpochs; ++epoch) {
       StreamSpec spec;
       spec.kind = StreamKind::kZipf;
@@ -473,11 +473,12 @@ void BM_StoreQueryFold(benchmark::State& state) {
     return storage;
   }();
   MemStorage storage = *sealed;
-  StoreOptions options;
-  options.epsilon = 0.01;
-  options.cache_capacity = 64;
-  SummaryStore<SpaceSaving> store(&storage, options);
-  MERGEABLE_CHECK_MSG(store.Open() == 1, "store must recover the stream");
+  DurableStoreOptions options;
+  options.store.epsilon = 0.01;
+  options.store.cache_capacity = 64;
+  DurableStore<SpaceSaving> store(&storage, options);
+  MERGEABLE_CHECK_MSG(store.Open().streams == 1,
+                      "store must recover the stream");
   Rng rng(11);
   uint64_t nodes = 0;
   for (auto _ : state) {

@@ -31,7 +31,7 @@
 #include "mergeable/server/client.h"
 #include "mergeable/server/epoch_service.h"
 #include "mergeable/server/ingest_server.h"
-#include "mergeable/store/summary_store.h"
+#include "mergeable/store/durable_store.h"
 #include "mergeable/util/bytes.h"
 #include "mergeable/util/random.h"
 
@@ -42,6 +42,8 @@ using mergeable::ByteReader;
 using mergeable::ControlCode;
 using mergeable::DecodeControlFrame;
 using mergeable::DecodeTaggedPayload;
+using mergeable::DurableStore;
+using mergeable::DurableStoreOptions;
 using mergeable::EncodeSummary;
 using mergeable::EpochService;
 using mergeable::EpochServiceConfig;
@@ -53,8 +55,6 @@ using mergeable::Rng;
 using mergeable::SendStatus;
 using mergeable::ServerConfig;
 using mergeable::SpaceSaving;
-using mergeable::StoreOptions;
-using mergeable::SummaryStore;
 using mergeable::WireQuery;
 using mergeable::WireReport;
 
@@ -96,11 +96,9 @@ bool Fail(const char* what) {
 
 bool RunArc() {
   MemStorage storage;
-  SummaryStore<SpaceSaving> store(
-      &storage, StoreOptions{.prefix = "store",
-                             .cache_capacity = 128,
-                             .epsilon = kEpsilon,
-                             .num_threads = 1});
+  DurableStoreOptions store_options;
+  store_options.store.epsilon = kEpsilon;
+  DurableStore<SpaceSaving> store(&storage, store_options);
   EpochServiceConfig config;
   config.stream = kStream;
   config.shards_per_epoch = kBaseShards;

@@ -33,7 +33,6 @@
 #include "mergeable/server/epoch_service.h"
 #include "mergeable/server/ingest_server.h"
 #include "mergeable/store/durable_store.h"
-#include "mergeable/store/summary_store.h"
 #include "mergeable/util/bytes.h"
 #include "mergeable/util/random.h"
 
@@ -54,8 +53,6 @@ using mergeable::Rng;
 using mergeable::SendStatus;
 using mergeable::ServerConfig;
 using mergeable::SpaceSaving;
-using mergeable::StoreOptions;
-using mergeable::SummaryStore;
 using mergeable::WireQuery;
 using mergeable::WireReport;
 
@@ -74,6 +71,15 @@ SpaceSaving ShardMinute(uint64_t epoch, uint64_t shard) {
   return summary;
 }
 
+// The store both modes seal into: the summaries' epsilon, a 64-entry
+// node cache.
+DurableStoreOptions ServingOptions() {
+  DurableStoreOptions options;
+  options.store.epsilon = kEpsilon;
+  options.store.cache_capacity = 64;
+  return options;
+}
+
 BackoffPolicy RetryPolicy() {
   BackoffPolicy policy;
   policy.max_attempts = 8;
@@ -89,10 +95,7 @@ BackoffPolicy RetryPolicy() {
 // full history — including everything earlier processes wrote.
 int RunDurable(const std::string& data_dir, bool restore, uint64_t epochs) {
   FileStorage storage(data_dir);
-  DurableStoreOptions options;
-  options.store.epsilon = kEpsilon;
-  options.store.cache_capacity = 64;
-  DurableStore<SpaceSaving> store(&storage, options);
+  DurableStore<SpaceSaving> store(&storage, ServingOptions());
   const OpenReport report = store.Open();
   if (restore) {
     std::printf("restored %llu epochs from %s "
@@ -191,11 +194,7 @@ int main(int argc, char** argv) {
   // The service stack: storage <- summary store <- epoch service
   // <- socket server, listening on an ephemeral loopback port.
   MemStorage storage;
-  SummaryStore<SpaceSaving> store(&storage,
-                                  StoreOptions{.prefix = "store",
-                                               .cache_capacity = 64,
-                                               .epsilon = kEpsilon,
-                                               .num_threads = 1});
+  DurableStore<SpaceSaving> store(&storage, ServingOptions());
   EpochServiceConfig service_config;
   service_config.stream = kStream;
   service_config.shards_per_epoch = kShards;

@@ -5,7 +5,7 @@
 // across collectors.
 //
 // Each minute the collectors' summaries are merged and *sealed* into a
-// summary store (store/summary_store.h), which maintains a dyadic merge
+// summary store (store/durable_store.h), which maintains a dyadic merge
 // tree over the sealed epochs. Dashboard-style questions about any time
 // window — "top flows in the last 4 minutes", "distinct sources this
 // hour" — are then answered through the range-query planner
@@ -22,9 +22,9 @@
 #include "mergeable/sketch/bloom.h"
 #include "mergeable/sketch/count_min.h"
 #include "mergeable/sketch/kmv.h"
+#include "mergeable/store/durable_store.h"
 #include "mergeable/store/epoch_meta.h"
 #include "mergeable/store/query.h"
-#include "mergeable/store/summary_store.h"
 #include "mergeable/util/hash.h"
 #include "mergeable/util/random.h"
 
@@ -32,6 +32,8 @@ namespace {
 
 using mergeable::BloomFilter;
 using mergeable::CountMinSketch;
+using mergeable::DurableStore;
+using mergeable::DurableStoreOptions;
 using mergeable::EpochMeta;
 using mergeable::KmvSketch;
 using mergeable::MemStorage;
@@ -42,8 +44,6 @@ using mergeable::QueryRange;
 using mergeable::QueryTopK;
 using mergeable::Rng;
 using mergeable::SpaceSaving;
-using mergeable::StoreOptions;
-using mergeable::SummaryStore;
 
 struct Packet {
   uint64_t flow = 0;   // (src, dst) pair id.
@@ -108,22 +108,22 @@ int main() {
   constexpr uint64_t kStream = 1;  // One monitored link.
 
   // One storage backend, one store per summary family (distinct
-  // prefixes keep their merge trees apart).
+  // prefixes keep their segment logs apart).
   MemStorage storage;
-  StoreOptions flow_options;
+  DurableStoreOptions flow_options;
   flow_options.prefix = "flows";
-  flow_options.epsilon = 0.001;
-  SummaryStore<SpaceSaving> flow_store(&storage, flow_options);
-  StoreOptions byte_options;
+  flow_options.store.epsilon = 0.001;
+  DurableStore<SpaceSaving> flow_store(&storage, flow_options);
+  DurableStoreOptions byte_options;
   byte_options.prefix = "bytes";
-  byte_options.epsilon = 0.001;
-  SummaryStore<CountMinSketch> byte_store(&storage, byte_options);
-  StoreOptions src_options;
+  byte_options.store.epsilon = 0.001;
+  DurableStore<CountMinSketch> byte_store(&storage, byte_options);
+  DurableStoreOptions src_options;
   src_options.prefix = "sources";
-  SummaryStore<KmvSketch> source_store(&storage, src_options);
-  StoreOptions seen_options;
+  DurableStore<KmvSketch> source_store(&storage, src_options);
+  DurableStoreOptions seen_options;
   seen_options.prefix = "seen";
-  SummaryStore<BloomFilter> seen_store(&storage, seen_options);
+  DurableStore<BloomFilter> seen_store(&storage, seen_options);
 
   // Ingest: each minute every collector observes its packets, the
   // collectors merge pairwise up a tree, and the minute's global

@@ -14,7 +14,7 @@
 // a type-erased payload merge and a fuzz entry point — and every
 // consumer iterates the same table.
 //
-// Tags are wire-stable: they appear in persisted store files, so an
+// Tags are wire-stable: they appear in persisted store records, so an
 // existing value must never be renumbered. New types append.
 
 #ifndef MERGEABLE_AGGREGATE_SUMMARY_REGISTRY_H_
@@ -48,7 +48,7 @@ class ElasticCountMin;
 class ElasticCountSketch;
 
 // Wire-stable identifier of a summary type. Values are persisted (store
-// node files, tagged payloads); never renumber, only append.
+// node records, tagged payloads); never renumber, only append.
 enum class SummaryTag : uint32_t {
   kMisraGries = 1,
   kSpaceSaving = 2,
@@ -69,8 +69,8 @@ enum class SummaryTag : uint32_t {
 };
 
 // Compile-time side of the mapping: the tag and display name of a
-// summary type, usable from templated code (SummaryStore<S> stamps
-// SummaryTraits<S>::kTag into every node file it writes).
+// summary type, usable from templated code (DurableStore<S> stamps
+// SummaryTraits<S>::kTag into every node record it writes).
 template <typename S>
 struct SummaryTraits;  // Specialized below for every registered type.
 

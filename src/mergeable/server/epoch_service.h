@@ -5,7 +5,7 @@
 // wire: each open epoch is one EpochAccumulator (epoch_accumulator.h),
 // which admits one report per shard, answers a retry of an admitted
 // shard with kDuplicate, and on SealEpoch() folds the epoch's reports
-// into one summary for the SummaryStore — in ascending shard order,
+// into one summary for the DurableStore — in ascending shard order,
 // left-deep, the exact merge the durable coordinator performs, so a
 // server-built epoch is byte-identical to a Coordinator-built one over
 // the same reports (the server equivalence test asserts it).
@@ -32,12 +32,16 @@
 // same path; the store's seal-time write-through keeps the newest nodes
 // it folds in the node cache.
 //
-// Disk pressure (StoreT = DurableStore<S>): when a seal fails because
-// the durable backend rejected the append (ENOSPC, EIO), the service
-// enters a degraded mode — queries keep serving from what is already
-// durable, new reports are shed through the admission path's
-// retry-after NACK (the client's backoff policy already honors it), and
-// the failed seal is buffered for in-order retry on the next seal tick.
+// StoreT is the DurableStore<S> the service seals into and queries, or
+// a wrapper forwarding the calls it makes: SealResult,
+// QueryRangePayloadBounded, HasStream, BaseEpoch and EpochCount.
+//
+// Disk pressure: when a seal fails because the durable backend rejected
+// the append (ENOSPC, EIO), the service enters a degraded mode —
+// queries keep serving from what is already durable, new reports are
+// shed through the admission path's retry-after NACK (the client's
+// backoff policy already honors it), and the failed seal is buffered for
+// in-order retry on the next seal tick.
 // Every byte of shed mass shows up as lost mass when its epoch finally
 // seals: offered_n counts what the shards tried to send, and a shed
 // report simply never arrives. When the bounded retry buffer overflows,
@@ -72,8 +76,8 @@
 #include "mergeable/aggregate/wire.h"
 #include "mergeable/server/epoch_accumulator.h"
 #include "mergeable/server/ingest_server.h"
+#include "mergeable/store/durable_store.h"
 #include "mergeable/store/query.h"
-#include "mergeable/store/summary_store.h"
 #include "mergeable/util/bytes.h"
 
 namespace mergeable {
@@ -132,7 +136,7 @@ struct EpochServiceStats {
   uint64_t reports_dropped_topology = 0;
 };
 
-template <WireSummary S, typename StoreT = SummaryStore<S>>
+template <WireSummary S, typename StoreT = DurableStore<S>>
 class EpochService : public FrameHandler {
  public:
   EpochService(StoreT* store, EpochServiceConfig config)

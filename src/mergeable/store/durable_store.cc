@@ -241,30 +241,6 @@ uint64_t DurableLog::ScrubPass(uint64_t max_records) {
   return slice.size();
 }
 
-bool LogNodeStorage::Rewrite(const std::string& file,
-                             const std::vector<uint8_t>& bytes) {
-  uint64_t stream = 0;
-  uint32_t level = 0;
-  uint64_t index = 0;
-  if (!ParseNodeFileName(prefix_, file, &stream, &level, &index)) {
-    return false;
-  }
-  if (level == 0) return log_->AppendRecord(stream, level, index, bytes);
-  log_->AppendNode(stream, level, index, bytes);
-  return true;
-}
-
-std::optional<std::vector<uint8_t>> LogNodeStorage::Read(
-    const std::string& file) const {
-  uint64_t stream = 0;
-  uint32_t level = 0;
-  uint64_t index = 0;
-  if (!ParseNodeFileName(prefix_, file, &stream, &level, &index)) {
-    return std::nullopt;
-  }
-  return log_->ReadRecord(stream, level, index);
-}
-
 void DurableLog::StartScrubber() {
   std::lock_guard<std::mutex> lock(thread_mu_);
   if (scrubber_running_) return;

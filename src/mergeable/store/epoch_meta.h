@@ -90,7 +90,7 @@ EpsilonReport AccumulateEpsilonPartial(const std::vector<EpochMeta>& metas,
                                        uint64_t covered_hi, double epsilon);
 
 // Serializes `meta` together with the epoch's tagged summary payload
-// (wire.h) into one self-checking record — what a level-0 store file
+// (wire.h) into one self-checking record — what a level-0 store record
 // holds.
 std::vector<uint8_t> EncodeEpochRecord(const EpochMeta& meta,
                                        const std::vector<uint8_t>& payload);

@@ -20,7 +20,9 @@
 // w epochs" queries fold — is therefore resident without a second copy.
 //
 // The cache is type-erased (bytes, not summaries): one implementation,
-// one test suite, shared by every SummaryStore<S> instantiation.
+// one test suite, shared by every DurableStore<S> instantiation. A miss
+// pages the record in from the segment log, or rebuilds a lost internal
+// node from its children.
 
 #ifndef MERGEABLE_STORE_NODE_CACHE_H_
 #define MERGEABLE_STORE_NODE_CACHE_H_

@@ -1,6 +1,6 @@
-// The range-query planner: typed answers over a SummaryStore.
+// The range-query planner: typed answers over a DurableStore.
 //
-// SummaryStore<S>::QueryRangePayload produces the canonical payload of
+// DurableStore<S>::QueryRangePayload produces the canonical payload of
 // the merged summary over [t1, t2] plus the range's epsilon report.
 // This header turns that payload into answers — point frequency, top-k,
 // quantile, distinct count — by decoding it once and asking the summary
@@ -13,7 +13,9 @@
 // native epsilon * n_received bound, widened to the full-stream bound
 // by the lost mass of degraded-coverage epochs (epoch_meta.h). The
 // planner never hides degradation — callers decide whether a
-// 0.96-coverage answer is good enough.
+// 0.96-coverage answer is good enough. The same holds for a range
+// crossing a quarantined epoch (durable_store.h): the answer is the
+// clamped prefix, and its report carries the whole skipped mass.
 
 #ifndef MERGEABLE_STORE_QUERY_H_
 #define MERGEABLE_STORE_QUERY_H_
@@ -27,8 +29,8 @@
 
 #include "mergeable/core/concepts.h"
 #include "mergeable/frequency/counter.h"
+#include "mergeable/store/durable_store.h"
 #include "mergeable/store/epoch_meta.h"
-#include "mergeable/store/summary_store.h"
 
 namespace mergeable {
 
@@ -41,14 +43,15 @@ struct RangeQueryResult {
 };
 
 // Materializes the merged summary for [t1, t2] (absolute epochs, both
-// inclusive). std::nullopt when the stream is unknown or the range is
-// not fully sealed. The summary is decoded from the store's canonical
-// payload, so repeated calls observe the identical object state.
+// inclusive). std::nullopt when the stream is unknown, the range is not
+// fully sealed, or it starts on a quarantined epoch. The summary is
+// decoded from the store's canonical payload, so repeated calls observe
+// the identical object state.
 template <WireSummary S>
-std::optional<RangeQueryResult<S>> QueryRange(SummaryStore<S>& store,
+std::optional<RangeQueryResult<S>> QueryRange(DurableStore<S>& store,
                                               uint64_t stream, uint64_t t1,
                                               uint64_t t2) {
-  std::optional<typename SummaryStore<S>::RangeOutcome> outcome =
+  std::optional<typename DurableStore<S>::RangeOutcome> outcome =
       store.QueryRangePayload(stream, t1, t2);
   if (!outcome.has_value()) return std::nullopt;
   RangeQueryResult<S> result{DecodeSummaryOrDie<S>(*outcome->payload),
@@ -81,7 +84,7 @@ template <WireSummary S>
     { s.Estimate(item) } -> std::convertible_to<uint64_t>;
   }
 std::optional<PointFrequencyResult> QueryPointFrequency(
-    SummaryStore<S>& store, uint64_t stream, uint64_t t1, uint64_t t2,
+    DurableStore<S>& store, uint64_t stream, uint64_t t1, uint64_t t2,
     uint64_t item) {
   std::optional<RangeQueryResult<S>> range =
       QueryRange(store, stream, t1, t2);
@@ -122,7 +125,7 @@ template <WireSummary S>
   requires requires(const S& s) {
     { s.Counters() } -> std::convertible_to<std::vector<Counter>>;
   }
-std::optional<TopKResult> QueryTopK(SummaryStore<S>& store, uint64_t stream,
+std::optional<TopKResult> QueryTopK(DurableStore<S>& store, uint64_t stream,
                                     uint64_t t1, uint64_t t2, size_t k) {
   std::optional<RangeQueryResult<S>> range =
       QueryRange(store, stream, t1, t2);
@@ -152,7 +155,7 @@ template <WireSummary S>
     { s.Quantile(phi) } -> std::convertible_to<double>;
     { s.n() } -> std::convertible_to<uint64_t>;
   }
-std::optional<QuantileResult> QueryQuantile(SummaryStore<S>& store,
+std::optional<QuantileResult> QueryQuantile(DurableStore<S>& store,
                                             uint64_t stream, uint64_t t1,
                                             uint64_t t2, double phi) {
   std::optional<RangeQueryResult<S>> range =
@@ -180,7 +183,7 @@ template <WireSummary S>
   requires requires(const S& s) {
     { s.EstimateDistinct() } -> std::convertible_to<double>;
   }
-std::optional<DistinctCountResult> QueryDistinctCount(SummaryStore<S>& store,
+std::optional<DistinctCountResult> QueryDistinctCount(DurableStore<S>& store,
                                                       uint64_t stream,
                                                       uint64_t t1,
                                                       uint64_t t2) {
@@ -199,12 +202,12 @@ std::optional<DistinctCountResult> QueryDistinctCount(SummaryStore<S>& store,
 // A window is the absolute range [last - w + 1, last], clamped to the
 // stream's sealed history, served by the same range path as any
 // [t1, t2] query. The seal writes its leaf and nodes through the node
-// cache (summary_store.h), so the newest part of the tree a window
+// cache (durable_store.h), so the newest part of the tree a window
 // folds is usually resident.
 
 // Resolves the window to the absolute range it covers. Works on any
-// store with HasStream/BaseEpoch/EpochCount (SummaryStore,
-// DurableStore). std::nullopt when the stream is unknown or w == 0.
+// store with HasStream/BaseEpoch/EpochCount (DurableStore, or a wrapper
+// forwarding to one). std::nullopt when the stream is unknown or w == 0.
 template <typename Store>
 std::optional<std::pair<uint64_t, uint64_t>> ResolveWindow(
     const Store& store, uint64_t stream, uint64_t w) {
@@ -216,7 +219,7 @@ std::optional<std::pair<uint64_t, uint64_t>> ResolveWindow(
 }
 
 template <WireSummary S>
-std::optional<RangeQueryResult<S>> QueryWindowRange(SummaryStore<S>& store,
+std::optional<RangeQueryResult<S>> QueryWindowRange(DurableStore<S>& store,
                                                     uint64_t stream,
                                                     uint64_t w) {
   const auto range = ResolveWindow(store, stream, w);
@@ -225,11 +228,11 @@ std::optional<RangeQueryResult<S>> QueryWindowRange(SummaryStore<S>& store,
 }
 
 template <WireSummary S>
-  requires requires(SummaryStore<S>& s) {
+  requires requires(DurableStore<S>& s) {
     QueryPointFrequency(s, 0, 0, 0, 0);
   }
 std::optional<PointFrequencyResult> QueryWindowPointFrequency(
-    SummaryStore<S>& store, uint64_t stream, uint64_t w, uint64_t item) {
+    DurableStore<S>& store, uint64_t stream, uint64_t w, uint64_t item) {
   const auto range = ResolveWindow(store, stream, w);
   if (!range.has_value()) return std::nullopt;
   return QueryPointFrequency(store, stream, range->first, range->second,
@@ -237,8 +240,8 @@ std::optional<PointFrequencyResult> QueryWindowPointFrequency(
 }
 
 template <WireSummary S>
-  requires requires(SummaryStore<S>& s) { QueryTopK(s, 0, 0, 0, 0); }
-std::optional<TopKResult> QueryWindowTopK(SummaryStore<S>& store,
+  requires requires(DurableStore<S>& s) { QueryTopK(s, 0, 0, 0, 0); }
+std::optional<TopKResult> QueryWindowTopK(DurableStore<S>& store,
                                           uint64_t stream, uint64_t w,
                                           size_t k) {
   const auto range = ResolveWindow(store, stream, w);
@@ -247,8 +250,8 @@ std::optional<TopKResult> QueryWindowTopK(SummaryStore<S>& store,
 }
 
 template <WireSummary S>
-  requires requires(SummaryStore<S>& s) { QueryQuantile(s, 0, 0, 0, 0.5); }
-std::optional<QuantileResult> QueryWindowQuantile(SummaryStore<S>& store,
+  requires requires(DurableStore<S>& s) { QueryQuantile(s, 0, 0, 0, 0.5); }
+std::optional<QuantileResult> QueryWindowQuantile(DurableStore<S>& store,
                                                   uint64_t stream, uint64_t w,
                                                   double phi) {
   const auto range = ResolveWindow(store, stream, w);

@@ -18,7 +18,7 @@
 #include "mergeable/elastic/elastic_count_min.h"
 #include "mergeable/elastic/rebalance.h"
 #include "mergeable/frequency/space_saving.h"
-#include "mergeable/store/summary_store.h"
+#include "mergeable/store/durable_store.h"
 #include "mergeable/util/random.h"
 
 namespace mergeable {
@@ -209,9 +209,9 @@ TEST(RebalanceStoreTest, MixedWidthEpochsServeValidRangeAnswers) {
   constexpr int kDepth = 4;
   constexpr uint64_t kSeed = 99;
   MemStorage storage;
-  StoreOptions options;
-  options.epsilon = 0.02;
-  SummaryStore<ElasticCountMin> store(&storage, options);
+  DurableStoreOptions options;
+  options.store.epsilon = 0.02;
+  DurableStore<ElasticCountMin> store(&storage, options);
 
   std::vector<std::map<uint64_t, uint64_t>> per_epoch_exact(kEpochs);
   for (uint64_t epoch = 0; epoch < kEpochs; ++epoch) {
@@ -269,9 +269,9 @@ TEST(RebalanceStoreTest, MixedWidthTreeIsCachePressureInvariant) {
   // internal nodes must reproduce identical bytes.
   constexpr uint64_t kEpochs = 9;
   auto build = [](size_t cache_capacity, MemStorage* storage) {
-    StoreOptions options;
-    options.cache_capacity = cache_capacity;
-    SummaryStore<ElasticCountMin> store(storage, options);
+    DurableStoreOptions options;
+    options.store.cache_capacity = cache_capacity;
+    DurableStore<ElasticCountMin> store(storage, options);
     for (uint64_t epoch = 0; epoch < kEpochs; ++epoch) {
       const int width = epoch % 2 == 0 ? 128 : 512;
       ElasticCountMin sketch(4, width, /*seed=*/7);

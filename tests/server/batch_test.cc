@@ -22,7 +22,7 @@
 #include "mergeable/server/epoch_service.h"
 #include "mergeable/server/ingest_server.h"
 #include "mergeable/server/sharded_server.h"
-#include "mergeable/store/summary_store.h"
+#include "mergeable/store/durable_store.h"
 #include "mergeable/util/random.h"
 
 namespace mergeable {
@@ -60,11 +60,11 @@ BackoffPolicy FastPolicy() {
   return policy;
 }
 
-StoreOptions TestStore() {
-  return StoreOptions{.prefix = "store",
-                      .cache_capacity = 128,
-                      .epsilon = kEpsilon,
-                      .num_threads = 1};
+DurableStoreOptions TestStore() {
+  DurableStoreOptions options;
+  options.store.cache_capacity = 128;
+  options.store.epsilon = kEpsilon;
+  return options;
 }
 
 EpochServiceConfig TestService() {
@@ -77,7 +77,7 @@ EpochServiceConfig TestService() {
 // The reference answer bytes: every epoch aggregated through the
 // in-process SimulatedTransport + durable coordinator path.
 std::vector<std::vector<uint8_t>> ReferenceAnswers(MemStorage* backing) {
-  SummaryStore<SpaceSaving> store(backing, TestStore());
+  DurableStore<SpaceSaving> store(backing, TestStore());
   for (uint64_t epoch = 0; epoch < kEpochs; ++epoch) {
     uint64_t offered = 0;
     SimulatedTransport transport{FaultPlan{}};
@@ -118,7 +118,7 @@ TEST(BatchTest, BatchedIngestSealsByteIdenticalAcrossSizesAndShards) {
       SCOPED_TRACE("batch=" + std::to_string(batch_size) +
                    " shards=" + std::to_string(shards));
       MemStorage storage;
-      SummaryStore<SpaceSaving> store(&storage, TestStore());
+      DurableStore<SpaceSaving> store(&storage, TestStore());
       EpochService<SpaceSaving> service(&store, TestService());
       ShardedServerConfig config;
       config.shards = shards;
@@ -182,7 +182,7 @@ TEST(BatchTest, BatchedIngestSealsByteIdenticalAcrossSizesAndShards) {
 // twice, storm or not.
 TEST(BatchTest, DuplicateBatchReplayDoesNotDoubleCount) {
   MemStorage storage;
-  SummaryStore<SpaceSaving> store(&storage, TestStore());
+  DurableStore<SpaceSaving> store(&storage, TestStore());
   EpochService<SpaceSaving> service(&store, TestService());
   IngestServer server(&service, ServerConfig{});
   ASSERT_TRUE(server.Start());
@@ -239,7 +239,7 @@ TEST(BatchTest, DuplicateBatchReplayDoesNotDoubleCount) {
 // maps kDuplicate to accepted.
 TEST(BatchTest, SendBatchTreatsReplayedRecordsAsAccepted) {
   MemStorage storage;
-  SummaryStore<SpaceSaving> store(&storage, TestStore());
+  DurableStore<SpaceSaving> store(&storage, TestStore());
   EpochService<SpaceSaving> service(&store, TestService());
   IngestServer server(&service, ServerConfig{});
   ASSERT_TRUE(server.Start());
@@ -267,7 +267,7 @@ TEST(BatchTest, SendBatchTreatsReplayedRecordsAsAccepted) {
 // mass is accounted to the byte at seal time.
 TEST(BatchTest, ShedBatchesAccountMassExactlyAtBatchGranularity) {
   MemStorage storage;
-  SummaryStore<SpaceSaving> store(&storage, TestStore());
+  DurableStore<SpaceSaving> store(&storage, TestStore());
   EpochServiceConfig service_config = TestService();
   service_config.shards_per_epoch = 16;
   EpochService<SpaceSaving> service(&store, service_config);
@@ -356,7 +356,7 @@ TEST(BatchTest, ShedBatchesAccountMassExactlyAtBatchGranularity) {
 // retry loop once pressure clears.
 TEST(BatchTest, ShedBatchRecoversViaWholeBatchRetry) {
   MemStorage storage;
-  SummaryStore<SpaceSaving> store(&storage, TestStore());
+  DurableStore<SpaceSaving> store(&storage, TestStore());
   EpochServiceConfig service_config = TestService();
   service_config.shards_per_epoch = 16;
   EpochService<SpaceSaving> service(&store, service_config);
@@ -410,7 +410,7 @@ TEST(BatchTest, ShedBatchRecoversViaWholeBatchRetry) {
 // not misread as a duplicate (which would silently lose its mass).
 TEST(BatchTest, RejectedPayloadDoesNotPoisonDedupKey) {
   MemStorage storage;
-  SummaryStore<SpaceSaving> store(&storage, TestStore());
+  DurableStore<SpaceSaving> store(&storage, TestStore());
   EpochService<SpaceSaving> service(&store, TestService());
   IngestServer server(&service, ServerConfig{});
   ASSERT_TRUE(server.Start());
@@ -455,7 +455,7 @@ TEST(BatchTest, RejectedPayloadDoesNotPoisonDedupKey) {
 // it with an accepted verdict carrying zero codes and records nothing.
 TEST(BatchTest, EmptyBatchRoundTripsWithZeroVerdicts) {
   MemStorage storage;
-  SummaryStore<SpaceSaving> store(&storage, TestStore());
+  DurableStore<SpaceSaving> store(&storage, TestStore());
   EpochService<SpaceSaving> service(&store, TestService());
   IngestServer server(&service, ServerConfig{});
   ASSERT_TRUE(server.Start());
@@ -534,7 +534,7 @@ TEST(BatchTest, MaxReportAndHostileCountEdges) {
 // Client-side flush triggers: report count, buffered bytes, deadline.
 TEST(BatchTest, BufferReportFlushesOnEveryThreshold) {
   MemStorage storage;
-  SummaryStore<SpaceSaving> store(&storage, TestStore());
+  DurableStore<SpaceSaving> store(&storage, TestStore());
   EpochService<SpaceSaving> service(&store, TestService());
   IngestServer server(&service, ServerConfig{});
   ASSERT_TRUE(server.Start());
@@ -580,7 +580,7 @@ TEST(BatchTest, BufferReportFlushesOnEveryThreshold) {
 // the aggregated stats see every one exactly once.
 TEST(BatchTest, ShardedAcceptCountsEveryConnectionOnce) {
   MemStorage storage;
-  SummaryStore<SpaceSaving> store(&storage, TestStore());
+  DurableStore<SpaceSaving> store(&storage, TestStore());
   EpochServiceConfig service_config = TestService();
   service_config.shards_per_epoch = 32;
   EpochService<SpaceSaving> service(&store, service_config);

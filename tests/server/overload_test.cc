@@ -30,7 +30,7 @@
 #include "mergeable/server/client.h"
 #include "mergeable/server/epoch_service.h"
 #include "mergeable/server/ingest_server.h"
-#include "mergeable/store/summary_store.h"
+#include "mergeable/store/durable_store.h"
 #include "mergeable/util/random.h"
 
 namespace mergeable {
@@ -38,6 +38,14 @@ namespace {
 
 constexpr uint64_t kStream = 1;
 constexpr double kEpsilon = 0.02;
+
+// The store every harness here seals into: default cache, the tests'
+// epsilon.
+DurableStoreOptions TestStore() {
+  DurableStoreOptions options;
+  options.store.epsilon = kEpsilon;
+  return options;
+}
 
 SpaceSaving ShardSummary(uint64_t epoch, uint64_t shard, int items = 80) {
   SpaceSaving summary = SpaceSaving::ForEpsilon(kEpsilon);
@@ -60,15 +68,12 @@ struct OverloadHarness {
   static constexpr size_t kHighWatermark = 4;
 
   MemStorage storage;
-  SummaryStore<SpaceSaving> store;
+  DurableStore<SpaceSaving> store;
   EpochService<SpaceSaving> service;
   IngestServer server;
 
   OverloadHarness()
-      : store(&storage, StoreOptions{.prefix = "store",
-                                     .cache_capacity = 128,
-                                     .epsilon = kEpsilon,
-                                     .num_threads = 1}),
+      : store(&storage, TestStore()),
         service(&store, ServiceConfig()),
         server(&service, Config()) {}
 
@@ -316,11 +321,7 @@ TEST(OverloadTest, ShedReportsRecoverViaRetryAfter) {
 // sealed range must account zero lost mass.
 TEST(OverloadTest, ChaosScriptWithoutSheddingLosesNothing) {
   MemStorage storage;
-  SummaryStore<SpaceSaving> store(&storage,
-                                  StoreOptions{.prefix = "store",
-                                               .cache_capacity = 128,
-                                               .epsilon = kEpsilon,
-                                               .num_threads = 1});
+  DurableStore<SpaceSaving> store(&storage, TestStore());
   EpochServiceConfig service_config;
   service_config.stream = kStream;
   service_config.shards_per_epoch = 8;
@@ -377,11 +378,7 @@ TEST(OverloadTest, ChaosScriptWithoutSheddingLosesNothing) {
 // frame.
 TEST(OverloadTest, SlowConsumerIsDisconnectedAtTheBufferCap) {
   MemStorage storage;
-  SummaryStore<SpaceSaving> store(&storage,
-                                  StoreOptions{.prefix = "store",
-                                               .cache_capacity = 128,
-                                               .epsilon = kEpsilon,
-                                               .num_threads = 1});
+  DurableStore<SpaceSaving> store(&storage, TestStore());
   EpochServiceConfig service_config;
   service_config.stream = kStream;
   service_config.shards_per_epoch = 2;

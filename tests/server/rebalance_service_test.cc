@@ -21,7 +21,7 @@
 #include "mergeable/server/client.h"
 #include "mergeable/server/epoch_service.h"
 #include "mergeable/server/ingest_server.h"
-#include "mergeable/store/summary_store.h"
+#include "mergeable/store/durable_store.h"
 #include "mergeable/util/random.h"
 
 namespace mergeable {
@@ -29,6 +29,14 @@ namespace {
 
 constexpr uint64_t kStream = 1;
 constexpr double kEpsilon = 0.02;
+
+// The store every harness here seals into: default cache, the tests'
+// epsilon.
+DurableStoreOptions TestStore() {
+  DurableStoreOptions options;
+  options.store.epsilon = kEpsilon;
+  return options;
+}
 
 SpaceSaving ShardSummary(uint64_t epoch, uint64_t shard, uint64_t shards,
                          int items = 150) {
@@ -53,15 +61,12 @@ BackoffPolicy FastPolicy() {
 
 struct Harness {
   MemStorage storage;
-  SummaryStore<SpaceSaving> store;
+  DurableStore<SpaceSaving> store;
   EpochService<SpaceSaving> service;
   IngestServer server;
 
   explicit Harness(uint64_t base_shards)
-      : store(&storage, StoreOptions{.prefix = "store",
-                                     .cache_capacity = 128,
-                                     .epsilon = kEpsilon,
-                                     .num_threads = 1}),
+      : store(&storage, TestStore()),
         service(&store, MakeConfig(base_shards)),
         server(&service, ServerConfig{}) {}
 

@@ -16,7 +16,7 @@
 #include "mergeable/aggregate/wire.h"
 #include "mergeable/frequency/space_saving.h"
 #include "mergeable/server/epoch_service.h"
-#include "mergeable/store/summary_store.h"
+#include "mergeable/store/durable_store.h"
 #include "mergeable/util/random.h"
 
 namespace mergeable {
@@ -73,14 +73,14 @@ EpochServiceConfig Config(uint64_t shards) {
   return config;
 }
 
-StoreOptions Options() {
-  StoreOptions options;
-  options.epsilon = kEpsilon;
+DurableStoreOptions Options() {
+  DurableStoreOptions options;
+  options.store.epsilon = kEpsilon;
   return options;
 }
 
 // Every sealed byte the store can serve for epochs [0, 1].
-std::vector<std::vector<uint8_t>> Answers(SummaryStore<SpaceSaving>& store) {
+std::vector<std::vector<uint8_t>> Answers(DurableStore<SpaceSaving>& store) {
   std::vector<std::vector<uint8_t>> answers;
   for (uint64_t t1 = 0; t1 < 2; ++t1) {
     for (uint64_t t2 = t1; t2 < 2; ++t2) {
@@ -98,7 +98,7 @@ TEST(SealOrderTest, OutOfOrderArrivalSealsLikeAscendingSingleReports) {
   constexpr uint64_t kOffered = 2000;
 
   MemStorage subject_storage;
-  SummaryStore<SpaceSaving> subject_store(&subject_storage, Options());
+  DurableStore<SpaceSaving> subject_store(&subject_storage, Options());
   EpochService<SpaceSaving> subject(&subject_store, Config(6));
 
   // Reverse and interleaved: epoch 1 opens before epoch 0 is complete.
@@ -136,7 +136,7 @@ TEST(SealOrderTest, OutOfOrderArrivalSealsLikeAscendingSingleReports) {
   EXPECT_EQ(subject.pending_reports(), 0u);
 
   MemStorage reference_storage;
-  SummaryStore<SpaceSaving> reference_store(&reference_storage, Options());
+  DurableStore<SpaceSaving> reference_store(&reference_storage, Options());
   EpochService<SpaceSaving> reference(&reference_store, Config(5));
   for (uint64_t epoch = 0; epoch < 2; ++epoch) {
     for (uint64_t shard = 0; shard < 5; ++shard) {

@@ -20,7 +20,7 @@
 #include "mergeable/server/client.h"
 #include "mergeable/server/epoch_service.h"
 #include "mergeable/server/ingest_server.h"
-#include "mergeable/store/summary_store.h"
+#include "mergeable/store/durable_store.h"
 #include "mergeable/util/random.h"
 
 namespace mergeable {
@@ -29,6 +29,14 @@ namespace {
 constexpr uint64_t kStream = 1;
 constexpr uint64_t kShards = 6;
 constexpr double kEpsilon = 0.02;
+
+// The store every harness here seals into: default cache, the tests'
+// epsilon.
+DurableStoreOptions TestStore() {
+  DurableStoreOptions options;
+  options.store.epsilon = kEpsilon;
+  return options;
+}
 
 SpaceSaving ShardSummary(uint64_t epoch, uint64_t shard, int items = 200) {
   SpaceSaving summary = SpaceSaving::ForEpsilon(kEpsilon);
@@ -51,16 +59,13 @@ BackoffPolicy FastPolicy() {
 
 struct Harness {
   MemStorage storage;
-  SummaryStore<SpaceSaving> store;
+  DurableStore<SpaceSaving> store;
   EpochService<SpaceSaving> service;
   IngestServer server;
 
   explicit Harness(ServerConfig config = {},
                    EpochServiceConfig service_config = DefaultService())
-      : store(&storage, StoreOptions{.prefix = "store",
-                                     .cache_capacity = 128,
-                                     .epsilon = kEpsilon,
-                                     .num_threads = 1}),
+      : store(&storage, TestStore()),
         service(&store, service_config),
         server(&service, config) {}
 
@@ -264,11 +269,7 @@ TEST(ServerTest, ZeroSheddingMatchesSimulatedTransportByteForByte) {
   // Reference path: healthy SimulatedTransport + durable coordinator,
   // sealed into its own store.
   MemStorage ref_backing;
-  SummaryStore<SpaceSaving> ref_store(
-      &ref_backing, StoreOptions{.prefix = "store",
-                                 .cache_capacity = 128,
-                                 .epsilon = kEpsilon,
-                                 .num_threads = 1});
+  DurableStore<SpaceSaving> ref_store(&ref_backing, TestStore());
 
   for (uint64_t epoch = 0; epoch < kEpochs; ++epoch) {
     uint64_t offered = 0;

@@ -12,9 +12,9 @@
 
 #include "mergeable/aggregate/storage.h"
 #include "mergeable/frequency/space_saving.h"
+#include "mergeable/store/durable_store.h"
 #include "mergeable/store/dyadic.h"
 #include "mergeable/store/epoch_meta.h"
-#include "mergeable/store/summary_store.h"
 #include "mergeable/util/random.h"
 
 namespace mergeable {
@@ -36,7 +36,7 @@ SpaceSaving EpochSummary(uint64_t epoch) {
 // Seals kEpochs epochs; epoch e carries n = its summary mass and a
 // known pre-existing lost_mass of e (so partial answers must fold in
 // both components of a skipped epoch).
-void FillStore(SummaryStore<SpaceSaving>& store) {
+void FillStore(DurableStore<SpaceSaving>& store) {
   for (uint64_t epoch = 0; epoch < kEpochs; ++epoch) {
     SpaceSaving summary = EpochSummary(epoch);
     EpochMeta meta;
@@ -51,7 +51,7 @@ void FillStore(SummaryStore<SpaceSaving>& store) {
 
 TEST(DeadlineQueryTest, GenerousBudgetMatchesUnboundedPath) {
   MemStorage storage;
-  SummaryStore<SpaceSaving> store(&storage);
+  DurableStore<SpaceSaving> store(&storage);
   FillStore(store);
   const auto unbounded = store.QueryRangePayload(kStream, 3, 29);
   ASSERT_TRUE(unbounded.has_value());
@@ -70,7 +70,7 @@ TEST(DeadlineQueryTest, GenerousBudgetMatchesUnboundedPath) {
 
 TEST(DeadlineQueryTest, ZeroCostDisablesTheDeadline) {
   MemStorage storage;
-  SummaryStore<SpaceSaving> store(&storage);
+  DurableStore<SpaceSaving> store(&storage);
   FillStore(store);
   QueryDeadline deadline;
   deadline.budget_ms = 0;  // Irrelevant: cost 0 means nothing charges.
@@ -83,7 +83,7 @@ TEST(DeadlineQueryTest, ZeroCostDisablesTheDeadline) {
 
 TEST(DeadlineQueryTest, SlowMergeForcesPartialAnswer) {
   MemStorage storage;
-  SummaryStore<SpaceSaving> store(&storage);
+  DurableStore<SpaceSaving> store(&storage);
   FillStore(store);
   const uint64_t t1 = 1;
   const uint64_t t2 = 30;
@@ -112,7 +112,7 @@ TEST(DeadlineQueryTest, SlowMergeForcesPartialAnswer) {
 
 TEST(DeadlineQueryTest, WidenedEpsilonAccountsSkippedMassExactly) {
   MemStorage storage;
-  SummaryStore<SpaceSaving> store(&storage);
+  DurableStore<SpaceSaving> store(&storage);
   FillStore(store);
   const uint64_t t1 = 0;
   // Not the full power-of-two range: [0, 31] is a single dyadic node,
@@ -144,7 +144,8 @@ TEST(DeadlineQueryTest, WidenedEpsilonAccountsSkippedMassExactly) {
   EXPECT_EQ(outcome->eps.lost_mass, expected_lost);
   EXPECT_DOUBLE_EQ(
       outcome->eps.received_bound,
-      store.options().epsilon * static_cast<double>(expected_received));
+      store.options().store.epsilon *
+          static_cast<double>(expected_received));
   EXPECT_DOUBLE_EQ(outcome->eps.full_stream_bound,
                    outcome->eps.received_bound +
                        static_cast<double>(expected_lost));
@@ -160,7 +161,7 @@ TEST(DeadlineQueryTest, WidenedEpsilonAccountsSkippedMassExactly) {
 
 TEST(DeadlineQueryTest, AtLeastOneNodeAlwaysMerges) {
   MemStorage storage;
-  SummaryStore<SpaceSaving> store(&storage);
+  DurableStore<SpaceSaving> store(&storage);
   FillStore(store);
   QueryDeadline deadline;
   deadline.cost_per_node_ms = 1000;
@@ -175,7 +176,7 @@ TEST(DeadlineQueryTest, AtLeastOneNodeAlwaysMerges) {
 
 TEST(DeadlineQueryTest, PartialAnswersBypassTheRangeCache) {
   MemStorage storage;
-  SummaryStore<SpaceSaving> store(&storage);
+  DurableStore<SpaceSaving> store(&storage);
   FillStore(store);
   QueryDeadline tight;
   tight.cost_per_node_ms = 100;
@@ -194,7 +195,7 @@ TEST(DeadlineQueryTest, PartialAnswersBypassTheRangeCache) {
 TEST(DeadlineQueryTest, PartialAccountingMatchesAccumulateEpsilon) {
   // covered_hi == hi degenerates to the plain accumulation.
   MemStorage storage;
-  SummaryStore<SpaceSaving> store(&storage);
+  DurableStore<SpaceSaving> store(&storage);
   FillStore(store);
   const std::vector<EpochMeta>& metas = store.Metas(kStream);
   const EpsilonReport whole = AccumulateEpsilon(metas, 2, 20, 0.01);

@@ -7,8 +7,9 @@
 // byte that would be served is caught there; internal-node rot is
 // rebuilt from children; page-ins, seals and scrub passes run clean
 // concurrently (TSan covers this suite); the one-pass Open() matches a
-// SummaryStore opened over the same latest-wins node files; a backend
-// that cannot truncate a torn tail costs no acknowledged epoch.
+// tree-free fold of the latest intact leaf copies; a backend that
+// cannot truncate a torn tail costs no acknowledged epoch; the typed
+// planners serve a store with a quarantined leaf.
 
 #include <algorithm>
 #include <atomic>
@@ -20,6 +21,7 @@
 #include <shared_mutex>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -30,10 +32,12 @@
 #include "mergeable/aggregate/storage.h"
 #include "mergeable/frequency/space_saving.h"
 #include "mergeable/store/durable_store.h"
+#include "mergeable/store/query.h"
 #include "mergeable/store/segment.h"
 #include "mergeable/store/summary_store.h"
 #include "mergeable/util/random.h"
 #include "../aggregate/storage_backends.h"
+#include "reference_range.h"
 
 namespace mergeable {
 namespace {
@@ -370,10 +374,10 @@ TEST(DurableStoreTest, BitFlippedLeafIsQuarantinedWithExactEpsilon) {
 }
 
 // Internal-node rot is derived data: the scrubber drops the record from
-// the manifest (a later read rebuilds and re-appends it), serving is
-// untouched, restart skips the rotted original, and nothing is
-// quarantined.
-TEST(DurableStoreTest, RottedInternalNodeSelfRepairsFromWarmTier) {
+// the manifest (a later read rebuilds it from its children and
+// re-appends it), serving is untouched, restart skips the rotted
+// original, and nothing is quarantined.
+TEST(DurableStoreTest, RottedInternalNodeIsRebuiltFromChildren) {
   BackendFactory factory(BackendKind::kFile);
   auto storage = factory.Make();
   constexpr uint64_t kEpochs = 8;
@@ -486,11 +490,12 @@ TEST(DurableStoreTest, MemBackendRoundTrips) {
   EXPECT_EQ(AllRangePayloads(reopened, kEpochs), reference);
 }
 
-// The one-pass Open() against the storage-scan path: a log holding a
+// The one-pass Open() against a tree-free reference: a log holding a
 // superseding copy of a node, a later checksum-corrupt copy of a leaf
 // (the earlier copy wins), a later intact-SEG1 but undecodable-EPH1 copy
-// of a leaf (it ends the prefix) and a torn tail must open exactly like
-// SummaryStore::Open() over the latest-wins node files of the same log.
+// of a leaf (it ends the prefix) and a torn tail must open exactly as
+// the prefix rule applied to the latest intact leaf copies says, and
+// answer every range as ReferenceRange folds those leaves.
 TEST(DurableStoreTest, OneScanOpenMatchesStoreOpenOverLatestWinsFiles) {
   constexpr uint64_t kOther = 2;
   constexpr uint64_t kEpochs = 8;
@@ -539,11 +544,12 @@ TEST(DurableStoreTest, OneScanOpenMatchesStoreOpenOverLatestWinsFiles) {
   torn.resize(torn.size() / 2);
   ASSERT_TRUE(durable.Append(last_segment, torn));
 
-  // The storage-scan path: the owning segment scanner applies every
-  // intact record latest-wins as a node file, then SummaryStore::Open().
-  MemStorage node_files;
+  // The reference: every segment scanned in order, every intact record
+  // applied latest-wins, then each stream's prefix of leaf copies that
+  // decode, start at index 0 and keep epochs contiguous.
   OpenReport expected;
-  std::set<std::string> keys;
+  std::set<std::tuple<uint64_t, uint32_t, uint64_t>> keys;
+  std::map<uint64_t, std::map<uint64_t, std::vector<uint8_t>>> latest;
   for (const std::string& name : durable.List()) {
     if (name.rfind("durable/seg/", 0) != 0) continue;
     ++expected.segments;
@@ -553,25 +559,35 @@ TEST(DurableStoreTest, OneScanOpenMatchesStoreOpenOverLatestWinsFiles) {
     for (const SegmentEntry& entry : scan.entries) {
       if (!entry.intact) continue;
       const SegmentRecord& record = entry.record;
-      const std::string file = "store/s" + std::to_string(record.stream) +
-                               "/n" + std::to_string(record.level) + "." +
-                               std::to_string(record.index);
-      keys.insert(file);
-      ASSERT_TRUE(node_files.Rewrite(file, record.payload));
+      keys.insert({record.stream, record.level, record.index});
+      if (record.level == 0) {
+        latest[record.stream][record.index] = record.payload;
+      }
     }
   }
   expected.records = keys.size();
-  SummaryStore<SpaceSaving> reference(&node_files, options.store);
-  expected.streams = reference.Open();
-  for (const uint64_t stream : {kStream, kOther}) {
-    ASSERT_TRUE(reference.HasStream(stream));
-    const uint64_t base = reference.BaseEpoch(stream);
-    const uint64_t count = reference.EpochCount(stream);
-    expected.epochs += count;
-    expected.nodes_prewarmed +=
-        reference.QueryRangePayload(stream, base, base + count - 1)
-            ->stats.nodes_merged;
+  struct ReferenceStream {
+    std::vector<EpochMeta> metas;
+    std::vector<std::vector<uint8_t>> leaves;  // Summary payloads.
+  };
+  std::map<uint64_t, ReferenceStream> reference;
+  for (const auto& [stream, copies] : latest) {
+    ReferenceStream ref;
+    for (const auto& [index, bytes] : copies) {
+      const std::optional<LeafRecordView> leaf = ViewLeafRecord(
+          bytes.data(), bytes.size(), SummaryTag::kSpaceSaving);
+      if (index != ref.metas.size() || !leaf.has_value()) break;
+      if (index > 0 && leaf->meta.epoch != ref.metas[0].epoch + index) break;
+      ref.metas.push_back(leaf->meta);
+      ref.leaves.emplace_back(leaf->summary,
+                              leaf->summary + leaf->summary_size);
+    }
+    if (ref.metas.empty()) continue;
+    expected.epochs += ref.metas.size();
+    expected.nodes_prewarmed += DyadicCover(0, ref.metas.size() - 1).size();
+    reference[stream] = std::move(ref);
   }
+  expected.streams = reference.size();
 
   DurableStore<SpaceSaving> reopened(&durable, options);
   const OpenReport report = reopened.Open();
@@ -592,17 +608,17 @@ TEST(DurableStoreTest, OneScanOpenMatchesStoreOpenOverLatestWinsFiles) {
   for (const uint64_t stream : {kStream, kOther}) {
     SCOPED_TRACE("stream " + std::to_string(stream));
     ASSERT_TRUE(reopened.HasStream(stream));
-    const uint64_t base = reference.BaseEpoch(stream);
-    const uint64_t count = reference.EpochCount(stream);
+    const ReferenceStream& ref = reference[stream];
+    const uint64_t base = ref.metas[0].epoch;
+    const uint64_t count = ref.metas.size();
     EXPECT_EQ(reopened.BaseEpoch(stream), base);
-    EXPECT_EQ(reopened.Metas(stream), reference.Metas(stream));
+    EXPECT_EQ(reopened.Metas(stream), ref.metas);
     for (uint64_t lo = base; lo < base + count; ++lo) {
       for (uint64_t hi = lo; hi < base + count; ++hi) {
         const auto got = reopened.QueryRangePayload(stream, lo, hi);
-        const auto want = reference.QueryRangePayload(stream, lo, hi);
-        ASSERT_TRUE(got.has_value() && want.has_value())
-            << "[" << lo << ", " << hi << "]";
-        EXPECT_EQ(*got->payload, *want->payload)
+        ASSERT_TRUE(got.has_value()) << "[" << lo << ", " << hi << "]";
+        EXPECT_EQ(*got->payload, ReferenceRange<SpaceSaving>(
+                                     ref.leaves, lo - base, hi - base))
             << "[" << lo << ", " << hi << "]";
       }
     }
@@ -985,6 +1001,60 @@ TEST(DurableStoreTest, UnreadableNewestSegmentRollsToAFreshSegment) {
   EXPECT_TRUE(reopened.QuarantinedLeaves(kStream).empty());
   reopened.ScrubOnce();
   EXPECT_EQ(reopened.scrub_stats().corrupt_found, 0u);
+}
+
+// Every field of `got` equals `want`.
+void ExpectSameEps(const EpsilonReport& got, const EpsilonReport& want) {
+  EXPECT_EQ(got.epochs, want.epochs);
+  EXPECT_EQ(got.degraded_epochs, want.degraded_epochs);
+  EXPECT_EQ(got.coverage, want.coverage);
+  EXPECT_EQ(got.n_received, want.n_received);
+  EXPECT_EQ(got.lost_mass, want.lost_mass);
+  EXPECT_EQ(got.lost_mass_estimated, want.lost_mass_estimated);
+  EXPECT_EQ(got.received_bound, want.received_bound);
+  EXPECT_EQ(got.full_stream_bound, want.full_stream_bound);
+}
+
+// The typed planners over a store with a quarantined leaf: a top-k over
+// a range, and over a window, that crosses the leaf answers with the
+// top-k of the prefix before it and the exact bound
+// AccumulateEpsilonPartial widens by every skipped epoch's mass; a
+// window that starts on the leaf is refused.
+TEST(DurableStoreTest, PlannersClampAroundAQuarantinedLeaf) {
+  constexpr uint64_t kEpochs = 12;
+  constexpr uint64_t kRotten = 9;
+  constexpr size_t kTop = 5;
+  MemStorage storage;
+  DurableStore<SpaceSaving> store(&storage, Options());
+  ASSERT_EQ(SealUpTo(store, kEpochs), kEpochs);
+  ASSERT_GT(FlipRecordByte(storage, 0, kRotten), 0u);
+  store.ScrubOnce();
+  ASSERT_EQ(store.QuarantinedLeaves(kStream),
+            std::vector<uint64_t>({kRotten}));
+  const std::vector<EpochMeta>& metas = store.Metas(kStream);
+
+  for (const uint64_t lo : {uint64_t{2}, kEpochs - 6}) {
+    SCOPED_TRACE("from epoch " + std::to_string(lo));
+    const auto clamped =
+        lo == 2 ? QueryTopK(store, kStream, lo, kEpochs - 1, kTop)
+                : QueryWindowTopK(store, kStream, kEpochs - lo, kTop);
+    const auto prefix = QueryTopK(store, kStream, lo, kRotten - 1, kTop);
+    ASSERT_TRUE(clamped.has_value());
+    ASSERT_TRUE(prefix.has_value());
+    EXPECT_EQ(clamped->items, prefix->items);
+    ExpectSameEps(clamped->eps,
+                  AccumulateEpsilonPartial(metas, lo, kEpochs - 1,
+                                           kRotten - 1, kEpsilon));
+    ExpectSameEps(prefix->eps,
+                  AccumulateEpsilon(metas, lo, kRotten - 1, kEpsilon));
+    // The skipped epochs' whole mass widens the bound.
+    uint64_t skipped = 0;
+    for (uint64_t e = kRotten; e < kEpochs; ++e) skipped += metas[e].n;
+    EXPECT_EQ(clamped->eps.lost_mass, skipped);
+    EXPECT_GT(clamped->eps.full_stream_bound, prefix->eps.full_stream_bound);
+  }
+  EXPECT_FALSE(
+      QueryWindowTopK(store, kStream, kEpochs - kRotten, kTop).has_value());
 }
 
 }  // namespace

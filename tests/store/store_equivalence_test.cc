@@ -1,19 +1,19 @@
 // The store equivalence suite: every [t1, t2] range answer served from
-// the dyadic tree + cache must be byte-identical to a from-scratch
-// recomputation over the raw epoch payloads, for every summary family,
-// tree size, and cache pressure.
+// the dyadic tree + cache over the segment log must be byte-identical
+// to a from-scratch recomputation over the raw epoch payloads, for
+// every summary family, tree size, and cache pressure.
 //
 // "From scratch" means: no store, no persistence, no cache, no
-// incremental state — the reference below re-derives every range answer
-// directly from the sealed leaf payloads using only the store's two
-// defining equations (node = canonical(merge(left, right)); range =
-// balanced canonical merge of the dyadic cover). For an associative
-// family (CountMinSketch) the reference provably equals a plain
-// left-deep fold of the raw epochs, which is asserted separately — so
-// the tree is not just self-consistent, it computes *the* merge.
+// incremental state — the reference (reference_range.h) re-derives
+// every range answer directly from the sealed leaf payloads using only
+// the store's two defining equations (node = canonical(merge(left,
+// right)); range = balanced canonical merge of the dyadic cover). For
+// an associative family (CountMinSketch) the reference provably equals
+// a plain left-deep fold of the raw epochs, which is asserted
+// separately — so the tree is not just self-consistent, it computes
+// *the* merge.
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <optional>
 #include <vector>
@@ -25,9 +25,10 @@
 #include "mergeable/quantiles/mergeable_quantiles.h"
 #include "mergeable/sketch/count_min.h"
 #include "mergeable/store/dyadic.h"
+#include "mergeable/store/durable_store.h"
 #include "mergeable/store/query.h"
-#include "mergeable/store/summary_store.h"
 #include "mergeable/util/random.h"
+#include "reference_range.h"
 
 namespace mergeable {
 namespace {
@@ -109,32 +110,6 @@ SealedStream<T> MakeStream(uint64_t epochs, uint64_t base_epoch = 0) {
   return stream;
 }
 
-// Reference range answer, recomputed from the leaf payloads alone.
-template <typename T>
-std::vector<uint8_t> ReferenceRange(
-    const std::vector<std::vector<uint8_t>>& leaves, uint64_t lo,
-    uint64_t hi) {
-  std::function<std::vector<uint8_t>(const DyadicNode&)> value =
-      [&](const DyadicNode& node) -> std::vector<uint8_t> {
-    if (node.level == 0) return leaves[node.index];
-    T merged = DecodeSummaryOrDie<T>(
-        value(DyadicNode{node.level - 1, node.index * 2}));
-    const T sibling = DecodeSummaryOrDie<T>(
-        value(DyadicNode{node.level - 1, node.index * 2 + 1}));
-    CanonicalMergeInto(merged, sibling);
-    return EncodeSummary(merged);
-  };
-  std::vector<T> parts;
-  for (const DyadicNode& node : DyadicCover(lo, hi)) {
-    parts.push_back(DecodeSummaryOrDie<T>(value(node)));
-  }
-  if (parts.size() == 1) return EncodeSummary(parts.front());
-  T merged =
-      MergeAllWith(std::move(parts), MergeTopology::kBalancedTree,
-                   [](T& into, const T& from) { CanonicalMergeInto(into, from); });
-  return EncodeSummary(merged);
-}
-
 template <typename T>
 class StoreEquivalenceTest : public ::testing::Test {};
 
@@ -151,7 +126,9 @@ TYPED_TEST(StoreEquivalenceTest, AllRangesMatchFromScratchRecomputation) {
     StoreOptions options;
     options.epsilon = 0.05;
     options.cache_capacity = 64;
-    SummaryStore<TypeParam> store(&storage, options);
+    DurableStoreOptions durable;
+    durable.store = options;
+    DurableStore<TypeParam> store(&storage, durable);
     for (uint64_t e = 0; e < epochs; ++e) {
       ASSERT_TRUE(store.Seal(1, stream.summaries[e], stream.metas[e]));
     }
@@ -193,12 +170,12 @@ TYPED_TEST(StoreEquivalenceTest, OneEntryCacheIsByteIdenticalToLargeCache) {
 
   MemStorage tiny_storage;
   MemStorage large_storage;
-  StoreOptions tiny_options;
-  tiny_options.cache_capacity = 1;
-  StoreOptions large_options;
-  large_options.cache_capacity = 256;
-  SummaryStore<TypeParam> tiny(&tiny_storage, tiny_options);
-  SummaryStore<TypeParam> large(&large_storage, large_options);
+  DurableStoreOptions tiny_options;
+  tiny_options.store.cache_capacity = 1;
+  DurableStoreOptions large_options;
+  large_options.store.cache_capacity = 256;
+  DurableStore<TypeParam> tiny(&tiny_storage, tiny_options);
+  DurableStore<TypeParam> large(&large_storage, large_options);
   for (uint64_t e = 0; e < kEpochs; ++e) {
     ASSERT_TRUE(tiny.Seal(1, stream.summaries[e], stream.metas[e]));
     ASSERT_TRUE(large.Seal(1, stream.summaries[e], stream.metas[e]));
@@ -227,7 +204,7 @@ TYPED_TEST(StoreEquivalenceTest, WarmCacheAnswersRepeatsWithZeroMerges) {
   constexpr uint64_t kEpochs = 21;
   const SealedStream<TypeParam> stream = MakeStream<TypeParam>(kEpochs);
   MemStorage storage;
-  SummaryStore<TypeParam> store(&storage);
+  DurableStore<TypeParam> store(&storage);
   for (uint64_t e = 0; e < kEpochs; ++e) {
     ASSERT_TRUE(store.Seal(1, stream.summaries[e], stream.metas[e]));
   }
@@ -250,58 +227,6 @@ TYPED_TEST(StoreEquivalenceTest, WarmCacheAnswersRepeatsWithZeroMerges) {
   EXPECT_EQ(store.cache_stats().hits, before.hits + 1);
 }
 
-// Parallel query execution (num_threads > 1) must not change a single
-// byte relative to the sequential store.
-TYPED_TEST(StoreEquivalenceTest, ParallelQueriesAreByteIdentical) {
-  constexpr uint64_t kEpochs = 19;
-  const SealedStream<TypeParam> stream = MakeStream<TypeParam>(kEpochs);
-  MemStorage seq_storage;
-  MemStorage par_storage;
-  StoreOptions par_options;
-  par_options.num_threads = 4;
-  SummaryStore<TypeParam> sequential(&seq_storage);
-  SummaryStore<TypeParam> parallel(&par_storage, par_options);
-  for (uint64_t e = 0; e < kEpochs; ++e) {
-    ASSERT_TRUE(sequential.Seal(1, stream.summaries[e], stream.metas[e]));
-    ASSERT_TRUE(parallel.Seal(1, stream.summaries[e], stream.metas[e]));
-  }
-  for (uint64_t lo = 0; lo < kEpochs; lo += 3) {
-    for (uint64_t hi = lo; hi < kEpochs; ++hi) {
-      const auto a = sequential.QueryRangePayload(1, lo, hi);
-      const auto b = parallel.QueryRangePayload(1, lo, hi);
-      ASSERT_TRUE(a.has_value());
-      ASSERT_TRUE(b.has_value());
-      ASSERT_EQ(*a->payload, *b->payload);
-    }
-  }
-}
-
-// SealBatch must be byte-identical to sealing one epoch at a time.
-TYPED_TEST(StoreEquivalenceTest, BatchSealMatchesSequentialSeal) {
-  constexpr uint64_t kEpochs = 24;
-  const SealedStream<TypeParam> stream = MakeStream<TypeParam>(kEpochs);
-  MemStorage one_storage;
-  MemStorage batch_storage;
-  SummaryStore<TypeParam> one(&one_storage);
-  StoreOptions batch_options;
-  batch_options.num_threads = 4;
-  SummaryStore<TypeParam> batch(&batch_storage, batch_options);
-
-  std::vector<std::pair<TypeParam, EpochMeta>> items;
-  for (uint64_t e = 0; e < kEpochs; ++e) {
-    ASSERT_TRUE(one.Seal(1, stream.summaries[e], stream.metas[e]));
-    items.emplace_back(stream.summaries[e], stream.metas[e]);
-  }
-  ASSERT_TRUE(batch.SealBatch(1, std::move(items)));
-
-  // Every persisted file must match, leaf and internal alike.
-  const std::vector<std::string> files = one_storage.List();
-  ASSERT_EQ(files, batch_storage.List());
-  for (const std::string& file : files) {
-    ASSERT_EQ(*one_storage.Read(file), *batch_storage.Read(file)) << file;
-  }
-}
-
 // Degraded-coverage epochs widen the reported bound; complete ranges
 // keep the native one.
 TYPED_TEST(StoreEquivalenceTest, DegradedEpochsWidenTheReportedBound) {
@@ -311,7 +236,7 @@ TYPED_TEST(StoreEquivalenceTest, DegradedEpochsWidenTheReportedBound) {
   stream.metas[5].lost_mass = 500;
   stream.metas[5].lost_mass_estimated = true;
   MemStorage storage;
-  SummaryStore<TypeParam> store(&storage);
+  DurableStore<TypeParam> store(&storage);
   for (uint64_t e = 0; e < kEpochs; ++e) {
     ASSERT_TRUE(store.Seal(1, stream.summaries[e], stream.metas[e]));
   }
@@ -336,7 +261,7 @@ TYPED_TEST(StoreEquivalenceTest, DegradedEpochsWidenTheReportedBound) {
 TYPED_TEST(StoreEquivalenceTest, InvalidRangesAreRefused) {
   const SealedStream<TypeParam> stream = MakeStream<TypeParam>(4, 100);
   MemStorage storage;
-  SummaryStore<TypeParam> store(&storage);
+  DurableStore<TypeParam> store(&storage);
   for (uint64_t e = 0; e < 4; ++e) {
     ASSERT_TRUE(store.Seal(1, stream.summaries[e], stream.metas[e]));
   }
@@ -354,9 +279,9 @@ TYPED_TEST(StoreEquivalenceTest, InvalidRangesAreRefused) {
 TEST(StoreAcceptanceTest, Query1024EpochsMergesAtMost20Nodes) {
   constexpr uint64_t kEpochs = 1024;
   MemStorage storage;
-  StoreOptions options;
-  options.cache_capacity = 512;
-  SummaryStore<CountMinSketch> store(&storage, options);
+  DurableStoreOptions options;
+  options.store.cache_capacity = 512;
+  DurableStore<CountMinSketch> store(&storage, options);
   std::optional<CountMinSketch> naive;
   for (uint64_t e = 0; e < kEpochs; ++e) {
     CountMinSketch summary = CountMinSketch::ForEpsilonDelta(0.05, 0.1, 5);

@@ -1,6 +1,6 @@
-// Store persistence: Open() recovery after restarts and injected
-// crashes, lazy rebuild of torn internal nodes, and ingestion of
-// coordinator results, recovered ones included.
+// Store persistence: Open() recovery after restarts, rebuild of rotted
+// internal nodes, quarantine of a leaf that rots after Open(), and
+// ingestion of coordinator results, recovered ones included.
 
 #include <cstdint>
 #include <optional>
@@ -14,7 +14,8 @@
 #include "mergeable/aggregate/fault.h"
 #include "mergeable/aggregate/storage.h"
 #include "mergeable/frequency/space_saving.h"
-#include "mergeable/store/summary_store.h"
+#include "mergeable/store/durable_store.h"
+#include "mergeable/store/segment.h"
 #include "mergeable/util/random.h"
 
 namespace mergeable {
@@ -36,15 +37,30 @@ EpochMeta MetaFor(uint64_t epoch, const SpaceSaving& summary) {
   return meta;
 }
 
-// Seals `epochs` summaries into a fresh store over `storage`; returns
-// how many seals succeeded before the first failure.
-uint64_t SealUpTo(Storage* storage, uint64_t epochs, uint64_t base = 0) {
-  SummaryStore<SpaceSaving> store(storage);
+// Seals `epochs` summaries of stream 1 into a fresh store over
+// `storage`; returns how many seals succeeded before the first failure.
+uint64_t SealUpTo(Storage* storage, uint64_t epochs) {
+  DurableStore<SpaceSaving> store(storage);
   for (uint64_t e = 0; e < epochs; ++e) {
     const SpaceSaving summary = MakeEpochSummary(e);
-    if (!store.Seal(1, summary, MetaFor(base + e, summary))) return e;
+    if (!store.Seal(1, summary, MetaFor(e, summary))) return e;
   }
   return epochs;
+}
+
+// Flips one byte in the middle of stream 1's record (level, index) in
+// the first segment file. False when the record is absent.
+bool RotRecord(Storage& storage, uint32_t level, uint64_t index) {
+  const std::string file = "durable/seg/00000000";
+  std::vector<uint8_t> bytes = *storage.Read(file);
+  for (const SegmentEntry& entry : ScanSegment(bytes).entries) {
+    if (entry.record.stream == 1 && entry.record.level == level &&
+        entry.record.index == index) {
+      bytes[entry.offset + entry.length / 2] ^= 0x10;
+      return storage.Rewrite(file, bytes);
+    }
+  }
+  return false;
 }
 
 TEST(StoreRecoveryTest, OpenRestoresStreamsAndAnswersIdentically) {
@@ -52,7 +68,7 @@ TEST(StoreRecoveryTest, OpenRestoresStreamsAndAnswersIdentically) {
   constexpr uint64_t kEpochs = 13;
   std::vector<std::vector<uint8_t>> reference;
   {
-    SummaryStore<SpaceSaving> store(&storage);
+    DurableStore<SpaceSaving> store(&storage);
     for (uint64_t e = 0; e < kEpochs; ++e) {
       const SpaceSaving summary = MakeEpochSummary(e);
       ASSERT_TRUE(store.Seal(7, summary, MetaFor(100 + e, summary)));
@@ -66,8 +82,8 @@ TEST(StoreRecoveryTest, OpenRestoresStreamsAndAnswersIdentically) {
   }
 
   // "Restart": a fresh store over the same storage.
-  SummaryStore<SpaceSaving> reopened(&storage);
-  ASSERT_EQ(reopened.Open(), 1u);
+  DurableStore<SpaceSaving> reopened(&storage);
+  ASSERT_EQ(reopened.Open().streams, 1u);
   ASSERT_TRUE(reopened.HasStream(7));
   EXPECT_EQ(reopened.EpochCount(7), kEpochs);
   EXPECT_EQ(reopened.BaseEpoch(7), 100u);
@@ -83,128 +99,77 @@ TEST(StoreRecoveryTest, OpenRestoresStreamsAndAnswersIdentically) {
 TEST(StoreRecoveryTest, OpenRecoversMultipleStreams) {
   MemStorage storage;
   {
-    SummaryStore<SpaceSaving> store(&storage);
+    DurableStore<SpaceSaving> store(&storage);
     for (uint64_t e = 0; e < 5; ++e) {
       const SpaceSaving summary = MakeEpochSummary(e);
       ASSERT_TRUE(store.Seal(1, summary, MetaFor(e, summary)));
       ASSERT_TRUE(store.Seal(2, summary, MetaFor(50 + e, summary)));
     }
   }
-  SummaryStore<SpaceSaving> reopened(&storage);
-  EXPECT_EQ(reopened.Open(), 2u);
+  DurableStore<SpaceSaving> reopened(&storage);
+  EXPECT_EQ(reopened.Open().streams, 2u);
   EXPECT_EQ(reopened.EpochCount(1), 5u);
   EXPECT_EQ(reopened.EpochCount(2), 5u);
   EXPECT_EQ(reopened.BaseEpoch(2), 50u);
 }
 
-// A torn or corrupted internal node is rebuilt from its children,
-// byte-identically, and re-persisted for the next restart.
+// A rotted internal node is rebuilt from its children,
+// byte-identically, and re-appended for the next restart.
 TEST(StoreRecoveryTest, TornInternalNodeIsRebuiltByteIdentically) {
   MemStorage storage;
   constexpr uint64_t kEpochs = 8;
   std::vector<uint8_t> healthy_answer;
+  std::vector<uint8_t> healthy_pair;  // [2, 3]: node (1, 1) itself.
   {
-    SummaryStore<SpaceSaving> store(&storage);
+    DurableStore<SpaceSaving> store(&storage);
     for (uint64_t e = 0; e < kEpochs; ++e) {
       const SpaceSaving summary = MakeEpochSummary(e);
       ASSERT_TRUE(store.Seal(1, summary, MetaFor(e, summary)));
     }
     healthy_answer = *store.QueryRangePayload(1, 0, kEpochs - 1)->payload;
+    healthy_pair = *store.QueryRangePayload(1, 2, 3)->payload;
   }
 
-  // Smash the level-3 root node and one level-1 node on storage (the
-  // documented layout: <prefix>/s<stream>/n<level>.<index>).
-  const std::vector<uint8_t> junk = {0xba, 0xad};
-  ASSERT_TRUE(storage.Read("store/s1/n3.0").has_value());
-  ASSERT_TRUE(storage.Rewrite("store/s1/n3.0", junk));
-  ASSERT_TRUE(storage.Rewrite("store/s1/n1.1", junk));
+  // Rot the level-3 root node and one level-1 node in the log.
+  ASSERT_TRUE(RotRecord(storage, 3, 0));
+  ASSERT_TRUE(RotRecord(storage, 1, 1));
 
-  SummaryStore<SpaceSaving> reopened(&storage);
-  ASSERT_EQ(reopened.Open(), 1u);
+  DurableStore<SpaceSaving> reopened(&storage);
+  const OpenReport report = reopened.Open();
+  ASSERT_EQ(report.streams, 1u);
+  EXPECT_EQ(report.corrupt_records, 2u);
+  // Open()'s pre-warm of the full range rebuilt the root from its
+  // intact children.
+  EXPECT_EQ(reopened.stats().nodes_built, 1u);
   const auto outcome = reopened.QueryRangePayload(1, 0, kEpochs - 1);
   ASSERT_TRUE(outcome.has_value());
   EXPECT_EQ(*outcome->payload, healthy_answer);
-  EXPECT_GT(outcome->stats.merges_performed, 0u);  // Rebuilds happened.
+  const auto pair = reopened.QueryRangePayload(1, 2, 3);
+  ASSERT_TRUE(pair.has_value());
+  EXPECT_EQ(*pair->payload, healthy_pair);
+  EXPECT_EQ(pair->stats.merges_performed, 1u);  // The rebuild of (1, 1).
+  EXPECT_EQ(reopened.stats().nodes_built, 2u);
 
-  // The rebuilt nodes were re-persisted: a further restart reads them
+  // The rebuilt nodes were re-appended: a further restart reads them
   // without rebuilding.
-  SummaryStore<SpaceSaving> third(&storage);
-  ASSERT_EQ(third.Open(), 1u);
+  DurableStore<SpaceSaving> third(&storage);
+  ASSERT_EQ(third.Open().streams, 1u);
   const auto again = third.QueryRangePayload(1, 0, kEpochs - 1);
   ASSERT_TRUE(again.has_value());
   EXPECT_EQ(*again->payload, healthy_answer);
-  EXPECT_EQ(again->stats.merges_performed,
-            again->stats.nodes_merged - 1);  // Only the query's own fold.
-}
-
-// A torn *leaf* ends the recovered prefix: epochs before it stay
-// queryable, epochs after it are not admitted.
-TEST(StoreRecoveryTest, TornLeafTruncatesTheRecoveredPrefix) {
-  MemStorage storage;
-  {
-    SummaryStore<SpaceSaving> store(&storage);
-    for (uint64_t e = 0; e < 6; ++e) {
-      const SpaceSaving summary = MakeEpochSummary(e);
-      ASSERT_TRUE(store.Seal(1, summary, MetaFor(e, summary)));
-    }
-  }
-  std::vector<uint8_t> torn = *storage.Read("store/s1/n0.3");
-  torn.resize(torn.size() / 2);
-  ASSERT_TRUE(storage.Rewrite("store/s1/n0.3", torn));
-
-  SummaryStore<SpaceSaving> reopened(&storage);
-  ASSERT_EQ(reopened.Open(), 1u);
-  EXPECT_EQ(reopened.EpochCount(1), 3u);
-  EXPECT_TRUE(reopened.QueryRangePayload(1, 0, 2).has_value());
-  EXPECT_FALSE(reopened.QueryRangePayload(1, 0, 3).has_value());
-}
-
-// The crash matrix: die at every write boundary in every mode; after
-// restart, Open() recovers a consistent prefix whose answers are
-// byte-identical to a healthy store's over the same epochs.
-TEST(StoreRecoveryTest, CrashMatrixRecoversConsistentPrefix) {
-  constexpr uint64_t kEpochs = 6;
-  // Dry run: count the writes and capture healthy per-prefix answers.
-  MemStorage healthy;
-  const uint64_t total_writes = [&] {
-    SealUpTo(&healthy, kEpochs);
-    return healthy.writes_attempted();
-  }();
-  SummaryStore<SpaceSaving> healthy_store(&healthy);
-  ASSERT_EQ(healthy_store.Open(), 1u);
-
-  for (const CrashPoint& crash : CrashMatrix(total_writes, /*seed=*/9)) {
-    MemStorage storage(crash);
-    SealUpTo(&storage, kEpochs);
-    storage.Restart();
-
-    SummaryStore<SpaceSaving> recovered(&storage);
-    const size_t streams = recovered.Open();
-    if (streams == 0) continue;  // Crashed before the first durable leaf.
-    const uint64_t epochs = recovered.EpochCount(1);
-    ASSERT_LE(epochs, kEpochs);
-    for (uint64_t hi = 0; hi < epochs; ++hi) {
-      const auto got = recovered.QueryRangePayload(1, 0, hi);
-      const auto want = healthy_store.QueryRangePayload(1, 0, hi);
-      ASSERT_TRUE(got.has_value());
-      ASSERT_TRUE(want.has_value());
-      ASSERT_EQ(*got->payload, *want->payload)
-          << "write " << crash.write_index << " mode "
-          << ToString(crash.mode) << " range [0, " << hi << "]";
-    }
-    // Sealing can resume where recovery left off.
-    const SpaceSaving next = MakeEpochSummary(epochs);
-    ASSERT_TRUE(recovered.Seal(1, next, MetaFor(epochs, next)));
-  }
+  const auto pair_again = third.QueryRangePayload(1, 2, 3);
+  ASSERT_TRUE(pair_again.has_value());
+  EXPECT_EQ(*pair_again->payload, healthy_pair);
+  EXPECT_EQ(third.stats().nodes_built, 0u);
 }
 
 // ---- Ingestion from the aggregation pipeline ----
 
 TEST(StoreIngestTest, SealResultRecordsCoverageAndLostMass) {
   MemStorage storage;
-  StoreOptions options;
-  options.epsilon = 0.1;
-  SummaryStore<SpaceSaving> store(&storage, options);
+  DurableStoreOptions options;
+  options.store.epsilon = 0.1;
+  DurableStore<SpaceSaving> store(&storage, options);
 
   AggregationResult<SpaceSaving> result;
   result.summary = MakeEpochSummary(0);
@@ -220,7 +185,7 @@ TEST(StoreIngestTest, SealResultRecordsCoverageAndLostMass) {
   EXPECT_EQ(meta.shards_received, 3u);
   EXPECT_TRUE(meta.degraded());
   const ErrorAccounting accounting =
-      AccountErrors(options.epsilon, 4, 3, result.summary->n(), 0);
+      AccountErrors(options.store.epsilon, 4, 3, result.summary->n(), 0);
   EXPECT_EQ(meta.lost_mass, accounting.lost_mass);
   EXPECT_EQ(meta.lost_mass_estimated, accounting.lost_mass_estimated);
 
@@ -231,7 +196,7 @@ TEST(StoreIngestTest, SealResultRecordsCoverageAndLostMass) {
 
 TEST(StoreIngestTest, SealResultRefusesCrashedOrEmptyResults) {
   MemStorage storage;
-  SummaryStore<SpaceSaving> store(&storage);
+  DurableStore<SpaceSaving> store(&storage);
   AggregationResult<SpaceSaving> empty;
   empty.shards_total = 4;
   EXPECT_FALSE(store.SealResult(1, 0, empty));
@@ -245,7 +210,7 @@ TEST(StoreIngestTest, SealResultRefusesCrashedOrEmptyResults) {
 
 // A coordinator epoch that crashed and was recovered seals exactly like
 // the uninterrupted one: same metadata (coverage, lost mass), same
-// store files byte for byte.
+// segment files byte for byte.
 TEST(StoreIngestTest, SealResultOfRecoveredEpochMatchesUninterruptedRun) {
   constexpr uint64_t kEpoch = 9;
   constexpr size_t kShards = 4;
@@ -272,7 +237,7 @@ TEST(StoreIngestTest, SealResultOfRecoveredEpochMatchesUninterruptedRun) {
       reference_transport, kShards, &reference_log, options);
   ASSERT_FALSE(reference_result.crashed);
   MemStorage reference_store_storage;
-  SummaryStore<SpaceSaving> reference_store(&reference_store_storage);
+  DurableStore<SpaceSaving> reference_store(&reference_store_storage);
   ASSERT_TRUE(reference_store.SealResult(2, kEpoch, reference_result));
 
   // Die after the checkpoint at two received reports is durable.
@@ -294,7 +259,7 @@ TEST(StoreIngestTest, SealResultOfRecoveredEpochMatchesUninterruptedRun) {
   EXPECT_EQ(result.shards_received, kShards - 1);
 
   MemStorage storage;
-  SummaryStore<SpaceSaving> store(&storage);
+  DurableStore<SpaceSaving> store(&storage);
   ASSERT_TRUE(store.SealResult(2, kEpoch, result));
   const EpochMeta& meta = store.Metas(2)[0];
   const EpochMeta& want = reference_store.Metas(2)[0];
@@ -310,47 +275,53 @@ TEST(StoreIngestTest, SealResultOfRecoveredEpochMatchesUninterruptedRun) {
   }
 }
 
-// A sealed leaf that rots underneath the store is reported to the
-// LeafLossHandler and refuses the queries that need it; nothing aborts,
-// a seal whose new node needs the lost leaf still stands, and ranges
-// that avoid the leaf keep answering.
+// A sealed leaf that rots underneath the store after Open() is
+// quarantined by the first page-in: a query that starts on it is
+// refused and one that crosses it answers the prefix before it, with
+// the skipped mass in its bound. Nothing aborts, a seal whose new node
+// needs the lost leaf still stands, and ranges that avoid the leaf keep
+// answering in full.
 TEST(StoreRecoveryTest, LostLeafRefusesItsQueriesInsteadOfAborting) {
   MemStorage storage;
   ASSERT_EQ(SealUpTo(&storage, 3), 3u);
-  std::vector<std::pair<uint64_t, uint64_t>> lost;
-  SummaryStore<SpaceSaving> store(
-      &storage, StoreOptions{},
-      [&lost](uint64_t stream, uint64_t index) {
-        lost.emplace_back(stream, index);
-      });
-  ASSERT_EQ(store.Open(), 1u);
-  const std::string leaf = "store/s1/n0.2";
-  std::vector<uint8_t> rotted = *storage.Read(leaf);
-  rotted[rotted.size() / 2] ^= 0x10;
-  ASSERT_TRUE(storage.Rewrite(leaf, rotted));
+  // A one-entry cache: Open()'s pre-warm leaves no leaf resident.
+  DurableStoreOptions options;
+  options.store.cache_capacity = 1;
+  DurableStore<SpaceSaving> store(&storage, options);
+  ASSERT_EQ(store.Open().streams, 1u);
+  ASSERT_TRUE(RotRecord(storage, 0, 2));
 
   EXPECT_FALSE(store.QueryRangePayload(1, 2, 2).has_value());
-  ASSERT_EQ(lost.size(), 1u);
-  EXPECT_EQ(lost[0], std::make_pair(uint64_t{1}, uint64_t{2}));
+  EXPECT_EQ(store.QuarantinedLeaves(1), std::vector<uint64_t>({2}));
   // Sealing epoch 3 completes node (1, 1) over the lost leaf: the leaf
   // is durable and the seal stands; the node is left unwritten.
   const SpaceSaving summary = MakeEpochSummary(3);
   EXPECT_TRUE(store.Seal(1, summary, MetaFor(3, summary)));
   EXPECT_EQ(store.EpochCount(1), 4u);
-  EXPECT_FALSE(storage.Read("store/s1/n1.1").has_value());
-  EXPECT_FALSE(store.QueryRangePayload(1, 0, 3).has_value());
-  EXPECT_TRUE(store.QueryRangePayload(1, 0, 1).has_value());
-  EXPECT_TRUE(store.QueryRangePayload(1, 3, 3).has_value());
-  // Every report names the one lost leaf; each failed build retried it.
-  EXPECT_GT(lost.size(), 2u);
-  for (const auto& report : lost) {
-    EXPECT_EQ(report, std::make_pair(uint64_t{1}, uint64_t{2}));
-  }
+  EXPECT_FALSE(store.log().ReadRecord(1, 1, 1).has_value());
+  const auto crossing = store.QueryRangePayload(1, 0, 3);
+  ASSERT_TRUE(crossing.has_value());
+  EXPECT_TRUE(crossing->partial);
+  EXPECT_EQ(crossing->covered_hi, 1u);
+  const EpsilonReport expected = AccumulateEpsilonPartial(
+      store.Metas(1), 0, 3, 1, options.store.epsilon);
+  EXPECT_EQ(crossing->eps.lost_mass, expected.lost_mass);
+  EXPECT_EQ(crossing->eps.full_stream_bound, expected.full_stream_bound);
+  const auto before = store.QueryRangePayload(1, 0, 1);
+  ASSERT_TRUE(before.has_value());
+  EXPECT_FALSE(before->partial);
+  EXPECT_EQ(*crossing->payload, *before->payload);
+  const auto after = store.QueryRangePayload(1, 3, 3);
+  ASSERT_TRUE(after.has_value());
+  EXPECT_FALSE(after->partial);
+  // Every page-in that met the loss named the one lost leaf.
+  EXPECT_EQ(store.QuarantinedLeaves(1), std::vector<uint64_t>({2}));
+  EXPECT_EQ(store.scrub_stats().epochs_quarantined, 1u);
 }
 
 TEST(StoreIngestTest, StoreStatsCountSealsAndBuilds) {
   MemStorage storage;
-  SummaryStore<SpaceSaving> store(&storage);
+  DurableStore<SpaceSaving> store(&storage);
   for (uint64_t e = 0; e < 8; ++e) {
     const SpaceSaving summary = MakeEpochSummary(e);
     ASSERT_TRUE(store.Seal(1, summary, MetaFor(e, summary)));

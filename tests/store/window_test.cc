@@ -23,7 +23,6 @@
 #include "mergeable/server/epoch_service.h"
 #include "mergeable/store/durable_store.h"
 #include "mergeable/store/query.h"
-#include "mergeable/store/summary_store.h"
 #include "mergeable/util/bytes.h"
 #include "mergeable/util/random.h"
 
@@ -88,13 +87,13 @@ WireAnswer AskRange(FrameHandler& service, uint64_t stream, uint64_t t1,
   return Ask(service, query);
 }
 
-// An EpochService over a SummaryStore of S: each epoch's shard reports
+// An EpochService over a DurableStore of S: each epoch's shard reports
 // go in through encoded frames and are sealed, as the serving tier
 // would.
 template <typename S>
 class ServiceHarness {
  public:
-  ServiceHarness(uint64_t shards, StoreOptions options)
+  explicit ServiceHarness(uint64_t shards, DurableStoreOptions options = {})
       : store_(&storage_, options), service_(&store_, Config(shards)) {}
 
   // Reports parts[i] as shard i's summary for `epoch`, then seals the
@@ -124,7 +123,7 @@ class ServiceHarness {
   }
 
   MemStorage& storage() { return storage_; }
-  SummaryStore<S>& store() { return store_; }
+  DurableStore<S>& store() { return store_; }
   EpochService<S>& service() { return service_; }
 
  private:
@@ -136,7 +135,7 @@ class ServiceHarness {
   }
 
   MemStorage storage_;
-  SummaryStore<S> store_;
+  DurableStore<S> store_;
   EpochService<S> service_;
 };
 
@@ -144,7 +143,7 @@ class ServiceHarness {
 // answer for the absolute suffix range: same bytes, same bound.
 TEST(WindowTest, EveryWindowMatchesTheStoreByteForByte) {
   constexpr uint64_t kEpochs = 40;
-  ServiceHarness<SpaceSaving> harness(1, StoreOptions{});
+  ServiceHarness<SpaceSaving> harness(1);
   for (uint64_t epoch = 0; epoch < kEpochs; ++epoch) {
     harness.SealWhole(epoch, EpochSummary(epoch));
   }
@@ -166,7 +165,7 @@ TEST(WindowTest, EveryWindowMatchesTheStoreByteForByte) {
 
 TEST(WindowTest, WindowAnswerEqualsExplicitLeafMerge) {
   constexpr uint64_t kEpochs = 21;
-  ServiceHarness<SpaceSaving> harness(1, StoreOptions{});
+  ServiceHarness<SpaceSaving> harness(1);
   for (uint64_t epoch = 0; epoch < kEpochs; ++epoch) {
     harness.SealWhole(epoch, EpochSummary(epoch));
   }
@@ -196,7 +195,7 @@ TEST(WindowTest, WindowAnswerEqualsExplicitLeafMerge) {
 
 TEST(WindowTest, DegradedEpochInsideWindowWidensTheBound) {
   constexpr uint64_t kLost = 500;
-  ServiceHarness<SpaceSaving> harness(2, StoreOptions{});
+  ServiceHarness<SpaceSaving> harness(2);
   for (uint64_t epoch = 0; epoch < 12; ++epoch) {
     const SpaceSaving left = EpochSummary(epoch);
     const SpaceSaving right = EpochSummary(100 + epoch);
@@ -238,8 +237,8 @@ TEST(WindowTest, DegradedEpochInsideWindowWidensTheBound) {
 TEST(WindowTest, PruningKeepsResidencyBoundedAndAnswersExact) {
   constexpr uint64_t kEpochs = 200;
   constexpr size_t kCapacity = 16;
-  StoreOptions options;
-  options.cache_capacity = kCapacity;
+  DurableStoreOptions options;
+  options.store.cache_capacity = kCapacity;
   ServiceHarness<SpaceSaving> harness(1, options);
   for (uint64_t epoch = 0; epoch < kEpochs; ++epoch) {
     harness.SealWhole(epoch, EpochSummary(epoch));
@@ -252,8 +251,8 @@ TEST(WindowTest, PruningKeepsResidencyBoundedAndAnswersExact) {
       kEpochs + harness.store().stats().nodes_built + sealed.misses;
   EXPECT_EQ(inserted - sealed.evictions, kCapacity);
 
-  SummaryStore<SpaceSaving> cold(&harness.storage(), options);
-  ASSERT_EQ(cold.Open(), 1u);
+  DurableStore<SpaceSaving> cold(&harness.storage(), options);
+  ASSERT_EQ(cold.Open().streams, 1u);
   for (uint64_t w = 1; w <= kCapacity; ++w) {
     const WireAnswer window = harness.Window(w);
     ASSERT_EQ(window.status, AnswerStatus::kOk) << w;
@@ -269,8 +268,8 @@ TEST(WindowTest, DeamortizedSummariesServeWindowsUnchanged) {
   // The deamortized summary drops into the window path exactly as
   // SpaceSaving does: same wire format, same canonical merges.
   constexpr uint64_t kEpochs = 24;
-  StoreOptions options;
-  options.epsilon = 0.05;
+  DurableStoreOptions options;
+  options.store.epsilon = 0.05;
   ServiceHarness<DeamortizedSpaceSaving> harness(1, options);
   for (uint64_t epoch = 0; epoch < kEpochs; ++epoch) {
     DeamortizedSpaceSaving summary = DeamortizedSpaceSaving::ForEpsilon(0.05);
@@ -280,8 +279,8 @@ TEST(WindowTest, DeamortizedSummariesServeWindowsUnchanged) {
     }
     harness.SealWhole(epoch, summary);
   }
-  SummaryStore<DeamortizedSpaceSaving> cold(&harness.storage(), options);
-  ASSERT_EQ(cold.Open(), 1u);
+  DurableStore<DeamortizedSpaceSaving> cold(&harness.storage(), options);
+  ASSERT_EQ(cold.Open().streams, 1u);
   for (const uint64_t w : {1u, 3u, 8u, 17u, 24u}) {
     const WireAnswer window = harness.Window(w);
     ASSERT_EQ(window.status, AnswerStatus::kOk) << w;
@@ -298,7 +297,7 @@ TEST(WindowTest, DeamortizedSummariesServeWindowsUnchanged) {
 
 TEST(WindowTest, PlannerSugarForwardsAndClamps) {
   MemStorage storage;
-  SummaryStore<SpaceSaving> store(&storage);
+  DurableStore<SpaceSaving> store(&storage);
   for (uint64_t epoch = 0; epoch < 10; ++epoch) {
     const SpaceSaving summary = EpochSummary(epoch);
     ASSERT_TRUE(store.Seal(kStream, summary, MetaFor(epoch, summary)));
@@ -333,9 +332,9 @@ TEST(WindowTest, PlannerSugarForwardsAndClamps) {
 
 TEST(WindowTest, QuantilePlannerServesWindows) {
   MemStorage storage;
-  StoreOptions options;
-  options.epsilon = 0.02;
-  SummaryStore<MergeableQuantiles> store(&storage, options);
+  DurableStoreOptions options;
+  options.store.epsilon = 0.02;
+  DurableStore<MergeableQuantiles> store(&storage, options);
   for (uint64_t epoch = 0; epoch < 8; ++epoch) {
     MergeableQuantiles summary = MergeableQuantiles::ForEpsilon(0.02, 5);
     Rng rng(60 + epoch);
@@ -392,15 +391,14 @@ void RunEpoch(Service& service, uint64_t epoch) {
 class WindowServiceTest : public ::testing::Test {
  protected:
   WindowServiceTest()
-      : store_(&storage_, StoreOptions{}),
-        service_(&store_, ServiceConfig()) {}
+      : store_(&storage_), service_(&store_, ServiceConfig()) {}
 
   void RunEpoch(uint64_t epoch) { mergeable::RunEpoch(service_, epoch); }
 
   WireAnswer Ask(uint64_t window) { return AskWindow(service_, 1, window); }
 
   MemStorage storage_;
-  SummaryStore<SpaceSaving> store_;
+  DurableStore<SpaceSaving> store_;
   EpochService<SpaceSaving> service_;
 };
 
@@ -430,9 +428,9 @@ TEST_F(WindowServiceTest, WindowQueryResolvesToSuffixAndMatchesRange) {
 // does not count; the bytes are the same both times.
 TEST_F(WindowServiceTest, OversizedWindowFallsBackToStoreByteIdentically) {
   MemStorage tiny_storage;
-  StoreOptions tiny_options;
-  tiny_options.cache_capacity = 1;
-  SummaryStore<SpaceSaving> tiny_store(&tiny_storage, tiny_options);
+  DurableStoreOptions tiny_options;
+  tiny_options.store.cache_capacity = 1;
+  DurableStore<SpaceSaving> tiny_store(&tiny_storage, tiny_options);
   EpochService<SpaceSaving> tiny_service(&tiny_store, ServiceConfig());
   for (uint64_t epoch = 0; epoch < 12; ++epoch) {
     RunEpoch(epoch);
