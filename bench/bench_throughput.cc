@@ -3,8 +3,10 @@
 // Engineering numbers, not paper claims: how fast each summary ingests
 // items, merges, and answers queries. Includes the SpaceSaving ablation
 // (heap update path) called out in DESIGN.md §5, and the cost of
-// keeping a merge canonical (BM_Fold*: plain vs in place vs round trip)
-// and the frame/segment checksum kernel (BM_Checksum, bytes/s). The
+// keeping a merge canonical (BM_Fold*: plain vs in place vs round trip),
+// the Count-Min 4x2048 codec around every linear-sketch merge
+// (BM_EncodeCountMin / BM_DecodeCountMin, bytes/s) and the
+// frame/segment checksum kernel (BM_Checksum, bytes/s). The
 // query path's pieces: SpaceSaving decode from wire bytes
 // (BM_DecodeSpaceSaving) and one store range query end to end without
 // sockets — node fetch, decode, canonical fold, encode
@@ -304,6 +306,44 @@ void BM_CountMinMerge(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CountMinMerge);
+
+// The codec on both sides of that merge: one Count-Min 4x2048 (a
+// 64 KiB encoding, perfbench seal_large's report and node size) to
+// and from wire bytes. Items processed = sketches.
+CountMinSketch ZipfCountMin() {
+  CountMinSketch sketch(4, 2048, 1);
+  for (uint64_t item : ZipfStream()) sketch.Update(item);
+  return sketch;
+}
+
+void BM_EncodeCountMin(benchmark::State& state) {
+  const CountMinSketch sketch = ZipfCountMin();
+  size_t size = 0;
+  for (auto _ : state) {
+    ByteWriter writer;
+    sketch.EncodeTo(writer);
+    size = writer.size();
+    benchmark::DoNotOptimize(writer.bytes().data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(size));
+}
+BENCHMARK(BM_EncodeCountMin);
+
+void BM_DecodeCountMin(benchmark::State& state) {
+  ByteWriter writer;
+  ZipfCountMin().EncodeTo(writer);
+  const std::vector<uint8_t> bytes = writer.TakeBytes();
+  for (auto _ : state) {
+    ByteReader reader(bytes);
+    benchmark::DoNotOptimize(CountMinSketch::DecodeFrom(reader));
+  }
+  state.SetItemsProcessed(state.iterations());
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(bytes.size()));
+}
+BENCHMARK(BM_DecodeCountMin);
 
 void BM_MisraGriesQuery(benchmark::State& state) {
   const auto& stream = ZipfStream();

@@ -107,7 +107,9 @@ bool RunArc() {
   if (!server.Start()) return Fail("server start");
   IngestClient client(server.port());
   if (!client.connected()) return Fail("client connect");
-  std::printf("ingest service on 127.0.0.1:%u\n", server.port());
+  // The ephemeral port goes to stderr so stdout stays byte-identical
+  // across runs.
+  std::fprintf(stderr, "ingest service on 127.0.0.1:%u\n", server.port());
 
   // The scripted arc: double at epoch 2, halve back at epoch 4.
   RebalanceController controller(kBaseShards);

@@ -29,8 +29,9 @@ constexpr uint32_t kTopologyMagic = 0x31504f54;
 // Seals a type-specific body into the uniform control-frame layout:
 // magic, length-prefixed body, checksum over (magic, body_len, body).
 std::vector<uint8_t> SealFrame(uint32_t magic, ByteWriter body) {
-  std::vector<uint8_t> body_bytes = body.TakeBytes();
+  const std::vector<uint8_t> body_bytes = body.TakeBytes();
   ByteWriter writer;
+  writer.Reserve(4 + 4 + body_bytes.size() + 8);
   writer.PutU32(magic);
   writer.PutBytes(body_bytes);
   writer.PutU64(FrameChecksum(magic, body_bytes.size(), body_bytes));
@@ -82,6 +83,7 @@ uint64_t FrameChecksum(uint64_t shard_id, uint64_t epoch,
 
 std::vector<uint8_t> EncodeReportFrame(const WireReport& report) {
   ByteWriter writer;
+  writer.Reserve(4 + 8 + 8 + 4 + report.payload.size() + 8);
   writer.PutU32(kReportMagic);
   writer.PutU64(report.shard_id);
   writer.PutU64(report.epoch);
@@ -142,7 +144,12 @@ constexpr size_t kMinBatchRecordBytes = 20;
 std::vector<uint8_t> EncodeBatchFrame(const WireBatch& batch) {
   MERGEABLE_CHECK_MSG(batch.reports.size() <= kMaxBatchReports,
                       "EncodeBatchFrame: too many reports for one frame");
+  size_t body_size = 4;
+  for (const WireReport& report : batch.reports) {
+    body_size += kMinBatchRecordBytes + report.payload.size();
+  }
   ByteWriter body;
+  body.Reserve(body_size);
   body.PutU32(static_cast<uint32_t>(batch.reports.size()));
   for (const WireReport& report : batch.reports) {
     body.PutU64(report.shard_id);
@@ -468,6 +475,7 @@ std::vector<uint8_t> EncodeTaggedPayload(SummaryTag tag,
       IsRegisteredSummaryTag(static_cast<uint32_t>(tag)),
       "EncodeTaggedPayload requires a registered summary tag");
   ByteWriter writer;
+  writer.Reserve(4 + 4 + 4 + payload.size() + 8);
   writer.PutU32(kTaggedPayloadMagic);
   writer.PutU32(static_cast<uint32_t>(tag));
   writer.PutBytes(payload);

@@ -191,7 +191,7 @@ void ElasticCountMin::EncodeTo(ByteWriter& writer) const {
     if (level.mass == 0) continue;
     writer.PutU32(level.width);
     writer.PutU64(level.mass);
-    for (uint64_t counter : level.counters) writer.PutU64(counter);
+    writer.PutU64Array(level.counters);
   }
 }
 
@@ -233,16 +233,15 @@ std::optional<ElasticCountMin> ElasticCountMin::DecodeFrom(
     }
     Level& level = sketch.EnsureLevel(level_width);
     level.mass = mass;
+    if (!reader.GetU64Array(level.counters)) return std::nullopt;
     for (uint32_t row = 0; row < depth; ++row) {
+      const uint64_t* counters =
+          level.counters.data() + static_cast<size_t>(row) * level_width;
       uint64_t row_sum = 0;
       for (uint32_t cell = 0; cell < level_width; ++cell) {
-        uint64_t counter = 0;
-        if (!reader.GetU64(&counter)) return std::nullopt;
-        if (__builtin_add_overflow(row_sum, counter, &row_sum)) {
+        if (__builtin_add_overflow(row_sum, counters[cell], &row_sum)) {
           return std::nullopt;
         }
-        level.counters[static_cast<size_t>(row) * level_width + cell] =
-            counter;
       }
       // Plain updates put each unit of mass in exactly one bucket per
       // row, and folds/merges preserve row sums — a mismatch means a

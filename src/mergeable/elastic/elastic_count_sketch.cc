@@ -177,7 +177,7 @@ void ElasticCountSketch::EncodeTo(ByteWriter& writer) const {
     if (level.mass == 0) continue;
     writer.PutU32(level.width);
     writer.PutU64(level.mass);
-    for (int64_t counter : level.counters) writer.PutI64(counter);
+    writer.PutI64Array(level.counters);
   }
 }
 
@@ -218,17 +218,14 @@ std::optional<ElasticCountSketch> ElasticCountSketch::DecodeFrom(
     }
     Level& level = sketch.EnsureLevel(level_width);
     level.mass = mass;
-    for (size_t cell = 0;
-         cell < static_cast<size_t>(depth) * level_width; ++cell) {
-      int64_t counter = 0;
-      if (!reader.GetI64(&counter)) return std::nullopt;
+    if (!reader.GetI64Array(level.counters)) return std::nullopt;
+    for (int64_t counter : level.counters) {
       // Each update moves one cell per row by ±weight, so no cell's
       // magnitude can exceed the level's absorbed mass.
       const uint64_t magnitude =
           counter < 0 ? ~static_cast<uint64_t>(counter) + 1
                       : static_cast<uint64_t>(counter);
       if (magnitude > mass) return std::nullopt;
-      level.counters[cell] = counter;
     }
     if (__builtin_add_overflow(total_mass, mass, &total_mass)) {
       return std::nullopt;

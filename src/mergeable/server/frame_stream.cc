@@ -5,15 +5,21 @@
 namespace mergeable {
 
 std::vector<uint8_t> WrapFrame(const std::vector<uint8_t>& frame) {
-  const uint32_t len = static_cast<uint32_t>(frame.size());
   std::vector<uint8_t> wrapped;
   wrapped.reserve(4 + frame.size());
-  wrapped.push_back(static_cast<uint8_t>(len & 0xff));
-  wrapped.push_back(static_cast<uint8_t>((len >> 8) & 0xff));
-  wrapped.push_back(static_cast<uint8_t>((len >> 16) & 0xff));
-  wrapped.push_back(static_cast<uint8_t>((len >> 24) & 0xff));
-  wrapped.insert(wrapped.end(), frame.begin(), frame.end());
+  AppendWrappedFrame(wrapped, frame);
   return wrapped;
+}
+
+void AppendWrappedFrame(std::vector<uint8_t>& out,
+                        const std::vector<uint8_t>& frame) {
+  const uint32_t len = static_cast<uint32_t>(frame.size());
+  const uint8_t prefix[4] = {static_cast<uint8_t>(len & 0xff),
+                             static_cast<uint8_t>((len >> 8) & 0xff),
+                             static_cast<uint8_t>((len >> 16) & 0xff),
+                             static_cast<uint8_t>((len >> 24) & 0xff)};
+  out.insert(out.end(), prefix, prefix + sizeof(prefix));
+  out.insert(out.end(), frame.begin(), frame.end());
 }
 
 bool FrameDecoder::Feed(const uint8_t* data, size_t len) {

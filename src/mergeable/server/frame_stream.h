@@ -25,6 +25,9 @@ inline constexpr uint32_t kMaxFrameBytes = 1u << 20;
 
 // `frame` prefixed with its u32-LE length, ready to write to a socket.
 std::vector<uint8_t> WrapFrame(const std::vector<uint8_t>& frame);
+// Appends the same bytes to `out`, without a temporary.
+void AppendWrappedFrame(std::vector<uint8_t>& out,
+                        const std::vector<uint8_t>& frame);
 
 class FrameDecoder {
  public:

@@ -115,7 +115,7 @@ void IngestServer::WorkerThread() {
         response = handler_->HandleTopology(item->frame);
         break;
     }
-    QueueResponse(item->conn_id, response);
+    QueueResponse(item->conn_id, std::move(response));
     {
       std::lock_guard<std::mutex> lock(inflight_mu_);
       --inflight_;
@@ -125,10 +125,10 @@ void IngestServer::WorkerThread() {
 }
 
 void IngestServer::QueueResponse(uint64_t conn_id,
-                                 const std::vector<uint8_t>& frame) {
+                                 std::vector<uint8_t> frame) {
   {
     std::lock_guard<std::mutex> lock(response_mu_);
-    responses_.emplace_back(conn_id, frame);
+    responses_.emplace_back(conn_id, std::move(frame));
   }
   wake_.Signal();
 }
@@ -307,8 +307,7 @@ void IngestServer::RouteFrame(uint64_t conn_id, Conn& conn,
 
 void IngestServer::EnqueueOutbound(uint64_t conn_id, Conn& conn,
                                    const std::vector<uint8_t>& frame) {
-  const std::vector<uint8_t> wrapped = WrapFrame(frame);
-  conn.outbuf.insert(conn.outbuf.end(), wrapped.begin(), wrapped.end());
+  AppendWrappedFrame(conn.outbuf, frame);
   FlushOutbound(conn_id, conn);
   auto it = conns_.find(conn_id);
   if (it == conns_.end()) return;

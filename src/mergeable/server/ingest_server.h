@@ -140,7 +140,7 @@ class IngestServer {
   void WorkerThread();
   void HandleReadable(uint64_t conn_id, Conn& conn);
   void RouteFrame(uint64_t conn_id, Conn& conn, std::vector<uint8_t> frame);
-  void QueueResponse(uint64_t conn_id, const std::vector<uint8_t>& frame);
+  void QueueResponse(uint64_t conn_id, std::vector<uint8_t> frame);
   void EnqueueOutbound(uint64_t conn_id, Conn& conn,
                        const std::vector<uint8_t>& frame);
   void FlushOutbound(uint64_t conn_id, Conn& conn);

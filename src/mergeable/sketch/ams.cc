@@ -58,7 +58,7 @@ void AmsSketch::EncodeTo(ByteWriter& writer) const {
   writer.PutU32(static_cast<uint32_t>(rows_));
   writer.PutU32(static_cast<uint32_t>(cols_));
   writer.PutU64(seed_);
-  for (int64_t cell : cells_) writer.PutI64(cell);
+  writer.PutI64Array(cells_);
 }
 
 std::optional<AmsSketch> AmsSketch::DecodeFrom(ByteReader& reader) {
@@ -77,9 +77,7 @@ std::optional<AmsSketch> AmsSketch::DecodeFrom(ByteReader& reader) {
     return std::nullopt;
   }
   AmsSketch sketch(static_cast<int>(rows), static_cast<int>(cols), seed);
-  for (int64_t& cell : sketch.cells_) {
-    if (!reader.GetI64(&cell)) return std::nullopt;
-  }
+  if (!reader.GetI64Array(sketch.cells_)) return std::nullopt;
   return sketch;
 }
 

@@ -117,7 +117,7 @@ void BloomFilter::EncodeTo(ByteWriter& writer) const {
   writer.PutU32(static_cast<uint32_t>(hashes_));
   writer.PutU64(seed_);
   writer.PutU64(added_);
-  for (uint64_t word : words_) writer.PutU64(word);
+  writer.PutU64Array(words_);
 }
 
 std::optional<BloomFilter> BloomFilter::DecodeFrom(ByteReader& reader) {
@@ -137,9 +137,7 @@ std::optional<BloomFilter> BloomFilter::DecodeFrom(ByteReader& reader) {
   const size_t words = (bits + 63) / 64;
   if (reader.remaining() != words * sizeof(uint64_t)) return std::nullopt;
   BloomFilter filter(bits, static_cast<int>(hashes), seed);
-  for (uint64_t& word : filter.words_) {
-    if (!reader.GetU64(&word)) return std::nullopt;
-  }
+  if (!reader.GetU64Array(filter.words_)) return std::nullopt;
   filter.added_ = added;
   return filter;
 }

@@ -127,7 +127,7 @@ void CountMinSketch::EncodeTo(ByteWriter& writer) const {
   writer.PutU32(update_ == CountMinUpdate::kPlain ? 0 : 1);
   writer.PutU64(seed_);
   writer.PutU64(n_);
-  for (uint64_t counter : counters_) writer.PutU64(counter);
+  writer.PutU64Array(counters_);
 }
 
 std::optional<CountMinSketch> CountMinSketch::DecodeFrom(ByteReader& reader) {
@@ -154,9 +154,7 @@ std::optional<CountMinSketch> CountMinSketch::DecodeFrom(ByteReader& reader) {
   CountMinSketch sketch(
       static_cast<int>(depth), static_cast<int>(width), seed,
       update == 0 ? CountMinUpdate::kPlain : CountMinUpdate::kConservative);
-  for (uint64_t& counter : sketch.counters_) {
-    if (!reader.GetU64(&counter)) return std::nullopt;
-  }
+  if (!reader.GetU64Array(sketch.counters_)) return std::nullopt;
   sketch.n_ = n;
   return sketch;
 }

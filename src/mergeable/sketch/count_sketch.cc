@@ -95,7 +95,7 @@ void CountSketch::EncodeTo(ByteWriter& writer) const {
   writer.PutU32(static_cast<uint32_t>(width_));
   writer.PutU64(seed_);
   writer.PutU64(n_);
-  for (int64_t counter : counters_) writer.PutI64(counter);
+  writer.PutI64Array(counters_);
 }
 
 std::optional<CountSketch> CountSketch::DecodeFrom(ByteReader& reader) {
@@ -117,9 +117,7 @@ std::optional<CountSketch> CountSketch::DecodeFrom(ByteReader& reader) {
     return std::nullopt;
   }
   CountSketch sketch(static_cast<int>(depth), static_cast<int>(width), seed);
-  for (int64_t& counter : sketch.counters_) {
-    if (!reader.GetI64(&counter)) return std::nullopt;
-  }
+  if (!reader.GetI64Array(sketch.counters_)) return std::nullopt;
   sketch.n_ = n;
   return sketch;
 }

@@ -69,7 +69,7 @@ void KmvSketch::EncodeTo(ByteWriter& writer) const {
   // the heap, so the layout never mattered to round-trips.
   std::vector<uint64_t> sorted(heap_.begin(), heap_.end());
   std::sort(sorted.begin(), sorted.end());
-  for (uint64_t hash : sorted) writer.PutU64(hash);
+  writer.PutU64Array(sorted);
 }
 
 std::optional<KmvSketch> KmvSketch::DecodeFrom(ByteReader& reader) {
@@ -86,19 +86,17 @@ std::optional<KmvSketch> KmvSketch::DecodeFrom(ByteReader& reader) {
     return std::nullopt;
   }
   KmvSketch sketch(static_cast<int>(k), seed);
-  // Exact reserve: the constructor's capped default only covers k up to
-  // 2^16, and `size` is already validated against the input length.
-  sketch.heap_.reserve(size);
-  for (uint32_t i = 0; i < size; ++i) {
-    uint64_t hash = 0;
-    if (!reader.GetU64(&hash)) return std::nullopt;
-    if (std::find(sketch.heap_.begin(), sketch.heap_.end(), hash) !=
-        sketch.heap_.end()) {
-      return std::nullopt;  // Duplicates violate the KMV invariant.
-    }
-    sketch.heap_.push_back(hash);
-  }
+  // `size` is already validated against the input length.
+  sketch.heap_.resize(size);
+  if (!reader.GetU64Array(sketch.heap_)) return std::nullopt;
   if (!reader.Exhausted()) return std::nullopt;
+  // Any order is accepted; sorted, duplicates (which violate the KMV
+  // invariant) sit next to each other.
+  std::sort(sketch.heap_.begin(), sketch.heap_.end());
+  if (std::adjacent_find(sketch.heap_.begin(), sketch.heap_.end()) !=
+      sketch.heap_.end()) {
+    return std::nullopt;
+  }
   std::make_heap(sketch.heap_.begin(), sketch.heap_.end());
   return sketch;
 }

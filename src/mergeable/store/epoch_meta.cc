@@ -80,19 +80,22 @@ EpsilonReport AccumulateEpsilonPartial(const std::vector<EpochMeta>& metas,
 
 std::vector<uint8_t> EncodeEpochRecord(const EpochMeta& meta,
                                        const std::vector<uint8_t>& payload) {
-  ByteWriter body;
-  body.PutU64(meta.epoch);
-  body.PutU64(meta.n);
-  body.PutU64(meta.shards_total);
-  body.PutU64(meta.shards_received);
-  body.PutU64(meta.lost_mass);
-  body.PutU32(meta.lost_mass_estimated ? 1 : 0);
-  body.PutBytes(payload);
-
+  // One buffer: the body is written in place behind its length prefix
+  // and checksummed there, so the payload is copied once.
+  const size_t body_len = 5 * 8 + 4 + 4 + payload.size();
   ByteWriter writer;
+  writer.Reserve(4 + 4 + body_len + 8);
   writer.PutU32(kEpochRecordMagic);
-  writer.PutBytes(body.bytes());
-  writer.PutU64(FrameChecksum(meta.epoch, meta.n, body.bytes()));
+  writer.PutU32(static_cast<uint32_t>(body_len));
+  writer.PutU64(meta.epoch);
+  writer.PutU64(meta.n);
+  writer.PutU64(meta.shards_total);
+  writer.PutU64(meta.shards_received);
+  writer.PutU64(meta.lost_mass);
+  writer.PutU32(meta.lost_mass_estimated ? 1 : 0);
+  writer.PutBytes(payload);
+  writer.PutU64(
+      FrameChecksum(meta.epoch, meta.n, writer.bytes().data() + 8, body_len));
   return writer.TakeBytes();
 }
 

@@ -16,6 +16,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <vector>
 
 namespace mergeable {
@@ -59,6 +60,26 @@ class ByteWriter {
   }
   void PutI64(int64_t value) { PutU64(static_cast<uint64_t>(value)); }
   void PutDouble(double value) { PutU64(std::bit_cast<uint64_t>(value)); }
+
+  // Writes the words as one little-endian block: the bytes equal one
+  // PutU64 per element, but a little-endian host copies them in one
+  // step. Counter arrays are most of a linear sketch's encoding.
+  void PutU64Array(std::span<const uint64_t> values) {
+    if constexpr (internal::kHostIsLittleEndian) {
+      PutRaw(values.data(), values.size_bytes());
+    } else {
+      for (uint64_t value : values) PutU64(value);
+    }
+  }
+  // Signed and unsigned words share a representation (and may alias).
+  void PutI64Array(std::span<const int64_t> values) {
+    PutU64Array({reinterpret_cast<const uint64_t*>(values.data()),
+                 values.size()});
+  }
+
+  // Grows the buffer to hold `total` bytes, so a caller that knows the
+  // final size builds it in one allocation.
+  void Reserve(size_t total) { bytes_.reserve(total); }
 
   // Writes `size` raw bytes prefixed by a u32 length, so the matching
   // GetBytes can frame variable-length payloads (e.g. nested encodings).
@@ -112,6 +133,24 @@ class ByteReader {
     if (!GetU64(&raw)) return false;
     *value = std::bit_cast<double>(raw);
     return true;
+  }
+
+  // Reads out.size() words written by PutU64Array (or as many PutU64
+  // calls). Checks the length before copying anything: on a short read
+  // it returns false and the position does not move.
+  bool GetU64Array(std::span<uint64_t> out) {
+    if (out.size() > remaining() / sizeof(uint64_t)) return false;
+    if (out.empty()) return true;
+    std::memcpy(out.data(), data_ + position_, out.size_bytes());
+    position_ += out.size_bytes();
+    if constexpr (!internal::kHostIsLittleEndian) {
+      for (uint64_t& value : out) value = internal::LittleToHost64(value);
+    }
+    return true;
+  }
+  bool GetI64Array(std::span<int64_t> out) {
+    return GetU64Array(
+        {reinterpret_cast<uint64_t*>(out.data()), out.size()});
   }
 
   // Reads a PutBytes frame. The declared length is validated against the

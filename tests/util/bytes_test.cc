@@ -1,9 +1,11 @@
 // Wire-format contract tests for ByteWriter / ByteReader: the encoding
 // is little-endian on every host (golden byte sequences, not just round
-// trips), and the length-prefixed PutBytes / GetBytes frame helpers
-// reject lengths the input cannot back.
+// trips), the bulk array calls write exactly the bytes of one scalar
+// call per element, and the length-checked readers (GetBytes,
+// GetU64Array) reject lengths the input cannot back without moving.
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -122,6 +124,81 @@ TEST(BytesTest, GetBytesHugeLengthDoesNotAllocate) {
   ByteReader reader(writer.bytes());
   std::vector<uint8_t> decoded;
   EXPECT_FALSE(reader.GetBytes(&decoded));
+}
+
+TEST(BytesTest, U64ArrayMatchesPerElementPutU64) {
+  const std::vector<uint64_t> words = {0, 1, 0x0102030405060708ULL,
+                                       ~uint64_t{0}, 0x8000000000000000ULL};
+  ByteWriter bulk;
+  bulk.PutU32(7);  // Unaligned start: the block is not word-aligned.
+  bulk.PutU64Array(words);
+  ByteWriter each;
+  each.PutU32(7);
+  for (uint64_t word : words) each.PutU64(word);
+  EXPECT_EQ(bulk.bytes(), each.bytes());
+}
+
+TEST(BytesTest, I64ArrayMatchesPerElementPutI64) {
+  const std::vector<int64_t> values = {0, -1, 42, -2,
+                                       std::numeric_limits<int64_t>::min(),
+                                       std::numeric_limits<int64_t>::max()};
+  ByteWriter bulk;
+  bulk.PutI64Array(values);
+  ByteWriter each;
+  for (int64_t value : values) each.PutI64(value);
+  EXPECT_EQ(bulk.bytes(), each.bytes());
+}
+
+TEST(BytesTest, ArraysRoundTripThroughScalarAndBulkReads) {
+  const std::vector<uint64_t> words = {3, 0x0102030405060708ULL, ~uint64_t{0}};
+  const std::vector<int64_t> values = {-5, 0, 9};
+  ByteWriter writer;
+  writer.PutU64Array(words);
+  writer.PutI64Array(values);
+  writer.PutU64Array({});
+
+  ByteReader bulk(writer.bytes());
+  std::vector<uint64_t> words_back(words.size());
+  std::vector<int64_t> values_back(values.size());
+  std::vector<uint64_t> empty;
+  ASSERT_TRUE(bulk.GetU64Array(words_back));
+  ASSERT_TRUE(bulk.GetI64Array(values_back));
+  ASSERT_TRUE(bulk.GetU64Array(empty));
+  EXPECT_TRUE(bulk.Exhausted());
+  EXPECT_EQ(words_back, words);
+  EXPECT_EQ(values_back, values);
+
+  ByteReader scalar(writer.bytes());
+  for (uint64_t word : words) {
+    uint64_t got = 0;
+    ASSERT_TRUE(scalar.GetU64(&got));
+    EXPECT_EQ(got, word);
+  }
+  for (int64_t value : values) {
+    int64_t got = 0;
+    ASSERT_TRUE(scalar.GetI64(&got));
+    EXPECT_EQ(got, value);
+  }
+  EXPECT_TRUE(scalar.Exhausted());
+}
+
+TEST(BytesTest, ShortU64ArrayReadFailsWithoutMoving) {
+  ByteWriter writer;
+  writer.PutU64Array(std::vector<uint64_t>{1, 2, 3});
+  writer.PutU32(0xabcdef01u);  // 28 bytes: three words and a half.
+  ByteReader reader(writer.bytes());
+  std::vector<uint64_t> out(4, 99);
+  EXPECT_FALSE(reader.GetU64Array(out));
+  EXPECT_EQ(reader.remaining(), 28u);
+  EXPECT_EQ(out, std::vector<uint64_t>(4, 99));  // Nothing copied.
+  std::vector<int64_t> signed_out(4, -7);
+  EXPECT_FALSE(reader.GetI64Array(signed_out));
+  EXPECT_EQ(reader.remaining(), 28u);
+  // The reader is still usable from where it stood.
+  std::vector<uint64_t> three(3);
+  ASSERT_TRUE(reader.GetU64Array(three));
+  EXPECT_EQ(three, (std::vector<uint64_t>{1, 2, 3}));
+  EXPECT_EQ(reader.remaining(), 4u);
 }
 
 }  // namespace
