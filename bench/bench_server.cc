@@ -4,11 +4,12 @@
 //
 //  1. What does a healthy ingest round-trip cost? (Table 1: concurrent
 //     client sweep; per-report p50/p99 latency over real loopback
-//     sockets, every report synchronous send -> verdict.)
+//     sockets, every report synchronous send -> verdict, each report a
+//     one-record BAT1 frame.)
 //  2. What happens when the service stalls under a burst? (Table 2:
 //     workers paused while clients blast pipelined reports; admission
 //     sheds everything past the watermark with retry-after NACKs, and
-//     a retry pass after recovery lands every shed report.)
+//     a resend pass after recovery lands every shed report.)
 //
 // `--smoke` shrinks both sweeps so CI can execute the binary in seconds
 // while still exercising every code path.
@@ -123,7 +124,8 @@ void BenchIngestLatency() {
           report.payload =
               EncodeSummary(ReportSummary(report.epoch, report.shard_id));
           const auto sent = std::chrono::steady_clock::now();
-          if (client.SendReport(report, policy) == SendStatus::kAccepted) {
+          if (client.SendBatch({report}, policy).status ==
+              SendStatus::kAccepted) {
             ++accepted[c];
           }
           latencies[c].push_back(ElapsedMs(sent));
@@ -156,7 +158,10 @@ void BenchIngestLatency() {
 
 // Table 2: a pipelined burst against stalled workers. Admission holds
 // the queue at its watermark, sheds the rest with retry-after NACKs,
-// and a retry pass once the workers return lands every shed report.
+// and a resend pass once the workers return lands every shed report.
+// A batch verdict names no report, so each client counts its
+// retry-after verdicts and resends its whole burst: the admitted
+// reports come back kDuplicate, and every other one must land.
 void BenchOverloadShedding() {
   const int clients = g_smoke ? 2 : 4;
   PrintHeader(
@@ -178,22 +183,23 @@ void BenchOverloadShedding() {
     stack.server.PauseWorkers(true);
 
     // Each client pipelines its burst (send everything, then read every
-    // verdict) and remembers which reports were shed.
-    std::vector<std::vector<WireReport>> shed(clients);
+    // verdict) and counts the reports that were shed.
+    std::vector<std::vector<WireReport>> sent(clients);
+    std::vector<uint64_t> shed(clients, 0);
     std::vector<std::thread> threads;
     for (int c = 0; c < clients; ++c) {
       threads.emplace_back([&, c] {
         IngestClient client(stack.server.port());
-        std::vector<WireReport> reports;
         for (int i = 0; i < burst; ++i) {
           WireReport report;
           report.shard_id = static_cast<uint64_t>(c);
           report.epoch = static_cast<uint64_t>(i);
           report.payload =
               EncodeSummary(ReportSummary(report.epoch, report.shard_id));
-          reports.push_back(report);
-          MERGEABLE_CHECK_MSG(client.SendFrame(EncodeReportFrame(report)),
-                              "send failed");
+          sent[c].push_back(report);
+          MERGEABLE_CHECK_MSG(
+              client.SendFrame(EncodeBatchFrame({{report}})),
+              "send failed");
         }
         // NACKs for shed reports arrive immediately; ACKs for admitted
         // ones only land after the workers resume — so resume-time is
@@ -201,10 +207,10 @@ void BenchOverloadShedding() {
         for (int i = 0; i < burst; ++i) {
           const auto frame = client.ReadFrame();
           if (!frame.has_value()) break;
-          const auto control = DecodeControlFrame(*frame);
-          if (control.has_value() &&
-              control->code == ControlCode::kRetryAfter) {
-            shed[c].push_back(reports[control->epoch]);
+          const auto verdict = DecodeBatchVerdictFrame(*frame);
+          if (verdict.has_value() &&
+              verdict->batch_code == ControlCode::kRetryAfter) {
+            ++shed[c];
           }
         }
       });
@@ -216,21 +222,23 @@ void BenchOverloadShedding() {
     for (std::thread& thread : threads) thread.join();
     stack.server.Drain();
 
-    // Recovery: retry every shed report under the client backoff
-    // policy; the queue has drained, so all of them must land.
+    // Recovery: resend every report under the client backoff policy;
+    // the queue has drained, so all of them must land. A report landing
+    // now (not as a duplicate of an admitted one) was shed.
+    const AdmissionStats stats = stack.server.admission_stats();
     uint64_t retried_ok = 0;
     uint64_t shed_total = 0;
     for (int c = 0; c < clients; ++c) {
+      shed_total += shed[c];
       IngestClient client(stack.server.port());
       const BackoffPolicy policy = RetryPolicy();
-      for (const WireReport& report : shed[c]) {
-        ++shed_total;
-        if (client.SendReport(report, policy) == SendStatus::kAccepted) {
-          ++retried_ok;
-        }
+      for (const WireReport& report : sent[c]) {
+        MERGEABLE_CHECK_MSG(
+            client.SendBatch({report}, policy).status == SendStatus::kAccepted,
+            "a resent report failed to land");
       }
+      retried_ok += sent[c].size() - client.stats().duplicates;
     }
-    const AdmissionStats stats = stack.server.admission_stats();
     stack.server.Stop();
 
     const uint64_t offered = static_cast<uint64_t>(clients) *
@@ -239,6 +247,8 @@ void BenchOverloadShedding() {
         static_cast<double>(shed_total) / static_cast<double>(offered);
     MERGEABLE_CHECK_MSG(stats.peak_depth <= config.admission.hard_cap,
                         "queue exceeded its hard cap");
+    MERGEABLE_CHECK_MSG(stats.shed_reports == shed_total,
+                        "retry-after verdicts disagree with admission");
     PrintRow({FormatU64(static_cast<uint64_t>(burst)), FormatU64(offered),
               FormatU64(offered - shed_total), FormatU64(shed_total),
               FormatDouble(last_shed_frac), FormatU64(retried_ok)});

@@ -155,7 +155,7 @@ bool RunArc() {
       report.shard_id = shard;
       report.epoch = epoch;
       report.payload = EncodeSummary(summary);
-      if (client.SendReport(report, RetryPolicy()) !=
+      if (client.SendBatch({report}, RetryPolicy()).status !=
           SendStatus::kAccepted) {
         return Fail("report not accepted");
       }

@@ -135,7 +135,7 @@ int RunDurable(const std::string& data_dir, bool restore, uint64_t epochs) {
       wire_report.shard_id = shard;
       wire_report.epoch = epoch;
       wire_report.payload = EncodeSummary(summary);
-      (void)client.SendReport(wire_report, policy);
+      (void)client.SendBatch({wire_report}, policy);
     }
     server.Drain();
     // The leaf record is fsync'd before the seal is acknowledged: a
@@ -228,7 +228,7 @@ int main(int argc, char** argv) {
       report.shard_id = shard;
       report.epoch = epoch;
       report.payload = EncodeSummary(summary);
-      if (client.SendReport(report, policy) != SendStatus::kAccepted) {
+      if (client.SendBatch({report}, policy).status != SendStatus::kAccepted) {
         std::printf("shard %llu lost in epoch %llu\n",
                     (unsigned long long)shard, (unsigned long long)epoch);
       }
@@ -287,7 +287,7 @@ int main(int argc, char** argv) {
   }
   IngestClient bursty(server.port());
   for (const WireReport& report : burst) {
-    bursty.SendFrame(EncodeReportFrame(report));
+    bursty.SendFrame(mergeable::EncodeBatchFrame({{report}}));
   }
   // With the workers stalled, the outcome is fully determined: the
   // first high_watermark (4) reports sit admitted in the queue and the
@@ -296,21 +296,22 @@ int main(int argc, char** argv) {
   uint64_t shed = 0;
   for (size_t i = 0; i < burst.size() - 4; ++i) {
     if (const auto frame = bursty.ReadFrame()) {
-      const auto verdict = mergeable::DecodeControlFrame(*frame);
+      const auto verdict = mergeable::DecodeBatchVerdictFrame(*frame);
       if (verdict &&
-          verdict->code == mergeable::ControlCode::kRetryAfter) {
+          verdict->batch_code == mergeable::ControlCode::kRetryAfter) {
         ++shed;
       }
     }
   }
-  // Recovery: unpause, drain, retry everything under the backoff
-  // policy — the retry-after hints pace the client.
+  // Recovery: unpause, drain, resend everything under the backoff
+  // policy — a verdict names no report, so the admitted ones go again
+  // and come back kDuplicate; the retry-after hints pace the client.
   server.PauseWorkers(false);
   server.Drain();
   uint64_t landed = 0;
   IngestClient retrier(server.port());
   for (const WireReport& report : burst) {
-    if (retrier.SendReport(report, policy) == SendStatus::kAccepted) {
+    if (retrier.SendBatch({report}, policy).status == SendStatus::kAccepted) {
       ++landed;
     }
   }

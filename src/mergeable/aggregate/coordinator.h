@@ -661,17 +661,22 @@ class Coordinator {
 
   enum class FrameResult { kAccepted, kDuplicate, kMalformed, kIncompatible };
 
+  // A report frame is a BAT1 holding exactly one record (wire.h); any
+  // other record count is malformed, like a checksum failure.
   FrameResult Accept(const std::vector<uint8_t>& frame, uint64_t shard,
                      std::optional<FetchedReport>* fetched) {
-    std::optional<WireReport> report = DecodeReportFrame(frame);
-    if (!report.has_value()) return FrameResult::kMalformed;
+    std::vector<BatchRecordView> records;
+    if (!ViewBatchFrame(frame, &records) || records.size() != 1) {
+      return FrameResult::kMalformed;
+    }
+    const BatchRecordView& report = records.front();
     // A frame for another shard or epoch is a routing error, not a valid
     // report; stragglers from past epochs land here too.
-    if (report->shard_id != shard || report->epoch != epoch_) {
+    if (report.shard_id != shard || report.epoch != epoch_) {
       return FrameResult::kMalformed;
     }
     if (fetched->has_value()) return FrameResult::kDuplicate;
-    ByteReader payload(report->payload);
+    ByteReader payload(report.payload, report.payload_len);
     std::optional<S> summary = S::DecodeFrom(payload);
     if (!summary.has_value() || !payload.Exhausted()) {
       return FrameResult::kMalformed;
@@ -680,8 +685,10 @@ class Coordinator {
       ++incompatible_;
       return FrameResult::kIncompatible;
     }
-    fetched->emplace(
-        FetchedReport{std::move(*summary), std::move(report->payload)});
+    fetched->emplace(FetchedReport{
+        std::move(*summary),
+        std::vector<uint8_t>(report.payload,
+                             report.payload + report.payload_len)});
     return FrameResult::kAccepted;
   }
 
@@ -708,18 +715,16 @@ class Coordinator {
   uint64_t wal_append_backoff_ms_ = 0;  // Virtual backoff accumulated.
 };
 
-// Worker-side convenience: encodes `summary` into a framed report for
-// (shard_id, epoch).
+// Worker-side convenience: encodes `summary` into a report frame — a
+// one-record BAT1 — for (shard_id, epoch).
 template <WireSummary S>
 std::vector<uint8_t> MakeReportFrame(const S& summary, uint64_t shard_id,
                                      uint64_t epoch) {
   ByteWriter writer;
   summary.EncodeTo(writer);
-  WireReport report;
-  report.shard_id = shard_id;
-  report.epoch = epoch;
-  report.payload = writer.TakeBytes();
-  return EncodeReportFrame(report);
+  WireBatch batch;
+  batch.reports.push_back({shard_id, epoch, writer.TakeBytes()});
+  return EncodeBatchFrame(batch);
 }
 
 }  // namespace mergeable

@@ -9,8 +9,10 @@
 namespace mergeable {
 namespace {
 
-// 'R' 'P' 'T' '1' read as a little-endian u32.
-constexpr uint32_t kReportMagic = 0x31545052;
+// The checksum seed: 'R' 'P' 'T' '1' spelled as a big-endian u32, after
+// the retired single-report frame; kept so that no wire or stored
+// checksum changes.
+constexpr uint64_t kFrameChecksumSeed = 0x52505431;
 // 'S' 'U' 'M' '1' read as a little-endian u32.
 constexpr uint32_t kTaggedPayloadMagic = 0x314d5553;
 // 'N' 'A' 'K' '1' read as a little-endian u32.
@@ -68,47 +70,17 @@ bool IsControlCode(uint32_t raw) {
 
 }  // namespace
 
-uint64_t FrameChecksum(uint64_t shard_id, uint64_t epoch,
-                       const uint8_t* payload, size_t size) {
-  uint64_t h = MixHash(shard_id, /*seed=*/0x52505431);
-  h = MixHash(epoch, h);
+uint64_t FrameChecksum(uint64_t a, uint64_t b, const uint8_t* payload,
+                       size_t size) {
+  uint64_t h = MixHash(a, kFrameChecksumSeed);
+  h = MixHash(b, h);
   h = MixHash(size, h);
   return ChecksumBytes(h, payload, size);
 }
 
-uint64_t FrameChecksum(uint64_t shard_id, uint64_t epoch,
+uint64_t FrameChecksum(uint64_t a, uint64_t b,
                        const std::vector<uint8_t>& payload) {
-  return FrameChecksum(shard_id, epoch, payload.data(), payload.size());
-}
-
-std::vector<uint8_t> EncodeReportFrame(const WireReport& report) {
-  ByteWriter writer;
-  writer.Reserve(4 + 8 + 8 + 4 + report.payload.size() + 8);
-  writer.PutU32(kReportMagic);
-  writer.PutU64(report.shard_id);
-  writer.PutU64(report.epoch);
-  writer.PutBytes(report.payload);
-  writer.PutU64(FrameChecksum(report.shard_id, report.epoch, report.payload));
-  return writer.TakeBytes();
-}
-
-std::optional<WireReport> DecodeReportFrame(
-    const std::vector<uint8_t>& frame) {
-  ByteReader reader(frame);
-  uint32_t magic = 0;
-  if (!reader.GetU32(&magic) || magic != kReportMagic) return std::nullopt;
-  WireReport report;
-  if (!reader.GetU64(&report.shard_id) || !reader.GetU64(&report.epoch)) {
-    return std::nullopt;
-  }
-  if (!reader.GetBytes(&report.payload)) return std::nullopt;
-  uint64_t checksum = 0;
-  if (!reader.GetU64(&checksum) || !reader.Exhausted()) return std::nullopt;
-  if (checksum !=
-      FrameChecksum(report.shard_id, report.epoch, report.payload)) {
-    return std::nullopt;
-  }
-  return report;
+  return FrameChecksum(a, b, payload.data(), payload.size());
 }
 
 std::vector<uint8_t> EncodeControlFrame(const WireControl& control) {
@@ -159,34 +131,6 @@ std::vector<uint8_t> EncodeBatchFrame(const WireBatch& batch) {
   return SealFrame(kBatchMagic, std::move(body));
 }
 
-std::optional<WireBatch> DecodeBatchFrame(
-    const std::vector<uint8_t>& frame) {
-  std::optional<std::vector<uint8_t>> body = OpenFrame(kBatchMagic, frame);
-  if (!body.has_value()) return std::nullopt;
-  ByteReader reader(*body);
-  uint32_t count = 0;
-  if (!reader.GetU32(&count)) return std::nullopt;
-  if (count > kMaxBatchReports) return std::nullopt;
-  // Allocation-bomb hardening: the body must physically be able to hold
-  // `count` records before a vector of that size is reserved.
-  if (static_cast<size_t>(count) * kMinBatchRecordBytes >
-      body->size() - 4) {
-    return std::nullopt;
-  }
-  WireBatch batch;
-  batch.reports.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    WireReport report;
-    if (!reader.GetU64(&report.shard_id) || !reader.GetU64(&report.epoch) ||
-        !reader.GetBytes(&report.payload)) {
-      return std::nullopt;
-    }
-    batch.reports.push_back(std::move(report));
-  }
-  if (!reader.Exhausted()) return std::nullopt;
-  return batch;
-}
-
 bool ViewBatchFrame(const std::vector<uint8_t>& frame,
                     std::vector<BatchRecordView>* records) {
   records->clear();
@@ -211,8 +155,8 @@ bool ViewBatchFrame(const std::vector<uint8_t>& frame,
   ByteReader reader(body, body_len);
   uint32_t count = 0;
   if (!reader.GetU32(&count) || count > kMaxBatchReports) return false;
-  // Allocation-bomb hardening, as in DecodeBatchFrame: the body must
-  // physically be able to hold `count` records before reserving.
+  // Allocation-bomb hardening: the body must physically be able to
+  // hold `count` records before reserving.
   if (static_cast<size_t>(count) * kMinBatchRecordBytes >
       static_cast<size_t>(body_len) - 4) {
     return false;
@@ -236,6 +180,21 @@ bool ViewBatchFrame(const std::vector<uint8_t>& frame,
     return false;
   }
   return true;
+}
+
+std::optional<WireBatch> DecodeBatchFrame(
+    const std::vector<uint8_t>& frame) {
+  std::vector<BatchRecordView> records;
+  if (!ViewBatchFrame(frame, &records)) return std::nullopt;
+  WireBatch batch;
+  batch.reports.reserve(records.size());
+  for (const BatchRecordView& record : records) {
+    batch.reports.push_back(
+        {record.shard_id, record.epoch,
+         std::vector<uint8_t>(record.payload,
+                              record.payload + record.payload_len)});
+  }
+  return batch;
 }
 
 uint32_t BatchFrameMagic() { return kBatchMagic; }
@@ -457,7 +416,6 @@ FrameKind PeekFrameKind(const std::vector<uint8_t>& frame) {
   uint32_t magic = 0;
   if (!reader.GetU32(&magic)) return FrameKind::kUnknown;
   switch (magic) {
-    case kReportMagic: return FrameKind::kReport;
     case kTaggedPayloadMagic: return FrameKind::kTagged;
     case kControlMagic: return FrameKind::kControl;
     case kQueryMagic: return FrameKind::kQuery;
@@ -528,22 +486,6 @@ std::vector<uint8_t> CorpusBytes(uint64_t seed, size_t size) {
   uint64_t state = seed;
   for (auto& b : bytes) b = static_cast<uint8_t>(SplitMix64(state));
   return bytes;
-}
-
-bool ProbeReport(const std::vector<uint8_t>& frame) {
-  std::optional<WireReport> report = DecodeReportFrame(frame);
-  if (!report.has_value()) return false;
-  MERGEABLE_CHECK_MSG(EncodeReportFrame(*report) == frame,
-                      "report frame must round-trip byte-identically");
-  return true;
-}
-
-std::vector<std::vector<uint8_t>> ReportCorpus(uint64_t seed) {
-  WireReport empty;
-  WireReport small{seed, seed ^ 7, CorpusBytes(seed, 24)};
-  WireReport big{~seed, 0, CorpusBytes(seed * 3 + 1, 300)};
-  return {EncodeReportFrame(empty), EncodeReportFrame(small),
-          EncodeReportFrame(big)};
 }
 
 bool ProbeTagged(const std::vector<uint8_t>& frame) {
@@ -719,7 +661,6 @@ std::vector<std::vector<uint8_t>> TopologyCorpus(uint64_t seed) {
 
 const std::vector<FrameCodecInfo>& FrameRegistry() {
   static const std::vector<FrameCodecInfo> registry = {
-      {"ReportFrame", &ProbeReport, &ReportCorpus},
       {"TaggedPayload", &ProbeTagged, &TaggedCorpus},
       {"ControlFrame", &ProbeControl, &ControlCorpus},
       {"QueryFrame", &ProbeQuery, &QueryCorpus},

@@ -8,13 +8,10 @@
 // before the payload ever reaches a summary decoder; the decoders'
 // own validation is the second line of defense, not the first.
 //
-// Frame layout (little-endian, see util/bytes.h):
-//
-//   u32  magic        'R','P','T','1'
-//   u64  shard_id
-//   u64  epoch
-//   u32  payload_len  followed by payload_len raw payload bytes
-//   u64  checksum     FrameChecksum(shard_id, epoch, payload)
+// There is one report frame: BAT1 (below). A single report is a
+// one-record batch — merge-tree independence folds a batch of one
+// exactly like a batch of N — so the coordinator, the server and the
+// client all speak the same frame whether they ship one report or many.
 
 // A second, smaller envelope carries *typed* payloads at rest: a
 // summary encoding prefixed by its registry tag (summary_registry.h),
@@ -49,48 +46,42 @@ struct WireReport {
   std::vector<uint8_t> payload;
 };
 
-// Mixing checksum over the frame header and payload. Not cryptographic:
-// it defends against corruption, not forgery (same trust model as a CRC).
-// The header (shard_id, epoch, payload size) is chained with MixHash
-// from the seed 'RPT1'; the payload then goes through ChecksumBytes
-// (util/hash.h), one serial chain under 64 bytes and four lanes from 64
-// bytes on. Every envelope in this file, the EPH1 epoch record and the
-// coordinator's log verify with it or with SegmentChecksum, which
-// shares the kernel.
-uint64_t FrameChecksum(uint64_t shard_id, uint64_t epoch,
+// Mixing checksum over two header words and a payload. Not
+// cryptographic: it defends against corruption, not forgery (same trust
+// model as a CRC). The header (a, b, payload size) is chained with
+// MixHash from a fixed seed (kFrameChecksumSeed, wire.cc); the payload
+// then goes through ChecksumBytes (util/hash.h), one serial chain under
+// 64 bytes and four lanes from 64 bytes on. Every envelope in this
+// file, the EPH1 epoch record and the coordinator's log verify with it
+// or with SegmentChecksum, which shares the kernel. The sealed frames
+// below pass (magic, body_len); a tagged payload passes (tag, 0).
+uint64_t FrameChecksum(uint64_t a, uint64_t b,
                        const std::vector<uint8_t>& payload);
 // Span form for callers hashing bytes in place (e.g. ViewBatchFrame).
-uint64_t FrameChecksum(uint64_t shard_id, uint64_t epoch,
-                       const uint8_t* payload, size_t size);
+uint64_t FrameChecksum(uint64_t a, uint64_t b, const uint8_t* payload,
+                       size_t size);
 
-// Serializes `report` as one frame.
-std::vector<uint8_t> EncodeReportFrame(const WireReport& report);
-
-// Parses one frame; std::nullopt on bad magic, truncation, trailing
-// bytes, or checksum mismatch. Never aborts: frames are network data.
-std::optional<WireReport> DecodeReportFrame(const std::vector<uint8_t>& frame);
-
-// ---- Server control / query frames ----
+// ---- Sealed frames ----
 //
-// The socket ingest service (server/) speaks three more frame types on
-// top of the report frame. All three follow one layout so corruption
-// handling is uniform:
+// Every frame the socket ingest service (server/) speaks follows one
+// layout, so corruption handling is uniform:
 //
 //   u32  magic        four ASCII bytes naming the type
 //   u32  body_len     followed by body_len bytes of type-specific body
 //   u64  checksum     FrameChecksum(magic, body_len, body)
 //
-//   'N','A','K','1'  control: the server's verdict on a report — ACK,
-//                    NACK with retry-after (backpressure / shedding),
-//                    duplicate, or hard reject. Body: u32 code,
-//                    u64 shard_id, u64 epoch, u64 retry_after_ms.
+//   'N','A','K','1'  control: a verdict outside the report path — the
+//                    answer to a TOP1 announcement, or the loop
+//                    thread's hard reject of an unroutable frame.
+//                    Body: u32 code, u64 shard_id, u64 epoch,
+//                    u64 retry_after_ms.
 //   'Q','R','Y','1'  query request: stream, [t1, t2] epoch range and a
 //                    deadline budget in virtual ms (0 = unbounded).
 //   'A','N','S','1'  query answer: status, partial-coverage marker, the
 //                    range's epsilon report and (on success) the tagged
 //                    summary payload.
 
-// The server's verdict on one ingest frame.
+// The server's verdict on one frame, or on one report of a batch.
 enum class ControlCode : uint32_t {
   kAccepted = 1,    // Report admitted and recorded; do not resend.
   kRetryAfter = 2,  // Shed under overload: resend after retry_after_ms.
@@ -109,11 +100,12 @@ std::vector<uint8_t> EncodeControlFrame(const WireControl& control);
 std::optional<WireControl> DecodeControlFrame(
     const std::vector<uint8_t>& frame);
 
-// ---- Batched ingest frames ----
+// ---- Report frames ----
 //
 // One syscall per report caps the socket path orders of magnitude below
 // the in-process batched sketch paths, so the transport ships many
-// reports per frame:
+// reports per frame — and a single report is simply a one-record
+// frame:
 //
 //   'B','A','T','1'  a length-prefixed vector of report records under
 //                    one checksum. Body: u32 count, then count records
@@ -140,7 +132,6 @@ struct WireBatch {
 };
 
 std::vector<uint8_t> EncodeBatchFrame(const WireBatch& batch);
-std::optional<WireBatch> DecodeBatchFrame(const std::vector<uint8_t>& frame);
 
 // One batch record seen in place: `payload` points into the viewed
 // frame and is valid only while that frame's bytes are.
@@ -151,20 +142,24 @@ struct BatchRecordView {
   uint32_t payload_len = 0;
 };
 
-// Validates the full BAT1 envelope exactly as DecodeBatchFrame does
-// (magic, length, checksum, count bound, record bounds, no trailing
-// bytes) but yields views into `frame` instead of copying each payload
-// out — the server's batched hot path decodes summaries straight from
-// the frame, skipping one allocation and copy per record. `records` is
-// cleared first; false (with `records` empty) on any malformation.
+// The one BAT1 validator: checks the full envelope (magic, length,
+// checksum, count bound, record bounds, no trailing bytes) and yields
+// views into `frame` instead of copying each payload out — the server
+// and the coordinator decode summaries straight from the frame,
+// skipping one allocation and copy per record. `records` is cleared
+// first; false (with `records` empty) on any malformation. Never
+// aborts: frames are network data.
 bool ViewBatchFrame(const std::vector<uint8_t>& frame,
                     std::vector<BatchRecordView>* records);
+
+// ViewBatchFrame with every payload copied out.
+std::optional<WireBatch> DecodeBatchFrame(const std::vector<uint8_t>& frame);
 
 // The BAT1 frame disassembled, for scatter-gather senders: a client
 // that accumulates the batch body (u32 count + records) contiguously
 // as reports are buffered can send [prefix | body | checksum] with one
 // sendmsg and never assemble the full frame (client.cc). The checksum
-// is exactly what DecodeBatchFrame recomputes over the same body.
+// is exactly what ViewBatchFrame recomputes over the same body.
 uint32_t BatchFrameMagic();
 uint64_t BatchFrameBodyChecksum(const std::vector<uint8_t>& body);
 
@@ -299,7 +294,6 @@ std::optional<WireTopology> DecodeTopologyFrame(
 // frame to the right decoder (and the right admission class) without
 // parsing the body.
 enum class FrameKind {
-  kReport,
   kTagged,
   kControl,
   kQuery,
@@ -329,8 +323,8 @@ struct FrameCodecInfo {
   std::vector<std::vector<uint8_t>> (*corpus)(uint64_t seed);
 };
 
-// Every frame codec, in a fixed order: report, tagged payload, control,
-// query, answer, batch, batch verdict, topology. Tests iterate this
+// Every frame codec, in a fixed order: tagged payload, control, query,
+// answer, batch, batch verdict, topology. Tests iterate this
 // table, so a frame type added here is automatically fuzzed and
 // corruption-tested.
 const std::vector<FrameCodecInfo>& FrameRegistry();

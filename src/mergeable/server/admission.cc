@@ -17,7 +17,6 @@ AdmitResult AdmissionQueue::Offer(WorkItem item) {
   if (closed_) return AdmitResult::kClosed;
 
   const bool is_query = item.kind == WorkKind::kQuery;
-  const bool is_batch = item.kind == WorkKind::kBatch;
   const bool is_topology = item.kind == WorkKind::kTopology;
   // Queries and topology announcements share the high-priority class:
   // both weigh one unit and are refused only at the hard limits.
@@ -41,7 +40,7 @@ AdmitResult AdmissionQueue::Offer(WorkItem item) {
       ++stats_.shed_topologies;
     } else {
       stats_.shed_reports += weight;
-      if (is_batch) ++stats_.shed_batches;
+      ++stats_.shed_batches;
     }
     return AdmitResult::kOverCap;
   }
@@ -55,7 +54,7 @@ AdmitResult AdmissionQueue::Offer(WorkItem item) {
   if (backpressure_ && !is_priority) {
     stats_.shed_reports += weight;
     stats_.backpressure_nacks += weight;
-    if (is_batch) ++stats_.shed_batches;
+    ++stats_.shed_batches;
     return AdmitResult::kBackpressure;
   }
 
@@ -68,7 +67,7 @@ AdmitResult AdmissionQueue::Offer(WorkItem item) {
     ++stats_.admitted_topologies;
   } else {
     stats_.admitted_reports += weight;
-    if (is_batch) ++stats_.admitted_batches;
+    ++stats_.admitted_batches;
   }
   if (queued_reports_ > stats_.peak_depth) {
     stats_.peak_depth = queued_reports_;

@@ -3,7 +3,9 @@
 // The overload-control core of the ingest server (DESIGN.md §11). All
 // decoded-but-unprocessed work lives in one bounded queue per worker;
 // overload policy is decided here, at admission time, never deeper in
-// the pipeline:
+// the pipeline. Three kinds of work arrive: report frames (BAT1, one
+// or many records — a single report is a one-record batch), queries and
+// topology announcements.
 //
 //   * High/low watermarks with hysteresis: crossing the high watermark
 //     flips the queue into backpressure — new reports are NACKed with a
@@ -27,8 +29,8 @@
 //
 // SetPaused() freezes consumption so tests can fill the queue to a
 // deterministic state: with workers paused, exactly the first
-// `high_watermark` reports are admitted and every later one is NACKed,
-// independent of scheduling.
+// `high_watermark` one-report frames are admitted and every later one
+// is NACKed, independent of scheduling.
 
 #ifndef MERGEABLE_SERVER_ADMISSION_H_
 #define MERGEABLE_SERVER_ADMISSION_H_
@@ -44,7 +46,6 @@
 namespace mergeable {
 
 enum class WorkKind : uint8_t {
-  kReport = 0,
   kQuery = 1,
   kBatch = 2,     // A BAT1 frame carrying `reports` report records.
   kTopology = 3,  // A TOP1 shard-topology announcement.
@@ -54,9 +55,10 @@ enum class WorkKind : uint8_t {
 // `reports` is the item's weight in admission accounting — a batch
 // frame of N reports consumes N units of queue depth, so watermarks,
 // the hard cap and the shed counters stay exact at batch granularity
-// (a 256-report batch is not cheaper to queue than 256 single frames).
+// (a 256-report batch is not cheaper to queue than 256 one-report
+// frames).
 struct WorkItem {
-  WorkKind kind = WorkKind::kReport;
+  WorkKind kind = WorkKind::kBatch;
   uint64_t conn_id = 0;
   uint64_t reports = 1;
   std::vector<uint8_t> frame;
@@ -72,8 +74,8 @@ enum class AdmitResult : uint8_t {
 
 struct AdmissionConfig {
   // Depth limits are denominated in *reports*, not frames: a batch
-  // frame weighs its report count, so batched and single-report
-  // traffic face the same watermarks. (Queries weigh one unit.)
+  // frame weighs its report count, so large and one-report batches
+  // face the same watermarks. (Queries weigh one unit.)
   size_t high_watermark = 64;   // Reports; backpressure engages above.
   size_t low_watermark = 16;    // Reports; backpressure releases below.
   size_t hard_cap = 256;        // Reports; nothing admitted above.
@@ -84,10 +86,10 @@ struct AdmissionConfig {
 struct AdmissionStats {
   uint64_t admitted_reports = 0;  // Reports (batch members count apiece).
   uint64_t admitted_queries = 0;
-  uint64_t admitted_batches = 0;  // Batch frames among the admissions.
+  uint64_t admitted_batches = 0;  // Report (BAT1) frames admitted.
   uint64_t admitted_topologies = 0;
   uint64_t shed_reports = 0;      // Reports, exact at batch granularity.
-  uint64_t shed_batches = 0;      // Batch frames among the sheds.
+  uint64_t shed_batches = 0;      // Report (BAT1) frames shed.
   uint64_t shed_queries = 0;
   uint64_t shed_topologies = 0;   // Hard cap only; never backpressure.
   uint64_t backpressure_nacks = 0;  // Subset of shed_reports.

@@ -120,12 +120,13 @@ ChaosOutcome DriveChaos(uint16_t port, const ChaosScript& script,
       ++out.reports_offered;
       out.offered_mass += mass;
 
-      // Scripted corruption: lead with a damaged copy of the frame so
-      // the server's reject path runs under load, deterministically.
+      // Scripted corruption: lead with a damaged copy of the report
+      // frame (a one-record BAT1) so the server's reject path runs under
+      // load, deterministically.
       const FaultDecision decision =
           plan.Decide(shard, static_cast<uint32_t>(phase.epoch));
       if (decision.truncate || decision.bit_flip) {
-        std::vector<uint8_t> corrupt = EncodeReportFrame(report);
+        std::vector<uint8_t> corrupt = EncodeBatchFrame({{report}});
         if (decision.truncate) {
           ApplyTruncate(corrupt, decision.mutation_seed);
         } else {
@@ -135,7 +136,7 @@ ChaosOutcome DriveChaos(uint16_t port, const ChaosScript& script,
         if (client.SendFrame(corrupt)) (void)client.ReadFrame();
       }
 
-      const SendStatus status = client.SendReport(report, policy);
+      const SendStatus status = client.SendBatch({report}, policy).status;
       if (status == SendStatus::kAccepted) {
         ++out.reports_accepted;
         out.accepted_mass += mass;
@@ -146,7 +147,7 @@ ChaosOutcome DriveChaos(uint16_t port, const ChaosScript& script,
       // A duplicate storm: verbatim resends the server must absorb
       // without recording anything twice.
       for (uint32_t dup = 0; dup < phase.duplicate_sends; ++dup) {
-        (void)client.SendReport(report, policy);
+        (void)client.SendBatch({report}, policy);
       }
     }
   }

@@ -64,50 +64,6 @@ std::optional<std::vector<uint8_t>> IngestClient::ReadFrame() {
   }
 }
 
-SendStatus IngestClient::SendReport(const WireReport& report,
-                                    const BackoffPolicy& policy) {
-  const std::vector<uint8_t> frame = EncodeReportFrame(report);
-  uint64_t retry_after_hint = 0;
-  for (uint32_t attempt = 0; attempt < policy.max_attempts; ++attempt) {
-    if (attempt > 0) {
-      ++stats_.retries;
-      const uint64_t wait =
-          std::max(policy.BackoffBefore(attempt), retry_after_hint);
-      if (wait > 0) {
-        stats_.slept_ms += wait;
-        std::this_thread::sleep_for(std::chrono::milliseconds(wait));
-      }
-    }
-    if (!fd_.valid() && !Reconnect()) continue;
-    if (!SendFrame(frame)) {
-      Reconnect();
-      continue;
-    }
-    std::optional<std::vector<uint8_t>> response = ReadFrame();
-    if (!response.has_value()) {
-      Reconnect();
-      continue;
-    }
-    std::optional<WireControl> control = DecodeControlFrame(*response);
-    if (!control.has_value()) continue;  // Not a verdict; try again.
-    switch (control->code) {
-      case ControlCode::kAccepted:
-        return SendStatus::kAccepted;
-      case ControlCode::kDuplicate:
-        // A previous attempt landed after all; the report is recorded.
-        ++stats_.duplicates;
-        return SendStatus::kAccepted;
-      case ControlCode::kRetryAfter:
-        ++stats_.retry_after_nacks;
-        retry_after_hint = control->retry_after_ms;
-        break;
-      case ControlCode::kRejected:
-        return SendStatus::kRejected;
-    }
-  }
-  return SendStatus::kExhausted;
-}
-
 void IngestClient::set_batch_options(BatchOptions options) {
   if (options.max_reports == 0) options.max_reports = 1;
   if (options.max_reports > kMaxBatchReports) {

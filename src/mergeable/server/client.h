@@ -1,25 +1,27 @@
 // Ingest client: the worker side of the socket transport.
 //
 // Speaks the framed wire protocol over a loopback TCP connection:
-// length-prefixed frames out, length-prefixed frames back. SendReport
-// is the retry loop a worker runs against an overloaded server — it
-// reuses the aggregation pipeline's BackoffPolicy (coordinator.h) and
-// additionally honors the server's retry-after hints: a NACKed report
-// waits max(policy backoff, server hint) before trying again, so a
-// cooperating fleet backs off exactly as hard as the server asks.
-// Transport faults (hangup, timeout) reconnect and retry under the same
-// policy; the server's dedup makes the resend idempotent.
+// length-prefixed frames out, length-prefixed frames back. Reports go
+// out as BAT1 frames only; a single report is a one-record batch,
+// SendBatch({report}, policy).
 //
-// Batching mode (BAT1): BufferReport accumulates reports and flushes
-// them as one multi-report frame when any threshold trips — report
-// count, buffered bytes, or the age of the oldest buffered report. The
-// batch body is accumulated contiguously as reports arrive, so the
-// flush is one scatter-gather sendmsg of [prefix | body | checksum]
-// with no frame-sized copy. A whole-batch retry-after NACK (the server
-// shed the frame at admission) backs the entire batch off and resends
-// it; per-record retry-after verdicts resend just those records as a
-// follow-up batch. The server dedups by each open epoch's admitted
-// shards, which makes every resend idempotent, batched or not.
+// SendBatch is the one retry loop a worker runs against an overloaded
+// server — it reuses the aggregation pipeline's BackoffPolicy
+// (coordinator.h) and additionally honors the server's retry-after
+// hints: a NACKed report waits max(policy backoff, server hint) before
+// trying again, so a cooperating fleet backs off exactly as hard as the
+// server asks. A whole-batch retry-after NACK (the server shed the
+// frame at admission) backs the entire batch off and resends it;
+// per-record retry-after verdicts resend just those records as a
+// follow-up batch. Transport faults (hangup, timeout) reconnect and
+// retry under the same policy; the server dedups by each open epoch's
+// admitted shards, which makes every resend idempotent.
+//
+// Batching mode: BufferReport accumulates reports and flushes them as
+// one frame when any threshold trips — report count, buffered bytes, or
+// the age of the oldest buffered report. The batch body is accumulated
+// contiguously as reports arrive, so the flush is one scatter-gather
+// sendmsg of [prefix | body | checksum] with no frame-sized copy.
 
 #ifndef MERGEABLE_SERVER_CLIENT_H_
 #define MERGEABLE_SERVER_CLIENT_H_
@@ -36,7 +38,7 @@
 
 namespace mergeable {
 
-// Terminal verdict of one SendReport retry loop.
+// Terminal verdict of one SendBatch retry loop (the worst record's).
 enum class SendStatus : uint8_t {
   kAccepted = 0,   // Server recorded the report (or already had it).
   kRejected = 1,   // Server says retrying cannot help.
@@ -91,11 +93,6 @@ class IngestClient {
   // hangup, or a poisoned stream.
   std::optional<std::vector<uint8_t>> ReadFrame();
 
-  // The full ingest exchange with retries: send the report, await the
-  // control verdict, back off and resend on NACK or transport fault.
-  SendStatus SendReport(const WireReport& report,
-                        const BackoffPolicy& policy);
-
   // One query exchange; std::nullopt on transport failure or a
   // non-answer response.
   std::optional<WireAnswer> Query(const WireQuery& query);
@@ -117,9 +114,10 @@ class IngestClient {
 
   size_t buffered_reports() const { return buffered_.size(); }
 
-  // The full batch exchange with retries: whole-batch NACKs and
-  // transport faults resend everything outstanding; per-record
-  // retry-after verdicts resend just those records.
+  // The full ingest exchange with retries, for one report or many:
+  // send the frame, await the verdict; whole-batch NACKs and transport
+  // faults resend everything outstanding, per-record retry-after
+  // verdicts resend just those records.
   BatchOutcome SendBatch(std::vector<WireReport> reports,
                          const BackoffPolicy& policy);
 

@@ -10,12 +10,14 @@
 // server-built epoch is byte-identical to a Coordinator-built one over
 // the same reports (the server equivalence test asserts it).
 //
-// RPT1 and BAT1 frames share one admission step (AdmitLocked): both
-// decode their payloads before taking the mutex, then run the same
-// verdict chain — misrouted or already-sealed epoch, storage degraded,
-// undecodable payload, already-admitted shard, accepted. A retry for a
-// sealed epoch is rejected by the epoch check before dedup is consulted,
-// so dedup memory never outlives the open epochs.
+// Reports arrive in one frame type, BAT1 (wire.h) — a single report is
+// a one-record batch — and every record takes one admission step
+// (AdmitLocked): payloads are decoded before taking the mutex, then each
+// record runs the verdict chain — misrouted or already-sealed epoch,
+// storage degraded, undecodable payload, already-admitted shard,
+// accepted. A retry for a sealed epoch is rejected by the epoch check
+// before dedup is consulted, so dedup memory never outlives the open
+// epochs.
 //
 // Epsilon accounting closes the loop on load shedding: SealEpoch takes
 // the offered mass (what the shards sent, shed or not) and charges
@@ -53,12 +55,12 @@
 // zero-coverage placeholder instead of permanently blocking the store's
 // contiguous epoch axis.
 //
-// Thread safety: HandleReport/HandleBatch/HandleQuery run on server
+// Thread safety: HandleBatch/HandleQuery/HandleTopology run on server
 // worker threads; a single mutex serializes them with SealEpoch (the
 // store's own contract requires sealing serialized with queries
-// anyway). Both report paths decode payloads before taking the mutex,
-// and the batch path applies the whole batch under one acquisition —
-// the lock amortizes with batch size.
+// anyway). HandleBatch decodes payloads before taking the mutex and
+// applies the whole batch under one acquisition — the lock amortizes
+// with batch size.
 
 #ifndef MERGEABLE_SERVER_EPOCH_SERVICE_H_
 #define MERGEABLE_SERVER_EPOCH_SERVICE_H_
@@ -114,7 +116,7 @@ struct EpochServiceConfig {
 struct EpochServiceStats {
   uint64_t reports_accepted = 0;
   uint64_t reports_duplicate = 0;
-  uint64_t reports_rejected = 0;  // Malformed / misrouted shard or epoch.
+  uint64_t reports_rejected = 0;  // Bad payload / misrouted shard or epoch.
   uint64_t reports_shed_storage = 0;  // Retry-after NACKs while degraded.
   uint64_t batches_handled = 0;    // Well-formed BAT1 frames processed.
   uint64_t batches_malformed = 0;  // BAT1 frames that failed to decode.
@@ -163,41 +165,18 @@ class EpochService : public FrameHandler {
     empty_summary_ = std::move(factory);
   }
 
-  std::vector<uint8_t> HandleReport(
-      const std::vector<uint8_t>& frame) override {
-    std::optional<WireReport> report = DecodeReportFrame(frame);
-    WireControl control;
-    if (!report.has_value()) {
-      control.code = ControlCode::kRejected;
-      std::lock_guard<std::mutex> lock(mu_);
-      ++stats_.reports_rejected;
-      return EncodeControlFrame(control);
-    }
-    control.shard_id = report->shard_id;
-    control.epoch = report->epoch;
-    std::optional<S> summary = DecodePayload(report->payload.data(),
-                                             report->payload.size());
-
-    std::lock_guard<std::mutex> lock(mu_);
-    control.code = AdmitLocked(report->epoch, report->shard_id, summary);
-    if (control.code == ControlCode::kRetryAfter) {
-      control.retry_after_ms = config_.storage_retry_after_ms;
-    }
-    return EncodeControlFrame(control);
-  }
-
-  // The batched hot path: decode and payload-validate every record
-  // outside the service mutex (the expensive part — summary decoding),
-  // then apply the whole batch under one lock acquisition, so a
-  // 256-report batch costs one lock round instead of 256. Verdicts come
-  // back per record, in record order; a duplicate batch replayed after
-  // a lost verdict answers kDuplicate on every record and counts
-  // nothing twice (each record takes the single-report admission step).
+  // The report path, for one record or many: decode and
+  // payload-validate every record outside the service mutex (the
+  // expensive part — summary decoding), then apply the whole batch under
+  // one lock acquisition, so a 256-report batch costs one lock round
+  // instead of 256. Verdicts come back per record, in record order; a
+  // duplicate batch replayed after a lost verdict answers kDuplicate on
+  // every record and counts nothing twice (each record takes the one
+  // admission step).
   std::vector<uint8_t> HandleBatch(
       const std::vector<uint8_t>& frame) override {
     // Zero-copy view: every payload is decoded straight out of the
-    // frame — ViewBatchFrame validates the envelope exactly as
-    // DecodeBatchFrame would, without materializing per-record vectors.
+    // frame, without materializing per-record vectors.
     std::vector<BatchRecordView> records;
     WireBatchVerdict verdict;
     if (!ViewBatchFrame(frame, &records)) {
@@ -428,7 +407,7 @@ class EpochService : public FrameHandler {
     return summary;
   }
 
-  // The one admission step of RPT1 and BAT1: the report's verdict, with
+  // The one admission step of every report record: its verdict, with
   // its counter bumped. An accepted `summary` is moved into its epoch's
   // accumulator.
   ControlCode AdmitLocked(uint64_t epoch, uint64_t shard,

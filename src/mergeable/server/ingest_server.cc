@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "mergeable/aggregate/wire.h"
-#include "mergeable/util/bytes.h"
 
 namespace mergeable {
 namespace {
@@ -15,18 +14,18 @@ namespace {
 constexpr uint64_t kListenerData = 0;
 constexpr uint64_t kWakeData = 1;
 
-// Reads the (shard_id, epoch) header of a report frame without
-// validating the payload — enough to address the NACK for a report we
-// are refusing to process. False for frames too short to carry one.
-bool PeekReportHeader(const std::vector<uint8_t>& frame, uint64_t* shard_id,
-                      uint64_t* epoch) {
-  ByteReader reader(frame);
-  uint32_t magic = 0;
-  return reader.GetU32(&magic) && reader.GetU64(shard_id) &&
-         reader.GetU64(epoch);
+std::vector<uint8_t> RejectFrame() {
+  WireControl reject;
+  reject.code = ControlCode::kRejected;
+  return EncodeControlFrame(reject);
 }
 
 }  // namespace
+
+std::vector<uint8_t> FrameHandler::HandleReport(
+    const std::vector<uint8_t>& /*frame*/) {
+  return RejectFrame();
+}
 
 std::vector<uint8_t> FrameHandler::HandleTopology(
     const std::vector<uint8_t>& frame) {
@@ -107,9 +106,6 @@ void IngestServer::WorkerThread() {
         break;
       case WorkKind::kBatch:
         response = handler_->HandleBatch(item->frame);
-        break;
-      case WorkKind::kReport:
-        response = handler_->HandleReport(item->frame);
         break;
       case WorkKind::kTopology:
         response = handler_->HandleTopology(item->frame);
@@ -233,20 +229,12 @@ void IngestServer::RouteFrame(uint64_t conn_id, Conn& conn,
       server->frames_cv_.notify_all();
     }
   } count_on_exit{this};
-  const FrameKind kind = PeekFrameKind(frame);
   WorkItem item;
   item.conn_id = conn_id;
-  // The NACK address, read from the header before the frame is moved
-  // into the queue — a shed report is never payload-decoded. For a
-  // batch, only the (clamped) report count is peeked: a shed batch is
-  // answered with one whole-batch verdict, not per-record ones.
-  uint64_t shard_id = 0;
-  uint64_t epoch = 0;
-  switch (kind) {
-    case FrameKind::kReport:
-      item.kind = WorkKind::kReport;
-      PeekReportHeader(frame, &shard_id, &epoch);
-      break;
+  // For a batch, only the (clamped) report count is peeked before the
+  // frame is moved into the queue — a shed batch is never
+  // payload-decoded, and is answered with one whole-batch verdict.
+  switch (PeekFrameKind(frame)) {
     case FrameKind::kBatch: {
       item.kind = WorkKind::kBatch;
       uint32_t count = 0;
@@ -265,9 +253,7 @@ void IngestServer::RouteFrame(uint64_t conn_id, Conn& conn,
         std::lock_guard<std::mutex> lock(stats_mu_);
         ++stats_.unknown_frames;
       }
-      WireControl reject;
-      reject.code = ControlCode::kRejected;
-      EnqueueOutbound(conn_id, conn, EncodeControlFrame(reject));
+      EnqueueOutbound(conn_id, conn, RejectFrame());
       return;
     }
   }
@@ -299,8 +285,6 @@ void IngestServer::RouteFrame(uint64_t conn_id, Conn& conn,
   }
   WireControl nack;
   nack.code = code;
-  nack.shard_id = shard_id;
-  nack.epoch = epoch;
   nack.retry_after_ms = queue_.retry_after_ms();
   EnqueueOutbound(conn_id, conn, EncodeControlFrame(nack));
 }

@@ -14,10 +14,16 @@
 // FrameHandler — the type-erasure boundary behind which the templated
 // EpochService<S> (epoch_service.h) does the actual summary work.
 //
+// Frames are routed by magic: BAT1 report frames (one report or many),
+// QRY1 queries and TOP1 topology announcements. Anything else is an
+// unknown frame: the loop thread answers it with a NAK1 kRejected and
+// counts it in ServerStats::unknown_frames.
+//
 // Overload behavior, all decided at admission (admission.h):
-//   * report frames refused under backpressure get an immediate NACK
-//     with a retry-after hint, synthesized on the loop thread from the
-//     frame header alone (no payload decode for work we are shedding);
+//   * report frames refused under backpressure get an immediate
+//     whole-batch BVD1 verdict with a retry-after hint, synthesized on
+//     the loop thread from the frame header alone (no payload decode
+//     for work we are shedding);
 //   * a connection whose outbound buffer exceeds the per-connection cap
 //     is a slow consumer and is disconnected — a stalled socket must
 //     not grow server memory;
@@ -49,13 +55,16 @@ namespace mergeable {
 // What the server calls on each admitted frame; implemented by the
 // templated EpochService<S>. All methods run on worker threads —
 // implementations synchronize their own state — and return the frame to
-// send back (a control frame for reports, a batch verdict for batches,
-// an answer frame for queries).
+// send back (a batch verdict for report frames, an answer frame for
+// queries, a control frame for topology announcements).
 class FrameHandler {
  public:
   virtual ~FrameHandler() = default;
+  // Not called by the server: report frames are BAT1 and go to
+  // HandleBatch. Answers a hard reject; it remains declared only for
+  // overriders that still forward it, and goes with them.
   virtual std::vector<uint8_t> HandleReport(
-      const std::vector<uint8_t>& frame) = 0;
+      const std::vector<uint8_t>& frame);
   virtual std::vector<uint8_t> HandleBatch(
       const std::vector<uint8_t>& frame) = 0;
   virtual std::vector<uint8_t> HandleQuery(

@@ -11,7 +11,7 @@
 // which is already thread-safe (EpochService serializes internally), so
 // reports landing on different shards still merge into one canonical
 // epoch state — sealing stays byte-identical to the single-shard and
-// single-report paths (the batch equivalence test asserts it across
+// one-record-frame paths (the batch equivalence test asserts it across
 // shard counts).
 //
 // Admission stays exact under sharding: each shard's queue enforces the

@@ -17,6 +17,7 @@
 #include "mergeable/core/merge_driver.h"
 #include "mergeable/frequency/space_saving.h"
 #include "mergeable/quantiles/mergeable_quantiles.h"
+#include "mergeable/store/summary_store.h"
 #include "mergeable/stream/generators.h"
 #include "mergeable/stream/partition.h"
 
@@ -245,6 +246,45 @@ TEST(CoordinatorTest, MisroutedShardIdsAreRejected) {
   const auto result = coordinator.Run(transport, 1);
   EXPECT_EQ(result.shards_received, 0u);
   EXPECT_GT(result.malformed_rejected, 0u);
+}
+
+// A report frame is a BAT1 holding exactly one record. A batch of two
+// for the right shard and epoch is malformed like any corrupt frame:
+// it is counted, nothing of it is merged, and the shard is fetched
+// again — the retry's one-record frame lands.
+TEST(CoordinatorTest, MultiRecordFramesAreMalformedAndRefetched) {
+  SpaceSaving summary = SpaceSaving::ForEpsilon(kHhEpsilon);
+  summary.Update(1);
+  const WireReport report{0, kEpoch, EncodeSummary(summary)};
+  WireBatch two;
+  two.reports = {report, report};
+
+  // First attempt: the two-record batch. Every later one: the report.
+  class TwoThenOne : public Transport {
+   public:
+    TwoThenOne(std::vector<uint8_t> first, std::vector<uint8_t> rest)
+        : first_(std::move(first)), rest_(std::move(rest)) {}
+    DeliveryAttempt Deliver(uint64_t, uint32_t attempt) override {
+      DeliveryAttempt delivery;
+      delivery.frames.push_back(attempt == 0 ? first_ : rest_);
+      return delivery;
+    }
+
+   private:
+    std::vector<uint8_t> first_;
+    std::vector<uint8_t> rest_;
+  } transport(EncodeBatchFrame(two), MakeReportFrame(summary, 0, kEpoch));
+
+  Coordinator<SpaceSaving> coordinator(kEpoch, TestPolicy(),
+                                       MergeTopology::kBalancedTree);
+  const auto result = coordinator.Run(transport, 1);
+  EXPECT_EQ(result.shards_received, 1u);
+  EXPECT_EQ(result.malformed_rejected, 1u);
+  ASSERT_EQ(result.outcomes.size(), 1u);
+  EXPECT_EQ(result.outcomes[0].attempts, 2u);
+  EXPECT_EQ(result.outcomes[0].malformed, 1u);
+  ASSERT_TRUE(result.summary.has_value());
+  EXPECT_EQ(result.summary->n(), 1u);  // Merged once, not twice.
 }
 
 TEST(CoordinatorTest, IncompatibleSummariesAreRejectedNotMerged) {

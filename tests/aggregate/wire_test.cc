@@ -1,7 +1,9 @@
 // Report frame tests: round trip, checksum rejection of every
-// single-bit corruption, and framing-level malformations.
+// single-bit corruption, and framing-level malformations. A report
+// crosses the wire as a one-record BAT1 frame.
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,10 +22,24 @@ WireReport TestReport() {
   return report;
 }
 
+std::vector<uint8_t> ReportFrame(const WireReport& report) {
+  WireBatch batch;
+  batch.reports.push_back(report);
+  return EncodeBatchFrame(batch);
+}
+
+// The one report a frame carries; std::nullopt when the frame does not
+// decode or holds any other number of records.
+std::optional<WireReport> DecodeReport(const std::vector<uint8_t>& frame) {
+  std::optional<WireBatch> batch = DecodeBatchFrame(frame);
+  if (!batch.has_value() || batch->reports.size() != 1) return std::nullopt;
+  return std::move(batch->reports.front());
+}
+
 TEST(WireTest, FrameRoundTrip) {
   const WireReport report = TestReport();
-  const auto frame = EncodeReportFrame(report);
-  const auto decoded = DecodeReportFrame(frame);
+  const auto frame = ReportFrame(report);
+  const auto decoded = DecodeReport(frame);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->shard_id, report.shard_id);
   EXPECT_EQ(decoded->epoch, report.epoch);
@@ -34,53 +50,67 @@ TEST(WireTest, EmptyPayloadRoundTrip) {
   WireReport report;
   report.shard_id = 1;
   report.epoch = 2;
-  const auto decoded = DecodeReportFrame(EncodeReportFrame(report));
+  const auto decoded = DecodeReport(ReportFrame(report));
   ASSERT_TRUE(decoded.has_value());
   EXPECT_TRUE(decoded->payload.empty());
 }
 
 TEST(WireTest, EveryBitFlipIsRejected) {
-  const auto frame = EncodeReportFrame(TestReport());
+  const auto frame = ReportFrame(TestReport());
   for (size_t bit = 0; bit < frame.size() * 8; ++bit) {
     std::vector<uint8_t> corrupted = frame;
     corrupted[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
-    EXPECT_FALSE(DecodeReportFrame(corrupted).has_value())
+    EXPECT_FALSE(DecodeBatchFrame(corrupted).has_value())
         << "bit " << bit << " flip was accepted";
   }
 }
 
 TEST(WireTest, EveryTruncationIsRejected) {
-  const auto frame = EncodeReportFrame(TestReport());
+  const auto frame = ReportFrame(TestReport());
   for (size_t cut = 0; cut < frame.size(); ++cut) {
     std::vector<uint8_t> truncated(frame.begin(),
                                    frame.begin() + static_cast<long>(cut));
-    EXPECT_FALSE(DecodeReportFrame(truncated).has_value())
+    EXPECT_FALSE(DecodeBatchFrame(truncated).has_value())
         << "truncation at " << cut << " was accepted";
   }
 }
 
 TEST(WireTest, TrailingBytesAreRejected) {
-  auto frame = EncodeReportFrame(TestReport());
+  auto frame = ReportFrame(TestReport());
   frame.push_back(0);
-  EXPECT_FALSE(DecodeReportFrame(frame).has_value());
+  EXPECT_FALSE(DecodeBatchFrame(frame).has_value());
 }
 
 TEST(WireTest, EmptyInputIsRejected) {
-  EXPECT_FALSE(DecodeReportFrame({}).has_value());
+  EXPECT_FALSE(DecodeBatchFrame({}).has_value());
 }
 
 TEST(WireTest, ChecksumCoversHeaderFields) {
-  // Two frames differing only in shard id / epoch must have different
-  // checksums (the dedup key is integrity-protected).
-  WireReport a = TestReport();
+  // Two report frames differing only in shard id / epoch must carry
+  // different checksums (the dedup key is integrity-protected).
   WireReport b = TestReport();
   b.shard_id = 43;
   WireReport c = TestReport();
   c.epoch = 8;
-  EXPECT_NE(FrameChecksum(a.shard_id, a.epoch, a.payload),
-            FrameChecksum(b.shard_id, b.epoch, b.payload));
-  EXPECT_NE(FrameChecksum(a.shard_id, a.epoch, a.payload),
-            FrameChecksum(c.shard_id, c.epoch, c.payload));
+  const auto checksum = [](const std::vector<uint8_t>& frame) {
+    return std::vector<uint8_t>(frame.end() - 8, frame.end());
+  };
+  const auto a_frame = ReportFrame(TestReport());
+  EXPECT_NE(checksum(a_frame), checksum(ReportFrame(b)));
+  EXPECT_NE(checksum(a_frame), checksum(ReportFrame(c)));
+}
+
+TEST(WireTest, ReportFrameBytesArePinned) {
+  // The report frame, byte for byte: BAT1 envelope, count 1, one
+  // record, and the checksum under its 'RPT1' seed. These are the
+  // bytes BAT1 has always had for this report.
+  const std::vector<uint8_t> expected = {
+      0x42, 0x41, 0x54, 0x31, 0x25, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00,
+      0x00, 0x2a, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x07, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x0d, 0x00, 0x00, 0x00, 0xde,
+      0xad, 0xbe, 0xef, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08,
+      0x09, 0x68, 0x5f, 0xb5, 0xe3, 0xa9, 0x10, 0x1f, 0x68};
+  EXPECT_EQ(ReportFrame(TestReport()), expected);
 }
 
 TEST(WireTest, ChecksumDependsOnPayloadTail) {
@@ -251,8 +281,7 @@ TEST(WireTest, NewFramesRejectEveryBitFlip) {
 }
 
 TEST(WireTest, PeekFrameKindRoutesEveryMagic) {
-  EXPECT_EQ(PeekFrameKind(EncodeReportFrame(TestReport())),
-            FrameKind::kReport);
+  EXPECT_EQ(PeekFrameKind(ReportFrame(TestReport())), FrameKind::kBatch);
   EXPECT_EQ(PeekFrameKind(EncodeControlFrame(TestControl())),
             FrameKind::kControl);
   EXPECT_EQ(PeekFrameKind(EncodeQueryFrame(TestQuery())),
@@ -261,11 +290,13 @@ TEST(WireTest, PeekFrameKindRoutesEveryMagic) {
             FrameKind::kAnswer);
   EXPECT_EQ(PeekFrameKind({}), FrameKind::kUnknown);
   EXPECT_EQ(PeekFrameKind({0x01, 0x02, 0x03, 0x04}), FrameKind::kUnknown);
+  // 'RPT1', the retired single-report frame, routes nowhere.
+  EXPECT_EQ(PeekFrameKind({'R', 'P', 'T', '1'}), FrameKind::kUnknown);
 }
 
 TEST(WireTest, FrameRegistryCoversEveryFrameType) {
   const auto& registry = FrameRegistry();
-  ASSERT_EQ(registry.size(), 8u);
+  ASSERT_EQ(registry.size(), 7u);
   for (const auto& info : registry) {
     SCOPED_TRACE(info.name);
     const auto corpus = info.corpus(/*seed=*/7);

@@ -15,7 +15,7 @@ namespace {
 
 WorkItem Report(size_t bytes = 10) {
   WorkItem item;
-  item.kind = WorkKind::kReport;
+  item.kind = WorkKind::kBatch;
   item.frame.assign(bytes, 0xaa);
   return item;
 }
@@ -148,7 +148,7 @@ TEST(AdmissionTest, TakeBlocksUntilOfferAndDrainsFifo) {
   });
   for (uint8_t fill : {1, 2, 3}) {
     WorkItem item;
-    item.kind = WorkKind::kReport;
+    item.kind = WorkKind::kBatch;
     item.frame.assign(4, fill);
     queue.Offer(std::move(item));
   }

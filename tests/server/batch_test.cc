@@ -1,6 +1,6 @@
 // Batched ingest (BAT1) over real sockets: the headline equivalence —
 // any batch size through any shard count seals byte-identical to the
-// single-report socket path and to the in-process SimulatedTransport
+// one-record-frame socket path and to the in-process SimulatedTransport
 // coordinator path — plus batch-granular admission accounting,
 // duplicate-batch replay, the dedup/rejected-payload interaction, and
 // the zero-/max-report frame edges.
@@ -105,7 +105,7 @@ std::vector<std::vector<uint8_t>> ReferenceAnswers(MemStorage* backing) {
 }
 
 // Batched frames — every batch size, every shard count — seal
-// byte-identical to the single-report and SimulatedTransport paths.
+// byte-identical to the one-record-frame and SimulatedTransport paths.
 TEST(BatchTest, BatchedIngestSealsByteIdenticalAcrossSizesAndShards) {
   MemStorage ref_backing;
   const std::vector<std::vector<uint8_t>> reference =
@@ -420,9 +420,9 @@ TEST(BatchTest, RejectedPayloadDoesNotPoisonDedupKey) {
   corrupt.payload = {0xde, 0xad, 0xbe, 0xef};  // Not a SpaceSaving.
 
   // Single-report path.
-  EXPECT_EQ(client.SendReport(corrupt, FastPolicy()),
+  EXPECT_EQ(client.SendBatch({corrupt}, FastPolicy()).status,
             SendStatus::kRejected);
-  EXPECT_EQ(client.SendReport(MakeReport(0, 0), FastPolicy()),
+  EXPECT_EQ(client.SendBatch({MakeReport(0, 0)}, FastPolicy()).status,
             SendStatus::kAccepted);  // NOT kDuplicate.
 
   // Batched path: one bad record among good ones, then the correction.

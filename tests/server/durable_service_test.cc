@@ -77,13 +77,15 @@ FeedResult FeedEpoch(DurableEpochService& service, uint64_t epoch) {
     report.shard_id = shard;
     report.epoch = epoch;
     report.payload = EncodeSummary(summary);
-    const auto frame = service.HandleReport(EncodeReportFrame(report));
-    const auto control = DecodeControlFrame(frame);
-    EXPECT_TRUE(control.has_value()) << "shard " << shard;
-    if (!control.has_value()) continue;
-    result.last_code = control->code;
-    result.retry_after_ms = control->retry_after_ms;
-    if (control->code == ControlCode::kAccepted) ++result.accepted;
+    const auto verdict = DecodeBatchVerdictFrame(
+        service.HandleBatch(EncodeBatchFrame({{report}})));
+    EXPECT_TRUE(verdict.has_value()) << "shard " << shard;
+    if (!verdict.has_value()) continue;
+    EXPECT_EQ(verdict->codes.size(), 1u) << "shard " << shard;
+    if (verdict->codes.size() != 1) continue;
+    result.last_code = verdict->codes[0];
+    result.retry_after_ms = verdict->retry_after_ms;
+    if (verdict->codes[0] == ControlCode::kAccepted) ++result.accepted;
   }
   return result;
 }
@@ -190,7 +192,7 @@ TEST(DurableServiceTest, SealBufferOverflowDegradesPayloadsToEmpty) {
   ASSERT_TRUE(service.SealEpoch(0, epoch0.offered_mass));
 
   // Shards report ahead for epochs 1..4 while the service is healthy
-  // (HandleReport accepts any epoch >= next_epoch_), so every buffered
+  // (admission accepts any epoch >= next_epoch_), so every buffered
   // seal carries a real payload when the disk then fills.
   std::vector<FeedResult> fed;
   for (uint64_t epoch = 1; epoch <= 4; ++epoch) {
@@ -293,10 +295,11 @@ TEST(DurableServiceTest, WarmRestartResumesEpochAxis) {
   stale.shard_id = 0;
   stale.epoch = 1;
   stale.payload = EncodeSummary(ShardSummary(1, 0));
-  const auto control =
-      DecodeControlFrame(service.HandleReport(EncodeReportFrame(stale)));
-  ASSERT_TRUE(control.has_value());
-  EXPECT_EQ(control->code, ControlCode::kRejected);
+  const auto verdict = DecodeBatchVerdictFrame(
+      service.HandleBatch(EncodeBatchFrame({{stale}})));
+  ASSERT_TRUE(verdict.has_value());
+  EXPECT_EQ(verdict->codes,
+            std::vector<ControlCode>{ControlCode::kRejected});
 
   // History answers; the next epoch seals on the resumed axis.
   const auto history = QueryRange(service, 0, 2);

@@ -14,6 +14,11 @@
 // decisions depend only on arrival order on one connection — the first
 // high_watermark reports are admitted, every later one is NACKed —
 // independent of scheduling.
+//
+// Each report crosses the wire as a one-record BAT1 frame, and a
+// batch verdict carries no (shard, epoch) address; which reports were
+// shed is read off the sealed epoch instead — its payload must be the
+// canonical fold of exactly the admitted shards.
 
 #include <chrono>
 #include <cstdint>
@@ -31,6 +36,7 @@
 #include "mergeable/server/epoch_service.h"
 #include "mergeable/server/ingest_server.h"
 #include "mergeable/store/durable_store.h"
+#include "mergeable/store/summary_store.h"
 #include "mergeable/util/random.h"
 
 namespace mergeable {
@@ -52,6 +58,42 @@ SpaceSaving ShardSummary(uint64_t epoch, uint64_t shard, int items = 80) {
   Rng rng(7000 + 100 * epoch + shard);
   for (int i = 0; i < items; ++i) summary.Update(rng.UniformInt(40));
   return summary;
+}
+
+std::vector<uint8_t> ReportFrame(const WireReport& report) {
+  WireBatch batch;
+  batch.reports.push_back(report);
+  return EncodeBatchFrame(batch);
+}
+
+// The sealed payload an epoch must hold when exactly `shards` of it
+// were admitted: their canonical fold, ascending, left-deep.
+std::vector<uint8_t> FoldOf(uint64_t epoch,
+                            const std::vector<uint64_t>& shards) {
+  std::optional<SpaceSaving> fold;
+  for (uint64_t shard : shards) {
+    SpaceSaving summary = CanonicalForm(ShardSummary(epoch, shard));
+    if (fold.has_value()) {
+      CanonicalMergeInto(*fold, summary);
+    } else {
+      fold = std::move(summary);
+    }
+  }
+  return EncodeSummary(*fold);
+}
+
+// The payload of the epoch-`epoch` answer, through the wire.
+std::vector<uint8_t> SealedPayload(IngestClient& client, uint64_t epoch) {
+  WireQuery query;
+  query.stream = kStream;
+  query.t1 = epoch;
+  query.t2 = epoch;
+  const auto answer = client.Query(query);
+  EXPECT_TRUE(answer.has_value());
+  if (!answer.has_value()) return {};
+  const auto tagged = DecodeTaggedPayload(answer->payload);
+  EXPECT_TRUE(tagged.has_value());
+  return tagged.has_value() ? tagged->payload : std::vector<uint8_t>{};
 }
 
 BackoffPolicy FastPolicy() {
@@ -118,28 +160,28 @@ TEST(OverloadTest, SpikeShedsDeterministicallyAndAccountsMassExactly) {
     report.shard_id = shard;
     report.epoch = 0;
     report.payload = EncodeSummary(summary);
-    ASSERT_TRUE(client.SendFrame(EncodeReportFrame(report)));
+    ASSERT_TRUE(client.SendFrame(ReportFrame(report)));
   }
 
   // With workers paused, the verdicts are fully determined: the first
   // high_watermark reports are admitted (their ACKs arrive only after
   // unpause), every later one is NACKed kRetryAfter immediately.
-  std::vector<uint64_t> nacked_shards;
+  uint64_t retry_after_verdicts = 0;
   for (size_t i = 0;
        i < OverloadHarness::kShards - OverloadHarness::kHighWatermark;
        ++i) {
     const auto frame = client.ReadFrame();
     ASSERT_TRUE(frame.has_value());
-    const auto control = DecodeControlFrame(*frame);
-    ASSERT_TRUE(control.has_value());
-    EXPECT_EQ(control->code, ControlCode::kRetryAfter);
-    EXPECT_EQ(control->retry_after_ms, 1u);
-    nacked_shards.push_back(control->shard_id);
+    const auto verdict = DecodeBatchVerdictFrame(*frame);
+    ASSERT_TRUE(verdict.has_value());
+    EXPECT_EQ(verdict->batch_code, ControlCode::kRetryAfter);
+    EXPECT_EQ(verdict->retry_after_ms, 1u);
+    if (verdict->batch_code == ControlCode::kRetryAfter) {
+      ++retry_after_verdicts;
+    }
   }
-  // The NACKs name exactly the shards past the admission cut.
-  for (size_t i = 0; i < nacked_shards.size(); ++i) {
-    EXPECT_EQ(nacked_shards[i], OverloadHarness::kHighWatermark + i);
-  }
+  EXPECT_EQ(retry_after_verdicts,
+            OverloadHarness::kShards - OverloadHarness::kHighWatermark);
 
   // (a) Memory stayed inside the admission budget at the spike's peak.
   const AdmissionStats admission = harness.server.admission_stats();
@@ -157,10 +199,11 @@ TEST(OverloadTest, SpikeShedsDeterministicallyAndAccountsMassExactly) {
   for (size_t i = 0; i < OverloadHarness::kHighWatermark; ++i) {
     const auto frame = client.ReadFrame();
     ASSERT_TRUE(frame.has_value());
-    const auto control = DecodeControlFrame(*frame);
-    ASSERT_TRUE(control.has_value());
-    EXPECT_EQ(control->code, ControlCode::kAccepted);
-    EXPECT_EQ(control->shard_id, i);
+    const auto verdict = DecodeBatchVerdictFrame(*frame);
+    ASSERT_TRUE(verdict.has_value());
+    EXPECT_EQ(verdict->batch_code, ControlCode::kAccepted);
+    EXPECT_EQ(verdict->codes,
+              std::vector<ControlCode>{ControlCode::kAccepted});
   }
   harness.server.Drain();
   EXPECT_FALSE(harness.server.in_backpressure());  // Hysteresis released.
@@ -168,11 +211,17 @@ TEST(OverloadTest, SpikeShedsDeterministicallyAndAccountsMassExactly) {
   // (b) Seal with the shed mass lost and verify the epsilon report is
   // exact: lost mass == the summed mass of precisely the NACKed shards.
   uint64_t admitted_mass = 0;
+  std::vector<uint64_t> admitted_shards;
   for (uint64_t shard = 0; shard < OverloadHarness::kHighWatermark;
        ++shard) {
     admitted_mass += mass[shard];
+    admitted_shards.push_back(shard);
   }
   ASSERT_TRUE(harness.service.SealEpoch(0, offered_mass));
+  // The NACKs were exactly the shards past the admission cut: the
+  // sealed epoch is the fold of shards [0, high_watermark) and nothing
+  // else.
+  EXPECT_EQ(SealedPayload(client, 0), FoldOf(0, admitted_shards));
 
   WireQuery query;
   query.stream = kStream;
@@ -208,7 +257,8 @@ TEST(OverloadTest, QueriesOutrankReportsUnderPressure) {
   seed.shard_id = 0;
   seed.epoch = 0;
   seed.payload = EncodeSummary(ShardSummary(0, 0));
-  ASSERT_EQ(client.SendReport(seed, FastPolicy()), SendStatus::kAccepted);
+  ASSERT_EQ(client.SendBatch({seed}, FastPolicy()).status,
+            SendStatus::kAccepted);
   harness.server.Drain();
   const uint64_t sealed_mass = ShardSummary(0, 0).n();
   ASSERT_TRUE(harness.service.SealEpoch(0, sealed_mass));
@@ -221,20 +271,19 @@ TEST(OverloadTest, QueriesOutrankReportsUnderPressure) {
     report.shard_id = shard;
     report.epoch = 1;
     report.payload = EncodeSummary(ShardSummary(1, shard));
-    ASSERT_TRUE(client.SendFrame(EncodeReportFrame(report)));
+    ASSERT_TRUE(client.SendFrame(ReportFrame(report)));
   }
   // Pressure is at the watermark: one more report is NACKed...
   WireReport shed;
   shed.shard_id = 10;
   shed.epoch = 1;
   shed.payload = EncodeSummary(ShardSummary(1, 10));
-  ASSERT_TRUE(client.SendFrame(EncodeReportFrame(shed)));
+  ASSERT_TRUE(client.SendFrame(ReportFrame(shed)));
   const auto nack_frame = client.ReadFrame();
   ASSERT_TRUE(nack_frame.has_value());
-  const auto nack = DecodeControlFrame(*nack_frame);
+  const auto nack = DecodeBatchVerdictFrame(*nack_frame);
   ASSERT_TRUE(nack.has_value());
-  EXPECT_EQ(nack->code, ControlCode::kRetryAfter);
-  EXPECT_EQ(nack->shard_id, 10u);
+  EXPECT_EQ(nack->batch_code, ControlCode::kRetryAfter);
 
   // ...while a query at the same instant is admitted and (after the
   // workers resume) answered.
@@ -250,7 +299,11 @@ TEST(OverloadTest, QueriesOutrankReportsUnderPressure) {
        ++shard) {
     const auto frame = client.ReadFrame();
     ASSERT_TRUE(frame.has_value());
-    ASSERT_EQ(PeekFrameKind(*frame), FrameKind::kControl);
+    ASSERT_EQ(PeekFrameKind(*frame), FrameKind::kBatchVerdict);
+    const auto verdict = DecodeBatchVerdictFrame(*frame);
+    ASSERT_TRUE(verdict.has_value());
+    EXPECT_EQ(verdict->codes,
+              std::vector<ControlCode>{ControlCode::kAccepted});
   }
   const auto answer_frame = client.ReadFrame();
   ASSERT_TRUE(answer_frame.has_value());
@@ -266,6 +319,17 @@ TEST(OverloadTest, QueriesOutrankReportsUnderPressure) {
   EXPECT_EQ(pressured.admitted_queries, 1u);
   EXPECT_EQ(pressured.shed_queries, 0u);
   EXPECT_EQ(pressured.shed_reports, 1u);
+
+  // The NACKed report was shard 10's: epoch 1 seals as the fold of the
+  // four admitted shards, without it.
+  uint64_t offered_mass = ShardSummary(1, 10).n();
+  for (uint64_t shard = 0; shard < OverloadHarness::kHighWatermark;
+       ++shard) {
+    offered_mass += ShardSummary(1, shard).n();
+  }
+  harness.server.Drain();
+  ASSERT_TRUE(harness.service.SealEpoch(1, offered_mass));
+  EXPECT_EQ(SealedPayload(client, 1), FoldOf(1, {0, 1, 2, 3}));
 }
 
 // (c) Recovery: a shed report retried under the client's backoff policy
@@ -286,23 +350,28 @@ TEST(OverloadTest, ShedReportsRecoverViaRetryAfter) {
     reports[shard].shard_id = shard;
     reports[shard].epoch = 0;
     reports[shard].payload = EncodeSummary(summary);
-    ASSERT_TRUE(blaster.SendFrame(EncodeReportFrame(reports[shard])));
+    ASSERT_TRUE(blaster.SendFrame(ReportFrame(reports[shard])));
   }
+  // Every frame meets admission while the workers are still paused, so
+  // exactly the first high_watermark are admitted.
+  ASSERT_TRUE(harness.server.WaitForFramesReceived(
+      kReports, std::chrono::seconds(10)));
   // Spike over: the workers return, pressure drains, hysteresis
-  // releases, and the client retries every report under its policy.
+  // releases, and the client resends every report under its policy —
+  // no verdict names a shard, so the admitted ones are resent too.
   harness.server.PauseWorkers(false);
   harness.server.Drain();
   IngestClient retrier(harness.server.port());
   for (const WireReport& report : reports) {
-    EXPECT_EQ(retrier.SendReport(report, FastPolicy()),
+    EXPECT_EQ(retrier.SendBatch({report}, FastPolicy()).status,
               SendStatus::kAccepted);
   }
   harness.server.Drain();
   EXPECT_EQ(harness.service.pending_reports(), kReports);
-  EXPECT_GT(retrier.stats().duplicates +
-                harness.service.stats().reports_duplicate,
-            0u);  // The admitted prefix's retries were deduped, not
-                  // double-counted.
+  // The admitted prefix's resends were deduped, not double-counted.
+  EXPECT_EQ(retrier.stats().duplicates, OverloadHarness::kHighWatermark);
+  EXPECT_EQ(harness.service.stats().reports_duplicate,
+            OverloadHarness::kHighWatermark);
   ASSERT_TRUE(harness.service.SealEpoch(0, offered_mass));
   IngestClient querier(harness.server.port());
   WireQuery query;
@@ -313,6 +382,11 @@ TEST(OverloadTest, ShedReportsRecoverViaRetryAfter) {
   ASSERT_TRUE(answer.has_value());
   EXPECT_EQ(answer->lost_mass, 0u);  // Everything recovered.
   EXPECT_DOUBLE_EQ(answer->coverage, 12.0 / 40.0);
+  std::vector<uint64_t> all_shards(kReports);
+  for (uint64_t shard = 0; shard < kReports; ++shard) {
+    all_shards[shard] = shard;
+  }
+  EXPECT_EQ(SealedPayload(querier, 0), FoldOf(0, all_shards));
 }
 
 // The scripted chaos driver: spikes, duplicate storms, churn and
@@ -400,7 +474,7 @@ TEST(OverloadTest, SlowConsumerIsDisconnectedAtTheBufferCap) {
   report.shard_id = 0;
   report.epoch = 0;
   report.payload = EncodeSummary(fat);
-  ASSERT_EQ(loader.SendReport(report, FastPolicy()),
+  ASSERT_EQ(loader.SendBatch({report}, FastPolicy()).status,
             SendStatus::kAccepted);
   server.Drain();
   ASSERT_TRUE(service.SealEpoch(0, fat.n()));

@@ -127,7 +127,7 @@ TEST(RebalanceServiceTest, ScriptedAutoscaleArcSealsEveryEpoch) {
       report.shard_id = shard;
       report.epoch = epoch;
       report.payload = EncodeSummary(summary);
-      ASSERT_EQ(client.SendReport(report, FastPolicy()),
+      ASSERT_EQ(client.SendBatch({report}, FastPolicy()).status,
                 SendStatus::kAccepted)
           << "epoch " << epoch << " shard " << shard;
     }
@@ -186,7 +186,7 @@ TEST(RebalanceServiceTest, MidEpochShrinkDropsOrphanedReports) {
     report.shard_id = shard;
     report.epoch = 0;
     report.payload = EncodeSummary(summary);
-    ASSERT_EQ(client.SendReport(report, FastPolicy()),
+    ASSERT_EQ(client.SendBatch({report}, FastPolicy()).status,
               SendStatus::kAccepted);
   }
   harness.server.Drain();
@@ -209,7 +209,8 @@ TEST(RebalanceServiceTest, MidEpochShrinkDropsOrphanedReports) {
   late.shard_id = 3;
   late.epoch = 0;
   late.payload = EncodeSummary(ShardSummary(0, 3, 4));
-  EXPECT_EQ(client.SendReport(late, FastPolicy()), SendStatus::kRejected);
+  EXPECT_EQ(client.SendBatch({late}, FastPolicy()).status,
+            SendStatus::kRejected);
 
   // The seal uses the new denominator; the orphaned mass is lost mass.
   ASSERT_TRUE(harness.service.SealEpoch(0, offered));
@@ -237,9 +238,11 @@ TEST(RebalanceServiceTest, ShrinkThenRegrowReadmitsTheDroppedShard) {
     report.shard_id = shard;
     report.epoch = 0;
     report.payload = EncodeSummary(ShardSummary(0, shard, 4));
-    const std::optional<WireControl> control =
-        DecodeControlFrame(service.HandleReport(EncodeReportFrame(report)));
-    return control.has_value() ? control->code : ControlCode::kRejected;
+    const std::optional<WireBatchVerdict> verdict = DecodeBatchVerdictFrame(
+        service.HandleBatch(EncodeBatchFrame({{report}})));
+    return verdict.has_value() && verdict->codes.size() == 1
+               ? verdict->codes[0]
+               : ControlCode::kRejected;
   };
   const auto topology_verdict = [&service](uint64_t shard_count) {
     WireTopology topology;
@@ -282,7 +285,7 @@ TEST(RebalanceServiceTest, SealedEpochsRefuseRedenomination) {
     report.shard_id = shard;
     report.epoch = 0;
     report.payload = EncodeSummary(summary);
-    ASSERT_EQ(client.SendReport(report, FastPolicy()),
+    ASSERT_EQ(client.SendBatch({report}, FastPolicy()).status,
               SendStatus::kAccepted);
   }
   harness.server.Drain();
@@ -343,7 +346,7 @@ TEST(RebalanceServiceTest, TopologyChangesLandBetweenReportsOfOneStream) {
       report.shard_id = shard;
       report.epoch = epoch;
       report.payload = EncodeSummary(summary);
-      ASSERT_EQ(client.SendReport(report, FastPolicy()),
+      ASSERT_EQ(client.SendBatch({report}, FastPolicy()).status,
                 SendStatus::kAccepted);
     }
     harness.server.Drain();
@@ -367,12 +370,6 @@ TEST(RebalanceServiceTest, TopologyChangesLandBetweenReportsOfOneStream) {
 // default must hard-reject TOP1 frames without crashing the server.
 class TopologyBlindHandler : public FrameHandler {
  public:
-  std::vector<uint8_t> HandleReport(
-      const std::vector<uint8_t>&) override {
-    WireControl control;
-    control.code = ControlCode::kAccepted;
-    return EncodeControlFrame(control);
-  }
   std::vector<uint8_t> HandleBatch(const std::vector<uint8_t>&) override {
     WireBatchVerdict verdict;
     verdict.batch_code = ControlCode::kRejected;

@@ -45,12 +45,21 @@ WireReport Report(uint64_t epoch, uint64_t shard, uint64_t variant = 0) {
   return report;
 }
 
-ControlCode SendReport(EpochService<SpaceSaving>& service,
-                       const WireReport& report) {
-  const std::optional<WireControl> control =
-      DecodeControlFrame(service.HandleReport(EncodeReportFrame(report)));
-  EXPECT_TRUE(control.has_value());
-  return control.has_value() ? control->code : ControlCode::kRejected;
+// One report in its own frame (a one-record BAT1); its verdict.
+ControlCode Admit(EpochService<SpaceSaving>& service,
+                  const WireReport& report) {
+  WireBatch batch;
+  batch.reports.push_back(report);
+  const std::optional<WireBatchVerdict> verdict =
+      DecodeBatchVerdictFrame(service.HandleBatch(EncodeBatchFrame(batch)));
+  EXPECT_TRUE(verdict.has_value());
+  if (!verdict.has_value()) return ControlCode::kRejected;
+  if (verdict->batch_code != ControlCode::kAccepted) {
+    return verdict->batch_code;
+  }
+  EXPECT_EQ(verdict->codes.size(), 1u);
+  return verdict->codes.size() == 1 ? verdict->codes[0]
+                                    : ControlCode::kRejected;
 }
 
 void SendBatchAllAccepted(EpochService<SpaceSaving>& service,
@@ -103,15 +112,15 @@ TEST(SealOrderTest, OutOfOrderArrivalSealsLikeAscendingSingleReports) {
 
   // Reverse and interleaved: epoch 1 opens before epoch 0 is complete.
   SendBatchAllAccepted(subject, {Report(0, 5), Report(1, 4), Report(0, 3)});
-  EXPECT_EQ(SendReport(subject, Report(1, 2)), ControlCode::kAccepted);
-  EXPECT_EQ(SendReport(subject, Report(0, 1)), ControlCode::kAccepted);
+  EXPECT_EQ(Admit(subject, Report(1, 2)), ControlCode::kAccepted);
+  EXPECT_EQ(Admit(subject, Report(0, 1)), ControlCode::kAccepted);
   SendBatchAllAccepted(subject, {Report(0, 4), Report(1, 0), Report(0, 0),
                                  Report(1, 5)});
   EXPECT_EQ(subject.pending_reports(), 9u);
 
   // (0, 3) is still pending, so a resend is a duplicate however long ago
   // it was admitted, and it replaces nothing: the first report wins.
-  EXPECT_EQ(SendReport(subject, Report(0, 3, /*variant=*/1)),
+  EXPECT_EQ(Admit(subject, Report(0, 3, /*variant=*/1)),
             ControlCode::kDuplicate);
   EXPECT_EQ(subject.pending_reports(), 9u);
 
@@ -140,7 +149,7 @@ TEST(SealOrderTest, OutOfOrderArrivalSealsLikeAscendingSingleReports) {
   EpochService<SpaceSaving> reference(&reference_store, Config(5));
   for (uint64_t epoch = 0; epoch < 2; ++epoch) {
     for (uint64_t shard = 0; shard < 5; ++shard) {
-      EXPECT_EQ(SendReport(reference, Report(epoch, shard)),
+      EXPECT_EQ(Admit(reference, Report(epoch, shard)),
                 ControlCode::kAccepted);
     }
     ASSERT_TRUE(reference.SealEpoch(epoch, kOffered));

@@ -101,7 +101,7 @@ TEST(ServerTest, ReportRoundTripSealsAndAnswersQueries) {
     report.shard_id = shard;
     report.epoch = 0;
     report.payload = EncodeSummary(summary);
-    EXPECT_EQ(client.SendReport(report, FastPolicy()),
+    EXPECT_EQ(client.SendBatch({report}, FastPolicy()).status,
               SendStatus::kAccepted);
   }
   harness.server.Drain();
@@ -133,11 +133,12 @@ TEST(ServerTest, DuplicateReportsAreAbsorbedOnce) {
   report.shard_id = 0;
   report.epoch = 0;
   report.payload = EncodeSummary(summary);
-  EXPECT_EQ(client.SendReport(report, FastPolicy()), SendStatus::kAccepted);
+  EXPECT_EQ(client.SendBatch({report}, FastPolicy()).status,
+            SendStatus::kAccepted);
   // The storm: verbatim resends all come back kDuplicate (mapped to
   // accepted — the report IS recorded) and record nothing twice.
   for (int resend = 0; resend < 50; ++resend) {
-    EXPECT_EQ(client.SendReport(report, FastPolicy()),
+    EXPECT_EQ(client.SendBatch({report}, FastPolicy()).status,
               SendStatus::kAccepted);
   }
   harness.server.Drain();
@@ -163,7 +164,7 @@ TEST(ServerTest, DedupStateIsFreedAtSeal) {
       report.shard_id = shard;
       report.epoch = epoch;
       report.payload = EncodeSummary(ShardSummary(epoch, shard, 20));
-      ASSERT_EQ(client.SendReport(report, FastPolicy()),
+      ASSERT_EQ(client.SendBatch({report}, FastPolicy()).status,
                 SendStatus::kAccepted);
     }
     harness.server.Drain();
@@ -178,7 +179,8 @@ TEST(ServerTest, DedupStateIsFreedAtSeal) {
   resend.shard_id = 0;
   resend.epoch = 39;
   resend.payload = EncodeSummary(ShardSummary(39, 0, 20));
-  EXPECT_EQ(client.SendReport(resend, FastPolicy()), SendStatus::kRejected);
+  EXPECT_EQ(client.SendBatch({resend}, FastPolicy()).status,
+            SendStatus::kRejected);
   harness.server.Drain();
   EXPECT_EQ(harness.service.stats().reports_duplicate, 0u);
   EXPECT_EQ(harness.service.stats().reports_rejected, 1u);
@@ -195,14 +197,15 @@ TEST(ServerTest, MalformedAndMisroutedReportsAreRejected) {
   bad.shard_id = 0;
   bad.epoch = 0;
   bad.payload = {0x01, 0x02, 0x03};
-  EXPECT_EQ(client.SendReport(bad, FastPolicy()), SendStatus::kRejected);
+  EXPECT_EQ(client.SendBatch({bad}, FastPolicy()).status,
+            SendStatus::kRejected);
 
   // Misrouted shard id (beyond the configured fleet).
   WireReport misrouted;
   misrouted.shard_id = kShards + 3;
   misrouted.epoch = 0;
   misrouted.payload = EncodeSummary(ShardSummary(0, 0));
-  EXPECT_EQ(client.SendReport(misrouted, FastPolicy()),
+  EXPECT_EQ(client.SendBatch({misrouted}, FastPolicy()).status,
             SendStatus::kRejected);
 
   // A frame with an unknown magic is NACKed kRejected by the loop
@@ -214,9 +217,27 @@ TEST(ServerTest, MalformedAndMisroutedReportsAreRejected) {
   ASSERT_TRUE(control.has_value());
   EXPECT_EQ(control->code, ControlCode::kRejected);
 
+  // So is a well-formed frame of the retired single-report format
+  // (RPT1: magic, shard, epoch, length-prefixed payload, checksum): a
+  // report crosses the wire only as a BAT1 frame.
+  const std::vector<uint8_t> payload = EncodeSummary(ShardSummary(0, 1));
+  ByteWriter rpt1;
+  rpt1.PutU32(0x31545052);  // 'R' 'P' 'T' '1'
+  rpt1.PutU64(/*shard_id=*/1);
+  rpt1.PutU64(/*epoch=*/0);
+  rpt1.PutBytes(payload);
+  rpt1.PutU64(FrameChecksum(1, 0, payload));
+  ASSERT_TRUE(client.SendFrame(rpt1.bytes()));
+  const auto rpt1_response = client.ReadFrame();
+  ASSERT_TRUE(rpt1_response.has_value());
+  const auto rpt1_control = DecodeControlFrame(*rpt1_response);
+  ASSERT_TRUE(rpt1_control.has_value());
+  EXPECT_EQ(rpt1_control->code, ControlCode::kRejected);
+
   harness.server.Drain();
   EXPECT_EQ(harness.service.stats().reports_rejected, 2u);
-  EXPECT_EQ(harness.server.stats().unknown_frames, 1u);
+  EXPECT_EQ(harness.server.stats().unknown_frames, 2u);
+  EXPECT_EQ(harness.service.pending_reports(), 0u);
 }
 
 TEST(ServerTest, StragglerForSealedEpochIsRejected) {
@@ -227,7 +248,8 @@ TEST(ServerTest, StragglerForSealedEpochIsRejected) {
   report.shard_id = 0;
   report.epoch = 0;
   report.payload = EncodeSummary(ShardSummary(0, 0));
-  ASSERT_EQ(client.SendReport(report, FastPolicy()), SendStatus::kAccepted);
+  ASSERT_EQ(client.SendBatch({report}, FastPolicy()).status,
+            SendStatus::kAccepted);
   harness.server.Drain();
   harness.service.SealEpoch(0, 0);
   // The epoch is sealed: a late report for it cannot be admitted (it
@@ -236,7 +258,7 @@ TEST(ServerTest, StragglerForSealedEpochIsRejected) {
   straggler.shard_id = 1;
   straggler.epoch = 0;
   straggler.payload = EncodeSummary(ShardSummary(0, 1));
-  EXPECT_EQ(client.SendReport(straggler, FastPolicy()),
+  EXPECT_EQ(client.SendBatch({straggler}, FastPolicy()).status,
             SendStatus::kRejected);
 }
 
@@ -282,7 +304,7 @@ TEST(ServerTest, ZeroSheddingMatchesSimulatedTransportByteForByte) {
       report.shard_id = shard;
       report.epoch = epoch;
       report.payload = EncodeSummary(summary);
-      ASSERT_EQ(client.SendReport(report, FastPolicy()),
+      ASSERT_EQ(client.SendBatch({report}, FastPolicy()).status,
                 SendStatus::kAccepted);
       transport.Submit(shard, MakeReportFrame(summary, shard, epoch));
     }
@@ -340,7 +362,7 @@ TEST(ServerTest, DeadlineBoundedQueryReturnsWidenedPartialAnswer) {
       report.shard_id = shard;
       report.epoch = epoch;
       report.payload = EncodeSummary(summary);
-      ASSERT_EQ(client.SendReport(report, FastPolicy()),
+      ASSERT_EQ(client.SendBatch({report}, FastPolicy()).status,
                 SendStatus::kAccepted);
     }
     harness.server.Drain();
@@ -416,7 +438,8 @@ TEST(ServerTest, StalledPartialFrameDoesNotBlockOtherClients) {
   report.shard_id = 0;
   report.epoch = 0;
   report.payload = EncodeSummary(ShardSummary(0, 0));
-  EXPECT_EQ(client.SendReport(report, FastPolicy()), SendStatus::kAccepted);
+  EXPECT_EQ(client.SendBatch({report}, FastPolicy()).status,
+            SendStatus::kAccepted);
 }
 
 TEST(ServerTest, ConnectionChurnSurvives) {
@@ -430,7 +453,7 @@ TEST(ServerTest, ConnectionChurnSurvives) {
     report.epoch = 100;  // One epoch, distinct shards + duplicates.
     report.payload =
         EncodeSummary(ShardSummary(100, round % kShards, 30));
-    EXPECT_EQ(client.SendReport(report, FastPolicy()),
+    EXPECT_EQ(client.SendBatch({report}, FastPolicy()).status,
               SendStatus::kAccepted);
   }
   harness.server.Drain();

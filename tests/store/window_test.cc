@@ -104,10 +104,11 @@ class ServiceHarness {
       report.shard_id = shard;
       report.epoch = epoch;
       report.payload = Encode(parts[shard]);
-      const auto verdict =
-          DecodeControlFrame(service_.HandleReport(EncodeReportFrame(report)));
+      const auto verdict = DecodeBatchVerdictFrame(
+          service_.HandleBatch(EncodeBatchFrame({{report}})));
       ASSERT_TRUE(verdict.has_value());
-      ASSERT_EQ(verdict->code, ControlCode::kAccepted);
+      ASSERT_EQ(verdict->codes,
+                std::vector<ControlCode>{ControlCode::kAccepted});
     }
     ASSERT_TRUE(service_.SealEpoch(epoch, offered_n));
   }
@@ -380,10 +381,11 @@ void RunEpoch(Service& service, uint64_t epoch) {
     report.shard_id = shard;
     report.epoch = epoch;
     report.payload = Encode(summary);
-    const auto verdict =
-        DecodeControlFrame(service.HandleReport(EncodeReportFrame(report)));
+    const auto verdict = DecodeBatchVerdictFrame(
+        service.HandleBatch(EncodeBatchFrame({{report}})));
     ASSERT_TRUE(verdict.has_value());
-    ASSERT_EQ(verdict->code, ControlCode::kAccepted);
+    ASSERT_EQ(verdict->codes,
+              std::vector<ControlCode>{ControlCode::kAccepted});
   }
   ASSERT_TRUE(service.SealEpoch(epoch, offered));
 }
