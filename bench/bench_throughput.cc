@@ -10,7 +10,8 @@
 // query path's pieces: SpaceSaving decode from wire bytes
 // (BM_DecodeSpaceSaving) and one store range query end to end without
 // sockets — node fetch, decode, canonical fold, encode
-// (BM_StoreQueryFold).
+// (BM_StoreQueryFold). A seal's per-report fold step, from wire bytes
+// against decode-then-merge (BM_MergeEncoded / BM_DecodeThenMerge).
 //
 // Like the table benches (bench_util.h), this binary mirrors its
 // results to BENCH_throughput.json — via google-benchmark's own JSON
@@ -21,6 +22,7 @@
 #include <cstdint>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -39,6 +41,7 @@
 #include "mergeable/store/durable_store.h"
 #include "mergeable/store/epoch_meta.h"
 #include "mergeable/store/segment.h"
+#include "mergeable/store/summary_store.h"
 #include "mergeable/stream/generators.h"
 #include "mergeable/util/bytes.h"
 #include "mergeable/util/check.h"
@@ -478,6 +481,69 @@ void BM_DecodeSpaceSaving(benchmark::State& state) {
                           static_cast<int64_t>(bytes.size()));
 }
 BENCHMARK(BM_DecodeSpaceSaving)->Arg(2)->Arg(100)->Arg(1024);
+
+// A seal's fold step, per report: one more report merged into the
+// epoch's running summary, straight from its wire bytes
+// (BM_MergeEncoded) or decoded into a summary of its own first
+// (BM_DecodeThenMerge). Cases: SpaceSaving at ε = 0.5 (perfbench
+// ingest_small's reports: 8 items, 2 counters) and ε = 0.01
+// (query_mixed's: 64 items), and Count-Min 4x2048 (seal_large's).
+// Items processed = reports merged.
+template <typename S>
+struct FoldCase {
+  S into;
+  std::vector<uint8_t> report;
+};
+
+FoldCase<SpaceSaving> SpaceSavingFold(double epsilon, size_t items) {
+  const auto& stream = ZipfStream();
+  SpaceSaving into = SpaceSaving::ForEpsilon(epsilon);
+  SpaceSaving report = SpaceSaving::ForEpsilon(epsilon);
+  for (size_t i = 0; i < items; ++i) {
+    into.Update(stream[i]);
+    report.Update(stream[items + i]);
+  }
+  return {std::move(into), EncodeSummary(report)};
+}
+
+FoldCase<CountMinSketch> CountMinFold() {
+  CountMinSketch into(4, 2048, 1);
+  for (uint64_t item : ZipfStream()) into.Update(item * 3);
+  return {std::move(into), EncodeSummary(ZipfCountMin())};
+}
+
+template <typename S>
+void BM_MergeEncoded(benchmark::State& state, FoldCase<S> fold) {
+  for (auto _ : state) {
+    fold.into.MergeEncoded(fold.report.data(), fold.report.size());
+    fold.into.Canonicalize();
+    benchmark::DoNotOptimize(fold.into.n());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+
+template <typename S>
+void BM_DecodeThenMerge(benchmark::State& state, FoldCase<S> fold) {
+  for (auto _ : state) {
+    ByteReader reader(fold.report);
+    std::optional<S> report = S::DecodeFrom(reader);
+    fold.into.Merge(*report);
+    fold.into.Canonicalize();
+    benchmark::DoNotOptimize(fold.into.n());
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+
+BENCHMARK_CAPTURE(BM_MergeEncoded, space_saving_eps_0_5,
+                  SpaceSavingFold(0.5, 8));
+BENCHMARK_CAPTURE(BM_DecodeThenMerge, space_saving_eps_0_5,
+                  SpaceSavingFold(0.5, 8));
+BENCHMARK_CAPTURE(BM_MergeEncoded, space_saving_eps_0_01,
+                  SpaceSavingFold(0.01, 64));
+BENCHMARK_CAPTURE(BM_DecodeThenMerge, space_saving_eps_0_01,
+                  SpaceSavingFold(0.01, 64));
+BENCHMARK_CAPTURE(BM_MergeEncoded, count_min_4x2048, CountMinFold());
+BENCHMARK_CAPTURE(BM_DecodeThenMerge, count_min_4x2048, CountMinFold());
 
 // One store range query, per query: a DurableStore<SpaceSaving>
 // (ε = 0.01) over MemStorage with 4096 sealed epochs and a 64-entry

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "mergeable/util/check.h"
 
@@ -29,18 +30,25 @@ std::vector<PolynomialHash> MakeRowHashes(int depth, uint64_t seed) {
 }  // namespace
 
 ElasticCountMin::ElasticCountMin(int depth, int width, uint64_t seed)
+    : ElasticCountMin(depth, width, seed, {}) {}
+
+ElasticCountMin::ElasticCountMin(int depth, int width, uint64_t seed,
+                                 std::vector<Level> levels)
     : depth_(depth), width_(width), seed_(seed),
-      hashes_(MakeRowHashes(depth, seed)) {
+      hashes_(MakeRowHashes(depth, seed)), levels_(std::move(levels)) {
   MERGEABLE_CHECK_MSG(depth >= 1 && depth <= 64,
                       "ElasticCountMin needs depth in [1, 64]");
   MERGEABLE_CHECK_MSG(width >= 1 && IsPowerOfTwo(static_cast<uint64_t>(width)),
                       "ElasticCountMin width must be a power of two");
   MERGEABLE_CHECK_MSG(static_cast<uint32_t>(width) <= kMaxWidth,
                       "ElasticCountMin width too large");
-  Level level;
-  level.width = static_cast<uint32_t>(width);
-  level.counters.assign(static_cast<size_t>(depth) * width, 0);
-  levels_.push_back(std::move(level));
+  if (levels_.empty() ||
+      levels_.back().width != static_cast<uint32_t>(width)) {
+    Level level;
+    level.width = static_cast<uint32_t>(width);
+    level.counters.assign(static_cast<size_t>(depth) * width, 0);
+    levels_.push_back(std::move(level));
+  }
 }
 
 ElasticCountMin ElasticCountMin::ForEpsilonDelta(double epsilon, double delta,
@@ -213,8 +221,7 @@ std::optional<ElasticCountMin> ElasticCountMin::DecodeFrom(
   }
   if (!reader.GetU64(&seed) || !reader.GetU64(&n)) return std::nullopt;
   if (!reader.GetU32(&levels) || levels > kMaxLevels) return std::nullopt;
-  ElasticCountMin sketch(static_cast<int>(depth), static_cast<int>(width),
-                         seed);
+  std::vector<Level> decoded;
   uint64_t total_mass = 0;
   uint32_t prev_width = 0;
   for (uint32_t i = 0; i < levels; ++i) {
@@ -226,14 +233,14 @@ std::optional<ElasticCountMin> ElasticCountMin::DecodeFrom(
     }
     prev_width = level_width;
     if (!reader.GetU64(&mass) || mass == 0) return std::nullopt;
-    // Bound the allocation by the bytes actually present.
-    if (reader.remaining() <
-        static_cast<size_t>(depth) * level_width * sizeof(uint64_t)) {
+    // The allocation is bounded by the bytes actually present.
+    Level& level = decoded.emplace_back();
+    level.width = level_width;
+    level.mass = mass;
+    if (!reader.GetWordVector(static_cast<size_t>(depth) * level_width,
+                             &level.counters)) {
       return std::nullopt;
     }
-    Level& level = sketch.EnsureLevel(level_width);
-    level.mass = mass;
-    if (!reader.GetU64Array(level.counters)) return std::nullopt;
     for (uint32_t row = 0; row < depth; ++row) {
       const uint64_t* counters =
           level.counters.data() + static_cast<size_t>(row) * level_width;
@@ -254,6 +261,8 @@ std::optional<ElasticCountMin> ElasticCountMin::DecodeFrom(
   }
   if (total_mass != n) return std::nullopt;
   if (!reader.Exhausted()) return std::nullopt;
+  ElasticCountMin sketch(static_cast<int>(depth), static_cast<int>(width),
+                         seed, std::move(decoded));
   sketch.n_ = n;
   return sketch;
 }

@@ -117,6 +117,11 @@ class ElasticCountMin {
     std::vector<uint64_t> counters;   // Row-major depth_ x width.
   };
 
+  // `levels` are decoded levels in ascending width; the current
+  // (`width`) level is added zeroed when they lack it.
+  ElasticCountMin(int depth, int width, uint64_t seed,
+                  std::vector<Level> levels);
+
   // Returns the level with exactly `width`, inserting an empty one in
   // ascending position if absent.
   Level& EnsureLevel(uint32_t width);

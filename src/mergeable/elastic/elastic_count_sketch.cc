@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <utility>
 
 #include "mergeable/util/check.h"
 
@@ -18,7 +19,11 @@ bool IsPowerOfTwo(uint64_t x) { return x != 0 && (x & (x - 1)) == 0; }
 }  // namespace
 
 ElasticCountSketch::ElasticCountSketch(int depth, int width, uint64_t seed)
-    : depth_(depth), width_(width), seed_(seed) {
+    : ElasticCountSketch(depth, width, seed, {}) {}
+
+ElasticCountSketch::ElasticCountSketch(int depth, int width, uint64_t seed,
+                                       std::vector<Level> levels)
+    : depth_(depth), width_(width), seed_(seed), levels_(std::move(levels)) {
   MERGEABLE_CHECK_MSG(depth >= 1 && depth <= 64,
                       "ElasticCountSketch needs depth in [1, 64]");
   MERGEABLE_CHECK_MSG(width >= 1 && IsPowerOfTwo(static_cast<uint64_t>(width)),
@@ -33,10 +38,13 @@ ElasticCountSketch::ElasticCountSketch(int depth, int width, uint64_t seed)
     sign_hashes_.emplace_back(
         /*degree=*/4, MixHash(static_cast<uint64_t>(row) * 2 + 1, seed));
   }
-  Level level;
-  level.width = static_cast<uint32_t>(width);
-  level.counters.assign(static_cast<size_t>(depth) * width, 0);
-  levels_.push_back(std::move(level));
+  if (levels_.empty() ||
+      levels_.back().width != static_cast<uint32_t>(width)) {
+    Level level;
+    level.width = static_cast<uint32_t>(width);
+    level.counters.assign(static_cast<size_t>(depth) * width, 0);
+    levels_.push_back(std::move(level));
+  }
 }
 
 void ElasticCountSketch::Update(uint64_t item, int64_t weight) {
@@ -199,8 +207,7 @@ std::optional<ElasticCountSketch> ElasticCountSketch::DecodeFrom(
   }
   if (!reader.GetU64(&seed) || !reader.GetU64(&n)) return std::nullopt;
   if (!reader.GetU32(&levels) || levels > kMaxLevels) return std::nullopt;
-  ElasticCountSketch sketch(static_cast<int>(depth), static_cast<int>(width),
-                            seed);
+  std::vector<Level> decoded;
   uint64_t total_mass = 0;
   uint32_t prev_width = 0;
   for (uint32_t i = 0; i < levels; ++i) {
@@ -212,13 +219,13 @@ std::optional<ElasticCountSketch> ElasticCountSketch::DecodeFrom(
     }
     prev_width = level_width;
     if (!reader.GetU64(&mass) || mass == 0) return std::nullopt;
-    if (reader.remaining() <
-        static_cast<size_t>(depth) * level_width * sizeof(int64_t)) {
+    Level& level = decoded.emplace_back();
+    level.width = level_width;
+    level.mass = mass;
+    if (!reader.GetWordVector(static_cast<size_t>(depth) * level_width,
+                             &level.counters)) {
       return std::nullopt;
     }
-    Level& level = sketch.EnsureLevel(level_width);
-    level.mass = mass;
-    if (!reader.GetI64Array(level.counters)) return std::nullopt;
     for (int64_t counter : level.counters) {
       // Each update moves one cell per row by ±weight, so no cell's
       // magnitude can exceed the level's absorbed mass.
@@ -233,6 +240,8 @@ std::optional<ElasticCountSketch> ElasticCountSketch::DecodeFrom(
   }
   if (total_mass != n) return std::nullopt;
   if (!reader.Exhausted()) return std::nullopt;
+  ElasticCountSketch sketch(static_cast<int>(depth), static_cast<int>(width),
+                            seed, std::move(decoded));
   sketch.n_ = n;
   return sketch;
 }

@@ -80,6 +80,11 @@ class ElasticCountSketch {
     std::vector<int64_t> counters;   // Row-major depth_ x width.
   };
 
+  // `levels` are decoded levels in ascending width; the current
+  // (`width`) level is added zeroed when they lack it.
+  ElasticCountSketch(int depth, int width, uint64_t seed,
+                     std::vector<Level> levels);
+
   Level& EnsureLevel(uint32_t width);
   void FoldInto(Level& dst, const std::vector<int64_t>& src,
                 uint32_t src_width);

@@ -276,43 +276,33 @@ std::vector<SpaceSaving> SpaceSaving::Split(
   return result;
 }
 
-void SpaceSaving::Merge(const SpaceSaving& other) {
-  if (capacity_ != other.capacity_) {
-    // Fold the wider operand down to the narrower lattice; the fold's θ
-    // accounting lands in that side's UnderSlack before the symmetric
-    // equal-capacity merge below, so merge order cannot change bytes.
-    const int target = std::min(capacity_, other.capacity_);
-    if (capacity_ > target) Resize(target);
-    if (other.capacity_ > target) {
-      SpaceSaving folded = other;
-      folded.Resize(target);
-      Merge(folded);
-      return;
-    }
-  }
+template <typename ForEachEntry>
+void SpaceSaving::MergeEqualCapacity(uint64_t other_min, uint64_t other_n,
+                                     uint64_t other_slack, size_t other_size,
+                                     const ForEachEntry& for_each_entry) {
   // Move both sides into the MG domain (subtract each full side's
   // minimum; a count at or below it becomes 0) and add them pointwise.
-  // Slot i of `combined` is this summary's entry i, so `other`'s items
-  // combine through index_; items only `other` monitors go at the end.
-  // `other` is only read (it may be *this).
+  // Slot i of `combined` is this summary's entry i, so the other side's
+  // items combine through index_; items only it monitors go at the end.
+  // The other side is only read (it may be *this).
   const uint64_t min1 = ScanMinCount();
-  const uint64_t min2 = other.ScanMinCount();
+  const uint64_t min2 = other_min;
   const auto mg = [](uint64_t count, uint64_t min) {
     return count > min ? count - min : 0;
   };
   std::vector<Counter> combined;
-  combined.reserve(entries_.size() + other.entries_.size());
+  combined.reserve(entries_.size() + other_size);
   for (const Entry& entry : entries_) {
     combined.push_back(Counter{entry.item, mg(entry.count, min1)});
   }
-  for (const Entry& entry : other.entries_) {
-    const uint64_t count = mg(entry.count, min2);
-    if (const uint32_t* slot = index_.Find(entry.item)) {
+  for_each_entry([&](uint64_t item, uint64_t entry_count) {
+    const uint64_t count = mg(entry_count, min2);
+    if (const uint32_t* slot = index_.Find(item)) {
       combined[*slot].count += count;
     } else if (count > 0) {
-      combined.push_back(Counter{entry.item, count});
+      combined.push_back(Counter{item, count});
     }
-  }
+  });
 
   // Prune to capacity_ - 1 counters with the Agarwal et al. Frequent
   // merge: subtract the capacity_-th largest value from every counter.
@@ -330,9 +320,8 @@ void SpaceSaving::Merge(const SpaceSaving& other) {
     v = nth->count;
   }
 
-  const uint64_t total_n = n_ + other.n_;
-  const uint64_t slack =
-      under_slack_ + other.under_slack_ + min1 + min2 + v;
+  const uint64_t total_n = n_ + other_n;
+  const uint64_t slack = under_slack_ + other_slack + min1 + min2 + v;
   entries_.clear();
   index_.Clear();
   InvalidateMinHeap();
@@ -343,6 +332,28 @@ void SpaceSaving::Merge(const SpaceSaving& other) {
   }
   n_ = total_n;
   under_slack_ = slack;
+}
+
+void SpaceSaving::Merge(const SpaceSaving& other) {
+  if (capacity_ != other.capacity_) {
+    // Fold the wider operand down to the narrower lattice; the fold's θ
+    // accounting lands in that side's UnderSlack before the symmetric
+    // equal-capacity merge below, so merge order cannot change bytes.
+    const int target = std::min(capacity_, other.capacity_);
+    if (capacity_ > target) Resize(target);
+    if (other.capacity_ > target) {
+      SpaceSaving folded = other;
+      folded.Resize(target);
+      Merge(folded);
+      return;
+    }
+  }
+  MergeEqualCapacity(other.ScanMinCount(), other.n_, other.under_slack_,
+                     other.entries_.size(), [&other](const auto& add) {
+                       for (const Entry& entry : other.entries_) {
+                         add(entry.item, entry.count);
+                       }
+                     });
 }
 
 void SpaceSaving::MergeCafaro(const SpaceSaving& other) {
@@ -451,6 +462,62 @@ constexpr auto kWireOrder = [](const auto& a, const auto& b) {
   if (a.count != b.count) return a.count > b.count;
   return a.item < b.item;
 };
+
+// The fields before the entries.
+struct WireHeader {
+  uint32_t capacity = 0;
+  uint64_t n = 0;
+  uint64_t under_slack = 0;
+  uint32_t count = 0;
+};
+constexpr size_t kHeaderBytes = 3 * sizeof(uint32_t) + 2 * sizeof(uint64_t);
+constexpr size_t kEntryBytes = 3 * sizeof(uint64_t);  // item, count, over
+
+// Reads and range-checks the header, including that the input holds
+// `count` entries; false on any field DecodeFrom rejects.
+bool ReadHeader(ByteReader& reader, WireHeader* header) {
+  uint32_t magic = 0;
+  if (!reader.GetU32(&magic) || magic != kSpaceSavingMagic) return false;
+  if (!reader.GetU32(&header->capacity) || header->capacity < 2 ||
+      header->capacity > (1u << 30)) {
+    return false;
+  }
+  if (!reader.GetU64(&header->n) || !reader.GetU64(&header->under_slack) ||
+      !reader.GetU32(&header->count) || header->count > header->capacity) {
+    return false;
+  }
+  // Reject counts the input cannot back before building anything.
+  return static_cast<uint64_t>(header->count) * kEntryBytes <=
+         reader.remaining();
+}
+
+// The header of a payload ValidateEncoded accepted.
+WireHeader ValidHeader(const uint8_t* bytes, size_t size) {
+  ByteReader reader(bytes, size);
+  WireHeader header;
+  MERGEABLE_CHECK_MSG(ReadHeader(reader, &header) &&
+                          reader.remaining() == header.count * kEntryBytes,
+                      "SpaceSaving payload must be valid");
+  return header;
+}
+
+// Whether two of the `count` wire entries at `entries` hold the same
+// item: their ids sorted, in a stack buffer up to 512 of them.
+bool HasDuplicateItem(const uint8_t* entries, uint32_t count) {
+  constexpr uint32_t kStackItems = 512;
+  uint64_t stack[kStackItems];
+  std::vector<uint64_t> heap;
+  uint64_t* items = stack;
+  if (count > kStackItems) {
+    heap.resize(count);
+    items = heap.data();
+  }
+  for (uint32_t i = 0; i < count; ++i) {
+    items[i] = LoadLittle64(entries + i * kEntryBytes);
+  }
+  std::sort(items, items + count);
+  return std::adjacent_find(items, items + count) != items + count;
+}
 }  // namespace
 
 void SpaceSaving::EncodeTo(ByteWriter& writer) const {
@@ -469,27 +536,11 @@ void SpaceSaving::EncodeTo(ByteWriter& writer) const {
 }
 
 std::optional<SpaceSaving> SpaceSaving::DecodeFrom(ByteReader& reader) {
-  uint32_t magic = 0;
-  uint32_t capacity = 0;
-  uint64_t n = 0;
-  uint64_t under_slack = 0;
-  uint32_t count = 0;
-  if (!reader.GetU32(&magic) || magic != kSpaceSavingMagic) {
-    return std::nullopt;
-  }
-  if (!reader.GetU32(&capacity) || capacity < 2 || capacity > (1u << 30)) {
-    return std::nullopt;
-  }
-  if (!reader.GetU64(&n) || !reader.GetU64(&under_slack) ||
-      !reader.GetU32(&count) || count > capacity) {
-    return std::nullopt;
-  }
-  // Each entry needs 24 encoded bytes; reject counts the input cannot
-  // back before building the summary.
-  if (static_cast<uint64_t>(count) * 24 > reader.remaining()) {
-    return std::nullopt;
-  }
-  SpaceSaving summary(static_cast<int>(capacity));
+  WireHeader header;
+  if (!ReadHeader(reader, &header)) return std::nullopt;
+  const uint32_t count = header.count;
+  const uint64_t n = header.n;
+  SpaceSaving summary(static_cast<int>(header.capacity));
   // The constructor's capped reserve covers every count the 24-bytes-
   // per-entry check can let through for realistic inputs; reserving the
   // exact count keeps the flat index at a single bulk build even beyond
@@ -514,8 +565,58 @@ std::optional<SpaceSaving> SpaceSaving::DecodeFrom(ByteReader& reader) {
   }
   if (!reader.Exhausted()) return std::nullopt;
   summary.n_ = n;
-  summary.under_slack_ = under_slack;
+  summary.under_slack_ = header.under_slack;
   return summary;
+}
+
+bool SpaceSaving::ValidateEncoded(const uint8_t* bytes, size_t size) {
+  ByteReader reader(bytes, size);
+  WireHeader header;
+  if (!ReadHeader(reader, &header) ||
+      reader.remaining() != header.count * kEntryBytes) {
+    return false;
+  }
+  // DecodeFrom's per-entry checks, on the entries in place.
+  const uint8_t* entries = bytes + kHeaderBytes;
+  uint64_t total = 0;
+  for (uint32_t i = 0; i < header.count; ++i) {
+    const uint8_t* entry = entries + i * kEntryBytes;
+    const uint64_t count = LoadLittle64(entry + sizeof(uint64_t));
+    const uint64_t over = LoadLittle64(entry + 2 * sizeof(uint64_t));
+    if (count == 0 || over > count) return false;
+    if (count > header.n - total) return false;
+    total += count;
+  }
+  return !HasDuplicateItem(entries, header.count);
+}
+
+void SpaceSaving::MergeEncoded(const uint8_t* bytes, size_t size) {
+  const WireHeader header = ValidHeader(bytes, size);
+  MERGEABLE_DCHECK(ValidateEncoded(bytes, size));
+  if (header.capacity != static_cast<uint32_t>(capacity_)) {
+    ByteReader reader(bytes, size);
+    Merge(*DecodeFrom(reader));
+    return;
+  }
+  const uint8_t* entries = bytes + kHeaderBytes;
+  const auto count_at = [entries](uint32_t i) {
+    return LoadLittle64(entries + i * kEntryBytes + sizeof(uint64_t));
+  };
+  // A full side's minimum, as ScanMinCount reads it off a decoded copy.
+  uint64_t min = 0;
+  if (header.count == header.capacity) {
+    min = count_at(0);
+    for (uint32_t i = 1; i < header.count; ++i) {
+      min = std::min(min, count_at(i));
+    }
+  }
+  MergeEqualCapacity(min, header.n, header.under_slack, header.count,
+                     [&](const auto& add) {
+                       for (uint32_t i = 0; i < header.count; ++i) {
+                         add(LoadLittle64(entries + i * kEntryBytes),
+                             count_at(i));
+                       }
+                     });
 }
 
 }  // namespace mergeable

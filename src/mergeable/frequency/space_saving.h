@@ -180,6 +180,20 @@ class SpaceSaving {
   // malformed input.
   static std::optional<SpaceSaving> DecodeFrom(ByteReader& reader);
 
+  // The byte path (store/summary_store.h, MergePayloadInto): a payload
+  // merged from its wire bytes, without decoding it into a summary.
+  //
+  // ValidateEncoded is true exactly when DecodeFrom accepts `bytes` and
+  // consumes all of them, duplicate items included. It reads the entries
+  // in place and allocates nothing for payloads of up to 512 entries
+  // (beyond that, the duplicate check sorts the item ids in one buffer).
+  // MergeEncoded leaves the state, and so the bytes, that
+  // Merge(*DecodeFrom(bytes)) would, for a payload ValidateEncoded
+  // accepts: equal capacities combine the wire entries in place; a
+  // different capacity takes Merge's Resize path through a decoded copy.
+  static bool ValidateEncoded(const uint8_t* bytes, size_t size);
+  void MergeEncoded(const uint8_t* bytes, size_t size);
+
   // Puts the summary in canonical form in place: afterwards it is
   // indistinguishable from DecodeFrom(EncodeTo(*this)) — equal bytes and
   // equal behavior under further updates and merges. Nothing to do: the
@@ -240,6 +254,15 @@ class SpaceSaving {
   // both merges. Returned in unspecified order, along with the subtracted
   // minimum.
   std::vector<Counter> MgDomainCounters(uint64_t* subtracted_min) const;
+
+  // The equal-capacity merge behind Merge and MergeEncoded. The other
+  // side is given by its minimum (0 unless full), n, slack, entry count
+  // and `for_each_entry(add)`, which calls add(item, count) for each of
+  // its entries in slot order.
+  template <typename ForEachEntry>
+  void MergeEqualCapacity(uint64_t other_min, uint64_t other_n,
+                          uint64_t other_slack, size_t other_size,
+                          const ForEachEntry& for_each_entry);
 
   // Replaces the content with `counters` (already MG-domain combined),
   // replayed as SpaceSaving updates in ascending order.

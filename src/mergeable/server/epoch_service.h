@@ -12,12 +12,15 @@
 //
 // Reports arrive in one frame type, BAT1 (wire.h) — a single report is
 // a one-record batch — and every record takes one admission step
-// (AdmitLocked): payloads are decoded before taking the mutex, then each
-// record runs the verdict chain — misrouted or already-sealed epoch,
-// storage degraded, undecodable payload, already-admitted shard,
-// accepted. A retry for a sealed epoch is rejected by the epoch check
-// before dedup is consulted, so dedup memory never outlives the open
-// epochs.
+// (AdmitLocked): payloads are validated in place before taking the
+// mutex, then each record runs the verdict chain — misrouted or
+// already-sealed epoch, storage degraded, invalid payload or one of a
+// shape the epoch cannot merge (a Count-Min of another width, say),
+// already-admitted shard, accepted — and only the accepted payloads are
+// copied out of the frame. No report is decoded: it stays bytes until
+// its epoch seals. A retry for a sealed epoch is rejected by the epoch
+// check before dedup is consulted, so dedup memory never outlives the
+// open epochs.
 //
 // Epsilon accounting closes the loop on load shedding: SealEpoch takes
 // the offered mass (what the shards sent, shed or not) and charges
@@ -58,7 +61,7 @@
 // Thread safety: HandleBatch/HandleQuery/HandleTopology run on server
 // worker threads; a single mutex serializes them with SealEpoch (the
 // store's own contract requires sealing serialized with queries
-// anyway). HandleBatch decodes payloads before taking the mutex and
+// anyway). HandleBatch validates payloads before taking the mutex and
 // applies the whole batch under one acquisition — the lock amortizes
 // with batch size.
 
@@ -69,6 +72,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <utility>
@@ -159,23 +163,30 @@ class EpochService : public FrameHandler {
   // placeholder seals: zero-report epochs and buffer-overflow
   // degradation. Without one, a zero-report epoch is skipped (the
   // pre-durability behavior) and overflowing buffered seals keep their
-  // payloads in memory.
+  // payloads in memory. The factory's summary also sets the shape
+  // reference: from then on a report of another shape is rejected at
+  // admission.
   void set_empty_summary_factory(std::function<S()> factory) {
     std::lock_guard<std::mutex> lock(mu_);
     empty_summary_ = std::move(factory);
+    if constexpr (ChecksPayloadShape<S>) {
+      if (empty_summary_) shape_ = empty_summary_().shape();
+    }
   }
 
-  // The report path, for one record or many: decode and
-  // payload-validate every record outside the service mutex (the
-  // expensive part — summary decoding), then apply the whole batch under
-  // one lock acquisition, so a 256-report batch costs one lock round
-  // instead of 256. Verdicts come back per record, in record order; a
-  // duplicate batch replayed after a lost verdict answers kDuplicate on
-  // every record and counts nothing twice (each record takes the one
-  // admission step).
+  // The report path, for one record or many. Outside the service
+  // mutex, every record's payload is validated in place
+  // (ValidPayload<S>). The whole batch is then admitted under one lock
+  // acquisition, so a 256-report batch costs one lock round instead of
+  // 256; after the verdicts, each epoch that admitted reports copies
+  // their payloads, and only theirs, out of the frame (see
+  // epoch_accumulator.h). Verdicts come back per record, in record
+  // order; a duplicate batch replayed after a lost verdict answers
+  // kDuplicate on every record and counts nothing twice (each record
+  // takes the one admission step).
   std::vector<uint8_t> HandleBatch(
       const std::vector<uint8_t>& frame) override {
-    // Zero-copy view: every payload is decoded straight out of the
+    // Zero-copy view: every payload is validated straight out of the
     // frame, without materializing per-record vectors.
     std::vector<BatchRecordView> records;
     WireBatchVerdict verdict;
@@ -185,23 +196,25 @@ class EpochService : public FrameHandler {
       ++stats_.batches_malformed;
       return EncodeBatchVerdictFrame(verdict);
     }
-    std::vector<std::optional<S>> summaries;
-    summaries.reserve(records.size());
-    for (const BatchRecordView& record : records) {
-      summaries.push_back(DecodePayload(record.payload, record.payload_len));
+    std::vector<bool> valid(records.size());
+    for (size_t i = 0; i < records.size(); ++i) {
+      valid[i] = ValidPayload<S>(records[i].payload, records[i].payload_len);
     }
     verdict.codes.reserve(records.size());
 
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.batches_handled;
     for (size_t i = 0; i < records.size(); ++i) {
-      const ControlCode code =
-          AdmitLocked(records[i].epoch, records[i].shard_id, summaries[i]);
+      const ControlCode code = AdmitLocked(
+          records[i].epoch, records[i].shard_id,
+          valid[i] ? records[i].payload : nullptr, records[i].payload_len);
       if (code == ControlCode::kRetryAfter) {
         verdict.retry_after_ms = config_.storage_retry_after_ms;
       }
       verdict.codes.push_back(code);
     }
+    for (EpochAccumulator<S>* admitted : admitted_) admitted->Keep();
+    admitted_.clear();
     return EncodeBatchVerdictFrame(verdict);
   }
 
@@ -371,6 +384,15 @@ class EpochService : public FrameHandler {
     for (const auto& [epoch, pending] : pending_) n += pending.size();
     return n;
   }
+  // Payload bytes the open epochs hold for their admitted reports.
+  size_t pending_payload_bytes() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    size_t bytes = 0;
+    for (const auto& [epoch, pending] : pending_) {
+      bytes += pending.payload_bytes();
+    }
+    return bytes;
+  }
   EpochServiceStats stats() const {
     std::lock_guard<std::mutex> lock(mu_);
     return stats_;
@@ -397,21 +419,12 @@ class EpochService : public FrameHandler {
     uint64_t offered_n = 0;
   };
 
-  // `payload` decoded as this service's summary type, or nullopt when it
-  // does not decode or leaves trailing bytes.
-  static std::optional<S> DecodePayload(const uint8_t* payload,
-                                        size_t size) {
-    ByteReader reader(payload, size);
-    std::optional<S> summary = S::DecodeFrom(reader);
-    if (summary.has_value() && !reader.Exhausted()) summary.reset();
-    return summary;
-  }
-
   // The one admission step of every report record: its verdict, with
-  // its counter bumped. An accepted `summary` is moved into its epoch's
-  // accumulator.
+  // its counter bumped. `payload` is the record's payload in the frame,
+  // or nullptr when it failed validation; an accepted one is added to
+  // its epoch's accumulator, which is listed in admitted_ to keep it.
   ControlCode AdmitLocked(uint64_t epoch, uint64_t shard,
-                          std::optional<S>& summary) {
+                          const uint8_t* payload, size_t size) {
     const uint64_t shards = ShardsForEpochLocked(epoch);
     if (epoch < next_epoch_ || shard >= shards) {
       // Misrouted shard, or a straggler for an epoch already sealed —
@@ -427,20 +440,62 @@ class EpochService : public FrameHandler {
       ++stats_.reports_shed_storage;
       return ControlCode::kRetryAfter;
     }
-    if (!summary.has_value()) {
-      // Validated before dedup: a corrupt payload acked now would abort
-      // the seal later, and a rejected payload must not take its shard's
-      // slot, or the corrected retry would be misread as a duplicate.
+    if (payload == nullptr || !MatchesShapeLocked(payload, size)) {
+      // Validated before dedup: a corrupt payload, or one whose shape
+      // the epoch's other summaries cannot merge with, acked now would
+      // abort the seal later; and a rejected payload must not take its
+      // shard's slot, or the corrected retry would be misread as a
+      // duplicate.
       ++stats_.reports_rejected;
       return ControlCode::kRejected;
     }
-    if (!pending_.try_emplace(epoch, shards)
-             .first->second.Add(shard, std::move(*summary))) {
+    EpochAccumulator<S>& pending =
+        pending_.try_emplace(epoch, shards).first->second;
+    if (!pending.Add(shard, payload, size)) {
       ++stats_.reports_duplicate;
       return ControlCode::kDuplicate;
     }
+    if (admitted_.empty() || admitted_.back() != &pending) {
+      admitted_.push_back(&pending);
+    }
+    if constexpr (ChecksPayloadShape<S>) {
+      // Without a factory or a sealed epoch, the first admitted report
+      // sets the shape every later one must have.
+      if (!shape_.has_value()) shape_ = S::EncodedShape(payload, size);
+    }
     ++stats_.reports_accepted;
     return ControlCode::kAccepted;
+  }
+
+  // Whether a valid payload has the shape reference's shape: always,
+  // for types whose Merge takes any payload, and while no reference is
+  // known. The first check without one looks for the newest sealed
+  // epoch's.
+  bool MatchesShapeLocked(const uint8_t* payload, size_t size) {
+    if constexpr (ChecksPayloadShape<S>) {
+      if (!shape_.has_value()) shape_ = NewestSealedShapeLocked();
+      return !shape_.has_value() ||
+             *shape_ == S::EncodedShape(payload, size);
+    } else {
+      return true;
+    }
+  }
+
+  // The shape of the stream's newest sealed epoch, when the store holds
+  // the stream (a restart, or history sealed by another writer) and
+  // that epoch reads back.
+  std::optional<typename PayloadShape<S>::type> NewestSealedShapeLocked() {
+    if (!store_->HasStream(config_.stream)) return std::nullopt;
+    const uint64_t newest = store_->BaseEpoch(config_.stream) +
+                            store_->EpochCount(config_.stream) - 1;
+    const std::optional<typename StoreT::RangeOutcome> sealed =
+        store_->QueryRangePayloadBounded(config_.stream, newest, newest,
+                                         QueryDeadline{});
+    if (!sealed.has_value() || sealed->partial ||
+        !ValidPayload<S>(sealed->payload->data(), sealed->payload->size())) {
+      return std::nullopt;
+    }
+    return S::EncodedShape(sealed->payload->data(), sealed->payload->size());
   }
 
   // Beyond the buffer cap, drop payloads (oldest kept intact — they
@@ -516,6 +571,13 @@ class EpochService : public FrameHandler {
   uint64_t next_epoch_ = 0;
   EpochServiceStats stats_;
   std::function<S()> empty_summary_;
+  // The shape every admitted report must have, for types that check
+  // one (ChecksPayloadShape): the empty-summary factory's summary's,
+  // else the newest sealed epoch's, else the first admitted report's.
+  std::optional<typename PayloadShape<S>::type> shape_;
+  // Accumulators that admitted reports in the batch being handled; they
+  // copy those payloads out of the frame before the lock is released.
+  std::vector<EpochAccumulator<S>*> admitted_;
   std::deque<BufferedSeal> buffered_seals_;
   bool storage_degraded_ = false;
 };

@@ -1,13 +1,18 @@
 #include "mergeable/sketch/ams.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "mergeable/util/check.h"
 
 namespace mergeable {
 
 AmsSketch::AmsSketch(int rows, int cols, uint64_t seed)
-    : rows_(rows), cols_(cols), seed_(seed) {
+    : AmsSketch(rows, cols, seed, {}) {}
+
+AmsSketch::AmsSketch(int rows, int cols, uint64_t seed,
+                     std::vector<int64_t> values)
+    : rows_(rows), cols_(cols), seed_(seed), cells_(std::move(values)) {
   MERGEABLE_CHECK_MSG(rows >= 1 && cols >= 1,
                       "AMS needs rows >= 1 and cols >= 1");
   const size_t cells = static_cast<size_t>(rows) * static_cast<size_t>(cols);
@@ -15,7 +20,7 @@ AmsSketch::AmsSketch(int rows, int cols, uint64_t seed)
   for (size_t cell = 0; cell < cells; ++cell) {
     sign_hashes_.emplace_back(/*degree=*/4, MixHash(cell, seed));
   }
-  cells_.assign(cells, 0);
+  if (cells_.empty()) cells_.assign(cells, 0);
 }
 
 void AmsSketch::Update(uint64_t item, int64_t weight) {
@@ -76,9 +81,12 @@ std::optional<AmsSketch> AmsSketch::DecodeFrom(ByteReader& reader) {
       static_cast<size_t>(rows) * cols * sizeof(int64_t)) {
     return std::nullopt;
   }
-  AmsSketch sketch(static_cast<int>(rows), static_cast<int>(cols), seed);
-  if (!reader.GetI64Array(sketch.cells_)) return std::nullopt;
-  return sketch;
+  std::vector<int64_t> cells;
+  if (!reader.GetWordVector(static_cast<size_t>(rows) * cols, &cells)) {
+    return std::nullopt;
+  }
+  return AmsSketch(static_cast<int>(rows), static_cast<int>(cols), seed,
+                   std::move(cells));
 }
 
 }  // namespace mergeable

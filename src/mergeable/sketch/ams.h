@@ -49,6 +49,10 @@ class AmsSketch {
   int cols() const { return cols_; }
 
  private:
+  // `values` is the decoded row-major array, or empty for a zeroed
+  // sketch.
+  AmsSketch(int rows, int cols, uint64_t seed, std::vector<int64_t> values);
+
   int rows_;
   int cols_;
   uint64_t seed_;

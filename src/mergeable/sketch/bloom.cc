@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <utility>
 
 #include "mergeable/util/check.h"
 #include "mergeable/util/hash.h"
@@ -10,9 +11,14 @@
 namespace mergeable {
 
 BloomFilter::BloomFilter(size_t bits, int hashes, uint64_t seed)
-    : bits_(bits), hashes_(hashes), seed_(seed), words_((bits + 63) / 64, 0) {
+    : BloomFilter(bits, hashes, seed, {}) {}
+
+BloomFilter::BloomFilter(size_t bits, int hashes, uint64_t seed,
+                         std::vector<uint64_t> words)
+    : bits_(bits), hashes_(hashes), seed_(seed), words_(std::move(words)) {
   MERGEABLE_CHECK_MSG(bits >= 8, "BloomFilter needs at least 8 bits");
   MERGEABLE_CHECK_MSG(hashes >= 1, "BloomFilter needs at least one hash");
+  if (words_.empty()) words_.assign((bits + 63) / 64, 0);
 }
 
 BloomFilter BloomFilter::ForExpectedItems(uint64_t expected_items, double fpr,
@@ -136,8 +142,10 @@ std::optional<BloomFilter> BloomFilter::DecodeFrom(ByteReader& reader) {
   if (!reader.GetU64(&seed) || !reader.GetU64(&added)) return std::nullopt;
   const size_t words = (bits + 63) / 64;
   if (reader.remaining() != words * sizeof(uint64_t)) return std::nullopt;
-  BloomFilter filter(bits, static_cast<int>(hashes), seed);
-  if (!reader.GetU64Array(filter.words_)) return std::nullopt;
+  std::vector<uint64_t> bit_words;
+  if (!reader.GetWordVector(words, &bit_words)) return std::nullopt;
+  BloomFilter filter(bits, static_cast<int>(hashes), seed,
+                     std::move(bit_words));
   filter.added_ = added;
   return filter;
 }

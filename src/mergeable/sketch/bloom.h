@@ -65,6 +65,10 @@ class BloomFilter {
   uint64_t added() const { return added_; }
 
  private:
+  // `words` is the decoded bit array, or empty for a cleared filter.
+  BloomFilter(size_t bits, int hashes, uint64_t seed,
+              std::vector<uint64_t> words);
+
   uint64_t BitIndex(int hash, uint64_t item) const;
 
   size_t bits_;

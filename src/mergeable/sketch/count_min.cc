@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "mergeable/util/check.h"
 
@@ -22,14 +23,23 @@ std::vector<PolynomialHash> MakeRowHashes(int depth, uint64_t seed) {
 
 CountMinSketch::CountMinSketch(int depth, int width, uint64_t seed,
                                CountMinUpdate update)
+    : CountMinSketch(depth, width, seed, update, {}) {}
+
+CountMinSketch::CountMinSketch(int depth, int width, uint64_t seed,
+                               CountMinUpdate update,
+                               std::vector<uint64_t> counters)
     : depth_(depth),
       width_(width),
       seed_(seed),
       update_(update),
-      hashes_(MakeRowHashes(depth, seed)),
-      counters_(static_cast<size_t>(depth) * static_cast<size_t>(width), 0) {
+      counters_(std::move(counters)) {
   MERGEABLE_CHECK_MSG(depth >= 1 && width >= 1,
                       "CountMin needs depth >= 1 and width >= 1");
+  hashes_ = MakeRowHashes(depth, seed);
+  if (counters_.empty()) {
+    counters_.assign(static_cast<size_t>(depth) * static_cast<size_t>(width),
+                     0);
+  }
 }
 
 CountMinSketch CountMinSketch::ForEpsilonDelta(double epsilon, double delta,
@@ -118,6 +128,50 @@ void CountMinSketch::Merge(const CountMinSketch& other) {
 
 namespace {
 constexpr uint32_t kCountMinMagic = 0x31304d43;  // "CM01"
+
+// The fields before the counter array.
+struct Header {
+  uint32_t depth = 0;
+  uint32_t width = 0;
+  uint32_t update = 0;
+  uint64_t seed = 0;
+  uint64_t n = 0;
+
+  size_t cells() const { return static_cast<size_t>(depth) * width; }
+};
+constexpr size_t kHeaderBytes = 4 * sizeof(uint32_t) + 2 * sizeof(uint64_t);
+
+// Reads and range-checks the header; false on any field DecodeFrom
+// rejects.
+bool ReadHeader(ByteReader& reader, Header* header) {
+  uint32_t magic = 0;
+  if (!reader.GetU32(&magic) || magic != kCountMinMagic) return false;
+  if (!reader.GetU32(&header->depth) || header->depth < 1 ||
+      header->depth > 64) {
+    return false;
+  }
+  if (!reader.GetU32(&header->width) || header->width < 1 ||
+      header->width > (1u << 28)) {
+    return false;
+  }
+  if (!reader.GetU32(&header->update) || header->update > 1) return false;
+  return reader.GetU64(&header->seed) && reader.GetU64(&header->n);
+}
+
+// The header of a payload ValidateEncoded accepted.
+Header ValidHeader(const uint8_t* bytes, size_t size) {
+  ByteReader reader(bytes, size);
+  Header header;
+  MERGEABLE_CHECK_MSG(
+      ReadHeader(reader, &header) &&
+          reader.remaining() == header.cells() * sizeof(uint64_t),
+      "CountMin payload must be valid");
+  return header;
+}
+
+CountMinSketch::Shape ShapeOf(const Header& header) {
+  return {header.depth, header.width, header.seed};
+}
 }  // namespace
 
 void CountMinSketch::EncodeTo(ByteWriter& writer) const {
@@ -131,32 +185,49 @@ void CountMinSketch::EncodeTo(ByteWriter& writer) const {
 }
 
 std::optional<CountMinSketch> CountMinSketch::DecodeFrom(ByteReader& reader) {
-  uint32_t magic = 0;
-  uint32_t depth = 0;
-  uint32_t width = 0;
-  uint32_t update = 0;
-  uint64_t seed = 0;
-  uint64_t n = 0;
-  if (!reader.GetU32(&magic) || magic != kCountMinMagic) return std::nullopt;
-  if (!reader.GetU32(&depth) || depth < 1 || depth > 64) return std::nullopt;
-  if (!reader.GetU32(&width) || width < 1 || width > (1u << 28)) {
-    return std::nullopt;
-  }
-  if (!reader.GetU32(&update) || update > 1) return std::nullopt;
-  if (!reader.GetU64(&seed) || !reader.GetU64(&n)) return std::nullopt;
-  // ">=" not "==": Count-Min frames are embedded inside composite
-  // formats (dyadic Count-Min), so trailing bytes may belong to the
-  // container. Standalone callers check reader.Exhausted() themselves.
-  if (reader.remaining() <
-      static_cast<size_t>(depth) * width * sizeof(uint64_t)) {
-    return std::nullopt;
-  }
+  Header header;
+  if (!ReadHeader(reader, &header)) return std::nullopt;
+  // Count-Min frames are embedded inside composite formats (dyadic
+  // Count-Min), so trailing bytes may belong to the container.
+  // Standalone callers check reader.Exhausted() themselves.
+  std::vector<uint64_t> counters;
+  if (!reader.GetWordVector(header.cells(), &counters)) return std::nullopt;
   CountMinSketch sketch(
-      static_cast<int>(depth), static_cast<int>(width), seed,
-      update == 0 ? CountMinUpdate::kPlain : CountMinUpdate::kConservative);
-  if (!reader.GetU64Array(sketch.counters_)) return std::nullopt;
-  sketch.n_ = n;
+      static_cast<int>(header.depth), static_cast<int>(header.width),
+      header.seed,
+      header.update == 0 ? CountMinUpdate::kPlain
+                         : CountMinUpdate::kConservative,
+      std::move(counters));
+  sketch.n_ = header.n;
   return sketch;
+}
+
+bool CountMinSketch::ValidateEncoded(const uint8_t* bytes, size_t size) {
+  ByteReader reader(bytes, size);
+  Header header;
+  return ReadHeader(reader, &header) &&
+         reader.remaining() == header.cells() * sizeof(uint64_t);
+}
+
+CountMinSketch::Shape CountMinSketch::shape() const {
+  return {static_cast<uint32_t>(depth_), static_cast<uint32_t>(width_),
+          seed_};
+}
+
+CountMinSketch::Shape CountMinSketch::EncodedShape(const uint8_t* bytes,
+                                                   size_t size) {
+  return ShapeOf(ValidHeader(bytes, size));
+}
+
+void CountMinSketch::MergeEncoded(const uint8_t* bytes, size_t size) {
+  const Header header = ValidHeader(bytes, size);
+  MERGEABLE_CHECK_MSG(ShapeOf(header) == shape(),
+                      "CountMin merge requires identical shape and seed");
+  const uint8_t* cells = bytes + kHeaderBytes;
+  for (size_t i = 0; i < counters_.size(); ++i) {
+    counters_[i] += LoadLittle64(cells + i * sizeof(uint64_t));
+  }
+  n_ += header.n;
 }
 
 }  // namespace mergeable

@@ -69,6 +69,29 @@ class CountMinSketch {
   void EncodeTo(ByteWriter& writer) const;
   static std::optional<CountMinSketch> DecodeFrom(ByteReader& reader);
 
+  // The byte path (store/summary_store.h, MergePayloadInto): a payload
+  // merged from its wire bytes, without decoding it into a sketch.
+  //
+  // ValidateEncoded is true exactly when DecodeFrom accepts `bytes` and
+  // consumes all of them; it reads the header only and allocates
+  // nothing. MergeEncoded adds the counters in place and leaves the
+  // state, and so the bytes, that Merge(*DecodeFrom(bytes)) would; the
+  // payload must be valid and of this sketch's shape (another shape
+  // aborts, as Merge does).
+  static bool ValidateEncoded(const uint8_t* bytes, size_t size);
+  void MergeEncoded(const uint8_t* bytes, size_t size);
+
+  // What Merge requires to be equal: depth, width and seed. EncodedShape
+  // reads it from the header of a payload ValidateEncoded accepted.
+  struct Shape {
+    uint32_t depth = 0;
+    uint32_t width = 0;
+    uint64_t seed = 0;
+    bool operator==(const Shape&) const = default;
+  };
+  Shape shape() const;
+  static Shape EncodedShape(const uint8_t* bytes, size_t size);
+
   // Canonical form in place (see WireSummary in core/concepts.h).
   // Every field is on the wire, so the summary is always canonical.
   void Canonicalize() {}
@@ -79,6 +102,11 @@ class CountMinSketch {
   uint64_t seed() const { return seed_; }
 
  private:
+  // `counters` is the decoded row-major array, or empty for a zeroed
+  // sketch.
+  CountMinSketch(int depth, int width, uint64_t seed, CountMinUpdate update,
+                 std::vector<uint64_t> counters);
+
   uint64_t Bucket(int row, uint64_t item) const {
     return hashes_[static_cast<size_t>(row)].Bounded(
         item, static_cast<uint64_t>(width_));

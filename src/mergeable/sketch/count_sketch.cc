@@ -3,13 +3,19 @@
 #include <cstddef>
 
 #include <algorithm>
+#include <utility>
 
 #include "mergeable/util/check.h"
 
 namespace mergeable {
 
 CountSketch::CountSketch(int depth, int width, uint64_t seed)
-    : depth_(depth), width_(width), seed_(seed) {
+    : CountSketch(depth, width, seed, {}) {}
+
+CountSketch::CountSketch(int depth, int width, uint64_t seed,
+                         std::vector<int64_t> counters)
+    : depth_(depth), width_(width), seed_(seed),
+      counters_(std::move(counters)) {
   MERGEABLE_CHECK_MSG(depth >= 1 && width >= 1,
                       "CountSketch needs depth >= 1 and width >= 1");
   bucket_hashes_.reserve(static_cast<size_t>(depth));
@@ -20,8 +26,10 @@ CountSketch::CountSketch(int depth, int width, uint64_t seed)
     sign_hashes_.emplace_back(
         /*degree=*/4, MixHash(static_cast<uint64_t>(row) * 2 + 1, seed));
   }
-  counters_.assign(static_cast<size_t>(depth) * static_cast<size_t>(width),
-                   0);
+  if (counters_.empty()) {
+    counters_.assign(static_cast<size_t>(depth) * static_cast<size_t>(width),
+                     0);
+  }
 }
 
 void CountSketch::Update(uint64_t item, int64_t weight) {
@@ -116,8 +124,12 @@ std::optional<CountSketch> CountSketch::DecodeFrom(ByteReader& reader) {
       static_cast<size_t>(depth) * width * sizeof(int64_t)) {
     return std::nullopt;
   }
-  CountSketch sketch(static_cast<int>(depth), static_cast<int>(width), seed);
-  if (!reader.GetI64Array(sketch.counters_)) return std::nullopt;
+  std::vector<int64_t> counters;
+  if (!reader.GetWordVector(static_cast<size_t>(depth) * width, &counters)) {
+    return std::nullopt;
+  }
+  CountSketch sketch(static_cast<int>(depth), static_cast<int>(width), seed,
+                     std::move(counters));
   sketch.n_ = n;
   return sketch;
 }

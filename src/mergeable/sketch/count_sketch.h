@@ -54,6 +54,11 @@ class CountSketch {
   int width() const { return width_; }
 
  private:
+  // `counters` is the decoded row-major array, or empty for a zeroed
+  // sketch.
+  CountSketch(int depth, int width, uint64_t seed,
+              std::vector<int64_t> counters);
+
   uint64_t Bucket(int row, uint64_t item) const {
     return bucket_hashes_[static_cast<size_t>(row)].Bounded(
         item, static_cast<uint64_t>(width_));

@@ -82,13 +82,8 @@ std::optional<KmvSketch> KmvSketch::DecodeFrom(ByteReader& reader) {
   if (!reader.GetU64(&seed) || !reader.GetU32(&size) || size > k) {
     return std::nullopt;
   }
-  if (static_cast<uint64_t>(size) * sizeof(uint64_t) > reader.remaining()) {
-    return std::nullopt;
-  }
   KmvSketch sketch(static_cast<int>(k), seed);
-  // `size` is already validated against the input length.
-  sketch.heap_.resize(size);
-  if (!reader.GetU64Array(sketch.heap_)) return std::nullopt;
+  if (!reader.GetWordVector(size, &sketch.heap_)) return std::nullopt;
   if (!reader.Exhausted()) return std::nullopt;
   // Any order is accepted; sorted, duplicates (which violate the KMV
   // invariant) sit next to each other.

@@ -562,12 +562,11 @@ class DurableStore {
       const MergedSummaryCache::Payload bytes =
           NodePayload(stream, node, &stats);
       if (bytes == nullptr) return std::nullopt;
-      S part = DecodeSummaryOrDie<S>(*bytes);
       if (merged.has_value()) {
-        CanonicalMergeInto(*merged, part);
+        CanonicalMergePayloadInto(*merged, bytes->data(), bytes->size());
         ++stats.merges_performed;
       } else {
-        merged = std::move(part);
+        merged = DecodeSummaryOrDie<S>(*bytes);
       }
       covered_hi_index = node.last();
     }
@@ -595,7 +594,8 @@ class DurableStore {
         NodePayload(stream, right, query_stats);
     if (right_bytes == nullptr) return std::nullopt;
     S merged = DecodeSummaryOrDie<S>(*left_bytes);
-    CanonicalMergeInto(merged, DecodeSummaryOrDie<S>(*right_bytes));
+    CanonicalMergePayloadInto(merged, right_bytes->data(),
+                              right_bytes->size());
     return EncodeSummary<S>(merged);
   }
 
@@ -665,8 +665,11 @@ class DurableStore {
 
   // Materializes the cover's nodes and folds them into one canonical
   // payload: a balanced canonical reduction (MergeAllWith,
-  // kBalancedTree). std::nullopt when a covering node cannot be
-  // materialized (a leaf under it is lost).
+  // kBalancedTree). Its first round merges part i+1 into part i for
+  // every even i, so an odd-index node is consumed there and is merged
+  // from its bytes, never decoded; the later rounds run on the decoded
+  // survivors. std::nullopt when a covering node cannot be materialized
+  // (a leaf under it is lost).
   std::optional<std::vector<uint8_t>> MergeCover(
       uint64_t stream, const std::vector<DyadicNode>& cover,
       QueryStats* stats) {
@@ -681,9 +684,14 @@ class DurableStore {
     // payload already is the canonical answer.
     if (payloads.size() == 1) return *payloads.front();
     std::vector<S> parts;
-    parts.reserve(payloads.size());
-    for (const MergedSummaryCache::Payload& payload : payloads) {
-      parts.push_back(DecodeSummaryOrDie<S>(*payload));
+    parts.reserve((payloads.size() + 1) / 2);
+    for (size_t i = 0; i < payloads.size(); i += 2) {
+      S& part = parts.emplace_back(DecodeSummaryOrDie<S>(*payloads[i]));
+      if (i + 1 < payloads.size()) {
+        CanonicalMergePayloadInto(part, payloads[i + 1]->data(),
+                                  payloads[i + 1]->size());
+        ++stats->merges_performed;
+      }
     }
     S merged = MergeAllWith(std::move(parts), MergeTopology::kBalancedTree,
                             [stats](S& into, const S& from) {

@@ -11,11 +11,13 @@
 #ifndef MERGEABLE_STORE_SUMMARY_STORE_H_
 #define MERGEABLE_STORE_SUMMARY_STORE_H_
 
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "mergeable/aggregate/wire.h"
@@ -34,15 +36,20 @@ std::vector<uint8_t> EncodeSummary(const S& summary) {
   return writer.TakeBytes();
 }
 
-// Decodes bytes this process (or a healthy peer) encoded itself; a
-// failure is a codec bug, not bad input, so it aborts.
+// Decodes bytes this process (or a healthy peer) encoded itself, or
+// bytes ValidPayload<S> accepted; a failure is a codec bug, not bad
+// input, so it aborts.
 template <WireSummary S>
-S DecodeSummaryOrDie(const std::vector<uint8_t>& payload) {
-  ByteReader reader(payload);
+S DecodeSummaryOrDie(const uint8_t* payload, size_t size) {
+  ByteReader reader(payload, size);
   std::optional<S> summary = S::DecodeFrom(reader);
   MERGEABLE_CHECK_MSG(summary.has_value() && reader.Exhausted(),
                       "self-produced summary payload must decode");
   return std::move(*summary);
+}
+template <WireSummary S>
+S DecodeSummaryOrDie(const std::vector<uint8_t>& payload) {
+  return DecodeSummaryOrDie<S>(payload.data(), payload.size());
 }
 
 // The canonical form of `summary`: S::Canonicalize(), which equals the
@@ -65,6 +72,86 @@ S CanonicalForm(S summary) {
 template <WireSummary S>
 void CanonicalMergeInto(S& into, const S& from) {
   into.Merge(from);
+  into.Canonicalize();
+}
+
+// The byte path: a payload folded from its wire bytes, without a
+// decoded summary per payload. A type opts in with
+//
+//   static bool ValidateEncoded(const uint8_t*, size_t);
+//   void MergeEncoded(const uint8_t*, size_t);
+//
+// (SpaceSaving, CountMinSketch), and may add
+//
+//   struct Shape { ...; bool operator==(const Shape&) const; };
+//   Shape shape() const;
+//   static Shape EncodedShape(const uint8_t*, size_t);
+//
+// when its Merge requires matching parameters (CountMinSketch). Every
+// other type takes the generic fallbacks below (decode, then Merge;
+// every shape matches), so these functions serve every registered type
+// with the same results.
+
+// Whether `size` bytes at `payload` are exactly one encoding of S:
+// S::DecodeFrom accepts them and leaves nothing over.
+template <WireSummary S>
+bool ValidPayload(const uint8_t* payload, size_t size) {
+  if constexpr (requires { S::ValidateEncoded(payload, size); }) {
+    return S::ValidateEncoded(payload, size);
+  } else {
+    ByteReader reader(payload, size);
+    return S::DecodeFrom(reader).has_value() && reader.Exhausted();
+  }
+}
+
+// into.Merge(decoded payload), for a payload ValidPayload<S> accepted
+// and PayloadMergeableInto allows: the same state, so the same bytes.
+template <WireSummary S>
+void MergePayloadInto(S& into, const uint8_t* payload, size_t size) {
+  if constexpr (requires { into.MergeEncoded(payload, size); }) {
+    into.MergeEncoded(payload, size);
+  } else {
+    into.Merge(DecodeSummaryOrDie<S>(payload, size));
+  }
+}
+
+// Types whose Merge requires matching parameters, which a valid payload
+// can fail: they name those parameters as S::Shape.
+template <typename S>
+concept ChecksPayloadShape =
+    requires(const S& summary, const uint8_t* payload, size_t size) {
+      { summary.shape() } -> std::same_as<typename S::Shape>;
+      { S::EncodedShape(payload, size) } -> std::same_as<typename S::Shape>;
+    };
+
+// S::Shape for the types that check it; an empty stand-in for the rest.
+template <typename S>
+struct PayloadShape {
+  using type = std::monostate;
+};
+template <ChecksPayloadShape S>
+struct PayloadShape<S> {
+  using type = typename S::Shape;
+};
+
+// Whether a valid payload may merge into `into`: false when the type's
+// Merge would refuse (abort on) its parameters, such as a Count-Min of
+// another shape or seed. Types without a Shape accept every payload.
+template <WireSummary S>
+bool PayloadMergeableInto(const S& into, const uint8_t* payload,
+                          size_t size) {
+  if constexpr (ChecksPayloadShape<S>) {
+    return into.shape() == S::EncodedShape(payload, size);
+  } else {
+    return true;
+  }
+}
+
+// CanonicalMergeInto with `from` given as payload bytes (see
+// MergePayloadInto): the same state, without decoding `from`.
+template <WireSummary S>
+void CanonicalMergePayloadInto(S& into, const uint8_t* from, size_t size) {
+  MergePayloadInto(into, from, size);
   into.Canonicalize();
 }
 

@@ -13,9 +13,11 @@
 #define MERGEABLE_UTIL_BYTES_H_
 
 #include <bit>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <span>
 #include <vector>
 
@@ -46,7 +48,46 @@ inline uint64_t HostToLittle64(uint64_t value) {
 inline uint32_t LittleToHost32(uint32_t value) { return HostToLittle32(value); }
 inline uint64_t LittleToHost64(uint64_t value) { return HostToLittle64(value); }
 
+// Forward iterator over the little-endian words of a byte range, each
+// loaded with memcpy (no alignment needed). A vector built from a pair
+// of these is allocated once and filled straight from the bytes.
+class LittleWordIterator {
+ public:
+  using iterator_category = std::forward_iterator_tag;
+  using value_type = uint64_t;
+  using difference_type = std::ptrdiff_t;
+  using pointer = void;
+  using reference = uint64_t;
+
+  LittleWordIterator() = default;
+  explicit LittleWordIterator(const uint8_t* at) : at_(at) {}
+
+  uint64_t operator*() const {
+    uint64_t value;
+    std::memcpy(&value, at_, sizeof(value));
+    return LittleToHost64(value);
+  }
+  LittleWordIterator& operator++() {
+    at_ += sizeof(uint64_t);
+    return *this;
+  }
+  LittleWordIterator operator++(int) {
+    LittleWordIterator before = *this;
+    ++*this;
+    return before;
+  }
+  bool operator==(const LittleWordIterator&) const = default;
+
+ private:
+  const uint8_t* at_ = nullptr;
+};
+
 }  // namespace internal
+
+// The little-endian word at `bytes` (any alignment).
+inline uint64_t LoadLittle64(const uint8_t* bytes) {
+  return *internal::LittleWordIterator(bytes);
+}
 
 class ByteWriter {
  public:
@@ -135,22 +176,21 @@ class ByteReader {
     return true;
   }
 
-  // Reads out.size() words written by PutU64Array (or as many PutU64
-  // calls). Checks the length before copying anything: on a short read
-  // it returns false and the position does not move.
-  bool GetU64Array(std::span<uint64_t> out) {
-    if (out.size() > remaining() / sizeof(uint64_t)) return false;
-    if (out.empty()) return true;
-    std::memcpy(out.data(), data_ + position_, out.size_bytes());
-    position_ += out.size_bytes();
-    if constexpr (!internal::kHostIsLittleEndian) {
-      for (uint64_t& value : out) value = internal::LittleToHost64(value);
-    }
+  // Replaces *out with the next `count` words written by PutU64Array
+  // or PutI64Array (or as many PutU64/PutI64 calls). The vector is
+  // allocated at that size and filled from the input only, with no
+  // zero-fill first; decoders build their counter arrays with it. The
+  // length is checked before anything is read: on a short read it
+  // returns false, and neither the position nor *out changes.
+  template <typename Word>
+    requires(std::same_as<Word, uint64_t> || std::same_as<Word, int64_t>)
+  bool GetWordVector(size_t count, std::vector<Word>* out) {
+    if (count > remaining() / sizeof(uint64_t)) return false;
+    const uint8_t* begin = data_ + position_;
+    position_ += count * sizeof(uint64_t);
+    out->assign(internal::LittleWordIterator(begin),
+                internal::LittleWordIterator(data_ + position_));
     return true;
-  }
-  bool GetI64Array(std::span<int64_t> out) {
-    return GetU64Array(
-        {reinterpret_cast<uint64_t*>(out.data()), out.size()});
   }
 
   // Reads a PutBytes frame. The declared length is validated against the

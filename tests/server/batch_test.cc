@@ -235,6 +235,56 @@ TEST(BatchTest, DuplicateBatchReplayDoesNotDoubleCount) {
   server.Stop();
 }
 
+// An open epoch holds the payload bytes of its admitted reports and
+// nothing else: a resent batch whose records come back kDuplicate or
+// kRejected keeps none of its bytes alive, even when one record of it
+// is admitted, and a batch that spans two epochs leaves the later
+// epoch holding only its own reports once the earlier one seals.
+TEST(BatchTest, OpenEpochsHoldOnlyTheirAdmittedPayloadBytes) {
+  MemStorage storage;
+  DurableStore<SpaceSaving> store(&storage, TestStore());
+  EpochService<SpaceSaving> service(&store, TestService());
+  const auto verdicts = [&service](const WireBatch& batch) {
+    const auto verdict =
+        DecodeBatchVerdictFrame(service.HandleBatch(EncodeBatchFrame(batch)));
+    EXPECT_TRUE(verdict.has_value());
+    return verdict.has_value() ? verdict->codes : std::vector<ControlCode>{};
+  };
+
+  WireBatch first;
+  size_t epoch0_bytes = 0;
+  for (uint64_t shard = 0; shard < kShards; ++shard) {
+    first.reports.push_back(MakeReport(0, shard));
+    epoch0_bytes += first.reports.back().payload.size();
+  }
+  verdicts(first);
+  EXPECT_EQ(service.pending_payload_bytes(), epoch0_bytes);
+
+  // The whole burst again, a misrouted shard, and one new report.
+  WireBatch resend = first;
+  resend.reports.push_back(MakeReport(0, kShards));
+  const WireReport next = MakeReport(1, 0);
+  resend.reports.push_back(next);
+  const std::vector<ControlCode> codes = verdicts(resend);
+  ASSERT_EQ(codes.size(), kShards + 2);
+  EXPECT_EQ(codes[kShards], ControlCode::kRejected);
+  EXPECT_EQ(codes[kShards + 1], ControlCode::kAccepted);
+  EXPECT_EQ(service.pending_payload_bytes(),
+            epoch0_bytes + next.payload.size());
+
+  ASSERT_TRUE(service.SealEpoch(0, 0));
+  EXPECT_EQ(service.pending_payload_bytes(), next.payload.size());
+
+  // Stragglers for the sealed epoch beside a new report for the open one.
+  WireBatch late = first;
+  const WireReport other = MakeReport(1, 1);
+  late.reports.push_back(other);
+  verdicts(late);
+  EXPECT_EQ(service.pending_payload_bytes(),
+            next.payload.size() + other.payload.size());
+  EXPECT_EQ(service.stats().reports_accepted, kShards + 2);
+}
+
 // SendBatch resolves a duplicate storm transparently: the retry loop
 // maps kDuplicate to accepted.
 TEST(BatchTest, SendBatchTreatsReplayedRecordsAsAccepted) {

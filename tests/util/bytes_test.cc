@@ -2,7 +2,7 @@
 // is little-endian on every host (golden byte sequences, not just round
 // trips), the bulk array calls write exactly the bytes of one scalar
 // call per element, and the length-checked readers (GetBytes,
-// GetU64Array) reject lengths the input cannot back without moving.
+// GetWordVector) reject lengths the input cannot back without moving.
 
 #include <cstdint>
 #include <limits>
@@ -158,12 +158,12 @@ TEST(BytesTest, ArraysRoundTripThroughScalarAndBulkReads) {
   writer.PutU64Array({});
 
   ByteReader bulk(writer.bytes());
-  std::vector<uint64_t> words_back(words.size());
-  std::vector<int64_t> values_back(values.size());
+  std::vector<uint64_t> words_back;
+  std::vector<int64_t> values_back;
   std::vector<uint64_t> empty;
-  ASSERT_TRUE(bulk.GetU64Array(words_back));
-  ASSERT_TRUE(bulk.GetI64Array(values_back));
-  ASSERT_TRUE(bulk.GetU64Array(empty));
+  ASSERT_TRUE(bulk.GetWordVector(words.size(), &words_back));
+  ASSERT_TRUE(bulk.GetWordVector(values.size(), &values_back));
+  ASSERT_TRUE(bulk.GetWordVector(0, &empty));
   EXPECT_TRUE(bulk.Exhausted());
   EXPECT_EQ(words_back, words);
   EXPECT_EQ(values_back, values);
@@ -188,17 +188,34 @@ TEST(BytesTest, ShortU64ArrayReadFailsWithoutMoving) {
   writer.PutU32(0xabcdef01u);  // 28 bytes: three words and a half.
   ByteReader reader(writer.bytes());
   std::vector<uint64_t> out(4, 99);
-  EXPECT_FALSE(reader.GetU64Array(out));
+  EXPECT_FALSE(reader.GetWordVector(4, &out));
   EXPECT_EQ(reader.remaining(), 28u);
   EXPECT_EQ(out, std::vector<uint64_t>(4, 99));  // Nothing copied.
   std::vector<int64_t> signed_out(4, -7);
-  EXPECT_FALSE(reader.GetI64Array(signed_out));
+  EXPECT_FALSE(reader.GetWordVector(4, &signed_out));
   EXPECT_EQ(reader.remaining(), 28u);
   // The reader is still usable from where it stood.
-  std::vector<uint64_t> three(3);
-  ASSERT_TRUE(reader.GetU64Array(three));
+  std::vector<uint64_t> three;
+  ASSERT_TRUE(reader.GetWordVector(3, &three));
   EXPECT_EQ(three, (std::vector<uint64_t>{1, 2, 3}));
   EXPECT_EQ(reader.remaining(), 4u);
+}
+
+// GetWordVector reads words at any alignment of the input and replaces
+// what the vector held.
+TEST(BytesTest, WordVectorReadsUnalignedWordsAndReplacesItsOutput) {
+  const std::vector<uint64_t> words = {7, 0x0102030405060708ULL,
+                                       ~uint64_t{0}};
+  ByteWriter writer;
+  writer.PutU32(0x11223344u);  // Leaves the words 4-byte aligned only.
+  writer.PutU64Array(words);
+  ByteReader reader(writer.bytes());
+  uint32_t skip = 0;
+  ASSERT_TRUE(reader.GetU32(&skip));
+  std::vector<uint64_t> words_back = {42, 43, 44, 45};
+  ASSERT_TRUE(reader.GetWordVector(words.size(), &words_back));
+  EXPECT_EQ(words_back, words);
+  EXPECT_TRUE(reader.Exhausted());
 }
 
 }  // namespace
