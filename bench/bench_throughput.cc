@@ -9,9 +9,10 @@
 // frame/segment checksum kernel (BM_Checksum, bytes/s). The
 // query path's pieces: SpaceSaving decode from wire bytes
 // (BM_DecodeSpaceSaving) and one store range query end to end without
-// sockets — node fetch, decode, canonical fold, encode
-// (BM_StoreQueryFold). A seal's per-report fold step, from wire bytes
-// against decode-then-merge (BM_MergeEncoded / BM_DecodeThenMerge).
+// sockets — node fetch, decode, canonical fold, encode — over short and
+// long ranges (BM_StoreQueryFold / BM_StoreQueryFoldLong). A seal's
+// per-report fold step, from wire bytes against decode-then-merge
+// (BM_MergeEncoded / BM_DecodeThenMerge).
 //
 // Like the table benches (bench_util.h), this binary mirrors its
 // results to BENCH_throughput.json — via google-benchmark's own JSON
@@ -547,10 +548,14 @@ BENCHMARK_CAPTURE(BM_DecodeThenMerge, count_min_4x2048, CountMinFold());
 
 // One store range query, per query: a DurableStore<SpaceSaving>
 // (ε = 0.01) over MemStorage with 4096 sealed epochs and a 64-entry
-// cache, asked seeded short ranges (geometric lengths, mean 16) over
-// the whole history. Few answers repeat, so nearly every query fetches
-// its dyadic cover, decodes, folds canonically and encodes the answer.
-void BM_StoreQueryFold(benchmark::State& state) {
+// cache, asked seeded ranges over the whole history. Few answers
+// repeat, so nearly every query fetches its dyadic cover, decodes, folds
+// canonically and encodes the answer. BM_StoreQueryFold asks short
+// ranges (geometric lengths, mean 16; covers of about 3.5 nodes),
+// BM_StoreQueryFoldLong long ones (uniform lengths in [1024, 2047],
+// mean 1536; covers of about 11 nodes), where the fold order of the
+// cover shows.
+void RunStoreQueryFold(benchmark::State& state, bool long_ranges) {
   constexpr uint64_t kEpochs = 4096;
   constexpr uint64_t kStream = 1;
   static MemStorage* sealed = [] {
@@ -587,20 +592,37 @@ void BM_StoreQueryFold(benchmark::State& state) {
                       "store must recover the stream");
   Rng rng(11);
   uint64_t nodes = 0;
+  uint64_t epochs = 0;
   for (auto _ : state) {
-    const uint64_t length = std::min<uint64_t>(
-        kEpochs, 1 + static_cast<uint64_t>(
-                         -16.0 * std::log(1.0 - rng.UniformDouble())));
+    const uint64_t length =
+        long_ranges
+            ? 1024 + rng.UniformInt(1024)
+            : std::min<uint64_t>(
+                  kEpochs, 1 + static_cast<uint64_t>(
+                                   -16.0 * std::log(1.0 - rng.UniformDouble())));
     const uint64_t lo = rng.UniformInt(kEpochs - length + 1);
     const auto outcome = store.QueryRangePayload(kStream, lo, lo + length - 1);
     MERGEABLE_CHECK_MSG(outcome.has_value(), "query must succeed");
+    benchmark::DoNotOptimize(outcome->payload);
     nodes += outcome->stats.nodes_merged;
+    epochs += length;
   }
   state.SetItemsProcessed(state.iterations());
   state.counters["nodes_per_query"] = benchmark::Counter(
       static_cast<double>(nodes), benchmark::Counter::kAvgIterations);
+  state.counters["epochs_per_query"] = benchmark::Counter(
+      static_cast<double>(epochs), benchmark::Counter::kAvgIterations);
+}
+
+void BM_StoreQueryFold(benchmark::State& state) {
+  RunStoreQueryFold(state, /*long_ranges=*/false);
 }
 BENCHMARK(BM_StoreQueryFold);
+
+void BM_StoreQueryFoldLong(benchmark::State& state) {
+  RunStoreQueryFold(state, /*long_ranges=*/true);
+}
+BENCHMARK(BM_StoreQueryFoldLong);
 
 void BM_FoldMergeableQuantiles(benchmark::State& state, FoldMode mode) {
   static const auto* parts = new std::vector<MergeableQuantiles>(

@@ -58,6 +58,7 @@
 #include "mergeable/core/concepts.h"
 #include "mergeable/core/merge_driver.h"
 #include "mergeable/store/segment.h"
+#include "mergeable/store/summary_store.h"
 #include "mergeable/util/bytes.h"
 #include "mergeable/util/check.h"
 #include "mergeable/util/random.h"
@@ -379,14 +380,12 @@ class Coordinator {
           ++info.duplicates_ignored;
           continue;
         }
-        ByteReader reader(bytes.data() + record.payload_offset,
-                          record.payload_length);
-        std::optional<S> summary = S::DecodeFrom(reader);
-        if (!summary.has_value() || !reader.Exhausted()) {
+        const uint8_t* payload = bytes.data() + record.payload_offset;
+        if (!ValidPayload<S>(payload, record.payload_length)) {
           ++info.invalid_payloads;
           continue;
         }
-        ApplyReport(record.index, std::move(*summary));
+        ApplyReport(record.index, payload, record.payload_length);
       } else if (kind == LogRecordKind::kShardLost &&
                  received_.count(record.index) == 0) {
         lost_.insert(record.index);
@@ -477,24 +476,20 @@ class Coordinator {
     return true;
   }
 
-  // Merges an accepted report into the durable state. The merged
-  // summary is kept *canonical* — the fixed point of encode∘decode —
-  // by Canonicalize() after every merge. This is what makes recovery
-  // byte-exact for randomized summaries: codecs like MergeableQuantiles
-  // do not serialize their RNG state (the decoder re-seeds
-  // deterministically from content), so an in-memory state that never
-  // canonicalized would draw different halving offsets than its
-  // checkpoint-restored image and diverge from it on the next merge.
-  // Canonical form makes the in-memory state indistinguishable from the
-  // recovered one at every step, for any crash point.
-  void ApplyReport(uint64_t shard, S summary) {
-    if (merged_.has_value()) {
-      merged_->Merge(summary);
-      merged_->Canonicalize();
-    } else {
-      // Freshly decoded from payload bytes — already canonical.
-      merged_ = std::move(summary);
-    }
+  // Folds an accepted report's payload bytes into the durable state
+  // through the canonical fold (FoldPayloadInto, store/summary_store.h),
+  // the one the ingest service's seal uses. The merged summary is kept
+  // *canonical* — the fixed point of encode∘decode — by Canonicalize()
+  // after every merge. This is what makes recovery byte-exact for
+  // randomized summaries: codecs like MergeableQuantiles do not
+  // serialize their RNG state (the decoder re-seeds deterministically
+  // from content), so an in-memory state that never canonicalized would
+  // draw different halving offsets than its checkpoint-restored image
+  // and diverge from it on the next merge. Canonical form makes the
+  // in-memory state indistinguishable from the recovered one at every
+  // step, for any crash point.
+  void ApplyReport(uint64_t shard, const uint8_t* payload, size_t size) {
+    FoldPayloadInto(merged_, payload, size);
     received_.insert(shard);
   }
 
@@ -593,7 +588,7 @@ class Coordinator {
           MarkCrashed(&result);
           return result;
         }
-        ApplyReport(shard, std::move(fetched->summary));
+        ApplyReport(shard, fetched->payload.data(), fetched->payload.size());
         if (options_.checkpoint_every > 0 &&
             received_.size() % options_.checkpoint_every == 0) {
           if (!WriteCheckpoint()) {

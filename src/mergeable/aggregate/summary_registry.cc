@@ -19,6 +19,7 @@
 #include "mergeable/sketch/count_sketch.h"
 #include "mergeable/sketch/dyadic_count_min.h"
 #include "mergeable/sketch/kmv.h"
+#include "mergeable/store/summary_store.h"
 #include "mergeable/stream/generators.h"
 #include "mergeable/util/bytes.h"
 #include "mergeable/util/random.h"
@@ -53,17 +54,16 @@ template <typename T>
 std::optional<std::vector<uint8_t>> MergePayloads(
     const std::vector<uint8_t>& a, const std::vector<uint8_t>& b) {
   if constexpr (Mergeable<T>) {
-    ByteReader reader_a(a);
-    std::optional<T> lhs = T::DecodeFrom(reader_a);
-    if (!lhs.has_value() || !reader_a.Exhausted()) return std::nullopt;
-    ByteReader reader_b(b);
-    std::optional<T> rhs = T::DecodeFrom(reader_b);
-    if (!rhs.has_value() || !reader_b.Exhausted()) return std::nullopt;
-    lhs->Merge(*rhs);
-    // Canonical form, the same contract the durable coordinator
-    // maintains (coordinator.h).
-    lhs->Canonicalize();
-    return Encode(*lhs);
+    if (!ValidPayload<T>(a.data(), a.size()) ||
+        !ValidPayload<T>(b.data(), b.size())) {
+      return std::nullopt;
+    }
+    // The canonical fold of (a, b), the one every store and seal path
+    // folds with (store/summary_store.h).
+    std::optional<T> fold;
+    FoldPayloadInto(fold, a.data(), a.size());
+    FoldPayloadInto(fold, b.data(), b.size());
+    return Encode(*fold);
   } else {
     (void)a;
     (void)b;

@@ -130,10 +130,12 @@ struct SummaryCodecInfo {
   // one corpus are pairwise merge-compatible.
   std::vector<std::vector<uint8_t>> (*corpus)(uint64_t seed);
 
-  // Decodes both payloads, merges b into a, and returns the encoding of
-  // the canonicalized result (S::Canonicalize()). std::nullopt when either
-  // payload is rejected or the type is not mergeable. Payloads must be
-  // shape-compatible (same parameters), as for the summary's own Merge.
+  // The canonical fold of (a, b) — FoldPayloadInto over a, then b
+  // (store/summary_store.h), the fold every seal, tree node and range
+  // answer uses — returned as its encoding. Both payloads are checked
+  // with ValidPayload first; std::nullopt when either is rejected or the
+  // type is not mergeable. Payloads must be shape-compatible (same
+  // parameters), as for the summary's own Merge.
   std::optional<std::vector<uint8_t>> (*merge_payloads)(
       const std::vector<uint8_t>& a, const std::vector<uint8_t>& b);
 

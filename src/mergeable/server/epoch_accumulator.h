@@ -23,13 +23,13 @@
 // goes away with the epoch when it seals; a report whose shard a
 // topology change drops leaves no dedup key behind.
 //
-// Seal folds in ascending shard order, left-deep: it decodes the lowest
-// shard's report, then merges each later one straight from its bytes
-// with an in-place Canonicalize() after each (CanonicalMergePayloadInto,
-// store/summary_store.h). That is the exact merge sequence the durable
-// coordinator performs on decoded reports (CanonicalMergeInto), so an
-// epoch sealed here is byte-identical to a Coordinator-built one over
-// the same reports.
+// Seal is the canonical fold (FoldPayloadInto, store/summary_store.h)
+// of the reports in ascending shard order, left-deep: the lowest
+// shard's report is decoded and each later one merges straight from its
+// bytes, with an in-place Canonicalize() after each. The durable
+// coordinator folds its reports through the same function in the same
+// order, so an epoch sealed here is byte-identical to a
+// Coordinator-built one over the same reports.
 //
 // Not thread-safe: EpochService guards every accumulator with its mutex.
 
@@ -126,19 +126,13 @@ class EpochAccumulator {
     AggregationResult<S> result;
     result.shards_total = shards_total;
     result.shards_received = reports_.size();
-    if (reports_.empty()) return result;
     std::sort(reports_.begin(), reports_.end(),
               [](const Report& a, const Report& b) {
                 return a.shard < b.shard;
               });
-    S summary = DecodeSummaryOrDie<S>(reports_.front().payload,
-                                      reports_.front().size);
-    summary.Canonicalize();
-    for (size_t i = 1; i < reports_.size(); ++i) {
-      CanonicalMergePayloadInto(summary, reports_[i].payload,
-                                reports_[i].size);
+    for (const Report& report : reports_) {
+      FoldPayloadInto(result.summary, report.payload, report.size);
     }
-    result.summary = std::move(summary);
     return result;
   }
 

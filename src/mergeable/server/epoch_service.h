@@ -322,12 +322,12 @@ class EpochService : public FrameHandler {
     return EncodeControlFrame(control);
   }
 
-  // Seals `epoch` into the store from whatever reports arrived:
-  // ascending shard order, left-deep canonical merge (Merge, then
-  // Canonicalize() in place) — byte-identical to Coordinator::RunDurable
-  // over the same payloads. `offered_n` is the total mass the shards
-  // tried to send (what the chaos harness knows it offered); everything
-  // that did not arrive — shed, dropped, never sent — becomes lost mass.
+  // Seals `epoch` into the store from whatever reports arrived: the
+  // canonical fold (FoldPayloadInto) in ascending shard order —
+  // byte-identical to Coordinator::RunDurable over the same payloads.
+  // `offered_n` is the total mass the shards tried to send (what the
+  // chaos harness knows it offered); everything that did not arrive —
+  // shed, dropped, never sent — becomes lost mass.
   //
   // A storage-refused seal is buffered (in epoch order) and retried at
   // the head of the next SealEpoch call; while any seal is buffered the

@@ -25,10 +25,11 @@
 //                  page-in is a manifest lookup plus one range read.
 //
 // Determinism contract: a node's value is defined purely by the epoch
-// payload bytes it covers — node = canonical(merge(left, right)), where
-// canonical(s) is s.Canonicalize(), equal to the encode-then-decode
-// fixed point (same contract as the durable coordinator) — and a range
-// result is the balanced canonical merge of its covering nodes. Cold
+// payload bytes it covers — the canonical fold (FoldPayloadInto,
+// summary_store.h) of (left, right), where canonical(s) is
+// s.Canonicalize(), equal to the encode-then-decode fixed point (same
+// contract as the durable coordinator) — and a range result is the
+// canonical fold of its covering nodes in epoch order. Cold
 // reconstruction after eviction and recovery after restart (Open)
 // therefore produce byte-identical payloads; the store equivalence
 // suite asserts this against a tree-free reference.
@@ -74,6 +75,7 @@
 #ifndef MERGEABLE_STORE_DURABLE_STORE_H_
 #define MERGEABLE_STORE_DURABLE_STORE_H_
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -93,7 +95,6 @@
 #include "mergeable/aggregate/summary_registry.h"
 #include "mergeable/aggregate/wire.h"
 #include "mergeable/core/concepts.h"
-#include "mergeable/core/merge_driver.h"
 #include "mergeable/store/dyadic.h"
 #include "mergeable/store/epoch_meta.h"
 #include "mergeable/store/node_cache.h"
@@ -393,14 +394,15 @@ class DurableStore {
   //
   // Two things cut an answer short, and both fold every skipped epoch's
   // mass into the bound (AccumulateEpsilonPartial) instead of stalling
-  // or refusing. A deadline the cover cannot afford: nodes are merged in
-  // epoch order and the answer is the prefix merged when the budget ran
-  // out — at least one node, the floor any deadline must afford. A
-  // quarantined epoch q inside the range: the answer is the prefix
-  // [t1, q-1]. A leaf that fails its page-in is quarantined on the spot
-  // and the query retried with the tighter clamp; each retry follows a
-  // new quarantine inside the range, so the loop ends. Partial answers
-  // bypass the range cache (they are not the range's value).
+  // or refusing. A deadline the cover cannot afford: the answer is the
+  // prefix of the cover the budget affords, in epoch order — at least
+  // one node, the floor any deadline must afford — and is byte-identical
+  // to an unbounded query over that prefix. A quarantined epoch q inside
+  // the range: the answer is the prefix [t1, q-1]. A leaf that fails its
+  // page-in is quarantined on the spot and the query retried with the
+  // tighter clamp; each retry follows a new quarantine inside the range,
+  // so the loop ends. A cut answer is cached under the range it covers,
+  // never under the requested one.
   std::optional<RangeOutcome> QueryRangePayloadBounded(
       uint64_t stream, uint64_t t1, uint64_t t2, QueryDeadline deadline) {
     auto it = streams_.find(stream);
@@ -525,63 +527,42 @@ class DurableStore {
   }
 
   // The answer over leaf indices [lo, hi], none quarantined when the
-  // caller looked: the memoized fold of the whole cover when the
-  // deadline affords it, else the prefix of the cover the budget
-  // affords. std::nullopt when a leaf under the cover failed its page-in
-  // (it is quarantined by then).
+  // caller looked: the prefix of the cover the deadline affords (the
+  // whole cover when it affords it; else a partial answer of at least
+  // one node, the floor any deadline must pay), folded by FoldCover and
+  // memoized under the range it covers. DyadicCover is greedy from the
+  // left, so a prefix of the cover of [lo, hi] is exactly the cover of
+  // [lo, covered]: a cut answer is the real value of its covered range,
+  // cached as that range's. std::nullopt when a leaf under the prefix
+  // failed its page-in (it is quarantined by then).
   std::optional<RangeOutcome> FoldRange(uint64_t stream,
                                         const StreamState& state, uint64_t lo,
                                         uint64_t hi, QueryDeadline deadline) {
-    const std::vector<DyadicNode> cover = DyadicCover(lo, hi);
+    std::vector<DyadicNode> cover = DyadicCover(lo, hi);
     const uint64_t cost = deadline.cost_per_node_ms;
+    const bool cut = cost != 0 && cover.size() > deadline.budget_ms / cost;
+    if (cut) cover.resize(std::max<uint64_t>(1, deadline.budget_ms / cost));
+    const uint64_t covered = cover.back().last();
     RangeOutcome outcome;
-    QueryStats& stats = outcome.stats;
-    if (cost == 0 || cover.size() <= deadline.budget_ms / cost) {
-      bool built = false;
-      const CacheKey range_key{stream, CacheEntryKind::kRangeResult, lo, hi};
-      outcome.payload = cache_.GetOrBuild(range_key, [&] {
-        built = true;
-        return MergeCover(stream, cover, &stats);
-      });
-      if (outcome.payload == nullptr) return std::nullopt;
-      stats.range_cache_hit = !built;
-      outcome.eps =
-          AccumulateEpsilon(state.metas, lo, hi, options_.store.epsilon);
-      outcome.covered_hi = state.base_epoch + hi;
-      return outcome;
-    }
-
-    outcome.partial = true;
-    uint64_t spent = 0;
-    std::optional<S> merged;
-    uint64_t covered_hi_index = lo;
-    for (const DyadicNode& node : cover) {
-      if (merged.has_value() && spent + cost > deadline.budget_ms) break;
-      spent += cost;
-      ++stats.nodes_merged;
-      const MergedSummaryCache::Payload bytes =
-          NodePayload(stream, node, &stats);
-      if (bytes == nullptr) return std::nullopt;
-      if (merged.has_value()) {
-        CanonicalMergePayloadInto(*merged, bytes->data(), bytes->size());
-        ++stats.merges_performed;
-      } else {
-        merged = DecodeSummaryOrDie<S>(*bytes);
-      }
-      covered_hi_index = node.last();
-    }
-    outcome.covered_hi = state.base_epoch + covered_hi_index;
-    outcome.eps = AccumulateEpsilonPartial(state.metas, lo, hi,
-                                           covered_hi_index,
+    bool built = false;
+    const CacheKey range_key{stream, CacheEntryKind::kRangeResult, lo,
+                             covered};
+    outcome.payload = cache_.GetOrBuild(range_key, [&] {
+      built = true;
+      return FoldCover(stream, cover, &outcome.stats);
+    });
+    if (outcome.payload == nullptr) return std::nullopt;
+    outcome.stats.range_cache_hit = !built;
+    outcome.partial = cut;
+    outcome.covered_hi = state.base_epoch + covered;
+    outcome.eps = AccumulateEpsilonPartial(state.metas, lo, hi, covered,
                                            options_.store.epsilon);
-    outcome.payload = std::make_shared<const std::vector<uint8_t>>(
-        EncodeSummary<S>(*merged));
     return outcome;
   }
 
   // The node's canonical payload, computed from its children: the
-  // defining equation node = canonical(merge(left, right)).
-  // std::nullopt when a leaf under it is lost.
+  // canonical fold of (left, right). std::nullopt when a leaf under it
+  // is lost.
   std::optional<std::vector<uint8_t>> ComputeNodePayload(
       uint64_t stream, const DyadicNode& node, QueryStats* query_stats) {
     MERGEABLE_CHECK_MSG(node.level >= 1, "leaves are sealed, not computed");
@@ -593,10 +574,10 @@ class DurableStore {
     const MergedSummaryCache::Payload right_bytes =
         NodePayload(stream, right, query_stats);
     if (right_bytes == nullptr) return std::nullopt;
-    S merged = DecodeSummaryOrDie<S>(*left_bytes);
-    CanonicalMergePayloadInto(merged, right_bytes->data(),
-                              right_bytes->size());
-    return EncodeSummary<S>(merged);
+    std::optional<S> fold;
+    FoldPayloadInto(fold, left_bytes->data(), left_bytes->size());
+    FoldPayloadInto(fold, right_bytes->data(), right_bytes->size());
+    return EncodeSummary<S>(*fold);
   }
 
   // The node's canonical payload via the cache: resident bytes, else a
@@ -663,42 +644,25 @@ class DurableStore {
     return payload;
   }
 
-  // Materializes the cover's nodes and folds them into one canonical
-  // payload: a balanced canonical reduction (MergeAllWith,
-  // kBalancedTree). Its first round merges part i+1 into part i for
-  // every even i, so an odd-index node is consumed there and is merged
-  // from its bytes, never decoded; the later rounds run on the decoded
-  // survivors. std::nullopt when a covering node cannot be materialized
-  // (a leaf under it is lost).
-  std::optional<std::vector<uint8_t>> MergeCover(
+  // Materializes the cover's nodes and folds them, in epoch order, into
+  // one canonical payload (FoldPayloadInto). std::nullopt when a covering
+  // node cannot be materialized (a leaf under it is lost).
+  std::optional<std::vector<uint8_t>> FoldCover(
       uint64_t stream, const std::vector<DyadicNode>& cover,
       QueryStats* stats) {
     stats->nodes_merged = cover.size();
-    std::vector<MergedSummaryCache::Payload> payloads;
-    payloads.reserve(cover.size());
+    std::optional<S> fold;
     for (const DyadicNode& node : cover) {
-      payloads.push_back(NodePayload(stream, node, stats));
-      if (payloads.back() == nullptr) return std::nullopt;
+      const MergedSummaryCache::Payload bytes =
+          NodePayload(stream, node, stats);
+      if (bytes == nullptr) return std::nullopt;
+      // One node (a length-1 or aligned power-of-two range): its stored
+      // payload already is the canonical answer.
+      if (cover.size() == 1) return *bytes;
+      if (fold.has_value()) ++stats->merges_performed;
+      FoldPayloadInto(fold, bytes->data(), bytes->size());
     }
-    // One node (a length-1 or aligned power-of-two range): its stored
-    // payload already is the canonical answer.
-    if (payloads.size() == 1) return *payloads.front();
-    std::vector<S> parts;
-    parts.reserve((payloads.size() + 1) / 2);
-    for (size_t i = 0; i < payloads.size(); i += 2) {
-      S& part = parts.emplace_back(DecodeSummaryOrDie<S>(*payloads[i]));
-      if (i + 1 < payloads.size()) {
-        CanonicalMergePayloadInto(part, payloads[i + 1]->data(),
-                                  payloads[i + 1]->size());
-        ++stats->merges_performed;
-      }
-    }
-    S merged = MergeAllWith(std::move(parts), MergeTopology::kBalancedTree,
-                            [stats](S& into, const S& from) {
-                              CanonicalMergeInto(into, from);
-                              ++stats->merges_performed;
-                            });
-    return EncodeSummary<S>(merged);
+    return EncodeSummary<S>(*fold);
   }
 
   DurableStoreOptions options_;

@@ -142,14 +142,4 @@ std::optional<EpochRecordView> ViewEpochRecord(const uint8_t* bytes,
   return record;
 }
 
-std::optional<EpochRecord> DecodeEpochRecord(
-    const std::vector<uint8_t>& bytes) {
-  const std::optional<EpochRecordView> view =
-      ViewEpochRecord(bytes.data(), bytes.size());
-  if (!view.has_value()) return std::nullopt;
-  return EpochRecord{view->meta,
-                     std::vector<uint8_t>(view->payload,
-                                          view->payload + view->payload_size)};
-}
-
 }  // namespace mergeable

@@ -95,12 +95,6 @@ EpsilonReport AccumulateEpsilonPartial(const std::vector<EpochMeta>& metas,
 std::vector<uint8_t> EncodeEpochRecord(const EpochMeta& meta,
                                        const std::vector<uint8_t>& payload);
 
-// Parsed epoch record: the metadata plus the tagged payload bytes.
-struct EpochRecord {
-  EpochMeta meta;
-  std::vector<uint8_t> payload;
-};
-
 // An epoch record verified in place: `payload` points into the viewed
 // bytes and is valid only while they are.
 struct EpochRecordView {
@@ -113,10 +107,6 @@ struct EpochRecordView {
 // bytes. Storage can tear and flip bits, so decoding never aborts.
 std::optional<EpochRecordView> ViewEpochRecord(const uint8_t* bytes,
                                                size_t size);
-
-// ViewEpochRecord with the payload copied out.
-std::optional<EpochRecord> DecodeEpochRecord(
-    const std::vector<uint8_t>& bytes);
 
 }  // namespace mergeable
 

@@ -1,12 +1,13 @@
 // The summary store's shared vocabulary: the canonical encode, decode
-// and merge every store path uses, the verified view of a leaf record,
+// and fold every store path uses, the verified view of a leaf record,
 // and the option, deadline and statistics structs. The store itself is
 // DurableStore<S> (durable_store.h).
 //
-// Determinism rests on the helpers here: a node's value is
-// canonical(merge(left, right)), where canonical(s) is s.Canonicalize(),
-// equal to the encode-then-decode fixed point, so any dyadic regrouping
-// of the same epochs is byte-stable.
+// Determinism rests on one function here, FoldPayloadInto: every
+// canonical value is the left-deep canonical fold of its inputs in
+// order — an epoch over its reports by shard, a node over (left, right),
+// a range over its cover by epoch — where canonical(s) is
+// s.Canonicalize(), equal to the encode-then-decode fixed point.
 
 #ifndef MERGEABLE_STORE_SUMMARY_STORE_H_
 #define MERGEABLE_STORE_SUMMARY_STORE_H_
@@ -65,10 +66,9 @@ S CanonicalForm(S summary) {
   return summary;
 }
 
-// The merge the store uses everywhere: absorb `from`, then re-canonize
-// in place. Folding with this function is associative *by construction*
-// over canonical payloads, which is what makes any dyadic regrouping of
-// the same epochs byte-stable.
+// One step of the canonical fold with `from` already decoded: absorb
+// it, then re-canonize in place. FoldPayloadInto takes the same step
+// from bytes; this form is for callers that hold decoded summaries.
 template <WireSummary S>
 void CanonicalMergeInto(S& into, const S& from) {
   into.Merge(from);
@@ -147,12 +147,22 @@ bool PayloadMergeableInto(const S& into, const uint8_t* payload,
   }
 }
 
-// CanonicalMergeInto with `from` given as payload bytes (see
-// MergePayloadInto): the same state, without decoding `from`.
+// The one canonical fold: every fold in the system (an epoch's seal, a
+// tree node, a range answer, the registry's merge_payloads, the durable
+// coordinator) is a left-deep sequence of these steps over its inputs
+// in order. The first payload is decoded and canonicalized; each later
+// one merges into `fold` straight from its bytes (MergePayloadInto),
+// then re-canonicalizes in place. The payload must be one ValidPayload<S>
+// accepted and PayloadMergeableInto allows.
 template <WireSummary S>
-void CanonicalMergePayloadInto(S& into, const uint8_t* from, size_t size) {
-  MergePayloadInto(into, from, size);
-  into.Canonicalize();
+void FoldPayloadInto(std::optional<S>& fold, const uint8_t* payload,
+                     size_t size) {
+  if (fold.has_value()) {
+    MergePayloadInto(*fold, payload, size);
+  } else {
+    fold.emplace(DecodeSummaryOrDie<S>(payload, size));
+  }
+  fold->Canonicalize();
 }
 
 // A leaf record verified in place: the EPH1 epoch record, the

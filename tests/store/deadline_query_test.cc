@@ -2,7 +2,8 @@
 // dyadic cover answers with the prefix it merged and an epsilon report
 // widened by exactly the mass it skipped (AccumulateEpsilonPartial) —
 // slow-merge injection is a virtual per-node cost, so every scenario
-// here is deterministic.
+// here is deterministic. The cut answer is the real value of its
+// covered range, byte for byte, even for order-sensitive summaries.
 
 #include <cstdint>
 #include <optional>
@@ -12,6 +13,7 @@
 
 #include "mergeable/aggregate/storage.h"
 #include "mergeable/frequency/space_saving.h"
+#include "mergeable/quantiles/mergeable_quantiles.h"
 #include "mergeable/store/durable_store.h"
 #include "mergeable/store/dyadic.h"
 #include "mergeable/store/epoch_meta.h"
@@ -185,11 +187,109 @@ TEST(DeadlineQueryTest, PartialAnswersBypassTheRangeCache) {
       store.QueryRangePayloadBounded(kStream, 0, kEpochs - 2, tight);
   ASSERT_TRUE(partial.has_value());
   ASSERT_TRUE(partial->partial);
-  // A later unbounded query over the same range must compute the full
-  // answer, not replay the partial one from the cache.
+  // A cut answer is cached under the range it covers, never under the
+  // requested one: a later unbounded query over the same range must
+  // compute the full answer, not replay the partial one.
   const auto full = store.QueryRangePayload(kStream, 0, kEpochs - 2);
   ASSERT_TRUE(full.has_value());
   EXPECT_NE(*full->payload, *partial->payload);
+}
+
+TEST(DeadlineQueryTest, RepeatedCutQueryHitsTheRangeCache) {
+  MemStorage storage;
+  DurableStore<SpaceSaving> store(&storage);
+  FillStore(store);
+  QueryDeadline tight;
+  tight.cost_per_node_ms = 10;
+  tight.budget_ms = 20;  // Two nodes of [1, 30]'s cover.
+  const auto first = store.QueryRangePayloadBounded(kStream, 1, 30, tight);
+  ASSERT_TRUE(first.has_value());
+  ASSERT_TRUE(first->partial);
+  EXPECT_FALSE(first->stats.range_cache_hit);
+  const auto again = store.QueryRangePayloadBounded(kStream, 1, 30, tight);
+  ASSERT_TRUE(again.has_value());
+  EXPECT_TRUE(again->partial);
+  EXPECT_TRUE(again->stats.range_cache_hit);
+  EXPECT_EQ(again->stats.nodes_merged, 0u);
+  EXPECT_EQ(again->covered_hi, first->covered_hi);
+  EXPECT_EQ(*again->payload, *first->payload);
+  EXPECT_DOUBLE_EQ(again->eps.full_stream_bound,
+                   first->eps.full_stream_bound);
+}
+
+// Seals the same 64-epoch history into two stores, cuts queries over
+// many ranges at budgets of 1 to 8 nodes in one, and asks the other,
+// which never saw a cut query, for the covered prefix unbounded: the two
+// answers must match byte for byte. The summaries are order-sensitive,
+// so a cut answer of four nodes or more folded in any other order than
+// its range's (a balanced one, say) differs.
+template <typename T>
+void ExpectEveryCutAnswerIsItsCoveredRange(T (*epoch_summary)(uint64_t)) {
+  constexpr uint64_t kHistory = 64;
+  MemStorage cut_storage;
+  MemStorage full_storage;
+  DurableStore<T> cut_store(&cut_storage);
+  DurableStore<T> full_store(&full_storage);
+  for (uint64_t epoch = 0; epoch < kHistory; ++epoch) {
+    const T summary = epoch_summary(epoch);
+    EpochMeta meta;
+    meta.epoch = epoch;
+    meta.n = summary.n();
+    ASSERT_TRUE(cut_store.Seal(kStream, summary, meta));
+    ASSERT_TRUE(full_store.Seal(kStream, summary, meta));
+  }
+  uint64_t cut_answers = 0;
+  uint64_t long_cuts = 0;  // Cut answers folded from four nodes or more.
+  for (uint64_t t1 = 0; t1 < kHistory; t1 += 3) {
+    for (uint64_t t2 = t1 + 7; t2 < kHistory; t2 += 5) {
+      for (uint64_t budget = 1; budget <= 8; ++budget) {
+        QueryDeadline deadline;
+        deadline.cost_per_node_ms = 1;
+        deadline.budget_ms = budget;
+        const auto cut =
+            cut_store.QueryRangePayloadBounded(kStream, t1, t2, deadline);
+        ASSERT_TRUE(cut.has_value());
+        if (!cut->partial) continue;
+        ++cut_answers;
+        if (budget >= 4) ++long_cuts;
+        const auto full =
+            full_store.QueryRangePayload(kStream, t1, cut->covered_hi);
+        ASSERT_TRUE(full.has_value());
+        EXPECT_EQ(*cut->payload, *full->payload)
+            << "[" << t1 << ", " << t2 << "] budget " << budget
+            << " covered through " << cut->covered_hi;
+      }
+    }
+  }
+  EXPECT_GT(cut_answers, 100u);
+  EXPECT_GT(long_cuts, 20u);
+}
+
+SpaceSaving SmallSpaceSaving(uint64_t epoch) {
+  SpaceSaving summary(16);
+  Rng rng(700 + epoch);
+  for (int i = 0; i < 200; ++i) {
+    summary.Update(rng.Bernoulli(0.5) ? rng.UniformInt(12)
+                                      : 20 + rng.UniformInt(40));
+  }
+  return summary;
+}
+
+MergeableQuantiles SmallQuantiles(uint64_t epoch) {
+  MergeableQuantiles summary = MergeableQuantiles::ForEpsilon(0.1, 77);
+  Rng rng(500 + epoch);
+  for (int i = 0; i < 120; ++i) {
+    summary.Update(static_cast<double>(rng.UniformInt(10000)));
+  }
+  return summary;
+}
+
+TEST(DeadlineQueryTest, CutSpaceSavingAnswersEqualTheCoveredRange) {
+  ExpectEveryCutAnswerIsItsCoveredRange<SpaceSaving>(&SmallSpaceSaving);
+}
+
+TEST(DeadlineQueryTest, CutQuantilesAnswersEqualTheCoveredRange) {
+  ExpectEveryCutAnswerIsItsCoveredRange<MergeableQuantiles>(&SmallQuantiles);
 }
 
 TEST(DeadlineQueryTest, PartialAccountingMatchesAccumulateEpsilon) {

@@ -1,18 +1,16 @@
 // The tree-free reference for store answers: a range's value recomputed
 // from the leaf payloads alone, using only the store's two defining
-// equations (node = canonical(merge(left, right)); range = balanced
-// canonical merge of the dyadic cover). No store, no persistence, no
-// cache, no incremental state.
+// equations (node = canonical fold of (left, right); range = canonical
+// fold of the dyadic cover, left-deep in epoch order). No store, no
+// persistence, no cache, no incremental state.
 
 #ifndef MERGEABLE_TESTS_STORE_REFERENCE_RANGE_H_
 #define MERGEABLE_TESTS_STORE_REFERENCE_RANGE_H_
 
 #include <cstdint>
 #include <functional>
-#include <utility>
 #include <vector>
 
-#include "mergeable/core/merge_driver.h"
 #include "mergeable/store/dyadic.h"
 #include "mergeable/store/summary_store.h"
 
@@ -34,15 +32,11 @@ std::vector<uint8_t> ReferenceRange(
     CanonicalMergeInto(merged, sibling);
     return EncodeSummary(merged);
   };
-  std::vector<T> parts;
-  for (const DyadicNode& node : DyadicCover(lo, hi)) {
-    parts.push_back(DecodeSummaryOrDie<T>(value(node)));
+  const std::vector<DyadicNode> cover = DyadicCover(lo, hi);
+  T merged = CanonicalForm(DecodeSummaryOrDie<T>(value(cover.front())));
+  for (size_t i = 1; i < cover.size(); ++i) {
+    CanonicalMergeInto(merged, DecodeSummaryOrDie<T>(value(cover[i])));
   }
-  if (parts.size() == 1) return EncodeSummary(parts.front());
-  T merged = MergeAllWith(std::move(parts), MergeTopology::kBalancedTree,
-                          [](T& into, const T& from) {
-                            CanonicalMergeInto(into, from);
-                          });
   return EncodeSummary(merged);
 }
 

@@ -185,17 +185,13 @@ TEST(SegmentTest, SpanDecodersMatchTheOwningDecoders) {
 
   const std::vector<uint8_t> record = SampleEpochRecord();
   const auto record_view = ViewEpochRecord(record.data(), record.size());
-  const auto record_owned = DecodeEpochRecord(record);
   ASSERT_TRUE(record_view.has_value());
-  ASSERT_TRUE(record_owned.has_value());
-  EXPECT_EQ(record_view->meta, record_owned->meta);
   EXPECT_EQ(record_view->meta.epoch, 41u);
   EXPECT_TRUE(record_view->meta.lost_mass_estimated);
   EXPECT_EQ(std::vector<uint8_t>(record_view->payload,
                                  record_view->payload +
                                      record_view->payload_size),
             tagged);
-  EXPECT_EQ(record_owned->payload, tagged);
 }
 
 TEST(SegmentTest, EveryTruncationOfAnEpochRecordIsRejectedInPlace) {
