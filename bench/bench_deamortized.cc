@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "mergeable/core/thread_pool.h"
 #include "mergeable/frequency/deamortized_space_saving.h"
 #include "mergeable/frequency/exact_counter.h"
 #include "mergeable/frequency/space_saving.h"
@@ -161,19 +160,6 @@ int Main() {
       });
   PrintMeasured("deamortized", d);
 
-  ThreadPool pool(2);
-  const Measured dc = Run(
-      stream, truth,
-      [&pool] {
-        return ConcurrentDeamortizedSpaceSaving::ForEpsilon(kEpsilon, &pool);
-      },
-      [](ConcurrentDeamortizedSpaceSaving& summary, Measured& out) {
-        summary.Flush();
-        out.swaps = summary.swaps();
-        out.stalls = summary.maintenance_stalls();
-      });
-  PrintMeasured("deamortized_conc", dc);
-
   // The contracts behind the numbers, enforced so a regression fails
   // the bench rather than silently shipping a worse table.
   const double budget = kEpsilon * static_cast<double>(updates);
@@ -181,15 +167,14 @@ int Main() {
                       "SpaceSaving error above epsilon * n");
   MERGEABLE_CHECK_MSG(static_cast<double>(d.max_error) <= budget + 1e-9,
                       "deamortized error above epsilon * n");
-  MERGEABLE_CHECK_MSG(d.stalls == 0 && dc.stalls == 0,
+  MERGEABLE_CHECK_MSG(d.stalls == 0,
                       "deamortized maintenance must never stall");
-  MERGEABLE_CHECK_MSG(d.n == updates && dc.n == updates && ss.n == updates,
+  MERGEABLE_CHECK_MSG(d.n == updates && ss.n == updates,
                       "every summary must count the full stream");
 
   // The headline comparison dashboards ingest from the JSON mirror.
   RecordCounter("ss_max_update_ns", ss.latency.max());
   RecordCounter("d_max_update_ns", d.latency.max());
-  RecordCounter("dc_max_update_ns", dc.latency.max());
   RecordCounter("max_latency_ratio_ss_over_d",
                 d.latency.max() > 0.0 ? ss.latency.max() / d.latency.max()
                                       : 0.0);

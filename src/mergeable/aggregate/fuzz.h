@@ -49,6 +49,30 @@ class ByteMutator {
   Rng rng_;
 };
 
+// The mutated inputs FuzzDecode decodes, in order: each is a mutation
+// of a corpus entry picked at random, spliced with material from
+// another. Built from the same corpus and seed, it yields the same
+// sequence, so a test can check further entry points on exactly the
+// inputs one fuzz run decoded. `corpus` must outlive it.
+class FuzzInputs {
+ public:
+  FuzzInputs(const std::vector<std::vector<uint8_t>>& corpus, uint64_t seed)
+      : corpus_(corpus), mutator_(seed), rng_(seed ^ 0xf022f0f5a5a5a5a5ULL) {}
+
+  std::vector<uint8_t> Next() {
+    const std::vector<uint8_t>& base =
+        corpus_[rng_.UniformInt(corpus_.size())];
+    const std::vector<uint8_t>& donor =
+        corpus_[rng_.UniformInt(corpus_.size())];
+    return mutator_.Mutate(base, &donor);
+  }
+
+ private:
+  const std::vector<std::vector<uint8_t>>& corpus_;
+  ByteMutator mutator_;
+  Rng rng_;
+};
+
 // Aggregate outcome of one fuzz run; tests assert on these.
 struct FuzzStats {
   uint64_t iterations = 0;
@@ -69,15 +93,10 @@ struct FuzzStats {
 template <WireCodec T>
 FuzzStats FuzzDecode(const std::vector<std::vector<uint8_t>>& corpus,
                      uint64_t iterations, uint64_t seed) {
-  ByteMutator mutator(seed);
-  Rng rng(seed ^ 0xf022f0f5a5a5a5a5ULL);
+  FuzzInputs inputs(corpus, seed);
   FuzzStats stats;
   for (uint64_t i = 0; i < iterations; ++i) {
-    const std::vector<uint8_t>& base =
-        corpus[rng.UniformInt(corpus.size())];
-    const std::vector<uint8_t>& donor =
-        corpus[rng.UniformInt(corpus.size())];
-    const std::vector<uint8_t> mutated = mutator.Mutate(base, &donor);
+    const std::vector<uint8_t> mutated = inputs.Next();
     ++stats.iterations;
     ByteReader reader(mutated);
     std::optional<T> decoded = T::DecodeFrom(reader);

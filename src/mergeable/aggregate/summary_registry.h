@@ -96,12 +96,12 @@ MERGEABLE_SUMMARY_TRAITS(DyadicCountMin, SummaryTag::kDyadicCountMin);
 MERGEABLE_SUMMARY_TRAITS(EpsApproximation, SummaryTag::kEpsApproximation);
 MERGEABLE_SUMMARY_TRAITS(EpsKernel, SummaryTag::kEpsKernel);
 
-// DeamortizedSpaceSaving shares SpaceSaving's wire format (same SS01
-// payload, same validation), so it reuses the same wire-stable tag:
-// stores written by one decode under the other, and the registry row
-// for kSpaceSaving covers both codecs' bytes. It is deliberately NOT a
-// separate registry entry — the registry enumerates wire formats, not
-// in-memory implementations.
+// DeamortizedSpaceSaving reads, writes and validates SS01 through
+// SpaceSaving's codec, so it reuses the same wire-stable tag: stores
+// written by one decode under the other, and the registry row for
+// kSpaceSaving covers its bytes. It is deliberately NOT a separate
+// registry entry — the registry enumerates wire formats, not in-memory
+// implementations.
 MERGEABLE_SUMMARY_TRAITS(DeamortizedSpaceSaving, SummaryTag::kSpaceSaving);
 
 MERGEABLE_SUMMARY_TRAITS(ElasticCountMin, SummaryTag::kElasticCountMin);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <thread>
 #include <utility>
 
 #include "mergeable/util/check.h"
@@ -294,6 +293,27 @@ std::vector<Counter> DeamortizedSpaceSaving::FrequentItems(
   return result;
 }
 
+void DeamortizedSpaceSaving::ResetTo(const std::vector<Entry>& entries,
+                                     uint64_t v, uint64_t theta) {
+  active_.clear();
+  active_index_.Clear();
+  passive_.clear();
+  passive_index_.Clear();
+  select_heap_.clear();
+  phase_ = Phase::kIdle;
+  select_pos_ = 0;
+  drain_pos_ = 0;
+  m_ = 0;
+  select_m_cached_ = false;
+  for (const Entry& entry : entries) {
+    if (entry.count > v) {
+      const uint64_t count = entry.count - v;
+      AppendActive(entry.item, count, std::min(entry.over, count));
+    }
+  }
+  theta_ = theta;
+}
+
 void DeamortizedSpaceSaving::Resize(int new_capacity) {
   MERGEABLE_CHECK_MSG(new_capacity >= 2,
                       "DeamortizedSpaceSaving capacity must be >= 2");
@@ -320,23 +340,7 @@ void DeamortizedSpaceSaving::Resize(int new_capacity) {
   }
   guarantee_ = new_guarantee;
   table_capacity_ = 2 * new_guarantee;
-  active_.clear();
-  active_index_.Clear();
-  passive_.clear();
-  passive_index_.Clear();
-  select_heap_.clear();
-  phase_ = Phase::kIdle;
-  select_pos_ = 0;
-  drain_pos_ = 0;
-  m_ = 0;
-  select_m_cached_ = false;
-  for (const Entry& entry : entries) {
-    if (entry.count > v) {
-      const uint64_t count = entry.count - v;
-      AppendActive(entry.item, count, std::min(entry.over, count));
-    }
-  }
-  theta_ = slack + v;
+  ResetTo(entries, v, slack + v);
 }
 
 std::vector<DeamortizedSpaceSaving> DeamortizedSpaceSaving::Split(
@@ -411,301 +415,53 @@ void DeamortizedSpaceSaving::Merge(const DeamortizedSpaceSaving& other) {
     v = nth->count;
   }
 
-  const uint64_t total_n = n_ + other.n_;
-  const uint64_t total_theta = UnderSlack() + other.UnderSlack() + v;
-  active_.clear();
-  active_index_.Clear();
-  passive_.clear();
-  passive_index_.Clear();
-  phase_ = Phase::kIdle;
-  m_ = 0;
-  select_m_cached_ = false;
+  std::vector<Entry> merged;
+  merged.reserve(combined.size());
   for (const Counter& counter : combined) {
-    if (counter.count > v) {
-      AppendActive(counter.item, counter.count - v, 0);
-    }
+    merged.push_back(Entry{counter.item, counter.count, 0});
   }
-  n_ = total_n;
-  theta_ = total_theta;
+  n_ += other.n_;
+  ResetTo(merged, v, UnderSlack() + other.UnderSlack() + v);
 }
-
-namespace {
-constexpr uint32_t kSpaceSavingMagic = 0x31305353;  // "SS01"
-
-// Canonical order (descending count, ties by item): the bytes depend
-// only on the effective state, not on drain progress or table layout.
-constexpr auto kWireOrder = [](const auto& a, const auto& b) {
-  if (a.count != b.count) return a.count > b.count;
-  return a.item < b.item;
-};
-}  // namespace
 
 void DeamortizedSpaceSaving::Canonicalize() {
   std::vector<Entry> entries = EffectiveEntries();
-  std::sort(entries.begin(), entries.end(), kWireOrder);
-  // Read before the reset below zeroes the pending decrement m.
-  const uint64_t under_slack = UnderSlack();
-  active_.clear();
-  active_index_.Clear();
-  passive_.clear();
-  passive_index_.Clear();
-  select_heap_.clear();
-  phase_ = Phase::kIdle;
-  select_pos_ = 0;
-  drain_pos_ = 0;
-  m_ = 0;
-  select_m_cached_ = false;
-  theta_ = under_slack;
+  SpaceSaving::SortInWireOrder(entries);
   // DecodeFrom treats a full table as a SpaceSaving state (R2 branch);
   // this class never holds one: an update that fills the active table
   // swaps it out, and the effective view is what the active table holds
   // once the pending drain finishes, which always has room (see the
   // header comment).
   MERGEABLE_DCHECK(entries.size() < static_cast<size_t>(table_capacity_));
-  for (const Entry& entry : entries) {
-    AppendActive(entry.item, entry.count, entry.over);
-  }
+  ResetTo(entries, 0, UnderSlack());
 }
 
 void DeamortizedSpaceSaving::EncodeTo(ByteWriter& writer) const {
-  std::vector<Entry> entries = EffectiveEntries();
-  std::sort(entries.begin(), entries.end(), kWireOrder);
-  writer.PutU32(kSpaceSavingMagic);
-  writer.PutU32(static_cast<uint32_t>(table_capacity_));
-  writer.PutU64(n_);
-  writer.PutU64(UnderSlack());
-  writer.PutU32(static_cast<uint32_t>(entries.size()));
-  for (const Entry& entry : entries) {
-    writer.PutU64(entry.item);
-    writer.PutU64(entry.count);
-    writer.PutU64(entry.over);
-  }
+  SpaceSaving::WriteWire(writer, table_capacity_, n_, UnderSlack(),
+                         EffectiveEntries());
 }
 
 std::optional<DeamortizedSpaceSaving> DeamortizedSpaceSaving::DecodeFrom(
     ByteReader& reader) {
-  uint32_t magic = 0;
-  uint32_t capacity = 0;
-  uint64_t n = 0;
-  uint64_t under_slack = 0;
-  uint32_t count = 0;
-  if (!reader.GetU32(&magic) || magic != kSpaceSavingMagic) {
-    return std::nullopt;
+  const std::optional<SpaceSaving> decoded = SpaceSaving::DecodeFrom(reader);
+  if (!decoded.has_value()) return std::nullopt;
+  DeamortizedSpaceSaving summary(decoded->capacity());
+  // A full table is (potentially) a SpaceSaving state, whose counts
+  // overestimate. Apply the Agarwal et al. R2 isomorphism — subtract
+  // the minimum counter from every counter (ScanMinCount is 0 unless
+  // the table is full), fold it into theta — so the counts obey this
+  // class's lower-bound invariants. Payloads this class produces always
+  // carry fewer entries than the capacity field, so its own encodings
+  // round-trip without renormalizing.
+  const uint64_t min = decoded->ScanMinCount();
+  for (const Entry& entry : decoded->entries_) {
+    if (entry.count == min) continue;  // Dropped by the isomorphism.
+    const uint64_t count = entry.count - min;
+    summary.AppendActive(entry.item, count, std::min(entry.over, count));
   }
-  if (!reader.GetU32(&capacity) || capacity < 2 || capacity > (1u << 30)) {
-    return std::nullopt;
-  }
-  if (!reader.GetU64(&n) || !reader.GetU64(&under_slack) ||
-      !reader.GetU32(&count) || count > capacity) {
-    return std::nullopt;
-  }
-  // Each entry needs 24 encoded bytes; reject counts the input cannot
-  // back before building the summary.
-  if (static_cast<uint64_t>(count) * 24 > reader.remaining()) {
-    return std::nullopt;
-  }
-  std::vector<Entry> entries;
-  entries.reserve(count);
-  FlatMap<uint32_t> seen(count);
-  uint64_t total = 0;
-  uint64_t min_count = 0;
-  for (uint32_t i = 0; i < count; ++i) {
-    Entry entry;
-    if (!reader.GetU64(&entry.item) || !reader.GetU64(&entry.count) ||
-        !reader.GetU64(&entry.over)) {
-      return std::nullopt;
-    }
-    if (entry.count == 0 || entry.over > entry.count) return std::nullopt;
-    if (seen.Find(entry.item) != nullptr) return std::nullopt;
-    seen.Insert(entry.item, i);
-    // Invariant for every reachable state: counters never outweigh the
-    // stream. Checked before the add, so the running sum cannot wrap.
-    if (entry.count > n - total) return std::nullopt;
-    total += entry.count;
-    min_count = i == 0 ? entry.count : std::min(min_count, entry.count);
-    entries.push_back(entry);
-  }
-  if (!reader.Exhausted()) return std::nullopt;
-
-  DeamortizedSpaceSaving summary(static_cast<int>(capacity));
-  if (count == capacity) {
-    // A full table is (potentially) a SpaceSaving state, whose counts
-    // overestimate. Apply the Agarwal et al. R2 isomorphism — subtract
-    // the minimum counter from every counter, fold it into theta — so
-    // the counts obey this class's lower-bound invariants. Payloads
-    // this class produces always carry fewer entries than the capacity
-    // field, so its own encodings round-trip without renormalizing.
-    under_slack += min_count;
-    for (Entry& entry : entries) {
-      entry.count -= min_count;
-      entry.over = std::min(entry.over, entry.count);
-    }
-  }
-  for (const Entry& entry : entries) {
-    if (entry.count == 0) continue;  // Dropped by the isomorphism.
-    summary.AppendActive(entry.item, entry.count, entry.over);
-  }
-  summary.n_ = n;
-  summary.theta_ = under_slack;
+  summary.n_ = decoded->n();
+  summary.theta_ = decoded->UnderSlack() + min;
   return summary;
-}
-
-// ---- ConcurrentDeamortizedSpaceSaving ----
-
-ConcurrentDeamortizedSpaceSaving::ConcurrentDeamortizedSpaceSaving(
-    int capacity, ThreadPool* pool)
-    : core_(capacity), pool_(pool), group_(*pool) {
-  MERGEABLE_CHECK_MSG(pool != nullptr,
-                      "ConcurrentDeamortizedSpaceSaving needs a pool");
-}
-
-ConcurrentDeamortizedSpaceSaving::ConcurrentDeamortizedSpaceSaving(
-    DeamortizedSpaceSaving core, ThreadPool* pool)
-    : core_(std::move(core)), pool_(pool), group_(*pool) {
-  MERGEABLE_CHECK_MSG(pool != nullptr,
-                      "ConcurrentDeamortizedSpaceSaving needs a pool");
-}
-
-ConcurrentDeamortizedSpaceSaving ConcurrentDeamortizedSpaceSaving::ForEpsilon(
-    double epsilon, ThreadPool* pool) {
-  return ConcurrentDeamortizedSpaceSaving(
-      DeamortizedSpaceSaving::ForEpsilon(epsilon), pool);
-}
-
-ConcurrentDeamortizedSpaceSaving::~ConcurrentDeamortizedSpaceSaving() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stopping_ = true;
-  }
-  // group_'s destructor waits for the drain task, which observes
-  // stopping_ and exits. Members are destroyed in reverse declaration
-  // order, so the group outlives nothing it uses — mu_ and core_ are
-  // destroyed after it.
-}
-
-void ConcurrentDeamortizedSpaceSaving::KickLocked() {
-  if (drain_running_ || stopping_ || !core_.maintenance_pending()) return;
-  if (pool_->num_threads() <= 1) return;  // No workers: inline quota only.
-  drain_running_ = true;
-  ++drain_tasks_;
-}
-
-void ConcurrentDeamortizedSpaceSaving::DrainLoop() {
-  while (true) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (stopping_ || !core_.maintenance_pending()) {
-        drain_running_ = false;
-        return;
-      }
-      core_.MaintenanceStep(kDrainChunk);
-    }
-    // Release the mutex between chunks so updates interleave; the
-    // chunk size bounds how long any single acquisition blocks them.
-    std::this_thread::yield();
-  }
-}
-
-void ConcurrentDeamortizedSpaceSaving::Update(uint64_t item, uint64_t weight) {
-  bool kick = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const bool was_running = drain_running_;
-    core_.Update(item, weight);
-    KickLocked();
-    kick = drain_running_ && !was_running;
-  }
-  if (kick) {
-    group_.Submit([this] { DrainLoop(); });
-  }
-}
-
-void ConcurrentDeamortizedSpaceSaving::UpdateBatch(const uint64_t* items,
-                                                   size_t count) {
-  for (size_t i = 0; i < count; ++i) Update(items[i]);
-}
-
-void ConcurrentDeamortizedSpaceSaving::Resize(int new_capacity) {
-  std::lock_guard<std::mutex> lock(mu_);
-  // The core resize consumes any pending drain through the effective
-  // state; a background DrainLoop chunk that wakes afterwards sees no
-  // pending maintenance and exits.
-  core_.Resize(new_capacity);
-}
-
-uint64_t ConcurrentDeamortizedSpaceSaving::Count(uint64_t item) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return core_.Count(item);
-}
-
-uint64_t ConcurrentDeamortizedSpaceSaving::UpperEstimate(uint64_t item) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return core_.UpperEstimate(item);
-}
-
-uint64_t ConcurrentDeamortizedSpaceSaving::LowerEstimate(uint64_t item) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return core_.LowerEstimate(item);
-}
-
-uint64_t ConcurrentDeamortizedSpaceSaving::UnderSlack() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return core_.UnderSlack();
-}
-
-uint64_t ConcurrentDeamortizedSpaceSaving::n() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return core_.n();
-}
-
-int ConcurrentDeamortizedSpaceSaving::capacity() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return core_.capacity();
-}
-
-std::vector<Counter> ConcurrentDeamortizedSpaceSaving::Counters() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return core_.Counters();
-}
-
-std::vector<Counter> ConcurrentDeamortizedSpaceSaving::FrequentItems(
-    uint64_t threshold) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return core_.FrequentItems(threshold);
-}
-
-void ConcurrentDeamortizedSpaceSaving::EncodeTo(ByteWriter& writer) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  core_.EncodeTo(writer);
-}
-
-void ConcurrentDeamortizedSpaceSaving::Flush() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    core_.FinishMaintenance();
-  }
-  // The drain task (if any) sees no pending work and exits.
-  group_.Wait();
-}
-
-DeamortizedSpaceSaving ConcurrentDeamortizedSpaceSaving::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return core_;
-}
-
-uint64_t ConcurrentDeamortizedSpaceSaving::swaps() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return core_.swaps();
-}
-
-uint64_t ConcurrentDeamortizedSpaceSaving::maintenance_stalls() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return core_.maintenance_stalls();
-}
-
-uint64_t ConcurrentDeamortizedSpaceSaving::drain_tasks() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return drain_tasks_;
 }
 
 }  // namespace mergeable

@@ -47,24 +47,16 @@
 // Queries and the codec see the *effective* state — active counters
 // plus the not-yet-drained survivors at count - m — which is a pure
 // function of the update history, independent of drain progress. The
-// encoding sorts entries canonically, so a serial instance, a
-// concurrent instance, and an instance drained in any interleaving all
-// encode byte-identically, and the payload is a valid SS01
-// (space_saving.cc) payload: DecodeFrom here accepts any SpaceSaving
-// encoding and vice versa, so the summary drops into the registry,
+// codec is SpaceSaving's (space_saving.cc): EncodeTo writes the
+// effective state through its SS01 writer, sorted canonically, so an
+// instance drained in any interleaving encodes byte-identically;
+// DecodeFrom and ValidateEncoded accept exactly the payloads
+// SpaceSaving's do. The summary therefore drops into the registry,
 // wire batteries, store, and server as SummaryTag::kSpaceSaving
 // unchanged. (Decoding a *full* SpaceSaving payload applies the
 // Agarwal et al. R2 isomorphism — subtract the minimum counter, fold
 // it into theta — converting overestimating counts into this class's
 // lower-bound form.)
-//
-// ConcurrentDeamortizedSpaceSaving wraps the serial class with a mutex
-// and runs the drain in bounded chunks on a ThreadPool, so the update
-// thread typically finds maintenance already done and pays only the
-// probe. The inline quota stays on as a backstop: even with a starved
-// pool the worst-case update bound holds, and because the effective
-// state is drain-progress-independent the wrapper encodes byte-
-// identically to a serial instance fed the same stream.
 
 #ifndef MERGEABLE_FREQUENCY_DEAMORTIZED_SPACE_SAVING_H_
 #define MERGEABLE_FREQUENCY_DEAMORTIZED_SPACE_SAVING_H_
@@ -72,12 +64,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <optional>
 #include <vector>
 
-#include "mergeable/core/thread_pool.h"
 #include "mergeable/frequency/counter.h"
+#include "mergeable/frequency/space_saving.h"
 #include "mergeable/util/bytes.h"
 #include "mergeable/util/flat_map.h"
 
@@ -179,16 +170,19 @@ class DeamortizedSpaceSaving {
   // SpaceSaving's); std::nullopt on malformed input.
   static std::optional<DeamortizedSpaceSaving> DecodeFrom(ByteReader& reader);
 
+  // True exactly when DecodeFrom accepts `bytes` and consumes all of
+  // them: SpaceSaving's in-place check (store/summary_store.h).
+  static bool ValidateEncoded(const uint8_t* bytes, size_t size) {
+    return SpaceSaving::ValidateEncoded(bytes, size);
+  }
+
   // Puts the summary in canonical form in place: afterwards it is
   // indistinguishable from DecodeFrom(EncodeTo(*this)) — equal bytes and equal
   // behavior under further updates and merges. Folds the pending drain into one
   // sorted active table, as the decoder builds it.
   void Canonicalize();
 
-  // ---- Maintenance surface (concurrent wrapper, benches, tests) ----
-
-  // True while the passive table still has drain work.
-  bool maintenance_pending() const { return phase_ != Phase::kIdle; }
+  // ---- Maintenance surface (benches, tests) ----
 
   // Runs up to `steps` primitive maintenance steps; returns true when
   // the drain is complete (or none was pending).
@@ -206,14 +200,10 @@ class DeamortizedSpaceSaving {
   uint64_t maintenance_stalls() const { return stalls_; }
 
  private:
-  struct Entry {
-    uint64_t item = 0;
-    uint64_t count = 0;
-    // Upper bound on how much `count` overestimates f(item). Zero for
-    // natively created counters (they are exact-then-decremented lower
-    // bounds); nonzero only via decoded SpaceSaving payloads.
-    uint64_t over = 0;
-  };
+  // SpaceSaving's counter, the unit of the shared codec. Its `over` is
+  // zero for natively created counters (they are exact-then-decremented
+  // lower bounds) and nonzero only via decoded SpaceSaving payloads.
+  using Entry = SpaceSaving::Entry;
 
   enum class Phase : uint8_t { kIdle, kSelect, kCopy };
 
@@ -231,6 +221,11 @@ class DeamortizedSpaceSaving {
   uint64_t PassivePending(uint64_t item, uint64_t m, uint64_t* over) const;
 
   void AppendActive(uint64_t item, uint64_t count, uint64_t over);
+
+  // Drops both tables and any pending drain, then holds `entries` cut
+  // at v (each count above v survives as count - v) with theta_ =
+  // `theta`: the common tail of Merge, Resize and Canonicalize.
+  void ResetTo(const std::vector<Entry>& entries, uint64_t v, uint64_t theta);
 
   // Freezes the active table as the new passive table and starts the
   // incremental drain. Requires the previous drain to have finished.
@@ -266,85 +261,6 @@ class DeamortizedSpaceSaving {
   // frozen, so the value is cached for the rest of the phase.
   mutable uint64_t cached_select_m_ = 0;
   mutable bool select_m_cached_ = false;
-};
-
-// The concurrent variant: same summary, same bytes, but the drain runs
-// in bounded chunks on a ThreadPool so the update thread usually pays
-// only the probe. All methods are thread-safe; updates and queries
-// serialize on one mutex whose critical sections are O(1)/O(chunk)
-// bounded. Encoding (like every query) observes the effective state,
-// so the bytes match a serial instance fed the same stream regardless
-// of how far the background drain got.
-class ConcurrentDeamortizedSpaceSaving {
- public:
-  // Passive-table entries drained per background lock acquisition:
-  // bounds how long the drain task can hold the mutex ahead of an
-  // update.
-  static constexpr size_t kDrainChunk = 256;
-
-  // `pool` must outlive this object. A pool with no workers
-  // (num_threads() == 1) degrades gracefully: the inline quota does all
-  // maintenance, exactly like the serial class.
-  ConcurrentDeamortizedSpaceSaving(int capacity, ThreadPool* pool);
-  ~ConcurrentDeamortizedSpaceSaving();
-
-  ConcurrentDeamortizedSpaceSaving(const ConcurrentDeamortizedSpaceSaving&) =
-      delete;
-  ConcurrentDeamortizedSpaceSaving& operator=(
-      const ConcurrentDeamortizedSpaceSaving&) = delete;
-
-  static ConcurrentDeamortizedSpaceSaving ForEpsilon(double epsilon,
-                                                     ThreadPool* pool);
-
-  void Update(uint64_t item, uint64_t weight = 1);
-  void UpdateBatch(const uint64_t* items, size_t count);
-
-  // Resizes the core under the mutex (see DeamortizedSpaceSaving::
-  // Resize); safe to race with updates, queries, and the background
-  // drain — the core finishes its pending drain inside the resize, and
-  // the next update re-kicks maintenance as usual.
-  void Resize(int new_capacity);
-
-  uint64_t Count(uint64_t item) const;
-  uint64_t UpperEstimate(uint64_t item) const;
-  uint64_t LowerEstimate(uint64_t item) const;
-  uint64_t UnderSlack() const;
-  uint64_t n() const;
-  int capacity() const;
-  std::vector<Counter> Counters() const;
-  std::vector<Counter> FrequentItems(uint64_t threshold) const;
-  void EncodeTo(ByteWriter& writer) const;
-
-  // Completes any pending drain and joins the background task. The
-  // summary remains usable afterwards.
-  void Flush();
-
-  // A value-semantic copy of the current effective state.
-  DeamortizedSpaceSaving Snapshot() const;
-
-  uint64_t swaps() const;
-  uint64_t maintenance_stalls() const;
-
-  // Background drain tasks scheduled (visibility for tests/benches).
-  uint64_t drain_tasks() const;
-
- private:
-  // Schedules a background drain if one is needed and not yet running.
-  // Call with mu_ held.
-  void KickLocked();
-
-  void DrainLoop();
-
-  mutable std::mutex mu_;
-  DeamortizedSpaceSaving core_;
-  ThreadPool* pool_;
-  ThreadPool::TaskGroup group_;
-  bool drain_running_ = false;
-  bool stopping_ = false;
-  uint64_t drain_tasks_ = 0;
-
-  ConcurrentDeamortizedSpaceSaving(DeamortizedSpaceSaving core,
-                                   ThreadPool* pool);
 };
 
 }  // namespace mergeable

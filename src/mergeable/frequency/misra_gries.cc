@@ -214,6 +214,17 @@ void MisraGries::EncodeTo(ByteWriter& writer) const {
   }
 }
 
+MisraGries::Shape MisraGries::EncodedShape(const uint8_t* bytes,
+                                           size_t size) {
+  ByteReader reader(bytes, size);
+  uint32_t magic = 0;
+  Shape shape;
+  MERGEABLE_CHECK_MSG(reader.GetU32(&magic) && magic == kMisraGriesMagic &&
+                          reader.GetU32(&shape.capacity),
+                      "MisraGries payload must be valid");
+  return shape;
+}
+
 std::optional<MisraGries> MisraGries::DecodeFrom(ByteReader& reader) {
   uint32_t magic = 0;
   uint32_t capacity = 0;

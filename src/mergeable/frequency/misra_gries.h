@@ -31,6 +31,7 @@
 #ifndef MERGEABLE_FREQUENCY_MISRA_GRIES_H_
 #define MERGEABLE_FREQUENCY_MISRA_GRIES_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -96,6 +97,17 @@ class MisraGries {
   // identical capacities. Afterwards this summarizes the multiset union
   // with error bound epsilon * (n1 + n2).
   void Merge(const MisraGries& other);
+
+  // What Merge requires to be equal: the capacity. EncodedShape reads it
+  // from the header of a payload DecodeFrom accepted, so a service
+  // rejects a report of another capacity at admission
+  // (store/summary_store.h).
+  struct Shape {
+    uint32_t capacity = 0;
+    bool operator==(const Shape&) const = default;
+  };
+  Shape shape() const { return {static_cast<uint32_t>(capacity_)}; }
+  static Shape EncodedShape(const uint8_t* bytes, size_t size);
 
   // Merges `other` into this summary with the Cafaro et al. low-total-
   // error algorithm (equivalent to re-running Frequent over the combined

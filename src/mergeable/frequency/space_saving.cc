@@ -454,15 +454,6 @@ std::vector<Counter> CafaroClosedFormMergeSpaceSaving(std::vector<Counter> s1,
 namespace {
 constexpr uint32_t kSpaceSavingMagic = 0x31305353;  // "SS01"
 
-// Canonical entry order — (count descending, ties by item ascending),
-// the same total order DeamortizedSpaceSaving uses for this shared
-// format — so equal states encode equal bytes no matter what slot
-// order updates and evictions left behind.
-constexpr auto kWireOrder = [](const auto& a, const auto& b) {
-  if (a.count != b.count) return a.count > b.count;
-  return a.item < b.item;
-};
-
 // The fields before the entries.
 struct WireHeader {
   uint32_t capacity = 0;
@@ -520,19 +511,31 @@ bool HasDuplicateItem(const uint8_t* entries, uint32_t count) {
 }
 }  // namespace
 
-void SpaceSaving::EncodeTo(ByteWriter& writer) const {
+void SpaceSaving::SortInWireOrder(std::vector<Entry>& entries) {
+  std::sort(entries.begin(), entries.end(),
+            [](const Entry& a, const Entry& b) {
+              if (a.count != b.count) return a.count > b.count;
+              return a.item < b.item;
+            });
+}
+
+void SpaceSaving::WriteWire(ByteWriter& writer, int capacity, uint64_t n,
+                            uint64_t under_slack, std::vector<Entry> entries) {
+  SortInWireOrder(entries);
   writer.PutU32(kSpaceSavingMagic);
-  writer.PutU32(static_cast<uint32_t>(capacity_));
-  writer.PutU64(n_);
-  writer.PutU64(under_slack_);
-  writer.PutU32(static_cast<uint32_t>(entries_.size()));
-  std::vector<Entry> sorted = entries_;
-  std::sort(sorted.begin(), sorted.end(), kWireOrder);
-  for (const Entry& entry : sorted) {
+  writer.PutU32(static_cast<uint32_t>(capacity));
+  writer.PutU64(n);
+  writer.PutU64(under_slack);
+  writer.PutU32(static_cast<uint32_t>(entries.size()));
+  for (const Entry& entry : entries) {
     writer.PutU64(entry.item);
     writer.PutU64(entry.count);
     writer.PutU64(entry.over);
   }
+}
+
+void SpaceSaving::EncodeTo(ByteWriter& writer) const {
+  WriteWire(writer, capacity_, n_, under_slack_, entries_);
 }
 
 std::optional<SpaceSaving> SpaceSaving::DecodeFrom(ByteReader& reader) {

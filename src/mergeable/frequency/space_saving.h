@@ -206,6 +206,11 @@ class SpaceSaving {
   void Canonicalize() {}
 
  private:
+  // DeamortizedSpaceSaving shares this SS01 codec: it encodes through
+  // WriteWire and decodes by reading the entries of a DecodeFrom
+  // result, and keeps its counters as Entry.
+  friend class DeamortizedSpaceSaving;
+
   struct Entry {
     uint64_t item = 0;
     uint64_t count = 0;
@@ -263,6 +268,16 @@ class SpaceSaving {
   void MergeEqualCapacity(uint64_t other_min, uint64_t other_n,
                           uint64_t other_slack, size_t other_size,
                           const ForEachEntry& for_each_entry);
+
+  // Writes an SS01 payload: the header fields, then `entries` in wire
+  // order (SortInWireOrder).
+  static void WriteWire(ByteWriter& writer, int capacity, uint64_t n,
+                        uint64_t under_slack, std::vector<Entry> entries);
+
+  // Sorts entries into the canonical wire order — count descending,
+  // ties by item ascending — so equal states encode equal bytes no
+  // matter what slot order updates and evictions left behind.
+  static void SortInWireOrder(std::vector<Entry>& entries);
 
   // Replaces the content with `counters` (already MG-domain combined),
   // replayed as SpaceSaving updates in ascending order.

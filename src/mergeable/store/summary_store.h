@@ -81,16 +81,17 @@ void CanonicalMergeInto(S& into, const S& from) {
 //   static bool ValidateEncoded(const uint8_t*, size_t);
 //   void MergeEncoded(const uint8_t*, size_t);
 //
-// (SpaceSaving, CountMinSketch), and may add
+// (SpaceSaving, CountMinSketch; DeamortizedSpaceSaving validates only),
+// and may add
 //
 //   struct Shape { ...; bool operator==(const Shape&) const; };
 //   Shape shape() const;
 //   static Shape EncodedShape(const uint8_t*, size_t);
 //
-// when its Merge requires matching parameters (CountMinSketch). Every
-// other type takes the generic fallbacks below (decode, then Merge;
-// every shape matches), so these functions serve every registered type
-// with the same results.
+// when its Merge requires matching parameters (CountMinSketch,
+// MisraGries). Every other type takes the generic fallbacks below
+// (decode, then Merge; every shape matches), so these functions serve
+// every registered type with the same results.
 
 // Whether `size` bytes at `payload` are exactly one encoding of S:
 // S::DecodeFrom accepts them and leaves nothing over.

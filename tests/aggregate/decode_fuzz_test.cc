@@ -18,6 +18,9 @@
 #include "mergeable/aggregate/fuzz.h"
 #include "mergeable/aggregate/summary_registry.h"
 #include "mergeable/aggregate/wire.h"
+#include "mergeable/frequency/deamortized_space_saving.h"
+#include "mergeable/frequency/space_saving.h"
+#include "mergeable/store/summary_store.h"
 
 namespace mergeable {
 namespace {
@@ -40,6 +43,42 @@ TEST(DecodeFuzzTest, EveryRegisteredCodecSurvivesMutatedInputs) {
     EXPECT_EQ(stats.index_rebuild_violations, 0u);
     ++seed;
   }
+}
+
+// SS01 has a second decoder outside the registry: DeamortizedSpaceSaving
+// reads it through SpaceSaving's codec. Its decodes of the mutated
+// kSpaceSaving corpus must re-encode as fixed points, and on every one
+// of those mutants the service's admission check (ValidPayload), its
+// DecodeFrom and SpaceSaving::ValidateEncoded must agree.
+TEST(DecodeFuzzTest, DeamortizedSpaceSavingAcceptsExactlyTheSpaceSavingCodec) {
+  const SummaryCodecInfo* info = FindSummaryCodec(SummaryTag::kSpaceSaving);
+  ASSERT_NE(info, nullptr);
+  constexpr uint64_t kSeed = 301;
+  const std::vector<std::vector<uint8_t>> corpus = info->corpus(kSeed);
+  const FuzzStats stats =
+      FuzzDecode<DeamortizedSpaceSaving>(corpus, kIterations, kSeed);
+  EXPECT_EQ(stats.iterations, kIterations);
+  EXPECT_EQ(stats.reencode_failures, 0u);
+
+  FuzzInputs inputs(corpus, kSeed);
+  uint64_t accepted = 0;
+  uint64_t disagreements = 0;
+  for (uint64_t i = 0; i < kIterations; ++i) {
+    const std::vector<uint8_t> mutant = inputs.Next();
+    ByteReader reader(mutant);
+    const bool decodes =
+        DeamortizedSpaceSaving::DecodeFrom(reader).has_value() &&
+        reader.Exhausted();
+    const bool admitted =
+        ValidPayload<DeamortizedSpaceSaving>(mutant.data(), mutant.size());
+    const bool valid =
+        SpaceSaving::ValidateEncoded(mutant.data(), mutant.size());
+    if (decodes != admitted || decodes != valid) ++disagreements;
+    if (decodes) ++accepted;
+  }
+  EXPECT_EQ(disagreements, 0u);
+  // The same mutants the fuzz run decoded.
+  EXPECT_EQ(accepted, stats.accepted);
 }
 
 // The aggregate entry point used by CI smoke runs: same harness, one

@@ -1,15 +1,12 @@
 #include "mergeable/frequency/deamortized_space_saving.h"
 
-#include <atomic>
 #include <cstdint>
 #include <map>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "mergeable/core/thread_pool.h"
 #include "mergeable/frequency/space_saving.h"
 #include "mergeable/stream/generators.h"
 #include "mergeable/util/bytes.h"
@@ -289,74 +286,6 @@ TEST(DeamortizedSpaceSavingTest, MergeIsCommutativeAtByteLevel) {
   ab.Merge(b);
   ba.Merge(a);
   EXPECT_EQ(Encode(ab), Encode(ba));
-}
-
-// The concurrent wrapper must produce exactly the serial bytes: the
-// background drain changes when maintenance happens, never what the
-// effective state is.
-TEST(DeamortizedConcurrencyTest, ConcurrentMatchesSerialByteForByte) {
-  StreamSpec spec;
-  spec.kind = StreamKind::kMixed;
-  spec.n = 30000;
-  spec.universe = 4096;
-  const auto stream = GenerateStream(spec, 21);
-
-  DeamortizedSpaceSaving serial(128);
-  ThreadPool pool(3);
-  ConcurrentDeamortizedSpaceSaving concurrent(128, &pool);
-  for (uint64_t item : stream) {
-    serial.Update(item);
-    concurrent.Update(item);
-  }
-  concurrent.Flush();
-  EXPECT_EQ(Encode(serial), Encode(concurrent));
-  EXPECT_EQ(concurrent.maintenance_stalls(), 0u);
-}
-
-// Updates racing the background drain and concurrent readers: the TSan
-// job runs this suite (DeamortizedConcurrency is in its -R filter).
-TEST(DeamortizedConcurrencyTest, QueriesRaceUpdatesSafely) {
-  ThreadPool pool(4);
-  ConcurrentDeamortizedSpaceSaving summary(64, &pool);
-  std::atomic<bool> done{false};
-  std::thread reader([&] {
-    uint64_t sink = 0;
-    while (!done.load(std::memory_order_relaxed)) {
-      sink += summary.Count(7);
-      sink += summary.UpperEstimate(13);
-      sink += summary.UnderSlack();
-      sink += summary.Counters().size();
-    }
-    (void)sink;
-  });
-  StreamSpec spec;
-  spec.kind = StreamKind::kZipf;
-  spec.n = 50000;
-  spec.universe = 2048;
-  const auto stream = GenerateStream(spec, 5);
-  for (uint64_t item : stream) summary.Update(item);
-  done.store(true, std::memory_order_relaxed);
-  reader.join();
-
-  summary.Flush();
-  EXPECT_EQ(summary.n(), stream.size());
-  EXPECT_EQ(summary.maintenance_stalls(), 0u);
-}
-
-TEST(DeamortizedConcurrencyTest, WorkerlessPoolDegradesToInline) {
-  ThreadPool pool(1);
-  ConcurrentDeamortizedSpaceSaving summary(32, &pool);
-  StreamSpec spec;
-  spec.kind = StreamKind::kZipf;
-  spec.n = 10000;
-  spec.universe = 512;
-  const auto stream = GenerateStream(spec, 9);
-  for (uint64_t item : stream) summary.Update(item);
-  EXPECT_EQ(summary.drain_tasks(), 0u);  // Nothing scheduled.
-  DeamortizedSpaceSaving serial(32);
-  for (uint64_t item : stream) serial.Update(item);
-  summary.Flush();
-  EXPECT_EQ(Encode(serial), Encode(summary));
 }
 
 }  // namespace

@@ -427,12 +427,18 @@ TEST(BatchTest, ShedBatchRecoversViaWholeBatchRetry) {
     filler.reports.push_back(MakeReport(0, shard));
   }
   ASSERT_TRUE(blaster.SendFrame(EncodeBatchFrame(filler)));
+  // The filler must be admitted before the retrier's frame, which
+  // arrives on another connection, is routed.
+  ASSERT_TRUE(
+      server.WaitForFramesReceived(1, std::chrono::milliseconds(10000)));
 
-  // ...then release pressure from another thread while SendBatch is in
-  // its NACK-backoff-resend loop. The patient policy gives the retry
-  // loop ~150 ms of budget so scheduler jitter cannot exhaust it.
+  // ...then release pressure from another thread once the retrier's
+  // first send has been shed, while SendBatch is in its NACK-backoff-
+  // resend loop. The patient policy gives the retry loop ~150 ms of
+  // budget so scheduler jitter cannot exhaust it.
   std::thread releaser([&server] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    EXPECT_TRUE(
+        server.WaitForFramesReceived(2, std::chrono::milliseconds(10000)));
     server.PauseWorkers(false);
   });
   std::vector<WireReport> late;

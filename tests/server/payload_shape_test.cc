@@ -1,8 +1,9 @@
 // A report the epoch's other summaries cannot merge with is rejected at
 // admission. Count-Min merges only sketches of one shape and seed, and
-// its Merge aborts otherwise, so a well-formed report of another shape
-// that was admitted would abort the seal (and every later query that
-// merges across the epoch). The reference shape is the empty-summary
+// Misra-Gries only summaries of one capacity; both Merges abort
+// otherwise, so a well-formed report of another shape that was admitted
+// would abort the seal (and every later query that merges across the
+// epoch). The reference shape is the empty-summary
 // factory's summary, else the newest sealed epoch's when the service
 // starts on a store that holds the stream, else the first report the
 // service admitted.
@@ -15,6 +16,7 @@
 
 #include "mergeable/aggregate/storage.h"
 #include "mergeable/aggregate/wire.h"
+#include "mergeable/frequency/misra_gries.h"
 #include "mergeable/server/epoch_service.h"
 #include "mergeable/sketch/count_min.h"
 #include "mergeable/store/durable_store.h"
@@ -32,17 +34,18 @@ CountMinSketch Sketch(int width, uint64_t seed, uint64_t first_item) {
   return sketch;
 }
 
-WireReport Report(uint64_t epoch, uint64_t shard,
-                  const CountMinSketch& sketch) {
+template <typename S>
+WireReport Report(uint64_t epoch, uint64_t shard, const S& summary) {
   WireReport report;
   report.epoch = epoch;
   report.shard_id = shard;
-  report.payload = EncodeSummary(sketch);
+  report.payload = EncodeSummary(summary);
   return report;
 }
 
 // The verdicts of one batch, in record order.
-std::vector<ControlCode> Send(EpochService<CountMinSketch>& service,
+template <typename S>
+std::vector<ControlCode> Send(EpochService<S>& service,
                               std::vector<WireReport> reports) {
   WireBatch batch;
   batch.reports = std::move(reports);
@@ -142,6 +145,34 @@ TEST(PayloadShapeTest, RestartedServiceTakesTheShapeOfTheSealedEpochs) {
   const auto range = store.QueryRangePayload(kStream, 0, 1);
   ASSERT_TRUE(range.has_value());
   EXPECT_EQ(*range->payload, EncodeSummary(expected));
+}
+
+// Misra-Gries summaries of capacity 8 and 16, one shard each: the
+// second is rejected, so the seal merges only summaries of one capacity
+// instead of aborting.
+TEST(PayloadShapeTest, MisraGriesReportOfAnotherCapacityIsRejected) {
+  MemStorage storage;
+  DurableStore<MisraGries> store(&storage, DurableStoreOptions{});
+  EpochServiceConfig config = Config();
+  config.shards_per_epoch = 2;
+  EpochService<MisraGries> service(&store, config);
+  MisraGries narrow(8);
+  MisraGries wide(16);
+  for (uint64_t item = 0; item < 500; ++item) {
+    narrow.Update(item % 13);
+    wide.Update(item % 29);
+  }
+
+  EXPECT_EQ(Send(service, {Report(0, 0, narrow)}),
+            std::vector<ControlCode>{ControlCode::kAccepted});
+  EXPECT_EQ(Send(service, {Report(0, 1, wide)}),
+            std::vector<ControlCode>{ControlCode::kRejected});
+  EXPECT_EQ(service.stats().reports_rejected, 1u);
+
+  ASSERT_TRUE(service.SealEpoch(0, narrow.n() + wide.n()));
+  const auto range = store.QueryRangePayload(kStream, 0, 0);
+  ASSERT_TRUE(range.has_value());
+  EXPECT_EQ(*range->payload, EncodeSummary(CanonicalForm(narrow)));
 }
 
 }  // namespace
