@@ -4,11 +4,13 @@
 // subset of shards survives the network, the merged summary keeps
 // error <= eps * n_received on the received mass. This harness drives
 // the fault-tolerant coordinator (mergeable/aggregate) across a sweep
-// of fault severities and merge topologies, and prints per cell the
-// achieved coverage, the retries spent, and max|estimate - truth| over
-// the received shards normalized by eps * n_received. The robustness
-// claim holds if the error column stays <= 1 at every severity — the
-// bound must not decay as the network gets worse, only the coverage.
+// of fault severities and prints per row the achieved coverage, the
+// retries spent, and max|estimate - truth| over the received shards
+// normalized by eps * n_received. The coordinator folds left-deep in
+// shard order, like the ingest service's seal; E1 (bench_merge_topology)
+// covers other merge trees. The robustness claim holds if the error
+// column stays <= 1 at every severity — the bound must not decay as the
+// network gets worse, only the coverage.
 
 #include <cstddef>
 #include <cstdint>
@@ -19,7 +21,6 @@
 #include "bench_util.h"
 #include "mergeable/aggregate/coordinator.h"
 #include "mergeable/aggregate/fault.h"
-#include "mergeable/core/merge_driver.h"
 #include "mergeable/frequency/space_saving.h"
 #include "mergeable/stream/generators.h"
 #include "mergeable/stream/partition.h"
@@ -77,7 +78,7 @@ int Main() {
       PartitionStream(stream, kShards, PartitionPolicy::kRandom, 3);
 
   std::printf(
-      "E9: workload %s, n=%zu, eps=%g, %zu shards; cells are\n"
+      "E9: workload %s, n=%zu, eps=%g, %zu shards; columns are\n"
       "coverage / retries / err on received mass normalized by "
       "eps*n_received\n",
       ToString(spec).c_str(), stream.size(), kEpsilon, kShards);
@@ -87,43 +88,41 @@ int Main() {
       {"hostile", 0.8, 5},     {"dying", 1.0, 12},
   };
 
-  for (MergeTopology topology : kAllTopologies) {
-    PrintHeader(std::string("aggregation vs faults, ") + ToString(topology),
-                {"severity", "coverage", "retries", "norm. err"});
-    for (const Severity& severity : severities) {
-      SimulatedTransport transport{PlanFor(severity, /*seed=*/97)};
-      for (size_t shard = 0; shard < kShards; ++shard) {
-        SpaceSaving summary = SpaceSaving::ForEpsilon(kEpsilon);
-        for (uint64_t item : shards[shard]) summary.Update(item);
-        transport.Submit(shard, MakeReportFrame(summary, shard, kEpoch));
-      }
-      Coordinator<SpaceSaving> coordinator(kEpoch, Policy(), topology, 11);
-      const auto result = coordinator.Run(transport, kShards);
-
-      // Ground truth over exactly the shards that were received.
-      std::map<uint64_t, uint64_t> truth;
-      uint64_t n_received = 0;
-      for (const ShardOutcome& outcome : result.outcomes) {
-        if (outcome.status != ShardOutcome::Status::kReceived) continue;
-        for (uint64_t item : shards[outcome.shard_id]) ++truth[item];
-        n_received += shards[outcome.shard_id].size();
-      }
-
-      std::vector<std::string> row = {severity.name};
-      row.push_back(FormatDouble(result.Coverage(), 3));
-      row.push_back(FormatU64(result.retries));
-      if (result.summary.has_value() && n_received > 0) {
-        const uint64_t err = MaxAbsError(truth, [&](uint64_t item) {
-          return result.summary->Count(item);
-        });
-        row.push_back(FormatDouble(
-            static_cast<double>(err) /
-            (kEpsilon * static_cast<double>(n_received)), 4));
-      } else {
-        row.push_back("n/a");
-      }
-      PrintRow(row);
+  PrintHeader("aggregation vs faults",
+              {"severity", "coverage", "retries", "norm. err"});
+  for (const Severity& severity : severities) {
+    SimulatedTransport transport{PlanFor(severity, /*seed=*/97)};
+    for (size_t shard = 0; shard < kShards; ++shard) {
+      SpaceSaving summary = SpaceSaving::ForEpsilon(kEpsilon);
+      for (uint64_t item : shards[shard]) summary.Update(item);
+      transport.Submit(shard, MakeReportFrame(summary, shard, kEpoch));
     }
+    Coordinator<SpaceSaving> coordinator(kEpoch, Policy());
+    const auto result = coordinator.Run(transport, kShards);
+
+    // Ground truth over exactly the shards that were received.
+    std::map<uint64_t, uint64_t> truth;
+    uint64_t n_received = 0;
+    for (const ShardOutcome& outcome : result.outcomes) {
+      if (outcome.status != ShardOutcome::Status::kReceived) continue;
+      for (uint64_t item : shards[outcome.shard_id]) ++truth[item];
+      n_received += shards[outcome.shard_id].size();
+    }
+
+    std::vector<std::string> row = {severity.name};
+    row.push_back(FormatDouble(result.Coverage(), 3));
+    row.push_back(FormatU64(result.retries));
+    if (result.summary.has_value() && n_received > 0) {
+      const uint64_t err = MaxAbsError(truth, [&](uint64_t item) {
+        return result.summary->Count(item);
+      });
+      row.push_back(FormatDouble(
+          static_cast<double>(err) /
+          (kEpsilon * static_cast<double>(n_received)), 4));
+    } else {
+      row.push_back("n/a");
+    }
+    PrintRow(row);
   }
   return 0;
 }

@@ -87,8 +87,7 @@ DurableCost MeasureCell(const std::vector<std::vector<uint64_t>>& shards,
   {
     SimulatedTransport transport{FaultPlan()};
     submit_all(transport);
-    Coordinator<SpaceSaving> coordinator(kEpoch, Policy(),
-                                         MergeTopology::kLeftDeepChain);
+    Coordinator<SpaceSaving> coordinator(kEpoch, Policy());
     auto result =
         coordinator.RunDurable(transport, n_shards, &healthy, options);
     MERGEABLE_CHECK_MSG(!result.crashed && result.summary.has_value(),
@@ -125,16 +124,14 @@ DurableCost MeasureCell(const std::vector<std::vector<uint64_t>>& shards,
   {
     SimulatedTransport transport{FaultPlan()};
     submit_all(transport);
-    Coordinator<SpaceSaving> coordinator(kEpoch, Policy(),
-                                         MergeTopology::kLeftDeepChain);
+    Coordinator<SpaceSaving> coordinator(kEpoch, Policy());
     const auto result =
         coordinator.RunDurable(transport, n_shards, &crashing, options);
     MERGEABLE_CHECK_MSG(result.crashed, "crash point must fire");
   }
   crashing.Restart();
 
-  Coordinator<SpaceSaving> recovered(kEpoch, Policy(),
-                                     MergeTopology::kLeftDeepChain);
+  Coordinator<SpaceSaving> recovered(kEpoch, Policy());
   const auto start = std::chrono::steady_clock::now();
   const RecoveryInfo info = recovered.Recover(&crashing, options);
   const auto stop = std::chrono::steady_clock::now();

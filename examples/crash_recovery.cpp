@@ -37,7 +37,6 @@ using mergeable::DurableOptions;
 using mergeable::FaultPlan;
 using mergeable::MakeReportFrame;
 using mergeable::MemStorage;
-using mergeable::MergeTopology;
 using mergeable::RecoveryInfo;
 using mergeable::SimulatedTransport;
 using mergeable::SpaceSaving;
@@ -95,8 +94,7 @@ int main() {
     MemStorage storage;
     SimulatedTransport transport{FaultPlan()};
     SubmitReports(transport, shards);
-    Coordinator<SpaceSaving> coordinator(kEpoch, Policy(),
-                                         MergeTopology::kLeftDeepChain);
+    Coordinator<SpaceSaving> coordinator(kEpoch, Policy());
     const auto result =
         coordinator.RunDurable(transport, kWorkers, &storage, options);
     reference = Encoded(*result.summary);
@@ -117,8 +115,7 @@ int main() {
   {
     SimulatedTransport transport{FaultPlan()};
     SubmitReports(transport, shards);
-    Coordinator<SpaceSaving> coordinator(kEpoch, Policy(),
-                                         MergeTopology::kLeftDeepChain);
+    Coordinator<SpaceSaving> coordinator(kEpoch, Policy());
     const auto result =
         coordinator.RunDurable(transport, kWorkers, &storage, options);
     std::printf("crashing run:       crashed=%s after %zu shards durable\n",
@@ -129,8 +126,7 @@ int main() {
   storage.Restart();
 
   // A fresh coordinator reconstructs the epoch from storage alone.
-  Coordinator<SpaceSaving> recovered(kEpoch, Policy(),
-                                     MergeTopology::kLeftDeepChain);
+  Coordinator<SpaceSaving> recovered(kEpoch, Policy());
   const RecoveryInfo info = recovered.Recover(&storage, options);
   std::printf(
       "recovery:           checkpoint=%s(seq %llu), %llu/%llu log records "

@@ -1,12 +1,15 @@
 // Wire merge: what the merge model actually looks like in production —
 // workers serialize their summaries to framed reports, and the
 // aggregation coordinator (mergeable/aggregate) collects them over a
-// faulty network: corrupted frames are rejected by checksum + decode and
-// retried with capped exponential backoff, duplicates and stragglers are
-// deduplicated by (shard, epoch), and permanently dead workers degrade
-// the answer honestly — the result reports its coverage and a widened
-// full-stream error bound instead of silently biasing the estimates. No
-// raw data ever crosses the wire, only O(1/epsilon)-sized summaries.
+// faulty network: corrupted frames are rejected by checksum + payload
+// validation and retried with capped exponential backoff, duplicates
+// and stragglers are deduplicated by (shard, epoch), a report of a
+// shape the fold cannot merge is refused, and permanently dead workers
+// degrade the answer honestly — the result reports its coverage and a
+// widened full-stream error bound instead of silently biasing the
+// estimates. The received reports fold left-deep in shard order, the
+// same fold the ingest service seals with. No raw data ever crosses the
+// wire, only O(1/epsilon)-sized summaries.
 
 #include <cstddef>
 #include <cstdint>
@@ -16,7 +19,6 @@
 
 #include "mergeable/aggregate/coordinator.h"
 #include "mergeable/aggregate/fault.h"
-#include "mergeable/core/merge_driver.h"
 #include "mergeable/frequency/space_saving.h"
 #include "mergeable/frequency/topk.h"
 #include "mergeable/quantiles/mergeable_quantiles.h"
@@ -34,7 +36,6 @@ using mergeable::FaultPlan;
 using mergeable::FaultSpec;
 using mergeable::MakeReportFrame;
 using mergeable::MergeableQuantiles;
-using mergeable::MergeTopology;
 using mergeable::SimulatedTransport;
 using mergeable::SpaceSaving;
 
@@ -124,17 +125,12 @@ int main() {
     lat_transport.Submit(w, std::move(lat_frame));
   }
 
-  // The coordinator fetches, validates, dedups and merges. A validator
-  // keeps a misconfigured worker's summary out of the merge.
-  Coordinator<SpaceSaving> hh_coordinator(kEpoch, RetryPolicy(),
-                                          MergeTopology::kBalancedTree);
-  hh_coordinator.set_validator(+[](const SpaceSaving& s) {
-    return s.capacity() == SpaceSaving::ForEpsilon(kHhEpsilon).capacity();
-  });
+  // The coordinator fetches, validates, dedups and folds; a report the
+  // fold cannot merge is counted as incompatible, never merged.
+  Coordinator<SpaceSaving> hh_coordinator(kEpoch, RetryPolicy());
   const auto hh_result = hh_coordinator.Run(hh_transport, kWorkers);
 
-  Coordinator<MergeableQuantiles> lat_coordinator(
-      kEpoch, RetryPolicy(), MergeTopology::kBalancedTree);
+  Coordinator<MergeableQuantiles> lat_coordinator(kEpoch, RetryPolicy());
   const auto lat_result = lat_coordinator.Run(lat_transport, kWorkers);
 
   std::printf("raw data: %zu items; wire traffic: %.1f KB total "

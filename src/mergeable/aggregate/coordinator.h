@@ -7,37 +7,40 @@
 // transport injects:
 //
 //   * malformed frames (truncated / bit-flipped) are rejected by the
-//     frame checksum and the summary decoders, then retried;
+//     frame checksum and the payload validation, then retried;
 //   * missing replies are retried with capped exponential backoff until
 //     a per-shard deadline;
 //   * duplicated and straggler frames are deduplicated by (shard, epoch);
+//   * a valid report the fold cannot merge (a Count-Min of another
+//     width) is given up as incompatible, without a retry;
 //   * permanently lost shards degrade the answer instead of silently
 //     biasing it: the result reports effective coverage
 //     n_received / n_total and ErrorAccounting widens the error bound by
 //     the unobserved mass.
 //
-// The coordinator also survives *itself* (DESIGN.md §8): in durable mode
-// it appends one record per state transition to a single log file
-// through a Storage backend, before the transition is applied. The
-// records are SEG1 frames (store/segment.h, the durable store's format)
-// keyed (stream = epoch, level = LogRecordKind, index): the epoch
-// opening, each accepted report, each shard given up as lost, and every
-// few reports a checkpoint of the partially merged summary. After a
-// crash, Recover() reads the log once, cuts it at the first torn,
-// corrupt or unknown record, restores this epoch's newest checkpoint and
-// replays the records past it idempotently — dedup by (shard, epoch)
-// makes a record whose acknowledgement died with the process merge
-// exactly once — and ResumeDurable() refetches only the shards that
-// were never durably recorded. Durable runs merge left-deep in
-// ascending shard order, so a recovered epoch produces a summary
-// byte-identical (canonical encodings) to an uninterrupted one.
+// Run and RunDurable are one fetch/validate/fold loop: a report is
+// validated in place (ValidPayload<S>), shape-checked against the fold
+// so far (PayloadMergeableInto) and folded from its bytes through
+// FoldPayloadInto, left-deep in ascending shard order — the fold of the
+// ingest service's seal and the store, so the bytes match theirs.
+// Mergeability (the paper's central claim) makes whatever subset of
+// shards arrives a valid summary of its union with the same epsilon.
 //
-// The merge itself reuses core/merge_driver.h, so the coordinator works
-// under any merge topology — the mergeability guarantee (the paper's
-// central claim) is exactly what makes partial, reordered, retried,
-// replayed aggregation sound: whatever subset of shards arrives, in
-// whatever order they are merged, the result is a valid summary of the
-// union of the received shards with the same epsilon.
+// The coordinator also survives *itself* (DESIGN.md §8): RunDurable
+// appends one record per state transition to a single log file through
+// a Storage backend, before the transition is applied (Run attaches no
+// storage and writes nothing). The records are SEG1
+// frames (store/segment.h, the durable store's format) keyed (stream =
+// epoch, level = LogRecordKind, index): the epoch opening, each accepted
+// report, each shard given up as lost, and every few reports a
+// checkpoint of the partial fold. After a crash, Recover() reads the log
+// once, cuts it at the first torn, corrupt or unknown record, restores
+// this epoch's newest checkpoint and replays the records past it
+// idempotently — dedup by (shard, epoch) makes a record whose
+// acknowledgement died with the process merge exactly once — and
+// ResumeDurable() refetches only the shards that were never durably
+// recorded. A fixed fold order makes a recovered epoch's summary
+// byte-identical (canonical encodings) to an uninterrupted one.
 
 #ifndef MERGEABLE_AGGREGATE_COORDINATOR_H_
 #define MERGEABLE_AGGREGATE_COORDINATOR_H_
@@ -56,12 +59,10 @@
 #include "mergeable/aggregate/storage.h"
 #include "mergeable/aggregate/wire.h"
 #include "mergeable/core/concepts.h"
-#include "mergeable/core/merge_driver.h"
 #include "mergeable/store/segment.h"
 #include "mergeable/store/summary_store.h"
 #include "mergeable/util/bytes.h"
 #include "mergeable/util/check.h"
-#include "mergeable/util/random.h"
 
 namespace mergeable {
 
@@ -88,7 +89,8 @@ struct BackoffPolicy {
 struct ShardOutcome {
   enum class Status {
     kReceived,  // A valid report was accepted.
-    kLost,      // All attempts exhausted or deadline passed.
+    kLost,      // All attempts exhausted, deadline passed, or the
+                // report was incompatible.
   };
   uint64_t shard_id = 0;
   Status status = Status::kLost;
@@ -131,7 +133,8 @@ struct AggregationResult {
   uint64_t retries = 0;             // Exchanges beyond each first attempt.
   uint64_t duplicates_rejected = 0;
   uint64_t malformed_rejected = 0;
-  uint64_t incompatible_rejected = 0;  // Decoded but failed validation.
+  uint64_t incompatible_rejected = 0;  // Shards given up: a valid report
+                                       // the fold cannot merge.
   uint64_t elapsed_ms = 0;          // Max over shards (parallel fetches).
   std::vector<ShardOutcome> outcomes;
 
@@ -196,9 +199,10 @@ struct RecoveryInfo {
   uint64_t wal_records_applied = 0;  // This epoch's records replayed past
                                      // the checkpoint (checkpoints aside).
   uint64_t duplicates_ignored = 0;   // Replay idempotence in action.
-  uint64_t invalid_payloads = 0;     // Checksummed-but-undecodable reports
-                                     // and checkpoints dropped (a writer
-                                     // bug, not a crash).
+  uint64_t invalid_payloads = 0;     // Checksummed records dropped: an
+                                     // undecodable checkpoint or report,
+                                     // or a report the fold cannot merge
+                                     // (a writer bug, not a crash).
   // A torn or corrupt tail was cut off. False with bytes left past the
   // usable prefix means the truncate failed: ResumeDurable() then
   // refuses to append behind them.
@@ -255,14 +259,8 @@ CoordinatorLog ScanCoordinatorLog(const std::vector<uint8_t>& bytes);
 template <WireSummary S>
 class Coordinator {
  public:
-  // `validate` (optional) accepts a decoded summary before it is merged;
-  // use it to enforce fleet-wide configuration (capacity, seeds) so a
-  // stray incompatible report cannot abort the merge.
-  Coordinator(uint64_t epoch, BackoffPolicy policy, MergeTopology topology,
-              uint64_t seed = 0)
-      : epoch_(epoch), policy_(policy), topology_(topology), rng_(seed) {}
-
-  void set_validator(bool (*validate)(const S&)) { validate_ = validate; }
+  Coordinator(uint64_t epoch, BackoffPolicy policy)
+      : epoch_(epoch), policy_(policy) {}
 
   uint64_t epoch() const { return epoch_; }
 
@@ -284,47 +282,26 @@ class Coordinator {
   }
 
   // Fetches the reports of shards [0, n_shards) from `transport`, with
-  // retries, dedup and degraded-coverage accounting. In-memory only: a
-  // coordinator crash loses the epoch (use RunDurable to survive that).
+  // retries, dedup, shape checks and degraded-coverage accounting, and
+  // folds them left-deep in ascending shard order. In memory only: a
+  // coordinator crash loses the epoch (RunDurable survives that).
   AggregationResult<S> Run(Transport& transport, size_t n_shards) {
     ResetEpochState();
-    AggregationResult<S> result;
-    result.shards_total = n_shards;
-    result.outcomes.reserve(n_shards);
-    std::vector<S> accepted;
-    accepted.reserve(n_shards);
-    for (uint64_t shard = 0; shard < n_shards; ++shard) {
-      std::optional<FetchedReport> fetched;
-      ShardOutcome outcome = FetchShard(transport, shard, &fetched);
-      AbsorbOutcome(outcome, &result);
-      if (fetched.has_value()) accepted.push_back(std::move(fetched->summary));
-      result.outcomes.push_back(std::move(outcome));
-    }
-    result.shards_received = accepted.size();
-    result.incompatible_rejected = incompatible_;
-    if (!accepted.empty()) {
-      result.summary = MergeAll(std::move(accepted), topology_, &rng_);
-    }
-    return result;
+    return RunLoop(transport, n_shards);
   }
 
-  // Durable variant of Run: every accepted report is logged before
-  // it is merged and the partial merge is checkpointed every
-  // `options.checkpoint_every` reports, all through `storage`. If a
-  // storage write fails mid-epoch the result comes back with
-  // `crashed == true`; a fresh coordinator can then Recover() from the
-  // same storage and ResumeDurable() the epoch.
-  //
-  // Durable runs merge left-deep in ascending shard order regardless of
-  // the constructor's topology — a deterministic order is what makes the
-  // recovered result byte-identical to an uninterrupted one (and by the
-  // paper's merge-tree independence, the error bound does not care).
+  // Run with a log: every accepted report is logged before it is folded
+  // and the partial fold is checkpointed every `options.checkpoint_every`
+  // reports, all through `storage`. If a storage write fails mid-epoch
+  // the result comes back with `crashed == true`; a fresh coordinator
+  // can then Recover() from the same storage and ResumeDurable() the
+  // epoch.
   AggregationResult<S> RunDurable(Transport& transport,
                                   size_t n_shards, Storage* storage,
                                   DurableOptions options = {}) {
     ResetEpochState();
     AttachStorage(storage, std::move(options));
-    return DurableLoop(transport, n_shards);
+    return RunLoop(transport, n_shards);
   }
 
   // Rebuilds durable state from `storage` after a crash: reads the log
@@ -381,7 +358,8 @@ class Coordinator {
           continue;
         }
         const uint8_t* payload = bytes.data() + record.payload_offset;
-        if (!ValidPayload<S>(payload, record.payload_length)) {
+        if (!ValidPayload<S>(payload, record.payload_length) ||
+            !Mergeable(payload, record.payload_length)) {
           ++info.invalid_payloads;
           continue;
         }
@@ -428,20 +406,12 @@ class Coordinator {
       MarkCrashed(&result);
       return result;
     }
-    return DurableLoop(transport, n_shards);
+    return RunLoop(transport, n_shards);
   }
 
  private:
-  // A fetched, validated report: the decoded summary plus the canonical
-  // payload bytes it decoded from (what the log persists).
-  struct FetchedReport {
-    S summary;
-    std::vector<uint8_t> payload;
-  };
-
   void ResetEpochState() {
     incompatible_ = 0;
-    merged_.reset();
     received_.clear();
     lost_.clear();
     epoch_begun_ = false;
@@ -449,6 +419,10 @@ class Coordinator {
     checkpoint_seq_ = 0;
     tail_uncut_ = false;
     storage_ = nullptr;
+    // Last: with the reset first, GCC 12's -O2 inliner misdiagnoses
+    // resetting a fresh coordinator's empty fold as a read of
+    // uninitialized summary bytes (-Wmaybe-uninitialized).
+    merged_.reset();
   }
 
   void AttachStorage(Storage* storage, DurableOptions options) {
@@ -476,7 +450,7 @@ class Coordinator {
     return true;
   }
 
-  // Folds an accepted report's payload bytes into the durable state
+  // Folds an accepted report's payload bytes into the epoch's state
   // through the canonical fold (FoldPayloadInto, store/summary_store.h),
   // the one the ingest service's seal uses. The merged summary is kept
   // *canonical* — the fixed point of encode∘decode — by Canonicalize()
@@ -491,6 +465,13 @@ class Coordinator {
   void ApplyReport(uint64_t shard, const uint8_t* payload, size_t size) {
     FoldPayloadInto(merged_, payload, size);
     received_.insert(shard);
+  }
+
+  // Whether a valid payload's shape merges into the fold so far (any
+  // shape starts an empty fold).
+  bool Mergeable(const uint8_t* payload, size_t size) const {
+    return !merged_.has_value() ||
+           PayloadMergeableInto(*merged_, payload, size);
   }
 
   void AbsorbOutcome(const ShardOutcome& outcome,
@@ -516,11 +497,13 @@ class Coordinator {
                      EncodeCheckpoint(checkpoint));
   }
 
-  // Appends one log record. Transient append failures are retried under
+  // Appends one log record; true without writing when no storage is
+  // attached (Run). Transient append failures are retried under
   // options_.append_retry: a record only counts as lost once the bounded
   // schedule is exhausted, so one flaky write does not abort the epoch.
   bool LogAppend(LogRecordKind kind, uint64_t index,
                  const std::vector<uint8_t>& payload = {}) {
+    if (storage_ == nullptr) return true;
     const std::vector<uint8_t> frame =
         EncodeSegmentFrame(epoch_, static_cast<uint32_t>(kind), index,
                            payload.data(), payload.size());
@@ -545,12 +528,12 @@ class Coordinator {
     result->shards_received = received_.size();
   }
 
-  // The fetch/log/merge/checkpoint loop shared by RunDurable and
+  // The fetch/log/fold/checkpoint loop behind Run, RunDurable and
   // ResumeDurable. Shards already durably received or lost are skipped;
-  // everything else is fetched, logged *before* merging, and merged
-  // left-deep in ascending shard order.
-  AggregationResult<S> DurableLoop(Transport& transport,
-                                   size_t n_shards) {
+  // everything else is fetched, logged *before* it is folded, and folded
+  // left-deep in ascending shard order. With no storage attached nothing
+  // is logged or checkpointed.
+  AggregationResult<S> RunLoop(Transport& transport, size_t n_shards) {
     AggregationResult<S> result;
     result.shards_total = n_shards;
     result.outcomes.reserve(n_shards);
@@ -577,19 +560,19 @@ class Coordinator {
         result.outcomes.push_back(outcome);
         continue;
       }
-      std::optional<FetchedReport> fetched;
-      ShardOutcome outcome = FetchShard(transport, shard, &fetched);
+      std::optional<std::vector<uint8_t>> payload;
+      ShardOutcome outcome = FetchShard(transport, shard, &payload);
       AbsorbOutcome(outcome, &result);
       result.outcomes.push_back(outcome);
-      if (fetched.has_value()) {
+      if (payload.has_value()) {
         // Write-ahead: the report must be durable before it can affect
         // the merged state, or a crash between the two would lose it.
-        if (!LogAppend(LogRecordKind::kReport, shard, fetched->payload)) {
+        if (!LogAppend(LogRecordKind::kReport, shard, *payload)) {
           MarkCrashed(&result);
           return result;
         }
-        ApplyReport(shard, fetched->payload.data(), fetched->payload.size());
-        if (options_.checkpoint_every > 0 &&
+        ApplyReport(shard, payload->data(), payload->size());
+        if (storage_ != nullptr && options_.checkpoint_every > 0 &&
             received_.size() % options_.checkpoint_every == 0) {
           if (!WriteCheckpoint()) {
             MarkCrashed(&result);
@@ -611,10 +594,10 @@ class Coordinator {
     return result;
   }
 
-  // Runs the retry loop for one shard. On success `fetched` holds the
-  // decoded summary and its canonical payload bytes.
+  // Runs the retry loop for one shard. On success `payload` holds the
+  // report's validated, mergeable payload bytes.
   ShardOutcome FetchShard(Transport& transport, uint64_t shard,
-                          std::optional<FetchedReport>* fetched) {
+                          std::optional<std::vector<uint8_t>>* payload) {
     ShardOutcome outcome;
     outcome.shard_id = shard;
     bool incompatible = false;
@@ -627,7 +610,7 @@ class Coordinator {
       outcome.elapsed_ms +=
           std::min(delivery.latency_ms, policy_.attempt_timeout_ms);
       for (std::vector<uint8_t>& frame : delivery.frames) {
-        switch (Accept(frame, shard, fetched)) {
+        switch (Accept(frame, shard, payload)) {
           case FrameResult::kAccepted:
             break;
           case FrameResult::kDuplicate:
@@ -641,15 +624,17 @@ class Coordinator {
             break;
         }
       }
-      if (fetched->has_value()) {
+      if (payload->has_value()) {
         outcome.status = ShardOutcome::Status::kReceived;
         break;
       }
-      // An intact, decodable report that fails validation is a
-      // configuration error on the worker, not a transient network fault:
-      // retrying would fetch the same incompatible report again. Give the
-      // shard up immediately.
-      if (incompatible) break;
+      // A valid report the fold cannot merge is a configuration error on
+      // the worker, not a transient network fault: retrying would fetch
+      // the same report again. Give the shard up immediately.
+      if (incompatible) {
+        ++incompatible_;
+        break;
+      }
     }
     return outcome;
   }
@@ -659,7 +644,7 @@ class Coordinator {
   // A report frame is a BAT1 holding exactly one record (wire.h); any
   // other record count is malformed, like a checksum failure.
   FrameResult Accept(const std::vector<uint8_t>& frame, uint64_t shard,
-                     std::optional<FetchedReport>* fetched) {
+                     std::optional<std::vector<uint8_t>>* payload) const {
     std::vector<BatchRecordView> records;
     if (!ViewBatchFrame(frame, &records) || records.size() != 1) {
       return FrameResult::kMalformed;
@@ -670,28 +655,19 @@ class Coordinator {
     if (report.shard_id != shard || report.epoch != epoch_) {
       return FrameResult::kMalformed;
     }
-    if (fetched->has_value()) return FrameResult::kDuplicate;
-    ByteReader payload(report.payload, report.payload_len);
-    std::optional<S> summary = S::DecodeFrom(payload);
-    if (!summary.has_value() || !payload.Exhausted()) {
+    if (payload->has_value()) return FrameResult::kDuplicate;
+    if (!ValidPayload<S>(report.payload, report.payload_len)) {
       return FrameResult::kMalformed;
     }
-    if (validate_ != nullptr && !validate_(*summary)) {
-      ++incompatible_;
+    if (!Mergeable(report.payload, report.payload_len)) {
       return FrameResult::kIncompatible;
     }
-    fetched->emplace(FetchedReport{
-        std::move(*summary),
-        std::vector<uint8_t>(report.payload,
-                             report.payload + report.payload_len)});
+    payload->emplace(report.payload, report.payload + report.payload_len);
     return FrameResult::kAccepted;
   }
 
   uint64_t epoch_;
   BackoffPolicy policy_;
-  MergeTopology topology_;
-  Rng rng_;
-  bool (*validate_)(const S&) = nullptr;
   uint64_t incompatible_ = 0;
 
   // Durable-mode state (see DESIGN.md §8). received_ / lost_ double as

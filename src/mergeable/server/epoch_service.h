@@ -324,7 +324,8 @@ class EpochService : public FrameHandler {
 
   // Seals `epoch` into the store from whatever reports arrived: the
   // canonical fold (FoldPayloadInto) in ascending shard order —
-  // byte-identical to Coordinator::RunDurable over the same payloads.
+  // byte-identical to Coordinator's Run and RunDurable over the same
+  // payloads.
   // `offered_n` is the total mass the shards tried to send (what the
   // chaos harness knows it offered); everything that did not arrive —
   // shed, dropped, never sent — becomes lost mass.

@@ -87,12 +87,12 @@ ServerStats IngestServer::stats() const {
   return stats_;
 }
 
-bool IngestServer::WaitForFramesReceived(
-    uint64_t frames, std::chrono::milliseconds timeout) const {
+bool IngestServer::WaitForStats(
+    const std::function<bool(const ServerStats&)>& done,
+    std::chrono::milliseconds timeout) const {
   std::unique_lock<std::mutex> lock(stats_mu_);
-  return frames_cv_.wait_for(lock, timeout, [this, frames] {
-    return stats_.frames_received >= frames;
-  });
+  return stats_cv_.wait_for(lock, timeout,
+                            [this, &done] { return done(stats_); });
 }
 
 void IngestServer::WorkerThread() {
@@ -218,7 +218,7 @@ void IngestServer::HandleReadable(uint64_t conn_id, Conn& conn) {
 void IngestServer::RouteFrame(uint64_t conn_id, Conn& conn,
                               std::vector<uint8_t> frame) {
   // Counted once the frame's fate is settled, on every path out, so
-  // WaitForFramesReceived is a barrier on admission stats too.
+  // WaitForStats on frames_received is a barrier on admission stats too.
   struct CountOnExit {
     IngestServer* server;
     ~CountOnExit() {
@@ -226,7 +226,7 @@ void IngestServer::RouteFrame(uint64_t conn_id, Conn& conn,
         std::lock_guard<std::mutex> lock(server->stats_mu_);
         ++server->stats_.frames_received;
       }
-      server->frames_cv_.notify_all();
+      server->stats_cv_.notify_all();
     }
   } count_on_exit{this};
   WorkItem item;
@@ -310,6 +310,7 @@ void IngestServer::EnqueueOutbound(uint64_t conn_id, Conn& conn,
       std::lock_guard<std::mutex> lock(stats_mu_);
       ++stats_.slow_consumer_disconnects;
     }
+    stats_cv_.notify_all();
     CloseConn(conn_id);
     return;
   }

@@ -39,6 +39,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -127,13 +128,16 @@ class IngestServer {
   AdmissionStats admission_stats() const { return queue_.stats(); }
   ServerStats stats() const;
 
-  // Blocks until stats().frames_received reaches `frames` — every one
-  // of those frames admitted, shed or rejected, so admission_stats()
-  // already counts it — or `timeout` passes. False on timeout. The
-  // barrier for "send, then assert on stats" without racing the loop
-  // thread.
-  bool WaitForFramesReceived(uint64_t frames,
-                             std::chrono::milliseconds timeout) const;
+  // Blocks until `done(stats())` holds or `timeout` passes; false on
+  // timeout. The predicate is re-checked whenever frames_received grows
+  // (a frame counts once it is admitted, shed or rejected, so
+  // admission_stats() already counts it) or slow_consumer_disconnects
+  // grows; waiting on any other field can only time out. `done` runs
+  // under the stats lock, so it must not call back into the server.
+  // The barrier for "send, then assert on stats" without racing the
+  // loop thread.
+  bool WaitForStats(const std::function<bool(const ServerStats&)>& done,
+                    std::chrono::milliseconds timeout) const;
   bool in_backpressure() const { return queue_.in_backpressure(); }
 
  private:
@@ -183,7 +187,8 @@ class IngestServer {
   uint64_t inflight_ = 0;
 
   mutable std::mutex stats_mu_;
-  mutable std::condition_variable frames_cv_;  // frames_received grew.
+  // frames_received or slow_consumer_disconnects grew.
+  mutable std::condition_variable stats_cv_;
   ServerStats stats_;
 };
 

@@ -149,7 +149,7 @@ bool PayloadMergeableInto(const S& into, const uint8_t* payload,
 }
 
 // The one canonical fold: every fold in the system (an epoch's seal, a
-// tree node, a range answer, the registry's merge_payloads, the durable
+// tree node, a range answer, the registry's merge_payloads, the
 // coordinator) is a left-deep sequence of these steps over its inputs
 // in order. The first payload is decoded and canonicalized; each later
 // one merges into `fold` straight from its bytes (MergePayloadInto),

@@ -148,8 +148,7 @@ TEST_P(WalBackendTest, MissingFileIsEmptyUntornLog) {
   EXPECT_EQ(log.valid_bytes, 0u);
   EXPECT_FALSE(log.torn_tail);
 
-  Coordinator<SpaceSaving> coordinator(1, Policy(),
-                                       MergeTopology::kLeftDeepChain);
+  Coordinator<SpaceSaving> coordinator(1, Policy());
   const RecoveryInfo info = coordinator.Recover(backend.get());
   EXPECT_EQ(info.wal_records_total, 0u);
   EXPECT_FALSE(info.torn_tail_truncated);
@@ -165,8 +164,7 @@ TEST_P(WalBackendTest, WriterStopsCountingOnCrashedAppend) {
   point.mutation_seed = 3;
   auto backend = factory_.Make(point);
   CrashableStorage& storage = *backend;
-  Coordinator<SpaceSaving> coordinator(1, Policy(),
-                                       MergeTopology::kLeftDeepChain);
+  Coordinator<SpaceSaving> coordinator(1, Policy());
   SimulatedTransport transport = TransportFor(1, 2);
   EXPECT_TRUE(coordinator.RunDurable(transport, 2, &storage).crashed);
 
@@ -313,8 +311,7 @@ class SnapshotBackendTest : public ::testing::TestWithParam<BackendKind> {
   SnapshotBackendTest() : factory_(GetParam()) {}
 
   static RecoveryInfo Recover(Storage* storage, DurableOptions options = {}) {
-    Coordinator<SpaceSaving> coordinator(kEpoch, Policy(),
-                                         MergeTopology::kLeftDeepChain);
+    Coordinator<SpaceSaving> coordinator(kEpoch, Policy());
     return coordinator.Recover(storage, options);
   }
 
@@ -367,8 +364,7 @@ TEST_P(SnapshotBackendTest, FallsBackPastTornNewestFile) {
 
   DurableOptions options;
   options.checkpoint_every = 2;
-  Coordinator<SpaceSaving> coordinator(kEpoch, Policy(),
-                                       MergeTopology::kLeftDeepChain);
+  Coordinator<SpaceSaving> coordinator(kEpoch, Policy());
   const RecoveryInfo info = coordinator.Recover(storage.get(), options);
   EXPECT_TRUE(info.used_snapshot);
   EXPECT_EQ(info.snapshot_seq, 1u);
@@ -434,8 +430,7 @@ TEST(CoordinatorLogTest, DurableRunWritesTheExpectedFramesInOrder) {
   DurableOptions options;
   options.wal_file = "coordinator.log";
   options.checkpoint_every = 2;
-  Coordinator<SpaceSaving> coordinator(kEpoch, Policy(),
-                                       MergeTopology::kLeftDeepChain);
+  Coordinator<SpaceSaving> coordinator(kEpoch, Policy());
   const auto result =
       coordinator.RunDurable(transport, kShards, &storage, options);
   ASSERT_FALSE(result.crashed);

@@ -1,12 +1,15 @@
-// Coordinator tests: retry/backoff, dedup, malformed rejection, and the
-// headline robustness property — with k of m shards permanently lost the
-// coordinator reports coverage (m-k)/m and the merged summary's error on
-// the received data stays within the epsilon * n_received bound, under
-// all three merge topologies.
+// Coordinator tests: retry/backoff, dedup, malformed and incompatible
+// rejection, one fold for Run, RunDurable and the ingest service's seal,
+// and the headline robustness property — with k of m shards permanently
+// lost the coordinator reports coverage (m-k)/m and the folded summary's
+// error on the received data stays within the epsilon * n_received
+// bound. (E1, bench_merge_topology, shows the bound under any merge
+// tree; the coordinator folds left-deep in shard order.)
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -14,9 +17,14 @@
 
 #include "mergeable/aggregate/coordinator.h"
 #include "mergeable/aggregate/fault.h"
-#include "mergeable/core/merge_driver.h"
+#include "mergeable/aggregate/storage.h"
+#include "mergeable/aggregate/wire.h"
+#include "mergeable/frequency/misra_gries.h"
 #include "mergeable/frequency/space_saving.h"
 #include "mergeable/quantiles/mergeable_quantiles.h"
+#include "mergeable/server/epoch_service.h"
+#include "mergeable/sketch/count_min.h"
+#include "mergeable/store/durable_store.h"
 #include "mergeable/store/summary_store.h"
 #include "mergeable/stream/generators.h"
 #include "mergeable/stream/partition.h"
@@ -123,8 +131,7 @@ TEST(CoordinatorTest, DeadlineClampsBackoffSleep) {
   policy.multiplier = 4.0;
   policy.max_backoff_ms = 5000;
   policy.deadline_ms = 200;
-  Coordinator<SpaceSaving> coordinator(kEpoch, policy,
-                                       MergeTopology::kBalancedTree);
+  Coordinator<SpaceSaving> coordinator(kEpoch, policy);
   const auto result = coordinator.Run(transport, 1);
   EXPECT_EQ(result.shards_received, 0u);
   ASSERT_EQ(result.outcomes.size(), 1u);
@@ -135,8 +142,7 @@ TEST(CoordinatorTest, HealthyNetworkFullCoverage) {
   const auto shards = TestShards();
   SimulatedTransport transport{FaultPlan()};
   SubmitSpaceSavingReports(transport, shards);
-  Coordinator<SpaceSaving> coordinator(kEpoch, TestPolicy(),
-                                       MergeTopology::kBalancedTree);
+  Coordinator<SpaceSaving> coordinator(kEpoch, TestPolicy());
   const auto result = coordinator.Run(transport, kShards);
   EXPECT_EQ(result.shards_received, kShards);
   EXPECT_DOUBLE_EQ(result.Coverage(), 1.0);
@@ -155,8 +161,7 @@ TEST(CoordinatorTest, TransientDropsAreRecoveredByRetry) {
   spec.drop_probability = 0.4;
   SimulatedTransport transport{FaultPlan(spec, 11)};
   SubmitSpaceSavingReports(transport, shards);
-  Coordinator<SpaceSaving> coordinator(kEpoch, TestPolicy(),
-                                       MergeTopology::kLeftDeepChain);
+  Coordinator<SpaceSaving> coordinator(kEpoch, TestPolicy());
   const auto result = coordinator.Run(transport, kShards);
   // With 5 attempts at 40% drop, per-shard loss probability is ~1%; the
   // fixed seed makes the outcome deterministic and fully recovered.
@@ -175,8 +180,7 @@ TEST(CoordinatorTest, CorruptedFramesAreRejectedThenRetried) {
   // the fixed seed pins the outcome: every shard recovers.
   BackoffPolicy policy = TestPolicy();
   policy.max_attempts = 8;
-  Coordinator<SpaceSaving> coordinator(kEpoch, policy,
-                                       MergeTopology::kBalancedTree);
+  Coordinator<SpaceSaving> coordinator(kEpoch, policy);
   const auto result = coordinator.Run(transport, kShards);
   EXPECT_GT(result.malformed_rejected, 0u);
   // Corruption is per-attempt, so retries recover every shard here.
@@ -194,8 +198,7 @@ TEST(CoordinatorTest, DuplicatesAreRejectedByShardAndEpoch) {
   spec.duplicate_probability = 1.0;
   SimulatedTransport transport{FaultPlan(spec, 31)};
   SubmitSpaceSavingReports(transport, shards);
-  Coordinator<SpaceSaving> coordinator(kEpoch, TestPolicy(),
-                                       MergeTopology::kBalancedTree);
+  Coordinator<SpaceSaving> coordinator(kEpoch, TestPolicy());
   const auto result = coordinator.Run(transport, kShards);
   EXPECT_EQ(result.shards_received, kShards);
   EXPECT_EQ(result.duplicates_rejected, kShards);
@@ -212,8 +215,7 @@ TEST(CoordinatorTest, StragglersDoNotDoubleCount) {
   spec.delay_ms = 400;  // Past the 50ms attempt timeout.
   SimulatedTransport transport{FaultPlan(spec, 41)};
   SubmitSpaceSavingReports(transport, shards);
-  Coordinator<SpaceSaving> coordinator(kEpoch, TestPolicy(),
-                                       MergeTopology::kRandomTree, 5);
+  Coordinator<SpaceSaving> coordinator(kEpoch, TestPolicy());
   const auto result = coordinator.Run(transport, kShards);
   EXPECT_EQ(result.shards_received, kShards);
   uint64_t total = 0;
@@ -227,8 +229,7 @@ TEST(CoordinatorTest, WrongEpochReportsAreRejected) {
   SimulatedTransport transport{FaultPlan()};
   transport.Submit(0, MakeReportFrame(summary, /*shard_id=*/0,
                                       /*epoch=*/kEpoch + 1));
-  Coordinator<SpaceSaving> coordinator(kEpoch, TestPolicy(),
-                                       MergeTopology::kBalancedTree);
+  Coordinator<SpaceSaving> coordinator(kEpoch, TestPolicy());
   const auto result = coordinator.Run(transport, 1);
   EXPECT_EQ(result.shards_received, 0u);
   EXPECT_GT(result.malformed_rejected, 0u);
@@ -241,8 +242,7 @@ TEST(CoordinatorTest, MisroutedShardIdsAreRejected) {
   SimulatedTransport transport{FaultPlan()};
   // Frame claims shard 7 but is served on shard 0's channel.
   transport.Submit(0, MakeReportFrame(summary, /*shard_id=*/7, kEpoch));
-  Coordinator<SpaceSaving> coordinator(kEpoch, TestPolicy(),
-                                       MergeTopology::kBalancedTree);
+  Coordinator<SpaceSaving> coordinator(kEpoch, TestPolicy());
   const auto result = coordinator.Run(transport, 1);
   EXPECT_EQ(result.shards_received, 0u);
   EXPECT_GT(result.malformed_rejected, 0u);
@@ -275,8 +275,7 @@ TEST(CoordinatorTest, MultiRecordFramesAreMalformedAndRefetched) {
     std::vector<uint8_t> rest_;
   } transport(EncodeBatchFrame(two), MakeReportFrame(summary, 0, kEpoch));
 
-  Coordinator<SpaceSaving> coordinator(kEpoch, TestPolicy(),
-                                       MergeTopology::kBalancedTree);
+  Coordinator<SpaceSaving> coordinator(kEpoch, TestPolicy());
   const auto result = coordinator.Run(transport, 1);
   EXPECT_EQ(result.shards_received, 1u);
   EXPECT_EQ(result.malformed_rejected, 1u);
@@ -287,26 +286,120 @@ TEST(CoordinatorTest, MultiRecordFramesAreMalformedAndRefetched) {
   EXPECT_EQ(result.summary->n(), 1u);  // Merged once, not twice.
 }
 
+// Shard 1's worker is configured differently: its report is valid but
+// of a shape the fold cannot merge, which would abort the merge. Run and
+// RunDurable both give the shard up as incompatible after one attempt
+// — a retry would fetch the same report — and fold the other two.
+// (SpaceSaving merges across capacities, so it has no such shape.)
+template <typename S>
+void ExpectIncompatibleShardGivenUp(const S& good, const S& other) {
+  std::optional<S> expected;
+  const std::vector<uint8_t> good_bytes = EncodeSummary(good);
+  FoldPayloadInto(expected, good_bytes.data(), good_bytes.size());
+  FoldPayloadInto(expected, good_bytes.data(), good_bytes.size());
+
+  for (const bool durable : {false, true}) {
+    SCOPED_TRACE(durable ? "RunDurable" : "Run");
+    SimulatedTransport transport{FaultPlan()};
+    transport.Submit(0, MakeReportFrame(good, 0, kEpoch));
+    transport.Submit(1, MakeReportFrame(other, 1, kEpoch));
+    transport.Submit(2, MakeReportFrame(good, 2, kEpoch));
+    MemStorage wal;
+    Coordinator<S> coordinator(kEpoch, TestPolicy());
+    const auto result = durable ? coordinator.RunDurable(transport, 3, &wal)
+                                : coordinator.Run(transport, 3);
+    EXPECT_EQ(result.shards_received, 2u);
+    EXPECT_EQ(result.incompatible_rejected, 1u);
+    ASSERT_EQ(result.outcomes.size(), 3u);
+    EXPECT_EQ(result.outcomes[1].status, ShardOutcome::Status::kLost);
+    EXPECT_EQ(result.outcomes[1].attempts, 1u);
+    ASSERT_TRUE(result.summary.has_value());
+    EXPECT_EQ(result.summary->n(), 2 * good.n());
+    EXPECT_EQ(EncodeSummary(*result.summary), EncodeSummary(*expected));
+  }
+}
+
 TEST(CoordinatorTest, IncompatibleSummariesAreRejectedNotMerged) {
-  // Worker 1 misconfigured: wrong capacity. Merging it would abort on
-  // the capacity CHECK; the validator must reject it instead.
-  SimulatedTransport transport{FaultPlan()};
-  SpaceSaving good = SpaceSaving::ForEpsilon(kHhEpsilon);
-  good.Update(1);
-  SpaceSaving bad(8);
-  bad.Update(2);
-  transport.Submit(0, MakeReportFrame(good, 0, kEpoch));
-  transport.Submit(1, MakeReportFrame(bad, 1, kEpoch));
-  Coordinator<SpaceSaving> coordinator(kEpoch, TestPolicy(),
-                                       MergeTopology::kBalancedTree);
-  coordinator.set_validator(+[](const SpaceSaving& s) {
-    return s.capacity() == SpaceSaving::ForEpsilon(kHhEpsilon).capacity();
-  });
-  const auto result = coordinator.Run(transport, 2);
-  EXPECT_EQ(result.shards_received, 1u);
-  EXPECT_EQ(result.incompatible_rejected, 1u);
-  ASSERT_TRUE(result.summary.has_value());
-  EXPECT_EQ(result.summary->n(), 1u);
+  CountMinSketch good(4, 64, /*seed=*/9);
+  CountMinSketch narrow(4, 32, /*seed=*/9);
+  for (uint64_t item = 0; item < 50; ++item) {
+    good.Update(item % 7);
+    narrow.Update(item % 5);
+  }
+  ExpectIncompatibleShardGivenUp(good, narrow);
+}
+
+TEST(CoordinatorTest, MisraGriesOfAnotherCapacityIsRejectedNotMerged) {
+  MisraGries good(16);
+  MisraGries small(4);
+  for (uint64_t item = 0; item < 50; ++item) {
+    good.Update(item % 7);
+    small.Update(item % 5);
+  }
+  ExpectIncompatibleShardGivenUp(good, small);
+}
+
+// One fold gives one set of bytes. Under drops, duplicates and
+// corruption, Run's summary encodes byte-identically to RunDurable's and
+// to the ingest service's seal of the reports the coordinator received,
+// admitted in reverse shard order.
+TEST(CoordinatorTest, RunRunDurableAndServiceSealFoldToTheSameBytes) {
+  const auto shards = TestShards();
+  FaultSpec spec;
+  spec.drop_probability = 0.3;
+  spec.duplicate_probability = 0.3;
+  spec.bit_flip_probability = 0.2;
+  spec.truncate_probability = 0.1;
+  const auto make_transport = [&shards, &spec] {
+    SimulatedTransport transport{FaultPlan(spec, 51)};
+    SubmitSpaceSavingReports(transport, shards);
+    return transport;
+  };
+
+  SimulatedTransport run_transport = make_transport();
+  Coordinator<SpaceSaving> in_memory(kEpoch, TestPolicy());
+  const auto run = in_memory.Run(run_transport, kShards);
+  ASSERT_TRUE(run.summary.has_value());
+  EXPECT_GT(run.malformed_rejected, 0u);
+  EXPECT_GT(run.duplicates_rejected, 0u);
+  EXPECT_GT(run.retries, 0u);
+  const std::vector<uint8_t> run_bytes = EncodeSummary(*run.summary);
+
+  MemStorage wal;
+  SimulatedTransport durable_transport = make_transport();
+  Coordinator<SpaceSaving> logged(kEpoch, TestPolicy());
+  const auto durable = logged.RunDurable(durable_transport, kShards, &wal);
+  ASSERT_FALSE(durable.crashed);
+  ASSERT_TRUE(durable.summary.has_value());
+  EXPECT_EQ(EncodeSummary(*durable.summary), run_bytes);
+
+  constexpr uint64_t kStream = 1;
+  MemStorage storage;
+  DurableStoreOptions store_options;
+  store_options.store.epsilon = kHhEpsilon;
+  DurableStore<SpaceSaving> store(&storage, store_options);
+  EpochServiceConfig config;
+  config.stream = kStream;
+  config.shards_per_epoch = kShards;
+  EpochService<SpaceSaving> service(&store, config);
+  uint64_t offered = 0;
+  for (size_t shard = kShards; shard-- > 0;) {
+    offered += shards[shard].size();
+    if (run.outcomes[shard].status != ShardOutcome::Status::kReceived) {
+      continue;
+    }
+    SpaceSaving summary = SpaceSaving::ForEpsilon(kHhEpsilon);
+    for (uint64_t item : shards[shard]) summary.Update(item);
+    const std::optional<WireBatchVerdict> verdict = DecodeBatchVerdictFrame(
+        service.HandleBatch(MakeReportFrame(summary, shard, kEpoch)));
+    ASSERT_TRUE(verdict.has_value());
+    ASSERT_EQ(verdict->codes.size(), 1u);
+    EXPECT_EQ(verdict->codes[0], ControlCode::kAccepted);
+  }
+  ASSERT_TRUE(service.SealEpoch(kEpoch, offered));
+  const auto sealed = store.QueryRangePayload(kStream, kEpoch, kEpoch);
+  ASSERT_TRUE(sealed.has_value());
+  EXPECT_EQ(*sealed->payload, run_bytes);
 }
 
 TEST(CoordinatorTest, DeadlineStopsRetrying) {
@@ -319,8 +412,7 @@ TEST(CoordinatorTest, DeadlineStopsRetrying) {
   BackoffPolicy policy = TestPolicy();
   policy.max_attempts = 100;
   policy.deadline_ms = 120;  // Only a few attempts fit.
-  Coordinator<SpaceSaving> coordinator(kEpoch, policy,
-                                       MergeTopology::kBalancedTree);
+  Coordinator<SpaceSaving> coordinator(kEpoch, policy);
   const auto result = coordinator.Run(transport, 1);
   EXPECT_EQ(result.shards_received, 0u);
   ASSERT_EQ(result.outcomes.size(), 1u);
@@ -336,8 +428,7 @@ TEST(CoordinatorTest, ReusableAcrossEpochsAfterAdvance) {
   uint64_t total = 0;
   for (const auto& shard : shards) total += shard.size();
 
-  Coordinator<SpaceSaving> coordinator(kEpoch, TestPolicy(),
-                                       MergeTopology::kBalancedTree);
+  Coordinator<SpaceSaving> coordinator(kEpoch, TestPolicy());
   for (uint64_t epoch = kEpoch; epoch < kEpoch + 2; ++epoch) {
     if (epoch != kEpoch) coordinator.AdvanceEpoch(epoch);
     EXPECT_EQ(coordinator.epoch(), epoch);
@@ -360,8 +451,7 @@ TEST(CoordinatorTest, ReusableAcrossEpochsAfterAdvance) {
 TEST(CoordinatorTest, StaleEpochReportsRejectedAfterAdvance) {
   SpaceSaving summary = SpaceSaving::ForEpsilon(kHhEpsilon);
   summary.Update(1);
-  Coordinator<SpaceSaving> coordinator(kEpoch, TestPolicy(),
-                                       MergeTopology::kBalancedTree);
+  Coordinator<SpaceSaving> coordinator(kEpoch, TestPolicy());
   coordinator.AdvanceEpoch(kEpoch + 1);
   // A straggler frame from the previous epoch must not be merged.
   SimulatedTransport transport{FaultPlan()};
@@ -372,8 +462,7 @@ TEST(CoordinatorTest, StaleEpochReportsRejectedAfterAdvance) {
 }
 
 TEST(CoordinatorDeathTest, AdvanceToSameEpochIsRejected) {
-  Coordinator<SpaceSaving> coordinator(kEpoch, TestPolicy(),
-                                       MergeTopology::kBalancedTree);
+  Coordinator<SpaceSaving> coordinator(kEpoch, TestPolicy());
   EXPECT_DEATH(coordinator.AdvanceEpoch(kEpoch),
                "AdvanceEpoch requires a different epoch");
 }
@@ -381,8 +470,8 @@ TEST(CoordinatorDeathTest, AdvanceToSameEpochIsRejected) {
 // The acceptance-criteria test: k of m shards permanently lost. The
 // coordinator must report coverage (m-k)/m, and the heavy-hitter error
 // measured against the union of the *received* shards must stay within
-// epsilon * n_received under every merge topology — mergeability is
-// exactly what makes partial aggregation sound.
+// epsilon * n_received — mergeability is exactly what makes partial
+// aggregation sound.
 TEST(CoordinatorTest, DegradedCoverageKeepsHeavyHitterBound) {
   const auto shards = TestShards();
   const std::vector<uint64_t> dead = {2, 5, 9};
@@ -398,55 +487,52 @@ TEST(CoordinatorTest, DegradedCoverageKeepsHeavyHitterBound) {
   uint64_t n_total = 0;
   for (const auto& shard : shards) n_total += shard.size();
 
-  for (MergeTopology topology : kAllTopologies) {
-    FaultPlan plan;
-    for (uint64_t shard : dead) plan.KillShard(shard);
-    SimulatedTransport transport{plan};
-    SubmitSpaceSavingReports(transport, shards);
-    Coordinator<SpaceSaving> coordinator(kEpoch, TestPolicy(), topology, 17);
-    const auto result = coordinator.Run(transport, kShards);
+  FaultPlan plan;
+  for (uint64_t shard : dead) plan.KillShard(shard);
+  SimulatedTransport transport{plan};
+  SubmitSpaceSavingReports(transport, shards);
+  Coordinator<SpaceSaving> coordinator(kEpoch, TestPolicy());
+  const auto result = coordinator.Run(transport, kShards);
 
-    EXPECT_EQ(result.shards_received, kShards - dead.size());
-    EXPECT_DOUBLE_EQ(result.Coverage(),
-                     static_cast<double>(kShards - dead.size()) / kShards);
-    EXPECT_TRUE(result.Degraded());
-    ASSERT_TRUE(result.summary.has_value());
-    EXPECT_EQ(result.summary->n(), n_received);
+  EXPECT_EQ(result.shards_received, kShards - dead.size());
+  EXPECT_DOUBLE_EQ(result.Coverage(),
+                   static_cast<double>(kShards - dead.size()) / kShards);
+  EXPECT_TRUE(result.Degraded());
+  ASSERT_TRUE(result.summary.has_value());
+  EXPECT_EQ(result.summary->n(), n_received);
 
-    // Error on received data: |count estimate - true count| over every
-    // universe item, within epsilon * n_received.
-    const double bound = kHhEpsilon * static_cast<double>(n_received);
-    for (uint64_t item = 0; item < 4096; ++item) {
-      const auto it = truth.find(item);
-      const double true_count =
-          it == truth.end() ? 0.0 : static_cast<double>(it->second);
-      const double estimate =
-          static_cast<double>(result.summary->Count(item));
-      EXPECT_LE(std::abs(estimate - true_count), bound)
-          << "item " << item << " under " << ToString(topology);
-    }
-
-    // Error accounting: the received bound is epsilon * n_received; the
-    // full-stream bound widens by exactly the known lost mass.
-    const ErrorAccounting accounting =
-        AccountErrors(result, kHhEpsilon, n_total);
-    EXPECT_DOUBLE_EQ(accounting.received_bound, bound);
-    EXPECT_EQ(accounting.lost_mass, n_total - n_received);
-    EXPECT_FALSE(accounting.lost_mass_estimated);
-    EXPECT_DOUBLE_EQ(accounting.full_stream_bound,
-                     bound + static_cast<double>(n_total - n_received));
-    EXPECT_DOUBLE_EQ(accounting.coverage, result.Coverage());
-
-    // Without the expected total, the lost mass is estimated from the
-    // mean received shard weight (flagged as an estimate).
-    const ErrorAccounting estimated = AccountErrors(result, kHhEpsilon);
-    EXPECT_TRUE(estimated.lost_mass_estimated);
-    EXPECT_GT(estimated.lost_mass, 0u);
+  // Error on received data: |count estimate - true count| over every
+  // universe item, within epsilon * n_received.
+  const double bound = kHhEpsilon * static_cast<double>(n_received);
+  for (uint64_t item = 0; item < 4096; ++item) {
+    const auto it = truth.find(item);
+    const double true_count =
+        it == truth.end() ? 0.0 : static_cast<double>(it->second);
+    const double estimate =
+        static_cast<double>(result.summary->Count(item));
+    EXPECT_LE(std::abs(estimate - true_count), bound) << "item " << item;
   }
+
+  // Error accounting: the received bound is epsilon * n_received; the
+  // full-stream bound widens by exactly the known lost mass.
+  const ErrorAccounting accounting =
+      AccountErrors(result, kHhEpsilon, n_total);
+  EXPECT_DOUBLE_EQ(accounting.received_bound, bound);
+  EXPECT_EQ(accounting.lost_mass, n_total - n_received);
+  EXPECT_FALSE(accounting.lost_mass_estimated);
+  EXPECT_DOUBLE_EQ(accounting.full_stream_bound,
+                   bound + static_cast<double>(n_total - n_received));
+  EXPECT_DOUBLE_EQ(accounting.coverage, result.Coverage());
+
+  // Without the expected total, the lost mass is estimated from the
+  // mean received shard weight (flagged as an estimate).
+  const ErrorAccounting estimated = AccountErrors(result, kHhEpsilon);
+  EXPECT_TRUE(estimated.lost_mass_estimated);
+  EXPECT_GT(estimated.lost_mass, 0u);
 }
 
 // Same acceptance property for quantiles: rank error on received data
-// within epsilon * n_received under every topology.
+// within epsilon * n_received.
 TEST(CoordinatorTest, DegradedCoverageKeepsQuantileBound) {
   const auto shards = TestShards();
   const std::vector<uint64_t> dead = {0, 7};
@@ -461,38 +547,34 @@ TEST(CoordinatorTest, DegradedCoverageKeepsQuantileBound) {
   std::sort(received_values.begin(), received_values.end());
   const uint64_t n_received = received_values.size();
 
-  for (MergeTopology topology : kAllTopologies) {
-    FaultPlan plan;
-    for (uint64_t shard : dead) plan.KillShard(shard);
-    SimulatedTransport transport{plan};
-    for (size_t shard = 0; shard < shards.size(); ++shard) {
-      MergeableQuantiles summary =
-          MergeableQuantiles::ForEpsilon(kQuantileEpsilon, 100 + shard);
-      for (uint64_t item : shards[shard]) {
-        summary.Update(static_cast<double>(item));
-      }
-      transport.Submit(shard, MakeReportFrame(summary, shard, kEpoch));
+  FaultPlan plan;
+  for (uint64_t shard : dead) plan.KillShard(shard);
+  SimulatedTransport transport{plan};
+  for (size_t shard = 0; shard < shards.size(); ++shard) {
+    MergeableQuantiles summary =
+        MergeableQuantiles::ForEpsilon(kQuantileEpsilon, 100 + shard);
+    for (uint64_t item : shards[shard]) {
+      summary.Update(static_cast<double>(item));
     }
-    Coordinator<MergeableQuantiles> coordinator(kEpoch, TestPolicy(),
-                                                topology, 23);
-    const auto result = coordinator.Run(transport, kShards);
+    transport.Submit(shard, MakeReportFrame(summary, shard, kEpoch));
+  }
+  Coordinator<MergeableQuantiles> coordinator(kEpoch, TestPolicy());
+  const auto result = coordinator.Run(transport, kShards);
 
-    EXPECT_DOUBLE_EQ(result.Coverage(),
-                     static_cast<double>(kShards - dead.size()) / kShards);
-    ASSERT_TRUE(result.summary.has_value());
-    EXPECT_EQ(result.summary->n(), n_received);
+  EXPECT_DOUBLE_EQ(result.Coverage(),
+                   static_cast<double>(kShards - dead.size()) / kShards);
+  ASSERT_TRUE(result.summary.has_value());
+  EXPECT_EQ(result.summary->n(), n_received);
 
-    const double bound = kQuantileEpsilon * static_cast<double>(n_received);
-    for (double x : {10.0, 50.0, 200.0, 1000.0, 3000.0}) {
-      const auto true_rank = static_cast<double>(
-          std::upper_bound(received_values.begin(), received_values.end(),
-                           x) -
-          received_values.begin());
-      const double estimate =
-          static_cast<double>(result.summary->Rank(x));
-      EXPECT_LE(std::abs(estimate - true_rank), bound)
-          << "x=" << x << " under " << ToString(topology);
-    }
+  const double bound = kQuantileEpsilon * static_cast<double>(n_received);
+  for (double x : {10.0, 50.0, 200.0, 1000.0, 3000.0}) {
+    const auto true_rank = static_cast<double>(
+        std::upper_bound(received_values.begin(), received_values.end(),
+                         x) -
+        received_values.begin());
+    const double estimate =
+        static_cast<double>(result.summary->Rank(x));
+    EXPECT_LE(std::abs(estimate - true_rank), bound) << "x=" << x;
   }
 }
 

@@ -17,7 +17,6 @@
 #include "mergeable/aggregate/coordinator.h"
 #include "mergeable/aggregate/fault.h"
 #include "mergeable/aggregate/storage.h"
-#include "mergeable/core/merge_driver.h"
 #include "mergeable/frequency/space_saving.h"
 #include "mergeable/quantiles/mergeable_quantiles.h"
 #include "mergeable/sketch/count_min.h"
@@ -113,8 +112,7 @@ void RunCrashMatrix(const char* type_name, BackendFactory& factory,
 
   // Reference: an uninterrupted durable run.
   auto reference_storage = factory.Make();
-  Coordinator<S> reference(kEpoch, MatrixPolicy(),
-                           MergeTopology::kLeftDeepChain);
+  Coordinator<S> reference(kEpoch, MatrixPolicy());
   SimulatedTransport reference_transport = make_transport();
   const auto reference_result = reference.RunDurable(
       reference_transport, kShards, reference_storage.get(), options);
@@ -133,8 +131,7 @@ void RunCrashMatrix(const char* type_name, BackendFactory& factory,
                  " at write " + std::to_string(point.write_index));
 
     auto storage = factory.Make(point);
-    Coordinator<S> first(kEpoch, MatrixPolicy(),
-                         MergeTopology::kLeftDeepChain);
+    Coordinator<S> first(kEpoch, MatrixPolicy());
     SimulatedTransport crash_transport = make_transport();
     const auto crashed =
         first.RunDurable(crash_transport, kShards, storage.get(), options);
@@ -142,8 +139,7 @@ void RunCrashMatrix(const char* type_name, BackendFactory& factory,
     ASSERT_TRUE(storage->crashed());
 
     storage->Restart();
-    Coordinator<S> second(kEpoch, MatrixPolicy(),
-                          MergeTopology::kLeftDeepChain);
+    Coordinator<S> second(kEpoch, MatrixPolicy());
     const RecoveryInfo info = second.Recover(storage.get(), options);
     // Dedup by (shard, epoch) makes replay exactly-once: nothing in the
     // durable state may ever merge twice.
@@ -227,8 +223,7 @@ TEST(RecoveryTest, TransientAppendFaultsRideOutOnRetry) {
   };
 
   MemStorage reference_storage;
-  Coordinator<SpaceSaving> reference(kEpoch, MatrixPolicy(),
-                                     MergeTopology::kLeftDeepChain);
+  Coordinator<SpaceSaving> reference(kEpoch, MatrixPolicy());
   SimulatedTransport reference_transport = make_transport();
   const auto reference_result = reference.RunDurable(
       reference_transport, kShards, &reference_storage, DurableOptions{});
@@ -240,8 +235,7 @@ TEST(RecoveryTest, TransientAppendFaultsRideOutOnRetry) {
   DurableOptions options;
   options.append_retry.max_attempts = 3;
   options.append_retry.initial_backoff_ms = 0;
-  Coordinator<SpaceSaving> faulted(kEpoch, MatrixPolicy(),
-                                   MergeTopology::kLeftDeepChain);
+  Coordinator<SpaceSaving> faulted(kEpoch, MatrixPolicy());
   SimulatedTransport transport = make_transport();
   const auto result =
       faulted.RunDurable(transport, kShards, &storage, options);
@@ -268,8 +262,7 @@ TEST(RecoveryTest, ExhaustedAppendRetriesFailTheRun) {
   DurableOptions options;
   options.append_retry.max_attempts = 3;
   options.append_retry.initial_backoff_ms = 0;
-  Coordinator<SpaceSaving> coordinator(kEpoch, MatrixPolicy(),
-                                       MergeTopology::kLeftDeepChain);
+  Coordinator<SpaceSaving> coordinator(kEpoch, MatrixPolicy());
   SimulatedTransport transport{FaultPlan()};
   for (size_t shard = 0; shard < kShards; ++shard) {
     SpaceSaving summary = SpaceSaving::ForEpsilon(0.02);
@@ -287,8 +280,7 @@ TEST(RecoveryTest, ExhaustedAppendRetriesFailTheRun) {
 // recovery must report that and the resumed run is simply a fresh one.
 TEST(RecoveryTest, EmptyStorageRecoversToFreshEpoch) {
   MemStorage storage;
-  Coordinator<SpaceSaving> coordinator(kEpoch, MatrixPolicy(),
-                                       MergeTopology::kLeftDeepChain);
+  Coordinator<SpaceSaving> coordinator(kEpoch, MatrixPolicy());
   const RecoveryInfo info = coordinator.Recover(&storage);
   EXPECT_FALSE(info.recovered);
   EXPECT_TRUE(info.pending_shards.empty());
@@ -322,8 +314,7 @@ TEST(RecoveryTest, LogOnlyModeRecoversWithoutSnapshots) {
   };
 
   MemStorage reference_storage;
-  Coordinator<SpaceSaving> reference(kEpoch, MatrixPolicy(),
-                                     MergeTopology::kLeftDeepChain);
+  Coordinator<SpaceSaving> reference(kEpoch, MatrixPolicy());
   SimulatedTransport reference_transport = make_transport();
   const auto reference_result = reference.RunDurable(
       reference_transport, kShards, &reference_storage, options);
@@ -335,15 +326,13 @@ TEST(RecoveryTest, LogOnlyModeRecoversWithoutSnapshots) {
   point.mode = CrashMode::kAfterWrite;
   point.write_index = reference_storage.writes_attempted() - 1;
   MemStorage storage(point);
-  Coordinator<SpaceSaving> first(kEpoch, MatrixPolicy(),
-                                 MergeTopology::kLeftDeepChain);
+  Coordinator<SpaceSaving> first(kEpoch, MatrixPolicy());
   SimulatedTransport crash_transport = make_transport();
   ASSERT_TRUE(
       first.RunDurable(crash_transport, kShards, &storage, options).crashed);
 
   storage.Restart();
-  Coordinator<SpaceSaving> second(kEpoch, MatrixPolicy(),
-                                  MergeTopology::kLeftDeepChain);
+  Coordinator<SpaceSaving> second(kEpoch, MatrixPolicy());
   const RecoveryInfo info = second.Recover(&storage, options);
   EXPECT_TRUE(info.recovered);
   EXPECT_FALSE(info.used_snapshot);
@@ -372,8 +361,7 @@ TEST(RecoveryTest, ReplayDeduplicatesDoubleDurableRecords) {
   ASSERT_TRUE(storage.Append("wal", report));
   ASSERT_TRUE(storage.Append("wal", report));  // The duplicate.
 
-  Coordinator<SpaceSaving> coordinator(kEpoch, MatrixPolicy(),
-                                       MergeTopology::kLeftDeepChain);
+  Coordinator<SpaceSaving> coordinator(kEpoch, MatrixPolicy());
   const RecoveryInfo info = coordinator.Recover(&storage);
   EXPECT_TRUE(info.recovered);
   EXPECT_EQ(info.duplicates_ignored, 1u);
@@ -397,11 +385,47 @@ TEST(RecoveryTest, ReplayIgnoresOtherEpochs) {
   ASSERT_TRUE(storage.Append("wal", Frame(kEpoch - 1, LogRecordKind::kReport,
                                           0, EncodedBytes(stale))));
 
-  Coordinator<SpaceSaving> coordinator(kEpoch, MatrixPolicy(),
-                                       MergeTopology::kLeftDeepChain);
+  Coordinator<SpaceSaving> coordinator(kEpoch, MatrixPolicy());
   const RecoveryInfo info = coordinator.Recover(&storage);
   EXPECT_FALSE(info.recovered);
   EXPECT_EQ(info.wal_records_applied, 0u);
+}
+
+// A logged report of a shape the fold cannot merge (a writer bug: the
+// log holds only reports the fold accepted) is skipped and counted like
+// an undecodable one, so recovery never aborts on it. The shard stays
+// pending; refetched, the same report is given up as incompatible.
+TEST(RecoveryTest, ReplaySkipsReportsOfAnotherShape) {
+  CountMinSketch good(4, 64, /*seed=*/9);
+  CountMinSketch narrow(4, 32, /*seed=*/9);
+  for (uint64_t item = 0; item < 40; ++item) {
+    good.Update(item % 7);
+    narrow.Update(item % 5);
+  }
+  MemStorage storage;
+  ASSERT_TRUE(storage.Append(
+      "wal", Frame(kEpoch, LogRecordKind::kEpochBegin, /*n_shards=*/3)));
+  ASSERT_TRUE(storage.Append(
+      "wal", Frame(kEpoch, LogRecordKind::kReport, 0, EncodedBytes(good))));
+  ASSERT_TRUE(storage.Append(
+      "wal", Frame(kEpoch, LogRecordKind::kReport, 1, EncodedBytes(narrow))));
+  ASSERT_TRUE(storage.Append(
+      "wal", Frame(kEpoch, LogRecordKind::kReport, 2, EncodedBytes(good))));
+
+  Coordinator<CountMinSketch> coordinator(kEpoch, MatrixPolicy());
+  const RecoveryInfo info = coordinator.Recover(&storage);
+  EXPECT_TRUE(info.recovered);
+  EXPECT_EQ(info.invalid_payloads, 1u);
+  EXPECT_EQ(info.pending_shards, std::vector<uint64_t>{1});
+
+  SimulatedTransport transport{FaultPlan()};
+  transport.Submit(1, MakeReportFrame(narrow, 1, kEpoch));
+  const auto result = coordinator.ResumeDurable(transport, 3);
+  ASSERT_FALSE(result.crashed);
+  EXPECT_EQ(result.shards_received, 2u);
+  EXPECT_EQ(result.incompatible_rejected, 1u);
+  ASSERT_TRUE(result.summary.has_value());
+  EXPECT_EQ(result.summary->n(), 2 * good.n());
 }
 
 // Stale checkpoint + newer log: the checkpoint covers a prefix and the
@@ -422,8 +446,7 @@ TEST(RecoveryTest, StaleSnapshotReplaysNewerLogTail) {
   };
 
   MemStorage storage;
-  Coordinator<SpaceSaving> first(kEpoch, MatrixPolicy(),
-                                 MergeTopology::kLeftDeepChain);
+  Coordinator<SpaceSaving> first(kEpoch, MatrixPolicy());
   SimulatedTransport transport = make_transport();
   const auto uninterrupted =
       first.RunDurable(transport, kShards, &storage, options);
@@ -432,8 +455,7 @@ TEST(RecoveryTest, StaleSnapshotReplaysNewerLogTail) {
 
   // Recover with the full log + the mid-epoch checkpoint: the checkpoint
   // is stale relative to the log and the tail replay must close the gap.
-  Coordinator<SpaceSaving> second(kEpoch, MatrixPolicy(),
-                                  MergeTopology::kLeftDeepChain);
+  Coordinator<SpaceSaving> second(kEpoch, MatrixPolicy());
   const RecoveryInfo info = second.Recover(&storage, options);
   EXPECT_TRUE(info.recovered);
   EXPECT_TRUE(info.used_snapshot);
@@ -476,8 +498,7 @@ TEST(RecoveryTest, UncutTornTailBlocksResume) {
   options.checkpoint_every = 2;
 
   MemStorage reference_storage;
-  Coordinator<SpaceSaving> reference(kEpoch, MatrixPolicy(),
-                                     MergeTopology::kLeftDeepChain);
+  Coordinator<SpaceSaving> reference(kEpoch, MatrixPolicy());
   SimulatedTransport reference_transport = make_transport();
   const auto reference_result = reference.RunDurable(
       reference_transport, kShards, &reference_storage, options);
@@ -489,16 +510,14 @@ TEST(RecoveryTest, UncutTornTailBlocksResume) {
   point.write_index = 4;  // Epoch begin, 0, 1, checkpoint, then 2.
   point.mutation_seed = 11;
   NoTruncateStorage storage(point);
-  Coordinator<SpaceSaving> first(kEpoch, MatrixPolicy(),
-                                 MergeTopology::kLeftDeepChain);
+  Coordinator<SpaceSaving> first(kEpoch, MatrixPolicy());
   SimulatedTransport crash_transport = make_transport();
   ASSERT_TRUE(
       first.RunDurable(crash_transport, kShards, &storage, options).crashed);
   storage.Restart();
   const std::vector<uint8_t> crashed_log = *storage.Read("wal");
 
-  Coordinator<SpaceSaving> second(kEpoch, MatrixPolicy(),
-                                  MergeTopology::kLeftDeepChain);
+  Coordinator<SpaceSaving> second(kEpoch, MatrixPolicy());
   const RecoveryInfo info = second.Recover(&storage, options);
   EXPECT_TRUE(info.recovered);
   EXPECT_FALSE(info.torn_tail_truncated);
@@ -509,8 +528,7 @@ TEST(RecoveryTest, UncutTornTailBlocksResume) {
   EXPECT_EQ(*storage.Read("wal"), crashed_log);
 
   storage.truncate_works = true;
-  Coordinator<SpaceSaving> third(kEpoch, MatrixPolicy(),
-                                 MergeTopology::kLeftDeepChain);
+  Coordinator<SpaceSaving> third(kEpoch, MatrixPolicy());
   EXPECT_TRUE(third.Recover(&storage, options).torn_tail_truncated);
   SimulatedTransport resume_transport = make_transport();
   const auto result = third.ResumeDurable(resume_transport, kShards);
@@ -549,14 +567,12 @@ TEST(RecoveryTest, ResumeSurvivesTransientTransportFaults) {
   point.write_index = 4;
   point.mutation_seed = 123;
   MemStorage storage(point);
-  Coordinator<SpaceSaving> first(kEpoch, policy,
-                                 MergeTopology::kLeftDeepChain);
+  Coordinator<SpaceSaving> first(kEpoch, policy);
   SimulatedTransport crash_transport = make_transport(31);
   ASSERT_TRUE(first.RunDurable(crash_transport, kShards, &storage).crashed);
 
   storage.Restart();
-  Coordinator<SpaceSaving> second(kEpoch, policy,
-                                  MergeTopology::kLeftDeepChain);
+  Coordinator<SpaceSaving> second(kEpoch, policy);
   const RecoveryInfo info = second.Recover(&storage);
   EXPECT_TRUE(info.recovered);
   SimulatedTransport resume_transport = make_transport(32);

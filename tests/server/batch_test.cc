@@ -75,7 +75,7 @@ EpochServiceConfig TestService() {
 }
 
 // The reference answer bytes: every epoch aggregated through the
-// in-process SimulatedTransport + durable coordinator path.
+// in-process SimulatedTransport + coordinator path.
 std::vector<std::vector<uint8_t>> ReferenceAnswers(MemStorage* backing) {
   DurableStore<SpaceSaving> store(backing, TestStore());
   for (uint64_t epoch = 0; epoch < kEpochs; ++epoch) {
@@ -86,10 +86,8 @@ std::vector<std::vector<uint8_t>> ReferenceAnswers(MemStorage* backing) {
       offered += summary.n();
       transport.Submit(shard, MakeReportFrame(summary, shard, epoch));
     }
-    MemStorage wal;
-    Coordinator<SpaceSaving> coordinator(epoch, FastPolicy(),
-                                         MergeTopology::kLeftDeepChain);
-    const auto result = coordinator.RunDurable(transport, kShards, &wal);
+    Coordinator<SpaceSaving> coordinator(epoch, FastPolicy());
+    const auto result = coordinator.Run(transport, kShards);
     EXPECT_TRUE(result.summary.has_value());
     EXPECT_TRUE(store.SealResult(kStream, epoch, result, offered));
   }
@@ -363,8 +361,9 @@ TEST(BatchTest, ShedBatchesAccountMassExactlyAtBatchGranularity) {
   ASSERT_TRUE(client.SendFrame(EncodeBatchFrame(make_batch(9, 3))));
   // Barrier: the loop thread has routed all three frames (C's verdict
   // is held by the paused workers, so there is no reply to wait on).
-  ASSERT_TRUE(
-      server.WaitForFramesReceived(3, std::chrono::milliseconds(10000)));
+  ASSERT_TRUE(server.WaitForStats(
+      [](const ServerStats& stats) { return stats.frames_received >= 3; },
+      std::chrono::milliseconds(10000)));
 
   const AdmissionStats paused = server.admission_stats();
   EXPECT_EQ(paused.admitted_reports, 8u);
@@ -429,16 +428,18 @@ TEST(BatchTest, ShedBatchRecoversViaWholeBatchRetry) {
   ASSERT_TRUE(blaster.SendFrame(EncodeBatchFrame(filler)));
   // The filler must be admitted before the retrier's frame, which
   // arrives on another connection, is routed.
-  ASSERT_TRUE(
-      server.WaitForFramesReceived(1, std::chrono::milliseconds(10000)));
+  ASSERT_TRUE(server.WaitForStats(
+      [](const ServerStats& stats) { return stats.frames_received >= 1; },
+      std::chrono::milliseconds(10000)));
 
   // ...then release pressure from another thread once the retrier's
   // first send has been shed, while SendBatch is in its NACK-backoff-
   // resend loop. The patient policy gives the retry loop ~150 ms of
   // budget so scheduler jitter cannot exhaust it.
   std::thread releaser([&server] {
-    EXPECT_TRUE(
-        server.WaitForFramesReceived(2, std::chrono::milliseconds(10000)));
+    EXPECT_TRUE(server.WaitForStats(
+        [](const ServerStats& stats) { return stats.frames_received >= 2; },
+        std::chrono::milliseconds(10000)));
     server.PauseWorkers(false);
   });
   std::vector<WireReport> late;

@@ -23,7 +23,6 @@
 #include <chrono>
 #include <cstdint>
 #include <optional>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -354,8 +353,11 @@ TEST(OverloadTest, ShedReportsRecoverViaRetryAfter) {
   }
   // Every frame meets admission while the workers are still paused, so
   // exactly the first high_watermark are admitted.
-  ASSERT_TRUE(harness.server.WaitForFramesReceived(
-      kReports, std::chrono::seconds(10)));
+  ASSERT_TRUE(harness.server.WaitForStats(
+      [](const ServerStats& stats) {
+        return stats.frames_received >= kReports;
+      },
+      std::chrono::seconds(10)));
   // Spike over: the workers return, pressure drains, hysteresis
   // releases, and the client resends every report under its policy —
   // no verdict names a shard, so the admitted ones are resent too.
@@ -492,15 +494,13 @@ TEST(OverloadTest, SlowConsumerIsDisconnectedAtTheBufferCap) {
     if (server.stats().slow_consumer_disconnects > 0) disconnected = true;
   }
   // Sends can keep succeeding into kernel buffers after the server
-  // hangs up; the authoritative signal is the server's own counter.
-  // Drain leaves shipped responses in flight on the loop thread, so
-  // give the counter real time, not just drain passes.
-  server.Drain();
-  for (int i = 0; i < 500 && server.stats().slow_consumer_disconnects == 0;
-       ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  EXPECT_GE(server.stats().slow_consumer_disconnects, 1u);
+  // hangs up; the authoritative signal is the server's own counter,
+  // which the loop thread bumps once the unread answers pass the cap.
+  EXPECT_TRUE(server.WaitForStats(
+      [](const ServerStats& stats) {
+        return stats.slow_consumer_disconnects >= 1;
+      },
+      std::chrono::seconds(10)));
   server.Stop();
 }
 

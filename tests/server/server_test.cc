@@ -14,7 +14,6 @@
 #include "mergeable/aggregate/fault.h"
 #include "mergeable/aggregate/storage.h"
 #include "mergeable/aggregate/wire.h"
-#include "mergeable/core/merge_driver.h"
 #include "mergeable/frequency/space_saving.h"
 #include "mergeable/server/chaos.h"
 #include "mergeable/server/client.h"
@@ -288,8 +287,8 @@ TEST(ServerTest, ZeroSheddingMatchesSimulatedTransportByteForByte) {
   ASSERT_TRUE(harness.server.Start());
   IngestClient client(harness.server.port());
 
-  // Reference path: healthy SimulatedTransport + durable coordinator,
-  // sealed into its own store.
+  // Reference path: healthy SimulatedTransport + coordinator, sealed
+  // into its own store.
   MemStorage ref_backing;
   DurableStore<SpaceSaving> ref_store(&ref_backing, TestStore());
 
@@ -311,11 +310,8 @@ TEST(ServerTest, ZeroSheddingMatchesSimulatedTransportByteForByte) {
     harness.server.Drain();
     ASSERT_TRUE(harness.service.SealEpoch(epoch, offered));
 
-    MemStorage ref_wal;  // Fresh durable state per epoch.
-    Coordinator<SpaceSaving> coordinator(epoch, FastPolicy(),
-                                         MergeTopology::kLeftDeepChain);
-    const auto result =
-        coordinator.RunDurable(transport, kShards, &ref_wal);
+    Coordinator<SpaceSaving> coordinator(epoch, FastPolicy());
+    const auto result = coordinator.Run(transport, kShards);
     ASSERT_TRUE(result.summary.has_value());
     ASSERT_TRUE(ref_store.SealResult(kStream, epoch, result, offered));
   }

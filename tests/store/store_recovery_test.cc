@@ -230,8 +230,7 @@ TEST(StoreIngestTest, SealResultOfRecoveredEpochMatchesUninterruptedRun) {
   options.checkpoint_every = 2;
 
   MemStorage reference_log;
-  Coordinator<SpaceSaving> reference(kEpoch, policy,
-                                     MergeTopology::kLeftDeepChain);
+  Coordinator<SpaceSaving> reference(kEpoch, policy);
   SimulatedTransport reference_transport = make_transport();
   const auto reference_result = reference.RunDurable(
       reference_transport, kShards, &reference_log, options);
@@ -245,13 +244,11 @@ TEST(StoreIngestTest, SealResultOfRecoveredEpochMatchesUninterruptedRun) {
   point.mode = CrashMode::kAfterWrite;
   point.write_index = 4;
   MemStorage log(point);
-  Coordinator<SpaceSaving> first(kEpoch, policy,
-                                 MergeTopology::kLeftDeepChain);
+  Coordinator<SpaceSaving> first(kEpoch, policy);
   SimulatedTransport crash_transport = make_transport();
   ASSERT_TRUE(first.RunDurable(crash_transport, kShards, &log, options).crashed);
   log.Restart();
-  Coordinator<SpaceSaving> second(kEpoch, policy,
-                                  MergeTopology::kLeftDeepChain);
+  Coordinator<SpaceSaving> second(kEpoch, policy);
   ASSERT_TRUE(second.Recover(&log, options).used_snapshot);
   SimulatedTransport resume_transport = make_transport();
   const auto result = second.ResumeDurable(resume_transport, kShards);
