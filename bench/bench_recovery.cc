@@ -81,7 +81,8 @@ DurableCost MeasureCell(const std::vector<std::vector<uint64_t>>& shards,
   DurableCost cost;
 
   // Uninterrupted run: storage cost and the reference answer.
-  MemStorage healthy;
+  MemStorage healthy_backend;
+  CrashingStorage healthy(&healthy_backend);
   std::vector<uint8_t> reference;
   uint64_t total_writes = 0;
   {
@@ -120,7 +121,8 @@ DurableCost MeasureCell(const std::vector<std::vector<uint64_t>>& shards,
   point.mode = CrashMode::kTornWrite;
   point.write_index = total_writes - 1;
   point.mutation_seed = 23;
-  MemStorage crashing(point);
+  MemStorage crashing_backend;
+  CrashingStorage crashing(&crashing_backend, point);
   {
     SimulatedTransport transport{FaultPlan()};
     submit_all(transport);

@@ -31,6 +31,7 @@ namespace {
 using mergeable::BackoffPolicy;
 using mergeable::ByteWriter;
 using mergeable::Coordinator;
+using mergeable::CrashingStorage;
 using mergeable::CrashMode;
 using mergeable::CrashPoint;
 using mergeable::DurableOptions;
@@ -111,7 +112,8 @@ int main() {
   crash.mode = CrashMode::kTornWrite;
   crash.write_index = 7;
   crash.mutation_seed = 99;
-  MemStorage storage(crash);
+  MemStorage backend;
+  CrashingStorage storage(&backend, crash);
   {
     SimulatedTransport transport{FaultPlan()};
     SubmitReports(transport, shards);

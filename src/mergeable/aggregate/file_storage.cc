@@ -11,16 +11,10 @@
 #include <string_view>
 #include <utility>
 
-#include "mergeable/util/random.h"
-
 namespace mergeable {
 namespace {
 
 namespace fs = std::filesystem;
-
-// Torn appends persist a sector-aligned strict prefix: real disks lose
-// power mid-write at sector granularity, not at arbitrary bytes.
-constexpr uint64_t kSectorBytes = 512;
 
 bool WriteAll(int fd, const uint8_t* data, size_t size) {
   size_t done = 0;
@@ -56,54 +50,9 @@ bool WriteFileDurable(const std::string& path,
   return ok;
 }
 
-uint64_t TornPrefix(uint64_t size, uint64_t rnd) {
-  if (size == 0) return 0;
-  uint64_t prefix = rnd % size;  // Always a strict prefix.
-  if (size > kSectorBytes) prefix &= ~(kSectorBytes - 1);
-  return prefix;
-}
-
 }  // namespace
 
-void FaultFd::FailNextWrites(Kind kind, uint64_t count) {
-  std::lock_guard<std::mutex> lock(mu_);
-  window_kind_ = kind;
-  window_remaining_ = count;
-}
-
-void FaultFd::SetSticky(Kind kind) {
-  std::lock_guard<std::mutex> lock(mu_);
-  sticky_ = kind;
-}
-
-void FaultFd::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  sticky_ = Kind::kNone;
-  window_kind_ = Kind::kNone;
-  window_remaining_ = 0;
-}
-
-FaultFd::Kind FaultFd::Next() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (window_remaining_ > 0) {
-    --window_remaining_;
-    ++faults_injected_;
-    return window_kind_;
-  }
-  if (sticky_ != Kind::kNone) {
-    ++faults_injected_;
-    return sticky_;
-  }
-  return Kind::kNone;
-}
-
-uint64_t FaultFd::faults_injected() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return faults_injected_;
-}
-
-FileStorage::FileStorage(std::string root, CrashPoint crash, FaultFd* faults)
-    : root_(std::move(root)), crash_(crash), faults_(faults) {
+FileStorage::FileStorage(std::string root) : root_(std::move(root)) {
   while (root_.size() > 1 && root_.back() == '/') root_.pop_back();
   std::error_code ec;
   if (fs::create_directories(root_, ec); !ec) {
@@ -158,206 +107,60 @@ bool FileStorage::EnsureParentDirs(const std::string& path) {
   return true;
 }
 
-bool FileStorage::AppendLocked(const std::string& file,
-                               const std::vector<uint8_t>& bytes) {
-  if (crashed_) return false;
+bool FileStorage::Append(const std::string& file,
+                         const std::vector<uint8_t>& bytes) {
+  std::lock_guard<std::mutex> lock(mu_);
   std::string path;
-  if (!ResolvePath(file, &path)) return false;
-  if (faults_ != nullptr) {
-    switch (faults_->Next()) {
-      case FaultFd::Kind::kNone:
-        break;
-      case FaultFd::Kind::kEIO:
-      case FaultFd::Kind::kENOSPC:
-        // The syscall failed before any byte landed. No write index is
-        // consumed, so a retry replays the same durable sequence.
-        ++stats_.transient_failures;
-        return false;
-      case FaultFd::Kind::kShortWrite: {
-        // Half the record reaches the disk; roll the file back to its
-        // pre-append length so the log is not poisoned, then fail.
-        if (!EnsureParentDirs(path)) return false;
-        const int fd = ::open(path.c_str(),
-                              O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
-        if (fd >= 0) {
-          struct stat st {};
-          const off_t old_size = (::fstat(fd, &st) == 0) ? st.st_size : 0;
-          WriteAll(fd, bytes.data(), bytes.size() / 2);
-          ::ftruncate(fd, old_size);
-          ::fsync(fd);
-          ::close(fd);
-        }
-        ++stats_.transient_failures;
-        return false;
-      }
-    }
-  }
-  const uint64_t index = writes_attempted_++;
-  const bool fires =
-      crash_.mode != CrashMode::kNone && index == crash_.write_index;
-  if (fires && crash_.mode == CrashMode::kBeforeWrite) {
-    crashed_ = true;
-    return false;
-  }
-  if (!EnsureParentDirs(path)) return false;
+  if (!ResolvePath(file, &path) || !EnsureParentDirs(path)) return false;
   const int fd =
       ::open(path.c_str(), O_WRONLY | O_CREAT | O_APPEND | O_CLOEXEC, 0644);
   if (fd < 0) return false;
   struct stat st {};
   const off_t old_size = (::fstat(fd, &st) == 0) ? st.st_size : 0;
-
-  std::vector<uint8_t> durable = bytes;
-  uint64_t state = crash_.mutation_seed;
-  if (fires && crash_.mode == CrashMode::kTornWrite) {
-    durable.resize(TornPrefix(durable.size(), SplitMix64(state)));
-  }
-  if (fires && crash_.mode == CrashMode::kCorruptWrite) {
-    ApplyBitFlip(durable, SplitMix64(state));
-  }
-  bool ok = WriteAll(fd, durable.data(), durable.size());
+  bool ok = WriteAll(fd, bytes.data(), bytes.size());
   ok = (::fsync(fd) == 0) && ok;
-  if (!ok && !fires) {
-    // A genuine failure mid-append: roll back to the old length so a
-    // retry appends cleanly at the same offset.
+  if (!ok) {
+    // A failure mid-append: roll back to the old length so a retry
+    // appends cleanly at the same offset.
     ::ftruncate(fd, old_size);
     ::fsync(fd);
-    ::close(fd);
-    ++stats_.transient_failures;
-    return false;
   }
   ::close(fd);
-  if (fires) {
-    crashed_ = true;
-    return false;
-  }
-  ++stats_.appends;
-  stats_.bytes_appended += bytes.size();
-  return true;
-}
-
-bool FileStorage::RewriteLocked(const std::string& file,
-                                const std::vector<uint8_t>& bytes) {
-  if (crashed_) return false;
-  std::string path;
-  if (!ResolvePath(file, &path)) return false;
-  const std::string tmp = path + ".tmp";
-  if (faults_ != nullptr) {
-    switch (faults_->Next()) {
-      case FaultFd::Kind::kNone:
-        break;
-      case FaultFd::Kind::kEIO:
-      case FaultFd::Kind::kENOSPC:
-        ++stats_.transient_failures;
-        return false;
-      case FaultFd::Kind::kShortWrite: {
-        // The temp file write dies half way; the destination is never
-        // touched. Clean up the temp and fail the call.
-        if (EnsureParentDirs(path)) {
-          std::vector<uint8_t> half(bytes.begin(),
-                                    bytes.begin() + bytes.size() / 2);
-          WriteFileDurable(tmp, half);
-          ::unlink(tmp.c_str());
-        }
-        ++stats_.transient_failures;
-        return false;
-      }
-    }
-  }
-  const uint64_t index = writes_attempted_++;
-  const bool fires =
-      crash_.mode != CrashMode::kNone && index == crash_.write_index;
-  if (fires && crash_.mode == CrashMode::kBeforeWrite) {
-    crashed_ = true;
-    return false;
-  }
-  if (!EnsureParentDirs(path)) return false;
-  if (fires && crash_.mode == CrashMode::kTornWrite) {
-    // The process dies while writing the temp file: a torn temp stays
-    // behind (swept on restart) and the destination keeps its old
-    // contents — the rename never happened.
-    std::vector<uint8_t> torn = bytes;
-    torn.resize(TornPrefix(torn.size(), SplitMix64(crash_.mutation_seed)));
-    WriteFileDurable(tmp, torn);
-    crashed_ = true;
-    return false;
-  }
-  std::vector<uint8_t> durable = bytes;
-  if (fires && crash_.mode == CrashMode::kCorruptWrite) {
-    // Media rot just after the rename: the new contents are in place
-    // with one bit flipped.
-    ApplyBitFlip(durable, SplitMix64(crash_.mutation_seed));
-  }
-  const bool renamed = WriteFileDurable(tmp, durable) &&
-                       ::rename(tmp.c_str(), path.c_str()) == 0;
-  if (renamed) ForgetReadFd(path);  // The path names a new inode now.
-  if (!renamed || !FsyncDirOf(path)) {
-    if (!fires) {
-      ::unlink(tmp.c_str());
-      ++stats_.transient_failures;
-      return false;
-    }
-  }
-  if (fires) {
-    crashed_ = true;
-    return false;
-  }
-  ++stats_.rewrites;
-  stats_.bytes_rewritten += bytes.size();
-  return true;
-}
-
-bool FileStorage::Append(const std::string& file,
-                         const std::vector<uint8_t>& bytes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return AppendLocked(file, bytes);
+  return ok;
 }
 
 bool FileStorage::Rewrite(const std::string& file,
                           const std::vector<uint8_t>& bytes) {
   std::lock_guard<std::mutex> lock(mu_);
-  return RewriteLocked(file, bytes);
+  std::string path;
+  if (!ResolvePath(file, &path) || !EnsureParentDirs(path)) return false;
+  const std::string tmp = path + ".tmp";
+  const bool renamed = WriteFileDurable(tmp, bytes) &&
+                       ::rename(tmp.c_str(), path.c_str()) == 0;
+  if (renamed) ForgetReadFd(path);  // The path names a new inode now.
+  if (!renamed || !FsyncDirOf(path)) {
+    ::unlink(tmp.c_str());
+    return false;
+  }
+  return true;
 }
 
 bool FileStorage::Truncate(const std::string& file, uint64_t size) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (crashed_) return false;
   std::string path;
   if (!ResolvePath(file, &path)) return false;
-  const uint64_t index = writes_attempted_++;
-  const bool fires =
-      crash_.mode != CrashMode::kNone && index == crash_.write_index;
-  if (fires && crash_.mode == CrashMode::kBeforeWrite) {
-    crashed_ = true;
-    return false;
-  }
   // A missing file has nothing past `size`; any other failure to open,
   // stat, shrink or sync leaves the tail in place and must be reported,
   // or the caller would append behind bytes it believes are gone.
-  bool ok = true;
   const int fd = ::open(path.c_str(), O_WRONLY | O_CLOEXEC);
-  if (fd >= 0) {
-    struct stat st {};
-    ok = ::fstat(fd, &st) == 0;
-    if (ok && static_cast<uint64_t>(st.st_size) > size) {
-      ok = ::ftruncate(fd, static_cast<off_t>(size)) == 0 &&
-           ::fsync(fd) == 0;
-    }
-    ::close(fd);
-  } else {
-    ok = errno == ENOENT;
+  if (fd < 0) return errno == ENOENT;
+  struct stat st {};
+  bool ok = ::fstat(fd, &st) == 0;
+  if (ok && static_cast<uint64_t>(st.st_size) > size) {
+    ok = ::ftruncate(fd, static_cast<off_t>(size)) == 0 && ::fsync(fd) == 0;
   }
-  if (fires) {
-    // A truncate is all-or-nothing on every sane backend; the remaining
-    // crash modes reduce to dying right after it completed.
-    crashed_ = true;
-    return false;
-  }
-  if (!ok) {
-    ++stats_.transient_failures;
-    return false;
-  }
-  ++stats_.truncates;
-  return true;
+  ::close(fd);
+  return ok;
 }
 
 std::optional<std::vector<uint8_t>> FileStorage::Read(
@@ -464,31 +267,6 @@ void FileStorage::SweepTempFiles() {
     }
   }
   for (const fs::path& p : stale) fs::remove(p, ec);
-}
-
-bool FileStorage::crashed() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return crashed_;
-}
-
-void FileStorage::Restart() {
-  std::lock_guard<std::mutex> lock(mu_);
-  crashed_ = false;
-  crash_ = CrashPoint{};
-  SweepTempFiles();
-  // A restarted process holds no descriptors.
-  std::lock_guard<std::mutex> read_lock(read_mu_);
-  read_fds_.clear();
-}
-
-uint64_t FileStorage::writes_attempted() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return writes_attempted_;
-}
-
-StorageStats FileStorage::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
 }
 
 }  // namespace mergeable

@@ -12,20 +12,12 @@
 //             directory. Readers see the old bytes or the new bytes,
 //             never a mix; a crash mid-rewrite leaves the old file
 //             untouched and only a stale temp file behind, which
-//             startup and Restart() sweep away.
+//             startup sweeps away.
 //   Create    every directory created on the way to a file is fsync'd
 //             so the file's existence itself is durable.
 //
-// Fault surface. FileStorage implements CrashableStorage, so the same
-// CrashPoint schedule that drives MemStorage's crash matrix drives real
-// files: torn appends persist a sector-aligned strict prefix, torn
-// rewrites leave the old contents in place (the rename never happened),
-// corrupt writes land bit-flipped, and after-write crashes persist
-// everything while the writer sees failure. On top of that, a FaultFd
-// injector models *transient* syscall failures — short writes, EIO,
-// ENOSPC — that fail the one call cleanly without killing the process,
-// which is what the coordinator's bounded append retry and the ingest
-// server's disk-full degradation are tested against.
+// FileStorage injects no faults; CrashingStorage (storage.h) wraps it
+// for the crash-matrix and disk-full tests.
 
 #ifndef MERGEABLE_AGGREGATE_FILE_STORAGE_H_
 #define MERGEABLE_AGGREGATE_FILE_STORAGE_H_
@@ -39,54 +31,16 @@
 #include <string>
 #include <vector>
 
-#include "mergeable/aggregate/fault.h"
 #include "mergeable/aggregate/storage.h"
 
 namespace mergeable {
 
-// Deterministic injector of transient write-syscall faults. Thread-safe:
-// the ingest server's workers and the scrubber share one schedule.
-class FaultFd {
- public:
-  enum class Kind : uint8_t {
-    kNone = 0,
-    kShortWrite,  // write(2) persists only a prefix; storage rolls back
-    kEIO,         // the syscall fails outright, nothing persists
-    kENOSPC,      // disk full, nothing persists
-  };
-
-  // The next `count` durable write attempts fail with `kind`.
-  void FailNextWrites(Kind kind, uint64_t count);
-
-  // Every write attempt fails with `kind` until Clear() — the scripted
-  // disk-full scenario.
-  void SetSticky(Kind kind);
-
-  // Drops the sticky fault and any remaining one-shot window.
-  void Clear();
-
-  // Consumed by the storage backend, one decision per write attempt.
-  Kind Next();
-
-  uint64_t faults_injected() const;
-
- private:
-  mutable std::mutex mu_;
-  Kind sticky_ = Kind::kNone;
-  Kind window_kind_ = Kind::kNone;
-  uint64_t window_remaining_ = 0;
-  uint64_t faults_injected_ = 0;
-};
-
-class FileStorage : public CrashableStorage {
+class FileStorage : public Storage {
  public:
   // Operates under `root` (created, with fsync'd ancestors, if absent).
-  // `crash` schedules at most one process-killing fault, exactly like
-  // MemStorage; `faults` (optional, unowned) injects transient syscall
-  // failures on top. Leftover "*.tmp" files under root are removed, the
-  // same sweep a real process does on startup.
-  explicit FileStorage(std::string root, CrashPoint crash = CrashPoint{},
-                       FaultFd* faults = nullptr);
+  // Leftover "*.tmp" files under root are removed, the same sweep a
+  // real process does on startup.
+  explicit FileStorage(std::string root);
 
   bool Append(const std::string& file,
               const std::vector<uint8_t>& bytes) override;
@@ -102,11 +56,6 @@ class FileStorage : public CrashableStorage {
       const std::string& file, uint64_t offset,
       uint64_t length) const override;
   std::vector<std::string> List() const override;
-
-  bool crashed() const override;
-  void Restart() override;
-  uint64_t writes_attempted() const override;
-  StorageStats stats() const override;
 
   const std::string& root() const { return root_; }
 
@@ -136,17 +85,8 @@ class FileStorage : public CrashableStorage {
   // Drops the cached descriptor of a path whose inode was replaced.
   void ForgetReadFd(const std::string& path);
 
-  bool AppendLocked(const std::string& file, const std::vector<uint8_t>& bytes);
-  bool RewriteLocked(const std::string& file,
-                     const std::vector<uint8_t>& bytes);
-
   mutable std::mutex mu_;
   std::string root_;
-  CrashPoint crash_;
-  FaultFd* faults_ = nullptr;
-  bool crashed_ = false;
-  uint64_t writes_attempted_ = 0;
-  StorageStats stats_;
 
   // ReadRange's descriptors by path, at most kMaxReadFds of them; a
   // full cache drops the lexicographically first path, which for

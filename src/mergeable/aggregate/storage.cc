@@ -1,10 +1,22 @@
 #include "mergeable/aggregate/storage.h"
 
-#include <utility>
-
 #include "mergeable/util/random.h"
 
 namespace mergeable {
+namespace {
+
+// Torn appends persist a sector-aligned strict prefix: real disks lose
+// power mid-write at sector granularity, not at arbitrary bytes.
+constexpr uint64_t kSectorBytes = 512;
+
+uint64_t TornPrefix(uint64_t size, uint64_t rnd) {
+  if (size == 0) return 0;
+  uint64_t prefix = rnd % size;  // Always a strict prefix.
+  if (size > kSectorBytes) prefix &= ~(kSectorBytes - 1);
+  return prefix;
+}
+
+}  // namespace
 
 std::optional<std::vector<uint8_t>> Storage::ReadRange(
     const std::string& file, uint64_t offset, uint64_t length) const {
@@ -18,105 +30,27 @@ std::optional<std::vector<uint8_t>> Storage::ReadRange(
   return bytes;
 }
 
-bool MemStorage::CommitWrite(const std::string& file,
-                             std::vector<uint8_t> bytes, bool append) {
-  if (crashed_) return false;
-  if (transient_faults_pending_ > 0) {
-    // A transient fault consumes no write index: the syscall failed
-    // before any byte reached the medium, so a retry replays the exact
-    // same durable write sequence the crash matrix enumerated.
-    --transient_faults_pending_;
-    ++stats_.transient_failures;
-    return false;
-  }
-  const uint64_t index = writes_attempted_++;
-  const bool fires =
-      crash_.mode != CrashMode::kNone && index == crash_.write_index;
-  if (fires && crash_.mode == CrashMode::kBeforeWrite) {
-    crashed_ = true;
-    return false;
-  }
-  if (fires && crash_.mode == CrashMode::kTornWrite && !append) {
-    // Rewrite is write-temp-then-rename: a crash mid-write tears the
-    // temp file, the rename never happens, and the old contents (or the
-    // file's absence) survive untouched.
-    crashed_ = true;
-    return false;
-  }
-  uint64_t state = crash_.mutation_seed;
-  if (fires && crash_.mode == CrashMode::kTornWrite) {
-    // A strict prefix reaches the medium (possibly nothing).
-    if (!bytes.empty()) bytes.resize(SplitMix64(state) % bytes.size());
-  }
-  if (fires && crash_.mode == CrashMode::kCorruptWrite) {
-    // For a rewrite this models media rot just after the rename: the
-    // new contents are in place but one bit is flipped.
-    ApplyBitFlip(bytes, SplitMix64(state));
-  }
-  std::vector<uint8_t>& destination = files_[file];
-  if (append) {
-    destination.insert(destination.end(), bytes.begin(), bytes.end());
-  } else {
-    destination = std::move(bytes);
-  }
-  if (fires) {
-    // Torn, corrupt and after-write crashes all kill the process once the
-    // durable bytes are down; the writer never sees the write succeed.
-    crashed_ = true;
-    return false;
-  }
-  return true;
-}
-
 bool MemStorage::Append(const std::string& file,
                         const std::vector<uint8_t>& bytes) {
   std::lock_guard<std::mutex> lock(mu_);
-  const bool ok = CommitWrite(file, bytes, /*append=*/true);
-  if (ok) {
-    ++stats_.appends;
-    stats_.bytes_appended += bytes.size();
-  }
-  return ok;
+  std::vector<uint8_t>& destination = files_[file];
+  destination.insert(destination.end(), bytes.begin(), bytes.end());
+  return true;
 }
 
 bool MemStorage::Rewrite(const std::string& file,
                          const std::vector<uint8_t>& bytes) {
-  return Rewrite(file, std::vector<uint8_t>(bytes));
-}
-
-bool MemStorage::Rewrite(const std::string& file,
-                         std::vector<uint8_t>&& bytes) {
   std::lock_guard<std::mutex> lock(mu_);
-  const uint64_t size = bytes.size();
-  const bool ok = CommitWrite(file, std::move(bytes), /*append=*/false);
-  if (ok) {
-    ++stats_.rewrites;
-    stats_.bytes_rewritten += size;
-  }
-  return ok;
+  files_[file] = bytes;
+  return true;
 }
 
 bool MemStorage::Truncate(const std::string& file, uint64_t size) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (crashed_) return false;
-  const uint64_t index = writes_attempted_++;
-  const bool fires =
-      crash_.mode != CrashMode::kNone && index == crash_.write_index;
-  if (fires && crash_.mode == CrashMode::kBeforeWrite) {
-    crashed_ = true;
-    return false;
-  }
   auto it = files_.find(file);
   if (it != files_.end() && it->second.size() > size) {
     it->second.resize(size);
   }
-  if (fires) {
-    // A truncate is all-or-nothing on every sane backend; the remaining
-    // crash modes reduce to dying right after it completed.
-    crashed_ = true;
-    return false;
-  }
-  ++stats_.truncates;
   return true;
 }
 
@@ -148,31 +82,114 @@ std::vector<std::string> MemStorage::List() const {
   return names;  // std::map iteration is already sorted.
 }
 
-bool MemStorage::crashed() const {
+bool CrashingStorage::Append(const std::string& file,
+                             const std::vector<uint8_t>& bytes) {
+  return Write(Op::kAppend, file, bytes, 0);
+}
+
+bool CrashingStorage::Rewrite(const std::string& file,
+                              const std::vector<uint8_t>& bytes) {
+  return Write(Op::kRewrite, file, bytes, 0);
+}
+
+bool CrashingStorage::Truncate(const std::string& file, uint64_t size) {
+  return Write(Op::kTruncate, file, {}, size);
+}
+
+bool CrashingStorage::Write(Op op, const std::string& file,
+                            const std::vector<uint8_t>& bytes,
+                            uint64_t size) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (crashed_) return false;
+  if (op != Op::kTruncate && (fail_next_ > 0 || disk_full_)) {
+    if (fail_next_ > 0) --fail_next_;
+    ++stats_.transient_failures;
+    return false;
+  }
+  const uint64_t index = writes_attempted_++;
+  const bool fires =
+      crash_.mode != CrashMode::kNone && index == crash_.write_index;
+  if (fires && (crash_.mode == CrashMode::kBeforeWrite ||
+                (crash_.mode == CrashMode::kTornWrite && op == Op::kRewrite))) {
+    crashed_ = true;
+    return false;
+  }
+  // A truncate has no bytes to tear or flip: it lands whole.
+  std::vector<uint8_t> durable = bytes;
+  uint64_t state = crash_.mutation_seed;
+  if (fires && crash_.mode == CrashMode::kTornWrite) {
+    durable.resize(TornPrefix(durable.size(), SplitMix64(state)));
+  } else if (fires && crash_.mode == CrashMode::kCorruptWrite) {
+    ApplyBitFlip(durable, SplitMix64(state));
+  }
+  bool ok = false;
+  switch (op) {
+    case Op::kAppend:
+      ok = inner_->Append(file, durable);
+      break;
+    case Op::kRewrite:
+      ok = inner_->Rewrite(file, durable);
+      break;
+    case Op::kTruncate:
+      ok = inner_->Truncate(file, size);
+      break;
+  }
+  if (fires) {
+    // The process dies once the durable bytes are down; the writer
+    // never learns whether the write landed.
+    crashed_ = true;
+    return false;
+  }
+  if (!ok) {
+    ++stats_.transient_failures;
+    return false;
+  }
+  switch (op) {
+    case Op::kAppend:
+      ++stats_.appends;
+      stats_.bytes_appended += bytes.size();
+      break;
+    case Op::kRewrite:
+      ++stats_.rewrites;
+      stats_.bytes_rewritten += bytes.size();
+      break;
+    case Op::kTruncate:
+      ++stats_.truncates;
+      break;
+  }
+  return true;
+}
+
+bool CrashingStorage::crashed() const {
   std::lock_guard<std::mutex> lock(mu_);
   return crashed_;
 }
 
-void MemStorage::Restart() {
+void CrashingStorage::Restart() {
   std::lock_guard<std::mutex> lock(mu_);
   crashed_ = false;
   crash_ = CrashPoint{};
-  transient_faults_pending_ = 0;
+  fail_next_ = 0;
 }
 
-uint64_t MemStorage::writes_attempted() const {
+uint64_t CrashingStorage::writes_attempted() const {
   std::lock_guard<std::mutex> lock(mu_);
   return writes_attempted_;
 }
 
-StorageStats MemStorage::stats() const {
+StorageStats CrashingStorage::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
 }
 
-void MemStorage::FailNextWrites(uint64_t count) {
+void CrashingStorage::FailNextWrites(uint64_t count) {
   std::lock_guard<std::mutex> lock(mu_);
-  transient_faults_pending_ = count;
+  fail_next_ = count;
+}
+
+void CrashingStorage::set_disk_full(bool full) {
+  std::lock_guard<std::mutex> lock(mu_);
+  disk_full_ = full;
 }
 
 }  // namespace mergeable

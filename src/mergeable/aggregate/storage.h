@@ -10,18 +10,11 @@
 // without touching the recovery logic. FileStorage (file_storage.h) is
 // the POSIX backend; MemStorage is the in-memory one.
 //
-// Both backends implement CrashableStorage: they model the failure
-// modes that matter for crash recovery via a CrashPoint schedule
-// (fault.h). The process can die immediately before a write (nothing
-// persists), during it (a torn prefix persists), just after it
-// (everything persists but the writer never learns), or the final
-// write can persist bit-flipped. Rewrite is atomic-rename on both
-// backends, so a crash during a rewrite leaves the OLD contents intact
-// (the torn temp file is never renamed into place); only a corrupt
-// crash leaves the new contents bit-flipped, modeling media rot after
-// the rename. After a simulated crash every further write fails;
-// Restart() models the process coming back up and finding exactly the
-// bytes that were durable.
+// Both backends are plain: they store what they are given and report
+// real failures. Crash-recovery tests wrap either one in
+// CrashingStorage (below), the one fault injector, so both backends
+// see the same crashes, torn prefixes, flipped bits and transient
+// failures on the same bytes by construction.
 
 #ifndef MERGEABLE_AGGREGATE_STORAGE_H_
 #define MERGEABLE_AGGREGATE_STORAGE_H_
@@ -76,61 +69,30 @@ class Storage {
   virtual std::vector<std::string> List() const = 0;
 };
 
-// Write-traffic counters.
+// Write-traffic counters, kept by CrashingStorage for the tests.
 struct StorageStats {
   uint64_t appends = 0;
   uint64_t rewrites = 0;
   uint64_t truncates = 0;
   uint64_t bytes_appended = 0;
   uint64_t bytes_rewritten = 0;
-  // Writes that failed transiently (injected EIO/ENOSPC/short write)
-  // without killing the process. Retry loops make these recoverable.
+  // Writes that failed without killing the process: injected transient
+  // faults and failures the backend reported. Retry loops make these
+  // recoverable.
   uint64_t transient_failures = 0;
 };
 
-// A Storage whose failure surface the crash-matrix tests can drive:
-// a scheduled crash point, restart semantics, and a durable-write
-// counter a dry run reads to enumerate every crash boundary. Both
-// MemStorage and FileStorage implement this, so every recovery suite
-// runs unchanged against either backend.
-class CrashableStorage : public Storage {
+// The in-memory backend. It never fails on its own; wrap it in a
+// CrashingStorage to inject faults.
+class MemStorage : public Storage {
  public:
-  // True once the crash point has fired: the process is "dead" and every
-  // write fails until Restart().
-  virtual bool crashed() const = 0;
-
-  // Simulates the process coming back up: writes work again, the durable
-  // bytes are exactly what survived the crash, and the consumed crash
-  // schedule is cleared.
-  virtual void Restart() = 0;
-
-  // Durable write operations attempted so far. A dry run reads this to
-  // enumerate every crash boundary for the crash-matrix test. Transient
-  // injected failures and post-crash writes do not consume indices, so
-  // a retry loop cannot shift the crash schedule.
-  virtual uint64_t writes_attempted() const = 0;
-
-  virtual StorageStats stats() const = 0;
-};
-
-class MemStorage : public CrashableStorage {
- public:
-  // A storage that never fails.
   MemStorage() = default;
-  // A storage that crashes at `crash` (see fault.h). The schedule fires
-  // once; Restart() clears it along with the crashed state.
-  explicit MemStorage(CrashPoint crash) : crash_(crash) {}
 
-  // Copying snapshots the full state (benchmarks fork sealed storage
-  // into fresh cold copies); the mutex itself is not copied.
+  // Copying snapshots the files (benchmarks fork sealed storage into
+  // fresh cold copies); the mutex itself is not copied.
   MemStorage(const MemStorage& other) {
     std::lock_guard<std::mutex> lock(other.mu_);
     files_ = other.files_;
-    crash_ = other.crash_;
-    crashed_ = other.crashed_;
-    writes_attempted_ = other.writes_attempted_;
-    transient_faults_pending_ = other.transient_faults_pending_;
-    stats_ = other.stats_;
   }
   MemStorage& operator=(const MemStorage&) = delete;
 
@@ -138,8 +100,6 @@ class MemStorage : public CrashableStorage {
               const std::vector<uint8_t>& bytes) override;
   bool Rewrite(const std::string& file,
                const std::vector<uint8_t>& bytes) override;
-  // Same contract, taking ownership of `bytes` instead of copying them.
-  bool Rewrite(const std::string& file, std::vector<uint8_t>&& bytes);
   bool Truncate(const std::string& file, uint64_t size) override;
   std::optional<std::vector<uint8_t>> Read(
       const std::string& file) const override;
@@ -148,30 +108,94 @@ class MemStorage : public CrashableStorage {
       uint64_t length) const override;
   std::vector<std::string> List() const override;
 
-  bool crashed() const override;
-  void Restart() override;
-  uint64_t writes_attempted() const override;
-  StorageStats stats() const override;
-
-  // The next `count` Append/Rewrite calls fail cleanly — nothing reaches
-  // the medium, the process stays alive, and no write index is consumed —
-  // modeling a transient EIO/ENOSPC window a retry loop can ride out.
-  void FailNextWrites(uint64_t count);
-
  private:
-  // Returns false (and marks the process crashed) when the scheduled
-  // crash fires on this write; whatever the crash mode left durable
-  // (nothing, a torn prefix, a bit-flipped copy, or all of it) is
-  // applied to the named file first.
-  bool CommitWrite(const std::string& file, std::vector<uint8_t> bytes,
-                   bool append);
-
   mutable std::mutex mu_;
   std::map<std::string, std::vector<uint8_t>> files_;
+};
+
+// Fault injection around any backend: the only code that reads a
+// CrashPoint, so every backend tears, flips and fails the same bytes.
+//
+// Every append, rewrite and truncate takes the next write index; when
+// the index is the CrashPoint's, the write dies in the point's mode:
+//
+//   before-write   nothing is forwarded;
+//   torn-write     an append forwards a strict prefix (sector-aligned
+//                  above 512 B, the shape a power cut leaves); a rewrite
+//                  forwards nothing, because it dies writing its temp
+//                  file and the rename never happens;
+//   corrupt-write  the bytes are forwarded with one bit flipped (for a
+//                  rewrite, media rot just after the rename);
+//   after-write    everything is forwarded.
+//
+// A truncate is all-or-nothing, so every mode but before-write forwards
+// it whole. In every mode the process then dies: the call returns false
+// and every later write fails until Restart(). Transient faults
+// (FailNextWrites, set_disk_full) fail an append or a rewrite before it
+// reaches the backend, so the file is unchanged and no index is used;
+// a retry loop cannot shift the crash schedule.
+//
+// One mutex covers each decision and the write it forwards, so write i
+// is the i-th write to reach the backend. Reads pass straight through.
+class CrashingStorage : public Storage {
+ public:
+  // Wraps `inner` (unowned). `crash` fires at most once; Restart()
+  // clears it.
+  explicit CrashingStorage(Storage* inner, CrashPoint crash = {})
+      : inner_(inner), crash_(crash) {}
+
+  bool Append(const std::string& file,
+              const std::vector<uint8_t>& bytes) override;
+  bool Rewrite(const std::string& file,
+               const std::vector<uint8_t>& bytes) override;
+  bool Truncate(const std::string& file, uint64_t size) override;
+  std::optional<std::vector<uint8_t>> Read(
+      const std::string& file) const override {
+    return inner_->Read(file);
+  }
+  std::optional<std::vector<uint8_t>> ReadRange(
+      const std::string& file, uint64_t offset,
+      uint64_t length) const override {
+    return inner_->ReadRange(file, offset, length);
+  }
+  std::vector<std::string> List() const override { return inner_->List(); }
+
+  // True once the crash point has fired: the process is "dead".
+  bool crashed() const;
+
+  // The process comes back up: writes work again over exactly the bytes
+  // that were durable. The crash schedule and the FailNextWrites window
+  // are cleared; a full disk stays full.
+  void Restart();
+
+  // Write indices used so far. A dry run reads this to enumerate every
+  // crash boundary for CrashMatrix.
+  uint64_t writes_attempted() const;
+
+  StorageStats stats() const;
+
+  // The next `count` appends and rewrites fail transiently.
+  void FailNextWrites(uint64_t count);
+
+  // While set, every append and rewrite fails transiently: the disk is
+  // full. Truncates still work.
+  void set_disk_full(bool full);
+
+ private:
+  enum class Op { kAppend, kRewrite, kTruncate };
+
+  // Decides the fate of one write and forwards what survives of it.
+  // `size` is the truncate length; `bytes` the append or rewrite data.
+  bool Write(Op op, const std::string& file,
+             const std::vector<uint8_t>& bytes, uint64_t size);
+
+  Storage* const inner_;
+  mutable std::mutex mu_;
   CrashPoint crash_;
   bool crashed_ = false;
+  bool disk_full_ = false;
+  uint64_t fail_next_ = 0;
   uint64_t writes_attempted_ = 0;
-  uint64_t transient_faults_pending_ = 0;
   StorageStats stats_;
 };
 

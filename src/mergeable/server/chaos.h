@@ -92,10 +92,9 @@ class StalledConnection {
 //
 // `set_disk_full` (optional) is the backend-fault hook for disk-full
 // scripting: invoked with each phase's `disk_full` flag before its
-// traffic (typically toggling a FaultFd sticky ENOSPC or
-// MemStorage::FailNextWrites on the service's durable storage), so a
-// script can carry the server into and back out of disk pressure
-// deterministically.
+// traffic (typically CrashingStorage::set_disk_full on the service's
+// durable storage), so a script can carry the server into and back out
+// of disk pressure deterministically.
 template <WireSummary S, typename FillFn>
 ChaosOutcome DriveChaos(uint16_t port, const ChaosScript& script,
                         const BackoffPolicy& policy, FillFn fill,

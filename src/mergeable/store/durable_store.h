@@ -275,7 +275,8 @@ class DurableStore {
   };
 
   // `durable` (unowned) is the persistent backend — FileStorage in
-  // production, MemStorage or any CrashableStorage in tests.
+  // production; MemStorage, or either one under a CrashingStorage, in
+  // tests.
   explicit DurableStore(Storage* durable, DurableStoreOptions options = {})
       : options_(std::move(options)),
         log_(durable, options_),

@@ -113,7 +113,7 @@ class WalBackendTest : public ::testing::TestWithParam<BackendKind> {
 
 TEST_P(WalBackendTest, RoundTripsRecordsInOrder) {
   auto backend = factory_.Make();
-  CrashableStorage& storage = *backend;
+  CrashingStorage& storage = *backend;
   const std::vector<std::vector<uint8_t>> frames = {
       Frame(9, LogRecordKind::kEpochBegin, 4), Report(0, 9, {1, 2, 3}),
       Report(2, 9, {}), Frame(9, LogRecordKind::kShardLost, 1)};
@@ -163,7 +163,7 @@ TEST_P(WalBackendTest, WriterStopsCountingOnCrashedAppend) {
   point.write_index = 1;
   point.mutation_seed = 3;
   auto backend = factory_.Make(point);
-  CrashableStorage& storage = *backend;
+  CrashingStorage& storage = *backend;
   Coordinator<SpaceSaving> coordinator(1, Policy());
   SimulatedTransport transport = TransportFor(1, 2);
   EXPECT_TRUE(coordinator.RunDurable(transport, 2, &storage).crashed);
@@ -426,7 +426,8 @@ TEST(CoordinatorLogTest, DurableRunWritesTheExpectedFramesInOrder) {
   FaultPlan plan;
   plan.KillShard(2);
   SimulatedTransport transport = TransportFor(kEpoch, kShards, plan);
-  MemStorage storage;
+  MemStorage backend;
+  CrashingStorage storage(&backend);
   DurableOptions options;
   options.wal_file = "coordinator.log";
   options.checkpoint_every = 2;

@@ -222,7 +222,8 @@ TEST(RecoveryTest, TransientAppendFaultsRideOutOnRetry) {
     return transport;
   };
 
-  MemStorage reference_storage;
+  MemStorage reference_backend;
+  CrashingStorage reference_storage(&reference_backend);
   Coordinator<SpaceSaving> reference(kEpoch, MatrixPolicy());
   SimulatedTransport reference_transport = make_transport();
   const auto reference_result = reference.RunDurable(
@@ -230,7 +231,8 @@ TEST(RecoveryTest, TransientAppendFaultsRideOutOnRetry) {
   ASSERT_FALSE(reference_result.crashed);
   EXPECT_EQ(reference.wal_append_retries(), 0u);
 
-  MemStorage storage;
+  MemStorage backend;
+  CrashingStorage storage(&backend);
   storage.FailNextWrites(2);  // First append fails twice, then lands.
   DurableOptions options;
   options.append_retry.max_attempts = 3;
@@ -257,7 +259,8 @@ TEST(RecoveryTest, TransientAppendFaultsRideOutOnRetry) {
 // silently losing the record.
 TEST(RecoveryTest, ExhaustedAppendRetriesFailTheRun) {
   const auto shards = MatrixShards();
-  MemStorage storage;
+  MemStorage backend;
+  CrashingStorage storage(&backend);
   storage.FailNextWrites(100);  // Outlasts any bounded retry.
   DurableOptions options;
   options.append_retry.max_attempts = 3;
@@ -313,7 +316,8 @@ TEST(RecoveryTest, LogOnlyModeRecoversWithoutSnapshots) {
     return transport;
   };
 
-  MemStorage reference_storage;
+  MemStorage reference_backend;
+  CrashingStorage reference_storage(&reference_backend);
   Coordinator<SpaceSaving> reference(kEpoch, MatrixPolicy());
   SimulatedTransport reference_transport = make_transport();
   const auto reference_result = reference.RunDurable(
@@ -325,7 +329,8 @@ TEST(RecoveryTest, LogOnlyModeRecoversWithoutSnapshots) {
   CrashPoint point;
   point.mode = CrashMode::kAfterWrite;
   point.write_index = reference_storage.writes_attempted() - 1;
-  MemStorage storage(point);
+  MemStorage backend;
+  CrashingStorage storage(&backend, point);
   Coordinator<SpaceSaving> first(kEpoch, MatrixPolicy());
   SimulatedTransport crash_transport = make_transport();
   ASSERT_TRUE(
@@ -472,7 +477,6 @@ TEST(RecoveryTest, StaleSnapshotReplaysNewerLogTail) {
 // A storage whose Truncate can be made to fail.
 class NoTruncateStorage : public MemStorage {
  public:
-  using MemStorage::MemStorage;
   bool Truncate(const std::string& file, uint64_t size) override {
     return truncate_works && MemStorage::Truncate(file, size);
   }
@@ -509,7 +513,8 @@ TEST(RecoveryTest, UncutTornTailBlocksResume) {
   point.mode = CrashMode::kCorruptWrite;
   point.write_index = 4;  // Epoch begin, 0, 1, checkpoint, then 2.
   point.mutation_seed = 11;
-  NoTruncateStorage storage(point);
+  NoTruncateStorage backend;
+  CrashingStorage storage(&backend, point);
   Coordinator<SpaceSaving> first(kEpoch, MatrixPolicy());
   SimulatedTransport crash_transport = make_transport();
   ASSERT_TRUE(
@@ -527,7 +532,7 @@ TEST(RecoveryTest, UncutTornTailBlocksResume) {
   EXPECT_FALSE(blocked.summary.has_value());
   EXPECT_EQ(*storage.Read("wal"), crashed_log);
 
-  storage.truncate_works = true;
+  backend.truncate_works = true;
   Coordinator<SpaceSaving> third(kEpoch, MatrixPolicy());
   EXPECT_TRUE(third.Recover(&storage, options).torn_tail_truncated);
   SimulatedTransport resume_transport = make_transport();
@@ -566,7 +571,8 @@ TEST(RecoveryTest, ResumeSurvivesTransientTransportFaults) {
   point.mode = CrashMode::kTornWrite;
   point.write_index = 4;
   point.mutation_seed = 123;
-  MemStorage storage(point);
+  MemStorage backend;
+  CrashingStorage storage(&backend, point);
   Coordinator<SpaceSaving> first(kEpoch, policy);
   SimulatedTransport crash_transport = make_transport(31);
   ASSERT_TRUE(first.RunDurable(crash_transport, kShards, &storage).crashed);

@@ -1,9 +1,10 @@
 // Backend parameterization for the crash-matrix test suites: every
 // storage-semantics test runs twice, once over MemStorage (the model)
 // and once over FileStorage on a fresh temp directory (the real POSIX
-// implementation). The two must expose the *same* crash surface — same
-// write indices, same torn/corrupt/after semantics, same transient
-// fault behavior — or the recovery proofs only hold for the model.
+// implementation), each under a CrashingStorage. The decorator is the
+// one fault injector, so both backends see the same write indices, the
+// same torn/corrupt/after semantics and the same transient faults, and
+// the recovery proofs hold for the real files as well as the model.
 
 #ifndef MERGEABLE_TESTS_AGGREGATE_STORAGE_BACKENDS_H_
 #define MERGEABLE_TESTS_AGGREGATE_STORAGE_BACKENDS_H_
@@ -12,6 +13,7 @@
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "mergeable/aggregate/fault.h"
 #include "mergeable/aggregate/file_storage.h"
@@ -25,10 +27,10 @@ inline const char* BackendName(BackendKind kind) {
   return kind == BackendKind::kMem ? "Mem" : "File";
 }
 
-// Makes fresh CrashableStorage instances of one backend kind. File
-// instances each get their own subdirectory of a mkdtemp root (removed
-// on destruction), so a crash-matrix loop that makes a new storage per
-// crash point always starts from clean media.
+// Makes fresh backends of one kind. File backends each get their own
+// subdirectory of a mkdtemp root (removed on destruction), so a
+// crash-matrix loop that makes a new storage per crash point always
+// starts from clean media. The factory owns every backend it makes.
 class BackendFactory {
  public:
   explicit BackendFactory(BackendKind kind) : kind_(kind) {
@@ -48,15 +50,20 @@ class BackendFactory {
   BackendFactory(const BackendFactory&) = delete;
   BackendFactory& operator=(const BackendFactory&) = delete;
 
-  std::unique_ptr<CrashableStorage> Make(CrashPoint crash = {},
-                                         FaultFd* faults = nullptr) {
+  // A fresh plain backend.
+  Storage* MakeBackend() {
     if (kind_ == BackendKind::kMem) {
-      // MemStorage has no syscall layer; FaultFd windows apply to the
-      // file backend only (MemStorage::FailNextWrites is its analogue).
-      return std::make_unique<MemStorage>(crash);
+      backends_.push_back(std::make_unique<MemStorage>());
+    } else {
+      backends_.push_back(std::make_unique<FileStorage>(
+          root_ + "/i" + std::to_string(backends_.size())));
     }
-    return std::make_unique<FileStorage>(
-        root_ + "/i" + std::to_string(next_++), crash, faults);
+    return backends_.back().get();
+  }
+
+  // A CrashingStorage over a fresh backend, crashing at `crash`.
+  std::unique_ptr<CrashingStorage> Make(CrashPoint crash = {}) {
+    return std::make_unique<CrashingStorage>(MakeBackend(), crash);
   }
 
   BackendKind kind() const { return kind_; }
@@ -64,7 +71,7 @@ class BackendFactory {
  private:
   BackendKind kind_;
   std::string root_;
-  uint64_t next_ = 0;
+  std::vector<std::unique_ptr<Storage>> backends_;
 };
 
 }  // namespace mergeable

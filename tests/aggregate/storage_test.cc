@@ -2,9 +2,15 @@
 // crash mode of the CrashPoint schedule — the foundation the recovery
 // tests stand on, so the failure injection itself must be exact. Every
 // semantic test runs over both backends (MemStorage model, FileStorage
-// on real files); the two must expose an identical crash surface.
+// on real files) under the one CrashingStorage injector, and the same
+// crash leaves the same bytes on both.
 
+#include <sys/resource.h>
+
+#include <csignal>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
 #include <optional>
 #include <string>
 #include <vector>
@@ -21,6 +27,16 @@ namespace {
 
 std::vector<uint8_t> Bytes(std::initializer_list<uint8_t> list) {
   return std::vector<uint8_t>(list);
+}
+
+// `size` bytes that differ from their neighbours, so a prefix or a
+// flipped bit shows.
+std::vector<uint8_t> Pattern(size_t size, uint8_t seed) {
+  std::vector<uint8_t> bytes(size);
+  for (size_t i = 0; i < size; ++i) {
+    bytes[i] = static_cast<uint8_t>(seed + i * 7);
+  }
+  return bytes;
 }
 
 class StorageBackendTest : public ::testing::TestWithParam<BackendKind> {
@@ -265,6 +281,22 @@ TEST_P(StorageBackendTest, WriteIndicesCountAppendsRewritesTruncates) {
   EXPECT_EQ(storage->writes_attempted(), 3u);
 }
 
+TEST_P(StorageBackendTest, TornAppendIsSectorAligned) {
+  // Large torn appends persist a sector-multiple prefix — the shape a
+  // real power cut leaves behind.
+  CrashPoint point;
+  point.mode = CrashMode::kTornWrite;
+  point.write_index = 0;
+  point.mutation_seed = 1234;
+  auto storage = factory_.Make(point);
+  std::vector<uint8_t> big(4096, 0xAB);
+  EXPECT_FALSE(storage->Append("log", big));
+  const auto contents = storage->Read("log");
+  const size_t persisted = contents.has_value() ? contents->size() : 0;
+  EXPECT_LT(persisted, big.size());
+  EXPECT_EQ(persisted % 512, 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(Backends, StorageBackendTest,
                          ::testing::Values(BackendKind::kMem,
                                            BackendKind::kFile),
@@ -282,7 +314,8 @@ TEST(MemStorageTest, CrashMatrixCoversEveryWriteAndMode) {
 }
 
 TEST(MemStorageTest, TransientFailuresConsumeNoWriteIndex) {
-  MemStorage storage;
+  MemStorage backend;
+  CrashingStorage storage(&backend);
   storage.FailNextWrites(2);
   EXPECT_FALSE(storage.Append("log", Bytes({1})));
   EXPECT_FALSE(storage.Append("log", Bytes({2})));
@@ -295,24 +328,79 @@ TEST(MemStorageTest, TransientFailuresConsumeNoWriteIndex) {
   EXPECT_EQ(*storage.Read("log"), Bytes({3}));
 }
 
-TEST(MemStorageTest, MovedRewriteKeepsTheCrashModel) {
-  CrashPoint point;
-  point.mode = CrashMode::kCorruptWrite;
-  point.write_index = 1;
-  point.mutation_seed = 5;
-  MemStorage storage(point);
-  EXPECT_TRUE(storage.Rewrite("snap", Bytes({1, 2, 3})));
-  EXPECT_EQ(storage.stats().bytes_rewritten, 3u);
-  // The owning overload lands the same durable bytes as the copying
-  // one: here the scheduled corrupt write flips one bit of them.
-  const auto next = Bytes({5, 6, 7, 8});
-  EXPECT_FALSE(storage.Rewrite("snap", std::vector<uint8_t>(next)));
-  EXPECT_TRUE(storage.crashed());
-  const auto contents = storage.Read("snap");
-  ASSERT_TRUE(contents.has_value());
-  ASSERT_EQ(contents->size(), next.size());
-  EXPECT_NE(*contents, next);
-  EXPECT_EQ(storage.writes_attempted(), 2u);
+// The same write script under the same crash point leaves the same
+// durable bytes on both backends: appends of 100 B and 4096 B (whose
+// torn prefix is sector-aligned), two rewrites and a truncate, crashed
+// at every point of the matrix.
+TEST(CrashingStorageTest, BothBackendsKeepTheSameBytesAtEveryCrashPoint) {
+  const auto script = [](Storage& storage) {
+    return storage.Append("log", Pattern(100, 1)) &&
+           storage.Rewrite("snap", Pattern(100, 2)) &&
+           storage.Append("log", Pattern(4096, 3)) &&
+           storage.Rewrite("snap", Pattern(4096, 4)) &&
+           storage.Truncate("log", 150) &&
+           storage.Append("log", Pattern(4096, 5));
+  };
+  BackendFactory mem(BackendKind::kMem);
+  BackendFactory file(BackendKind::kFile);
+  for (const CrashPoint& point : CrashMatrix(/*n_writes=*/6, /*seed=*/1234)) {
+    SCOPED_TRACE(std::string("crash ") + ToString(point.mode) +
+                 " at write " + std::to_string(point.write_index));
+    auto on_mem = mem.Make(point);
+    auto on_file = file.Make(point);
+    EXPECT_FALSE(script(*on_mem));
+    EXPECT_FALSE(script(*on_file));
+    ASSERT_TRUE(on_mem->crashed());
+    ASSERT_TRUE(on_file->crashed());
+    on_mem->Restart();
+    on_file->Restart();
+    EXPECT_EQ(on_mem->List(), on_file->List());
+    for (const char* name : {"log", "snap"}) {
+      EXPECT_EQ(on_mem->Read(name), on_file->Read(name)) << name;
+    }
+  }
+}
+
+// An injected transient failure never reaches the backend: on real files
+// the log keeps its length and the retry appends at a clean offset.
+TEST(CrashingStorageTest, TransientFailuresLeaveTheFileUnchanged) {
+  BackendFactory factory(BackendKind::kFile);
+  auto storage = factory.Make();
+  EXPECT_TRUE(storage->Append("log", Bytes({1, 2})));
+  storage->FailNextWrites(2);
+  EXPECT_FALSE(storage->Append("log", Bytes({3, 4, 5, 6})));
+  EXPECT_FALSE(storage->Rewrite("snap", Bytes({7})));
+  // Neither failed call used a write index or left bytes behind.
+  EXPECT_EQ(storage->writes_attempted(), 1u);
+  EXPECT_EQ(storage->stats().transient_failures, 2u);
+  EXPECT_EQ(*storage->Read("log"), Bytes({1, 2}));
+  EXPECT_FALSE(storage->Read("snap").has_value());
+  // The retry after the window closes appends at a clean offset.
+  EXPECT_TRUE(storage->Append("log", Bytes({3, 4, 5, 6})));
+  EXPECT_EQ(*storage->Read("log"), Bytes({1, 2, 3, 4, 5, 6}));
+}
+
+// A write the kernel refuses part way (here at the file-size limit,
+// with SIGXFSZ ignored so write(2) fails with EFBIG after a short
+// write) is cut back to the pre-append length, so the retry appends at
+// a clean offset.
+TEST(FileStorageTest, FailedAppendRollsBackToPreAppendLength) {
+  BackendFactory factory(BackendKind::kFile);
+  Storage* storage = factory.MakeBackend();
+  ASSERT_TRUE(storage->Append("log", Bytes({1, 2})));
+  struct rlimit saved {};
+  ASSERT_EQ(::getrlimit(RLIMIT_FSIZE, &saved), 0);
+  struct rlimit tight = saved;
+  tight.rlim_cur = 4;
+  const auto old_handler = std::signal(SIGXFSZ, SIG_IGN);
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &tight), 0);
+  const bool appended = storage->Append("log", Bytes({3, 4, 5, 6}));
+  ASSERT_EQ(::setrlimit(RLIMIT_FSIZE, &saved), 0);
+  std::signal(SIGXFSZ, old_handler);
+  EXPECT_FALSE(appended);
+  EXPECT_EQ(*storage->Read("log"), Bytes({1, 2}));
+  EXPECT_TRUE(storage->Append("log", Bytes({3, 4, 5, 6})));
+  EXPECT_EQ(*storage->Read("log"), Bytes({1, 2, 3, 4, 5, 6}));
 }
 
 TEST(FileStorageTest, TruncateReportsWhatItCouldNotDo) {
@@ -331,13 +419,12 @@ TEST(FileStorageTest, TruncateReportsWhatItCouldNotDo) {
 
 TEST(FileStorageTest, PersistsAcrossInstances) {
   BackendFactory factory(BackendKind::kFile);
-  auto a = factory.Make();
-  auto* file_a = static_cast<FileStorage*>(a.get());
+  auto* a = static_cast<FileStorage*>(factory.MakeBackend());
   EXPECT_TRUE(a->Append("wal/log", Bytes({1, 2, 3})));
   EXPECT_TRUE(a->Rewrite("snap/0", Bytes({4, 5})));
   // A second instance over the same directory sees the same bytes —
   // the property MemStorage cannot provide.
-  FileStorage b(file_a->root());
+  FileStorage b(a->root());
   EXPECT_EQ(*b.Read("wal/log"), Bytes({1, 2, 3}));
   EXPECT_EQ(*b.Read("snap/0"), Bytes({4, 5}));
   const auto names = b.List();
@@ -357,90 +444,33 @@ TEST(FileStorageTest, RejectsPathEscapes) {
   EXPECT_TRUE(storage->List().empty());
 }
 
-TEST(FileStorageTest, FaultFdInjectsCleanTransientFailures) {
-  FaultFd faults;
-  BackendFactory factory(BackendKind::kFile);
-  auto storage = factory.Make({}, &faults);
-  EXPECT_TRUE(storage->Append("log", Bytes({1, 2})));
-
-  faults.FailNextWrites(FaultFd::Kind::kENOSPC, 1);
-  EXPECT_FALSE(storage->Append("log", Bytes({3, 4})));
-  faults.FailNextWrites(FaultFd::Kind::kEIO, 1);
-  EXPECT_FALSE(storage->Append("log", Bytes({3, 4})));
-  // Neither failed call consumed a write index or left bytes behind.
-  EXPECT_EQ(storage->writes_attempted(), 1u);
-  EXPECT_EQ(*storage->Read("log"), Bytes({1, 2}));
-  EXPECT_EQ(storage->stats().transient_failures, 2u);
-  EXPECT_EQ(faults.faults_injected(), 2u);
-
-  // The retry after the window closes appends at a clean offset.
-  EXPECT_TRUE(storage->Append("log", Bytes({3, 4})));
-  EXPECT_EQ(*storage->Read("log"), Bytes({1, 2, 3, 4}));
-}
-
-TEST(FileStorageTest, ShortWriteRollsBackToPreAppendLength) {
-  FaultFd faults;
-  BackendFactory factory(BackendKind::kFile);
-  auto storage = factory.Make({}, &faults);
-  EXPECT_TRUE(storage->Append("log", Bytes({1, 2})));
-  faults.FailNextWrites(FaultFd::Kind::kShortWrite, 1);
-  EXPECT_FALSE(storage->Append("log", Bytes({3, 4, 5, 6})));
-  // The half-written bytes were truncated away: the log is not
-  // poisoned and the retry produces the same contents as no fault.
-  EXPECT_EQ(*storage->Read("log"), Bytes({1, 2}));
-  EXPECT_TRUE(storage->Append("log", Bytes({3, 4, 5, 6})));
-  EXPECT_EQ(*storage->Read("log"), Bytes({1, 2, 3, 4, 5, 6}));
-}
-
 TEST(FileStorageTest, StickyEnospcFailsEverythingUntilCleared) {
-  FaultFd faults;
   BackendFactory factory(BackendKind::kFile);
-  auto storage = factory.Make({}, &faults);
-  faults.SetSticky(FaultFd::Kind::kENOSPC);
+  auto storage = factory.Make();
+  storage->set_disk_full(true);
   EXPECT_FALSE(storage->Append("log", Bytes({1})));
   EXPECT_FALSE(storage->Rewrite("snap", Bytes({2})));
   EXPECT_FALSE(storage->Append("log", Bytes({3})));
-  faults.Clear();
+  storage->set_disk_full(false);
   EXPECT_TRUE(storage->Append("log", Bytes({4})));
   EXPECT_EQ(*storage->Read("log"), Bytes({4}));
 }
 
 TEST(FileStorageTest, RestartSweepsStaleTempFiles) {
   BackendFactory factory(BackendKind::kFile);
-  auto storage = factory.Make();
-  auto* file = static_cast<FileStorage*>(storage.get());
-  // A torn rewrite dies mid-temp-write; reopening the directory (a new
-  // instance, like a process restart) must sweep the stale temp.
-  CrashPoint point;
-  point.mode = CrashMode::kTornWrite;
-  point.write_index = 0;
-  point.mutation_seed = 9;
-  FileStorage crasher(file->root(), point);
-  EXPECT_FALSE(crasher.Rewrite("snap", Bytes({1, 2, 3, 4})));
-  EXPECT_TRUE(crasher.crashed());
-  FileStorage reopened(file->root());
+  auto* storage = static_cast<FileStorage*>(factory.MakeBackend());
+  // A process that died mid-rewrite leaves its temp file behind;
+  // reopening the directory (a new instance, like a process restart)
+  // must sweep it.
+  std::ofstream(storage->root() + "/snap.tmp") << "torn";
+  ASSERT_TRUE(std::filesystem::exists(storage->root() + "/snap.tmp"));
+  FileStorage reopened(storage->root());
+  EXPECT_FALSE(std::filesystem::exists(storage->root() + "/snap.tmp"));
   EXPECT_TRUE(reopened.List().empty());
   EXPECT_FALSE(reopened.Read("snap").has_value());
   // And the swept temp does not resurrect as the destination later.
   EXPECT_TRUE(reopened.Rewrite("snap", Bytes({9})));
   EXPECT_EQ(*reopened.Read("snap"), Bytes({9}));
-}
-
-TEST(FileStorageTest, TornAppendIsSectorAligned) {
-  // Large torn appends persist a sector-multiple prefix — the shape a
-  // real power cut leaves behind.
-  CrashPoint point;
-  point.mode = CrashMode::kTornWrite;
-  point.write_index = 0;
-  point.mutation_seed = 1234;
-  BackendFactory factory(BackendKind::kFile);
-  auto storage = factory.Make(point);
-  std::vector<uint8_t> big(4096, 0xAB);
-  EXPECT_FALSE(storage->Append("log", big));
-  const auto contents = storage->Read("log");
-  const size_t persisted = contents.has_value() ? contents->size() : 0;
-  EXPECT_LT(persisted, big.size());
-  EXPECT_EQ(persisted % 512, 0u);
 }
 
 }  // namespace

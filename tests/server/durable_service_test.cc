@@ -107,9 +107,8 @@ std::optional<WireAnswer> QueryRange(DurableEpochService& service,
 // The full degraded-mode arc, driven deterministically through the
 // frame handlers with a sticky ENOSPC on the durable backend.
 TEST(DurableServiceTest, DiskFullShedsRetriesInOrderAndAccountsMass) {
-  FaultFd faults;
   BackendFactory factory(BackendKind::kFile);
-  auto storage = factory.Make({}, &faults);
+  auto storage = factory.Make();
   DurableStore<SpaceSaving> store(storage.get(), StoreOptionsFor());
   DurableEpochService service(&store, ServiceConfig());
   service.set_empty_summary_factory(EmptySummary);
@@ -124,7 +123,7 @@ TEST(DurableServiceTest, DiskFullShedsRetriesInOrderAndAccountsMass) {
   // discovers the failure: their payloads are buffered, not lost.
   const FeedResult epoch1 = FeedEpoch(service, 1);
   ASSERT_EQ(epoch1.accepted, kShards);
-  faults.SetSticky(FaultFd::Kind::kENOSPC);
+  storage->set_disk_full(true);
   EXPECT_FALSE(service.SealEpoch(1, epoch1.offered_mass));
   EXPECT_TRUE(service.storage_degraded());
   EXPECT_EQ(service.buffered_seals(), 1u);
@@ -151,7 +150,7 @@ TEST(DurableServiceTest, DiskFullShedsRetriesInOrderAndAccountsMass) {
   EXPECT_EQ(store.EpochCount(kStream), 1u);  // Only epoch 0 durable.
 
   // Space returns: the next seal drains the buffer in epoch order.
-  faults.Clear();
+  storage->set_disk_full(false);
   const FeedResult epoch3 = FeedEpoch(service, 3);
   EXPECT_EQ(epoch3.accepted, 0u);  // Still degraded until a seal lands.
   ASSERT_TRUE(service.SealEpoch(3, epoch3.offered_mass));
@@ -179,9 +178,8 @@ TEST(DurableServiceTest, DiskFullShedsRetriesInOrderAndAccountsMass) {
 // empty placeholders (O(1) memory each, mass lost to the byte) while
 // the oldest buffered payloads are kept to seal first.
 TEST(DurableServiceTest, SealBufferOverflowDegradesPayloadsToEmpty) {
-  FaultFd faults;
   BackendFactory factory(BackendKind::kFile);
-  auto storage = factory.Make({}, &faults);
+  auto storage = factory.Make();
   DurableStore<SpaceSaving> store(storage.get(), StoreOptionsFor());
   EpochServiceConfig config = ServiceConfig();
   config.max_buffered_seals = 2;
@@ -199,7 +197,7 @@ TEST(DurableServiceTest, SealBufferOverflowDegradesPayloadsToEmpty) {
     fed.push_back(FeedEpoch(service, epoch));
     ASSERT_EQ(fed.back().accepted, kShards);
   }
-  faults.SetSticky(FaultFd::Kind::kENOSPC);
+  storage->set_disk_full(true);
   for (uint64_t epoch = 1; epoch <= 4; ++epoch) {
     EXPECT_FALSE(service.SealEpoch(epoch, fed[epoch - 1].offered_mass));
   }
@@ -207,7 +205,7 @@ TEST(DurableServiceTest, SealBufferOverflowDegradesPayloadsToEmpty) {
   // Epochs beyond the cap (3 and 4) dropped their payloads.
   EXPECT_EQ(service.stats().seals_degraded_to_empty, 2u);
 
-  faults.Clear();
+  storage->set_disk_full(false);
   const FeedResult epoch5 = FeedEpoch(service, 5);
   EXPECT_EQ(epoch5.accepted, 0u);  // Still degraded until a seal lands.
   ASSERT_TRUE(service.SealEpoch(5, epoch5.offered_mass));
@@ -316,9 +314,8 @@ TEST(DurableServiceTest, WarmRestartResumesEpochAxis) {
 // until the client's budget exhausts), recovery — lost mass accounted
 // to the byte, queries served throughout.
 TEST(DurableServiceTest, ChaosDiskFullArcOverLiveServer) {
-  FaultFd faults;
   BackendFactory factory(BackendKind::kFile);
-  auto storage = factory.Make({}, &faults);
+  auto storage = factory.Make();
   DurableStore<SpaceSaving> store(storage.get(), StoreOptionsFor());
   DurableEpochService service(&store, ServiceConfig());
   service.set_empty_summary_factory(EmptySummary);
@@ -333,12 +330,8 @@ TEST(DurableServiceTest, ChaosDiskFullArcOverLiveServer) {
   policy.multiplier = 2.0;
   policy.max_backoff_ms = 4;
 
-  const auto set_disk_full = [&faults](bool full) {
-    if (full) {
-      faults.SetSticky(FaultFd::Kind::kENOSPC);
-    } else {
-      faults.Clear();
-    }
+  const auto set_disk_full = [&storage](bool full) {
+    storage->set_disk_full(full);
   };
   const auto fill = [](uint64_t epoch, uint64_t shard, uint64_t items) {
     return ShardSummary(epoch, shard, static_cast<int>(items));

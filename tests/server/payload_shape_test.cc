@@ -129,7 +129,6 @@ TEST(PayloadShapeTest, RestartedServiceTakesTheShapeOfTheSealedEpochs) {
     ASSERT_TRUE(service.SealEpoch(0, wide.n()));
   }  // The process dies.
 
-  storage.Restart();
   DurableStore<CountMinSketch> store(&storage, DurableStoreOptions{});
   store.Open();
   EpochService<CountMinSketch> service(&store, Config());

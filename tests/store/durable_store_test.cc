@@ -119,7 +119,8 @@ TEST(DurableStoreTest, RestartOverFilesAnswersByteIdentically) {
 // per epoch are functions of this sequence.
 TEST(DurableStoreTest, SealWritesTheExpectedRecordsInOrder) {
   constexpr uint64_t kEpochs = 8;
-  MemStorage durable;
+  MemStorage backend;
+  CrashingStorage durable(&backend);
   {
     DurableStore<SpaceSaving> store(&durable, Options());
     ASSERT_EQ(SealUpTo(store, kEpochs), kEpochs);
@@ -452,20 +453,19 @@ TEST(DurableStoreTest, BackgroundScrubberRunsCleanAlongsideSealsAndQueries) {
 // store still serves everything durable, and the SAME epoch seals
 // cleanly once space returns.
 TEST(DurableStoreTest, EnospcSealFailsCleanAndRetries) {
-  FaultFd faults;
   BackendFactory factory(BackendKind::kFile);
-  auto storage = factory.Make({}, &faults);
+  auto storage = factory.Make();
   DurableStore<SpaceSaving> store(storage.get(), Options());
   ASSERT_EQ(SealUpTo(store, 3), 3u);
 
-  faults.SetSticky(FaultFd::Kind::kENOSPC);
+  storage->set_disk_full(true);
   const SpaceSaving summary = MakeEpochSummary(3);
   EXPECT_FALSE(store.Seal(kStream, summary, MetaFor(3, summary)));
   EXPECT_EQ(store.EpochCount(kStream), 3u);  // Nothing half-applied.
   const auto during = store.QueryRangePayload(kStream, 0, 2);
   ASSERT_TRUE(during.has_value());  // Queries keep serving.
 
-  faults.Clear();
+  storage->set_disk_full(false);
   EXPECT_TRUE(store.Seal(kStream, summary, MetaFor(3, summary)));
   EXPECT_EQ(store.EpochCount(kStream), 4u);
   const auto after = store.QueryRangePayload(kStream, 0, 3);

@@ -243,7 +243,8 @@ TEST(StoreIngestTest, SealResultOfRecoveredEpochMatchesUninterruptedRun) {
   CrashPoint point;
   point.mode = CrashMode::kAfterWrite;
   point.write_index = 4;
-  MemStorage log(point);
+  MemStorage log_backend;
+  CrashingStorage log(&log_backend, point);
   Coordinator<SpaceSaving> first(kEpoch, policy);
   SimulatedTransport crash_transport = make_transport();
   ASSERT_TRUE(first.RunDurable(crash_transport, kShards, &log, options).crashed);
