@@ -362,8 +362,10 @@ TEST(CrashingStorageTest, BothBackendsKeepTheSameBytesAtEveryCrashPoint) {
 }
 
 // An injected transient failure never reaches the backend: on real files
-// the log keeps its length and the retry appends at a clean offset.
-TEST(CrashingStorageTest, TransientFailuresLeaveTheFileUnchanged) {
+// the log keeps its length and the retry appends at a clean offset. The
+// name is the one this case had when FileStorage carried its own
+// injector (FaultFd); CrashingStorage now injects these failures.
+TEST(FileStorageTest, FaultFdInjectsCleanTransientFailures) {
   BackendFactory factory(BackendKind::kFile);
   auto storage = factory.Make();
   EXPECT_TRUE(storage->Append("log", Bytes({1, 2})));
@@ -384,7 +386,7 @@ TEST(CrashingStorageTest, TransientFailuresLeaveTheFileUnchanged) {
 // with SIGXFSZ ignored so write(2) fails with EFBIG after a short
 // write) is cut back to the pre-append length, so the retry appends at
 // a clean offset.
-TEST(FileStorageTest, FailedAppendRollsBackToPreAppendLength) {
+TEST(FileStorageTest, ShortWriteRollsBackToPreAppendLength) {
   BackendFactory factory(BackendKind::kFile);
   Storage* storage = factory.MakeBackend();
   ASSERT_TRUE(storage->Append("log", Bytes({1, 2})));
