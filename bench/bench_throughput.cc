@@ -30,6 +30,7 @@
 #include <benchmark/benchmark.h>
 
 #include "mergeable/aggregate/storage.h"
+#include "mergeable/aggregate/wire.h"
 #include "mergeable/approx/eps_approximation.h"
 #include "mergeable/frequency/misra_gries.h"
 #include "mergeable/frequency/space_saving.h"
@@ -41,7 +42,6 @@
 #include "mergeable/sketch/count_sketch.h"
 #include "mergeable/store/durable_store.h"
 #include "mergeable/store/epoch_meta.h"
-#include "mergeable/store/segment.h"
 #include "mergeable/store/summary_store.h"
 #include "mergeable/stream/generators.h"
 #include "mergeable/util/bytes.h"
@@ -634,9 +634,9 @@ BENCHMARK_CAPTURE(BM_FoldMergeableQuantiles, canonical, FoldMode::kCanonical);
 BENCHMARK_CAPTURE(BM_FoldMergeableQuantiles, round_trip,
                   FoldMode::kRoundTrip);
 
-// The checksum kernel every frame and segment record goes through
-// (util/hash.h ChecksumBytes, here via SegmentChecksum): bytes/s by
-// input size. Below 64 bytes it is one serial MixHash chain; from 64
+// The checksum every frame and segment record goes through
+// (FrameChecksum, over util/hash.h ChecksumBytes): bytes/s by input
+// size. Below 64 bytes it is one serial MixHash chain; from 64
 // bytes on, four lanes.
 void BM_Checksum(benchmark::State& state) {
   const size_t size = static_cast<size_t>(state.range(0));
@@ -645,7 +645,7 @@ void BM_Checksum(benchmark::State& state) {
     bytes[i] = static_cast<uint8_t>(i * 131 + 7);
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(SegmentChecksum(bytes.data(), bytes.size()));
+    benchmark::DoNotOptimize(FrameChecksum(0, size, bytes.data(), size));
   }
   state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(size));
 }

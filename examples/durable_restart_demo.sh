@@ -2,7 +2,8 @@
 # Durable warm-restart demo: run the ingest service over a real data
 # directory, kill -9 it mid-stream, and restart — the fsync'd segment
 # log means every acknowledged epoch survives and the new process
-# resumes the epoch axis exactly where the old one died.
+# resumes the epoch axis exactly where the old one died. Exits non-zero
+# unless the restart restores every acknowledged epoch.
 #
 # Usage: examples/durable_restart_demo.sh [path/to/ingest_service]
 # (defaults to build/examples/ingest_service relative to the repo root)
@@ -38,9 +39,22 @@ tail -3 "$data_dir/victim.out"
 
 echo
 echo "== 3. warm restart: recover, resume the axis, serve history =="
-"$binary" --data-dir "$data_dir" --restore --epochs 2 2>/dev/null
+"$binary" --data-dir "$data_dir" --restore --epochs 2 2>/dev/null |
+  tee "$data_dir/restart.out"
 
 echo
 echo "Every epoch acknowledged before the kill is in the restored count:"
 echo "a 'sealed epoch N' line printed by step 2 reappears as history in"
 echo "step 3 — the fsync-before-acknowledge discipline at work."
+
+# The check holds whenever the kill lands: step 1's 4 epochs plus every
+# seal step 2 acknowledged must come back (an epoch sealed but not yet
+# acknowledged may come back too).
+restored="$(sed -n 's/^restored \([0-9]*\) epochs.*/\1/p' "$data_dir/restart.out")"
+expected=$((4 + sealed_before_kill))
+if [ -z "$restored" ] || [ "$restored" -lt "$expected" ]; then
+  echo "FAIL: restored ${restored:-no} epochs, expected at least $expected" \
+    "(4 from step 1 + $sealed_before_kill acknowledged in step 2)" >&2
+  exit 1
+fi
+echo "OK: restored $restored epochs >= 4 + $sealed_before_kill acknowledged"

@@ -13,13 +13,14 @@
 // exactly like a batch of N — so the coordinator, the server and the
 // client all speak the same frame whether they ship one report or many.
 
-// A second, smaller envelope carries *typed* payloads at rest: a
-// summary encoding prefixed by its registry tag (summary_registry.h),
-// checksummed the same way. The summary store persists every tree node
-// in this envelope so a stored file is self-describing — a reader knows
-// which decoder to dispatch to before touching the payload, and a file
-// of the wrong type is rejected by tag comparison instead of by a
-// decoder accidentally accepting foreign bytes.
+// A second, smaller envelope carries *typed* payloads: a summary
+// encoding prefixed by its registry tag (summary_registry.h),
+// checksummed the same way. It wraps only the merged summary of an ANS1
+// answer, so a client knows which decoder to dispatch to before
+// touching the payload, and a payload of the wrong type is rejected by
+// tag comparison instead of by a decoder accidentally accepting foreign
+// bytes. (The summary store's records carry a bare tag inside their
+// SEG1 frame instead: store/summary_store.h.)
 //
 //   u32  magic        'S','U','M','1'
 //   u32  tag          SummaryTag (must be registered)
@@ -52,9 +53,9 @@ struct WireReport {
 // MixHash from a fixed seed (kFrameChecksumSeed, wire.cc); the payload
 // then goes through ChecksumBytes (util/hash.h), one serial chain under
 // 64 bytes and four lanes from 64 bytes on. Every envelope in this
-// file, the EPH1 epoch record and the coordinator's log verify with it
-// or with SegmentChecksum, which shares the kernel. The sealed frames
-// below pass (magic, body_len); a tagged payload passes (tag, 0).
+// file and the SEG1 record frame (store/segment.h: the store's records
+// and the coordinator's log) verify with it. The sealed frames below
+// and SEG1 pass (magic, body_len); a tagged payload passes (tag, 0).
 uint64_t FrameChecksum(uint64_t a, uint64_t b,
                        const std::vector<uint8_t>& payload);
 // Span form for callers hashing bytes in place (e.g. ViewBatchFrame).
@@ -351,7 +352,7 @@ struct TaggedPayloadView {
 
 // Parses a tagged payload; std::nullopt on bad magic, unregistered tag,
 // truncation, trailing bytes, or checksum mismatch. Never aborts: these
-// bytes come from storage, which can tear and flip bits.
+// bytes come off the network, which can tear and flip bits.
 std::optional<TaggedPayloadView> ViewTaggedPayload(const uint8_t* bytes,
                                                    size_t size);
 

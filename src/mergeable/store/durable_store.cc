@@ -144,7 +144,7 @@ std::optional<std::vector<uint8_t>> DurableLog::ReadRecord(
                           loc.length);
   if (!frame.has_value()) return std::nullopt;
   const std::optional<SegmentRecordView> view =
-      ViewPagedRecord(frame->data(), frame->size(), stream, level, index);
+      VerifySegmentRecord(frame->data(), frame->size(), stream, level, index);
   if (!view.has_value()) return std::nullopt;
   // Keep the payload in the frame's buffer: drop the checksum trailer,
   // then slide the payload over the header.
@@ -202,14 +202,19 @@ uint64_t DurableLog::ScrubPass(uint64_t max_records) {
   std::optional<uint64_t> loaded;
   std::optional<std::vector<uint8_t>> bytes;
   for (const size_t i : order) {
+    const auto& [stream, level, index] = slice[i].first;
     const RecordLocation& loc = slice[i].second;
     if (loaded != loc.segment) {
       bytes.reset();  // Free the previous buffer before the next read.
       bytes = durable_->Read(SegmentFileName(loc.segment));
       loaded = loc.segment;
     }
-    intact[i] = bytes.has_value() &&
-                VerifySegmentRecordAt(*bytes, loc.offset, loc.length);
+    // The page-in's check, over the slice a range read would return.
+    intact[i] = bytes.has_value() && loc.offset <= bytes->size() &&
+                loc.length <= bytes->size() - loc.offset &&
+                VerifySegmentRecord(bytes->data() + loc.offset, loc.length,
+                                    stream, level, index)
+                    .has_value();
   }
   bytes.reset();
 
@@ -272,11 +277,6 @@ void DurableLog::StopScrubber() {
   scrubber_running_ = false;
 }
 
-bool DurableLog::scrubber_running() const {
-  std::lock_guard<std::mutex> lock(thread_mu_);
-  return scrubber_running_;
-}
-
 std::optional<uint64_t> DurableLog::FirstQuarantinedIn(
     uint64_t stream, uint64_t lo_index, uint64_t hi_index) const {
   std::lock_guard<std::mutex> lock(mu_);
@@ -302,11 +302,6 @@ ScrubStats DurableLog::scrub_stats() const {
 uint64_t DurableLog::node_append_failures() const {
   std::lock_guard<std::mutex> lock(mu_);
   return node_append_failures_;
-}
-
-uint64_t DurableLog::manifest_records() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return manifest_.size();
 }
 
 }  // namespace mergeable

@@ -41,9 +41,11 @@
 // for as long as the cache keeps it.
 //
 // RAM holds the node cache and the manifest, never a copy of the
-// history. A page-in checks the frame's magic, length and key against
-// the manifest entry; the payload then goes through the same envelope
-// checks (EPH1 and tagged checksums) as any cache miss.
+// history. Every record is one SEG1 frame whose checksum is the only
+// one over its bytes: Open() verifies it on its scan, and a page-in and
+// the scrubber verify it with the same call (VerifySegmentRecord), the
+// page-in then parsing the payload (summary_store.h) against the
+// store's tag.
 //
 // Leaves are the truth: a lost or rotted *internal node* record is
 // rebuilt from its children and re-appended (latest-wins) — it never
@@ -93,7 +95,6 @@
 #include "mergeable/aggregate/coordinator.h"
 #include "mergeable/aggregate/storage.h"
 #include "mergeable/aggregate/summary_registry.h"
-#include "mergeable/aggregate/wire.h"
 #include "mergeable/core/concepts.h"
 #include "mergeable/store/dyadic.h"
 #include "mergeable/store/epoch_meta.h"
@@ -186,8 +187,8 @@ class DurableLog {
                   const std::vector<uint8_t>& payload);
 
   // Pages in the payload of the manifest's record for the key: one range
-  // read of its frame, checked by ViewPagedRecord. std::nullopt when the
-  // key is not in the manifest or the frame fails its checks.
+  // read of its frame, checked by VerifySegmentRecord. std::nullopt when
+  // the key is not in the manifest or the frame fails its checks.
   std::optional<std::vector<uint8_t>> ReadRecord(uint64_t stream,
                                                  uint32_t level,
                                                  uint64_t index) const;
@@ -203,7 +204,6 @@ class DurableLog {
 
   void StartScrubber();
   void StopScrubber();
-  bool scrubber_running() const;
 
   // First quarantined leaf index within [lo_index, hi_index], if any.
   std::optional<uint64_t> FirstQuarantinedIn(uint64_t stream,
@@ -213,7 +213,6 @@ class DurableLog {
 
   ScrubStats scrub_stats() const;
   uint64_t node_append_failures() const;
-  uint64_t manifest_records() const;
 
  private:
   using RecordKey = std::tuple<uint64_t, uint32_t, uint64_t>;
@@ -341,8 +340,7 @@ class DurableStore {
                           "epochs must be sealed contiguously in order");
     }
     std::vector<uint8_t> payload = EncodeSummary(summary);
-    const std::vector<uint8_t> record =
-        EncodeEpochRecord(meta, EncodeTaggedPayload(kTag, payload));
+    const std::vector<uint8_t> record = EncodeLeafRecord(kTag, meta, payload);
     bytes_written_.fetch_add(record.size(), std::memory_order_relaxed);
     if (!log_.AppendRecord(stream, 0, index, record)) return false;
     cache_.Put(NodeKey(stream, DyadicNode{0, index}), std::move(payload));
@@ -522,9 +520,9 @@ class DurableStore {
   // Appends a derived node's record, best-effort (DurableLog::AppendNode).
   void AppendNode(uint64_t stream, const DyadicNode& node,
                   const std::vector<uint8_t>& payload) {
-    const std::vector<uint8_t> tagged = EncodeTaggedPayload(kTag, payload);
-    bytes_written_.fetch_add(tagged.size(), std::memory_order_relaxed);
-    log_.AppendNode(stream, node.level, node.index, tagged);
+    const std::vector<uint8_t> record = EncodeNodeRecord(kTag, payload);
+    bytes_written_.fetch_add(record.size(), std::memory_order_relaxed);
+    log_.AppendNode(stream, node.level, node.index, record);
   }
 
   // The answer over leaf indices [lo, hi], none quarantined when the
@@ -618,13 +616,9 @@ class DurableStore {
           return std::vector<uint8_t>(leaf->summary,
                                       leaf->summary + leaf->summary_size);
         }
-      } else {
-        const std::optional<TaggedPayloadView> tagged =
-            ViewTaggedPayload(bytes->data(), bytes->size());
-        if (tagged.has_value() && tagged->tag == kTag) {
-          return std::vector<uint8_t>(tagged->payload,
-                                      tagged->payload + tagged->payload_size);
-        }
+      } else if (const std::optional<std::span<const uint8_t>> summary =
+                     ViewNodeRecord(bytes->data(), bytes->size(), kTag)) {
+        return std::vector<uint8_t>(summary->begin(), summary->end());
       }
     }
     // Missing or rotted. A leaf is primary data that cannot be rebuilt:

@@ -11,27 +11,13 @@
 // shard in a degraded epoch may hide up to its whole weight, widening
 // the full-stream bound additively by the accumulated lost mass.
 //
-// Epoch record layout (little-endian, framed with util/bytes.h):
-//
-//   u32  magic       'E','P','H','1'
-//   u32  body_len    followed by the body:
-//          u64 epoch
-//          u64 n                  mass aggregated into the summary
-//          u64 shards_total
-//          u64 shards_received
-//          u64 lost_mass
-//          u32 lost_mass_estimated (0 or 1)
-//          u32 payload_len + payload   tagged summary payload (wire.h)
-//   u64  checksum    FrameChecksum(epoch, n, body) over the whole body
-//                    (wire.h; ChecksumBytes in util/hash.h does the
-//                    body, in four lanes from 64 bytes)
+// A leaf record (summary_store.h) stores these fields in front of the
+// epoch's summary bytes.
 
 #ifndef MERGEABLE_STORE_EPOCH_META_H_
 #define MERGEABLE_STORE_EPOCH_META_H_
 
-#include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 namespace mergeable {
@@ -88,25 +74,6 @@ EpsilonReport AccumulateEpsilon(const std::vector<EpochMeta>& metas,
 EpsilonReport AccumulateEpsilonPartial(const std::vector<EpochMeta>& metas,
                                        uint64_t lo, uint64_t hi,
                                        uint64_t covered_hi, double epsilon);
-
-// Serializes `meta` together with the epoch's tagged summary payload
-// (wire.h) into one self-checking record — what a level-0 store record
-// holds.
-std::vector<uint8_t> EncodeEpochRecord(const EpochMeta& meta,
-                                       const std::vector<uint8_t>& payload);
-
-// An epoch record verified in place: `payload` points into the viewed
-// bytes and is valid only while they are.
-struct EpochRecordView {
-  EpochMeta meta;
-  const uint8_t* payload = nullptr;
-  size_t payload_size = 0;
-};
-
-// std::nullopt on truncation, bad magic, checksum mismatch, or trailing
-// bytes. Storage can tear and flip bits, so decoding never aborts.
-std::optional<EpochRecordView> ViewEpochRecord(const uint8_t* bytes,
-                                               size_t size);
 
 }  // namespace mergeable
 

@@ -1,7 +1,7 @@
 #include "mergeable/store/segment.h"
 
+#include "mergeable/aggregate/wire.h"
 #include "mergeable/util/bytes.h"
-#include "mergeable/util/hash.h"
 
 namespace mergeable {
 namespace {
@@ -16,102 +16,67 @@ constexpr uint64_t kFrameOverhead = 4 + 4 + 8;
 // payload length prefix.
 constexpr uint64_t kBodyHeader = 8 + 4 + 8 + 4;
 
+// The record starting at `offset` of bytes [0, size). std::nullopt when
+// the bytes do not even frame a record (magic, body length and checksum
+// field present): a torn tail or untracked garbage. Otherwise a view
+// with its location set that is intact only when the checksum matches
+// and the body parses; a corrupt view keeps its key zero.
+std::optional<SegmentRecordView> ViewSegmentRecord(const uint8_t* bytes,
+                                                   size_t size,
+                                                   uint64_t offset) {
+  if (offset > size) return std::nullopt;
+  ByteReader reader(bytes + offset, size - offset);
+  uint32_t magic = 0;
+  uint32_t body_len = 0;
+  uint64_t checksum = 0;
+  if (!reader.GetU32(&magic) || magic != kSegmentMagic ||
+      !reader.GetU32(&body_len) || !reader.Skip(body_len) ||
+      !reader.GetU64(&checksum)) {
+    return std::nullopt;
+  }
+  SegmentRecordView view;
+  view.offset = offset;
+  view.length = kFrameOverhead + body_len;
+  const uint8_t* body = bytes + offset + 8;
+  if (checksum != FrameChecksum(kSegmentMagic, body_len, body, body_len)) {
+    return view;
+  }
+  SegmentRecordView parsed = view;
+  ByteReader body_reader(body, body_len);
+  uint32_t payload_len = 0;
+  // Checksummed but malformed: left not intact, treated as corrupt.
+  if (!body_reader.GetU64(&parsed.stream) ||
+      !body_reader.GetU32(&parsed.level) ||
+      !body_reader.GetU64(&parsed.index) ||
+      !body_reader.GetU32(&payload_len) ||
+      body_reader.remaining() != payload_len) {
+    return view;
+  }
+  parsed.intact = true;
+  parsed.payload_offset = offset + 8 + (body_len - payload_len);
+  parsed.payload_length = payload_len;
+  return parsed;
+}
+
 }  // namespace
-
-uint64_t SegmentChecksum(const uint8_t* body, size_t size) {
-  return ChecksumBytes(MixHash(size, /*seed=*/0x53454731), body, size);
-}
-
-uint64_t SegmentChecksum(const std::vector<uint8_t>& body) {
-  return SegmentChecksum(body.data(), body.size());
-}
 
 std::vector<uint8_t> EncodeSegmentFrame(uint64_t stream, uint32_t level,
                                         uint64_t index,
                                         const uint8_t* payload,
                                         size_t size) {
-  ByteWriter head;
-  head.PutU32(kSegmentMagic);
-  head.PutU32(static_cast<uint32_t>(kBodyHeader + size));
-  head.PutU64(stream);
-  head.PutU32(level);
-  head.PutU64(index);
-  head.PutU32(static_cast<uint32_t>(size));
-  std::vector<uint8_t> frame = head.TakeBytes();
-  frame.reserve(frame.size() + size + 8);
-  frame.insert(frame.end(), payload, payload + size);
-  ByteWriter checksum;
-  checksum.PutU64(SegmentChecksum(frame.data() + 8, frame.size() - 8));
-  frame.insert(frame.end(), checksum.bytes().begin(), checksum.bytes().end());
-  return frame;
+  const uint32_t body_len = static_cast<uint32_t>(kBodyHeader + size);
+  ByteWriter writer;
+  writer.Reserve(kFrameOverhead + body_len);
+  writer.PutU32(kSegmentMagic);
+  writer.PutU32(body_len);
+  writer.PutU64(stream);
+  writer.PutU32(level);
+  writer.PutU64(index);
+  writer.PutBytes(payload, size);
+  writer.PutU64(FrameChecksum(kSegmentMagic, body_len,
+                              writer.bytes().data() + 8, body_len));
+  return writer.TakeBytes();
 }
-
-std::vector<uint8_t> EncodeSegmentRecord(const SegmentRecord& record) {
-  return EncodeSegmentFrame(record.stream, record.level, record.index,
-                            record.payload.data(), record.payload.size());
-}
-
-namespace {
-
-// Frames the record starting at `offset` of bytes [0, size): magic,
-// body length and checksum field present. std::nullopt when the bytes
-// do not even frame a record (torn tail or untracked garbage);
-// otherwise a view with its location set and `intact` still false.
-std::optional<SegmentRecordView> FrameAt(const uint8_t* bytes, size_t size,
-                                         uint64_t offset) {
-  if (offset > size) return std::nullopt;
-  ByteReader reader(bytes + offset, size - offset);
-  uint32_t magic = 0;
-  uint32_t body_len = 0;
-  if (!reader.GetU32(&magic) || magic != kSegmentMagic ||
-      !reader.GetU32(&body_len) || !reader.Skip(body_len)) {
-    return std::nullopt;
-  }
-  if (!reader.Skip(8)) return std::nullopt;  // The checksum field.
-  SegmentRecordView view;
-  view.offset = offset;
-  view.length = kFrameOverhead + body_len;
-  return view;
-}
-
-// Parses the framed body's key and payload length into `view` (marking
-// it intact); false when the body is malformed.
-bool ParseBody(const uint8_t* bytes, SegmentRecordView* view) {
-  const uint64_t body_len = view->length - kFrameOverhead;
-  ByteReader reader(bytes + view->offset + 8, body_len);
-  uint32_t payload_len = 0;
-  if (!reader.GetU64(&view->stream) || !reader.GetU32(&view->level) ||
-      !reader.GetU64(&view->index) || !reader.GetU32(&payload_len) ||
-      reader.remaining() != payload_len) {
-    view->stream = 0;
-    view->level = 0;
-    view->index = 0;
-    return false;
-  }
-  view->intact = true;
-  view->payload_offset = view->offset + 8 + (body_len - payload_len);
-  view->payload_length = payload_len;
-  return true;
-}
-
-// FrameAt plus the SEG1 checksum, checked in place, and the body parse:
-// the view is intact, or checksum-corrupt with its key left zero.
-std::optional<SegmentRecordView> ViewSegmentRecord(const uint8_t* bytes,
-                                                   size_t size,
-                                                   uint64_t offset) {
-  std::optional<SegmentRecordView> view = FrameAt(bytes, size, offset);
-  if (!view.has_value()) return std::nullopt;
-  const uint64_t body_len = view->length - kFrameOverhead;
-  const uint8_t* body = bytes + offset + 8;
-  uint64_t checksum = 0;
-  ByteReader(body + body_len, 8).GetU64(&checksum);
-  if (checksum != SegmentChecksum(body, body_len)) return view;  // Not intact.
-  // Checksummed but malformed: left not intact, treated as corrupt.
-  ParseBody(bytes, &*view);
-  return view;
-}
-
-}  // namespace
 
 SegmentScanTotals WalkSegment(
     const uint8_t* bytes, size_t size,
@@ -134,47 +99,19 @@ SegmentScanTotals WalkSegment(
   return totals;
 }
 
-SegmentScan ScanSegment(const std::vector<uint8_t>& bytes) {
-  SegmentScan scan;
-  static_cast<SegmentScanTotals&>(scan) = WalkSegment(
-      bytes.data(), bytes.size(), [&](const SegmentRecordView& view) {
-        SegmentEntry entry;
-        entry.offset = view.offset;
-        entry.length = view.length;
-        entry.intact = view.intact;
-        if (view.intact) {
-          const uint8_t* payload = bytes.data() + view.payload_offset;
-          entry.record = SegmentRecord{
-              view.stream, view.level, view.index,
-              std::vector<uint8_t>(payload, payload + view.payload_length)};
-        }
-        scan.entries.push_back(std::move(entry));
-      });
-  return scan;
-}
-
-std::optional<SegmentRecordView> ViewPagedRecord(const uint8_t* frame,
-                                                 size_t size,
-                                                 uint64_t stream,
-                                                 uint32_t level,
-                                                 uint64_t index) {
-  std::optional<SegmentRecordView> view = FrameAt(frame, size, 0);
-  if (!view.has_value() || view->length != size ||
-      !ParseBody(frame, &*view) || view->stream != stream ||
-      view->level != level || view->index != index) {
+std::optional<SegmentRecordView> VerifySegmentRecord(const uint8_t* frame,
+                                                     size_t size,
+                                                     uint64_t stream,
+                                                     uint32_t level,
+                                                     uint64_t index) {
+  const std::optional<SegmentRecordView> view =
+      ViewSegmentRecord(frame, size, 0);
+  if (!view.has_value() || !view->intact || view->length != size ||
+      view->stream != stream || view->level != level ||
+      view->index != index) {
     return std::nullopt;
   }
   return view;
-}
-
-bool VerifySegmentRecordAt(const std::vector<uint8_t>& file_bytes,
-                           uint64_t offset, uint64_t length) {
-  if (offset > file_bytes.size() || length > file_bytes.size() - offset) {
-    return false;
-  }
-  const std::optional<SegmentRecordView> view =
-      ViewSegmentRecord(file_bytes.data(), file_bytes.size(), offset);
-  return view.has_value() && view->intact && view->length == length;
 }
 
 }  // namespace mergeable

@@ -11,10 +11,16 @@
 //          u32 level          0 = epoch leaf, >=1 = dyadic merge node
 //          u64 index          leaf index / node index at that level
 //          u32 payload_len + payload
-//                     level 0: an epoch record (epoch_meta.h — metadata
-//                     plus tagged summary payload); level >= 1: a
-//                     tagged summary payload (wire.h)
-//   u64  checksum    SegmentChecksum over the body
+//                     the store's leaf and node payloads are laid out
+//                     in summary_store.h; they carry no envelope of
+//                     their own
+//   u64  checksum    FrameChecksum(magic, body_len, body) (wire.h), the
+//                    checksum every sealed frame uses
+//
+// The frame is a record's only envelope and its checksum the only one
+// over its bytes: written once at append, verified on every read — by
+// WalkSegment at Open(), and by VerifySegmentRecord at a page-in and
+// in the scrubber.
 //
 // The format is append-only and latest-wins: a later record for the
 // same (stream, level, index) supersedes an earlier one, which is how
@@ -34,29 +40,14 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <string>
 #include <vector>
 
 namespace mergeable {
-
-struct SegmentRecord {
-  uint64_t stream = 0;
-  uint32_t level = 0;
-  uint64_t index = 0;
-  std::vector<uint8_t> payload;
-};
-
-// The SEG1 checksum: the body size chained with MixHash from the seed
-// 'SEG1', then the body through ChecksumBytes (util/hash.h) — the same
-// kernel as the wire frames' FrameChecksum, four lanes from 64 bytes.
-uint64_t SegmentChecksum(const uint8_t* body, size_t size);
-uint64_t SegmentChecksum(const std::vector<uint8_t>& body);
 
 // The record frame for `payload` stored under (stream, level, index).
 std::vector<uint8_t> EncodeSegmentFrame(uint64_t stream, uint32_t level,
                                         uint64_t index,
                                         const uint8_t* payload, size_t size);
-std::vector<uint8_t> EncodeSegmentRecord(const SegmentRecord& record);
 
 // One record frame verified where it sits in a segment buffer: its
 // identity fields and the location of its payload, nothing copied.
@@ -89,41 +80,17 @@ SegmentScanTotals WalkSegment(
     const uint8_t* bytes, size_t size,
     const std::function<void(const SegmentRecordView&)>& visit);
 
-// One record's location and parse within a scanned segment file.
-struct SegmentEntry {
-  uint64_t offset = 0;  // Byte offset of the frame within the file.
-  uint64_t length = 0;  // Full frame length (magic..checksum).
-  // False when the framing parsed but the checksum (or body) did not:
-  // the record's identity fields cannot be trusted and are left zero.
-  bool intact = false;
-  SegmentRecord record;
-};
-
-struct SegmentScan : SegmentScanTotals {
-  std::vector<SegmentEntry> entries;  // Intact and corrupt, in order.
-};
-
-// WalkSegment with every record copied out.
-SegmentScan ScanSegment(const std::vector<uint8_t>& bytes);
-
-// Checks one frame read back whole from its known location (a page-in):
-// the magic, a body length that fills exactly `size` bytes, a
-// well-formed body and the (stream, level, index) key. The SEG1
-// checksum is not recomputed — the payload envelopes carry their own
-// checksums over every payload byte, and Open() and the scrubber verify
-// frames. On success the view's payload fields locate the payload
-// within `frame` and `intact` is true.
-std::optional<SegmentRecordView> ViewPagedRecord(const uint8_t* frame,
-                                                 size_t size,
-                                                 uint64_t stream,
-                                                 uint32_t level,
-                                                 uint64_t index);
-
-// Re-verifies a single record frame in place (the scrubber's unit of
-// work): true iff bytes [offset, offset+length) of `file_bytes` hold an
-// intact record. Out-of-range slices are simply not intact.
-bool VerifySegmentRecordAt(const std::vector<uint8_t>& file_bytes,
-                           uint64_t offset, uint64_t length);
+// Verifies one frame read back whole from its known location — a
+// page-in's range read, or the scrubber's slice of a segment buffer:
+// the magic, a body length that fills exactly `size` bytes, the SEG1
+// checksum, a well-formed body and the (stream, level, index) key the
+// manifest filed it under. On success the view is intact and its
+// payload fields locate the payload within `frame`.
+std::optional<SegmentRecordView> VerifySegmentRecord(const uint8_t* frame,
+                                                     size_t size,
+                                                     uint64_t stream,
+                                                     uint32_t level,
+                                                     uint64_t index);
 
 }  // namespace mergeable
 

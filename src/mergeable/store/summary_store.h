@@ -1,7 +1,7 @@
 // The summary store's shared vocabulary: the canonical encode, decode
-// and fold every store path uses, the verified view of a leaf record,
-// and the option, deadline and statistics structs. The store itself is
-// DurableStore<S> (durable_store.h).
+// and fold every store path uses, the payloads of its leaf and node
+// records, and the option, deadline and statistics structs. The store
+// itself is DurableStore<S> (durable_store.h).
 //
 // Determinism rests on one function here, FoldPayloadInto: every
 // canonical value is the left-deep canonical fold of its inputs in
@@ -16,12 +16,13 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <variant>
 #include <vector>
 
-#include "mergeable/aggregate/wire.h"
+#include "mergeable/aggregate/summary_registry.h"
 #include "mergeable/core/concepts.h"
 #include "mergeable/store/epoch_meta.h"
 #include "mergeable/util/bytes.h"
@@ -166,24 +167,97 @@ void FoldPayloadInto(std::optional<S>& fold, const uint8_t* payload,
   fold->Canonicalize();
 }
 
-// A leaf record verified in place: the EPH1 epoch record, the
-// tagged envelope it carries, and the tag must all check out. `summary`
-// points into the viewed bytes and is valid only while they are.
+// A stored record's payload. The SEG1 frame (segment.h) is its only
+// envelope — it carries the key and the length, and its checksum covers
+// every byte — so the payload holds only what the frame does not:
+//
+//   node (level >= 1):  u32 tag | summary bytes
+//   leaf (level 0):     u32 tag | u64 epoch | u64 n | u64 shards_total |
+//                       u64 shards_received | u64 lost_mass |
+//                       u32 lost_mass_estimated (0 or 1) | summary bytes
+//
+// The tag is the store's SummaryTraits<S>::kTag; the summary runs to
+// the end of the payload.
+inline constexpr size_t kRecordTagBytes = 4;
+// The tag and the six EpochMeta fields ahead of a leaf's summary.
+inline constexpr size_t kLeafHeaderBytes = kRecordTagBytes + 5 * 8 + 4;
+
+inline std::vector<uint8_t> EncodeNodeRecord(
+    SummaryTag tag, const std::vector<uint8_t>& summary) {
+  ByteWriter writer;
+  writer.Reserve(kRecordTagBytes + summary.size());
+  writer.PutU32(static_cast<uint32_t>(tag));
+  std::vector<uint8_t> record = writer.TakeBytes();
+  record.insert(record.end(), summary.begin(), summary.end());
+  return record;
+}
+
+inline std::vector<uint8_t> EncodeLeafRecord(
+    SummaryTag tag, const EpochMeta& meta,
+    const std::vector<uint8_t>& summary) {
+  ByteWriter writer;
+  writer.Reserve(kLeafHeaderBytes + summary.size());
+  writer.PutU32(static_cast<uint32_t>(tag));
+  writer.PutU64(meta.epoch);
+  writer.PutU64(meta.n);
+  writer.PutU64(meta.shards_total);
+  writer.PutU64(meta.shards_received);
+  writer.PutU64(meta.lost_mass);
+  writer.PutU32(meta.lost_mass_estimated ? 1 : 0);
+  std::vector<uint8_t> record = writer.TakeBytes();
+  record.insert(record.end(), summary.begin(), summary.end());
+  return record;
+}
+
+// A node record's summary bytes, in place; std::nullopt when the
+// payload does not start with `tag`.
+inline std::optional<std::span<const uint8_t>> ViewNodeRecord(
+    const uint8_t* bytes, size_t size, SummaryTag tag) {
+  ByteReader reader(bytes, size);
+  uint32_t stored_tag = 0;
+  if (!reader.GetU32(&stored_tag) ||
+      stored_tag != static_cast<uint32_t>(tag)) {
+    return std::nullopt;
+  }
+  return std::span<const uint8_t>(bytes + kRecordTagBytes,
+                                  size - kRecordTagBytes);
+}
+
+// A leaf record parsed in place: `summary` points into the viewed bytes
+// and is valid only while they are.
 struct LeafRecordView {
   EpochMeta meta;
   const uint8_t* summary = nullptr;
   size_t summary_size = 0;
 };
 
+// std::nullopt when the payload is shorter than the metadata, carries
+// another tag, or holds metadata no writer produces (lost_mass_estimated
+// above 1, more shards received than a nonzero total). The bytes passed
+// the frame's checksum, but they come from storage, so decoding never
+// aborts.
 inline std::optional<LeafRecordView> ViewLeafRecord(const uint8_t* bytes,
                                                     size_t size,
                                                     SummaryTag tag) {
-  const std::optional<EpochRecordView> record = ViewEpochRecord(bytes, size);
-  if (!record.has_value()) return std::nullopt;
-  const std::optional<TaggedPayloadView> tagged =
-      ViewTaggedPayload(record->payload, record->payload_size);
-  if (!tagged.has_value() || tagged->tag != tag) return std::nullopt;
-  return LeafRecordView{record->meta, tagged->payload, tagged->payload_size};
+  ByteReader reader(bytes, size);
+  LeafRecordView leaf;
+  uint32_t stored_tag = 0;
+  uint32_t estimated = 0;
+  if (!reader.GetU32(&stored_tag) ||
+      stored_tag != static_cast<uint32_t>(tag) ||
+      !reader.GetU64(&leaf.meta.epoch) || !reader.GetU64(&leaf.meta.n) ||
+      !reader.GetU64(&leaf.meta.shards_total) ||
+      !reader.GetU64(&leaf.meta.shards_received) ||
+      !reader.GetU64(&leaf.meta.lost_mass) || !reader.GetU32(&estimated) ||
+      estimated > 1 ||
+      (leaf.meta.shards_received > leaf.meta.shards_total &&
+       leaf.meta.shards_total != 0)) {
+    return std::nullopt;
+  }
+  leaf.meta.lost_mass_estimated = estimated == 1;
+  leaf.summary_size = reader.remaining();
+  leaf.summary = bytes + (size - leaf.summary_size);
+  return leaf;
 }
 
 // Serving knobs.

@@ -4,9 +4,9 @@
 //   * MixHash       — a fast 64-bit finalizer-style hash for hash tables
 //                     and for deriving per-row seeds. Not independent in
 //                     any formal sense; good avalanche behaviour.
-//   * ChecksumBytes — the one word-chaining kernel behind every frame and
-//                     segment checksum (FrameChecksum in wire.h,
-//                     SegmentChecksum in segment.h). Not cryptographic.
+//   * ChecksumBytes — the word-chaining kernel behind FrameChecksum
+//                     (wire.h), the one checksum of every frame and
+//                     segment record. Not cryptographic.
 //   * PolynomialHash — a k-universal (k-wise independent) hash family over
 //                     the Mersenne prime p = 2^61 - 1, used where formal
 //                     independence matters (AMS requires 4-wise, Count-Min

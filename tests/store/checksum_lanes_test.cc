@@ -1,7 +1,7 @@
 // What the four-lane checksum (util/hash.h ChecksumBytes) must still
 // catch in every envelope long enough to use the lanes: SEG1 record
-// bodies of 1 KiB and 64 KiB, and EPH1, tagged and BAT1 envelopes of at
-// least 64 bytes. Each mutation below must be rejected by the verifier
+// bodies of 1 KiB and 64 KiB, and tagged and BAT1 envelopes of at least
+// 64 bytes. Each mutation below must be rejected by the verifier
 // that guards the envelope — WalkSegment reports the SEG1 record
 // corrupt, the views return nothing — and, where the mutation touches
 // only checksummed bytes, the recomputed checksum must differ from the
@@ -25,7 +25,6 @@
 #include <gtest/gtest.h>
 
 #include "mergeable/aggregate/wire.h"
-#include "mergeable/store/epoch_meta.h"
 #include "mergeable/store/segment.h"
 #include "mergeable/util/bytes.h"
 #include "mergeable/util/hash.h"
@@ -89,7 +88,9 @@ Envelope SegmentEnvelope(size_t body_size) {
   envelope.region_at = 8;
   envelope.segment = true;
   envelope.checksum = [](const std::vector<uint8_t>& frame) {
-    return SegmentChecksum(frame.data() + 8, frame.size() - 16);
+    const size_t body_len = frame.size() - 16;
+    return FrameChecksum(GetU32At(frame, 0), body_len, frame.data() + 8,
+                         body_len);
   };
   envelope.accepts = [](const std::vector<uint8_t>& frame) {
     bool intact = false;
@@ -103,31 +104,6 @@ Envelope SegmentEnvelope(size_t body_size) {
 std::vector<uint8_t> TaggedPayloadOf(size_t payload_size) {
   return EncodeTaggedPayload(SummaryTag::kSpaceSaving,
                              PatternBytes(payload_size, 77));
-}
-
-Envelope EpochEnvelope() {
-  EpochMeta meta;
-  meta.epoch = 12;
-  meta.n = 3400;
-  meta.shards_total = 4;
-  meta.shards_received = 4;
-  Envelope envelope;
-  envelope.name = "EPH1";
-  envelope.frame = EncodeEpochRecord(meta, TaggedPayloadOf(150));
-  envelope.length_at = 4;
-  envelope.region_at = 8;
-  envelope.checksum = [](const std::vector<uint8_t>& frame) {
-    uint64_t epoch = 0;
-    uint64_t n = 0;
-    ByteReader reader(frame.data() + 8, 16);
-    reader.GetU64(&epoch);
-    reader.GetU64(&n);
-    return FrameChecksum(epoch, n, frame.data() + 8, frame.size() - 16);
-  };
-  envelope.accepts = [](const std::vector<uint8_t>& frame) {
-    return ViewEpochRecord(frame.data(), frame.size()).has_value();
-  };
-  return envelope;
 }
 
 Envelope TaggedEnvelope() {
@@ -172,7 +148,6 @@ std::vector<Envelope> AllEnvelopes() {
   std::vector<Envelope> envelopes;
   envelopes.push_back(SegmentEnvelope(1024));
   envelopes.push_back(SegmentEnvelope(64 << 10));
-  envelopes.push_back(EpochEnvelope());
   envelopes.push_back(TaggedEnvelope());
   envelopes.push_back(BatchEnvelope());
   return envelopes;

@@ -4,7 +4,7 @@
 // segment record is quarantined by the scrubber and its mass folded
 // into the error bound exactly; a leaf that rots after Open() is caught
 // by the first page-in and quarantined the same way, and every flipped
-// byte that would be served is caught there; internal-node rot is
+// byte of a record's frame is caught there; internal-node rot is
 // rebuilt from children; page-ins, seals and scrub passes run clean
 // concurrently (TSan covers this suite); the one-pass Open() matches a
 // tree-free fold of the latest intact leaf copies; a backend that
@@ -67,6 +67,20 @@ DurableStoreOptions Options() {
   return options;
 }
 
+// Every record of a segment file, intact or corrupt, in order; the
+// scan's totals go to `totals` when it is given.
+std::vector<SegmentRecordView> RecordsOf(const std::vector<uint8_t>& bytes,
+                                         SegmentScanTotals* totals = nullptr) {
+  std::vector<SegmentRecordView> records;
+  const SegmentScanTotals scan =
+      WalkSegment(bytes.data(), bytes.size(),
+                  [&](const SegmentRecordView& view) {
+                    records.push_back(view);
+                  });
+  if (totals != nullptr) *totals = scan;
+  return records;
+}
+
 // Seals `epochs` summaries; returns how many Seal() calls succeeded
 // before the first failure.
 uint64_t SealUpTo(DurableStore<SpaceSaving>& store, uint64_t epochs) {
@@ -114,9 +128,10 @@ TEST(DurableStoreTest, RestartOverFilesAnswersByteIdentically) {
 
 // The durable write sequence: sealing 8 epochs appends, per epoch, the
 // leaf record and then each dyadic node the epoch completes (levels 1
-// to 3), framed exactly as EncodeSegmentRecord frames them, one backend
-// write per record. The crash matrix's write indices and the disk bytes
-// per epoch are functions of this sequence.
+// to 3), each one SEG1 frame around its leaf or node payload, one
+// backend write per record. The crash matrix's write indices and the
+// disk bytes per epoch are functions of this sequence: a leaf frame is
+// 88 bytes plus its summary, a node frame 44.
 TEST(DurableStoreTest, SealWritesTheExpectedRecordsInOrder) {
   constexpr uint64_t kEpochs = 8;
   MemStorage backend;
@@ -131,8 +146,10 @@ TEST(DurableStoreTest, SealWritesTheExpectedRecordsInOrder) {
   uint64_t records = 0;
   const auto append = [&](uint32_t level, uint64_t index,
                           const std::vector<uint8_t>& payload) {
-    const std::vector<uint8_t> frame =
-        EncodeSegmentRecord(SegmentRecord{kStream, level, index, payload});
+    const std::vector<uint8_t> frame = EncodeSegmentFrame(
+        kStream, level, index, payload.data(), payload.size());
+    const size_t overhead = level == 0 ? 88 : 44;
+    EXPECT_EQ(frame.size(), overhead + value.at({level, index}).size());
     expected.insert(expected.end(), frame.begin(), frame.end());
     ++records;
   };
@@ -140,9 +157,8 @@ TEST(DurableStoreTest, SealWritesTheExpectedRecordsInOrder) {
     const SpaceSaving summary = MakeEpochSummary(e);
     value[{0, e}] = EncodeSummary(summary);
     append(0, e,
-           EncodeEpochRecord(MetaFor(e, summary),
-                             EncodeTaggedPayload(SummaryTag::kSpaceSaving,
-                                                 value[{0, e}])));
+           EncodeLeafRecord(SummaryTag::kSpaceSaving, MetaFor(e, summary),
+                            value[{0, e}]));
     for (const DyadicNode& node : NodesCompletedBySeal(e)) {
       SpaceSaving merged = DecodeSummaryOrDie<SpaceSaving>(
           value[{node.level - 1, node.index * 2}]);
@@ -151,8 +167,8 @@ TEST(DurableStoreTest, SealWritesTheExpectedRecordsInOrder) {
                              value[{node.level - 1, node.index * 2 + 1}]));
       value[{node.level, node.index}] = EncodeSummary(merged);
       append(node.level, node.index,
-             EncodeTaggedPayload(SummaryTag::kSpaceSaving,
-                                 value[{node.level, node.index}]));
+             EncodeNodeRecord(SummaryTag::kSpaceSaving,
+                              value[{node.level, node.index}]));
     }
   }
   EXPECT_EQ(records, 2 * kEpochs - 1);
@@ -320,11 +336,10 @@ TEST(DurableStoreTest, BitFlippedLeafIsQuarantinedWithExactEpsilon) {
   const std::string segment_file = "durable/seg/00000000";
   auto bytes = storage->Read(segment_file);
   ASSERT_TRUE(bytes.has_value());
-  const SegmentScan scan = ScanSegment(*bytes);
   bool flipped = false;
-  for (const SegmentEntry& entry : scan.entries) {
-    if (entry.record.level == 0 && entry.record.index == kRotten) {
-      (*bytes)[entry.offset + entry.length / 2] ^= 0x04;
+  for (const SegmentRecordView& record : RecordsOf(*bytes)) {
+    if (record.level == 0 && record.index == kRotten) {
+      (*bytes)[record.offset + record.length / 2] ^= 0x04;
       flipped = true;
       break;
     }
@@ -392,11 +407,10 @@ TEST(DurableStoreTest, RottedInternalNodeIsRebuiltFromChildren) {
     const std::string segment_file = "durable/seg/00000000";
     auto bytes = storage->Read(segment_file);
     ASSERT_TRUE(bytes.has_value());
-    const SegmentScan scan = ScanSegment(*bytes);
     bool flipped = false;
-    for (const SegmentEntry& entry : scan.entries) {
-      if (entry.record.level >= 1) {
-        (*bytes)[entry.offset + entry.length / 2] ^= 0x20;
+    for (const SegmentRecordView& record : RecordsOf(*bytes)) {
+      if (record.level >= 1) {
+        (*bytes)[record.offset + record.length / 2] ^= 0x20;
         flipped = true;
         break;
       }
@@ -492,10 +506,11 @@ TEST(DurableStoreTest, MemBackendRoundTrips) {
 
 // The one-pass Open() against a tree-free reference: a log holding a
 // superseding copy of a node, a later checksum-corrupt copy of a leaf
-// (the earlier copy wins), a later intact-SEG1 but undecodable-EPH1 copy
-// of a leaf (it ends the prefix) and a torn tail must open exactly as
-// the prefix rule applied to the latest intact leaf copies says, and
-// answer every range as ReferenceRange folds those leaves.
+// (the earlier copy wins), a later intact-SEG1 copy of a leaf whose
+// payload is no leaf record (it ends the prefix) and a torn tail must
+// open exactly as the prefix rule applied to the latest intact leaf
+// copies says, and answer every range as ReferenceRange folds those
+// leaves.
 TEST(DurableStoreTest, OneScanOpenMatchesStoreOpenOverLatestWinsFiles) {
   constexpr uint64_t kOther = 2;
   constexpr uint64_t kEpochs = 8;
@@ -526,21 +541,23 @@ TEST(DurableStoreTest, OneScanOpenMatchesStoreOpenOverLatestWinsFiles) {
   ASSERT_NE(last_segment, "durable/seg/00000000");
   // A later, checksum-corrupt copy of leaf kRotLeaf.
   const SpaceSaving other = MakeEpochSummary(999);
-  std::vector<uint8_t> rotted = EncodeSegmentRecord(SegmentRecord{
-      kStream, 0, kRotLeaf,
-      EncodeEpochRecord(MetaFor(kRotLeaf, other),
-                        EncodeTaggedPayload(SummaryTag::kSpaceSaving,
-                                            EncodeSummary(other)))});
+  const std::vector<uint8_t> rotted_leaf =
+      EncodeLeafRecord(SummaryTag::kSpaceSaving, MetaFor(kRotLeaf, other),
+                       EncodeSummary(other));
+  std::vector<uint8_t> rotted = EncodeSegmentFrame(
+      kStream, 0, kRotLeaf, rotted_leaf.data(), rotted_leaf.size());
   rotted[rotted.size() / 2] ^= 0x08;
   ASSERT_TRUE(durable.Append(last_segment, rotted));
   // A later copy of leaf kBadLeaf whose SEG1 frame is intact but whose
-  // payload is no epoch record.
+  // payload is no leaf record.
+  const std::vector<uint8_t> bad_leaf = {1, 2, 3};
   ASSERT_TRUE(durable.Append(
-      last_segment,
-      EncodeSegmentRecord(SegmentRecord{kStream, 0, kBadLeaf, {1, 2, 3}})));
+      last_segment, EncodeSegmentFrame(kStream, 0, kBadLeaf, bad_leaf.data(),
+                                       bad_leaf.size())));
   // A torn tail: the first half of one more frame.
-  std::vector<uint8_t> torn = EncodeSegmentRecord(
-      SegmentRecord{kStream, 0, kEpochs, std::vector<uint8_t>(64, 5)});
+  const std::vector<uint8_t> filler(64, 5);
+  std::vector<uint8_t> torn = EncodeSegmentFrame(
+      kStream, 0, kEpochs, filler.data(), filler.size());
   torn.resize(torn.size() / 2);
   ASSERT_TRUE(durable.Append(last_segment, torn));
 
@@ -553,17 +570,19 @@ TEST(DurableStoreTest, OneScanOpenMatchesStoreOpenOverLatestWinsFiles) {
   for (const std::string& name : durable.List()) {
     if (name.rfind("durable/seg/", 0) != 0) continue;
     ++expected.segments;
-    const SegmentScan scan = ScanSegment(*durable.Read(name));
-    expected.corrupt_records += scan.corrupt_records;
-    if (scan.torn_tail) ++expected.torn_tails;
-    for (const SegmentEntry& entry : scan.entries) {
-      if (!entry.intact) continue;
-      const SegmentRecord& record = entry.record;
+    const std::vector<uint8_t> bytes = *durable.Read(name);
+    SegmentScanTotals scan;
+    for (const SegmentRecordView& record : RecordsOf(bytes, &scan)) {
+      if (!record.intact) continue;
       keys.insert({record.stream, record.level, record.index});
       if (record.level == 0) {
-        latest[record.stream][record.index] = record.payload;
+        const auto payload = bytes.begin() + record.payload_offset;
+        latest[record.stream][record.index].assign(
+            payload, payload + record.payload_length);
       }
     }
+    expected.corrupt_records += scan.corrupt_records;
+    if (scan.torn_tail) ++expected.torn_tails;
   }
   expected.records = keys.size();
   struct ReferenceStream {
@@ -632,14 +651,14 @@ uint64_t FlipRecordByte(Storage& storage, uint32_t level, uint64_t index,
                         std::optional<uint64_t> at = std::nullopt) {
   const std::string segment_file = "durable/seg/00000000";
   std::vector<uint8_t> bytes = *storage.Read(segment_file);
-  for (const SegmentEntry& entry : ScanSegment(bytes).entries) {
-    if (entry.record.stream != kStream || entry.record.level != level ||
-        entry.record.index != index) {
+  for (const SegmentRecordView& record : RecordsOf(bytes)) {
+    if (record.stream != kStream || record.level != level ||
+        record.index != index) {
       continue;
     }
-    bytes[entry.offset + at.value_or(entry.length / 2)] ^= 0x01;
+    bytes[record.offset + at.value_or(record.length / 2)] ^= 0x01;
     if (!storage.Rewrite(segment_file, bytes)) return 0;
-    return entry.length;
+    return record.length;
   }
   return 0;
 }
@@ -700,12 +719,13 @@ TEST(DurableStoreTest, LeafRottedAfterOpenIsQuarantinedAtPageIn) {
   EXPECT_EQ(paged.scrub_stats().corrupt_found, 0u);
 }
 
-// Every byte of one leaf frame and one internal-node frame, flipped in
-// turn after Open(). A flip that changes served bytes (framing, key or
-// payload) is caught by the first page-in: the leaf is quarantined and
-// the query clamped; the node is rebuilt from its children, answers
-// byte-identically and is re-appended. A flip in the SEG1 checksum
-// trailer changes nothing served and is caught by the next ScrubOnce().
+// Every byte of one leaf frame and one internal-node frame, the 8 bytes
+// of the SEG1 checksum trailer included, flipped in turn after Open().
+// Each flip is caught by the first page-in, which verifies the checksum
+// as the scrubber does: the leaf is quarantined and the query clamped;
+// the node is rebuilt from its children, answers byte-identically and
+// is re-appended. Either way the manifest no longer points at the
+// flipped frame, so the next ScrubOnce() finds nothing.
 TEST(DurableStoreTest, EveryServedByteFlipIsCaughtAtPageIn) {
   constexpr uint64_t kEpochs = 6;
   MemStorage pristine;
@@ -737,7 +757,6 @@ TEST(DurableStoreTest, EveryServedByteFlipIsCaughtAtPageIn) {
     ASSERT_GT(length, 8u);
     for (uint64_t at = 0; at < length; ++at) {
       SCOPED_TRACE("byte " + std::to_string(at));
-      const bool trailer = at >= length - 8;
       MemStorage storage(pristine);
       DurableStore<SpaceSaving> store(&storage, Options());
       store.Open();
@@ -745,7 +764,7 @@ TEST(DurableStoreTest, EveryServedByteFlipIsCaughtAtPageIn) {
                 length);
       const auto out = store.QueryRangePayload(kStream, target.lo, target.hi);
       ASSERT_TRUE(out.has_value());
-      if (leaf && !trailer) {
+      if (leaf) {
         EXPECT_TRUE(out->partial);
         EXPECT_EQ(out->covered_hi, target.index - 1);
         EXPECT_EQ(store.QuarantinedLeaves(kStream),
@@ -755,18 +774,16 @@ TEST(DurableStoreTest, EveryServedByteFlipIsCaughtAtPageIn) {
         EXPECT_EQ(*out->payload, answer);
         EXPECT_TRUE(store.QuarantinedLeaves(kStream).empty());
         // A caught node flip costs one rebuild and one re-append.
-        EXPECT_EQ(store.stats().nodes_built, leaf || trailer ? 0u : 1u);
+        EXPECT_EQ(store.stats().nodes_built, 1u);
         EXPECT_EQ(*store.log().ReadRecord(kStream, target.level,
                                           target.index),
                   record);
       }
       store.ScrubOnce();
       const ScrubStats scrub = store.scrub_stats();
-      EXPECT_EQ(scrub.corrupt_found, trailer ? 1u : 0u);
-      if (trailer) {
-        EXPECT_EQ(scrub.epochs_quarantined, leaf ? 1u : 0u);
-        EXPECT_EQ(scrub.nodes_repaired, leaf ? 0u : 1u);
-      }
+      EXPECT_EQ(scrub.corrupt_found, 0u);
+      EXPECT_EQ(scrub.epochs_quarantined, leaf ? 1u : 0u);
+      EXPECT_EQ(scrub.nodes_repaired, 0u);
     }
   }
 }
@@ -880,8 +897,9 @@ TEST(DurableStoreTest, UntruncatableTornTailRollsToAFreshSegment) {
     DurableStore<SpaceSaving> store(&storage, Options());
     ASSERT_EQ(SealUpTo(store, kFirst), kFirst);
   }
-  std::vector<uint8_t> torn = EncodeSegmentRecord(
-      SegmentRecord{kStream, 0, kFirst, std::vector<uint8_t>(40, 7)});
+  const std::vector<uint8_t> filler(40, 7);
+  std::vector<uint8_t> torn = EncodeSegmentFrame(kStream, 0, kFirst,
+                                                 filler.data(), filler.size());
   torn.resize(torn.size() / 2);
   ASSERT_TRUE(inner.Append("durable/seg/00000000", torn));
 
@@ -957,7 +975,7 @@ class FailFirstReadStorage : public Storage {
 // the manifest says, and at the next restart the store's re-sealed
 // epochs outrank the unread segment's older copies.
 TEST(DurableStoreTest, UnreadableNewestSegmentRollsToAFreshSegment) {
-  constexpr uint64_t kFirst = 6;
+  constexpr uint64_t kFirst = 5;
   constexpr uint64_t kTotal = 16;
   DurableStoreOptions options = Options();
   options.segment_bytes = 1024;

@@ -1,10 +1,15 @@
 // SEG1 record framing: checksum coverage, torn-tail detection, corrupt
 // record skipping, and in-place verification — the integrity layer the
-// durable store and scrubber stand on. The EPH1 epoch record and the
-// tagged envelope a leaf record carries get the same truncation and
-// bit-flip sweeps through their in-place (span) decoders.
+// durable store and scrubber stand on. The frame is a stored record's
+// only envelope, so a leaf record's frame gets the same truncation and
+// bit-flip sweeps through the one verifier a page-in and the scrubber
+// call, and the leaf payload decoder its own checks on the metadata.
+// The tagged envelope of an ANS1 answer gets the same sweeps through
+// its in-place (span) decoder.
 
+#include <algorithm>
 #include <cstdint>
+#include <initializer_list>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -12,72 +17,93 @@
 #include "mergeable/aggregate/wire.h"
 #include "mergeable/store/epoch_meta.h"
 #include "mergeable/store/segment.h"
+#include "mergeable/store/summary_store.h"
 #include "mergeable/util/bytes.h"
 
 namespace mergeable {
 namespace {
 
-SegmentRecord Record(uint64_t stream, uint32_t level, uint64_t index,
-                     std::initializer_list<uint8_t> payload) {
-  return SegmentRecord{stream, level, index,
-                       std::vector<uint8_t>(payload)};
+std::vector<uint8_t> Frame(uint64_t stream, uint32_t level, uint64_t index,
+                           std::initializer_list<uint8_t> payload) {
+  const std::vector<uint8_t> bytes(payload);
+  return EncodeSegmentFrame(stream, level, index, bytes.data(), bytes.size());
+}
+
+// Every record WalkSegment hands out, and what it concluded.
+struct Scan {
+  SegmentScanTotals totals;
+  std::vector<SegmentRecordView> records;
+};
+
+Scan ScanFile(const std::vector<uint8_t>& file) {
+  Scan scan;
+  scan.totals = WalkSegment(
+      file.data(), file.size(),
+      [&](const SegmentRecordView& view) { scan.records.push_back(view); });
+  return scan;
+}
+
+std::vector<uint8_t> PayloadOf(const std::vector<uint8_t>& file,
+                               const SegmentRecordView& view) {
+  return std::vector<uint8_t>(
+      file.begin() + view.payload_offset,
+      file.begin() + view.payload_offset + view.payload_length);
 }
 
 TEST(SegmentTest, RoundTripsRecordsInOrder) {
   std::vector<uint8_t> file;
-  for (const auto& record :
-       {Record(1, 0, 0, {1, 2, 3}), Record(1, 0, 1, {}),
-        Record(2, 3, 7, {9, 9, 9, 9})}) {
-    const auto frame = EncodeSegmentRecord(record);
+  for (const auto& frame : {Frame(1, 0, 0, {1, 2, 3}), Frame(1, 0, 1, {}),
+                            Frame(2, 3, 7, {9, 9, 9, 9})}) {
     file.insert(file.end(), frame.begin(), frame.end());
   }
-  const SegmentScan scan = ScanSegment(file);
-  EXPECT_FALSE(scan.torn_tail);
-  EXPECT_EQ(scan.corrupt_records, 0u);
-  EXPECT_EQ(scan.valid_bytes, file.size());
-  ASSERT_EQ(scan.entries.size(), 3u);
-  EXPECT_TRUE(scan.entries[0].intact);
-  EXPECT_EQ(scan.entries[0].record.stream, 1u);
-  EXPECT_EQ(scan.entries[0].record.level, 0u);
-  EXPECT_EQ(scan.entries[0].record.index, 0u);
-  EXPECT_EQ(scan.entries[0].record.payload, std::vector<uint8_t>({1, 2, 3}));
-  EXPECT_EQ(scan.entries[1].record.payload.size(), 0u);
-  EXPECT_EQ(scan.entries[2].record.stream, 2u);
-  EXPECT_EQ(scan.entries[2].record.level, 3u);
-  EXPECT_EQ(scan.entries[2].record.index, 7u);
+  const Scan scan = ScanFile(file);
+  EXPECT_FALSE(scan.totals.torn_tail);
+  EXPECT_EQ(scan.totals.corrupt_records, 0u);
+  EXPECT_EQ(scan.totals.valid_bytes, file.size());
+  ASSERT_EQ(scan.records.size(), 3u);
+  EXPECT_TRUE(scan.records[0].intact);
+  EXPECT_EQ(scan.records[0].stream, 1u);
+  EXPECT_EQ(scan.records[0].level, 0u);
+  EXPECT_EQ(scan.records[0].index, 0u);
+  EXPECT_EQ(PayloadOf(file, scan.records[0]),
+            std::vector<uint8_t>({1, 2, 3}));
+  EXPECT_EQ(scan.records[1].payload_length, 0u);
+  EXPECT_EQ(scan.records[2].stream, 2u);
+  EXPECT_EQ(scan.records[2].level, 3u);
+  EXPECT_EQ(scan.records[2].index, 7u);
   // Offsets and lengths tile the file exactly.
-  EXPECT_EQ(scan.entries[0].offset, 0u);
-  EXPECT_EQ(scan.entries[1].offset, scan.entries[0].length);
-  EXPECT_EQ(scan.entries[2].offset + scan.entries[2].length, file.size());
+  EXPECT_EQ(scan.records[0].offset, 0u);
+  EXPECT_EQ(scan.records[1].offset, scan.records[0].length);
+  EXPECT_EQ(scan.records[2].offset + scan.records[2].length, file.size());
 }
 
 TEST(SegmentTest, EmptyFileScansClean) {
-  const SegmentScan scan = ScanSegment({});
-  EXPECT_TRUE(scan.entries.empty());
-  EXPECT_FALSE(scan.torn_tail);
-  EXPECT_EQ(scan.valid_bytes, 0u);
+  const Scan scan = ScanFile({});
+  EXPECT_TRUE(scan.records.empty());
+  EXPECT_FALSE(scan.totals.torn_tail);
+  EXPECT_EQ(scan.totals.valid_bytes, 0u);
 }
 
 TEST(SegmentTest, EveryTruncationOfFinalRecordIsTornNeverMisread) {
-  const auto first = EncodeSegmentRecord(Record(1, 0, 0, {1, 2}));
-  const auto second = EncodeSegmentRecord(Record(1, 0, 1, {3, 4, 5}));
+  const auto first = Frame(1, 0, 0, {1, 2});
+  const auto second = Frame(1, 0, 1, {3, 4, 5});
   std::vector<uint8_t> file = first;
   file.insert(file.end(), second.begin(), second.end());
 
   for (size_t cut = first.size() + 1; cut < file.size(); ++cut) {
     const std::vector<uint8_t> torn(file.begin(), file.begin() + cut);
-    const SegmentScan scan = ScanSegment(torn);
-    EXPECT_TRUE(scan.torn_tail) << "cut=" << cut;
-    EXPECT_EQ(scan.valid_bytes, first.size()) << "cut=" << cut;
-    ASSERT_EQ(scan.entries.size(), 1u) << "cut=" << cut;
-    EXPECT_TRUE(scan.entries[0].intact);
-    EXPECT_EQ(scan.entries[0].record.index, 0u);
+    const Scan scan = ScanFile(torn);
+    EXPECT_TRUE(scan.totals.torn_tail) << "cut=" << cut;
+    EXPECT_EQ(scan.totals.valid_bytes, first.size()) << "cut=" << cut;
+    ASSERT_EQ(scan.records.size(), 1u) << "cut=" << cut;
+    EXPECT_TRUE(scan.records[0].intact);
+    EXPECT_EQ(scan.records[0].index, 0u);
   }
 }
 
 TEST(SegmentTest, EveryBitFlipIsCaughtByTheChecksum) {
-  const auto first = EncodeSegmentRecord(Record(1, 0, 0, {1, 2}));
-  const auto second = EncodeSegmentRecord(Record(1, 0, 1, {3, 4, 5, 6}));
+  const auto first = Frame(1, 0, 0, {1, 2});
+  const auto second = Frame(1, 0, 1, {3, 4, 5, 6});
   std::vector<uint8_t> file = first;
   file.insert(file.end(), second.begin(), second.end());
 
@@ -85,32 +111,35 @@ TEST(SegmentTest, EveryBitFlipIsCaughtByTheChecksum) {
     for (int bit = 0; bit < 8; ++bit) {
       auto flipped = file;
       flipped[byte] ^= static_cast<uint8_t>(1u << bit);
-      const SegmentScan scan = ScanSegment(flipped);
+      const Scan scan = ScanFile(flipped);
       // The flip lands in exactly one record: that record must come
       // back corrupt (or unframeable — a flip in a magic/length field),
       // and never as a silently different intact record.
       uint64_t intact_unchanged = 0;
-      for (const SegmentEntry& entry : scan.entries) {
-        if (!entry.intact) continue;
-        const auto reencoded = EncodeSegmentRecord(entry.record);
+      for (const SegmentRecordView& view : scan.records) {
+        if (!view.intact) continue;
+        const std::vector<uint8_t> payload = PayloadOf(flipped, view);
+        const auto reencoded = EncodeSegmentFrame(
+            view.stream, view.level, view.index, payload.data(),
+            payload.size());
         ASSERT_EQ(
-            std::vector<uint8_t>(file.begin() + entry.offset,
-                                 file.begin() + entry.offset + entry.length),
+            std::vector<uint8_t>(file.begin() + view.offset,
+                                 file.begin() + view.offset + view.length),
             reencoded)
             << "byte=" << byte << " bit=" << bit;
         ++intact_unchanged;
       }
       EXPECT_LT(intact_unchanged, 2u) << "byte=" << byte << " bit=" << bit;
-      EXPECT_TRUE(scan.torn_tail || scan.corrupt_records > 0)
+      EXPECT_TRUE(scan.totals.torn_tail || scan.totals.corrupt_records > 0)
           << "byte=" << byte << " bit=" << bit;
     }
   }
 }
 
 TEST(SegmentTest, CorruptMiddleRecordIsSkippedNotFatal) {
-  const auto a = EncodeSegmentRecord(Record(1, 0, 0, {1}));
-  const auto b = EncodeSegmentRecord(Record(1, 0, 1, {2}));
-  const auto c = EncodeSegmentRecord(Record(1, 0, 2, {3}));
+  const auto a = Frame(1, 0, 0, {1});
+  const auto b = Frame(1, 0, 1, {2});
+  const auto c = Frame(1, 0, 2, {3});
   std::vector<uint8_t> file = a;
   // Flip one payload bit inside the middle record (the last byte before
   // its trailing checksum is payload).
@@ -119,32 +148,40 @@ TEST(SegmentTest, CorruptMiddleRecordIsSkippedNotFatal) {
   file.insert(file.end(), rotted.begin(), rotted.end());
   file.insert(file.end(), c.begin(), c.end());
 
-  const SegmentScan scan = ScanSegment(file);
-  EXPECT_FALSE(scan.torn_tail);
-  EXPECT_EQ(scan.corrupt_records, 1u);
-  ASSERT_EQ(scan.entries.size(), 3u);
-  EXPECT_TRUE(scan.entries[0].intact);
-  EXPECT_FALSE(scan.entries[1].intact);
-  EXPECT_TRUE(scan.entries[2].intact);  // Framing recovers past the rot.
-  EXPECT_EQ(scan.entries[2].record.index, 2u);
+  const Scan scan = ScanFile(file);
+  EXPECT_FALSE(scan.totals.torn_tail);
+  EXPECT_EQ(scan.totals.corrupt_records, 1u);
+  ASSERT_EQ(scan.records.size(), 3u);
+  EXPECT_TRUE(scan.records[0].intact);
+  EXPECT_FALSE(scan.records[1].intact);
+  EXPECT_TRUE(scan.records[2].intact);  // Framing recovers past the rot.
+  EXPECT_EQ(scan.records[2].index, 2u);
 }
 
+// The scrubber's check: VerifySegmentRecord over the manifest's slice of
+// a segment buffer.
 TEST(SegmentTest, VerifyAtDetectsRotInPlace) {
-  const auto a = EncodeSegmentRecord(Record(1, 0, 0, {1, 2, 3}));
-  const auto b = EncodeSegmentRecord(Record(1, 1, 0, {4, 5}));
+  const auto a = Frame(1, 0, 0, {1, 2, 3});
+  const auto b = Frame(1, 1, 0, {4, 5});
   std::vector<uint8_t> file = a;
   file.insert(file.end(), b.begin(), b.end());
+  const auto verify = [](const std::vector<uint8_t>& bytes, size_t offset,
+                         size_t length, uint32_t level) {
+    return VerifySegmentRecord(bytes.data() + offset, length, 1, level, 0)
+        .has_value();
+  };
 
-  EXPECT_TRUE(VerifySegmentRecordAt(file, 0, a.size()));
-  EXPECT_TRUE(VerifySegmentRecordAt(file, a.size(), b.size()));
-  // Wrong length, out-of-range, and rotted bytes all fail closed.
-  EXPECT_FALSE(VerifySegmentRecordAt(file, 0, a.size() - 1));
-  EXPECT_FALSE(VerifySegmentRecordAt(file, file.size(), 8));
-  EXPECT_FALSE(VerifySegmentRecordAt(file, a.size(), b.size() + 1));
+  EXPECT_TRUE(verify(file, 0, a.size(), 0));
+  EXPECT_TRUE(verify(file, a.size(), b.size(), 1));
+  // Wrong length, the wrong key, and rotted bytes all fail closed.
+  EXPECT_FALSE(verify(file, 0, a.size() - 1, 0));
+  EXPECT_FALSE(verify(file, 0, a.size() + 1, 0));
+  EXPECT_FALSE(verify(file, a.size(), b.size(), 0));
+  EXPECT_FALSE(verify(file, a.size(), 0, 1));
   auto rotted = file;
   rotted[a.size() + 6] ^= 0x10;
-  EXPECT_FALSE(VerifySegmentRecordAt(rotted, a.size(), b.size()));
-  EXPECT_TRUE(VerifySegmentRecordAt(rotted, 0, a.size()));
+  EXPECT_FALSE(verify(rotted, a.size(), b.size(), 1));
+  EXPECT_TRUE(verify(rotted, 0, a.size(), 0));
 }
 
 // The span decoders must only ever read bytes [0, size): each encoding
@@ -156,12 +193,13 @@ std::vector<uint8_t> WithEchoedTail(const std::vector<uint8_t>& encoded) {
   return buffer;
 }
 
+const std::vector<uint8_t> kSampleSummary = {7, 1, 8, 2, 8, 1, 8, 2, 8};
+
 std::vector<uint8_t> SampleTaggedPayload() {
-  return EncodeTaggedPayload(SummaryTag::kSpaceSaving,
-                             std::vector<uint8_t>({7, 1, 8, 2, 8, 1, 8, 2, 8}));
+  return EncodeTaggedPayload(SummaryTag::kSpaceSaving, kSampleSummary);
 }
 
-std::vector<uint8_t> SampleEpochRecord() {
+EpochMeta SampleMeta() {
   EpochMeta meta;
   meta.epoch = 41;
   meta.n = 1000;
@@ -169,7 +207,22 @@ std::vector<uint8_t> SampleEpochRecord() {
   meta.shards_received = 3;
   meta.lost_mass = 250;
   meta.lost_mass_estimated = true;
-  return EncodeEpochRecord(meta, SampleTaggedPayload());
+  return meta;
+}
+
+std::vector<uint8_t> SampleLeafPayload() {
+  return EncodeLeafRecord(SummaryTag::kSpaceSaving, SampleMeta(),
+                          kSampleSummary);
+}
+
+// A leaf record as stored: its payload in a SEG1 frame keyed (3, 0, 41).
+std::vector<uint8_t> SampleLeafFrame() {
+  const std::vector<uint8_t> payload = SampleLeafPayload();
+  return EncodeSegmentFrame(3, 0, 41, payload.data(), payload.size());
+}
+
+bool LeafFrameVerifies(const uint8_t* frame, size_t size) {
+  return VerifySegmentRecord(frame, size, 3, 0, 41).has_value();
 }
 
 TEST(SegmentTest, SpanDecodersMatchTheOwningDecoders) {
@@ -183,39 +236,99 @@ TEST(SegmentTest, SpanDecodersMatchTheOwningDecoders) {
                                  view->payload + view->payload_size),
             owned->payload);
 
-  const std::vector<uint8_t> record = SampleEpochRecord();
-  const auto record_view = ViewEpochRecord(record.data(), record.size());
-  ASSERT_TRUE(record_view.has_value());
-  EXPECT_EQ(record_view->meta.epoch, 41u);
-  EXPECT_TRUE(record_view->meta.lost_mass_estimated);
-  EXPECT_EQ(std::vector<uint8_t>(record_view->payload,
-                                 record_view->payload +
-                                     record_view->payload_size),
-            tagged);
+  // A leaf payload decodes to what was encoded, in place.
+  const std::vector<uint8_t> leaf = SampleLeafPayload();
+  const auto leaf_view =
+      ViewLeafRecord(leaf.data(), leaf.size(), SummaryTag::kSpaceSaving);
+  ASSERT_TRUE(leaf_view.has_value());
+  EXPECT_EQ(leaf_view->meta, SampleMeta());
+  EXPECT_EQ(std::vector<uint8_t>(leaf_view->summary,
+                                 leaf_view->summary + leaf_view->summary_size),
+            kSampleSummary);
+  // The tag and six metadata fields are all a leaf adds to its summary.
+  EXPECT_EQ(leaf.size(), 4 + 5 * 8 + 4 + kSampleSummary.size());
+  EXPECT_EQ(EncodeNodeRecord(SummaryTag::kSpaceSaving, kSampleSummary).size(),
+            4 + kSampleSummary.size());
 }
 
+// A torn leaf frame is refused by the frame's verifier, and a payload
+// cut short of the metadata by the leaf decoder; neither reads past the
+// bytes it was given. (A payload cut inside the summary is the frame's
+// to catch: the summary runs to the end of the payload.)
 TEST(SegmentTest, EveryTruncationOfAnEpochRecordIsRejectedInPlace) {
-  const std::vector<uint8_t> record = SampleEpochRecord();
-  const std::vector<uint8_t> buffer = WithEchoedTail(record);
-  for (size_t cut = 0; cut < record.size(); ++cut) {
-    EXPECT_FALSE(ViewEpochRecord(buffer.data(), cut).has_value())
+  const std::vector<uint8_t> frame = SampleLeafFrame();
+  const std::vector<uint8_t> frames = WithEchoedTail(frame);
+  for (size_t cut = 0; cut < frame.size(); ++cut) {
+    EXPECT_FALSE(LeafFrameVerifies(frames.data(), cut)) << "cut=" << cut;
+  }
+  EXPECT_TRUE(LeafFrameVerifies(frames.data(), frame.size()));
+  // Trailing bytes are rejected too.
+  EXPECT_FALSE(LeafFrameVerifies(frames.data(), frame.size() + 1));
+
+  const std::vector<uint8_t> leaf = SampleLeafPayload();
+  const std::vector<uint8_t> leaves = WithEchoedTail(leaf);
+  const size_t metadata = leaf.size() - kSampleSummary.size();
+  for (size_t cut = 0; cut < metadata; ++cut) {
+    EXPECT_FALSE(
+        ViewLeafRecord(leaves.data(), cut, SummaryTag::kSpaceSaving))
         << "cut=" << cut;
   }
-  EXPECT_TRUE(ViewEpochRecord(buffer.data(), record.size()).has_value());
-  // Trailing bytes are rejected too.
-  EXPECT_FALSE(ViewEpochRecord(buffer.data(), record.size() + 1).has_value());
+  for (size_t cut = metadata; cut <= leaf.size(); ++cut) {
+    const auto view =
+        ViewLeafRecord(leaves.data(), cut, SummaryTag::kSpaceSaving);
+    ASSERT_TRUE(view.has_value()) << "cut=" << cut;
+    EXPECT_EQ(view->summary_size, cut - metadata);
+  }
 }
 
 TEST(SegmentTest, EveryBitFlipOfAnEpochRecordIsRejectedInPlace) {
-  const std::vector<uint8_t> record = SampleEpochRecord();
-  for (size_t byte = 0; byte < record.size(); ++byte) {
+  const std::vector<uint8_t> frame = SampleLeafFrame();
+  for (size_t byte = 0; byte < frame.size(); ++byte) {
     for (int bit = 0; bit < 8; ++bit) {
-      std::vector<uint8_t> flipped = record;
+      std::vector<uint8_t> flipped = frame;
       flipped[byte] ^= static_cast<uint8_t>(1u << bit);
       const std::vector<uint8_t> buffer = WithEchoedTail(flipped);
-      EXPECT_FALSE(ViewEpochRecord(buffer.data(), flipped.size()).has_value())
+      EXPECT_FALSE(LeafFrameVerifies(buffer.data(), flipped.size()))
           << "byte=" << byte << " bit=" << bit;
     }
+  }
+}
+
+// What the record decoders check on bytes the frame's checksum passed:
+// the store's tag, and (for a leaf) metadata no writer produces.
+TEST(SegmentTest, RecordDecodersRejectAForeignTagAndImpossibleMetadata) {
+  const auto decodes = [](const EpochMeta& meta, uint32_t estimated,
+                          SummaryTag written, SummaryTag read) {
+    std::vector<uint8_t> leaf = EncodeLeafRecord(written, meta, {1, 2});
+    ByteWriter field;
+    field.PutU32(estimated);
+    std::copy(field.bytes().begin(), field.bytes().end(),
+              leaf.begin() + 4 + 5 * 8);
+    return ViewLeafRecord(leaf.data(), leaf.size(), read).has_value();
+  };
+  const SummaryTag ss = SummaryTag::kSpaceSaving;
+  const SummaryTag other = SummaryTag::kMisraGries;
+  EpochMeta meta = SampleMeta();
+  EXPECT_TRUE(decodes(meta, 0, ss, ss));
+  EXPECT_TRUE(decodes(meta, 1, ss, ss));
+  EXPECT_FALSE(decodes(meta, 0, other, ss));
+  EXPECT_FALSE(decodes(meta, 0, ss, other));
+  EXPECT_FALSE(decodes(meta, 2, ss, ss));
+  EXPECT_FALSE(decodes(meta, 0xffffffffu, ss, ss));
+  meta.shards_received = meta.shards_total + 1;
+  EXPECT_FALSE(decodes(meta, 0, ss, ss));
+  // Zero totals mean coverage was not tracked: any count passes.
+  meta.shards_total = 0;
+  EXPECT_TRUE(decodes(meta, 0, ss, ss));
+
+  const std::vector<uint8_t> node = EncodeNodeRecord(ss, kSampleSummary);
+  const auto summary = ViewNodeRecord(node.data(), node.size(), ss);
+  ASSERT_TRUE(summary.has_value());
+  EXPECT_EQ(std::vector<uint8_t>(summary->begin(), summary->end()),
+            kSampleSummary);
+  EXPECT_FALSE(ViewNodeRecord(node.data(), node.size(), other));
+  for (size_t cut = 0; cut < 4; ++cut) {
+    EXPECT_FALSE(ViewNodeRecord(node.data(), cut, ss)) << "cut=" << cut;
   }
 }
 
@@ -247,6 +360,7 @@ TEST(SegmentTest, EveryBitFlipOfATaggedPayloadIsRejectedInPlace) {
 // The SEG1 layout field by field: what the durable write sequence and
 // every on-disk history depend on.
 TEST(SegmentTest, EncodedFrameMatchesTheLayoutFieldByField) {
+  constexpr uint32_t kMagic = 0x31474553;  // 'S' 'E' 'G' '1'
   const std::vector<uint8_t> payload = {7, 8, 9, 10, 11};
   ByteWriter body;
   body.PutU64(3);
@@ -254,23 +368,19 @@ TEST(SegmentTest, EncodedFrameMatchesTheLayoutFieldByField) {
   body.PutU64(41);
   body.PutBytes(payload);
   ByteWriter frame;
-  frame.PutU32(0x31474553);  // 'S' 'E' 'G' '1'
+  frame.PutU32(kMagic);
   frame.PutBytes(body.bytes());
-  frame.PutU64(SegmentChecksum(body.bytes()));
-  EXPECT_EQ(EncodeSegmentRecord(SegmentRecord{3, 2, 41, payload}),
-            frame.bytes());
+  frame.PutU64(FrameChecksum(kMagic, body.size(), body.bytes()));
   EXPECT_EQ(EncodeSegmentFrame(3, 2, 41, payload.data(), payload.size()),
             frame.bytes());
 }
 
-// A page-in checks everything but the SEG1 checksum: magic, lengths,
-// body shape and the key it was asked for. Every flip outside the
-// checksum trailer that leaves the payload alone is refused; payload
-// flips are the envelopes' to catch (their own sweeps are above).
-TEST(SegmentTest, PagedRecordChecksFramingAndKeyButNotTheChecksum) {
-  const std::vector<uint8_t> frame =
-      EncodeSegmentRecord(Record(3, 1, 6, {4, 5, 6, 7}));
-  const auto view = ViewPagedRecord(frame.data(), frame.size(), 3, 1, 6);
+// A page-in checks what the scrubber checks — magic, lengths, body
+// shape and the SEG1 checksum — plus the key it was asked for. Every
+// flipped byte of the frame is refused, the checksum trailer included.
+TEST(SegmentTest, PagedRecordChecksFramingKeyAndChecksum) {
+  const std::vector<uint8_t> frame = Frame(3, 1, 6, {4, 5, 6, 7});
+  const auto view = VerifySegmentRecord(frame.data(), frame.size(), 3, 1, 6);
   ASSERT_TRUE(view.has_value());
   EXPECT_TRUE(view->intact);
   EXPECT_EQ(view->length, frame.size());
@@ -278,49 +388,41 @@ TEST(SegmentTest, PagedRecordChecksFramingAndKeyButNotTheChecksum) {
   EXPECT_EQ(frame[view->payload_offset], 4);
   EXPECT_EQ(frame[view->payload_offset + 3], 7);
   // The wrong key, a short read or a long read is refused.
-  EXPECT_FALSE(ViewPagedRecord(frame.data(), frame.size(), 4, 1, 6));
-  EXPECT_FALSE(ViewPagedRecord(frame.data(), frame.size(), 3, 0, 6));
-  EXPECT_FALSE(ViewPagedRecord(frame.data(), frame.size(), 3, 1, 7));
-  EXPECT_FALSE(ViewPagedRecord(frame.data(), frame.size() - 1, 3, 1, 6));
+  EXPECT_FALSE(VerifySegmentRecord(frame.data(), frame.size(), 4, 1, 6));
+  EXPECT_FALSE(VerifySegmentRecord(frame.data(), frame.size(), 3, 0, 6));
+  EXPECT_FALSE(VerifySegmentRecord(frame.data(), frame.size(), 3, 1, 7));
+  EXPECT_FALSE(VerifySegmentRecord(frame.data(), frame.size() - 1, 3, 1, 6));
   std::vector<uint8_t> longer = frame;
   longer.push_back(0);
-  EXPECT_FALSE(ViewPagedRecord(longer.data(), longer.size(), 3, 1, 6));
-  const size_t trailer = frame.size() - 8;
+  EXPECT_FALSE(VerifySegmentRecord(longer.data(), longer.size(), 3, 1, 6));
   for (size_t byte = 0; byte < frame.size(); ++byte) {
     std::vector<uint8_t> flipped = frame;
     flipped[byte] ^= 0x01;
-    const bool accepted =
-        ViewPagedRecord(flipped.data(), flipped.size(), 3, 1, 6).has_value();
-    const bool in_payload = byte >= view->payload_offset && byte < trailer;
-    EXPECT_EQ(accepted, in_payload || byte >= trailer) << "byte=" << byte;
+    EXPECT_FALSE(
+        VerifySegmentRecord(flipped.data(), flipped.size(), 3, 1, 6))
+        << "byte=" << byte;
   }
 }
 
 TEST(SegmentTest, RecordViewsPointAtThePayloadInPlace) {
-  const auto a = EncodeSegmentRecord(Record(3, 0, 5, {1, 2, 3}));
-  const auto b = EncodeSegmentRecord(Record(3, 2, 1, {4, 5}));
+  const auto a = Frame(3, 0, 5, {1, 2, 3});
+  const auto b = Frame(3, 2, 1, {4, 5});
   std::vector<uint8_t> file = a;
   file.insert(file.end(), b.begin(), b.end());
 
-  std::vector<SegmentRecordView> views;
-  const SegmentScanTotals totals = WalkSegment(
-      file.data(), file.size(),
-      [&](const SegmentRecordView& view) { views.push_back(view); });
-  EXPECT_FALSE(totals.torn_tail);
-  EXPECT_EQ(totals.valid_bytes, file.size());
-  ASSERT_EQ(views.size(), 2u);
-  EXPECT_TRUE(views[1].intact);
-  EXPECT_EQ(views[1].stream, 3u);
-  EXPECT_EQ(views[1].level, 2u);
-  EXPECT_EQ(views[1].index, 1u);
-  EXPECT_EQ(views[1].offset, a.size());
-  ASSERT_EQ(views[1].payload_length, 2u);
-  EXPECT_EQ(file[views[1].payload_offset], 4);
-  EXPECT_EQ(file[views[1].payload_offset + 1], 5);
-  // The span checksum is the vector checksum.
-  EXPECT_EQ(SegmentChecksum(file.data(), 5),
-            SegmentChecksum(std::vector<uint8_t>(file.begin(),
-                                                 file.begin() + 5)));
+  const Scan scan = ScanFile(file);
+  EXPECT_FALSE(scan.totals.torn_tail);
+  EXPECT_EQ(scan.totals.valid_bytes, file.size());
+  ASSERT_EQ(scan.records.size(), 2u);
+  const SegmentRecordView& view = scan.records[1];
+  EXPECT_TRUE(view.intact);
+  EXPECT_EQ(view.stream, 3u);
+  EXPECT_EQ(view.level, 2u);
+  EXPECT_EQ(view.index, 1u);
+  EXPECT_EQ(view.offset, a.size());
+  ASSERT_EQ(view.payload_length, 2u);
+  EXPECT_EQ(file[view.payload_offset], 4);
+  EXPECT_EQ(file[view.payload_offset + 1], 5);
 }
 
 }  // namespace

@@ -53,14 +53,16 @@ uint64_t SealUpTo(Storage* storage, uint64_t epochs) {
 bool RotRecord(Storage& storage, uint32_t level, uint64_t index) {
   const std::string file = "durable/seg/00000000";
   std::vector<uint8_t> bytes = *storage.Read(file);
-  for (const SegmentEntry& entry : ScanSegment(bytes).entries) {
-    if (entry.record.stream == 1 && entry.record.level == level &&
-        entry.record.index == index) {
-      bytes[entry.offset + entry.length / 2] ^= 0x10;
-      return storage.Rewrite(file, bytes);
+  std::optional<uint64_t> middle;
+  WalkSegment(bytes.data(), bytes.size(), [&](const SegmentRecordView& view) {
+    if (!middle.has_value() && view.stream == 1 && view.level == level &&
+        view.index == index) {
+      middle = view.offset + view.length / 2;
     }
-  }
-  return false;
+  });
+  if (!middle.has_value()) return false;
+  bytes[*middle] ^= 0x10;
+  return storage.Rewrite(file, bytes);
 }
 
 TEST(StoreRecoveryTest, OpenRestoresStreamsAndAnswersIdentically) {

@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include "mergeable/aggregate/wire.h"
-#include "mergeable/store/segment.h"
 
 namespace mergeable {
 namespace {
@@ -105,10 +104,6 @@ uint64_t ReferenceFrameChecksum(uint64_t shard_id, uint64_t epoch,
                            size);
 }
 
-uint64_t ReferenceSegmentChecksum(const uint8_t* data, size_t size) {
-  return ReferenceChecksum(MixHash(size, /*seed=*/0x53454731), data, size);
-}
-
 std::vector<uint8_t> PatternBytes(size_t size, uint64_t seed) {
   std::vector<uint8_t> bytes(size);
   uint64_t state = seed;
@@ -127,9 +122,6 @@ TEST(ChecksumTest, MatchesTheReferenceAtEverySizeAndOffset) {
       ASSERT_EQ(FrameChecksum(11, 22, data, size),
                 ReferenceFrameChecksum(11, 22, data, size))
           << "offset=" << offset << " size=" << size;
-      ASSERT_EQ(SegmentChecksum(data, size),
-                ReferenceSegmentChecksum(data, size))
-          << "offset=" << offset << " size=" << size;
     }
   }
   const std::vector<uint8_t> large = PatternBytes((64 << 10) + 5 + 8, 2);
@@ -138,8 +130,6 @@ TEST(ChecksumTest, MatchesTheReferenceAtEverySizeAndOffset) {
     const size_t size = (64 << 10) + 5;
     EXPECT_EQ(FrameChecksum(3, 4, data, size),
               ReferenceFrameChecksum(3, 4, data, size));
-    EXPECT_EQ(SegmentChecksum(data, size),
-              ReferenceSegmentChecksum(data, size));
   }
 }
 
@@ -152,24 +142,22 @@ TEST(ChecksumTest, ShortInputsKeepTheSerialChain) {
     EXPECT_EQ(FrameChecksum(5, 6, bytes.data(), size),
               SerialChain(FrameHeaderState(5, 6, size), bytes.data(), size))
         << "size=" << size;
-    EXPECT_EQ(SegmentChecksum(bytes.data(), size),
-              SerialChain(MixHash(size, 0x53454731), bytes.data(), size))
-        << "size=" << size;
   }
   for (size_t size = kChecksumLaneMinBytes; size <= 128; ++size) {
-    EXPECT_NE(SegmentChecksum(bytes.data(), size),
-              SerialChain(MixHash(size, 0x53454731), bytes.data(), size))
+    EXPECT_NE(FrameChecksum(5, 6, bytes.data(), size),
+              SerialChain(FrameHeaderState(5, 6, size), bytes.data(), size))
         << "size=" << size;
   }
 }
 
 // A silent change to the checksum definition changes these. The short
-// input's value is the one the serial loop has always given.
+// input's value is the one the serial loop has always given; the large
+// one goes through the lanes.
 TEST(ChecksumTest, ValuesArePinned) {
   const std::vector<uint8_t> small = PatternBytes(40, 4);
   EXPECT_EQ(FrameChecksum(7, 9, small), 0x040ac6dbee8d12dfULL);
   const std::vector<uint8_t> large = PatternBytes(1 << 20, 5);
-  EXPECT_EQ(SegmentChecksum(large), 0x92655a058641a9beULL);
+  EXPECT_EQ(FrameChecksum(7, 9, large), 0x8ade45569020d067ULL);
 }
 
 TEST(PolynomialHashTest, OutputWithinField) {
