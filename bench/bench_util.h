@@ -12,6 +12,7 @@
 #ifndef MERGEABLE_BENCH_BENCH_UTIL_H_
 #define MERGEABLE_BENCH_BENCH_UTIL_H_
 
+#include <charconv>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -172,9 +173,14 @@ inline bool WriteBenchJson(const std::string& name) {
   if (!counters.empty()) {
     std::fprintf(file, ",\n  \"counters\": {");
     for (size_t i = 0; i < counters.size(); ++i) {
-      std::fprintf(file, "%s\n    \"%s\": %.6g", i == 0 ? "" : ",",
+      // The shortest decimal that reads back as exactly this double, so
+      // a byte count keeps every digit (%g would round it to six).
+      char number[32];
+      const auto written =
+          std::to_chars(number, number + sizeof(number), counters[i].second);
+      std::fprintf(file, "%s\n    \"%s\": %.*s", i == 0 ? "" : ",",
                    JsonEscape(counters[i].first).c_str(),
-                   counters[i].second);
+                   static_cast<int>(written.ptr - number), number);
     }
     std::fprintf(file, "\n  }");
   }

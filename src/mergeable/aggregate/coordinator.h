@@ -691,11 +691,7 @@ class Coordinator {
 template <WireSummary S>
 std::vector<uint8_t> MakeReportFrame(const S& summary, uint64_t shard_id,
                                      uint64_t epoch) {
-  ByteWriter writer;
-  summary.EncodeTo(writer);
-  WireBatch batch;
-  batch.reports.push_back({shard_id, epoch, writer.TakeBytes()});
-  return EncodeBatchFrame(batch);
+  return EncodeBatchFrame({{{shard_id, epoch, EncodeSummary(summary)}}});
 }
 
 }  // namespace mergeable

@@ -28,33 +28,16 @@ constexpr uint32_t kAnswerMagic = 0x31534e41;
 // 'T' 'O' 'P' '1' read as a little-endian u32.
 constexpr uint32_t kTopologyMagic = 0x31504f54;
 
-// Seals a type-specific body into the uniform control-frame layout:
-// magic, length-prefixed body, checksum over (magic, body_len, body).
-std::vector<uint8_t> SealFrame(uint32_t magic, ByteWriter body) {
-  const std::vector<uint8_t> body_bytes = body.TakeBytes();
-  ByteWriter writer;
-  writer.Reserve(4 + 4 + body_bytes.size() + 8);
-  writer.PutU32(magic);
-  writer.PutBytes(body_bytes);
-  writer.PutU64(FrameChecksum(magic, body_bytes.size(), body_bytes));
-  return writer.TakeBytes();
-}
-
-// Opens a sealed frame: checks magic, length, trailing bytes and
-// checksum; returns the body bytes. std::nullopt on any mismatch.
-std::optional<std::vector<uint8_t>> OpenFrame(
+// The body of the sealed `magic` frame that fills `frame` exactly and
+// whose checksum holds; std::nullopt otherwise.
+std::optional<std::span<const uint8_t>> SealedBody(
     uint32_t magic, const std::vector<uint8_t>& frame) {
-  ByteReader reader(frame);
-  uint32_t seen = 0;
-  if (!reader.GetU32(&seen) || seen != magic) return std::nullopt;
-  std::vector<uint8_t> body;
-  if (!reader.GetBytes(&body)) return std::nullopt;
-  uint64_t checksum = 0;
-  if (!reader.GetU64(&checksum) || !reader.Exhausted()) return std::nullopt;
-  if (checksum != FrameChecksum(magic, body.size(), body)) {
+  const std::optional<SealedFrameView> view =
+      ViewSealedFrame(magic, frame.data(), frame.size());
+  if (!view.has_value() || !view->intact || view->length != frame.size()) {
     return std::nullopt;
   }
-  return body;
+  return view->body;
 }
 
 bool IsControlCode(uint32_t raw) {
@@ -78,25 +61,51 @@ uint64_t FrameChecksum(uint64_t a, uint64_t b, const uint8_t* payload,
   return ChecksumBytes(h, payload, size);
 }
 
-uint64_t FrameChecksum(uint64_t a, uint64_t b,
-                       const std::vector<uint8_t>& payload) {
-  return FrameChecksum(a, b, payload.data(), payload.size());
+FrameWriter::FrameWriter(uint32_t magic, size_t body_size) : magic_(magic) {
+  Reserve(4 + 4 + body_size + 8);
+  PutU32(magic);
+  PutU32(0);  // body_len, patched by Seal().
+}
+
+std::vector<uint8_t> FrameWriter::Seal() && {
+  const auto body_len = static_cast<uint32_t>(body_size());
+  PatchU32(4, body_len);
+  PutU64(FrameChecksum(magic_, body_len, bytes().data() + 8, body_len));
+  return TakeBytes();
+}
+
+std::optional<SealedFrameView> ViewSealedFrame(uint32_t magic,
+                                               const uint8_t* data,
+                                               size_t size) {
+  ByteReader reader(data, size);
+  uint32_t seen = 0;
+  uint32_t body_len = 0;
+  uint64_t checksum = 0;
+  if (!reader.GetU32(&seen) || seen != magic || !reader.GetU32(&body_len) ||
+      !reader.Skip(body_len) || !reader.GetU64(&checksum)) {
+    return std::nullopt;
+  }
+  SealedFrameView view;
+  view.length = 4 + 4 + size_t{body_len} + 8;
+  view.body = {data + 8, body_len};
+  view.intact = checksum == FrameChecksum(magic, body_len, data + 8, body_len);
+  return view;
 }
 
 std::vector<uint8_t> EncodeControlFrame(const WireControl& control) {
-  ByteWriter body;
+  FrameWriter body(kControlMagic, 4 + 8 + 8 + 8);
   body.PutU32(static_cast<uint32_t>(control.code));
   body.PutU64(control.shard_id);
   body.PutU64(control.epoch);
   body.PutU64(control.retry_after_ms);
-  return SealFrame(kControlMagic, std::move(body));
+  return std::move(body).Seal();
 }
 
 std::optional<WireControl> DecodeControlFrame(
     const std::vector<uint8_t>& frame) {
-  std::optional<std::vector<uint8_t>> body = OpenFrame(kControlMagic, frame);
+  const auto body = SealedBody(kControlMagic, frame);
   if (!body.has_value()) return std::nullopt;
-  ByteReader reader(*body);
+  ByteReader reader(body->data(), body->size());
   uint32_t code = 0;
   WireControl control;
   if (!reader.GetU32(&code) || !IsControlCode(code)) return std::nullopt;
@@ -113,52 +122,51 @@ std::optional<WireControl> DecodeControlFrame(
 // actual body bytes through this, before any reserve.
 constexpr size_t kMinBatchRecordBytes = 20;
 
+BatchFrameWriter::BatchFrameWriter(size_t body_size)
+    : frame_(kBatchMagic, body_size) {
+  frame_.PutU32(0);  // count, patched by Seal().
+}
+
+void BatchFrameWriter::Add(uint64_t shard_id, uint64_t epoch,
+                           const uint8_t* payload, size_t size) {
+  MERGEABLE_CHECK_MSG(count_ < kMaxBatchReports,
+                      "BatchFrameWriter: too many reports for one frame");
+  frame_.PutU64(shard_id);
+  frame_.PutU64(epoch);
+  frame_.PutBytes(payload, size);
+  ++count_;
+}
+
+std::vector<uint8_t> BatchFrameWriter::Seal() && {
+  frame_.PatchU32(8, count_);
+  return std::move(frame_).Seal();
+}
+
 std::vector<uint8_t> EncodeBatchFrame(const WireBatch& batch) {
-  MERGEABLE_CHECK_MSG(batch.reports.size() <= kMaxBatchReports,
-                      "EncodeBatchFrame: too many reports for one frame");
   size_t body_size = 4;
   for (const WireReport& report : batch.reports) {
     body_size += kMinBatchRecordBytes + report.payload.size();
   }
-  ByteWriter body;
-  body.Reserve(body_size);
-  body.PutU32(static_cast<uint32_t>(batch.reports.size()));
+  BatchFrameWriter writer(body_size);
   for (const WireReport& report : batch.reports) {
-    body.PutU64(report.shard_id);
-    body.PutU64(report.epoch);
-    body.PutBytes(report.payload);
+    writer.Add(report.shard_id, report.epoch, report.payload.data(),
+               report.payload.size());
   }
-  return SealFrame(kBatchMagic, std::move(body));
+  return std::move(writer).Seal();
 }
 
 bool ViewBatchFrame(const std::vector<uint8_t>& frame,
                     std::vector<BatchRecordView>* records) {
   records->clear();
-  // Envelope: u32 magic, u32 body_len, body bytes, u64 checksum — the
-  // same validation OpenFrame performs, without copying the body out.
-  if (frame.size() < 16) return false;
-  ByteReader header(frame.data(), 8);
-  uint32_t magic = 0;
-  uint32_t body_len = 0;
-  header.GetU32(&magic);
-  header.GetU32(&body_len);
-  if (magic != kBatchMagic) return false;
-  if (frame.size() - 16 != body_len) return false;
-  const uint8_t* body = frame.data() + 8;
-  ByteReader trailer(body + body_len, 8);
-  uint64_t checksum = 0;
-  trailer.GetU64(&checksum);
-  if (checksum != FrameChecksum(kBatchMagic, body_len, body, body_len)) {
-    return false;
-  }
-
-  ByteReader reader(body, body_len);
+  const auto body = SealedBody(kBatchMagic, frame);
+  if (!body.has_value()) return false;
+  ByteReader reader(body->data(), body->size());
   uint32_t count = 0;
   if (!reader.GetU32(&count) || count > kMaxBatchReports) return false;
   // Allocation-bomb hardening: the body must physically be able to
   // hold `count` records before reserving.
   if (static_cast<size_t>(count) * kMinBatchRecordBytes >
-      static_cast<size_t>(body_len) - 4) {
+      reader.remaining()) {
     return false;
   }
   records->reserve(count);
@@ -170,7 +178,7 @@ bool ViewBatchFrame(const std::vector<uint8_t>& frame,
       records->clear();
       return false;
     }
-    view.payload = body + (body_len - reader.remaining());
+    view.payload = body->data() + (body->size() - reader.remaining());
     view.payload_len = len;
     reader.Skip(len);
     records->push_back(view);
@@ -195,12 +203,6 @@ std::optional<WireBatch> DecodeBatchFrame(
                               record.payload + record.payload_len)});
   }
   return batch;
-}
-
-uint32_t BatchFrameMagic() { return kBatchMagic; }
-
-uint64_t BatchFrameBodyChecksum(const std::vector<uint8_t>& body) {
-  return FrameChecksum(kBatchMagic, body.size(), body);
 }
 
 bool PeekBatchReportCount(const std::vector<uint8_t>& frame,
@@ -230,22 +232,22 @@ std::vector<uint8_t> EncodeBatchVerdictFrame(
       "per-report codes only accompany an accepted batch");
   MERGEABLE_CHECK_MSG(verdict.codes.size() <= kMaxBatchReports,
                       "EncodeBatchVerdictFrame: too many codes");
-  ByteWriter body;
+  FrameWriter body(kBatchVerdictMagic,
+                   4 + 8 + 4 + 4 * verdict.codes.size());
   body.PutU32(static_cast<uint32_t>(verdict.batch_code));
   body.PutU64(verdict.retry_after_ms);
   body.PutU32(static_cast<uint32_t>(verdict.codes.size()));
   for (ControlCode code : verdict.codes) {
     body.PutU32(static_cast<uint32_t>(code));
   }
-  return SealFrame(kBatchVerdictMagic, std::move(body));
+  return std::move(body).Seal();
 }
 
 std::optional<WireBatchVerdict> DecodeBatchVerdictFrame(
     const std::vector<uint8_t>& frame) {
-  std::optional<std::vector<uint8_t>> body =
-      OpenFrame(kBatchVerdictMagic, frame);
+  const auto body = SealedBody(kBatchVerdictMagic, frame);
   if (!body.has_value()) return std::nullopt;
-  ByteReader reader(*body);
+  ByteReader reader(body->data(), body->size());
   WireBatchVerdict verdict;
   uint32_t batch_code = 0;
   uint32_t count = 0;
@@ -260,7 +262,7 @@ std::optional<WireBatchVerdict> DecodeBatchVerdictFrame(
   if (verdict.batch_code != ControlCode::kAccepted && count != 0) {
     return std::nullopt;
   }
-  if (static_cast<size_t>(count) * 4 > body->size() - 16) {
+  if (static_cast<size_t>(count) * 4 > reader.remaining()) {
     return std::nullopt;
   }
   verdict.codes.reserve(count);
@@ -274,19 +276,19 @@ std::optional<WireBatchVerdict> DecodeBatchVerdictFrame(
 }
 
 std::vector<uint8_t> EncodeQueryFrame(const WireQuery& query) {
-  ByteWriter body;
+  FrameWriter body(kQueryMagic, 5 * 8);
   body.PutU64(query.stream);
   body.PutU64(query.t1);
   body.PutU64(query.t2);
   body.PutU64(query.deadline_ms);
   body.PutU64(query.window);
-  return SealFrame(kQueryMagic, std::move(body));
+  return std::move(body).Seal();
 }
 
 std::optional<WireQuery> DecodeQueryFrame(const std::vector<uint8_t>& frame) {
-  std::optional<std::vector<uint8_t>> body = OpenFrame(kQueryMagic, frame);
+  const auto body = SealedBody(kQueryMagic, frame);
   if (!body.has_value()) return std::nullopt;
-  ByteReader reader(*body);
+  ByteReader reader(body->data(), body->size());
   WireQuery query;
   if (!reader.GetU64(&query.stream) || !reader.GetU64(&query.t1) ||
       !reader.GetU64(&query.t2) || !reader.GetU64(&query.deadline_ms) ||
@@ -299,8 +301,14 @@ std::optional<WireQuery> DecodeQueryFrame(const std::vector<uint8_t>& frame) {
   return query;
 }
 
+// An answer body ahead of its payload: stream, t1 and t2, the u32
+// status and partial marker, then nine 8-byte fields and one u32 flag
+// (epochs_covered and the flattened epsilon report).
+constexpr size_t kAnswerHeaderBytes = 3 * 8 + 2 * 4 + 9 * 8 + 4;
+
 std::vector<uint8_t> EncodeAnswerFrame(const WireAnswer& answer) {
-  ByteWriter body;
+  FrameWriter body(kAnswerMagic,
+                   kAnswerHeaderBytes + 4 + answer.payload.size());
   body.PutU64(answer.stream);
   body.PutU64(answer.t1);
   body.PutU64(answer.t2);
@@ -317,14 +325,14 @@ std::vector<uint8_t> EncodeAnswerFrame(const WireAnswer& answer) {
   body.PutDouble(answer.received_bound);
   body.PutDouble(answer.full_stream_bound);
   body.PutBytes(answer.payload);
-  return SealFrame(kAnswerMagic, std::move(body));
+  return std::move(body).Seal();
 }
 
 std::optional<WireAnswer> DecodeAnswerFrame(
     const std::vector<uint8_t>& frame) {
-  std::optional<std::vector<uint8_t>> body = OpenFrame(kAnswerMagic, frame);
+  const auto body = SealedBody(kAnswerMagic, frame);
   if (!body.has_value()) return std::nullopt;
-  ByteReader reader(*body);
+  ByteReader reader(body->data(), body->size());
   WireAnswer answer;
   uint32_t status = 0;
   uint32_t partial = 0;
@@ -361,7 +369,8 @@ constexpr size_t kTopologyOpBytes = 28;
 std::vector<uint8_t> EncodeTopologyFrame(const WireTopology& topology) {
   MERGEABLE_CHECK_MSG(topology.ops.size() <= kMaxTopologyOps,
                       "EncodeTopologyFrame: too many ops for one frame");
-  ByteWriter body;
+  FrameWriter body(kTopologyMagic,
+                   8 + 8 + 4 + kTopologyOpBytes * topology.ops.size());
   body.PutU64(topology.effective_epoch);
   body.PutU64(topology.shard_count);
   body.PutU32(static_cast<uint32_t>(topology.ops.size()));
@@ -371,14 +380,14 @@ std::vector<uint8_t> EncodeTopologyFrame(const WireTopology& topology) {
     body.PutU64(op.child_a);
     body.PutU64(op.child_b);
   }
-  return SealFrame(kTopologyMagic, std::move(body));
+  return std::move(body).Seal();
 }
 
 std::optional<WireTopology> DecodeTopologyFrame(
     const std::vector<uint8_t>& frame) {
-  std::optional<std::vector<uint8_t>> body = OpenFrame(kTopologyMagic, frame);
+  const auto body = SealedBody(kTopologyMagic, frame);
   if (!body.has_value()) return std::nullopt;
-  ByteReader reader(*body);
+  ByteReader reader(body->data(), body->size());
   WireTopology topology;
   uint32_t count = 0;
   if (!reader.GetU64(&topology.effective_epoch) ||
@@ -437,7 +446,8 @@ std::vector<uint8_t> EncodeTaggedPayload(SummaryTag tag,
   writer.PutU32(kTaggedPayloadMagic);
   writer.PutU32(static_cast<uint32_t>(tag));
   writer.PutBytes(payload);
-  writer.PutU64(FrameChecksum(static_cast<uint32_t>(tag), 0, payload));
+  writer.PutU64(FrameChecksum(static_cast<uint32_t>(tag), 0, payload.data(),
+                              payload.size()));
   return writer.TakeBytes();
 }
 
@@ -488,6 +498,17 @@ std::vector<uint8_t> CorpusBytes(uint64_t seed, size_t size) {
   return bytes;
 }
 
+// Whether `frame` decodes; when it does, the decode→encode round trip
+// must give back the same bytes (a codec bug aborts).
+template <auto Decode, auto Encode>
+bool ProbeFrame(const std::vector<uint8_t>& frame) {
+  const auto decoded = Decode(frame);
+  if (!decoded.has_value()) return false;
+  MERGEABLE_CHECK_MSG(Encode(*decoded) == frame,
+                      "frame must round-trip byte-identically");
+  return true;
+}
+
 bool ProbeTagged(const std::vector<uint8_t>& frame) {
   std::optional<TaggedPayload> tagged = DecodeTaggedPayload(frame);
   if (!tagged.has_value()) return false;
@@ -504,14 +525,6 @@ std::vector<std::vector<uint8_t>> TaggedCorpus(uint64_t seed) {
                               CorpusBytes(seed ^ 0xabcd, 200))};
 }
 
-bool ProbeControl(const std::vector<uint8_t>& frame) {
-  std::optional<WireControl> control = DecodeControlFrame(frame);
-  if (!control.has_value()) return false;
-  MERGEABLE_CHECK_MSG(EncodeControlFrame(*control) == frame,
-                      "control frame must round-trip byte-identically");
-  return true;
-}
-
 std::vector<std::vector<uint8_t>> ControlCorpus(uint64_t seed) {
   std::vector<std::vector<uint8_t>> corpus;
   corpus.push_back(EncodeControlFrame({ControlCode::kAccepted, seed, 1, 0}));
@@ -522,14 +535,6 @@ std::vector<std::vector<uint8_t>> ControlCorpus(uint64_t seed) {
   corpus.push_back(EncodeControlFrame(
       {ControlCode::kRejected, ~uint64_t{0}, 0, ~uint64_t{0}}));
   return corpus;
-}
-
-bool ProbeBatch(const std::vector<uint8_t>& frame) {
-  std::optional<WireBatch> batch = DecodeBatchFrame(frame);
-  if (!batch.has_value()) return false;
-  MERGEABLE_CHECK_MSG(EncodeBatchFrame(*batch) == frame,
-                      "batch frame must round-trip byte-identically");
-  return true;
 }
 
 std::vector<std::vector<uint8_t>> BatchCorpus(uint64_t seed) {
@@ -550,15 +555,6 @@ std::vector<std::vector<uint8_t>> BatchCorpus(uint64_t seed) {
           EncodeBatchFrame(big)};
 }
 
-bool ProbeBatchVerdict(const std::vector<uint8_t>& frame) {
-  std::optional<WireBatchVerdict> verdict = DecodeBatchVerdictFrame(frame);
-  if (!verdict.has_value()) return false;
-  MERGEABLE_CHECK_MSG(
-      EncodeBatchVerdictFrame(*verdict) == frame,
-      "batch verdict frame must round-trip byte-identically");
-  return true;
-}
-
 std::vector<std::vector<uint8_t>> BatchVerdictCorpus(uint64_t seed) {
   WireBatchVerdict shed;
   shed.batch_code = ControlCode::kRetryAfter;
@@ -574,14 +570,6 @@ std::vector<std::vector<uint8_t>> BatchVerdictCorpus(uint64_t seed) {
           EncodeBatchVerdictFrame(processed)};
 }
 
-bool ProbeQuery(const std::vector<uint8_t>& frame) {
-  std::optional<WireQuery> query = DecodeQueryFrame(frame);
-  if (!query.has_value()) return false;
-  MERGEABLE_CHECK_MSG(EncodeQueryFrame(*query) == frame,
-                      "query frame must round-trip byte-identically");
-  return true;
-}
-
 std::vector<std::vector<uint8_t>> QueryCorpus(uint64_t seed) {
   return {EncodeQueryFrame({seed, 0, 0, 0, 0}),
           EncodeQueryFrame({1, seed % 64, seed % 64 + 17, 50, 0}),
@@ -590,14 +578,6 @@ std::vector<std::vector<uint8_t>> QueryCorpus(uint64_t seed) {
           // even be inverted); the window selects the range.
           EncodeQueryFrame({2, 0, 0, 30, seed % 100 + 1}),
           EncodeQueryFrame({3, 5, 1, 0, ~uint64_t{0}})};
-}
-
-bool ProbeAnswer(const std::vector<uint8_t>& frame) {
-  std::optional<WireAnswer> answer = DecodeAnswerFrame(frame);
-  if (!answer.has_value()) return false;
-  MERGEABLE_CHECK_MSG(EncodeAnswerFrame(*answer) == frame,
-                      "answer frame must round-trip byte-identically");
-  return true;
 }
 
 std::vector<std::vector<uint8_t>> AnswerCorpus(uint64_t seed) {
@@ -628,14 +608,6 @@ std::vector<std::vector<uint8_t>> AnswerCorpus(uint64_t seed) {
           EncodeAnswerFrame(partial)};
 }
 
-bool ProbeTopology(const std::vector<uint8_t>& frame) {
-  std::optional<WireTopology> topology = DecodeTopologyFrame(frame);
-  if (!topology.has_value()) return false;
-  MERGEABLE_CHECK_MSG(EncodeTopologyFrame(*topology) == frame,
-                      "topology frame must round-trip byte-identically");
-  return true;
-}
-
 std::vector<std::vector<uint8_t>> TopologyCorpus(uint64_t seed) {
   // A bare count change (no migration recipe), a doubling with its
   // split ops, and a halving with join ops — the autoscale arc's three
@@ -662,12 +634,20 @@ std::vector<std::vector<uint8_t>> TopologyCorpus(uint64_t seed) {
 const std::vector<FrameCodecInfo>& FrameRegistry() {
   static const std::vector<FrameCodecInfo> registry = {
       {"TaggedPayload", &ProbeTagged, &TaggedCorpus},
-      {"ControlFrame", &ProbeControl, &ControlCorpus},
-      {"QueryFrame", &ProbeQuery, &QueryCorpus},
-      {"AnswerFrame", &ProbeAnswer, &AnswerCorpus},
-      {"BatchFrame", &ProbeBatch, &BatchCorpus},
-      {"BatchVerdictFrame", &ProbeBatchVerdict, &BatchVerdictCorpus},
-      {"TopologyFrame", &ProbeTopology, &TopologyCorpus},
+      {"ControlFrame", &ProbeFrame<DecodeControlFrame, EncodeControlFrame>,
+       &ControlCorpus},
+      {"QueryFrame", &ProbeFrame<DecodeQueryFrame, EncodeQueryFrame>,
+       &QueryCorpus},
+      {"AnswerFrame", &ProbeFrame<DecodeAnswerFrame, EncodeAnswerFrame>,
+       &AnswerCorpus},
+      {"BatchFrame", &ProbeFrame<DecodeBatchFrame, EncodeBatchFrame>,
+       &BatchCorpus},
+      {"BatchVerdictFrame",
+       &ProbeFrame<DecodeBatchVerdictFrame, EncodeBatchVerdictFrame>,
+       &BatchVerdictCorpus},
+      {"TopologyFrame",
+       &ProbeFrame<DecodeTopologyFrame, EncodeTopologyFrame>,
+       &TopologyCorpus},
   };
   return registry;
 }

@@ -32,6 +32,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "mergeable/aggregate/summary_registry.h"
@@ -52,20 +53,16 @@ struct WireReport {
 // model as a CRC). The header (a, b, payload size) is chained with
 // MixHash from a fixed seed (kFrameChecksumSeed, wire.cc); the payload
 // then goes through ChecksumBytes (util/hash.h), one serial chain under
-// 64 bytes and four lanes from 64 bytes on. Every envelope in this
-// file and the SEG1 record frame (store/segment.h: the store's records
-// and the coordinator's log) verify with it. The sealed frames below
-// and SEG1 pass (magic, body_len); a tagged payload passes (tag, 0).
-uint64_t FrameChecksum(uint64_t a, uint64_t b,
-                       const std::vector<uint8_t>& payload);
-// Span form for callers hashing bytes in place (e.g. ViewBatchFrame).
+// 64 bytes and four lanes from 64 bytes on. The sealed envelope below
+// passes (magic, body_len); a tagged payload passes (tag, 0).
 uint64_t FrameChecksum(uint64_t a, uint64_t b, const uint8_t* payload,
                        size_t size);
 
 // ---- Sealed frames ----
 //
-// Every frame the socket ingest service (server/) speaks follows one
-// layout, so corruption handling is uniform:
+// Every frame the socket ingest service (server/) speaks, and every
+// SEG1 record (store/segment.h), is one envelope, written only by
+// FrameWriter and read only by ViewSealedFrame:
 //
 //   u32  magic        four ASCII bytes naming the type
 //   u32  body_len     followed by body_len bytes of type-specific body
@@ -81,6 +78,37 @@ uint64_t FrameChecksum(uint64_t a, uint64_t b, const uint8_t* payload,
 //   'A','N','S','1'  query answer: status, partial-coverage marker, the
 //                    range's epsilon report and (on success) the tagged
 //                    summary payload.
+
+// A ByteWriter that starts with the magic and a body-length slot: the
+// caller appends the body in place, and Seal() patches the length and
+// appends the checksum, so the body is written once and never copied.
+// `body_size`, when known, builds the frame in one allocation.
+class FrameWriter : public ByteWriter {
+ public:
+  explicit FrameWriter(uint32_t magic, size_t body_size = 0);
+  size_t body_size() const { return size() - 8; }
+  // The finished frame; the writer is spent.
+  std::vector<uint8_t> Seal() &&;
+
+ private:
+  uint32_t magic_;
+};
+
+// A sealed frame at the front of a byte range, seen in place.
+struct SealedFrameView {
+  size_t length = 0;    // The whole frame, magic..checksum.
+  bool intact = false;  // The checksum matches the body.
+  std::span<const uint8_t> body;
+};
+
+// The sealed `magic` frame at the front of [data, data + size), or
+// std::nullopt when those bytes do not frame one (another magic, or a
+// body and checksum that run past `size`: a truncated frame or a torn
+// segment tail). Bytes may follow the frame; a caller that expects
+// exactly one compares `length` with `size`. Never aborts.
+std::optional<SealedFrameView> ViewSealedFrame(uint32_t magic,
+                                               const uint8_t* data,
+                                               size_t size);
 
 // The server's verdict on one frame, or on one report of a batch.
 enum class ControlCode : uint32_t {
@@ -132,6 +160,25 @@ struct WireBatch {
   std::vector<WireReport> reports;
 };
 
+// Builds a BAT1 frame record by record, each written once, in place;
+// Seal() patches the count. EncodeBatchFrame and the client's open
+// batch (server/client.h) both write records through it. More than
+// kMaxBatchReports records is a programming error and aborts.
+class BatchFrameWriter {
+ public:
+  // `body_size`, when known, is the count slot plus every record.
+  explicit BatchFrameWriter(size_t body_size = 0);
+  void Add(uint64_t shard_id, uint64_t epoch, const uint8_t* payload,
+           size_t size);
+  uint32_t count() const { return count_; }
+  size_t body_size() const { return frame_.body_size(); }
+  std::vector<uint8_t> Seal() &&;
+
+ private:
+  FrameWriter frame_;
+  uint32_t count_ = 0;
+};
+
 std::vector<uint8_t> EncodeBatchFrame(const WireBatch& batch);
 
 // One batch record seen in place: `payload` points into the viewed
@@ -143,9 +190,10 @@ struct BatchRecordView {
   uint32_t payload_len = 0;
 };
 
-// The one BAT1 validator: checks the full envelope (magic, length,
-// checksum, count bound, record bounds, no trailing bytes) and yields
-// views into `frame` instead of copying each payload out — the server
+// The one BAT1 validator: opens the envelope (ViewSealedFrame: magic,
+// length, checksum, no trailing bytes), checks the count bound and
+// every record's bounds, and yields views into `frame` instead of
+// copying each payload out — the server
 // and the coordinator decode summaries straight from the frame,
 // skipping one allocation and copy per record. `records` is cleared
 // first; false (with `records` empty) on any malformation. Never
@@ -155,14 +203,6 @@ bool ViewBatchFrame(const std::vector<uint8_t>& frame,
 
 // ViewBatchFrame with every payload copied out.
 std::optional<WireBatch> DecodeBatchFrame(const std::vector<uint8_t>& frame);
-
-// The BAT1 frame disassembled, for scatter-gather senders: a client
-// that accumulates the batch body (u32 count + records) contiguously
-// as reports are buffered can send [prefix | body | checksum] with one
-// sendmsg and never assemble the full frame (client.cc). The checksum
-// is exactly what ViewBatchFrame recomputes over the same body.
-uint32_t BatchFrameMagic();
-uint64_t BatchFrameBodyChecksum(const std::vector<uint8_t>& body);
 
 // Reads the claimed report count of a batch frame without validating
 // payloads or checksum — enough for the loop thread to account a shed

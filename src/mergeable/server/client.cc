@@ -9,6 +9,9 @@
 #include <chrono>
 #include <cstring>
 #include <thread>
+#include <utility>
+
+#include "mergeable/util/check.h"
 
 namespace mergeable {
 
@@ -25,16 +28,29 @@ bool IngestClient::Reconnect() {
 
 bool IngestClient::SendFrame(const std::vector<uint8_t>& frame) {
   if (!fd_.valid()) return false;
-  const std::vector<uint8_t> wrapped = WrapFrame(frame);
+  // [u32 stream length][frame]: the stream peer's prefix, then the frame.
+  uint8_t prefix[4];
+  const uint32_t length =
+      internal::HostToLittle32(static_cast<uint32_t>(frame.size()));
+  std::memcpy(prefix, &length, sizeof(length));
+  const size_t total = sizeof(prefix) + frame.size();
   size_t sent = 0;
-  while (sent < wrapped.size()) {
-    const ssize_t n = ::send(fd_.get(), wrapped.data() + sent,
-                             wrapped.size() - sent, MSG_NOSIGNAL);
+  while (sent < total) {
+    const size_t in_prefix = std::min(sent, sizeof(prefix));
+    const size_t in_frame = sent - in_prefix;
+    iovec iov[2] = {
+        {prefix + in_prefix, sizeof(prefix) - in_prefix},
+        {const_cast<uint8_t*>(frame.data()) + in_frame,
+         frame.size() - in_frame}};
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = 2;
+    const ssize_t n = ::sendmsg(fd_.get(), &msg, MSG_NOSIGNAL);
     if (n > 0) {
       sent += static_cast<size_t>(n);
       continue;
     }
-    if (errno == EINTR) continue;
+    if (n < 0 && errno == EINTR) continue;
     ++stats_.transport_errors;
     return false;
   }
@@ -74,30 +90,13 @@ void IngestClient::set_batch_options(BatchOptions options) {
 
 std::optional<BatchOutcome> IngestClient::BufferReport(
     WireReport report, const BackoffPolicy& policy) {
-  if (buffered_.empty()) {
-    // The count slot is patched at flush time; records append after it.
-    batch_body_.assign(4, 0);
+  if (open_batch_.count() == 0) {
     oldest_buffered_ = std::chrono::steady_clock::now();
   }
-  // Append the record in place (u64 shard, u64 epoch, u32 len, payload)
-  // — this is the replay hot path, so no per-record scratch writer.
-  const uint64_t shard_le = internal::HostToLittle64(report.shard_id);
-  const uint64_t epoch_le = internal::HostToLittle64(report.epoch);
-  const uint32_t len_le =
-      internal::HostToLittle32(static_cast<uint32_t>(report.payload.size()));
-  const size_t base = batch_body_.size();
-  batch_body_.resize(base + 20 + report.payload.size());
-  uint8_t* out = batch_body_.data() + base;
-  std::memcpy(out, &shard_le, 8);
-  std::memcpy(out + 8, &epoch_le, 8);
-  std::memcpy(out + 16, &len_le, 4);
-  if (!report.payload.empty()) {
-    std::memcpy(out + 20, report.payload.data(), report.payload.size());
-  }
-  buffered_.push_back(std::move(report));
-
-  bool due = buffered_.size() >= batch_options_.max_reports ||
-             batch_body_.size() >= batch_options_.max_bytes;
+  open_batch_.Add(report.shard_id, report.epoch, report.payload.data(),
+                  report.payload.size());
+  bool due = open_batch_.count() >= batch_options_.max_reports ||
+             open_batch_.body_size() >= batch_options_.max_bytes;
   if (!due && batch_options_.flush_deadline_ms > 0) {
     const auto age = std::chrono::duration_cast<std::chrono::milliseconds>(
         std::chrono::steady_clock::now() - oldest_buffered_);
@@ -109,31 +108,24 @@ std::optional<BatchOutcome> IngestClient::BufferReport(
 }
 
 BatchOutcome IngestClient::Flush(const BackoffPolicy& policy) {
-  if (buffered_.empty()) return BatchOutcome{};
-  const uint32_t count =
-      internal::HostToLittle32(static_cast<uint32_t>(buffered_.size()));
-  std::memcpy(batch_body_.data(), &count, sizeof(count));
-  std::vector<WireReport> reports = std::move(buffered_);
-  std::vector<uint8_t> body = std::move(batch_body_);
-  buffered_.clear();
-  batch_body_.clear();
-  return SendBatchInternal(std::move(reports), policy, &body);
+  const uint32_t count = open_batch_.count();
+  if (count == 0) return BatchOutcome{};
+  return SendBatchFrame(
+      std::exchange(open_batch_, BatchFrameWriter()).Seal(), count, policy);
 }
 
 BatchOutcome IngestClient::SendBatch(std::vector<WireReport> reports,
                                      const BackoffPolicy& policy) {
-  return SendBatchInternal(std::move(reports), policy, nullptr);
+  if (reports.empty()) return BatchOutcome{};
+  const auto count = static_cast<uint32_t>(reports.size());
+  return SendBatchFrame(EncodeBatchFrame({std::move(reports)}), count,
+                        policy);
 }
 
-BatchOutcome IngestClient::SendBatchInternal(
-    std::vector<WireReport> reports, const BackoffPolicy& policy,
-    const std::vector<uint8_t>* body) {
+BatchOutcome IngestClient::SendBatchFrame(std::vector<uint8_t> frame,
+                                          uint32_t count,
+                                          const BackoffPolicy& policy) {
   BatchOutcome outcome;
-  if (reports.empty()) return outcome;
-  std::vector<WireReport> remaining = std::move(reports);
-  // The preassembled body matches `remaining` until a partial verdict
-  // shrinks it to a retry sub-batch; transport faults resend it as-is.
-  bool preassembled = body != nullptr;
   uint64_t retry_after_hint = 0;
   for (uint32_t attempt = 0; attempt < policy.max_attempts; ++attempt) {
     if (attempt > 0) {
@@ -146,15 +138,12 @@ BatchOutcome IngestClient::SendBatchInternal(
       }
     }
     if (!fd_.valid() && !Reconnect()) continue;
-    const bool sent = preassembled
-                          ? SendBatchBody(*body)
-                          : SendFrame(EncodeBatchFrame({remaining}));
-    if (!sent) {
+    if (!SendFrame(frame)) {
       Reconnect();
       continue;
     }
     ++stats_.batches_sent;
-    stats_.batch_reports_sent += remaining.size();
+    stats_.batch_reports_sent += count;
     std::optional<std::vector<uint8_t>> response = ReadFrame();
     if (!response.has_value()) {
       Reconnect();
@@ -167,23 +156,23 @@ BatchOutcome IngestClient::SendBatchInternal(
       // The whole frame was shed at admission: everything outstanding
       // retries after the hint.
       ++stats_.batch_shed_nacks;
-      stats_.retry_after_nacks += remaining.size();
+      stats_.retry_after_nacks += count;
       retry_after_hint = verdict->retry_after_ms;
       continue;
     }
     if (verdict->batch_code != ControlCode::kAccepted) {
-      outcome.rejected += remaining.size();
+      outcome.rejected += count;
       outcome.status = SendStatus::kRejected;
       return outcome;
     }
-    if (verdict->codes.size() != remaining.size()) {
+    if (verdict->codes.size() != count) {
       // A verdict for some other batch shape — desynchronized stream.
       Reconnect();
       continue;
     }
-    std::vector<WireReport> retry;
+    std::vector<uint32_t> retry;  // Records the server asked to resend.
     retry_after_hint = 0;
-    for (size_t i = 0; i < verdict->codes.size(); ++i) {
+    for (uint32_t i = 0; i < count; ++i) {
       switch (verdict->codes[i]) {
         case ControlCode::kAccepted:
           ++outcome.accepted;
@@ -199,7 +188,7 @@ BatchOutcome IngestClient::SendBatchInternal(
           ++stats_.retry_after_nacks;
           retry_after_hint =
               std::max(retry_after_hint, verdict->retry_after_ms);
-          retry.push_back(std::move(remaining[i]));
+          retry.push_back(i);
           break;
       }
     }
@@ -208,59 +197,21 @@ BatchOutcome IngestClient::SendBatchInternal(
                                             : SendStatus::kAccepted;
       return outcome;
     }
-    remaining = std::move(retry);
-    preassembled = false;  // The sub-batch needs a fresh encoding.
+    // The sub-batch is cut from views of the frame just sent, which this
+    // client sealed itself and so always views.
+    std::vector<BatchRecordView> records;
+    MERGEABLE_CHECK(ViewBatchFrame(frame, &records));
+    BatchFrameWriter resend;
+    for (const uint32_t i : retry) {
+      resend.Add(records[i].shard_id, records[i].epoch, records[i].payload,
+                 records[i].payload_len);
+    }
+    count = resend.count();
+    frame = std::move(resend).Seal();
   }
-  outcome.exhausted = remaining.size();
+  outcome.exhausted = count;
   outcome.status = SendStatus::kExhausted;
   return outcome;
-}
-
-bool IngestClient::SendBatchBody(const std::vector<uint8_t>& body) {
-  if (!fd_.valid()) return false;
-  // [u32 stream length | u32 magic | u32 body_len] [body] [u64 checksum]
-  // — the three pieces the stream peer reassembles into one BAT1 frame.
-  ByteWriter head;
-  head.PutU32(static_cast<uint32_t>(body.size()) + 16);  // Frame bytes.
-  head.PutU32(BatchFrameMagic());
-  head.PutU32(static_cast<uint32_t>(body.size()));
-  ByteWriter tail;
-  tail.PutU64(BatchFrameBodyChecksum(body));
-  const std::vector<uint8_t>& head_bytes = head.bytes();
-  const std::vector<uint8_t>& tail_bytes = tail.bytes();
-  const size_t total = head_bytes.size() + body.size() + tail_bytes.size();
-  size_t sent = 0;
-  while (sent < total) {
-    iovec iov[3];
-    int iovcnt = 0;
-    size_t skip = sent;
-    const auto add = [&](const uint8_t* data, size_t len) {
-      if (skip >= len) {
-        skip -= len;
-        return;
-      }
-      iov[iovcnt].iov_base = const_cast<uint8_t*>(data + skip);
-      iov[iovcnt].iov_len = len - skip;
-      skip = 0;
-      ++iovcnt;
-    };
-    add(head_bytes.data(), head_bytes.size());
-    add(body.data(), body.size());
-    add(tail_bytes.data(), tail_bytes.size());
-    msghdr msg{};
-    msg.msg_iov = iov;
-    msg.msg_iovlen = static_cast<size_t>(iovcnt);
-    const ssize_t n = ::sendmsg(fd_.get(), &msg, MSG_NOSIGNAL);
-    if (n > 0) {
-      sent += static_cast<size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    ++stats_.transport_errors;
-    return false;
-  }
-  ++stats_.frames_sent;
-  return true;
 }
 
 std::optional<WireAnswer> IngestClient::Query(const WireQuery& query) {

@@ -19,9 +19,10 @@
 //
 // Batching mode: BufferReport accumulates reports and flushes them as
 // one frame when any threshold trips — report count, buffered bytes, or
-// the age of the oldest buffered report. The batch body is accumulated
-// contiguously as reports arrive, so the flush is one scatter-gather
-// sendmsg of [prefix | body | checksum] with no frame-sized copy.
+// the age of the oldest buffered report. The open batch is a BAT1
+// frame built as reports arrive (BatchFrameWriter, wire.h), so the
+// client holds one copy of each buffered payload; Flush seals it and
+// SendFrame writes it, like every frame, in one sendmsg.
 
 #ifndef MERGEABLE_SERVER_CLIENT_H_
 #define MERGEABLE_SERVER_CLIENT_H_
@@ -86,7 +87,8 @@ class IngestClient {
   bool connected() const { return fd_.valid(); }
   bool Reconnect();
 
-  // Writes one frame (length-prefixed); false on transport error.
+  // Writes one frame and its stream prefix with one sendmsg; false on
+  // transport error.
   bool SendFrame(const std::vector<uint8_t>& frame);
 
   // Blocks for the next complete frame; std::nullopt on timeout,
@@ -101,9 +103,9 @@ class IngestClient {
 
   void set_batch_options(BatchOptions options);
 
-  // Buffers one report (taken by value: the payload moves into the
-  // retry buffer, not copied); when a threshold trips, flushes and
-  // returns the flush's outcome (std::nullopt while merely buffering).
+  // Appends one report to the open batch; when a threshold trips,
+  // flushes and returns the flush's outcome (std::nullopt while merely
+  // buffering).
   // Callers must Flush() explicitly at end of stream — buffered reports
   // are local state until then.
   std::optional<BatchOutcome> BufferReport(WireReport report,
@@ -112,7 +114,7 @@ class IngestClient {
   // Sends everything buffered now (no-op outcome when empty).
   BatchOutcome Flush(const BackoffPolicy& policy);
 
-  size_t buffered_reports() const { return buffered_.size(); }
+  size_t buffered_reports() const { return open_batch_.count(); }
 
   // The full ingest exchange with retries, for one report or many:
   // send the frame, await the verdict; whole-batch NACKs and transport
@@ -124,13 +126,9 @@ class IngestClient {
   const ClientStats& stats() const { return stats_; }
 
  private:
-  // One scatter-gather send of a preassembled batch body:
-  // [stream prefix + magic + body_len][body][checksum], no frame copy.
-  bool SendBatchBody(const std::vector<uint8_t>& body);
-
-  BatchOutcome SendBatchInternal(std::vector<WireReport> reports,
-                                 const BackoffPolicy& policy,
-                                 const std::vector<uint8_t>* body);
+  // The retry loop over one sealed BAT1 frame of `count` records.
+  BatchOutcome SendBatchFrame(std::vector<uint8_t> frame, uint32_t count,
+                              const BackoffPolicy& policy);
 
   uint16_t port_;
   uint64_t recv_timeout_ms_;
@@ -139,8 +137,7 @@ class IngestClient {
   ClientStats stats_;
 
   BatchOptions batch_options_;
-  std::vector<WireReport> buffered_;   // Kept for retry sub-batches.
-  std::vector<uint8_t> batch_body_;    // u32 count slot + records.
+  BatchFrameWriter open_batch_;  // Buffered reports, as a BAT1 frame.
   std::chrono::steady_clock::time_point oldest_buffered_{};
 };
 

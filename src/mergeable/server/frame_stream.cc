@@ -2,23 +2,27 @@
 
 #include <cstring>
 
+#include "mergeable/util/bytes.h"
+
 namespace mergeable {
 
-std::vector<uint8_t> WrapFrame(const std::vector<uint8_t>& frame) {
-  std::vector<uint8_t> wrapped;
-  wrapped.reserve(4 + frame.size());
-  AppendWrappedFrame(wrapped, frame);
-  return wrapped;
+namespace {
+
+// The u32-LE stream length prefix at `p`.
+uint32_t PrefixAt(const uint8_t* p) {
+  uint32_t length;
+  std::memcpy(&length, p, sizeof(length));
+  return internal::LittleToHost32(length);
 }
+
+}  // namespace
 
 void AppendWrappedFrame(std::vector<uint8_t>& out,
                         const std::vector<uint8_t>& frame) {
-  const uint32_t len = static_cast<uint32_t>(frame.size());
-  const uint8_t prefix[4] = {static_cast<uint8_t>(len & 0xff),
-                             static_cast<uint8_t>((len >> 8) & 0xff),
-                             static_cast<uint8_t>((len >> 16) & 0xff),
-                             static_cast<uint8_t>((len >> 24) & 0xff)};
-  out.insert(out.end(), prefix, prefix + sizeof(prefix));
+  const uint32_t length =
+      internal::HostToLittle32(static_cast<uint32_t>(frame.size()));
+  const auto* prefix = reinterpret_cast<const uint8_t*>(&length);
+  out.insert(out.end(), prefix, prefix + sizeof(length));
   out.insert(out.end(), frame.begin(), frame.end());
 }
 
@@ -27,16 +31,10 @@ bool FrameDecoder::Feed(const uint8_t* data, size_t len) {
   buffer_.insert(buffer_.end(), data, data + len);
   // Validate eagerly so a hostile length prefix is rejected before any
   // caller asks for the frame (and before its payload accumulates).
-  if (buffer_.size() - consumed_ >= 4) {
-    const uint8_t* p = buffer_.data() + consumed_;
-    uint32_t frame_len = static_cast<uint32_t>(p[0]) |
-                         (static_cast<uint32_t>(p[1]) << 8) |
-                         (static_cast<uint32_t>(p[2]) << 16) |
-                         (static_cast<uint32_t>(p[3]) << 24);
-    if (frame_len > kMaxFrameBytes) {
-      poisoned_ = true;
-      return false;
-    }
+  if (buffer_.size() - consumed_ >= 4 &&
+      PrefixAt(buffer_.data() + consumed_) > kMaxFrameBytes) {
+    poisoned_ = true;
+    return false;
   }
   return true;
 }
@@ -46,10 +44,7 @@ std::optional<std::vector<uint8_t>> FrameDecoder::Next() {
   const size_t available = buffer_.size() - consumed_;
   if (available < 4) return std::nullopt;
   const uint8_t* p = buffer_.data() + consumed_;
-  uint32_t frame_len = static_cast<uint32_t>(p[0]) |
-                       (static_cast<uint32_t>(p[1]) << 8) |
-                       (static_cast<uint32_t>(p[2]) << 16) |
-                       (static_cast<uint32_t>(p[3]) << 24);
+  const uint32_t frame_len = PrefixAt(p);
   if (frame_len > kMaxFrameBytes) {
     poisoned_ = true;
     return std::nullopt;

@@ -1,13 +1,15 @@
 // Stream framing for the socket transport.
 //
-// The wire frames in aggregate/wire.h are self-checking but not
-// self-delimiting: a TCP stream hands the reader arbitrary chunks, so
-// the transport wraps every frame in a u32 little-endian length prefix.
-// FrameDecoder reassembles frames from those chunks incrementally —
-// feed it whatever recv() produced, take out the complete frames. A
-// length above kMaxFrameBytes poisons the decoder: a stream that claims
-// a gigabyte frame is corrupt or hostile, and the server's only safe
-// move is to hang up (nothing is allocated for the bogus length first).
+// A sealed frame (aggregate/wire.h) carries its body length, but that
+// length is not checked until the checksum is, so a reader delimiting
+// by it would lose its place at the first truncated or bit-flipped
+// frame. The transport wraps every frame in a u32 little-endian length
+// prefix of its own: a corrupt frame is still delimited, is rejected by
+// its checksum, and the stream resumes at the next prefix. FrameDecoder
+// reassembles frames from whatever chunks recv() produced. A length above
+// kMaxFrameBytes poisons the decoder: a stream that claims a gigabyte
+// frame is corrupt or hostile, and the server's only safe move is to
+// hang up (nothing is allocated for the bogus length first).
 
 #ifndef MERGEABLE_SERVER_FRAME_STREAM_H_
 #define MERGEABLE_SERVER_FRAME_STREAM_H_
@@ -23,9 +25,7 @@ namespace mergeable {
 // 1 MiB leaves two orders of magnitude of headroom.
 inline constexpr uint32_t kMaxFrameBytes = 1u << 20;
 
-// `frame` prefixed with its u32-LE length, ready to write to a socket.
-std::vector<uint8_t> WrapFrame(const std::vector<uint8_t>& frame);
-// Appends the same bytes to `out`, without a temporary.
+// Appends `frame`, prefixed with its u32-LE length, to `out`.
 void AppendWrappedFrame(std::vector<uint8_t>& out,
                         const std::vector<uint8_t>& frame);
 

@@ -219,15 +219,6 @@ std::optional<std::pair<uint64_t, uint64_t>> ResolveWindow(
 }
 
 template <WireSummary S>
-std::optional<RangeQueryResult<S>> QueryWindowRange(DurableStore<S>& store,
-                                                    uint64_t stream,
-                                                    uint64_t w) {
-  const auto range = ResolveWindow(store, stream, w);
-  if (!range.has_value()) return std::nullopt;
-  return QueryRange(store, stream, range->first, range->second);
-}
-
-template <WireSummary S>
   requires requires(DurableStore<S>& s) {
     QueryPointFrequency(s, 0, 0, 0, 0);
   }

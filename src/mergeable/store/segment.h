@@ -14,13 +14,13 @@
 //                     the store's leaf and node payloads are laid out
 //                     in summary_store.h; they carry no envelope of
 //                     their own
-//   u64  checksum    FrameChecksum(magic, body_len, body) (wire.h), the
-//                    checksum every sealed frame uses
+//   u64  checksum    FrameChecksum(magic, body_len, body)
 //
-// The frame is a record's only envelope and its checksum the only one
-// over its bytes: written once at append, verified on every read — by
-// WalkSegment at Open(), and by VerifySegmentRecord at a page-in and
-// in the scrubber.
+// That is the sealed envelope of wire.h, written by its FrameWriter and
+// read by its ViewSealedFrame, like every wire frame. It is a record's
+// only envelope and its checksum the only one over the record's bytes:
+// written once at append, verified on every read — by WalkSegment at
+// Open(), and by VerifySegmentRecord at a page-in and in the scrubber.
 //
 // The format is append-only and latest-wins: a later record for the
 // same (stream, level, index) supersedes an earlier one, which is how

@@ -134,6 +134,12 @@ class ByteWriter {
     PutBytes(bytes.data(), bytes.size());
   }
 
+  // Overwrites the u32 written at byte `offset` (a length or count slot).
+  void PatchU32(size_t offset, uint32_t value) {
+    value = internal::HostToLittle32(value);
+    std::memcpy(bytes_.data() + offset, &value, sizeof(value));
+  }
+
   const std::vector<uint8_t>& bytes() const { return bytes_; }
   std::vector<uint8_t> TakeBytes() { return std::move(bytes_); }
   size_t size() const { return bytes_.size(); }

@@ -4,11 +4,13 @@
 
 #include <cstdint>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "mergeable/aggregate/wire.h"
+#include "mergeable/util/bytes.h"
 
 namespace mergeable {
 namespace {
@@ -118,8 +120,9 @@ TEST(WireTest, ChecksumDependsOnPayloadTail) {
   WireReport a = TestReport();
   WireReport b = TestReport();
   b.payload.back() ^= 1;
-  EXPECT_NE(FrameChecksum(a.shard_id, a.epoch, a.payload),
-            FrameChecksum(b.shard_id, b.epoch, b.payload));
+  EXPECT_NE(
+      FrameChecksum(a.shard_id, a.epoch, a.payload.data(), a.payload.size()),
+      FrameChecksum(b.shard_id, b.epoch, b.payload.data(), b.payload.size()));
 }
 
 
@@ -292,6 +295,67 @@ TEST(WireTest, PeekFrameKindRoutesEveryMagic) {
   EXPECT_EQ(PeekFrameKind({0x01, 0x02, 0x03, 0x04}), FrameKind::kUnknown);
   // 'RPT1', the retired single-report frame, routes nowhere.
   EXPECT_EQ(PeekFrameKind({'R', 'P', 'T', '1'}), FrameKind::kUnknown);
+}
+
+// The one envelope reader: it tells bytes that do not frame an envelope
+// (wrong magic, any truncation) from a framed envelope whose checksum
+// fails, reports the frame's extent when bytes follow it, and hands the
+// body back in place.
+TEST(WireTest, SealedFrameReaderTellsUnframedFromCorrupt) {
+  constexpr uint32_t kMagic = 0x31545354;  // 'T' 'S' 'T' '1'
+  FrameWriter writer(kMagic, 12);
+  writer.PutU64(0x0102030405060708ULL);
+  writer.PutU32(9);
+  EXPECT_EQ(writer.body_size(), 12u);
+  const std::vector<uint8_t> frame = std::move(writer).Seal();
+  ASSERT_EQ(frame.size(), 4u + 4u + 12u + 8u);
+
+  const auto view = ViewSealedFrame(kMagic, frame.data(), frame.size());
+  ASSERT_TRUE(view.has_value());
+  EXPECT_TRUE(view->intact);
+  EXPECT_EQ(view->length, frame.size());
+  EXPECT_EQ(view->body.data(), frame.data() + 8);
+  EXPECT_EQ(view->body.size(), 12u);
+  uint64_t checksum = 0;
+  ByteReader(frame.data() + 20, 8).GetU64(&checksum);
+  EXPECT_EQ(checksum, FrameChecksum(kMagic, 12, frame.data() + 8, 12));
+
+  EXPECT_FALSE(ViewSealedFrame(kMagic + 1, frame.data(), frame.size()));
+  for (size_t cut = 0; cut < frame.size(); ++cut) {
+    EXPECT_FALSE(ViewSealedFrame(kMagic, frame.data(), cut)) << cut;
+  }
+  std::vector<uint8_t> followed = frame;
+  followed.push_back(0xee);
+  const auto first = ViewSealedFrame(kMagic, followed.data(), followed.size());
+  ASSERT_TRUE(first.has_value());
+  EXPECT_TRUE(first->intact);
+  EXPECT_EQ(first->length, frame.size());
+  for (size_t at = 8; at < frame.size(); ++at) {
+    std::vector<uint8_t> flipped = frame;
+    flipped[at] ^= 0x10;
+    const auto rotted =
+        ViewSealedFrame(kMagic, flipped.data(), flipped.size());
+    ASSERT_TRUE(rotted.has_value()) << at;
+    EXPECT_FALSE(rotted->intact) << at;
+  }
+}
+
+// BatchFrameWriter writes exactly what EncodeBatchFrame does, record by
+// record, and counts what it holds.
+TEST(WireTest, BatchFrameWriterMatchesEncodeBatchFrame) {
+  WireBatch batch;
+  batch.reports.push_back(TestReport());
+  batch.reports.push_back({3, 4, {}});
+  BatchFrameWriter writer;
+  EXPECT_EQ(writer.count(), 0u);
+  EXPECT_EQ(writer.body_size(), 4u);
+  for (const WireReport& report : batch.reports) {
+    writer.Add(report.shard_id, report.epoch, report.payload.data(),
+               report.payload.size());
+  }
+  EXPECT_EQ(writer.count(), 2u);
+  EXPECT_EQ(writer.body_size(), 4u + 20 + 13 + 20);
+  EXPECT_EQ(std::move(writer).Seal(), EncodeBatchFrame(batch));
 }
 
 TEST(WireTest, FrameRegistryCoversEveryFrameType) {

@@ -7,8 +7,10 @@
 
 #include <chrono>
 #include <cstdint>
+#include <mutex>
 #include <optional>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -548,36 +550,33 @@ TEST(BatchTest, MaxReportAndHostileCountEdges) {
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->reports.size(), kMaxBatchReports);
 
+  // Hostile frames are sealed by the one frame writer under the BAT1
+  // magic, as the codec writes it.
+  uint32_t batch_magic = 0;
+  ASSERT_TRUE(ByteReader(EncodeBatchFrame({}).data(), 4).GetU32(&batch_magic));
+
   // One past the cap — hand-built with a VALID checksum, so the count
   // bound itself must reject it (not the corruption defense).
-  ByteWriter over_body;
-  over_body.PutU32(kMaxBatchReports + 1);
+  FrameWriter over(batch_magic);
+  over.PutU32(kMaxBatchReports + 1);
   for (uint32_t i = 0; i < kMaxBatchReports + 1; ++i) {
-    over_body.PutU64(i);
-    over_body.PutU64(1);
-    over_body.PutBytes(std::vector<uint8_t>{});
+    over.PutU64(i);
+    over.PutU64(1);
+    over.PutBytes(std::vector<uint8_t>{});
   }
-  ByteWriter over;
-  over.PutU32(BatchFrameMagic());
-  over.PutBytes(over_body.bytes());
-  over.PutU64(BatchFrameBodyChecksum(over_body.bytes()));
-  EXPECT_FALSE(DecodeBatchFrame(over.TakeBytes()).has_value());
+  EXPECT_FALSE(DecodeBatchFrame(std::move(over).Seal()).has_value());
 
   // Allocation bomb with a valid checksum: the count claims 10000
   // records but the body holds two. The bound check must refuse before
   // reserving anything.
-  ByteWriter bomb_body;
-  bomb_body.PutU32(10000);
+  FrameWriter bomb(batch_magic);
+  bomb.PutU32(10000);
   for (int i = 0; i < 2; ++i) {
-    bomb_body.PutU64(static_cast<uint64_t>(i));
-    bomb_body.PutU64(1);
-    bomb_body.PutBytes(std::vector<uint8_t>{});
+    bomb.PutU64(static_cast<uint64_t>(i));
+    bomb.PutU64(1);
+    bomb.PutBytes(std::vector<uint8_t>{});
   }
-  ByteWriter bomb;
-  bomb.PutU32(BatchFrameMagic());
-  bomb.PutBytes(bomb_body.bytes());
-  bomb.PutU64(BatchFrameBodyChecksum(bomb_body.bytes()));
-  const std::vector<uint8_t> bomb_frame = bomb.TakeBytes();
+  const std::vector<uint8_t> bomb_frame = std::move(bomb).Seal();
   EXPECT_FALSE(DecodeBatchFrame(bomb_frame).has_value());
 
   // The loop thread's peek charges the bomb for what the frame could
@@ -631,6 +630,126 @@ TEST(BatchTest, BufferReportFlushesOnEveryThreshold) {
   server.Drain();
   EXPECT_EQ(service.stats().reports_accepted, 6u);
   server.Stop();
+}
+
+// A FrameHandler that keeps every BAT1 frame it receives and answers
+// each with the next scripted verdict; once the script runs out, every
+// record is accepted.
+class ScriptedBatchHandler : public FrameHandler {
+ public:
+  explicit ScriptedBatchHandler(std::vector<WireBatchVerdict> script)
+      : script_(std::move(script)) {}
+
+  std::vector<uint8_t> HandleBatch(
+      const std::vector<uint8_t>& frame) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    frames_.push_back(frame);
+    if (next_ < script_.size()) {
+      return EncodeBatchVerdictFrame(script_[next_++]);
+    }
+    WireBatchVerdict verdict;
+    const std::optional<WireBatch> batch = DecodeBatchFrame(frame);
+    if (!batch.has_value()) {
+      verdict.batch_code = ControlCode::kRejected;
+    } else {
+      verdict.codes.assign(batch->reports.size(), ControlCode::kAccepted);
+    }
+    return EncodeBatchVerdictFrame(verdict);
+  }
+  std::vector<uint8_t> HandleQuery(const std::vector<uint8_t>&) override {
+    return EncodeControlFrame({ControlCode::kRejected, 0, 0, 0});
+  }
+
+  std::vector<std::vector<uint8_t>> frames() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return frames_;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::vector<WireBatchVerdict> script_;
+  size_t next_ = 0;
+  std::vector<std::vector<uint8_t>> frames_;
+};
+
+std::vector<WireReport> ReportsOfEpoch(uint64_t epoch, uint64_t count) {
+  std::vector<WireReport> reports;
+  for (uint64_t shard = 0; shard < count; ++shard) {
+    reports.push_back(MakeReport(epoch, shard));
+  }
+  return reports;
+}
+
+// What a client puts on the wire is exactly EncodeBatchFrame of the
+// reports, whether it buffered them and flushed or sent them at once.
+TEST(BatchTest, ClientSendsExactlyTheEncodedBatch) {
+  ScriptedBatchHandler handler({});
+  IngestServer server(&handler, ServerConfig{});
+  ASSERT_TRUE(server.Start());
+  const std::vector<WireReport> reports = ReportsOfEpoch(0, 5);
+
+  IngestClient buffering(server.port());
+  for (const WireReport& report : reports) {
+    EXPECT_FALSE(buffering.BufferReport(report, FastPolicy()).has_value());
+  }
+  EXPECT_EQ(buffering.buffered_reports(), reports.size());
+  const BatchOutcome flushed = buffering.Flush(FastPolicy());
+  EXPECT_EQ(flushed.status, SendStatus::kAccepted);
+  EXPECT_EQ(flushed.accepted, reports.size());
+  EXPECT_EQ(buffering.buffered_reports(), 0u);
+
+  IngestClient direct(server.port());
+  const BatchOutcome sent = direct.SendBatch(reports, FastPolicy());
+  EXPECT_EQ(sent.status, SendStatus::kAccepted);
+  EXPECT_EQ(sent.accepted, reports.size());
+
+  const std::vector<uint8_t> expected = EncodeBatchFrame({reports});
+  EXPECT_EQ(handler.frames(),
+            (std::vector<std::vector<uint8_t>>{expected, expected}));
+  server.Stop();
+}
+
+// A verdict that mixes per-record codes: the accepted and duplicate
+// records are done, the rejected one is given up, and the resent frame
+// is exactly EncodeBatchFrame of the retry-after records, in order.
+TEST(BatchTest, PerRecordRetryAfterResendsExactlyThoseRecords) {
+  const std::vector<WireReport> reports = ReportsOfEpoch(1, 5);
+  const std::vector<uint8_t> retry_frame =
+      EncodeBatchFrame({{reports[1], reports[3]}});
+  for (const bool buffered : {true, false}) {
+    SCOPED_TRACE(buffered ? "BufferReport + Flush" : "SendBatch");
+    WireBatchVerdict mixed;
+    mixed.retry_after_ms = 1;
+    mixed.codes = {ControlCode::kAccepted, ControlCode::kRetryAfter,
+                   ControlCode::kRejected, ControlCode::kRetryAfter,
+                   ControlCode::kDuplicate};
+    ScriptedBatchHandler handler({mixed});
+    IngestServer server(&handler, ServerConfig{});
+    ASSERT_TRUE(server.Start());
+    IngestClient client(server.port());
+    BatchOutcome outcome;
+    if (buffered) {
+      for (const WireReport& report : reports) {
+        EXPECT_FALSE(client.BufferReport(report, FastPolicy()).has_value());
+      }
+      outcome = client.Flush(FastPolicy());
+    } else {
+      outcome = client.SendBatch(reports, FastPolicy());
+    }
+    EXPECT_EQ(outcome.status, SendStatus::kRejected);
+    EXPECT_EQ(outcome.accepted, 4u);
+    EXPECT_EQ(outcome.rejected, 1u);
+    EXPECT_EQ(outcome.exhausted, 0u);
+    EXPECT_EQ(client.stats().retry_after_nacks, 2u);
+    EXPECT_EQ(client.stats().duplicates, 1u);
+    EXPECT_EQ(client.stats().batches_sent, 2u);
+    EXPECT_EQ(client.stats().batch_reports_sent, 7u);
+    const std::vector<std::vector<uint8_t>> frames = handler.frames();
+    ASSERT_EQ(frames.size(), 2u);
+    EXPECT_EQ(frames[0], EncodeBatchFrame({reports}));
+    EXPECT_EQ(frames[1], retry_frame);
+    server.Stop();
+  }
 }
 
 // Sharded accept: connections spread across SO_REUSEPORT listeners, and

@@ -16,8 +16,15 @@ std::vector<uint8_t> Frame(uint8_t fill, size_t len) {
   return std::vector<uint8_t>(len, fill);
 }
 
+// `frame` behind its u32-LE stream prefix, as a sender writes it.
+std::vector<uint8_t> Wrap(const std::vector<uint8_t>& frame) {
+  std::vector<uint8_t> wrapped;
+  AppendWrappedFrame(wrapped, frame);
+  return wrapped;
+}
+
 TEST(FrameStreamTest, WrapPrefixesLittleEndianLength) {
-  const std::vector<uint8_t> wrapped = WrapFrame(Frame(0xcd, 300));
+  const std::vector<uint8_t> wrapped = Wrap(Frame(0xcd, 300));
   ASSERT_EQ(wrapped.size(), 304u);
   EXPECT_EQ(wrapped[0], 0x2c);  // 300 = 0x012c.
   EXPECT_EQ(wrapped[1], 0x01);
@@ -28,7 +35,7 @@ TEST(FrameStreamTest, WrapPrefixesLittleEndianLength) {
 TEST(FrameStreamTest, RoundTripsSingleFrame) {
   FrameDecoder decoder;
   const std::vector<uint8_t> frame = Frame(0xab, 17);
-  const std::vector<uint8_t> wrapped = WrapFrame(frame);
+  const std::vector<uint8_t> wrapped = Wrap(frame);
   ASSERT_TRUE(decoder.Feed(wrapped.data(), wrapped.size()));
   const auto out = decoder.Next();
   ASSERT_TRUE(out.has_value());
@@ -43,7 +50,7 @@ TEST(FrameStreamTest, ReassemblesAcrossEveryChunking) {
       Frame(0x11, 5), Frame(0x22, 0), Frame(0x33, 63)};
   std::vector<uint8_t> stream;
   for (const auto& frame : frames) {
-    const auto wrapped = WrapFrame(frame);
+    const auto wrapped = Wrap(frame);
     stream.insert(stream.end(), wrapped.begin(), wrapped.end());
   }
   for (size_t chunk = 1; chunk <= 7; ++chunk) {
@@ -61,7 +68,7 @@ TEST(FrameStreamTest, ReassemblesAcrossEveryChunking) {
 
 TEST(FrameStreamTest, EmptyFrameIsLegal) {
   FrameDecoder decoder;
-  const auto wrapped = WrapFrame({});
+  const auto wrapped = Wrap({});
   ASSERT_TRUE(decoder.Feed(wrapped.data(), wrapped.size()));
   const auto out = decoder.Next();
   ASSERT_TRUE(out.has_value());
@@ -83,7 +90,7 @@ TEST(FrameStreamTest, OversizedLengthPoisonsWithoutAllocating) {
 
 TEST(FrameStreamTest, MaxSizedFrameIsAccepted) {
   FrameDecoder decoder;
-  const auto wrapped = WrapFrame(Frame(0x5a, kMaxFrameBytes));
+  const auto wrapped = Wrap(Frame(0x5a, kMaxFrameBytes));
   ASSERT_TRUE(decoder.Feed(wrapped.data(), wrapped.size()));
   const auto out = decoder.Next();
   ASSERT_TRUE(out.has_value());
@@ -92,7 +99,7 @@ TEST(FrameStreamTest, MaxSizedFrameIsAccepted) {
 
 TEST(FrameStreamTest, OversizedLengthMidStreamPoisons) {
   FrameDecoder decoder;
-  const auto good = WrapFrame(Frame(0x01, 8));
+  const auto good = Wrap(Frame(0x01, 8));
   ASSERT_TRUE(decoder.Feed(good.data(), good.size()));
   ASSERT_TRUE(decoder.Next().has_value());
   const uint8_t hostile[4] = {0x01, 0x00, 0x10, 0x01};  // > kMaxFrameBytes.
@@ -105,7 +112,7 @@ TEST(FrameStreamTest, LongLivedConnectionCompactsItsBuffer) {
   // not retain the whole history.
   FrameDecoder decoder;
   for (int i = 0; i < 1000; ++i) {
-    const auto wrapped = WrapFrame(Frame(static_cast<uint8_t>(i), 100));
+    const auto wrapped = Wrap(Frame(static_cast<uint8_t>(i), 100));
     ASSERT_TRUE(decoder.Feed(wrapped.data(), wrapped.size()));
     ASSERT_TRUE(decoder.Next().has_value());
   }

@@ -225,7 +225,7 @@ TEST(ServerTest, MalformedAndMisroutedReportsAreRejected) {
   rpt1.PutU64(/*shard_id=*/1);
   rpt1.PutU64(/*epoch=*/0);
   rpt1.PutBytes(payload);
-  rpt1.PutU64(FrameChecksum(1, 0, payload));
+  rpt1.PutU64(FrameChecksum(1, 0, payload.data(), payload.size()));
   ASSERT_TRUE(client.SendFrame(rpt1.bytes()));
   const auto rpt1_response = client.ReadFrame();
   ASSERT_TRUE(rpt1_response.has_value());

@@ -135,7 +135,7 @@ Envelope BatchEnvelope() {
   envelope.region_at = 8;
   envelope.checksum = [](const std::vector<uint8_t>& frame) {
     const size_t size = frame.size() - 16;
-    return FrameChecksum(BatchFrameMagic(), size, frame.data() + 8, size);
+    return FrameChecksum(GetU32At(frame, 0), size, frame.data() + 8, size);
   };
   envelope.accepts = [](const std::vector<uint8_t>& frame) {
     std::vector<BatchRecordView> records;

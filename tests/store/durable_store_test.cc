@@ -975,14 +975,32 @@ class FailFirstReadStorage : public Storage {
 // the manifest says, and at the next restart the store's re-sealed
 // epochs outrank the unread segment's older copies.
 TEST(DurableStoreTest, UnreadableNewestSegmentRollsToAFreshSegment) {
-  constexpr uint64_t kFirst = 5;
   constexpr uint64_t kTotal = 16;
   DurableStoreOptions options = Options();
   options.segment_bytes = 1024;
   MemStorage inner;
+  // Seals until there are two segments and a walk of the newest finds a
+  // leaf in it, so that the store which cannot read that segment has to
+  // re-seal an epoch, whatever size the records are.
+  const auto newest_holds_a_leaf = [&] {
+    const std::vector<std::string> files = inner.List();
+    if (files.size() < 2) return false;
+    const std::vector<SegmentRecordView> records =
+        RecordsOf(*inner.Read(*std::max_element(files.begin(), files.end())));
+    return std::any_of(records.begin(), records.end(),
+                       [](const SegmentRecordView& view) {
+                         return view.intact && view.level == 0;
+                       });
+  };
+  uint64_t first = 0;
   {
     DurableStore<SpaceSaving> store(&inner, options);
-    ASSERT_EQ(SealUpTo(store, kFirst), kFirst);
+    while (!newest_holds_a_leaf()) {
+      ASSERT_LT(first, kTotal / 2);
+      const SpaceSaving summary = MakeEpochSummary(first);
+      ASSERT_TRUE(store.Seal(kStream, summary, MetaFor(first, summary)));
+      ++first;
+    }
   }
   std::vector<std::string> segments = inner.List();
   ASSERT_GE(segments.size(), 2u);
@@ -998,7 +1016,7 @@ TEST(DurableStoreTest, UnreadableNewestSegmentRollsToAFreshSegment) {
     store.Open();
     ASSERT_TRUE(storage.failed());
     const uint64_t resumed = store.EpochCount(kStream);
-    ASSERT_LT(resumed, kFirst);
+    ASSERT_LT(resumed, first);
     for (uint64_t e = resumed; e < kTotal; ++e) {
       const SpaceSaving summary = MakeEpochSummary(100 + e);
       ASSERT_TRUE(store.Seal(kStream, summary, MetaFor(e, summary)));

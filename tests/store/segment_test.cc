@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <initializer_list>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -156,6 +157,35 @@ TEST(SegmentTest, CorruptMiddleRecordIsSkippedNotFatal) {
   EXPECT_FALSE(scan.records[1].intact);
   EXPECT_TRUE(scan.records[2].intact);  // Framing recovers past the rot.
   EXPECT_EQ(scan.records[2].index, 2u);
+}
+
+// A frame whose checksum holds but whose body is not a record (here, a
+// body too short for the key) is corrupt, not a torn tail: the walk
+// skips it and carries on, like any checksum failure.
+TEST(SegmentTest, ChecksummedButMalformedBodyIsCorruptNotTorn) {
+  const auto a = Frame(1, 0, 0, {1});
+  uint32_t magic = 0;
+  ByteReader(a.data(), 4).GetU32(&magic);
+  FrameWriter short_body(magic);
+  short_body.PutU64(1);
+  const std::vector<uint8_t> malformed = std::move(short_body).Seal();
+  const auto c = Frame(1, 0, 2, {3});
+  std::vector<uint8_t> file = a;
+  file.insert(file.end(), malformed.begin(), malformed.end());
+  file.insert(file.end(), c.begin(), c.end());
+
+  const Scan scan = ScanFile(file);
+  EXPECT_FALSE(scan.totals.torn_tail);
+  EXPECT_EQ(scan.totals.corrupt_records, 1u);
+  EXPECT_EQ(scan.totals.valid_bytes, file.size());
+  ASSERT_EQ(scan.records.size(), 3u);
+  EXPECT_FALSE(scan.records[1].intact);
+  EXPECT_EQ(scan.records[1].length, malformed.size());
+  EXPECT_EQ(scan.records[1].index, 0u);
+  EXPECT_TRUE(scan.records[2].intact);
+  EXPECT_EQ(scan.records[2].index, 2u);
+  EXPECT_FALSE(VerifySegmentRecord(malformed.data(), malformed.size(), 0, 0,
+                                   0));
 }
 
 // The scrubber's check: VerifySegmentRecord over the manifest's slice of
@@ -370,7 +400,8 @@ TEST(SegmentTest, EncodedFrameMatchesTheLayoutFieldByField) {
   ByteWriter frame;
   frame.PutU32(kMagic);
   frame.PutBytes(body.bytes());
-  frame.PutU64(FrameChecksum(kMagic, body.size(), body.bytes()));
+  frame.PutU64(
+      FrameChecksum(kMagic, body.size(), body.bytes().data(), body.size()));
   EXPECT_EQ(EncodeSegmentFrame(3, 2, 41, payload.data(), payload.size()),
             frame.bytes());
 }

@@ -78,6 +78,17 @@ TEST(BytesTest, ByteSwapHelpersAreInvolutions) {
             0xfeedfacecafef00dULL);
 }
 
+TEST(BytesTest, PatchU32OverwritesInPlaceLittleEndian) {
+  ByteWriter writer;
+  writer.PutU32(0);
+  writer.PutU64(7);
+  writer.PatchU32(0, 0x0a0b0c0d);
+  writer.PatchU32(8, 0x01020304);
+  const std::vector<uint8_t> expected = {0x0d, 0x0c, 0x0b, 0x0a, 7, 0, 0, 0,
+                                         0x04, 0x03, 0x02, 0x01};
+  EXPECT_EQ(writer.bytes(), expected);
+}
+
 TEST(BytesTest, LengthPrefixedBytesRoundTrip) {
   const std::vector<uint8_t> payload = {1, 2, 3, 4, 5};
   ByteWriter writer;

@@ -155,9 +155,11 @@ TEST(ChecksumTest, ShortInputsKeepTheSerialChain) {
 // one goes through the lanes.
 TEST(ChecksumTest, ValuesArePinned) {
   const std::vector<uint8_t> small = PatternBytes(40, 4);
-  EXPECT_EQ(FrameChecksum(7, 9, small), 0x040ac6dbee8d12dfULL);
+  EXPECT_EQ(FrameChecksum(7, 9, small.data(), small.size()),
+            0x040ac6dbee8d12dfULL);
   const std::vector<uint8_t> large = PatternBytes(1 << 20, 5);
-  EXPECT_EQ(FrameChecksum(7, 9, large), 0x8ade45569020d067ULL);
+  EXPECT_EQ(FrameChecksum(7, 9, large.data(), large.size()),
+            0x8ade45569020d067ULL);
 }
 
 TEST(PolynomialHashTest, OutputWithinField) {
