@@ -7,9 +7,9 @@
 #include "mergeable/util/check.h"
 
 namespace mergeable {
-namespace {
 
-std::vector<PolynomialHash> MakeRowHashes(int depth, uint64_t seed) {
+std::vector<PolynomialHash> CountMinSketch::MakeRowHashes(int depth,
+                                                          uint64_t seed) {
   std::vector<PolynomialHash> hashes;
   hashes.reserve(static_cast<size_t>(depth));
   for (int row = 0; row < depth; ++row) {
@@ -18,8 +18,6 @@ std::vector<PolynomialHash> MakeRowHashes(int depth, uint64_t seed) {
   }
   return hashes;
 }
-
-}  // namespace
 
 CountMinSketch::CountMinSketch(int depth, int width, uint64_t seed,
                                CountMinUpdate update)

@@ -101,6 +101,11 @@ class CountMinSketch {
   int width() const { return width_; }
   uint64_t seed() const { return seed_; }
 
+  // One 2-universal hash per row, derived from `seed`. ElasticCountMin
+  // builds its rows with it, so a single-level elastic sketch buckets
+  // items exactly as a CountMinSketch of its depth, width and seed.
+  static std::vector<PolynomialHash> MakeRowHashes(int depth, uint64_t seed);
+
  private:
   // `counters` is the decoded row-major array, or empty for a zeroed
   // sketch.

@@ -9,6 +9,33 @@
 
 namespace mergeable {
 
+CountSketch::RowHashes CountSketch::MakeRowHashes(int depth, uint64_t seed) {
+  RowHashes hashes;
+  hashes.bucket.reserve(static_cast<size_t>(depth));
+  hashes.sign.reserve(static_cast<size_t>(depth));
+  for (int row = 0; row < depth; ++row) {
+    hashes.bucket.emplace_back(
+        /*degree=*/2, MixHash(static_cast<uint64_t>(row) * 2, seed));
+    hashes.sign.emplace_back(
+        /*degree=*/4, MixHash(static_cast<uint64_t>(row) * 2 + 1, seed));
+  }
+  return hashes;
+}
+
+int64_t CountSketch::MedianOfRows(std::vector<int64_t>& estimates) {
+  const size_t mid = estimates.size() / 2;
+  std::nth_element(estimates.begin(),
+                   estimates.begin() + static_cast<ptrdiff_t>(mid),
+                   estimates.end());
+  if (estimates.size() % 2 == 1) return estimates[mid];
+  const int64_t upper = estimates[mid];
+  const int64_t lower =
+      *std::max_element(estimates.begin(),
+                        estimates.begin() + static_cast<ptrdiff_t>(mid));
+  // Round toward zero to keep small frequencies unbiased-ish.
+  return (lower + upper) / 2;
+}
+
 CountSketch::CountSketch(int depth, int width, uint64_t seed)
     : CountSketch(depth, width, seed, {}) {}
 
@@ -18,14 +45,7 @@ CountSketch::CountSketch(int depth, int width, uint64_t seed,
       counters_(std::move(counters)) {
   MERGEABLE_CHECK_MSG(depth >= 1 && width >= 1,
                       "CountSketch needs depth >= 1 and width >= 1");
-  bucket_hashes_.reserve(static_cast<size_t>(depth));
-  sign_hashes_.reserve(static_cast<size_t>(depth));
-  for (int row = 0; row < depth; ++row) {
-    bucket_hashes_.emplace_back(
-        /*degree=*/2, MixHash(static_cast<uint64_t>(row) * 2, seed));
-    sign_hashes_.emplace_back(
-        /*degree=*/4, MixHash(static_cast<uint64_t>(row) * 2 + 1, seed));
-  }
+  hashes_ = MakeRowHashes(depth, seed);
   if (counters_.empty()) {
     counters_.assign(static_cast<size_t>(depth) * static_cast<size_t>(width),
                      0);
@@ -50,9 +70,9 @@ void CountSketch::UpdateBatch(const uint64_t* items, size_t count) {
     for (int row = 0; row < depth_; ++row) {
       int64_t* row_counters =
           counters_.data() + static_cast<size_t>(row) * width_;
-      bucket_hashes_[static_cast<size_t>(row)].BoundedBatch(
+      hashes_.bucket[static_cast<size_t>(row)].BoundedBatch(
           items + start, block, static_cast<uint64_t>(width_), buckets);
-      const PolynomialHash& sign = sign_hashes_[static_cast<size_t>(row)];
+      const PolynomialHash& sign = hashes_.sign[static_cast<size_t>(row)];
       for (size_t i = 0; i < block; ++i) {
         if (i + kPrefetchAhead < block) {
           __builtin_prefetch(row_counters + buckets[i + kPrefetchAhead], 1);
@@ -70,17 +90,7 @@ int64_t CountSketch::Estimate(uint64_t item) const {
         Sign(row, item) *
         counters_[static_cast<size_t>(row) * width_ + Bucket(row, item)];
   }
-  const size_t mid = estimates.size() / 2;
-  std::nth_element(estimates.begin(),
-                   estimates.begin() + static_cast<ptrdiff_t>(mid),
-                   estimates.end());
-  if (estimates.size() % 2 == 1) return estimates[mid];
-  const int64_t upper = estimates[mid];
-  const int64_t lower =
-      *std::max_element(estimates.begin(),
-                        estimates.begin() + static_cast<ptrdiff_t>(mid));
-  // Round toward zero to keep small frequencies unbiased-ish.
-  return (lower + upper) / 2;
+  return MedianOfRows(estimates);
 }
 
 void CountSketch::Merge(const CountSketch& other) {

@@ -53,6 +53,20 @@ class CountSketch {
   int depth() const { return depth_; }
   int width() const { return width_; }
 
+  // Per row, a 2-universal bucket hash and a 4-wise independent sign
+  // hash, derived from `seed`. ElasticCountSketch builds its rows with
+  // them, so a single-level elastic sketch buckets and signs items
+  // exactly as a CountSketch of its depth, width and seed.
+  struct RowHashes {
+    std::vector<PolynomialHash> bucket;
+    std::vector<PolynomialHash> sign;
+  };
+  static RowHashes MakeRowHashes(int depth, uint64_t seed);
+
+  // The median of the per-row estimates, reordering them; an even count
+  // takes the mean of the middle two, rounded toward zero.
+  static int64_t MedianOfRows(std::vector<int64_t>& estimates);
+
  private:
   // `counters` is the decoded row-major array, or empty for a zeroed
   // sketch.
@@ -60,20 +74,19 @@ class CountSketch {
               std::vector<int64_t> counters);
 
   uint64_t Bucket(int row, uint64_t item) const {
-    return bucket_hashes_[static_cast<size_t>(row)].Bounded(
+    return hashes_.bucket[static_cast<size_t>(row)].Bounded(
         item, static_cast<uint64_t>(width_));
   }
   int Sign(int row, uint64_t item) const {
-    return sign_hashes_[static_cast<size_t>(row)].Sign(item);
+    return hashes_.sign[static_cast<size_t>(row)].Sign(item);
   }
 
   int depth_;
   int width_;
   uint64_t seed_;
   uint64_t n_ = 0;
-  std::vector<PolynomialHash> bucket_hashes_;  // 2-universal per row.
-  std::vector<PolynomialHash> sign_hashes_;    // 4-wise independent per row.
-  std::vector<int64_t> counters_;              // Row-major depth_ x width_.
+  RowHashes hashes_;
+  std::vector<int64_t> counters_;  // Row-major depth_ x width_.
 };
 
 }  // namespace mergeable

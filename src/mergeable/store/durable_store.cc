@@ -100,10 +100,8 @@ ScannedLeaves DurableLog::Load(SummaryTag tag, OpenReport* report) {
   return leaves;
 }
 
-bool DurableLog::AppendRecord(uint64_t stream, uint32_t level, uint64_t index,
-                              const std::vector<uint8_t>& payload) {
-  const std::vector<uint8_t> frame =
-      EncodeSegmentFrame(stream, level, index, payload.data(), payload.size());
+bool DurableLog::AppendFrame(uint64_t stream, uint32_t level, uint64_t index,
+                             const std::vector<uint8_t>& frame) {
   std::lock_guard<std::mutex> append_lock(append_mu_);
   if (current_size_ > 0 && current_size_ + frame.size() > segment_bytes_) {
     ++current_segment_;
@@ -124,13 +122,20 @@ bool DurableLog::AppendRecord(uint64_t stream, uint32_t level, uint64_t index,
 }
 
 void DurableLog::AppendNode(uint64_t stream, uint32_t level, uint64_t index,
-                            const std::vector<uint8_t>& payload) {
-  if (AppendRecord(stream, level, index, payload)) return;
+                            const std::vector<uint8_t>& frame) {
+  if (AppendFrame(stream, level, index, frame)) return;
   std::lock_guard<std::mutex> lock(mu_);
   ++node_append_failures_;
 }
 
-std::optional<std::vector<uint8_t>> DurableLog::ReadRecord(
+std::vector<uint8_t> DurableLog::PagedRecord::TakePayload(size_t skip) && {
+  frame.resize(payload_offset + payload_size);  // Drop the checksum.
+  frame.erase(frame.begin(),
+              frame.begin() + static_cast<ptrdiff_t>(payload_offset + skip));
+  return std::move(frame);
+}
+
+std::optional<DurableLog::PagedRecord> DurableLog::PageIn(
     uint64_t stream, uint32_t level, uint64_t index) const {
   RecordLocation loc;
   {
@@ -146,12 +151,15 @@ std::optional<std::vector<uint8_t>> DurableLog::ReadRecord(
   const std::optional<SegmentRecordView> view =
       VerifySegmentRecord(frame->data(), frame->size(), stream, level, index);
   if (!view.has_value()) return std::nullopt;
-  // Keep the payload in the frame's buffer: drop the checksum trailer,
-  // then slide the payload over the header.
-  frame->resize(view->payload_offset + view->payload_length);
-  frame->erase(frame->begin(),
-               frame->begin() + static_cast<ptrdiff_t>(view->payload_offset));
-  return frame;
+  return PagedRecord{std::move(*frame), view->payload_offset,
+                     view->payload_length};
+}
+
+std::optional<std::vector<uint8_t>> DurableLog::ReadRecord(
+    uint64_t stream, uint32_t level, uint64_t index) const {
+  std::optional<PagedRecord> record = PageIn(stream, level, index);
+  if (!record.has_value()) return std::nullopt;
+  return std::move(*record).TakePayload();
 }
 
 void DurableLog::QuarantineLocked(const RecordKey& key) {

@@ -86,6 +86,7 @@
 #include <mutex>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -173,22 +174,40 @@ class DurableLog {
   // DurableStore::Open() indexes each stream.
   ScannedLeaves Load(SummaryTag tag, OpenReport* report);
 
-  // Appends one record to the current segment (rolling first if it is
-  // full) and points the manifest at it. False when the backend
-  // rejected the append — nothing is tracked, the caller's state is
-  // unchanged.
-  bool AppendRecord(uint64_t stream, uint32_t level, uint64_t index,
-                    const std::vector<uint8_t>& payload);
+  // Appends one record frame (segment.h), written under the key, to the
+  // current segment (rolling first if it is full) and points the
+  // manifest at it. False when the backend rejected the append —
+  // nothing is tracked, the caller's state is unchanged.
+  bool AppendFrame(uint64_t stream, uint32_t level, uint64_t index,
+                   const std::vector<uint8_t>& frame);
 
-  // AppendRecord for derived data (level >= 1): a failure is counted in
+  // AppendFrame for derived data (level >= 1): a failure is counted in
   // node_append_failures and costs a rebuild on a later read, never
   // correctness.
   void AppendNode(uint64_t stream, uint32_t level, uint64_t index,
-                  const std::vector<uint8_t>& payload);
+                  const std::vector<uint8_t>& frame);
 
-  // Pages in the payload of the manifest's record for the key: one range
-  // read of its frame, checked by VerifySegmentRecord. std::nullopt when
-  // the key is not in the manifest or the frame fails its checks.
+  // A record's frame as read back and verified, and where its payload
+  // sits in it.
+  struct PagedRecord {
+    std::vector<uint8_t> frame;
+    size_t payload_offset = 0;
+    size_t payload_size = 0;
+
+    std::span<const uint8_t> payload() const {
+      return {frame.data() + payload_offset, payload_size};
+    }
+    // The payload from byte `skip` on, slid to the front of the frame's
+    // own buffer: one move, no second buffer.
+    std::vector<uint8_t> TakePayload(size_t skip = 0) &&;
+  };
+
+  // Pages in the manifest's record for the key: one range read of its
+  // frame, checked by VerifySegmentRecord. std::nullopt when the key is
+  // not in the manifest or the frame fails its checks.
+  std::optional<PagedRecord> PageIn(uint64_t stream, uint32_t level,
+                                    uint64_t index) const;
+  // PageIn's payload alone.
   std::optional<std::vector<uint8_t>> ReadRecord(uint64_t stream,
                                                  uint32_t level,
                                                  uint64_t index) const;
@@ -340,9 +359,13 @@ class DurableStore {
                           "epochs must be sealed contiguously in order");
     }
     std::vector<uint8_t> payload = EncodeSummary(summary);
-    const std::vector<uint8_t> record = EncodeLeafRecord(kTag, meta, payload);
-    bytes_written_.fetch_add(record.size(), std::memory_order_relaxed);
-    if (!log_.AppendRecord(stream, 0, index, record)) return false;
+    bytes_written_.fetch_add(kLeafHeaderBytes + payload.size(),
+                             std::memory_order_relaxed);
+    if (!log_.AppendFrame(stream, 0, index,
+                          EncodeLeafFrame(stream, index, kTag, meta,
+                                          payload))) {
+      return false;
+    }
     cache_.Put(NodeKey(stream, DyadicNode{0, index}), std::move(payload));
     StreamState& state = streams_[stream];
     if (index == 0) state.base_epoch = meta.epoch;
@@ -520,9 +543,11 @@ class DurableStore {
   // Appends a derived node's record, best-effort (DurableLog::AppendNode).
   void AppendNode(uint64_t stream, const DyadicNode& node,
                   const std::vector<uint8_t>& payload) {
-    const std::vector<uint8_t> record = EncodeNodeRecord(kTag, payload);
-    bytes_written_.fetch_add(record.size(), std::memory_order_relaxed);
-    log_.AppendNode(stream, node.level, node.index, record);
+    bytes_written_.fetch_add(kRecordTagBytes + payload.size(),
+                             std::memory_order_relaxed);
+    log_.AppendNode(stream, node.level, node.index,
+                    EncodeNodeFrame(stream, node.level, node.index, kTag,
+                                    payload));
   }
 
   // The answer over leaf indices [lo, hi], none quarantined when the
@@ -604,21 +629,25 @@ class DurableStore {
 
   std::optional<std::vector<uint8_t>> LoadOrRebuildNode(
       uint64_t stream, const DyadicNode& node, QueryStats* query_stats) {
-    const std::optional<std::vector<uint8_t>> bytes =
-        log_.ReadRecord(stream, node.level, node.index);
-    if (bytes.has_value()) {
-      bytes_read_.fetch_add(bytes->size(), std::memory_order_relaxed);
-      if (query_stats != nullptr) query_stats->bytes_read += bytes->size();
+    std::optional<DurableLog::PagedRecord> record =
+        log_.PageIn(stream, node.level, node.index);
+    if (record.has_value()) {
+      const std::span<const uint8_t> bytes = record->payload();
+      bytes_read_.fetch_add(bytes.size(), std::memory_order_relaxed);
+      if (query_stats != nullptr) query_stats->bytes_read += bytes.size();
+      // Where the summary starts, when the payload is this store's.
+      const uint8_t* summary = nullptr;
       if (node.level == 0) {
         const std::optional<LeafRecordView> leaf =
-            ViewLeafRecord(bytes->data(), bytes->size(), kTag);
-        if (leaf.has_value()) {
-          return std::vector<uint8_t>(leaf->summary,
-                                      leaf->summary + leaf->summary_size);
-        }
-      } else if (const std::optional<std::span<const uint8_t>> summary =
-                     ViewNodeRecord(bytes->data(), bytes->size(), kTag)) {
-        return std::vector<uint8_t>(summary->begin(), summary->end());
+            ViewLeafRecord(bytes.data(), bytes.size(), kTag);
+        if (leaf.has_value()) summary = leaf->summary;
+      } else if (const std::optional<std::span<const uint8_t>> view =
+                     ViewNodeRecord(bytes.data(), bytes.size(), kTag)) {
+        summary = view->data();
+      }
+      if (summary != nullptr) {
+        return std::move(*record).TakePayload(
+            static_cast<size_t>(summary - bytes.data()));
       }
     }
     // Missing or rotted. A leaf is primary data that cannot be rebuilt:

@@ -47,15 +47,22 @@ std::optional<SegmentRecordView> ViewSegmentRecord(const uint8_t* bytes,
 
 }  // namespace
 
+FrameWriter StartSegmentFrame(uint64_t stream, uint32_t level,
+                              uint64_t index, size_t payload_size) {
+  FrameWriter frame(kSegmentMagic, kBodyHeader + payload_size);
+  frame.PutU64(stream);
+  frame.PutU32(level);
+  frame.PutU64(index);
+  frame.PutU32(static_cast<uint32_t>(payload_size));
+  return frame;
+}
+
 std::vector<uint8_t> EncodeSegmentFrame(uint64_t stream, uint32_t level,
                                         uint64_t index,
                                         const uint8_t* payload,
                                         size_t size) {
-  FrameWriter frame(kSegmentMagic, kBodyHeader + size);
-  frame.PutU64(stream);
-  frame.PutU32(level);
-  frame.PutU64(index);
-  frame.PutBytes(payload, size);
+  FrameWriter frame = StartSegmentFrame(stream, level, index, size);
+  frame.PutRaw(payload, size);
   return std::move(frame).Seal();
 }
 

@@ -42,7 +42,16 @@
 #include <optional>
 #include <vector>
 
+#include "mergeable/aggregate/wire.h"
+
 namespace mergeable {
+
+// A record frame under (stream, level, index) with its key and the
+// length of a `payload_size`-byte payload written: the caller appends
+// exactly that payload in place (PutRaw and friends) and seals the
+// frame, so the payload is copied once, into the frame.
+FrameWriter StartSegmentFrame(uint64_t stream, uint32_t level,
+                              uint64_t index, size_t payload_size);
 
 // The record frame for `payload` stored under (stream, level, index).
 std::vector<uint8_t> EncodeSegmentFrame(uint64_t stream, uint32_t level,

@@ -25,6 +25,7 @@
 #include "mergeable/aggregate/summary_registry.h"
 #include "mergeable/core/concepts.h"
 #include "mergeable/store/epoch_meta.h"
+#include "mergeable/store/segment.h"
 #include "mergeable/util/bytes.h"
 #include "mergeable/util/check.h"
 
@@ -90,7 +91,7 @@ void CanonicalMergeInto(S& into, const S& from) {
 //   static Shape EncodedShape(const uint8_t*, size_t);
 //
 // when its Merge requires matching parameters (CountMinSketch,
-// MisraGries). Every other type takes the generic fallbacks below
+// MisraGries, the elastic sketches). Every other type takes the generic fallbacks below
 // (decode, then Merge; every shape matches), so these functions serve
 // every registered type with the same results.
 
@@ -182,31 +183,35 @@ inline constexpr size_t kRecordTagBytes = 4;
 // The tag and the six EpochMeta fields ahead of a leaf's summary.
 inline constexpr size_t kLeafHeaderBytes = kRecordTagBytes + 5 * 8 + 4;
 
-inline std::vector<uint8_t> EncodeNodeRecord(
-    SummaryTag tag, const std::vector<uint8_t>& summary) {
-  ByteWriter writer;
-  writer.Reserve(kRecordTagBytes + summary.size());
-  writer.PutU32(static_cast<uint32_t>(tag));
-  std::vector<uint8_t> record = writer.TakeBytes();
-  record.insert(record.end(), summary.begin(), summary.end());
-  return record;
+// The SEG1 frame of a node record under (stream, level, index): the
+// tag, then the summary, each written once, into the frame.
+inline std::vector<uint8_t> EncodeNodeFrame(uint64_t stream, uint32_t level,
+                                            uint64_t index, SummaryTag tag,
+                                            std::span<const uint8_t> summary) {
+  FrameWriter frame = StartSegmentFrame(stream, level, index,
+                                        kRecordTagBytes + summary.size());
+  frame.PutU32(static_cast<uint32_t>(tag));
+  frame.PutRaw(summary.data(), summary.size());
+  return std::move(frame).Seal();
 }
 
-inline std::vector<uint8_t> EncodeLeafRecord(
-    SummaryTag tag, const EpochMeta& meta,
-    const std::vector<uint8_t>& summary) {
-  ByteWriter writer;
-  writer.Reserve(kLeafHeaderBytes + summary.size());
-  writer.PutU32(static_cast<uint32_t>(tag));
-  writer.PutU64(meta.epoch);
-  writer.PutU64(meta.n);
-  writer.PutU64(meta.shards_total);
-  writer.PutU64(meta.shards_received);
-  writer.PutU64(meta.lost_mass);
-  writer.PutU32(meta.lost_mass_estimated ? 1 : 0);
-  std::vector<uint8_t> record = writer.TakeBytes();
-  record.insert(record.end(), summary.begin(), summary.end());
-  return record;
+// The SEG1 frame of the leaf record of epoch index `index`: the tag, the
+// metadata, then the summary, each written once, into the frame.
+inline std::vector<uint8_t> EncodeLeafFrame(uint64_t stream, uint64_t index,
+                                            SummaryTag tag,
+                                            const EpochMeta& meta,
+                                            std::span<const uint8_t> summary) {
+  FrameWriter frame =
+      StartSegmentFrame(stream, 0, index, kLeafHeaderBytes + summary.size());
+  frame.PutU32(static_cast<uint32_t>(tag));
+  frame.PutU64(meta.epoch);
+  frame.PutU64(meta.n);
+  frame.PutU64(meta.shards_total);
+  frame.PutU64(meta.shards_received);
+  frame.PutU64(meta.lost_mass);
+  frame.PutU32(meta.lost_mass_estimated ? 1 : 0);
+  frame.PutRaw(summary.data(), summary.size());
+  return std::move(frame).Seal();
 }
 
 // A node record's summary bytes, in place; std::nullopt when the

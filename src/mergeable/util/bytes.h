@@ -140,16 +140,18 @@ class ByteWriter {
     std::memcpy(bytes_.data() + offset, &value, sizeof(value));
   }
 
-  const std::vector<uint8_t>& bytes() const { return bytes_; }
-  std::vector<uint8_t> TakeBytes() { return std::move(bytes_); }
-  size_t size() const { return bytes_.size(); }
-
- private:
+  // Writes `size` bytes as they are, with no length prefix: for a
+  // payload whose length the enclosing format already carries.
   void PutRaw(const void* data, size_t size) {
     const auto* begin = static_cast<const uint8_t*>(data);
     bytes_.insert(bytes_.end(), begin, begin + size);
   }
 
+  const std::vector<uint8_t>& bytes() const { return bytes_; }
+  std::vector<uint8_t> TakeBytes() { return std::move(bytes_); }
+  size_t size() const { return bytes_.size(); }
+
+ private:
   std::vector<uint8_t> bytes_;
 };
 

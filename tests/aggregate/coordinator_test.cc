@@ -19,6 +19,8 @@
 #include "mergeable/aggregate/fault.h"
 #include "mergeable/aggregate/storage.h"
 #include "mergeable/aggregate/wire.h"
+#include "mergeable/elastic/elastic_count_min.h"
+#include "mergeable/elastic/elastic_count_sketch.h"
 #include "mergeable/frequency/misra_gries.h"
 #include "mergeable/frequency/space_saving.h"
 #include "mergeable/quantiles/mergeable_quantiles.h"
@@ -337,6 +339,22 @@ TEST(CoordinatorTest, MisraGriesOfAnotherCapacityIsRejectedNotMerged) {
     small.Update(item % 5);
   }
   ExpectIncompatibleShardGivenUp(good, small);
+}
+
+// An elastic sketch merges across widths but not across seeds.
+TEST(CoordinatorTest, ElasticSketchesOfAnotherSeedAreRejectedNotMerged) {
+  ElasticCountMin good_cm(4, 64, /*seed=*/9);
+  ElasticCountMin other_cm(4, 64, /*seed=*/10);
+  ElasticCountSketch good_cs(4, 64, /*seed=*/9);
+  ElasticCountSketch other_cs(4, 64, /*seed=*/10);
+  for (uint64_t item = 0; item < 50; ++item) {
+    good_cm.Update(item % 7);
+    other_cm.Update(item % 5);
+    good_cs.Update(item % 7);
+    other_cs.Update(item % 5);
+  }
+  ExpectIncompatibleShardGivenUp(good_cm, other_cm);
+  ExpectIncompatibleShardGivenUp(good_cs, other_cs);
 }
 
 // One fold gives one set of bytes. Under drops, duplicates and

@@ -1,6 +1,8 @@
 // Unit tests for the elastic sketches: estimate brackets, lattice
 // geometry under Expand/Shrink, exact-fold byte determinism, merge
 // across mismatched widths, codec round trips, and the CHECK surface.
+// Both types share one fold lattice (elastic/lattice.h), so every
+// lattice case is one template body run under each type's suite.
 //
 // Accuracy assertions here are deterministic per seed (the suite seeds
 // are part of the test); the ≥50-stream statistical sweep lives in
@@ -10,6 +12,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -55,6 +58,173 @@ std::map<uint64_t, uint64_t> FeedSkewed(S& sketch, uint64_t seed,
   return exact;
 }
 
+// FNV-1a over the encoding: a digest that does not depend on the
+// library's own checksum kernels.
+uint64_t Fnv1a(const std::vector<uint8_t>& bytes) {
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  for (uint8_t byte : bytes) {
+    hash ^= byte;
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+// ErrorBound() of a single-level sketch of `width` that absorbed mass n.
+double SingleLevelBound(const ElasticCountMin&, double n, double width) {
+  return std::exp(1.0) * n / width;
+}
+double SingleLevelBound(const ElasticCountSketch&, double n, double width) {
+  return std::sqrt(3.0 * n * n / width);
+}
+
+// ---- The lattice, run for both types ----
+
+template <typename S>
+void ExpandOpensFinerLevelAndKeepsOldMassBudget() {
+  S sketch(4, 64, /*seed=*/7);
+  for (int i = 0; i < 1000; ++i) sketch.Update(i % 40);
+  const double before = sketch.ErrorBound();
+  sketch.Expand(256);
+  EXPECT_EQ(sketch.width(), 256);
+  EXPECT_EQ(sketch.num_levels(), 2u);
+  // Expanding re-routes nothing: the budget of existing mass is
+  // unchanged until new updates land at the finer level.
+  EXPECT_DOUBLE_EQ(sketch.ErrorBound(), before);
+  for (int i = 0; i < 1000; ++i) sketch.Update(i % 40);
+  // New mass at width 256 costs less than at 64: the combined budget is
+  // strictly better than staying at 64 would have been.
+  EXPECT_LT(sketch.ErrorBound(), SingleLevelBound(sketch, 2000.0, 64.0));
+  EXPECT_EQ(sketch.n(), 2000u);
+}
+
+template <typename S>
+void ShrinkAfterExpandFoldsTheWholeLattice() {
+  S sketch(4, 64, /*seed=*/21);
+  for (int i = 0; i < 500; ++i) sketch.Update(i % 30);
+  sketch.Expand(512);
+  for (int i = 0; i < 500; ++i) sketch.Update(i % 30);
+  ASSERT_EQ(sketch.num_levels(), 2u);
+  sketch.Shrink(32);
+  EXPECT_EQ(sketch.width(), 32);
+  EXPECT_EQ(sketch.num_levels(), 1u);
+  EXPECT_EQ(sketch.n(), 1000u);
+  // All mass now at width 32.
+  EXPECT_DOUBLE_EQ(sketch.ErrorBound(), SingleLevelBound(sketch, 1000.0, 32.0));
+}
+
+template <typename S>
+void CodecRoundTripsMultiLevelLattice() {
+  S sketch(4, 64, /*seed=*/33);
+  FeedSkewed(sketch, 50, 1000, 100);
+  sketch.Expand(256);
+  FeedSkewed(sketch, 51, 1000, 100);
+  const S decoded = RoundTrip(sketch);
+  EXPECT_EQ(decoded.n(), sketch.n());
+  EXPECT_EQ(decoded.width(), sketch.width());
+  EXPECT_EQ(decoded.num_levels(), sketch.num_levels());
+  EXPECT_DOUBLE_EQ(decoded.ErrorBound(), sketch.ErrorBound());
+  // Canonical: the round trip is a byte fixed point.
+  EXPECT_EQ(Encode(decoded), Encode(sketch));
+  for (uint64_t item = 0; item < 100; ++item) {
+    EXPECT_EQ(decoded.Estimate(item), sketch.Estimate(item));
+  }
+}
+
+template <typename S>
+void DecodeRejectsTruncationsAndBitFlips() {
+  S sketch(3, 32, /*seed=*/2);
+  FeedSkewed(sketch, 60, 300, 50);
+  sketch.Expand(128);
+  FeedSkewed(sketch, 61, 300, 50);
+  const std::vector<uint8_t> bytes = Encode(sketch);
+  for (size_t cut = 0; cut < bytes.size(); ++cut) {
+    std::vector<uint8_t> truncated(bytes.begin(), bytes.begin() + cut);
+    ByteReader reader(truncated);
+    auto decoded = S::DecodeFrom(reader);
+    EXPECT_FALSE(decoded.has_value() && reader.Exhausted()) << cut;
+  }
+  // Corrupting a counter breaks the level's cell check (CM: a row's sum
+  // is the level mass; CS: no cell exceeds it).
+  std::vector<uint8_t> corrupt = bytes;
+  corrupt[corrupt.size() - 3] ^= 0xff;
+  ByteReader reader(corrupt);
+  EXPECT_FALSE(S::DecodeFrom(reader).has_value());
+}
+
+template <typename S>
+void ChecksGuardTheLattice() {
+  ASSERT_DEATH(S(4, 48, 1), "power of two");
+  S sketch(4, 64, /*seed=*/1);
+  ASSERT_DEATH(sketch.Shrink(64), "smaller");
+  ASSERT_DEATH(sketch.Expand(64), "larger");
+  ASSERT_DEATH(sketch.Shrink(33), "power of two");
+  S other_seed(4, 64, /*seed=*/2);
+  ASSERT_DEATH(sketch.Merge(other_seed), "depth and seed");
+}
+
+// A decoded header claims a level of depth x width counters but carries
+// none: decoding allocates only what the payload holds.
+template <typename S>
+void HeaderOnlyPayloadAllocatesNoCounters() {
+  const std::vector<uint8_t> empty = Encode(S(4, 1, /*seed=*/3));
+  ByteReader magic_reader(empty);
+  uint32_t magic = 0;
+  ASSERT_TRUE(magic_reader.GetU32(&magic));
+  ByteWriter header;
+  header.PutU32(magic);
+  header.PutU32(4);
+  header.PutU32(1u << 20);
+  header.PutU64(3);
+  header.PutU64(0);  // n
+  header.PutU32(0);  // levels
+  const std::vector<uint8_t> bytes = header.TakeBytes();
+  ASSERT_EQ(bytes.size(), 32u);
+  ByteReader reader(bytes);
+  const std::optional<S> decoded = S::DecodeFrom(reader);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->width(), 1 << 20);
+  EXPECT_EQ(decoded->num_levels(), 1u);
+  EXPECT_EQ(decoded->TotalCounters(), 0u);
+  EXPECT_EQ(Encode(*decoded), bytes);
+}
+
+// The encodings after each step of a fixed Update -> Expand -> Update
+// -> Shrink -> mismatched-width Merge script, pinned by length and
+// FNV-1a digest. Inputs come from Rng integers only, so the bytes do not
+// depend on the platform's libm.
+template <typename S, typename Weight>
+void ExpectPinnedScriptBytes(Weight weight, size_t size, uint64_t digest) {
+  Rng rng(2024);
+  const auto feed = [&](S& sketch, int updates) {
+    for (int i = 0; i < updates; ++i) {
+      const uint64_t item = rng.UniformInt(400);
+      sketch.Update(item, weight(rng.UniformInt(5)));
+    }
+  };
+  std::vector<uint8_t> all;
+  const auto record = [&all](const S& sketch) {
+    const std::vector<uint8_t> bytes = Encode(sketch);
+    all.insert(all.end(), bytes.begin(), bytes.end());
+  };
+  S sketch(4, 64, /*seed=*/77);
+  feed(sketch, 600);
+  record(sketch);
+  sketch.Expand(256);
+  record(sketch);
+  feed(sketch, 600);
+  record(sketch);
+  sketch.Shrink(32);
+  record(sketch);
+  S other(4, 16, /*seed=*/77);
+  feed(other, 300);
+  other.Expand(128);
+  feed(other, 300);
+  sketch.Merge(other);
+  record(sketch);
+  EXPECT_EQ(all.size(), size);
+  EXPECT_EQ(Fnv1a(all), digest) << "0x" << std::hex << Fnv1a(all);
+}
+
 // ---- ElasticCountMin ----
 
 TEST(ElasticCountMinTest, EstimateBracketsExactCounts) {
@@ -82,20 +252,7 @@ TEST(ElasticCountMinTest, ErrorBoundMatchesClassicFormulaSingleLevel) {
 }
 
 TEST(ElasticCountMinTest, ExpandOpensFinerLevelAndKeepsOldMassBudget) {
-  ElasticCountMin sketch(4, 64, /*seed=*/7);
-  for (int i = 0; i < 1000; ++i) sketch.Update(i % 40);
-  const double before = sketch.ErrorBound();
-  sketch.Expand(256);
-  EXPECT_EQ(sketch.width(), 256);
-  EXPECT_EQ(sketch.num_levels(), 2u);
-  // Expanding re-routes nothing: the budget of existing mass is
-  // unchanged until new updates land at the finer level.
-  EXPECT_DOUBLE_EQ(sketch.ErrorBound(), before);
-  for (int i = 0; i < 1000; ++i) sketch.Update(i % 40);
-  // New mass at width 256 costs e·1000/256 < e·1000/64: the combined
-  // budget is strictly better than staying at 64 would have been.
-  EXPECT_LT(sketch.ErrorBound(), std::exp(1.0) * 2000.0 / 64.0);
-  EXPECT_EQ(sketch.n(), 2000u);
+  ExpandOpensFinerLevelAndKeepsOldMassBudget<ElasticCountMin>();
 }
 
 TEST(ElasticCountMinTest, ShrinkIsByteIdenticalToNativeNarrowSketch) {
@@ -119,17 +276,7 @@ TEST(ElasticCountMinTest, ShrinkIsByteIdenticalToNativeNarrowSketch) {
 }
 
 TEST(ElasticCountMinTest, ShrinkAfterExpandFoldsTheWholeLattice) {
-  ElasticCountMin sketch(4, 64, /*seed=*/21);
-  for (int i = 0; i < 500; ++i) sketch.Update(i % 30);
-  sketch.Expand(512);
-  for (int i = 0; i < 500; ++i) sketch.Update(i % 30);
-  ASSERT_EQ(sketch.num_levels(), 2u);
-  sketch.Shrink(32);
-  EXPECT_EQ(sketch.width(), 32);
-  EXPECT_EQ(sketch.num_levels(), 1u);
-  EXPECT_EQ(sketch.n(), 1000u);
-  // All mass now at width 32.
-  EXPECT_DOUBLE_EQ(sketch.ErrorBound(), std::exp(1.0) * 1000.0 / 32.0);
+  ShrinkAfterExpandFoldsTheWholeLattice<ElasticCountMin>();
 }
 
 TEST(ElasticCountMinTest, MergeMismatchedWidthsKeepsBracket) {
@@ -150,39 +297,11 @@ TEST(ElasticCountMinTest, MergeMismatchedWidthsKeepsBracket) {
 }
 
 TEST(ElasticCountMinTest, CodecRoundTripsMultiLevelLattice) {
-  ElasticCountMin sketch(4, 64, /*seed=*/33);
-  FeedSkewed(sketch, 50, 1000, 100);
-  sketch.Expand(256);
-  FeedSkewed(sketch, 51, 1000, 100);
-  const ElasticCountMin decoded = RoundTrip(sketch);
-  EXPECT_EQ(decoded.n(), sketch.n());
-  EXPECT_EQ(decoded.width(), sketch.width());
-  EXPECT_EQ(decoded.num_levels(), sketch.num_levels());
-  EXPECT_DOUBLE_EQ(decoded.ErrorBound(), sketch.ErrorBound());
-  // Canonical: the round trip is a byte fixed point.
-  EXPECT_EQ(Encode(decoded), Encode(sketch));
-  for (uint64_t item = 0; item < 100; ++item) {
-    EXPECT_EQ(decoded.Estimate(item), sketch.Estimate(item));
-  }
+  CodecRoundTripsMultiLevelLattice<ElasticCountMin>();
 }
 
 TEST(ElasticCountMinTest, DecodeRejectsTruncationsAndBitFlips) {
-  ElasticCountMin sketch(3, 32, /*seed=*/2);
-  FeedSkewed(sketch, 60, 300, 50);
-  sketch.Expand(128);
-  FeedSkewed(sketch, 61, 300, 50);
-  const std::vector<uint8_t> bytes = Encode(sketch);
-  for (size_t cut = 0; cut < bytes.size(); ++cut) {
-    std::vector<uint8_t> truncated(bytes.begin(), bytes.begin() + cut);
-    ByteReader reader(truncated);
-    auto decoded = ElasticCountMin::DecodeFrom(reader);
-    EXPECT_FALSE(decoded.has_value() && reader.Exhausted()) << cut;
-  }
-  // Corrupting a counter breaks the per-row mass invariant.
-  std::vector<uint8_t> corrupt = bytes;
-  corrupt[corrupt.size() - 3] ^= 0xff;
-  ByteReader reader(corrupt);
-  EXPECT_FALSE(ElasticCountMin::DecodeFrom(reader).has_value());
+  DecodeRejectsTruncationsAndBitFlips<ElasticCountMin>();
 }
 
 TEST(ElasticCountMinTest, ForEpsilonDeltaMeetsRequestedBound) {
@@ -195,13 +314,16 @@ TEST(ElasticCountMinTest, ForEpsilonDeltaMeetsRequestedBound) {
 }
 
 TEST(ElasticCountMinDeathTest, ChecksGuardTheLattice) {
-  ASSERT_DEATH(ElasticCountMin(4, 48, 1), "power of two");
-  ElasticCountMin sketch(4, 64, /*seed=*/1);
-  ASSERT_DEATH(sketch.Shrink(64), "smaller");
-  ASSERT_DEATH(sketch.Expand(64), "larger");
-  ASSERT_DEATH(sketch.Shrink(33), "power of two");
-  ElasticCountMin other_seed(4, 64, /*seed=*/2);
-  ASSERT_DEATH(sketch.Merge(other_seed), "depth and seed");
+  ChecksGuardTheLattice<ElasticCountMin>();
+}
+
+TEST(ElasticCountMinTest, HeaderOnlyPayloadAllocatesNoCounters) {
+  HeaderOnlyPayloadAllocatesNoCounters<ElasticCountMin>();
+}
+
+TEST(ElasticCountMinTest, ResizeAndMergeScriptKeepsItsBytes) {
+  ExpectPinnedScriptBytes<ElasticCountMin>(
+      [](uint64_t draw) { return 1 + draw; }, 17140, 0x83a1b4a4f8aaaf85ULL);
 }
 
 // ---- ElasticCountSketch ----
@@ -289,6 +411,37 @@ TEST(ElasticCountSketchTest, CodecRoundTripsAndRejectsCorruption) {
     auto partial = ElasticCountSketch::DecodeFrom(reader);
     EXPECT_FALSE(partial.has_value() && reader.Exhausted()) << cut;
   }
+}
+
+TEST(ElasticCountSketchTest, ExpandOpensFinerLevelAndKeepsOldMassBudget) {
+  ExpandOpensFinerLevelAndKeepsOldMassBudget<ElasticCountSketch>();
+}
+
+TEST(ElasticCountSketchTest, ShrinkAfterExpandFoldsTheWholeLattice) {
+  ShrinkAfterExpandFoldsTheWholeLattice<ElasticCountSketch>();
+}
+
+TEST(ElasticCountSketchTest, CodecRoundTripsMultiLevelLattice) {
+  CodecRoundTripsMultiLevelLattice<ElasticCountSketch>();
+}
+
+TEST(ElasticCountSketchTest, DecodeRejectsTruncationsAndBitFlips) {
+  DecodeRejectsTruncationsAndBitFlips<ElasticCountSketch>();
+}
+
+TEST(ElasticCountSketchDeathTest, ChecksGuardTheLattice) {
+  ChecksGuardTheLattice<ElasticCountSketch>();
+}
+
+TEST(ElasticCountSketchTest, HeaderOnlyPayloadAllocatesNoCounters) {
+  HeaderOnlyPayloadAllocatesNoCounters<ElasticCountSketch>();
+}
+
+TEST(ElasticCountSketchTest, ResizeAndMergeScriptKeepsItsBytes) {
+  // Weights in [-2, 2], zero included.
+  ExpectPinnedScriptBytes<ElasticCountSketch>(
+      [](uint64_t draw) { return static_cast<int64_t>(draw) - 2; }, 17140,
+      0x9d970cbd701af05fULL);
 }
 
 TEST(ElasticCountSketchTest, ErrorBoundTracksLatticeGeometry) {

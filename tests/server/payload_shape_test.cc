@@ -6,7 +6,9 @@
 // epoch). The reference shape is the empty-summary
 // factory's summary, else the newest sealed epoch's when the service
 // starts on a store that holds the stream, else the first report the
-// service admitted.
+// service admitted. The elastic sketches merge across widths (the
+// wider one folds down) but abort on another depth or seed, so their
+// shape is depth and seed.
 
 #include <cstdint>
 #include <optional>
@@ -16,6 +18,8 @@
 
 #include "mergeable/aggregate/storage.h"
 #include "mergeable/aggregate/wire.h"
+#include "mergeable/elastic/elastic_count_min.h"
+#include "mergeable/elastic/elastic_count_sketch.h"
 #include "mergeable/frequency/misra_gries.h"
 #include "mergeable/server/epoch_service.h"
 #include "mergeable/sketch/count_min.h"
@@ -172,6 +176,55 @@ TEST(PayloadShapeTest, MisraGriesReportOfAnotherCapacityIsRejected) {
   const auto range = store.QueryRangePayload(kStream, 0, 0);
   ASSERT_TRUE(range.has_value());
   EXPECT_EQ(*range->payload, EncodeSummary(CanonicalForm(narrow)));
+}
+
+template <typename S>
+S Elastic(int depth, int width, uint64_t seed, uint64_t first_item) {
+  S sketch(depth, width, seed);
+  for (uint64_t item = first_item; item < first_item + 500; ++item) {
+    sketch.Update(item % 97);
+  }
+  return sketch;
+}
+
+// The scenario that aborted the seal: reports of seed 7 and seed 8 for
+// one epoch. The report of another seed, and the one of another depth,
+// are rejected; the one of another width is admitted, and the seal
+// folds it onto the narrower width.
+template <typename S>
+void ExpectElasticShapeChecked() {
+  MemStorage storage;
+  DurableStore<S> store(&storage, DurableStoreOptions{});
+  EpochService<S> service(&store, Config());
+  const S wide = Elastic<S>(4, 256, 7, 0);
+  const S other_seed = Elastic<S>(4, 256, 8, 0);
+  const S other_depth = Elastic<S>(3, 256, 7, 0);
+  const S narrow = Elastic<S>(4, 64, 7, 100);
+
+  EXPECT_EQ(Send(service, {Report(0, 0, wide)}),
+            std::vector<ControlCode>{ControlCode::kAccepted});
+  EXPECT_EQ(Send(service, {Report(0, 1, other_seed), Report(0, 2, other_depth),
+                           Report(0, 3, narrow)}),
+            (std::vector<ControlCode>{ControlCode::kRejected,
+                                      ControlCode::kRejected,
+                                      ControlCode::kAccepted}));
+  EXPECT_EQ(service.stats().reports_rejected, 2u);
+  EXPECT_EQ(service.stats().reports_accepted, 2u);
+
+  ASSERT_TRUE(service.SealEpoch(0, wide.n() + narrow.n()));
+  S expected = wide;
+  expected.Merge(narrow);
+  const auto range = store.QueryRangePayload(kStream, 0, 0);
+  ASSERT_TRUE(range.has_value());
+  EXPECT_EQ(*range->payload, EncodeSummary(CanonicalForm(expected)));
+}
+
+TEST(PayloadShapeTest, ElasticCountMinReportOfAnotherSeedIsRejected) {
+  ExpectElasticShapeChecked<ElasticCountMin>();
+}
+
+TEST(PayloadShapeTest, ElasticCountSketchReportOfAnotherSeedIsRejected) {
+  ExpectElasticShapeChecked<ElasticCountSketch>();
 }
 
 }  // namespace

@@ -145,9 +145,7 @@ TEST(DurableStoreTest, SealWritesTheExpectedRecordsInOrder) {
   std::vector<uint8_t> expected;
   uint64_t records = 0;
   const auto append = [&](uint32_t level, uint64_t index,
-                          const std::vector<uint8_t>& payload) {
-    const std::vector<uint8_t> frame = EncodeSegmentFrame(
-        kStream, level, index, payload.data(), payload.size());
+                          const std::vector<uint8_t>& frame) {
     const size_t overhead = level == 0 ? 88 : 44;
     EXPECT_EQ(frame.size(), overhead + value.at({level, index}).size());
     expected.insert(expected.end(), frame.begin(), frame.end());
@@ -157,8 +155,8 @@ TEST(DurableStoreTest, SealWritesTheExpectedRecordsInOrder) {
     const SpaceSaving summary = MakeEpochSummary(e);
     value[{0, e}] = EncodeSummary(summary);
     append(0, e,
-           EncodeLeafRecord(SummaryTag::kSpaceSaving, MetaFor(e, summary),
-                            value[{0, e}]));
+           EncodeLeafFrame(kStream, e, SummaryTag::kSpaceSaving,
+                           MetaFor(e, summary), value[{0, e}]));
     for (const DyadicNode& node : NodesCompletedBySeal(e)) {
       SpaceSaving merged = DecodeSummaryOrDie<SpaceSaving>(
           value[{node.level - 1, node.index * 2}]);
@@ -167,8 +165,9 @@ TEST(DurableStoreTest, SealWritesTheExpectedRecordsInOrder) {
                              value[{node.level - 1, node.index * 2 + 1}]));
       value[{node.level, node.index}] = EncodeSummary(merged);
       append(node.level, node.index,
-             EncodeNodeRecord(SummaryTag::kSpaceSaving,
-                              value[{node.level, node.index}]));
+             EncodeNodeFrame(kStream, node.level, node.index,
+                             SummaryTag::kSpaceSaving,
+                             value[{node.level, node.index}]));
     }
   }
   EXPECT_EQ(records, 2 * kEpochs - 1);
@@ -531,8 +530,15 @@ TEST(DurableStoreTest, OneScanOpenMatchesStoreOpenOverLatestWinsFiles) {
     // An undecodable copy of node (1, 0), then the intact copy over it.
     DurableLog& log = store.log();
     superseding = *log.ReadRecord(kStream, 1, 0);
-    ASSERT_TRUE(log.AppendRecord(kStream, 1, 0, {9, 9, 9}));
-    ASSERT_TRUE(log.AppendRecord(kStream, 1, 0, superseding));
+    const std::vector<uint8_t> undecodable = {9, 9, 9};
+    ASSERT_TRUE(log.AppendFrame(
+        kStream, 1, 0,
+        EncodeSegmentFrame(kStream, 1, 0, undecodable.data(),
+                           undecodable.size())));
+    ASSERT_TRUE(log.AppendFrame(
+        kStream, 1, 0,
+        EncodeSegmentFrame(kStream, 1, 0, superseding.data(),
+                           superseding.size())));
   }
   std::string last_segment;
   for (const std::string& name : durable.List()) {
@@ -541,11 +547,9 @@ TEST(DurableStoreTest, OneScanOpenMatchesStoreOpenOverLatestWinsFiles) {
   ASSERT_NE(last_segment, "durable/seg/00000000");
   // A later, checksum-corrupt copy of leaf kRotLeaf.
   const SpaceSaving other = MakeEpochSummary(999);
-  const std::vector<uint8_t> rotted_leaf =
-      EncodeLeafRecord(SummaryTag::kSpaceSaving, MetaFor(kRotLeaf, other),
-                       EncodeSummary(other));
-  std::vector<uint8_t> rotted = EncodeSegmentFrame(
-      kStream, 0, kRotLeaf, rotted_leaf.data(), rotted_leaf.size());
+  std::vector<uint8_t> rotted =
+      EncodeLeafFrame(kStream, kRotLeaf, SummaryTag::kSpaceSaving,
+                      MetaFor(kRotLeaf, other), EncodeSummary(other));
   rotted[rotted.size() / 2] ^= 0x08;
   ASSERT_TRUE(durable.Append(last_segment, rotted));
   // A later copy of leaf kBadLeaf whose SEG1 frame is intact but whose

@@ -240,15 +240,26 @@ EpochMeta SampleMeta() {
   return meta;
 }
 
-std::vector<uint8_t> SampleLeafPayload() {
-  return EncodeLeafRecord(SummaryTag::kSpaceSaving, SampleMeta(),
-                          kSampleSummary);
+// The payload of one record frame, copied out.
+std::vector<uint8_t> PayloadOf(const std::vector<uint8_t>& frame) {
+  std::vector<uint8_t> payload;
+  WalkSegment(frame.data(), frame.size(), [&](const SegmentRecordView& view) {
+    const auto begin = frame.begin() + static_cast<ptrdiff_t>(view.payload_offset);
+    payload.assign(begin, begin + static_cast<ptrdiff_t>(view.payload_length));
+  });
+  return payload;
 }
 
 // A leaf record as stored: its payload in a SEG1 frame keyed (3, 0, 41).
 std::vector<uint8_t> SampleLeafFrame() {
-  const std::vector<uint8_t> payload = SampleLeafPayload();
-  return EncodeSegmentFrame(3, 0, 41, payload.data(), payload.size());
+  return EncodeLeafFrame(3, 41, SummaryTag::kSpaceSaving, SampleMeta(),
+                         kSampleSummary);
+}
+
+std::vector<uint8_t> SampleLeafPayload() { return PayloadOf(SampleLeafFrame()); }
+
+std::vector<uint8_t> SampleNodePayload(SummaryTag tag) {
+  return PayloadOf(EncodeNodeFrame(3, 1, 20, tag, kSampleSummary));
 }
 
 bool LeafFrameVerifies(const uint8_t* frame, size_t size) {
@@ -277,7 +288,7 @@ TEST(SegmentTest, SpanDecodersMatchTheOwningDecoders) {
             kSampleSummary);
   // The tag and six metadata fields are all a leaf adds to its summary.
   EXPECT_EQ(leaf.size(), 4 + 5 * 8 + 4 + kSampleSummary.size());
-  EXPECT_EQ(EncodeNodeRecord(SummaryTag::kSpaceSaving, kSampleSummary).size(),
+  EXPECT_EQ(SampleNodePayload(SummaryTag::kSpaceSaving).size(),
             4 + kSampleSummary.size());
 }
 
@@ -329,7 +340,8 @@ TEST(SegmentTest, EveryBitFlipOfAnEpochRecordIsRejectedInPlace) {
 TEST(SegmentTest, RecordDecodersRejectAForeignTagAndImpossibleMetadata) {
   const auto decodes = [](const EpochMeta& meta, uint32_t estimated,
                           SummaryTag written, SummaryTag read) {
-    std::vector<uint8_t> leaf = EncodeLeafRecord(written, meta, {1, 2});
+    std::vector<uint8_t> leaf = PayloadOf(
+        EncodeLeafFrame(3, 41, written, meta, std::vector<uint8_t>{1, 2}));
     ByteWriter field;
     field.PutU32(estimated);
     std::copy(field.bytes().begin(), field.bytes().end(),
@@ -351,7 +363,7 @@ TEST(SegmentTest, RecordDecodersRejectAForeignTagAndImpossibleMetadata) {
   meta.shards_total = 0;
   EXPECT_TRUE(decodes(meta, 0, ss, ss));
 
-  const std::vector<uint8_t> node = EncodeNodeRecord(ss, kSampleSummary);
+  const std::vector<uint8_t> node = SampleNodePayload(ss);
   const auto summary = ViewNodeRecord(node.data(), node.size(), ss);
   ASSERT_TRUE(summary.has_value());
   EXPECT_EQ(std::vector<uint8_t>(summary->begin(), summary->end()),
