@@ -1,6 +1,8 @@
 #include "mergeable/server/frame_stream.h"
 
+#include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "mergeable/util/bytes.h"
 
@@ -28,37 +30,43 @@ void AppendWrappedFrame(std::vector<uint8_t>& out,
 
 bool FrameDecoder::Feed(const uint8_t* data, size_t len) {
   if (poisoned_) return false;
-  buffer_.insert(buffer_.end(), data, data + len);
-  // Validate eagerly so a hostile length prefix is rejected before any
-  // caller asks for the frame (and before its payload accumulates).
-  if (buffer_.size() - consumed_ >= 4 &&
-      PrefixAt(buffer_.data() + consumed_) > kMaxFrameBytes) {
-    poisoned_ = true;
-    return false;
+  buffered_ += len;
+  while (len > 0) {
+    if (!frame_len_.has_value()) {
+      const size_t take = std::min(sizeof(prefix_) - prefix_bytes_, len);
+      std::memcpy(prefix_ + prefix_bytes_, data, take);
+      prefix_bytes_ += take;
+      data += take;
+      len -= take;
+      if (prefix_bytes_ < sizeof(prefix_)) break;
+      prefix_bytes_ = 0;
+      const uint32_t length = PrefixAt(prefix_);
+      // Checked before anything is reserved for it: a hostile length
+      // is refused on sight.
+      if (length > kMaxFrameBytes) {
+        poisoned_ = true;
+        return false;
+      }
+      partial_.reserve(length);
+      frame_len_ = length;
+    }
+    const size_t take = std::min<size_t>(*frame_len_ - partial_.size(), len);
+    partial_.insert(partial_.end(), data, data + take);
+    data += take;
+    len -= take;
+    if (partial_.size() == *frame_len_) {
+      complete_.push_back(std::exchange(partial_, {}));
+      frame_len_.reset();
+    }
   }
   return true;
 }
 
 std::optional<std::vector<uint8_t>> FrameDecoder::Next() {
-  if (poisoned_) return std::nullopt;
-  const size_t available = buffer_.size() - consumed_;
-  if (available < 4) return std::nullopt;
-  const uint8_t* p = buffer_.data() + consumed_;
-  const uint32_t frame_len = PrefixAt(p);
-  if (frame_len > kMaxFrameBytes) {
-    poisoned_ = true;
-    return std::nullopt;
-  }
-  if (available < 4 + static_cast<size_t>(frame_len)) return std::nullopt;
-  std::vector<uint8_t> frame(p + 4, p + 4 + frame_len);
-  consumed_ += 4 + frame_len;
-  // Compact once the dead prefix dominates, so a long-lived connection
-  // does not hold its whole history in memory.
-  if (consumed_ > 4096 && consumed_ * 2 > buffer_.size()) {
-    buffer_.erase(buffer_.begin(),
-                  buffer_.begin() + static_cast<ptrdiff_t>(consumed_));
-    consumed_ = 0;
-  }
+  if (poisoned_ || complete_.empty()) return std::nullopt;
+  std::vector<uint8_t> frame = std::move(complete_.front());
+  complete_.pop_front();
+  buffered_ -= sizeof(prefix_) + frame.size();
   return frame;
 }
 

@@ -143,9 +143,10 @@ void WakeFd::Signal() {
 }
 
 void WakeFd::Drain() {
+  // Without EFD_SEMAPHORE one read returns and clears the whole counter.
   uint64_t value = 0;
-  while (::read(fd_.get(), &value, sizeof(value)) > 0) {
-  }
+  ssize_t ignored = ::read(fd_.get(), &value, sizeof(value));
+  (void)ignored;
 }
 
 }  // namespace mergeable

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <functional>
+#include <tuple>
 
 namespace mergeable {
 
@@ -24,10 +26,35 @@ std::string DurableLog::SegmentFileName(uint64_t segment) const {
   return seg_dir_ + "/" + buf;
 }
 
+namespace {
+
+// Applies one intact copy of leaf `index` latest-wins: its metadata, or
+// nullptr when the copy does not decode, which drops the key.
+void ScanLeaf(ScannedStream& scanned, uint64_t index, const EpochMeta* meta) {
+  std::vector<uint64_t>& indices = scanned.indices;
+  if (meta == nullptr) {
+    const auto it = SortedFind(indices, index, std::identity{});
+    if (it == indices.end()) return;
+    scanned.metas.erase(scanned.metas.begin() + (it - indices.begin()));
+    indices.erase(it);
+    return;
+  }
+  const auto [it, added] =
+      SortedEmplace(indices, index, std::identity{}, [&] { return index; });
+  const auto at = scanned.metas.begin() + (it - indices.begin());
+  if (added) {
+    scanned.metas.insert(at, *meta);
+  } else {
+    *at = *meta;
+  }
+}
+
+}  // namespace
+
 ScannedLeaves DurableLog::Load(SummaryTag tag, OpenReport* report) {
   std::lock_guard<std::mutex> append_lock(append_mu_);
   std::lock_guard<std::mutex> lock(mu_);
-  manifest_.clear();
+  manifest_.Clear();
   quarantine_.clear();
   scrub_cursor_.reset();
   current_segment_ = 0;
@@ -50,6 +77,9 @@ ScannedLeaves DurableLog::Load(SummaryTag tag, OpenReport* report) {
     } catch (...) {
       continue;  // Not one of ours.
     }
+    // Nor is a number the manifest cannot address: segments count up
+    // from 0, one per segment_bytes written.
+    if (!Manifest::Fits(segment, 0)) continue;
     const bool is_newest = !newest.has_value() || segment >= *newest;
     if (is_newest) newest = segment;
     const std::optional<std::vector<uint8_t>> bytes = durable_->Read(file);
@@ -59,18 +89,27 @@ ScannedLeaves DurableLog::Load(SummaryTag tag, OpenReport* report) {
     }
     ++report->segments;
     const uint8_t* data = bytes->data();
+    uint64_t unaddressable = 0;
     const SegmentScanTotals scan = WalkSegment(
         data, bytes->size(), [&](const SegmentRecordView& record) {
           if (!record.intact) return;
-          manifest_[RecordKey{record.stream, record.level, record.index}] =
-              RecordLocation{segment, record.offset, record.length};
-          if (record.level == 0) {
-            const std::optional<LeafRecordView> leaf = ViewLeafRecord(
-                data + record.payload_offset, record.payload_length, tag);
-            leaves[record.stream][record.index] =
-                leaf.has_value() ? std::optional<EpochMeta>(leaf->meta)
-                                 : std::nullopt;
+          if (!Manifest::Fits(segment, record.length)) {
+            ++unaddressable;  // Refused, not truncated.
+            return;
           }
+          manifest_.Put(record.stream, record.level,
+                        Manifest::Entry{record.index, record.offset,
+                                        static_cast<uint32_t>(segment),
+                                        static_cast<uint32_t>(record.length)});
+          if (record.level != 0) return;
+          const std::optional<LeafRecordView> leaf = ViewLeafRecord(
+              data + record.payload_offset, record.payload_length, tag);
+          const auto scanned =
+              SortedEmplace(leaves, record.stream, &ScannedStream::stream, [&] {
+                return ScannedStream{record.stream, {}, {}};
+              }).first;
+          ScanLeaf(*scanned, record.index,
+                   leaf.has_value() ? &leaf->meta : nullptr);
         });
     bool truncated = true;
     if (scan.torn_tail) {
@@ -80,7 +119,7 @@ ScannedLeaves DurableLog::Load(SummaryTag tag, OpenReport* report) {
       truncated = durable_->Truncate(file, scan.valid_bytes);
       ++report->torn_tails;
     }
-    report->corrupt_records += scan.corrupt_records;
+    report->corrupt_records += scan.corrupt_records + unaddressable;
     if (is_newest) {
       current_segment_ = segment;
       current_size_ = scan.valid_bytes;
@@ -107,15 +146,18 @@ bool DurableLog::AppendFrame(uint64_t stream, uint32_t level, uint64_t index,
     ++current_segment_;
     current_size_ = 0;
   }
-  if (!durable_->Append(SegmentFileName(current_segment_), frame)) {
+  if (!Manifest::Fits(current_segment_, frame.size()) ||
+      !durable_->Append(SegmentFileName(current_segment_), frame)) {
     return false;
   }
   // Published only now: a reader never sees a location whose bytes are
   // not yet durable.
   {
     std::lock_guard<std::mutex> lock(mu_);
-    manifest_[RecordKey{stream, level, index}] =
-        RecordLocation{current_segment_, current_size_, frame.size()};
+    manifest_.Put(stream, level,
+                  Manifest::Entry{index, current_size_,
+                                  static_cast<uint32_t>(current_segment_),
+                                  static_cast<uint32_t>(frame.size())});
   }
   current_size_ += frame.size();
   return true;
@@ -137,16 +179,15 @@ std::vector<uint8_t> DurableLog::PagedRecord::TakePayload(size_t skip) && {
 
 std::optional<DurableLog::PagedRecord> DurableLog::PageIn(
     uint64_t stream, uint32_t level, uint64_t index) const {
-  RecordLocation loc;
+  std::optional<Manifest::Entry> loc;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = manifest_.find(RecordKey{stream, level, index});
-    if (it == manifest_.end()) return std::nullopt;
-    loc = it->second;
+    loc = manifest_.Find(stream, level, index);
   }
+  if (!loc.has_value()) return std::nullopt;
   std::optional<std::vector<uint8_t>> frame =
-      durable_->ReadRange(SegmentFileName(loc.segment), loc.offset,
-                          loc.length);
+      durable_->ReadRange(SegmentFileName(loc->segment), loc->offset,
+                          loc->length);
   if (!frame.has_value()) return std::nullopt;
   const std::optional<SegmentRecordView> view =
       VerifySegmentRecord(frame->data(), frame->size(), stream, level, index);
@@ -162,56 +203,49 @@ std::optional<std::vector<uint8_t>> DurableLog::ReadRecord(
   return std::move(*record).TakePayload();
 }
 
-void DurableLog::QuarantineLocked(const RecordKey& key) {
-  const auto& [stream, level, index] = key;
-  if (quarantine_[stream].insert(index).second) {
+void DurableLog::QuarantineLocked(uint64_t stream, uint64_t index) {
+  std::vector<uint64_t>& leaves =
+      SortedEmplace(quarantine_, stream, &QuarantinedStream::stream, [&] {
+        return QuarantinedStream{stream, {}};
+      }).first->leaves;
+  if (SortedEmplace(leaves, index, std::identity{}, [&] { return index; })
+          .second) {
     ++scrub_stats_.epochs_quarantined;
   }
-  manifest_.erase(key);
+  manifest_.Erase(stream, 0, index);
 }
 
 void DurableLog::QuarantineLeaf(uint64_t stream, uint64_t index) {
   std::lock_guard<std::mutex> lock(mu_);
-  QuarantineLocked(RecordKey{stream, 0, index});
+  QuarantineLocked(stream, index);
 }
 
 uint64_t DurableLog::ScrubPass(uint64_t max_records) {
-  // Snapshot this pass's slice of the manifest.
-  std::vector<std::pair<RecordKey, RecordLocation>> slice;
+  // This pass's slice of the manifest, walked from the cursor.
+  std::vector<Manifest::Record> slice;
   {
     std::lock_guard<std::mutex> lock(mu_);
     ++scrub_stats_.passes;
     if (manifest_.empty()) return 0;
-    const uint64_t target =
-        max_records == 0
-            ? manifest_.size()
-            : std::min<uint64_t>(max_records, manifest_.size());
-    auto it = scrub_cursor_.has_value()
-                  ? manifest_.upper_bound(*scrub_cursor_)
-                  : manifest_.begin();
-    slice.reserve(target);
-    while (slice.size() < target) {
-      if (it == manifest_.end()) it = manifest_.begin();
-      slice.emplace_back(*it);
-      scrub_cursor_ = it->first;
-      ++it;
-    }
+    slice = manifest_.Walk(scrub_cursor_,
+                           max_records == 0 ? manifest_.size() : max_records);
+    scrub_cursor_ = slice.back().key();
   }
 
   // Verify without the lock, one segment buffer at a time.
   std::vector<size_t> order(slice.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    const RecordLocation& x = slice[a].second;
-    const RecordLocation& y = slice[b].second;
+    const Manifest::Entry& x = slice[a].entry;
+    const Manifest::Entry& y = slice[b].entry;
     return std::tie(x.segment, x.offset) < std::tie(y.segment, y.offset);
   });
   std::vector<bool> intact(slice.size(), false);
   std::optional<uint64_t> loaded;
   std::optional<std::vector<uint8_t>> bytes;
   for (const size_t i : order) {
-    const auto& [stream, level, index] = slice[i].first;
-    const RecordLocation& loc = slice[i].second;
+    const Manifest::Record& record = slice[i];
+    const Manifest::Entry& loc = record.entry;
     if (loaded != loc.segment) {
       bytes.reset();  // Free the previous buffer before the next read.
       bytes = durable_->Read(SegmentFileName(loc.segment));
@@ -221,7 +255,7 @@ uint64_t DurableLog::ScrubPass(uint64_t max_records) {
     intact[i] = bytes.has_value() && loc.offset <= bytes->size() &&
                 loc.length <= bytes->size() - loc.offset &&
                 VerifySegmentRecord(bytes->data() + loc.offset, loc.length,
-                                    stream, level, index)
+                                    record.stream, record.level, loc.index)
                     .has_value();
   }
   bytes.reset();
@@ -231,24 +265,25 @@ uint64_t DurableLog::ScrubPass(uint64_t max_records) {
   // left to act on.
   std::lock_guard<std::mutex> lock(mu_);
   for (size_t i = 0; i < slice.size(); ++i) {
-    const auto& [key, loc] = slice[i];
+    const Manifest::Record& record = slice[i];
     ++scrub_stats_.records_verified;
     if (intact[i]) {
-      scrub_stats_.bytes_verified += loc.length;
+      scrub_stats_.bytes_verified += record.entry.length;
       continue;
     }
     ++scrub_stats_.corrupt_found;
-    auto it = manifest_.find(key);
-    if (it == manifest_.end() || !(it->second == loc)) continue;
-    if (std::get<1>(key) >= 1) {
+    const std::optional<Manifest::Entry> current =
+        manifest_.Find(record.stream, record.level, record.entry.index);
+    if (current != record.entry) continue;
+    if (record.level >= 1) {
       // Derived data: drop it, and the next read rebuilds it from its
       // children and re-appends it (latest wins at the next restart).
-      manifest_.erase(it);
+      manifest_.Erase(record.stream, record.level, record.entry.index);
       ++scrub_stats_.nodes_repaired;
     } else {
       // Primary data whose durable truth is gone. Quarantine the epoch:
       // queries clamp around it and account its whole mass.
-      QuarantineLocked(key);
+      QuarantineLocked(record.stream, record.entry.index);
     }
   }
   return slice.size();
@@ -288,18 +323,18 @@ void DurableLog::StopScrubber() {
 std::optional<uint64_t> DurableLog::FirstQuarantinedIn(
     uint64_t stream, uint64_t lo_index, uint64_t hi_index) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = quarantine_.find(stream);
+  const auto it = SortedFind(quarantine_, stream, &QuarantinedStream::stream);
   if (it == quarantine_.end()) return std::nullopt;
-  auto leaf = it->second.lower_bound(lo_index);
-  if (leaf == it->second.end() || *leaf > hi_index) return std::nullopt;
+  const auto leaf = std::ranges::lower_bound(it->leaves, lo_index);
+  if (leaf == it->leaves.end() || *leaf > hi_index) return std::nullopt;
   return *leaf;
 }
 
 std::vector<uint64_t> DurableLog::QuarantinedLeaves(uint64_t stream) const {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = quarantine_.find(stream);
+  const auto it = SortedFind(quarantine_, stream, &QuarantinedStream::stream);
   if (it == quarantine_.end()) return {};
-  return std::vector<uint64_t>(it->second.begin(), it->second.end());
+  return it->leaves;
 }
 
 ScrubStats DurableLog::scrub_stats() const {

@@ -21,7 +21,8 @@
 //                  so an epoch is durable before it is servable.
 //   manifest       (stream, level, index) -> the latest intact record's
 //                  (segment, offset, length), built by one scan at
-//                  Open() and kept current by every append. A node's
+//                  Open() and kept current by every append: flat sorted
+//                  vectors of 24-byte entries (manifest.h). A node's
 //                  page-in is a manifest lookup plus one range read.
 //
 // Determinism contract: a node's value is defined purely by the epoch
@@ -85,11 +86,9 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <set>
 #include <span>
 #include <string>
 #include <thread>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -99,6 +98,7 @@
 #include "mergeable/core/concepts.h"
 #include "mergeable/store/dyadic.h"
 #include "mergeable/store/epoch_meta.h"
+#include "mergeable/store/manifest.h"
 #include "mergeable/store/node_cache.h"
 #include "mergeable/store/segment.h"
 #include "mergeable/store/summary_store.h"
@@ -137,18 +137,28 @@ struct DurableStoreOptions {
   ScrubOptions scrub;
 };
 
-// Per stream, leaf index -> the metadata of that leaf's latest copy, or
-// std::nullopt when that copy does not decode as a leaf of the store's
-// summary type.
-using ScannedLeaves =
-    std::map<uint64_t, std::map<uint64_t, std::optional<EpochMeta>>>;
+// One stream's leaves as Load() found them: each distinct leaf key
+// whose latest intact copy decodes as a leaf of the store's summary
+// type, with that copy's metadata. A key whose latest copy does not
+// decode is left out, which ends a sealed prefix just as a missing leaf
+// does. Two parallel vectors, ascending by index, so that Open() can
+// keep `metas` as the stream's metadata without a copy.
+struct ScannedStream {
+  uint64_t stream = 0;
+  std::vector<uint64_t> indices;
+  std::vector<EpochMeta> metas;  // metas[i] is leaf indices[i]'s.
+};
+// Every stream with a decodable leaf on disk, ascending by stream.
+using ScannedLeaves = std::vector<ScannedStream>;
 
 // What Open() found and rebuilt.
 struct OpenReport {
   size_t streams = 0;
   uint64_t segments = 0;
   uint64_t records = 0;          // Intact records admitted (latest-wins).
-  uint64_t corrupt_records = 0;  // Checksum failures skipped at startup.
+  // Checksum failures skipped at startup, and records too long for the
+  // manifest to address (Manifest::Fits).
+  uint64_t corrupt_records = 0;
   uint64_t torn_tails = 0;       // Segment tails truncated away.
   uint64_t epochs = 0;           // Epochs recovered across all streams.
   uint64_t nodes_prewarmed = 0;  // Covering nodes materialized into cache.
@@ -170,14 +180,15 @@ class DurableLog {
   // corrupt records, and applies intact records latest-wins to the
   // manifest as they are scanned. Leaf records are also decoded in
   // place against `tag`. Fills the scan-side fields of `report` and
-  // returns every stream's latest leaf copies, from which
+  // returns every stream's latest decodable leaf copies, from which
   // DurableStore::Open() indexes each stream.
   ScannedLeaves Load(SummaryTag tag, OpenReport* report);
 
   // Appends one record frame (segment.h), written under the key, to the
   // current segment (rolling first if it is full) and points the
-  // manifest at it. False when the backend rejected the append —
-  // nothing is tracked, the caller's state is unchanged.
+  // manifest at it. False when the backend rejected the append, or the
+  // manifest could not address it (Manifest::Fits) — nothing is
+  // tracked, the caller's state is unchanged.
   bool AppendFrame(uint64_t stream, uint32_t level, uint64_t index,
                    const std::vector<uint8_t>& frame);
 
@@ -234,17 +245,14 @@ class DurableLog {
   uint64_t node_append_failures() const;
 
  private:
-  using RecordKey = std::tuple<uint64_t, uint32_t, uint64_t>;
-  struct RecordLocation {
-    uint64_t segment = 0;  // SegmentFileName(segment) holds the frame.
-    uint64_t offset = 0;
-    uint64_t length = 0;
-    friend bool operator==(const RecordLocation&,
-                           const RecordLocation&) = default;
+  // One stream's quarantined leaf indices, ascending.
+  struct QuarantinedStream {
+    uint64_t stream = 0;
+    std::vector<uint64_t> leaves;
   };
 
   std::string SegmentFileName(uint64_t segment) const;
-  void QuarantineLocked(const RecordKey& key);
+  void QuarantineLocked(uint64_t stream, uint64_t index);
 
   Storage* durable_;
   std::string seg_dir_;
@@ -260,9 +268,9 @@ class DurableLog {
   // Guards the manifest, the quarantine set and the scrub state; never
   // held across disk I/O.
   mutable std::mutex mu_;
-  std::map<RecordKey, RecordLocation> manifest_;
-  std::map<uint64_t, std::set<uint64_t>> quarantine_;  // stream -> leaves
-  std::optional<RecordKey> scrub_cursor_;
+  Manifest manifest_;
+  std::vector<QuarantinedStream> quarantine_;  // Ascending by stream.
+  std::optional<Manifest::Key> scrub_cursor_;
   ScrubStats scrub_stats_;
   uint64_t node_append_failures_ = 0;
 
@@ -313,22 +321,29 @@ class DurableStore {
   // seals.
   OpenReport Open() {
     OpenReport report;
-    const ScannedLeaves leaves = log_.Load(kTag, &report);
     streams_.clear();
-    for (const auto& [stream, scanned] : leaves) {
-      StreamState state;
-      state.metas.reserve(scanned.size());
-      for (const auto& [index, meta] : scanned) {
-        // A missing or torn leaf ends the prefix.
-        if (index != state.metas.size() || !meta.has_value()) break;
-        if (index == 0) {
-          state.base_epoch = meta->epoch;
-        } else if (meta->epoch != state.base_epoch + index) {
-          break;  // Epochs must stay contiguous.
+    {
+      // The scanned leaves live only until every stream is indexed.
+      ScannedLeaves leaves = log_.Load(kTag, &report);
+      for (ScannedStream& scanned : leaves) {
+        StreamState state;
+        state.metas = std::move(scanned.metas);
+        // A missing or undecodable leaf ends the prefix, and so does an
+        // epoch out of step: epochs must stay contiguous.
+        size_t prefix = 0;
+        while (prefix < state.metas.size() &&
+               scanned.indices[prefix] == prefix &&
+               state.metas[prefix].epoch == state.metas[0].epoch + prefix) {
+          ++prefix;
         }
-        state.metas.push_back(*meta);
+        if (prefix == 0) continue;
+        if (prefix < state.metas.size()) {
+          state.metas.resize(prefix);
+          state.metas.shrink_to_fit();  // Unserved leaves cost no RAM.
+        }
+        state.base_epoch = state.metas[0].epoch;
+        streams_[scanned.stream] = std::move(state);
       }
-      if (!state.metas.empty()) streams_[stream] = std::move(state);
     }
     report.streams = streams_.size();
     for (const auto& [stream, state] : streams_) {
