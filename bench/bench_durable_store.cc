@@ -25,12 +25,18 @@
 // fsync tax is separable from the bookkeeping tax. A second MemStorage
 // row at kRestartEpochs is the restart row: Open() over a long history
 // with no disk in the way, reported as `restart_open_ms` against
-// `restart_history_bytes` (the segment bytes Open() scans). Table 4
-// writes each row's segment files to a directory and runs this binary
-// again on it (`--open-rss <dir>`), so the peak RSS is that of a process
-// that never held the history. `--smoke` shrinks the sweep and the
-// restart row (kSmokeRestartEpochs) for CI.
+// `restart_history_bytes` (the segment bytes Open() scans). Each row
+// writes its segment files to a directory and runs this binary again on
+// it (`--reopen <dir> <file|mem>`), so Tables 2 and 4 measure a process
+// that never held the history: its peak RSS after Open() over
+// FileStorage and the full-range query (Table 4), then the median of
+// kOpens timed Open()s over the row's own backend (Table 2's open ms;
+// a mem row loads the files into a MemStorage first). One Open() in the
+// process that just sealed the history also timed the heap the seals
+// left behind. `--smoke` shrinks the sweep and the restart row
+// (kSmokeRestartEpochs) for CI.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -62,6 +68,7 @@ constexpr uint64_t kStream = 1;
 constexpr uint32_t kPerEpoch = 2000;
 constexpr uint64_t kRestartEpochs = 16384;
 constexpr uint64_t kSmokeRestartEpochs = 1024;
+constexpr int kOpens = 9;
 
 double ElapsedMs(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
@@ -100,7 +107,6 @@ DurableStoreOptions Options() {
 // One backend's full lifecycle at one epoch count.
 struct LifecycleResult {
   double seal_ms = 0.0;
-  double open_ms = 0.0;
   double first_query_ms = 0.0;
   double scrub_ms = 0.0;
   uint64_t scrub_records = 0;
@@ -135,9 +141,7 @@ LifecycleResult RunLifecycle(Storage* storage, uint64_t epochs) {
   result.disk_bytes = StorageBytes(*storage);
 
   DurableStore<SpaceSaving> reopened(storage, Options());
-  const auto open_start = std::chrono::steady_clock::now();
   const OpenReport report = reopened.Open();
-  result.open_ms = ElapsedMs(open_start);
   MERGEABLE_CHECK_MSG(report.epochs == epochs,
                       "restart must recover every sealed epoch");
   MERGEABLE_CHECK_MSG(report.corrupt_records == 0 && report.torn_tails == 0,
@@ -173,23 +177,54 @@ double PeakRssMiB() {
   return 0.0;
 }
 
-// `--open-rss <dir>`: opens the store over FileStorage at `dir`, answers
-// the full-range query, and prints the process's peak RSS in MiB.
-int OpenRssMain(const char* dir) {
-  FileStorage storage(dir);
-  DurableStore<SpaceSaving> store(&storage, Options());
-  const OpenReport report = store.Open();
-  if (report.epochs == 0) return 1;
-  const auto answer = store.QueryRangePayload(kStream, 0, report.epochs - 1);
-  if (!answer.has_value()) return 1;
-  std::printf("%.2f\n", PeakRssMiB());
+// What a fresh process measures over one row's history.
+struct FreshOpen {
+  double rss_mib = 0.0;  // Peak RSS: Open() over files, full-range query.
+  double open_ms = 0.0;  // Median of kOpens timed Open()s.
+};
+
+// `--reopen <dir> <file|mem>`: opens the store over FileStorage at
+// `dir` and answers the full-range query, then times kOpens Open()s,
+// each on a new store, over `dir` itself (file) or a MemStorage holding
+// its files (mem). Prints the peak RSS of the first part in MiB and the
+// median open time in ms.
+int ReopenMain(const char* dir, const char* backend) {
+  FileStorage files(dir);
+  {
+    DurableStore<SpaceSaving> store(&files, Options());
+    const OpenReport report = store.Open();
+    if (report.epochs == 0) return 1;
+    if (!store.QueryRangePayload(kStream, 0, report.epochs - 1)) return 1;
+  }
+  const double rss_mib = PeakRssMiB();
+
+  MemStorage mem;
+  Storage* storage = &files;
+  if (std::strcmp(backend, "mem") == 0) {
+    for (const std::string& name : files.List()) {
+      const auto bytes = files.Read(name);
+      if (!bytes.has_value() || !mem.Append(name, *bytes)) return 1;
+    }
+    storage = &mem;
+  }
+  std::vector<double> open_ms;
+  for (int i = 0; i < kOpens; ++i) {
+    DurableStore<SpaceSaving> store(storage, Options());
+    const auto start = std::chrono::steady_clock::now();
+    if (store.Open().epochs == 0) return 1;
+    open_ms.push_back(ElapsedMs(start));
+  }
+  std::nth_element(open_ms.begin(), open_ms.begin() + kOpens / 2,
+                   open_ms.end());
+  std::printf("%.2f %.4f\n", rss_mib, open_ms[kOpens / 2]);
   return 0;
 }
 
 // Copies every file of `storage` under `dir`, then runs this binary with
-// `--open-rss dir` and returns the peak RSS it reports.
-std::optional<double> FreshOpenRssMiB(const Storage& storage,
-                                      const std::string& dir) {
+// `--reopen dir backend` and returns what it reports.
+std::optional<FreshOpen> MeasureFreshOpen(const Storage& storage,
+                                          const std::string& dir,
+                                          const std::string& backend) {
   for (const std::string& name : storage.List()) {
     const std::filesystem::path path = std::filesystem::path(dir) / name;
     std::filesystem::create_directories(path.parent_path());
@@ -203,13 +238,15 @@ std::optional<double> FreshOpenRssMiB(const Storage& storage,
   const std::string self =
       std::filesystem::read_symlink("/proc/self/exe", ec).string();
   if (ec) return std::nullopt;
-  const std::string command = "'" + self + "' --open-rss '" + dir + "'";
+  const std::string command =
+      "'" + self + "' --reopen '" + dir + "' " + backend;
   std::FILE* child = ::popen(command.c_str(), "r");
   if (child == nullptr) return std::nullopt;
-  double mib = 0.0;
-  const bool parsed = std::fscanf(child, "%lf", &mib) == 1;
+  FreshOpen fresh;
+  const bool parsed =
+      std::fscanf(child, "%lf %lf", &fresh.rss_mib, &fresh.open_ms) == 2;
   if (::pclose(child) != 0 || !parsed) return std::nullopt;
-  return mib;
+  return fresh;
 }
 
 double PerSecond(uint64_t count, double ms) {
@@ -237,31 +274,33 @@ int Main() {
     std::string backend;
     uint64_t epochs;
     LifecycleResult r;
-    double open_rss_mib = 0.0;
+    FreshOpen fresh;
   };
   std::vector<Row> rows;
   uint64_t instance = 0;
-  const auto measure_rss = [&](Row& row, const Storage& storage) {
-    const std::optional<double> rss = FreshOpenRssMiB(
-        storage, std::string(root) + "/rss" + std::to_string(instance++));
-    MERGEABLE_CHECK_MSG(rss.has_value(), "fresh-process open must succeed");
-    row.open_rss_mib = *rss;
+  const auto measure_fresh = [&](Row& row, const Storage& storage) {
+    const std::optional<FreshOpen> fresh = MeasureFreshOpen(
+        storage, std::string(root) + "/fresh" + std::to_string(instance++),
+        row.backend);
+    MERGEABLE_CHECK_MSG(fresh.has_value(), "fresh-process open must succeed");
+    row.fresh = *fresh;
   };
   for (uint64_t epochs : sweep) {
     FileStorage storage(std::string(root) + "/n" + std::to_string(instance++));
-    rows.push_back({"file", epochs, RunLifecycle(&storage, epochs)});
-    measure_rss(rows.back(), storage);
+    rows.push_back({"file", epochs, RunLifecycle(&storage, epochs), {}});
+    measure_fresh(rows.back(), storage);
   }
   {
     MemStorage storage;
-    rows.push_back({"mem", sweep.back(), RunLifecycle(&storage, sweep.back())});
-    measure_rss(rows.back(), storage);
+    rows.push_back(
+        {"mem", sweep.back(), RunLifecycle(&storage, sweep.back()), {}});
+    measure_fresh(rows.back(), storage);
   }
   {
     const uint64_t epochs = g_smoke ? kSmokeRestartEpochs : kRestartEpochs;
     MemStorage storage;
-    rows.push_back({"mem", epochs, RunLifecycle(&storage, epochs)});
-    measure_rss(rows.back(), storage);
+    rows.push_back({"mem", epochs, RunLifecycle(&storage, epochs), {}});
+    measure_fresh(rows.back(), storage);
   }
 
   PrintHeader("seal throughput (fsync per epoch)",
@@ -277,13 +316,14 @@ int Main() {
                   2)});
   }
 
-  PrintHeader("warm restart (Open on a fresh process)",
+  PrintHeader("warm restart (open ms: median of " + std::to_string(kOpens) +
+                  " Opens in a fresh process)",
               {"backend/epochs", "open ms", "epochs/s", "nodes prewarmed",
                "first query ms"});
   for (const Row& row : rows) {
     PrintRow({row.backend + "/" + std::to_string(row.epochs),
-              FormatDouble(row.r.open_ms, 2),
-              FormatDouble(PerSecond(row.epochs, row.r.open_ms), 1),
+              FormatDouble(row.fresh.open_ms, 2),
+              FormatDouble(PerSecond(row.epochs, row.fresh.open_ms), 1),
               FormatU64(row.r.nodes_prewarmed),
               FormatDouble(row.r.first_query_ms, 3)});
   }
@@ -310,23 +350,23 @@ int Main() {
               FormatDouble(
                   static_cast<double>(row.r.disk_bytes) / (1024.0 * 1024.0),
                   2),
-              FormatDouble(row.open_rss_mib, 2)});
+              FormatDouble(row.fresh.rss_mib, 2)});
   }
 
   // Dashboard counters: the largest file configuration.
   const Row& serving = rows[sweep.size() - 1];
   RecordCounter("seal_ms_per_epoch",
                 serving.r.seal_ms / static_cast<double>(serving.epochs));
-  RecordCounter("open_ms", serving.r.open_ms);
+  RecordCounter("open_ms", serving.fresh.open_ms);
   RecordCounter("scrub_records_per_s",
                 PerSecond(serving.r.scrub_records, serving.r.scrub_ms));
   RecordCounter("disk_bytes", static_cast<double>(serving.r.disk_bytes));
-  RecordCounter("open_rss_mib", serving.open_rss_mib);
+  RecordCounter("open_rss_mib", serving.fresh.rss_mib);
   const Row& restart = rows.back();
-  RecordCounter("restart_open_ms", restart.r.open_ms);
+  RecordCounter("restart_open_ms", restart.fresh.open_ms);
   RecordCounter("restart_history_bytes",
                 static_cast<double>(restart.r.disk_bytes));
-  RecordCounter("restart_open_rss_mib", restart.open_rss_mib);
+  RecordCounter("restart_open_rss_mib", restart.fresh.rss_mib);
 
   std::error_code ec;
   std::filesystem::remove_all(root, ec);
@@ -337,8 +377,8 @@ int Main() {
 }  // namespace mergeable::bench
 
 int main(int argc, char** argv) {
-  if (argc == 3 && std::strcmp(argv[1], "--open-rss") == 0) {
-    return mergeable::bench::OpenRssMain(argv[2]);
+  if (argc == 4 && std::strcmp(argv[1], "--reopen") == 0) {
+    return mergeable::bench::ReopenMain(argv[2], argv[3]);
   }
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {

@@ -11,7 +11,7 @@
 namespace mergeable {
 namespace {
 
-constexpr uint32_t kElasticCountMinMagic = 0x314d4345;  // "ECM1"
+constexpr uint32_t kElasticCountMinMagic = 0x324d4345;  // "ECM2"
 
 // Per row, the level's counters sum to exactly its mass.
 bool RowSumsEqualMass(std::span<const uint64_t> counters, uint32_t depth,

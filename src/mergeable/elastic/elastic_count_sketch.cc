@@ -8,16 +8,21 @@
 namespace mergeable {
 namespace {
 
-constexpr uint32_t kElasticCountSketchMagic = 0x31534345;  // "ECS1"
+constexpr uint32_t kElasticCountSketchMagic = 0x32534345;  // "ECS2"
 
-// No cell's magnitude exceeds the level's mass.
-bool CellsWithinMass(std::span<const int64_t> counters, uint32_t /*depth*/,
-                     uint32_t /*width*/, uint64_t mass) {
-  for (int64_t counter : counters) {
-    const uint64_t magnitude = counter < 0
-                                   ? ~static_cast<uint64_t>(counter) + 1
-                                   : static_cast<uint64_t>(counter);
-    if (magnitude > mass) return false;
+// Per row, the cells' magnitudes sum to at most the level's mass: an
+// update of weight w adds +-w to one cell per row and |w| to the mass,
+// and folds and merges add both sides.
+bool RowMagnitudesWithinMass(std::span<const int64_t> counters,
+                             uint32_t depth, uint32_t width, uint64_t mass) {
+  for (uint32_t row = 0; row < depth; ++row) {
+    uint64_t row_sum = 0;
+    for (int64_t cell : counters.subspan(size_t{row} * width, width)) {
+      const uint64_t magnitude = cell < 0 ? ~static_cast<uint64_t>(cell) + 1
+                                          : static_cast<uint64_t>(cell);
+      if (__builtin_add_overflow(row_sum, magnitude, &row_sum)) return false;
+    }
+    if (row_sum > mass) return false;
   }
   return true;
 }
@@ -69,7 +74,7 @@ void ElasticCountSketch::EncodeTo(ByteWriter& writer) const {
 std::optional<ElasticCountSketch> ElasticCountSketch::DecodeFrom(
     ByteReader& reader) {
   std::optional<ElasticLattice> lattice =
-      DecodeLattice(reader, kElasticCountSketchMagic, &CellsWithinMass);
+      DecodeLattice(reader, kElasticCountSketchMagic, &RowMagnitudesWithinMass);
   if (!lattice.has_value()) return std::nullopt;
   return ElasticCountSketch(std::move(*lattice));
 }

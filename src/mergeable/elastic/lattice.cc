@@ -1,7 +1,6 @@
 #include "mergeable/elastic/lattice.h"
 
 #include <algorithm>
-#include <type_traits>
 #include <utility>
 
 #include "mergeable/util/check.h"
@@ -156,11 +155,7 @@ void ElasticLattice<Counter>::EncodeLattice(ByteWriter& writer,
     if (level.mass == 0) continue;
     writer.PutU32(level.width);
     writer.PutU64(level.mass);
-    if constexpr (std::is_signed_v<Counter>) {
-      writer.PutI64Array(level.counters);
-    } else {
-      writer.PutU64Array(level.counters);
-    }
+    writer.PutCounterArray(level.counters);
   }
 }
 
@@ -194,8 +189,8 @@ std::optional<ElasticLattice<Counter>> ElasticLattice<Counter>::DecodeLattice(
     prev_width = level.width;
     if (!reader.GetU64(&level.mass) || level.mass == 0) return std::nullopt;
     // The allocation is bounded by the bytes actually present.
-    if (!reader.GetWordVector(static_cast<size_t>(depth) * level.width,
-                              &level.counters) ||
+    if (!reader.GetCounterVector(static_cast<size_t>(depth) * level.width,
+                                 &level.counters) ||
         !check(level.counters, depth, level.width, level.mass) ||
         __builtin_add_overflow(total_mass, level.mass, &total_mass)) {
       return std::nullopt;

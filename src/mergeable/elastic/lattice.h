@@ -104,9 +104,11 @@ class ElasticLattice {
 
   const std::vector<Level>& levels() const { return levels_; }
 
-  // The level codec of ECM1 and ECS1: u32 magic, u32 depth, u32 width,
+  // The level codec of ECM2 and ECS2: u32 magic, u32 depth, u32 width,
   // u64 seed, u64 n, u32 level count, then per mass-carrying level
-  // u32 width, u64 mass and depth x width counters.
+  // u32 width, u64 mass and its depth x width counters as one packed
+  // counter array (ByteWriter::PutCounterArray), so each level has its
+  // own cell width.
   void EncodeLattice(ByteWriter& writer, uint32_t magic) const;
   // std::nullopt unless the bytes are one lattice of `magic` whose every
   // level passes `check`, with nothing left over.

@@ -55,7 +55,30 @@ void AmsSketch::Merge(const AmsSketch& other) {
 }
 
 namespace {
-constexpr uint32_t kAmsMagic = 0x31304d41;  // "AM01"
+constexpr uint32_t kAmsMagic = 0x32304d41;  // "AM02"
+
+// The fields before the cell array.
+struct Header {
+  uint32_t rows = 0;
+  uint32_t cols = 0;
+  uint64_t seed = 0;
+};
+
+// Reads and range-checks the header; false on any field DecodeFrom
+// rejects.
+bool ReadHeader(ByteReader& reader, Header* header) {
+  uint32_t magic = 0;
+  if (!reader.GetU32(&magic) || magic != kAmsMagic) return false;
+  if (!reader.GetU32(&header->rows) || header->rows < 1 ||
+      header->rows > 256) {
+    return false;
+  }
+  if (!reader.GetU32(&header->cols) || header->cols < 1 ||
+      header->cols > (1u << 20)) {
+    return false;
+  }
+  return reader.GetU64(&header->seed);
+}
 }  // namespace
 
 void AmsSketch::EncodeTo(ByteWriter& writer) const {
@@ -63,30 +86,32 @@ void AmsSketch::EncodeTo(ByteWriter& writer) const {
   writer.PutU32(static_cast<uint32_t>(rows_));
   writer.PutU32(static_cast<uint32_t>(cols_));
   writer.PutU64(seed_);
-  writer.PutI64Array(cells_);
+  writer.PutCounterArray(cells_);
 }
 
 std::optional<AmsSketch> AmsSketch::DecodeFrom(ByteReader& reader) {
-  uint32_t magic = 0;
-  uint32_t rows = 0;
-  uint32_t cols = 0;
-  uint64_t seed = 0;
-  if (!reader.GetU32(&magic) || magic != kAmsMagic) return std::nullopt;
-  if (!reader.GetU32(&rows) || rows < 1 || rows > 256) return std::nullopt;
-  if (!reader.GetU32(&cols) || cols < 1 || cols > (1u << 20)) {
-    return std::nullopt;
-  }
-  if (!reader.GetU64(&seed)) return std::nullopt;
-  if (reader.remaining() !=
-      static_cast<size_t>(rows) * cols * sizeof(int64_t)) {
-    return std::nullopt;
-  }
+  Header header;
   std::vector<int64_t> cells;
-  if (!reader.GetWordVector(static_cast<size_t>(rows) * cols, &cells)) {
+  if (!ReadHeader(reader, &header) ||
+      !reader.GetCounterVector(static_cast<size_t>(header.rows) * header.cols,
+                               &cells) ||
+      !reader.Exhausted()) {
     return std::nullopt;
   }
-  return AmsSketch(static_cast<int>(rows), static_cast<int>(cols), seed,
-                   std::move(cells));
+  return AmsSketch(static_cast<int>(header.rows), static_cast<int>(header.cols),
+                   header.seed, std::move(cells));
+}
+
+AmsSketch::Shape AmsSketch::shape() const {
+  return {static_cast<uint32_t>(rows_), static_cast<uint32_t>(cols_), seed_};
+}
+
+AmsSketch::Shape AmsSketch::EncodedShape(const uint8_t* bytes, size_t size) {
+  ByteReader reader(bytes, size);
+  Header header;
+  MERGEABLE_CHECK_MSG(ReadHeader(reader, &header),
+                      "AMS payload must be valid");
+  return {header.rows, header.cols, header.seed};
 }
 
 }  // namespace mergeable

@@ -36,10 +36,22 @@ class AmsSketch {
   // Component-wise addition. Requires identical shape and seed.
   void Merge(const AmsSketch& other);
 
-  // Serializes the sketch; decoding returns std::nullopt on malformed
-  // input.
+  // Serializes the sketch: "AM02", rows, cols and seed, then the cells
+  // as one packed counter array (ByteWriter::PutCounterArray,
+  // zigzagged). Decoding returns std::nullopt on malformed input.
   void EncodeTo(ByteWriter& writer) const;
   static std::optional<AmsSketch> DecodeFrom(ByteReader& reader);
+
+  // What Merge requires to be equal: rows, cols and seed. EncodedShape
+  // reads it from the header of a payload DecodeFrom accepted.
+  struct Shape {
+    uint32_t rows = 0;
+    uint32_t cols = 0;
+    uint64_t seed = 0;
+    bool operator==(const Shape&) const = default;
+  };
+  Shape shape() const;
+  static Shape EncodedShape(const uint8_t* bytes, size_t size);
 
   // Canonical form in place (see WireSummary in core/concepts.h).
   // Every field is on the wire, so the summary is always canonical.

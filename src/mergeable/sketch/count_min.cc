@@ -125,7 +125,7 @@ void CountMinSketch::Merge(const CountMinSketch& other) {
 }
 
 namespace {
-constexpr uint32_t kCountMinMagic = 0x31304d43;  // "CM01"
+constexpr uint32_t kCountMinMagic = 0x32304d43;  // "CM02"
 
 // The fields before the counter array.
 struct Header {
@@ -137,7 +137,6 @@ struct Header {
 
   size_t cells() const { return static_cast<size_t>(depth) * width; }
 };
-constexpr size_t kHeaderBytes = 4 * sizeof(uint32_t) + 2 * sizeof(uint64_t);
 
 // Reads and range-checks the header; false on any field DecodeFrom
 // rejects.
@@ -156,14 +155,21 @@ bool ReadHeader(ByteReader& reader, Header* header) {
   return reader.GetU64(&header->seed) && reader.GetU64(&header->n);
 }
 
-// The header of a payload ValidateEncoded accepted.
-Header ValidHeader(const uint8_t* bytes, size_t size) {
+// Whether `size` bytes at `bytes` are exactly one payload: a header and
+// its counter array, found in place (O(1), allocates nothing).
+bool ReadPayload(const uint8_t* bytes, size_t size, Header* header,
+                 CounterArrayView* cells) {
   ByteReader reader(bytes, size);
+  return ReadHeader(reader, header) &&
+         reader.GetCounterView(header->cells(), cells) && reader.Exhausted();
+}
+
+// The header and cells of a payload ValidateEncoded accepted.
+Header ValidHeader(const uint8_t* bytes, size_t size,
+                   CounterArrayView* cells) {
   Header header;
-  MERGEABLE_CHECK_MSG(
-      ReadHeader(reader, &header) &&
-          reader.remaining() == header.cells() * sizeof(uint64_t),
-      "CountMin payload must be valid");
+  MERGEABLE_CHECK_MSG(ReadPayload(bytes, size, &header, cells),
+                      "CountMin payload must be valid");
   return header;
 }
 
@@ -179,7 +185,7 @@ void CountMinSketch::EncodeTo(ByteWriter& writer) const {
   writer.PutU32(update_ == CountMinUpdate::kPlain ? 0 : 1);
   writer.PutU64(seed_);
   writer.PutU64(n_);
-  writer.PutU64Array(counters_);
+  writer.PutCounterArray(counters_);
 }
 
 std::optional<CountMinSketch> CountMinSketch::DecodeFrom(ByteReader& reader) {
@@ -189,7 +195,9 @@ std::optional<CountMinSketch> CountMinSketch::DecodeFrom(ByteReader& reader) {
   // Count-Min), so trailing bytes may belong to the container.
   // Standalone callers check reader.Exhausted() themselves.
   std::vector<uint64_t> counters;
-  if (!reader.GetWordVector(header.cells(), &counters)) return std::nullopt;
+  if (!reader.GetCounterVector(header.cells(), &counters)) {
+    return std::nullopt;
+  }
   CountMinSketch sketch(
       static_cast<int>(header.depth), static_cast<int>(header.width),
       header.seed,
@@ -201,10 +209,9 @@ std::optional<CountMinSketch> CountMinSketch::DecodeFrom(ByteReader& reader) {
 }
 
 bool CountMinSketch::ValidateEncoded(const uint8_t* bytes, size_t size) {
-  ByteReader reader(bytes, size);
   Header header;
-  return ReadHeader(reader, &header) &&
-         reader.remaining() == header.cells() * sizeof(uint64_t);
+  CounterArrayView cells;
+  return ReadPayload(bytes, size, &header, &cells);
 }
 
 CountMinSketch::Shape CountMinSketch::shape() const {
@@ -214,17 +221,16 @@ CountMinSketch::Shape CountMinSketch::shape() const {
 
 CountMinSketch::Shape CountMinSketch::EncodedShape(const uint8_t* bytes,
                                                    size_t size) {
-  return ShapeOf(ValidHeader(bytes, size));
+  CounterArrayView cells;
+  return ShapeOf(ValidHeader(bytes, size, &cells));
 }
 
 void CountMinSketch::MergeEncoded(const uint8_t* bytes, size_t size) {
-  const Header header = ValidHeader(bytes, size);
+  CounterArrayView cells;
+  const Header header = ValidHeader(bytes, size, &cells);
   MERGEABLE_CHECK_MSG(ShapeOf(header) == shape(),
                       "CountMin merge requires identical shape and seed");
-  const uint8_t* cells = bytes + kHeaderBytes;
-  for (size_t i = 0; i < counters_.size(); ++i) {
-    counters_[i] += LoadLittle64(cells + i * sizeof(uint64_t));
-  }
+  cells.AddTo(counters_.data());
   n_ += header.n;
 }
 

@@ -65,7 +65,9 @@ class CountMinSketch {
   // Component-wise addition. Requires identical shape and seed.
   void Merge(const CountMinSketch& other);
 
-  // Serializes the sketch (hash functions are rebuilt from the seed).
+  // Serializes the sketch (hash functions are rebuilt from the seed):
+  // "CM02", depth, width, update rule, seed and n, then the counters as
+  // one packed counter array (ByteWriter::PutCounterArray).
   void EncodeTo(ByteWriter& writer) const;
   static std::optional<CountMinSketch> DecodeFrom(ByteReader& reader);
 
@@ -73,11 +75,11 @@ class CountMinSketch {
   // merged from its wire bytes, without decoding it into a sketch.
   //
   // ValidateEncoded is true exactly when DecodeFrom accepts `bytes` and
-  // consumes all of them; it reads the header only and allocates
-  // nothing. MergeEncoded adds the counters in place and leaves the
-  // state, and so the bytes, that Merge(*DecodeFrom(bytes)) would; the
-  // payload must be valid and of this sketch's shape (another shape
-  // aborts, as Merge does).
+  // consumes all of them; it reads the header and the cell width only
+  // and allocates nothing. MergeEncoded adds the counters in place,
+  // widening each cell, and leaves the state, and so the bytes, that
+  // Merge(*DecodeFrom(bytes)) would; the payload must be valid and of
+  // this sketch's shape (another shape aborts, as Merge does).
   static bool ValidateEncoded(const uint8_t* bytes, size_t size);
   void MergeEncoded(const uint8_t* bytes, size_t size);
 

@@ -104,7 +104,31 @@ void CountSketch::Merge(const CountSketch& other) {
 }
 
 namespace {
-constexpr uint32_t kCountSketchMagic = 0x31305343;  // "CS01"
+constexpr uint32_t kCountSketchMagic = 0x32305343;  // "CS02"
+
+// The fields before the counter array.
+struct Header {
+  uint32_t depth = 0;
+  uint32_t width = 0;
+  uint64_t seed = 0;
+  uint64_t n = 0;
+};
+
+// Reads and range-checks the header; false on any field DecodeFrom
+// rejects.
+bool ReadHeader(ByteReader& reader, Header* header) {
+  uint32_t magic = 0;
+  if (!reader.GetU32(&magic) || magic != kCountSketchMagic) return false;
+  if (!reader.GetU32(&header->depth) || header->depth < 1 ||
+      header->depth > 64) {
+    return false;
+  }
+  if (!reader.GetU32(&header->width) || header->width < 1 ||
+      header->width > (1u << 28)) {
+    return false;
+  }
+  return reader.GetU64(&header->seed) && reader.GetU64(&header->n);
+}
 }  // namespace
 
 void CountSketch::EncodeTo(ByteWriter& writer) const {
@@ -113,35 +137,37 @@ void CountSketch::EncodeTo(ByteWriter& writer) const {
   writer.PutU32(static_cast<uint32_t>(width_));
   writer.PutU64(seed_);
   writer.PutU64(n_);
-  writer.PutI64Array(counters_);
+  writer.PutCounterArray(counters_);
 }
 
 std::optional<CountSketch> CountSketch::DecodeFrom(ByteReader& reader) {
-  uint32_t magic = 0;
-  uint32_t depth = 0;
-  uint32_t width = 0;
-  uint64_t seed = 0;
-  uint64_t n = 0;
-  if (!reader.GetU32(&magic) || magic != kCountSketchMagic) {
-    return std::nullopt;
-  }
-  if (!reader.GetU32(&depth) || depth < 1 || depth > 64) return std::nullopt;
-  if (!reader.GetU32(&width) || width < 1 || width > (1u << 28)) {
-    return std::nullopt;
-  }
-  if (!reader.GetU64(&seed) || !reader.GetU64(&n)) return std::nullopt;
-  if (reader.remaining() !=
-      static_cast<size_t>(depth) * width * sizeof(int64_t)) {
-    return std::nullopt;
-  }
+  Header header;
   std::vector<int64_t> counters;
-  if (!reader.GetWordVector(static_cast<size_t>(depth) * width, &counters)) {
+  if (!ReadHeader(reader, &header) ||
+      !reader.GetCounterVector(static_cast<size_t>(header.depth) * header.width,
+                               &counters) ||
+      !reader.Exhausted()) {
     return std::nullopt;
   }
-  CountSketch sketch(static_cast<int>(depth), static_cast<int>(width), seed,
+  CountSketch sketch(static_cast<int>(header.depth),
+                     static_cast<int>(header.width), header.seed,
                      std::move(counters));
-  sketch.n_ = n;
+  sketch.n_ = header.n;
   return sketch;
+}
+
+CountSketch::Shape CountSketch::shape() const {
+  return {static_cast<uint32_t>(depth_), static_cast<uint32_t>(width_),
+          seed_};
+}
+
+CountSketch::Shape CountSketch::EncodedShape(const uint8_t* bytes,
+                                             size_t size) {
+  ByteReader reader(bytes, size);
+  Header header;
+  MERGEABLE_CHECK_MSG(ReadHeader(reader, &header),
+                      "CountSketch payload must be valid");
+  return {header.depth, header.width, header.seed};
 }
 
 }  // namespace mergeable

@@ -40,10 +40,23 @@ class CountSketch {
   // Component-wise addition. Requires identical shape and seed.
   void Merge(const CountSketch& other);
 
-  // Serializes the sketch (hashes rebuilt from the seed); decoding
-  // returns std::nullopt on malformed input.
+  // Serializes the sketch (hashes rebuilt from the seed): "CS02",
+  // depth, width, seed and n, then the counters as one packed counter
+  // array (ByteWriter::PutCounterArray, zigzagged). Decoding returns
+  // std::nullopt on malformed input.
   void EncodeTo(ByteWriter& writer) const;
   static std::optional<CountSketch> DecodeFrom(ByteReader& reader);
+
+  // What Merge requires to be equal: depth, width and seed. EncodedShape
+  // reads it from the header of a payload DecodeFrom accepted.
+  struct Shape {
+    uint32_t depth = 0;
+    uint32_t width = 0;
+    uint64_t seed = 0;
+    bool operator==(const Shape&) const = default;
+  };
+  Shape shape() const;
+  static Shape EncodedShape(const uint8_t* bytes, size_t size);
 
   // Canonical form in place (see WireSummary in core/concepts.h).
   // Every field is on the wire, so the summary is always canonical.

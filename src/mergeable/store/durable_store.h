@@ -46,7 +46,7 @@
 // one over its bytes: Open() verifies it on its scan, and a page-in and
 // the scrubber verify it with the same call (VerifySegmentRecord), the
 // page-in then parsing the payload (summary_store.h) against the
-// store's tag.
+// store's tag and checking the summary with ValidPayload<S>.
 //
 // Leaves are the truth: a lost or rotted *internal node* record is
 // rebuilt from its children and re-appended (latest-wins) — it never
@@ -660,15 +660,21 @@ class DurableStore {
                      ViewNodeRecord(bytes.data(), bytes.size(), kTag)) {
         summary = view->data();
       }
+      // The summary must parse as S, too: an intact record of another
+      // format (a CM01 Count-Min from before packed counter arrays) is
+      // refused like a rotted one, never served or merged.
       if (summary != nullptr) {
-        return std::move(*record).TakePayload(
-            static_cast<size_t>(summary - bytes.data()));
+        const size_t offset = static_cast<size_t>(summary - bytes.data());
+        if (ValidPayload<S>(summary, bytes.size() - offset)) {
+          return std::move(*record).TakePayload(offset);
+        }
       }
     }
-    // Missing or rotted. A leaf is primary data that cannot be rebuilt:
-    // quarantine it, as the scrubber would, and fail the build. An
-    // internal node is rebuilt from its children, byte-identically, and
-    // re-appended so the next restart finds it intact (latest wins).
+    // Missing, rotted or of another format. A leaf is primary data that
+    // cannot be rebuilt: quarantine it, as the scrubber would, and fail
+    // the build. An internal node is rebuilt from its children,
+    // byte-identically, and re-appended so the next restart finds it
+    // intact (latest wins).
     if (node.level == 0) {
       log_.QuarantineLeaf(stream, node.index);
       return std::nullopt;

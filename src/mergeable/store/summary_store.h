@@ -91,9 +91,10 @@ void CanonicalMergeInto(S& into, const S& from) {
 //   static Shape EncodedShape(const uint8_t*, size_t);
 //
 // when its Merge requires matching parameters (CountMinSketch,
-// MisraGries, the elastic sketches). Every other type takes the generic fallbacks below
-// (decode, then Merge; every shape matches), so these functions serve
-// every registered type with the same results.
+// CountSketch, AmsSketch, MisraGries, the elastic sketches). Every other
+// type takes the generic fallbacks below (decode, then Merge; every
+// shape matches), so these functions serve every registered type with
+// the same results.
 
 // Whether `size` bytes at `payload` are exactly one encoding of S:
 // S::DecodeFrom accepts them and leaves nothing over.

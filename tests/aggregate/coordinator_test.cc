@@ -25,7 +25,9 @@
 #include "mergeable/frequency/space_saving.h"
 #include "mergeable/quantiles/mergeable_quantiles.h"
 #include "mergeable/server/epoch_service.h"
+#include "mergeable/sketch/ams.h"
 #include "mergeable/sketch/count_min.h"
+#include "mergeable/sketch/count_sketch.h"
 #include "mergeable/store/durable_store.h"
 #include "mergeable/store/summary_store.h"
 #include "mergeable/stream/generators.h"
@@ -316,7 +318,9 @@ void ExpectIncompatibleShardGivenUp(const S& good, const S& other) {
     EXPECT_EQ(result.outcomes[1].status, ShardOutcome::Status::kLost);
     EXPECT_EQ(result.outcomes[1].attempts, 1u);
     ASSERT_TRUE(result.summary.has_value());
-    EXPECT_EQ(result.summary->n(), 2 * good.n());
+    if constexpr (requires { good.n(); }) {  // AMS keeps no n.
+      EXPECT_EQ(result.summary->n(), 2 * good.n());
+    }
     EXPECT_EQ(EncodeSummary(*result.summary), EncodeSummary(*expected));
   }
 }
@@ -339,6 +343,22 @@ TEST(CoordinatorTest, MisraGriesOfAnotherCapacityIsRejectedNotMerged) {
     small.Update(item % 5);
   }
   ExpectIncompatibleShardGivenUp(good, small);
+}
+
+// Count Sketch and AMS merge only sketches of one shape and seed.
+TEST(CoordinatorTest, CountSketchAndAmsOfAnotherShapeAreRejectedNotMerged) {
+  CountSketch good_cs(5, 64, /*seed=*/9);
+  CountSketch other_cs(5, 32, /*seed=*/9);
+  AmsSketch good_ams(3, 16, /*seed=*/9);
+  AmsSketch other_ams(3, 16, /*seed=*/10);
+  for (uint64_t item = 0; item < 50; ++item) {
+    good_cs.Update(item % 7);
+    other_cs.Update(item % 5);
+    good_ams.Update(item % 7);
+    other_ams.Update(item % 5);
+  }
+  ExpectIncompatibleShardGivenUp(good_cs, other_cs);
+  ExpectIncompatibleShardGivenUp(good_ams, other_ams);
 }
 
 // An elastic sketch merges across widths but not across seeds.

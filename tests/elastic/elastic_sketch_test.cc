@@ -323,7 +323,7 @@ TEST(ElasticCountMinTest, HeaderOnlyPayloadAllocatesNoCounters) {
 
 TEST(ElasticCountMinTest, ResizeAndMergeScriptKeepsItsBytes) {
   ExpectPinnedScriptBytes<ElasticCountMin>(
-      [](uint64_t draw) { return 1 + draw; }, 17140, 0x83a1b4a4f8aaaf85ULL);
+      [](uint64_t draw) { return 1 + draw; }, 2363, 0x2f588e1136d1bc89ULL);
 }
 
 // ---- ElasticCountSketch ----
@@ -440,8 +440,8 @@ TEST(ElasticCountSketchTest, HeaderOnlyPayloadAllocatesNoCounters) {
 TEST(ElasticCountSketchTest, ResizeAndMergeScriptKeepsItsBytes) {
   // Weights in [-2, 2], zero included.
   ExpectPinnedScriptBytes<ElasticCountSketch>(
-      [](uint64_t draw) { return static_cast<int64_t>(draw) - 2; }, 17140,
-      0x9d970cbd701af05fULL);
+      [](uint64_t draw) { return static_cast<int64_t>(draw) - 2; }, 2363,
+      0x0acb92176402c6d5ULL);
 }
 
 TEST(ElasticCountSketchTest, ErrorBoundTracksLatticeGeometry) {

@@ -8,7 +8,8 @@
 // starts on a store that holds the stream, else the first report the
 // service admitted. The elastic sketches merge across widths (the
 // wider one folds down) but abort on another depth or seed, so their
-// shape is depth and seed.
+// shape is depth and seed. Count Sketch and AMS, like Count-Min, merge
+// only sketches of one shape and seed.
 
 #include <cstdint>
 #include <optional>
@@ -22,7 +23,9 @@
 #include "mergeable/elastic/elastic_count_sketch.h"
 #include "mergeable/frequency/misra_gries.h"
 #include "mergeable/server/epoch_service.h"
+#include "mergeable/sketch/ams.h"
 #include "mergeable/sketch/count_min.h"
+#include "mergeable/sketch/count_sketch.h"
 #include "mergeable/store/durable_store.h"
 
 namespace mergeable {
@@ -176,6 +179,55 @@ TEST(PayloadShapeTest, MisraGriesReportOfAnotherCapacityIsRejected) {
   const auto range = store.QueryRangePayload(kStream, 0, 0);
   ASSERT_TRUE(range.has_value());
   EXPECT_EQ(*range->payload, EncodeSummary(CanonicalForm(narrow)));
+}
+
+// A linear sketch of `shape` fed 500 items from `first_item` on.
+template <typename S>
+S Linear(int rows, int cols, uint64_t seed, uint64_t first_item) {
+  S sketch(rows, cols, seed);
+  for (uint64_t item = first_item; item < first_item + 500; ++item) {
+    sketch.Update(item % 97);
+  }
+  return sketch;
+}
+
+// The scenario that aborted the seal: a Count Sketch or AMS report of
+// another width, and one of another seed, beside a good one. Both are
+// rejected, so the seal merges only sketches of one shape.
+template <typename S>
+void ExpectLinearShapeChecked() {
+  MemStorage storage;
+  DurableStore<S> store(&storage, DurableStoreOptions{});
+  EpochService<S> service(&store, Config());
+  const S good = Linear<S>(5, 64, 7, 0);
+  const S other_width = Linear<S>(5, 32, 7, 100);
+  const S other_seed = Linear<S>(5, 64, 8, 200);
+  const S retry = Linear<S>(5, 64, 7, 300);
+
+  EXPECT_EQ(Send(service, {Report(0, 0, good)}),
+            std::vector<ControlCode>{ControlCode::kAccepted});
+  EXPECT_EQ(Send(service, {Report(0, 1, other_width), Report(0, 2, other_seed),
+                           Report(0, 3, retry)}),
+            (std::vector<ControlCode>{ControlCode::kRejected,
+                                      ControlCode::kRejected,
+                                      ControlCode::kAccepted}));
+  EXPECT_EQ(service.stats().reports_rejected, 2u);
+  EXPECT_EQ(service.stats().reports_accepted, 2u);
+
+  ASSERT_TRUE(service.SealEpoch(0, 1000));
+  S expected = good;
+  expected.Merge(retry);
+  const auto range = store.QueryRangePayload(kStream, 0, 0);
+  ASSERT_TRUE(range.has_value());
+  EXPECT_EQ(*range->payload, EncodeSummary(expected));
+}
+
+TEST(PayloadShapeTest, CountSketchReportOfAnotherShapeIsRejected) {
+  ExpectLinearShapeChecked<CountSketch>();
+}
+
+TEST(PayloadShapeTest, AmsReportOfAnotherShapeIsRejected) {
+  ExpectLinearShapeChecked<AmsSketch>();
 }
 
 template <typename S>

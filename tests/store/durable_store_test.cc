@@ -31,6 +31,7 @@
 #include "mergeable/aggregate/file_storage.h"
 #include "mergeable/aggregate/storage.h"
 #include "mergeable/frequency/space_saving.h"
+#include "mergeable/sketch/count_min.h"
 #include "mergeable/store/durable_store.h"
 #include "mergeable/store/query.h"
 #include "mergeable/store/segment.h"
@@ -1095,6 +1096,101 @@ TEST(DurableStoreTest, PlannersClampAroundAQuarantinedLeaf) {
   }
   EXPECT_FALSE(
       QueryWindowTopK(store, kStream, kEpochs - kRotten, kTop).has_value());
+}
+
+// A store written before counter arrays were packed holds CM01
+// records: the CM02 header under the old magic, then every counter as a
+// full u64. This build reads no CM01, so such a record is refused like
+// a rotted one, never misread and never an abort: a CM01 node fails its
+// page-in and is rebuilt from its children (and re-appended as CM02), a
+// CM01 leaf fails its page-in and its epoch is quarantined.
+std::vector<uint8_t> Cm01Payload(const CountMinSketch& sketch) {
+  constexpr size_t kHeaderBytes = 32;
+  const std::vector<uint8_t> packed = EncodeSummary(sketch);
+  ByteReader reader(packed.data() + kHeaderBytes,
+                    packed.size() - kHeaderBytes);
+  std::vector<uint64_t> counters;
+  EXPECT_TRUE(reader.GetCounterVector(
+      static_cast<size_t>(sketch.depth()) * sketch.width(), &counters));
+  ByteWriter old;
+  old.PutU32(0x31304d43);  // "CM01"
+  old.PutRaw(packed.data() + sizeof(uint32_t),
+             kHeaderBytes - sizeof(uint32_t));
+  old.PutU64Array(counters);
+  return old.TakeBytes();
+}
+
+TEST(DurableStoreTest, OldCountMinRecordsAreRefusedNotMisread) {
+  constexpr uint64_t kEpochs = 4;
+  constexpr uint64_t kOldLeaf = 3;
+  std::vector<CountMinSketch> sketches;
+  std::vector<EpochMeta> metas;
+  for (uint64_t e = 0; e < kEpochs; ++e) {
+    CountMinSketch sketch(4, 64, /*seed=*/5);
+    Rng rng(40 + e);
+    for (int i = 0; i < 300; ++i) sketch.Update(rng.UniformInt(100));
+    EpochMeta meta;
+    meta.epoch = e;
+    meta.n = sketch.n();
+    metas.push_back(meta);
+    sketches.push_back(std::move(sketch));
+  }
+  const auto fold = [&sketches](uint64_t lo, uint64_t hi) {
+    CountMinSketch merged = sketches[lo];
+    for (uint64_t e = lo + 1; e <= hi; ++e) merged.Merge(sketches[e]);
+    return EncodeSummary(merged);
+  };
+  MemStorage durable;
+  {
+    DurableStore<CountMinSketch> store(&durable, Options());
+    for (uint64_t e = 0; e < kEpochs; ++e) {
+      ASSERT_TRUE(store.Seal(kStream, sketches[e], metas[e]));
+    }
+    // CM01 copies of node (1, 0) and of leaf kOldLeaf, latest wins.
+    CountMinSketch node = sketches[0];
+    node.Merge(sketches[1]);
+    DurableLog& log = store.log();
+    ASSERT_TRUE(log.AppendFrame(
+        kStream, 1, 0,
+        EncodeNodeFrame(kStream, 1, 0, SummaryTag::kCountMin,
+                        Cm01Payload(node))));
+    ASSERT_TRUE(log.AppendFrame(
+        kStream, 0, kOldLeaf,
+        EncodeLeafFrame(kStream, kOldLeaf, SummaryTag::kCountMin,
+                        metas[kOldLeaf], Cm01Payload(sketches[kOldLeaf]))));
+  }
+
+  DurableStore<CountMinSketch> store(&durable, Options());
+  const OpenReport report = store.Open();
+  // The scan reads a leaf record's tag and metadata, not its summary.
+  EXPECT_EQ(report.epochs, kEpochs);
+  EXPECT_EQ(report.corrupt_records, 0u);
+
+  // The CM01 node is rebuilt from its CM02 leaves and re-appended.
+  const uint64_t built = store.stats().nodes_built;
+  const auto first_two = store.QueryRangePayload(kStream, 0, 1);
+  ASSERT_TRUE(first_two.has_value());
+  EXPECT_EQ(*first_two->payload, fold(0, 1));
+  EXPECT_EQ(store.stats().nodes_built, built + 1);
+  const std::optional<std::vector<uint8_t>> node_record =
+      store.log().ReadRecord(kStream, 1, 0);
+  ASSERT_TRUE(node_record.has_value());
+  const std::optional<std::span<const uint8_t>> node_summary = ViewNodeRecord(
+      node_record->data(), node_record->size(), SummaryTag::kCountMin);
+  ASSERT_TRUE(node_summary.has_value());
+  EXPECT_EQ(std::vector<uint8_t>(node_summary->begin(), node_summary->end()),
+            fold(0, 1));
+
+  // The CM01 leaf is refused and its epoch quarantined; a range over it
+  // answers the prefix before it, its mass folded into the bound.
+  EXPECT_FALSE(store.QueryRangePayload(kStream, kOldLeaf, kOldLeaf));
+  EXPECT_EQ(store.QuarantinedLeaves(kStream),
+            std::vector<uint64_t>({kOldLeaf}));
+  const auto all = store.QueryRangePayload(kStream, 0, kEpochs - 1);
+  ASSERT_TRUE(all.has_value());
+  EXPECT_TRUE(all->partial);
+  EXPECT_EQ(*all->payload, fold(0, kOldLeaf - 1));
+  EXPECT_EQ(all->eps.lost_mass, metas[kOldLeaf].n);
 }
 
 }  // namespace
