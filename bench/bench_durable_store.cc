@@ -31,9 +31,9 @@
 // that never held the history: its peak RSS after Open() over
 // FileStorage and the full-range query (Table 4), then the median of
 // kOpens timed Open()s over the row's own backend (Table 2's open ms;
-// a mem row loads the files into a MemStorage first). One Open() in the
-// process that just sealed the history also timed the heap the seals
-// left behind. `--smoke` shrinks the sweep and the restart row
+// a mem row loads the files into a MemStorage first); an Open() in the
+// process that just sealed the history would also time the heap the
+// seals left behind. `--smoke` shrinks the sweep and the restart row
 // (kSmokeRestartEpochs) for CI.
 
 #include <algorithm>

@@ -115,7 +115,7 @@ size_t DyadicCountMin::TotalCounters() const {
 }
 
 namespace {
-constexpr uint32_t kDyadicMagic = 0x31304344;  // "DC01"
+constexpr uint32_t kDyadicMagic = 0x32304344;  // "DC02"
 }  // namespace
 
 void DyadicCountMin::EncodeTo(ByteWriter& writer) const {

@@ -46,7 +46,7 @@
 // one over its bytes: Open() verifies it on its scan, and a page-in and
 // the scrubber verify it with the same call (VerifySegmentRecord), the
 // page-in then parsing the payload (summary_store.h) against the
-// store's tag and checking the summary with ValidPayload<S>.
+// store's tag and checking that the summary is in S's current layout.
 //
 // Leaves are the truth: a lost or rotted *internal node* record is
 // rebuilt from its children and re-appended (latest-wins) — it never
@@ -660,12 +660,12 @@ class DurableStore {
                      ViewNodeRecord(bytes.data(), bytes.size(), kTag)) {
         summary = view->data();
       }
-      // The summary must parse as S, too: an intact record of another
-      // format (a CM01 Count-Min from before packed counter arrays) is
-      // refused like a rotted one, never served or merged.
+      // The summary must be in S's current layout, too: an intact record
+      // of another (a CM01 Count-Min from before packed counter arrays)
+      // is refused like a rotted one, never served or merged.
       if (summary != nullptr) {
         const size_t offset = static_cast<size_t>(summary - bytes.data());
-        if (ValidPayload<S>(summary, bytes.size() - offset)) {
+        if (OfCurrentLayout(summary, bytes.size() - offset)) {
           return std::move(*record).TakePayload(offset);
         }
       }
@@ -687,6 +687,24 @@ class DurableStore {
     if (query_stats != nullptr) ++query_stats->merges_performed;
     AppendNode(stream, node, *payload);
     return payload;
+  }
+
+  // Whether a paged-in summary is in S's current layout. Its record's
+  // checksum and tag held, so it is an encoding of S written by this
+  // build or an older one, and every layout change moves the format's
+  // magic (DESIGN §7.2). So a summary is checked in full (ValidPayload<S>)
+  // until one passes, and after that one whose magic equals that
+  // summary's is accepted on the magic alone: an old record is still
+  // refused, and a page-in does not pay for a full decode or a
+  // SpaceSaving duplicate sort.
+  bool OfCurrentLayout(const uint8_t* summary, size_t size) {
+    ByteReader reader(summary, size);
+    uint32_t magic = 0;
+    if (!reader.GetU32(&magic)) return false;
+    if (magic == current_magic_.load(std::memory_order_relaxed)) return true;
+    if (!ValidPayload<S>(summary, size)) return false;
+    current_magic_.store(magic, std::memory_order_relaxed);
+    return true;
   }
 
   // Materializes the cover's nodes and folds them, in epoch order, into
@@ -722,6 +740,9 @@ class DurableStore {
   std::atomic<uint64_t> node_merges_{0};
   std::atomic<uint64_t> bytes_written_{0};
   std::atomic<uint64_t> bytes_read_{0};
+  // The magic of a paged-in summary that passed ValidPayload<S>; none
+  // until one has (no u32 equals it).
+  std::atomic<uint64_t> current_magic_{~uint64_t{0}};
 };
 
 }  // namespace mergeable

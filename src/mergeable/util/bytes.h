@@ -113,9 +113,28 @@ decltype(auto) WithCellType(uint8_t width, F&& f) {
   }
 }
 
+// The OR of `count` packed cells (PackCell), whose highest bit sets the
+// cell width. It runs in independent lanes, a fixed-count inner loop
+// that GCC vectorizes even at -O2, where a one-accumulator reduction
+// stays scalar.
+template <CounterWord Word>
+uint64_t OrPackedCells(const Word* cells, size_t count) {
+  constexpr size_t kLanes = 16;
+  uint64_t lanes[kLanes] = {};
+  size_t i = 0;
+  for (; i + kLanes <= count; i += kLanes) {
+    for (size_t j = 0; j < kLanes; ++j) lanes[j] |= PackCell(cells[i + j]);
+  }
+  uint64_t bits = 0;
+  for (; i < count; ++i) bits |= PackCell(cells[i]);
+  for (uint64_t lane : lanes) bits |= lane;
+  return bits;
+}
+
 // The two loops of the counter-array codec that do not go through a
 // vector, one instance per width. Bounds and pointers arrive as
-// arguments, so the stores cannot alias them and each loop vectorizes.
+// arguments, so the stores cannot alias them and each loop vectorizes
+// at -O3 (GCC's -O2 cost model leaves them scalar).
 //
 // `count` cells packed (PackCell) into little-endian `Narrow`s at `out`;
 // every cell must fit.
@@ -230,11 +249,6 @@ class ByteWriter {
       for (uint64_t value : values) PutU64(value);
     }
   }
-  // Signed and unsigned words share a representation (and may alias).
-  void PutI64Array(std::span<const int64_t> values) {
-    PutU64Array({reinterpret_cast<const uint64_t*>(values.data()),
-                 values.size()});
-  }
 
   // Writes a counter array in the packed counter-array format: a u8 cell
   // width w in {1, 2, 4, 8}, then each cell little-endian in w bytes.
@@ -283,9 +297,8 @@ class ByteWriter {
  private:
   template <internal::CounterWord Word>
   void PutCells(std::span<const Word> cells) {
-    uint64_t bits = 0;
-    for (Word cell : cells) bits |= internal::PackCell(cell);
-    const uint8_t width = internal::CellWidthFor(bits);
+    const uint8_t width = internal::CellWidthFor(
+        internal::OrPackedCells(cells.data(), cells.size()));
     const size_t at = bytes_.size() + 1;
     bytes_.resize(at + cells.size() * width);
     bytes_[at - 1] = width;
@@ -328,13 +341,12 @@ class ByteReader {
   }
 
   // Replaces *out with the next `count` words written by PutU64Array
-  // or PutI64Array (or as many PutU64/PutI64 calls). The vector is
-  // allocated at that size and filled from the input only, with no
-  // zero-fill first; the Bloom and KMV decoders build their word arrays
-  // with it. The length is checked before anything is read: on a short
-  // read it returns false, and neither the position nor *out changes.
-  template <internal::CounterWord Word>
-  bool GetWordVector(size_t count, std::vector<Word>* out) {
+  // (or as many PutU64 calls). The vector is allocated at that size and
+  // filled from the input only, with no zero-fill first; the Bloom and
+  // KMV decoders build their word arrays with it. The length is checked
+  // before anything is read: on a short read it returns false, and
+  // neither the position nor *out changes.
+  bool GetWordVector(size_t count, std::vector<uint64_t>* out) {
     if (count > remaining() / sizeof(uint64_t)) return false;
     const uint8_t* begin = data_ + position_;
     position_ += count * sizeof(uint64_t);

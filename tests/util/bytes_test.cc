@@ -5,7 +5,6 @@
 // GetWordVector) reject lengths the input cannot back without moving.
 
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -149,46 +148,25 @@ TEST(BytesTest, U64ArrayMatchesPerElementPutU64) {
   EXPECT_EQ(bulk.bytes(), each.bytes());
 }
 
-TEST(BytesTest, I64ArrayMatchesPerElementPutI64) {
-  const std::vector<int64_t> values = {0, -1, 42, -2,
-                                       std::numeric_limits<int64_t>::min(),
-                                       std::numeric_limits<int64_t>::max()};
-  ByteWriter bulk;
-  bulk.PutI64Array(values);
-  ByteWriter each;
-  for (int64_t value : values) each.PutI64(value);
-  EXPECT_EQ(bulk.bytes(), each.bytes());
-}
-
 TEST(BytesTest, ArraysRoundTripThroughScalarAndBulkReads) {
   const std::vector<uint64_t> words = {3, 0x0102030405060708ULL, ~uint64_t{0}};
-  const std::vector<int64_t> values = {-5, 0, 9};
   ByteWriter writer;
   writer.PutU64Array(words);
-  writer.PutI64Array(values);
   writer.PutU64Array({});
 
   ByteReader bulk(writer.bytes());
   std::vector<uint64_t> words_back;
-  std::vector<int64_t> values_back;
   std::vector<uint64_t> empty;
   ASSERT_TRUE(bulk.GetWordVector(words.size(), &words_back));
-  ASSERT_TRUE(bulk.GetWordVector(values.size(), &values_back));
   ASSERT_TRUE(bulk.GetWordVector(0, &empty));
   EXPECT_TRUE(bulk.Exhausted());
   EXPECT_EQ(words_back, words);
-  EXPECT_EQ(values_back, values);
 
   ByteReader scalar(writer.bytes());
   for (uint64_t word : words) {
     uint64_t got = 0;
     ASSERT_TRUE(scalar.GetU64(&got));
     EXPECT_EQ(got, word);
-  }
-  for (int64_t value : values) {
-    int64_t got = 0;
-    ASSERT_TRUE(scalar.GetI64(&got));
-    EXPECT_EQ(got, value);
   }
   EXPECT_TRUE(scalar.Exhausted());
 }
@@ -202,9 +180,6 @@ TEST(BytesTest, ShortU64ArrayReadFailsWithoutMoving) {
   EXPECT_FALSE(reader.GetWordVector(4, &out));
   EXPECT_EQ(reader.remaining(), 28u);
   EXPECT_EQ(out, std::vector<uint64_t>(4, 99));  // Nothing copied.
-  std::vector<int64_t> signed_out(4, -7);
-  EXPECT_FALSE(reader.GetWordVector(4, &signed_out));
-  EXPECT_EQ(reader.remaining(), 28u);
   // The reader is still usable from where it stood.
   std::vector<uint64_t> three;
   ASSERT_TRUE(reader.GetWordVector(3, &three));
